@@ -6,8 +6,9 @@
 //! query), under both scheduler policies:
 //!
 //! - `rr` — blind round-robin (the pre-scheduler baseline);
-//! - `p2c` — depth-aware power-of-two-choices over queue backlog ×
-//!   service-rate EWMA, with fall-through to any replica with room.
+//! - `p2c` — depth-aware power-of-two-choices over each replica's
+//!   latency-model estimate of its occupancy (raw occupancy while the
+//!   model is cold), with fall-through to any replica with room.
 //!
 //! Replicas are async-sleep transports (a batch of `n` costs
 //! `n × per_item`), so the benchmark measures *scheduling*, not model

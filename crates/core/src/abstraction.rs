@@ -6,15 +6,19 @@
 //! 1. **prediction cache** — hit returns immediately; a miss either joins
 //!    an in-flight computation or claims responsibility for one;
 //! 2. **replica scheduling** — a per-model [scheduler](SchedulerPolicy)
-//!    routes the query by *live replica state*: the default is
-//!    power-of-two-choices over each queue's backlog estimate (queued
-//!    plus in-flight queries, weighted by an EWMA of the replica's
-//!    observed service rate), so a slow or backlogged replica receives
-//!    less traffic than a fast one (each replica still tunes its own
-//!    batching independently, §4.4.1). If the chosen queue refuses — full
-//!    or draining — the query falls through to *any* replica with room;
-//!    it is shed only when every replica is full. Blind round-robin
-//!    remains available as a baseline policy.
+//!    routes the query by *live replica state*, read as two values per
+//!    replica: its [`Health`] and its latency-model estimate of the work
+//!    ahead. One walk orders the replicas for every p2c decision — first
+//!    dispatch, retry redispatch and hedge pick alike: a replica whose
+//!    breaker wants its recovery probe first, then the clean replicas
+//!    starting at the power-of-two-choices pick (the sampled replica
+//!    with the smaller `α + β·(occupancy + 1)`, so a slow or backlogged
+//!    replica receives less traffic than a fast one; each replica still
+//!    tunes its own batching independently, §4.4.1), then the suspect
+//!    rest. If a queue refuses — full or draining — the query falls
+//!    through to the next replica in that order; it is shed only when
+//!    every replica is full. Blind round-robin remains available as a
+//!    baseline policy.
 //! 3. **batching queue** — the replica's pull-based worker forms batches
 //!    and ships them zero-copy over the transport.
 //!
@@ -34,7 +38,7 @@ use crate::batching::queue::{
     spawn_replica_queue_with_hooks, QueueConfig, QueueHooks, QueueItem, QueueMetrics, ReplicaQueue,
     ReplySink,
 };
-use crate::batching::LatencyPrior;
+use crate::batching::{Health, LatencyPrior};
 use crate::cache::{CacheKey, CacheStats, Lookup, PredictionCache};
 use crate::types::{Input, ModelId, Output};
 use clipper_metrics::{Counter, Registry};
@@ -53,9 +57,9 @@ pub type BatchConfig = QueueConfig;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerPolicy {
     /// Depth-aware power-of-two-choices (the default): sample two distinct
-    /// replicas, route to the one with the smaller backlog estimate
-    /// (`(queued + inflight) × service-rate EWMA`), falling through to any
-    /// replica with room before shedding.
+    /// clean replicas, route to the one whose latency model predicts the
+    /// earlier completion (`α + β·(queued + inflight + 1)`), falling
+    /// through to any replica with room before shedding.
     #[default]
     PowerOfTwoChoices,
     /// Blind round-robin over healthy replicas (the pre-scheduler
@@ -119,12 +123,6 @@ struct Replica {
     transport: Arc<dyn BatchTransport>,
 }
 
-impl Replica {
-    fn is_routable(&self) -> bool {
-        self.transport.is_healthy() && self.queue.is_accepting()
-    }
-}
-
 struct ModelHandle {
     id: ModelId,
     cfg: QueueConfig,
@@ -146,20 +144,14 @@ struct ModelHandle {
     defaults: Mutex<DefaultTracker>,
 }
 
-/// Fill `buf` with indices of routable replicas (excluding suspects when
-/// `clean_only`), stopping at the buffer's capacity. Returns the count.
-fn fill_candidates(buf: &mut [usize; 16], replicas: &[Arc<Replica>], clean_only: bool) -> usize {
-    let mut m = 0;
-    for (i, r) in replicas.iter().enumerate() {
-        if m == buf.len() {
-            break;
-        }
-        if r.is_routable() && (!clean_only || !r.queue.is_suspect()) {
-            buf[m] = i;
-            m += 1;
-        }
+/// The scheduler's preference tier for a replica: the recovery probe
+/// first, clean replicas next, every other suspect last.
+fn tier(health: Health) -> usize {
+    match health {
+        Health::WantsProbe => 0,
+        Health::Clean => 1,
+        Health::Probing | Health::CoolingDown | Health::Silent => 2,
     }
-    m
 }
 
 /// splitmix64 — cheap well-mixed bits for the two p2c samples.
@@ -171,92 +163,158 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 impl ModelHandle {
-    /// Pick the index (into `replicas`) to try first.
-    fn pick(&self, replicas: &[Arc<Replica>]) -> usize {
-        let n = replicas.len();
-        debug_assert!(n > 0);
+    /// Power-of-two-choices: the index (into `replicas`) the clean tier
+    /// starts at. `health[i]` is replica `i`'s health, `None` when it is
+    /// not a candidate for this decision.
+    fn pick(&self, replicas: &[Arc<Replica>], health: &[Option<Health>]) -> usize {
         let token = self.cursor.fetch_add(1, Ordering::Relaxed) as u64;
-        match self.policy {
-            SchedulerPolicy::RoundRobin => token as usize % n,
-            SchedulerPolicy::PowerOfTwoChoices => {
-                // Routable candidates, preferring replicas whose recent
-                // batches succeeded: a black-hole replica fails instantly,
-                // keeps an empty queue, and would otherwise look ideal to
-                // depth-aware scoring. Fall back to all routable replicas
-                // when everything is suspect, and to raw indices when
-                // everything looks dead so the fall-through loop still
-                // reports the right error. Candidate indices live in a
-                // stack buffer — no per-query allocation for realistic
-                // replica counts (the buffer caps sampling at its size,
-                // which still yields a valid p2c pick in larger pools).
-                let mut buf = [0usize; 16];
-                let mut m = fill_candidates(&mut buf, replicas, true);
-                if m == 0 {
-                    m = fill_candidates(&mut buf, replicas, false);
-                }
-                let routable = &buf[..m];
-                match m {
-                    0 => token as usize % n,
-                    1 => routable[0],
-                    m => {
-                        let h = mix64(token);
-                        let a = (h % m as u64) as usize;
-                        // Distinct second sample from the high bits.
-                        let b = (a + 1 + ((h >> 32) % (m as u64 - 1)) as usize) % m;
-                        let (qa, qb) = (&replicas[routable[a]].queue, &replicas[routable[b]].queue);
-                        // Score with the learned per-replica latency curve
-                        // (§4.4.1, `α + β·b̂` over the work already ahead)
-                        // once both candidates' models are established — it
-                        // separates a replica that is merely busy from one
-                        // that is intrinsically slow. Fall back to backlog
-                        // (occupancy × service EWMA) when both have observed
-                        // rates, and to raw occupancy otherwise, so an
-                        // unobserved replica can't win on an artificially
-                        // zero estimate.
-                        let curve = |q: &crate::batching::ReplicaQueue| {
-                            q.latency_model().predict_ns(q.occupancy() + 1)
-                        };
-                        let a_wins = match (curve(qa), curve(qb)) {
-                            (Some(ca), Some(cb)) => ca <= cb,
-                            _ if qa.has_service_estimate() && qb.has_service_estimate() => {
-                                qa.backlog_estimate_ns() <= qb.backlog_estimate_ns()
-                            }
-                            _ => qa.occupancy() <= qb.occupancy(),
-                        };
-                        if a_wins {
-                            routable[a]
-                        } else {
-                            routable[b]
-                        }
-                    }
+        // Sample among the clean replicas: a black-hole replica fails
+        // instantly, keeps an empty queue, and would otherwise look ideal
+        // to depth-aware scoring. Fall back to every candidate when all
+        // are suspect, and to the bare cursor when there is none, so the
+        // walk still starts somewhere.
+        let any_clean = health.contains(&Some(Health::Clean));
+        let candidates = || {
+            (0..health.len())
+                .filter(|&i| health[i].is_some_and(|h| !any_clean || h == Health::Clean))
+        };
+        let nth = |k| candidates().nth(k).expect("k is below the candidate count");
+        match candidates().count() {
+            0 => token as usize % replicas.len(),
+            1 => nth(0),
+            m => {
+                let h = mix64(token);
+                let a = (h % m as u64) as usize;
+                // Distinct second sample from the high bits.
+                let b = (a + 1 + ((h >> 32) % (m as u64 - 1)) as usize) % m;
+                let (a, b) = (nth(a), nth(b));
+                let (qa, qb) = (&replicas[a].queue, &replicas[b].queue);
+                // Score with the learned per-replica latency curve
+                // (§4.4.1, `α + β·b̂` over the work already ahead) once
+                // both candidates' models are established — it separates
+                // a replica that is merely busy from one that is
+                // intrinsically slow. Raw occupancy otherwise, so an
+                // unobserved replica can't win on an artificially zero
+                // estimate.
+                let a_wins = match (qa.estimated_ns(1), qb.estimated_ns(1)) {
+                    (Some(ca), Some(cb)) => ca <= cb,
+                    _ => qa.occupancy() <= qb.occupancy(),
+                };
+                if a_wins {
+                    a
+                } else {
+                    b
                 }
             }
         }
     }
 
-    /// SLO-aware admission (§4.4.1): whether at least one routable
-    /// replica's latency model + backlog estimate says a query admitted
-    /// now can still meet the model's SLO. A replica without an
-    /// established model admits by default (cold start must not shed on
-    /// a guess), and so does a model with no routable replicas at all —
-    /// the dispatch loop then reports `NoReplicas`, not a shed.
-    fn can_admit(&self, replicas: &[Arc<Replica>]) -> bool {
+    /// The one replica walk behind every p2c decision — first dispatch,
+    /// retry redispatch and hedge pick. Reads each replica's health once,
+    /// then offers the live replicas (transport healthy, not `exclude`)
+    /// in preference order until `offer` returns `Some`: a replica that
+    /// wants its recovery probe first, then the clean ones starting at
+    /// the [`pick`](Self::pick), then the suspect rest.
+    ///
+    /// The probe tier is what closes the recovery loop: the breaker
+    /// admits that query as its single probe batch, success rejoins the
+    /// replica to the clean tier, failure re-opens the breaker while the
+    /// deadline budget redispatches the query onto a sibling. Without
+    /// it, a pull-based queue the scheduler routes around would never
+    /// see traffic again and could never prove it recovered.
+    fn walk<T>(
+        &self,
+        replicas: &[Arc<Replica>],
+        now: Instant,
+        exclude: Option<&str>,
+        mut offer: impl FnMut(Health, &Replica) -> Option<T>,
+    ) -> Option<T> {
+        let n = replicas.len();
+        if n == 0 {
+            return None;
+        }
+        // On the stack for realistic replica counts: no per-query
+        // allocation.
+        let mut stack = [None; 16];
+        let mut heap = Vec::new();
+        let health: &mut [Option<Health>] = if n <= stack.len() {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, None);
+            &mut heap
+        };
+        for (h, r) in health.iter_mut().zip(replicas) {
+            if r.transport.is_healthy() && exclude != Some(r.queue.id()) {
+                *h = Some(r.queue.health(now));
+            }
+        }
+        let start = self.pick(replicas, health);
+        for t in 0..3 {
+            for offset in 0..n {
+                let i = (start + offset) % n;
+                if let Some(h) = health[i].filter(|&h| tier(h) == t) {
+                    if let Some(done) = offer(h, &replicas[i]) {
+                        return Some(done);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// [`walk`](Self::walk) with a queue item in hand: submit it to the
+    /// first replica that is `eligible` and whose queue accepts it —
+    /// `try_submit` hands the item back on refusal (full or draining) so
+    /// it falls through to the next. `Err(item)` = nobody took it.
+    fn place(
+        &self,
+        replicas: &[Arc<Replica>],
+        now: Instant,
+        exclude: Option<&str>,
+        item: QueueItem,
+        mut eligible: impl FnMut(Health, &Replica) -> bool,
+    ) -> Result<(), QueueItem> {
+        let mut item = Some(item);
+        self.walk(replicas, now, exclude, |h, r| {
+            if !eligible(h, r) {
+                return None;
+            }
+            match r.queue.try_submit(item.take()?) {
+                Ok(()) => Some(()),
+                Err(back) => {
+                    item = Some(back);
+                    None
+                }
+            }
+        });
+        item.map_or(Ok(()), Err)
+    }
+
+    /// Whether the replica's latency model says a query admitted now
+    /// would complete past the SLO (never, while the model is cold).
+    fn over_slo(&self, r: &Replica) -> bool {
         let slo_ns = self.cfg.slo.as_nanos().min(u64::MAX as u128) as u64;
+        matches!(r.queue.estimated_ns(1), Some(est) if est > slo_ns)
+    }
+
+    /// SLO-aware admission (§4.4.1): whether at least one routable
+    /// replica's latency model says a query admitted now can still meet
+    /// the model's SLO. A replica without an established model admits by
+    /// default (cold start must not shed on a guess), and so does a model
+    /// with no routable replicas at all — the dispatch loop then reports
+    /// `NoReplicas`, not a shed.
+    fn can_admit(&self, replicas: &[Arc<Replica>], now: Instant) -> bool {
         let mut any_routable = false;
         for r in replicas.iter() {
-            if !r.is_routable() {
-                continue;
-            }
             // A breaker that is open and cooling down can't serve the
             // query at all; its (likely idle) queue must not vouch for
             // admission.
-            if r.queue.breaker().is_tripped() {
+            if !r.transport.is_healthy() || r.queue.health(now) == Health::CoolingDown {
                 continue;
             }
             any_routable = true;
-            match r.queue.estimated_admission_ns() {
-                Some(est) if est > slo_ns => {}
-                _ => return true,
+            if !self.over_slo(r) {
+                return true;
             }
         }
         !any_routable
@@ -270,9 +328,10 @@ impl ModelHandle {
             sink.complete(Err(PredictError::NoReplicas));
             return Err(PredictError::NoReplicas);
         }
+        let now = Instant::now();
         // Admission before routing: an honest 429 now beats a guaranteed
         // late answer. Opt-in per model (`QueueConfig::slo_admission`).
-        if self.cfg.slo_admission && !self.can_admit(&replicas) {
+        if self.cfg.slo_admission && !self.can_admit(&replicas, now) {
             self.shed.inc();
             self.admission_shed.inc();
             sink.complete(Err(PredictError::Overloaded));
@@ -281,23 +340,19 @@ impl ModelHandle {
         // The deadline is the retry budget: a retryable upstream failure
         // may redispatch this query onto a sibling replica only while the
         // original SLO window is still open.
-        let mut item = QueueItem::with_deadline(input, sink, Instant::now() + self.cfg.slo);
-        let n = replicas.len();
-        let start = self.pick(&replicas);
-        // With SLO-aware admission on, a replica whose latency model +
-        // backlog says a query admitted now would finish past the SLO is
-        // skipped exactly like a full queue — admission and routing stay
+        let item = QueueItem::with_deadline(input, sink, now + self.cfg.slo);
+        // With SLO-aware admission on, a replica whose latency model says
+        // a query admitted now would finish past the SLO is skipped
+        // exactly like a full queue — admission and routing stay
         // coherent: "some replica can meet the deadline" means the query
         // goes to one that can.
-        let slo_ns = self.cfg.slo.as_nanos().min(u64::MAX as u128) as u64;
-        let over_slo = |r: &Replica| {
-            self.cfg.slo_admission
-                && matches!(r.queue.estimated_admission_ns(), Some(est) if est > slo_ns)
-        };
+        let over_slo = |r: &Replica| self.cfg.slo_admission && self.over_slo(r);
         match self.policy {
             SchedulerPolicy::RoundRobin => {
                 // Baseline semantics: first healthy replica from the
                 // cursor gets the query; a full queue sheds it.
+                let n = replicas.len();
+                let start = self.cursor.fetch_add(1, Ordering::Relaxed) % n;
                 let mut skipped_over_slo = false;
                 for offset in 0..n {
                     let r = &replicas[(start + offset) % n];
@@ -323,51 +378,17 @@ impl ModelHandle {
                 Err(err)
             }
             SchedulerPolicy::PowerOfTwoChoices => {
-                // Recovery probe: a suspect replica whose breaker asks
-                // for a probe is deliberately handed this query — the
-                // breaker admits it as the single probe batch, success
-                // clears the error streak and rejoins the replica to the
-                // clean tier, failure re-opens the breaker while the
-                // deadline budget redispatches the query onto a sibling.
-                // Without this, a pull-based queue the scheduler routes
-                // around would never see traffic again and could never
-                // prove it recovered.
-                for offset in 0..n {
-                    let r = &replicas[(start + offset) % n];
-                    if r.transport.is_healthy()
-                        && r.queue.is_suspect()
-                        && r.queue.breaker().wants_probe()
-                        && !over_slo(r)
-                    {
-                        match r.queue.try_submit(item) {
-                            Ok(()) => return Ok(()),
-                            Err(back) => item = back,
-                        }
-                    }
-                }
+                // A suspect replica is reached only after every clean one
+                // refused: it must never intercept a query a healthy
+                // sibling could serve.
                 let mut saw_healthy = false;
-                // Two fall-through tiers: clean replicas first, suspect
-                // ones only when no clean replica had room — a suspect
-                // replica must never intercept a query a healthy sibling
-                // could serve.
-                for suspects in [false, true] {
-                    for offset in 0..n {
-                        let r = &replicas[(start + offset) % n];
-                        if !r.transport.is_healthy() || r.queue.is_suspect() != suspects {
-                            continue;
-                        }
-                        saw_healthy = true;
-                        if over_slo(r) {
-                            continue;
-                        }
-                        // `try_submit` hands the item back on refusal (full
-                        // or draining) so it can fall through to a sibling.
-                        match r.queue.try_submit(item) {
-                            Ok(()) => return Ok(()),
-                            Err(back) => item = back,
-                        }
-                    }
-                }
+                let placed = self.place(&replicas, now, None, item, |_, r| {
+                    saw_healthy = true;
+                    !over_slo(r)
+                });
+                let Err(item) = placed else {
+                    return Ok(());
+                };
                 let err = if saw_healthy {
                     self.shed.inc();
                     PredictError::Overloaded
@@ -382,47 +403,25 @@ impl ModelHandle {
     }
 
     /// Redispatch a retry-budgeted item that failed on `origin` onto a
-    /// *different* routable, non-suspect replica. Draining queues refuse
-    /// via `try_submit`, open breakers and error streaks are excluded as
-    /// suspects, and a single-replica fleet has nowhere to go —
-    /// `Err(item)` hands the item back for a typed fail-fill.
-    fn redispatch(&self, origin: &str, mut item: QueueItem) -> Result<(), QueueItem> {
+    /// *different* clean replica. Draining queues refuse via
+    /// `try_submit`, a replica in any suspect health is passed over, and
+    /// a single-replica fleet has nowhere to go — `Err(item)` hands the
+    /// item back for a typed fail-fill.
+    fn redispatch(&self, origin: &str, item: QueueItem) -> Result<(), QueueItem> {
         let replicas = self.replicas.read();
-        let n = replicas.len();
-        if n <= 1 {
-            return Err(item);
-        }
-        let start = self.pick(&replicas);
-        for offset in 0..n {
-            let r = &replicas[(start + offset) % n];
-            if r.queue.id() == origin || !r.is_routable() || r.queue.is_suspect() {
-                continue;
-            }
-            match r.queue.try_submit(item) {
-                Ok(()) => return Ok(()),
-                Err(back) => item = back,
-            }
-        }
-        Err(item)
+        self.place(&replicas, Instant::now(), Some(origin), item, |h, _| {
+            h == Health::Clean
+        })
     }
 
-    /// A healthy sibling's transport for a hedged dispatch (never the
+    /// A clean sibling's transport for a hedged dispatch (never the
     /// straggling `origin` replica itself), or `None` when no clean
     /// sibling exists.
     fn hedge_pick(&self, origin: &str) -> Option<Arc<dyn BatchTransport>> {
         let replicas = self.replicas.read();
-        let n = replicas.len();
-        if n <= 1 {
-            return None;
-        }
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed) % n;
-        for offset in 0..n {
-            let r = &replicas[(start + offset) % n];
-            if r.queue.id() != origin && r.is_routable() && !r.queue.is_suspect() {
-                return Some(r.transport.clone());
-            }
-        }
-        None
+        self.walk(&replicas, Instant::now(), Some(origin), |h, r| {
+            (h == Health::Clean).then(|| r.transport.clone())
+        })
     }
 
     fn queue_depth(&self) -> usize {
@@ -675,14 +674,19 @@ impl ModelAbstractionLayer {
             .position(|r| r.queue.id() == queue_id)
             .ok_or(PredictError::NoReplicas)?;
         let replica = replicas.remove(pos);
-        replica.queue.shutdown();
-        // Reclaim the replica's per-queue metrics so churn doesn't grow
-        // the registry without bound (the trailing '/' keeps "m:v1:1"
-        // from matching "m:v1:10"). The draining queue still updates its
-        // own handles; they just stop being reported.
-        self.registry
-            .unregister_prefix(&format!("queue/{queue_id}/"));
+        self.retire(&replica.queue);
         Ok(replica.queue.clone())
+    }
+
+    /// What every removal path does to a replica it has unlisted: begin
+    /// the graceful drain, and reclaim the per-queue metrics so churn
+    /// doesn't grow the registry without bound (the trailing '/' keeps
+    /// "m:v1:1" from matching "m:v1:10"). The draining queue still
+    /// updates its own handles; they just stop being reported.
+    fn retire(&self, queue: &ReplicaQueue) {
+        queue.shutdown();
+        self.registry
+            .unregister_prefix(&format!("queue/{}/", queue.id()));
     }
 
     /// Remove all replicas of a model (failure injection / decommission).
@@ -692,7 +696,7 @@ impl ModelAbstractionLayer {
         if let Some(handle) = self.models.read().get(id) {
             let mut replicas = handle.replicas.write();
             for r in replicas.drain(..) {
-                r.queue.shutdown();
+                self.retire(&r.queue);
             }
         }
     }
@@ -717,9 +721,7 @@ impl ModelAbstractionLayer {
         let mut queues = Vec::with_capacity(replicas.len());
         let mut transports = Vec::with_capacity(replicas.len());
         for r in replicas.drain(..) {
-            r.queue.shutdown();
-            self.registry
-                .unregister_prefix(&format!("queue/{}/", r.queue.id()));
+            self.retire(&r.queue);
             queues.push(r.queue.clone());
             transports.push(r.transport.clone());
         }
@@ -826,11 +828,11 @@ impl ModelAbstractionLayer {
             .map_or(0, |h| h.admission_shed.get())
     }
 
-    /// The queue ids of a model's replicas that the scheduler currently
-    /// considers suspect (≥3 consecutive failed batches, an externally
-    /// set health hint, or an open circuit breaker inside its cooldown)
-    /// — the candidates a chaos/ops loop hot-removes via
-    /// [`remove_replica`](Self::remove_replica).
+    /// The queue ids of a model's replicas whose health is anything but
+    /// [`Health::Clean`] — the breaker opened (failure streak or rate)
+    /// and no probe has succeeded since, or the fleet monitor reports
+    /// the heartbeats silent — the candidates a chaos/ops loop
+    /// hot-removes via [`remove_replica`](Self::remove_replica).
     pub fn suspect_queue_ids(&self, id: &ModelId) -> Vec<String> {
         self.models.read().get(id).map_or_else(Vec::new, |h| {
             h.replicas
@@ -842,10 +844,10 @@ impl ModelAbstractionLayer {
         })
     }
 
-    /// Externally flag (or clear) one replica queue as suspect — the
-    /// fleet health monitor's bridge into p2c suspect-avoidance for
-    /// replicas whose heartbeats went silent before their batches began
-    /// failing. Returns whether the queue id was found.
+    /// Tell one replica queue's health that its heartbeats went silent
+    /// (or came back) — the fleet health monitor's bridge into p2c
+    /// suspect-avoidance for replicas that go quiet before their batches
+    /// begin failing. Returns whether the queue id was found.
     pub fn set_replica_suspect_hint(&self, id: &ModelId, queue_id: &str, suspect: bool) -> bool {
         self.models.read().get(id).is_some_and(|h| {
             h.replicas
@@ -858,14 +860,18 @@ impl ModelAbstractionLayer {
     }
 
     /// Total estimated backlog across a model's replicas, in nanoseconds
-    /// of queued work (`Σ occupancy × service EWMA`) — the autoscaler's
-    /// primary load signal.
+    /// of queued work by each replica's latency model (`Σ α + β·occupancy`
+    /// over the busy replicas; a replica whose model is still cold counts
+    /// its occupancy) — the autoscaler's primary load signal.
     pub fn backlog_ns(&self, id: &ModelId) -> u64 {
         self.models.read().get(id).map_or(0, |h| {
             h.replicas
                 .read()
                 .iter()
-                .map(|r| r.queue.backlog_estimate_ns())
+                .map(|r| {
+                    let q = &r.queue;
+                    q.estimated_ns(0).unwrap_or_else(|| q.occupancy() as u64)
+                })
                 .sum()
         })
     }
@@ -1357,7 +1363,6 @@ mod tests {
                 slo: Duration::from_secs(1),
                 breaker: crate::batching::BreakerConfig {
                     cooldown: Duration::from_millis(20),
-                    ..Default::default()
                 },
                 ..Default::default()
             },
@@ -1534,9 +1539,19 @@ mod tests {
         let mal = layer();
         let m = ModelId::new("m", 1);
         mal.add_model(m.clone(), BatchConfig::default());
-        mal.add_replica(&m, echo()).unwrap();
+        let qid = mal.add_replica(&m, echo()).unwrap();
+        let queue_keys = |mal: &ModelAbstractionLayer| {
+            let prefix = format!("queue/{qid}/");
+            let snap = mal.registry().snapshot();
+            snap.values
+                .keys()
+                .filter(|k| k.starts_with(&prefix))
+                .count()
+        };
+        assert!(queue_keys(&mal) > 0, "the replica registered its metrics");
         mal.remove_replicas(&m);
         assert_eq!(mal.replica_count(&m), 0);
+        assert_eq!(queue_keys(&mal), 0, "per-queue metrics must be reclaimed");
         let err = mal
             .predict(&m, Arc::new(vec![1.0]), false)
             .await

@@ -1,50 +1,53 @@
-//! Per-replica circuit breaker (§5.2.2 robustness): stop dispatching at a
-//! replica that keeps failing, probe it after a cooldown, and readmit it
-//! only once a probe batch succeeds.
+//! Per-replica health (§5.2.2 robustness): the one state machine that
+//! says whether a replica should get traffic. It stops dispatch at a
+//! replica that keeps failing, probes it after a cooldown, readmits it
+//! only once a probe batch succeeds, and carries the fleet's
+//! heartbeat-silent flag — so the scheduler, admission, hedging and
+//! `/metrics` all read the same fact through [`CircuitBreaker::health`].
 //!
 //! The breaker runs the classic three-state machine per replica queue:
 //!
 //! - **Closed** — batches dispatch normally. Every batch outcome lands in
-//!   a sliding window of the last [`BreakerConfig::window`] batches; the
-//!   breaker *opens* when the failure rate over a sufficiently full window
-//!   crosses [`BreakerConfig::failure_threshold`], or immediately on
-//!   [`BreakerConfig::streak`] consecutive failures.
+//!   a sliding window of the last [`WINDOW`] batches; the breaker *opens*
+//!   when the failure rate over at least [`MIN_SAMPLES`] outcomes reaches
+//!   [`FAILURE_THRESHOLD`], or immediately on [`STREAK`] consecutive
+//!   failures.
 //! - **Open** — the worker refuses to dispatch here; queued items are
 //!   redispatched onto sibling replicas (or fail-filled when none can take
-//!   them). [`CircuitBreaker::is_tripped`] reports `true` for the
-//!   [`BreakerConfig::cooldown`] duration, feeding the scheduler's
-//!   suspect hint so new traffic routes around the replica. Once the
-//!   cooldown elapses the breaker stops reporting tripped — routing
-//!   resumes, and the first batch to arrive becomes the probe.
-//! - **HalfOpen** — exactly one probe batch is admitted
-//!   ([`CircuitBreaker::admit_batch`]); its outcome decides: success
-//!   *closes* the breaker (window reset), failure *re-opens* it for
-//!   another cooldown.
+//!   them). For [`BreakerConfig::cooldown`] the replica reads
+//!   [`Health::CoolingDown`]; after it, [`Health::WantsProbe`] — the
+//!   scheduler then deliberately hands it one query, because a pull-based
+//!   queue that nobody routes to could never prove it recovered.
+//! - **HalfOpen** — exactly one probe batch is in flight
+//!   ([`CircuitBreaker::admit_batch`] granted it). Success *closes* the
+//!   breaker (window reset), failure *re-opens* it for another cooldown,
+//!   and an inconclusive probe (a hedge answered for it) re-opens it
+//!   *without* a cooldown, so the next batch probes again.
 //!
-//! All state transitions are counted ([`CircuitBreaker::opened`],
+//! Every transition takes `now` as an argument, so tests drive time.
+//! Transitions are counted ([`CircuitBreaker::opened`],
 //! [`CircuitBreaker::half_opened`], [`CircuitBreaker::closed`]) and the
 //! live state is exported as a per-queue `/metrics` gauge by the model
 //! abstraction layer.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
+
+/// Sliding window length in batches (outcomes live in a `u64` bitmask).
+pub const WINDOW: usize = 32;
+/// Failure rate over the window that opens the breaker.
+pub const FAILURE_THRESHOLD: f64 = 0.5;
+/// Minimum outcomes in the window before the rate test applies — a
+/// single failed batch after an idle period must not trip a 100% rate.
+pub const MIN_SAMPLES: usize = 8;
+/// Consecutive failures that open the breaker regardless of the window
+/// (fast trip for a replica that is hard-down).
+pub const STREAK: usize = 3;
 
 /// Circuit-breaker tuning (per replica queue).
 #[derive(Clone, Copy, Debug)]
 pub struct BreakerConfig {
-    /// Sliding window length in batches (capped at 64 — outcomes live in
-    /// a bitmask).
-    pub window: usize,
-    /// Failure rate over the window that opens the breaker (once at least
-    /// `min_samples` outcomes are in the window).
-    pub failure_threshold: f64,
-    /// Minimum outcomes in the window before the rate test applies — a
-    /// single failed batch after an idle period must not trip a 100% rate.
-    pub min_samples: usize,
-    /// Consecutive failures that open the breaker regardless of the
-    /// window (fast trip for a replica that is hard-down).
-    pub streak: usize,
     /// How long an opened breaker holds traffic off before probing.
     pub cooldown: Duration,
 }
@@ -52,14 +55,6 @@ pub struct BreakerConfig {
 impl Default for BreakerConfig {
     fn default() -> Self {
         BreakerConfig {
-            window: 32,
-            failure_threshold: 0.5,
-            min_samples: 8,
-            // Matches the queue's consecutive-error suspect threshold, so
-            // a replica the scheduler routes around for a failure streak
-            // always has a tripped breaker — whose probe cycle is what
-            // later routes traffic *back* (see `wants_probe`).
-            streak: 3,
             cooldown: Duration::from_millis(500),
         }
     }
@@ -70,9 +65,9 @@ impl Default for BreakerConfig {
 pub enum BreakerState {
     /// Dispatching normally.
     Closed,
-    /// One probe batch is (or is about to be) in flight.
+    /// One probe batch is in flight.
     HalfOpen,
-    /// Refusing dispatch until the cooldown elapses.
+    /// Refusing dispatch until a probe is granted.
     Open,
 }
 
@@ -88,11 +83,47 @@ impl BreakerState {
     }
 }
 
+/// What the rest of the system may assume about a replica right now —
+/// the single answer to "is this replica healthy?". The scheduler's
+/// tiers are these variants: [`WantsProbe`](Health::WantsProbe) is
+/// offered a query first, [`Clean`](Health::Clean) replicas next, the
+/// rest only when no clean replica has room.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Health {
+    /// Breaker closed and heartbeats arriving: route normally.
+    Clean,
+    /// Breaker open with the cooldown elapsed: the next batch is the
+    /// recovery probe, so the scheduler should deliver one.
+    WantsProbe,
+    /// The recovery probe is in flight; further batches are refused
+    /// until it settles.
+    Probing,
+    /// Breaker open and inside its cooldown: every batch is refused, so
+    /// the replica cannot vouch for SLO admission either.
+    CoolingDown,
+    /// Breaker closed, but the fleet monitor reports the replica's
+    /// heartbeats went silent — suspect before its batches start failing.
+    Silent,
+}
+
+/// How one dispatched batch ended, as far as the replica's health goes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BatchOutcome {
+    /// The replica answered the batch.
+    Succeeded,
+    /// The replica failed the batch.
+    Failed,
+    /// A hedge answered instead: nothing was learned about this replica,
+    /// but a probe slot it held must be released.
+    Inconclusive,
+}
+
 const ST_CLOSED: u8 = 0;
 const ST_HALF_OPEN: u8 = 1;
 const ST_OPEN: u8 = 2;
 
-/// Sliding-window batch outcomes plus the half-open probe token.
+/// Sliding-window batch outcomes.
+#[derive(Default)]
 struct BreakerWindow {
     /// Bit i set = outcome i in the ring was a failure.
     bits: u64,
@@ -102,21 +133,21 @@ struct BreakerWindow {
     len: usize,
     /// Consecutive failures (reset by any success).
     streak: usize,
-    /// Whether the half-open probe slot is taken.
-    probing: bool,
 }
 
-/// The per-replica breaker. All reads on the routing path
-/// ([`is_tripped`](CircuitBreaker::is_tripped),
-/// [`state`](CircuitBreaker::state)) are lock-free; the window mutex is
-/// touched only once per *batch* (not per query), off the submit path.
+/// The per-replica breaker. [`health`](CircuitBreaker::health) — the
+/// read on the routing path — is lock-free; the window mutex serializes
+/// transitions and is touched once per *batch* (not per query), off the
+/// submit path.
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
+    cooldown: Duration,
     /// Reference point for the atomic `open_until_ns` deadline.
     base: Instant,
     state: AtomicU8,
     /// Cooldown deadline in nanoseconds since `base` (valid while Open).
     open_until_ns: AtomicU64,
+    /// Raised by the fleet monitor while heartbeats are missing.
+    heartbeat_silent: AtomicBool,
     window: Mutex<BreakerWindow>,
     n_opened: AtomicU64,
     n_half_opened: AtomicU64,
@@ -127,31 +158,28 @@ impl CircuitBreaker {
     /// A closed breaker with the given tuning.
     pub fn new(cfg: BreakerConfig) -> Self {
         CircuitBreaker {
-            cfg: BreakerConfig {
-                window: cfg.window.clamp(1, 64),
-                ..cfg
-            },
+            cooldown: cfg.cooldown,
             base: Instant::now(),
             state: AtomicU8::new(ST_CLOSED),
             open_until_ns: AtomicU64::new(0),
-            window: Mutex::new(BreakerWindow {
-                bits: 0,
-                head: 0,
-                len: 0,
-                streak: 0,
-                probing: false,
-            }),
+            heartbeat_silent: AtomicBool::new(false),
+            window: Mutex::new(BreakerWindow::default()),
             n_opened: AtomicU64::new(0),
             n_half_opened: AtomicU64::new(0),
             n_closed: AtomicU64::new(0),
         }
     }
 
-    fn now_ns(&self) -> u64 {
-        self.base.elapsed().as_nanos().min(u64::MAX as u128) as u64
+    fn ns_since_base(&self, t: Instant) -> u64 {
+        let ns = t.saturating_duration_since(self.base).as_nanos();
+        ns.min(u64::MAX as u128) as u64
     }
 
-    /// Current state.
+    fn cooling_down(&self, now: Instant) -> bool {
+        self.ns_since_base(now) < self.open_until_ns.load(Ordering::Acquire)
+    }
+
+    /// Current breaker state (the `/metrics` gauge).
     pub fn state(&self) -> BreakerState {
         match self.state.load(Ordering::Acquire) {
             ST_CLOSED => BreakerState::Closed,
@@ -160,131 +188,97 @@ impl CircuitBreaker {
         }
     }
 
-    /// Whether the breaker is currently holding traffic off: `Open` and
-    /// still inside the cooldown. Routing treats a tripped breaker like a
-    /// suspect replica; once the cooldown elapses this reports `false`
-    /// again so the scheduler can deliver the probe batch — a pull-based
-    /// queue that nobody routes to would otherwise never get the chance
-    /// to close its breaker.
-    pub fn is_tripped(&self) -> bool {
-        self.state.load(Ordering::Acquire) == ST_OPEN
-            && self.now_ns() < self.open_until_ns.load(Ordering::Acquire)
+    /// The replica's health at `now` — the one read every routing,
+    /// admission and hedging decision derives from.
+    pub fn health(&self, now: Instant) -> Health {
+        match self.state.load(Ordering::Acquire) {
+            ST_CLOSED if self.heartbeat_silent.load(Ordering::Relaxed) => Health::Silent,
+            ST_CLOSED => Health::Clean,
+            ST_HALF_OPEN => Health::Probing,
+            _ if self.cooling_down(now) => Health::CoolingDown,
+            _ => Health::WantsProbe,
+        }
     }
 
-    /// Whether the breaker is ready for a recovery probe: `Open` with
-    /// the cooldown elapsed, or `HalfOpen` with the probe slot free. The
-    /// scheduler uses this to deliberately hand one query to a suspect
-    /// replica — a pull-based queue that nobody routes to could never
-    /// prove it recovered, and the breaker would stay open forever.
-    pub fn wants_probe(&self) -> bool {
+    /// The fleet monitor's signal: heartbeats stopped (`true`) or came
+    /// back (`false`).
+    pub fn set_heartbeat_silent(&self, silent: bool) {
+        self.heartbeat_silent.store(silent, Ordering::Relaxed);
+    }
+
+    /// Ask to dispatch one batch. `Closed` admits; `Open` admits only
+    /// past the cooldown, transitioning to `HalfOpen` — that batch is the
+    /// probe; `HalfOpen` refuses until the probe settles.
+    pub fn admit_batch(&self, now: Instant) -> bool {
+        if self.state.load(Ordering::Acquire) == ST_CLOSED {
+            return true;
+        }
+        // Under the lock: a racing worker may have taken the probe already.
+        let _w = self.window.lock();
         match self.state.load(Ordering::Acquire) {
-            ST_OPEN => self.now_ns() >= self.open_until_ns.load(Ordering::Acquire),
-            ST_HALF_OPEN => !self.window.lock().probing,
+            ST_CLOSED => true,
+            ST_OPEN if !self.cooling_down(now) => {
+                self.state.store(ST_HALF_OPEN, Ordering::Release);
+                self.n_half_opened.fetch_add(1, Ordering::Relaxed);
+                true
+            }
             _ => false,
         }
     }
 
-    /// Ask to dispatch one batch. `Closed` admits; `Open` admits only
-    /// past the cooldown (transitioning to `HalfOpen` and consuming the
-    /// probe slot); `HalfOpen` admits only if the probe slot is free.
-    pub fn admit_batch(&self) -> bool {
-        match self.state.load(Ordering::Acquire) {
-            ST_CLOSED => true,
-            ST_OPEN => {
-                if self.now_ns() < self.open_until_ns.load(Ordering::Acquire) {
-                    return false;
-                }
-                let mut w = self.window.lock();
-                // Re-check under the lock: a racing worker may have taken
-                // the probe slot already.
-                match self.state.load(Ordering::Acquire) {
-                    ST_OPEN => {
-                        w.probing = true;
-                        self.state.store(ST_HALF_OPEN, Ordering::Release);
-                        self.n_half_opened.fetch_add(1, Ordering::Relaxed);
-                        true
-                    }
-                    ST_CLOSED => true,
-                    _ => {
-                        if w.probing {
-                            false
-                        } else {
-                            w.probing = true;
-                            true
-                        }
-                    }
-                }
-            }
-            _ => {
-                let mut w = self.window.lock();
-                if w.probing {
-                    false
-                } else {
-                    w.probing = true;
-                    true
-                }
-            }
-        }
-    }
-
     /// Record one batch outcome (called once per dispatched batch).
-    pub fn record(&self, ok: bool) {
+    pub fn record(&self, outcome: BatchOutcome, now: Instant) {
         let mut w = self.window.lock();
-        match self.state.load(Ordering::Acquire) {
-            ST_HALF_OPEN => {
-                w.probing = false;
-                if ok {
-                    // Probe succeeded: close with a fresh window.
-                    w.bits = 0;
-                    w.head = 0;
-                    w.len = 0;
-                    w.streak = 0;
-                    self.state.store(ST_CLOSED, Ordering::Release);
-                    self.n_closed.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.open_locked();
-                }
+        match (self.state.load(Ordering::Acquire), outcome) {
+            (ST_HALF_OPEN, BatchOutcome::Succeeded) => {
+                // Probe succeeded: close with a fresh window.
+                *w = BreakerWindow::default();
+                self.state.store(ST_CLOSED, Ordering::Release);
+                self.n_closed.fetch_add(1, Ordering::Relaxed);
             }
-            ST_CLOSED => {
+            (ST_HALF_OPEN, BatchOutcome::Failed) => self.open_locked(now, self.cooldown),
+            // The probe slot must not leak: reopen with no cooldown, so
+            // the replica stays suspect and the next batch probes again.
+            (ST_HALF_OPEN, BatchOutcome::Inconclusive) => self.open_locked(now, Duration::ZERO),
+            (ST_CLOSED, BatchOutcome::Succeeded | BatchOutcome::Failed) => {
+                let failed = outcome == BatchOutcome::Failed;
                 let bit = 1u64 << w.head;
-                if !ok {
+                if failed {
                     w.bits |= bit;
                 } else {
                     w.bits &= !bit;
                 }
-                w.head = (w.head + 1) % self.cfg.window;
-                w.len = (w.len + 1).min(self.cfg.window);
-                w.streak = if ok { 0 } else { w.streak + 1 };
-                let rate_trips = w.len >= self.cfg.min_samples
-                    && (w.bits.count_ones() as f64 / w.len as f64) >= self.cfg.failure_threshold;
-                if rate_trips || w.streak >= self.cfg.streak {
-                    self.open_locked();
+                w.head = (w.head + 1) % WINDOW;
+                w.len = (w.len + 1).min(WINDOW);
+                w.streak = if failed { w.streak + 1 } else { 0 };
+                let rate_trips = w.len >= MIN_SAMPLES
+                    && (w.bits.count_ones() as f64 / w.len as f64) >= FAILURE_THRESHOLD;
+                // Only a failure opens the breaker: a success that merely
+                // brings the window up to MIN_SAMPLES is not evidence.
+                if failed && (rate_trips || w.streak >= STREAK) {
+                    self.open_locked(now, self.cooldown);
                     // Fresh window after recovery.
-                    w.bits = 0;
-                    w.head = 0;
-                    w.len = 0;
-                    w.streak = 0;
+                    *w = BreakerWindow::default();
                 }
             }
-            _ => {
-                // Already Open: a straggler batch dispatched before the
-                // trip is still settling — nothing to update.
-            }
+            // Open: a straggler dispatched before the trip is still
+            // settling. Closed + inconclusive: nothing was learned.
+            _ => {}
         }
     }
 
     /// Transition to Open and arm the cooldown (window lock held).
-    fn open_locked(&self) {
+    fn open_locked(&self, now: Instant, cooldown: Duration) {
         self.open_until_ns.store(
-            self.now_ns()
-                .saturating_add(self.cfg.cooldown.as_nanos().min(u64::MAX as u128) as u64),
+            self.ns_since_base(now)
+                .saturating_add(cooldown.as_nanos().min(u64::MAX as u128) as u64),
             Ordering::Release,
         );
         self.state.store(ST_OPEN, Ordering::Release);
         self.n_opened.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Closed→Open transitions observed (including HalfOpen re-opens).
+    /// Transitions into Open observed (including HalfOpen re-opens).
     pub fn opened(&self) -> u64 {
         self.n_opened.load(Ordering::Relaxed)
     }
@@ -302,107 +296,148 @@ impl CircuitBreaker {
 
 #[cfg(test)]
 mod tests {
+    use super::BatchOutcome::{Failed, Inconclusive, Succeeded};
     use super::*;
 
-    fn fast_cfg() -> BreakerConfig {
-        BreakerConfig {
-            window: 8,
-            failure_threshold: 0.5,
-            min_samples: 4,
-            streak: 3,
-            cooldown: Duration::from_millis(20),
-        }
+    const COOLDOWN: Duration = Duration::from_millis(20);
+
+    /// A breaker plus the instant its clock starts at; tests advance
+    /// time by passing `t0 + …` instead of sleeping.
+    fn breaker() -> (CircuitBreaker, Instant) {
+        let b = CircuitBreaker::new(BreakerConfig { cooldown: COOLDOWN });
+        (b, Instant::now())
     }
 
     #[test]
     fn opens_on_a_failure_streak() {
-        let b = CircuitBreaker::new(fast_cfg());
+        let (b, t0) = breaker();
         assert_eq!(b.state(), BreakerState::Closed);
-        b.record(false);
-        b.record(false);
-        assert_eq!(b.state(), BreakerState::Closed);
-        b.record(false);
+        b.record(Failed, t0);
+        b.record(Failed, t0);
+        assert_eq!(b.health(t0), Health::Clean);
+        b.record(Failed, t0);
         assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.is_tripped());
+        assert_eq!(b.health(t0), Health::CoolingDown);
         assert_eq!(b.opened(), 1);
-        assert!(!b.admit_batch(), "open breaker must refuse inside cooldown");
+        assert!(
+            !b.admit_batch(t0),
+            "open breaker must refuse inside cooldown"
+        );
     }
 
     #[test]
     fn opens_on_failure_rate_without_a_streak() {
-        let b = CircuitBreaker::new(fast_cfg());
-        // Alternate so no 3-streak forms, but the window rate hits 50%.
-        for _ in 0..4 {
-            b.record(false);
-            b.record(true);
+        let (b, t0) = breaker();
+        // Alternate so no 3-streak forms. The 8th outcome fills the
+        // window to MIN_SAMPLES at exactly 50%, but it is a success —
+        // only the next failure may open the breaker.
+        for _ in 0..MIN_SAMPLES / 2 {
+            b.record(Failed, t0);
+            b.record(Succeeded, t0);
         }
+        assert_eq!(b.state(), BreakerState::Closed);
+        b.record(Failed, t0);
         assert_eq!(b.state(), BreakerState::Open);
+        // A rate-opened breaker walks the same probe cycle as a
+        // streak-opened one: suspect until its probe succeeds.
+        assert_eq!(b.health(t0 + COOLDOWN), Health::WantsProbe);
     }
 
     #[test]
     fn successes_keep_it_closed() {
-        let b = CircuitBreaker::new(fast_cfg());
+        let (b, t0) = breaker();
         for _ in 0..100 {
-            b.record(true);
+            b.record(Succeeded, t0);
         }
-        // One failure in a healthy window is noise, not an outage.
-        b.record(false);
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.admit_batch());
+        // One failure in a healthy window is noise, not an outage; a
+        // hedge win says nothing at all.
+        b.record(Failed, t0);
+        b.record(Inconclusive, t0);
+        assert_eq!(b.health(t0), Health::Clean);
+        assert!(b.admit_batch(t0));
     }
 
     #[test]
     fn half_open_probe_success_closes() {
-        let b = CircuitBreaker::new(fast_cfg());
-        for _ in 0..3 {
-            b.record(false);
+        let (b, t0) = breaker();
+        for _ in 0..STREAK {
+            b.record(Failed, t0);
         }
         assert_eq!(b.state(), BreakerState::Open);
-        std::thread::sleep(Duration::from_millis(25));
-        assert!(!b.is_tripped(), "cooldown elapsed: routable again");
-        assert!(b.admit_batch(), "first batch after cooldown is the probe");
+        let t1 = t0 + COOLDOWN;
+        assert!(!b.admit_batch(t1 - Duration::from_nanos(1)));
+        assert!(b.admit_batch(t1), "first batch after cooldown is the probe");
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.admit_batch(), "only one probe at a time");
-        b.record(true);
+        assert!(!b.admit_batch(t1), "only one probe at a time");
+        b.record(Succeeded, t1);
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.half_opened(), 1);
         assert_eq!(b.closed(), 1);
-        assert!(b.admit_batch());
+        assert!(b.admit_batch(t1));
     }
 
     #[test]
     fn half_open_probe_failure_reopens() {
-        let b = CircuitBreaker::new(fast_cfg());
-        for _ in 0..3 {
-            b.record(false);
+        let (b, t0) = breaker();
+        for _ in 0..STREAK {
+            b.record(Failed, t0);
         }
-        std::thread::sleep(Duration::from_millis(25));
-        assert!(b.admit_batch());
-        b.record(false);
+        let t1 = t0 + COOLDOWN;
+        assert!(b.admit_batch(t1));
+        b.record(Failed, t1);
         assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.is_tripped(), "re-open re-arms the cooldown");
+        assert_eq!(
+            b.health(t1),
+            Health::CoolingDown,
+            "re-open re-arms the cooldown"
+        );
         assert_eq!(b.opened(), 2);
         // And it can still recover after another cooldown.
-        std::thread::sleep(Duration::from_millis(25));
-        assert!(b.admit_batch());
-        b.record(true);
+        let t2 = t1 + COOLDOWN;
+        assert!(b.admit_batch(t2));
+        b.record(Succeeded, t2);
         assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
-    fn wants_probe_tracks_the_recovery_cycle() {
-        let b = CircuitBreaker::new(fast_cfg());
-        assert!(!b.wants_probe(), "closed breaker needs no probe");
-        for _ in 0..3 {
-            b.record(false);
+    fn health_tracks_the_recovery_cycle() {
+        let (b, t0) = breaker();
+        assert_eq!(b.health(t0), Health::Clean);
+        for _ in 0..STREAK {
+            b.record(Failed, t0);
         }
-        assert!(!b.wants_probe(), "cooling down: hold traffic off");
-        std::thread::sleep(Duration::from_millis(25));
-        assert!(b.wants_probe(), "cooldown elapsed: ask for a probe");
-        assert!(b.admit_batch());
-        assert!(!b.wants_probe(), "probe in flight: no second probe");
-        b.record(true);
-        assert!(!b.wants_probe(), "closed again");
+        assert_eq!(b.health(t0), Health::CoolingDown, "hold traffic off");
+        let t1 = t0 + COOLDOWN;
+        assert_eq!(b.health(t1), Health::WantsProbe, "cooldown elapsed");
+        assert!(b.admit_batch(t1));
+        assert_eq!(b.health(t1), Health::Probing, "no second probe");
+        // A hedge answered for the probe: the slot is released, the
+        // replica stays suspect, and a new probe is granted at once.
+        b.record(Inconclusive, t1);
+        assert_eq!(b.health(t1), Health::WantsProbe);
+        assert!(b.admit_batch(t1));
+        b.record(Succeeded, t1);
+        assert_eq!(b.health(t1), Health::Clean, "closed again");
+        assert!(b.opened() >= b.half_opened() && b.half_opened() >= b.closed());
+    }
+
+    #[test]
+    fn heartbeat_silence_is_suspect_without_touching_the_breaker() {
+        let (b, t0) = breaker();
+        b.set_heartbeat_silent(true);
+        assert_eq!(b.health(t0), Health::Silent);
+        assert!(b.admit_batch(t0), "silence alone refuses no batch");
+        // The breaker's own verdict outranks the heartbeat flag, so a
+        // silent replica with an open breaker still gets its probe.
+        for _ in 0..STREAK {
+            b.record(Failed, t0);
+        }
+        assert_eq!(b.health(t0 + COOLDOWN), Health::WantsProbe);
+        assert!(b.admit_batch(t0 + COOLDOWN));
+        b.record(Succeeded, t0 + COOLDOWN);
+        assert_eq!(b.health(t0 + COOLDOWN), Health::Silent);
+        b.set_heartbeat_silent(false);
+        assert_eq!(b.health(t0 + COOLDOWN), Health::Clean);
     }
 
     #[test]

@@ -8,15 +8,20 @@
 //! replica that slows down (thermal throttling, a noisy neighbor, a
 //! bigger model version) re-learns its curve within a few dozen batches.
 //!
-//! Two consumers key off the model:
+//! It is the replica's only service-time estimate; every consumer keys
+//! off the same curve:
 //!
 //! - [`AutotuneController`](super::AutotuneController) inverts it against
 //!   the SLO (`b_max` = largest `b` with `α + β·b ≤ SLO − headroom`),
 //!   continuously re-deriving the per-replica batch ceiling;
-//! - SLO-aware admission (`ModelAbstractionLayer`) adds `α + β` to the
-//!   replica's backlog estimate to decide whether a new query can still
-//!   meet its deadline anywhere — and sheds with an honest 429 up front
-//!   when it cannot (Clockwork's "predictably fail fast").
+//! - the queue applies it to its occupancy
+//!   ([`ReplicaQueue::estimated_ns`](super::ReplicaQueue::estimated_ns)):
+//!   `α + β·(occupancy + 1)` is the power-of-two-choices score and the
+//!   SLO-admission estimate — whether a new query can still meet its
+//!   deadline anywhere, shedding with an honest 429 up front when it
+//!   cannot (Clockwork's "predictably fail fast") — and `α + β·occupancy`
+//!   the autoscaler's backlog signal;
+//! - hedged dispatch scales `α + β·b` into the straggler threshold.
 //!
 //! The model can be warm-started from a [`LatencyPrior`] — typically the
 //! global curve produced by the `calibrate` bin — so a freshly attached

@@ -17,9 +17,18 @@
 //! batch, trading a bounded delay for amortized fixed costs — the Nagle's
 //! algorithm analogy.
 //!
-//! Failure recovery is layered on the same queues: each replica carries a
-//! per-replica circuit breaker ([`breaker::CircuitBreaker`]), retryable
-//! batch failures redispatch still-within-budget queries onto a sibling
+//! Every replica queue answers the scheduler's two questions from one
+//! source each. *How long will it take?* — its online [`LatencyModel`]
+//! (`α + β·b`), the only service-time estimate: the autotune ceiling,
+//! p2c scoring, SLO admission, the autoscaler's backlog and the hedge
+//! delay all derive from it, and its error is itself a metric
+//! (`queue/*/model_err_us`). *Is it healthy?* — its
+//! [`breaker::CircuitBreaker`], the only health state: fed batch outcomes
+//! and the fleet's heartbeat-silent signal, read as one [`Health`].
+//!
+//! Failure recovery is layered on the same queues: the breaker stops
+//! dispatch at a failing replica and probes it back in, retryable batch
+//! failures redispatch still-within-budget queries onto a sibling
 //! replica through [`queue::QueueHooks`], and an opt-in hedging knob
 //! ([`queue::QueueConfig::hedge`]) races a straggling batch against a
 //! second replica.
@@ -33,7 +42,7 @@ pub mod queue;
 
 pub use aimd::AimdController;
 pub use autotune::AutotuneController;
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::{BatchOutcome, BreakerConfig, BreakerState, CircuitBreaker, Health};
 pub use latency_model::{LatencyModel, LatencyPrior, ReplicaTune};
 pub use quantile::QuantileController;
 pub use queue::{

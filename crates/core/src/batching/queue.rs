@@ -30,14 +30,20 @@
 //!
 //! # Scheduler-visible state
 //!
-//! The queue exposes cheap relaxed-atomic reads the routing layer keys on:
-//! [`len`](ReplicaQueue::len) (channel occupancy),
-//! [`inflight`](ReplicaQueue::inflight) (pulled but unanswered queries),
-//! and [`service_ewma_us_per_item`](ReplicaQueue::service_ewma_us_per_item)
-//! — an EWMA of container-reported `predict_us` per query, i.e. the
-//! replica's observed service rate. Their product,
-//! [`backlog_estimate_ns`](ReplicaQueue::backlog_estimate_ns), is the
-//! power-of-two-choices routing score.
+//! The queue exposes cheap lock-free reads the routing layer keys on:
+//!
+//! - **load** — [`len`](ReplicaQueue::len) (channel occupancy) plus
+//!   [`inflight`](ReplicaQueue::inflight) (pulled but unanswered
+//!   queries), together [`occupancy`](ReplicaQueue::occupancy);
+//! - **service time** — one estimator, the replica's online
+//!   [`LatencyModel`] (`α + β·b`, fed the round trip of every batch
+//!   dispatched here that a hedge did not answer).
+//!   [`estimated_ns`](ReplicaQueue::estimated_ns) applies it to the
+//!   occupancy: that one number is the power-of-two-choices score, the
+//!   SLO-admission estimate and the autoscaler's backlog signal;
+//! - **health** — one state, [`health`](ReplicaQueue::health): the
+//!   replica's [`CircuitBreaker`], fed every batch outcome and the
+//!   fleet's heartbeat-silent signal.
 //!
 //! Timing decomposition recorded per batch (the Figure-11 bars):
 //! - `queue_us`: time queries waited in this queue before dispatch;
@@ -46,7 +52,7 @@
 //! - `overhead_us`: everything else in the round trip (serialization, RPC,
 //!   scheduling).
 
-use super::breaker::{BreakerConfig, CircuitBreaker};
+use super::breaker::{BatchOutcome, BreakerConfig, CircuitBreaker, Health};
 use super::{BatchController, LatencyModel, LatencyPrior};
 use crate::cache::{CacheFillError, CacheKey, PredictionCache};
 use crate::types::{Input, Output};
@@ -55,7 +61,7 @@ use clipper_rpc::transport::BatchTransport;
 use clipper_rpc::RpcError;
 use parking_lot::Mutex;
 use std::future::Future;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tokio::sync::{mpsc, oneshot, Semaphore};
@@ -453,6 +459,9 @@ pub struct QueueMetrics {
     pub predict_us: Histogram,
     /// Round-trip minus container time per batch (µs).
     pub overhead_us: Histogram,
+    /// Latency-model error per batch: `|predicted − actual|` round trip
+    /// (µs), recorded before the batch is folded into the model.
+    pub model_err_us: Histogram,
     /// Completed queries.
     pub completed: Meter,
     /// Failed queries.
@@ -480,6 +489,7 @@ impl QueueMetrics {
             remote_queue_us: registry.histogram(&format!("{prefix}/remote_queue_us")),
             predict_us: registry.histogram(&format!("{prefix}/predict_us")),
             overhead_us: registry.histogram(&format!("{prefix}/overhead_us")),
+            model_err_us: registry.histogram(&format!("{prefix}/model_err_us")),
             completed: registry.meter(&format!("{prefix}/completed")),
             errors: registry.counter(&format!("{prefix}/errors")),
             slo_violations: registry.counter(&format!("{prefix}/slo_violations")),
@@ -513,19 +523,6 @@ struct QueueShared {
     depth: AtomicUsize,
     /// Queries pulled into batches whose replies haven't settled yet.
     inflight: AtomicUsize,
-    /// EWMA of per-query service time in nanoseconds (`predict_us`/batch,
-    /// falling back to the RPC round trip when the container reports no
-    /// compute time).
-    ewma_ns_per_item: AtomicU64,
-    /// Batches failed in a row (reset by any success). A replica that only
-    /// ever errors drains instantly and would otherwise look *ideal* to
-    /// depth-aware routing — this is how the scheduler spots the trap.
-    consecutive_errors: AtomicUsize,
-    /// Externally asserted suspicion (the fleet health monitor flags a
-    /// replica whose heartbeats stopped before its batches start failing).
-    /// ORed into [`ReplicaQueue::is_suspect`]; cleared when a heartbeat
-    /// returns.
-    suspect_hint: AtomicBool,
     /// Closed by the worker on exit; `drained()` waits on it.
     done: Semaphore,
     /// Live dispatch tasks, retained so the drain watchdog can abort
@@ -539,16 +536,21 @@ struct QueueShared {
     /// The configured drain deadline (see [`QueueConfig::drain_deadline`]).
     drain_deadline: Duration,
     /// Online `α + β·b` latency model (§4.4.1), fed once per dispatched
-    /// batch; read by the autotune controller and SLO-aware admission.
+    /// batch — the replica's only service-time estimate: the autotune
+    /// controller, p2c scoring, SLO-aware admission, the autoscaler's
+    /// backlog signal and the hedge delay all read it.
     latency_model: Arc<LatencyModel>,
     /// Recycled batch-assembly buffers: dispatches return their emptied
     /// `items`/`inputs` vectors here, so steady-state batching performs
     /// zero allocations per batch.
     spare_items: Mutex<Vec<Vec<QueueItem>>>,
     spare_inputs: Mutex<Vec<Vec<Input>>>,
-    /// Per-replica circuit breaker (§5.2.2): worker consults it before
-    /// dispatching, feeds it every batch outcome; its tripped state ORs
-    /// into [`ReplicaQueue::is_suspect`].
+    /// The replica's health (§5.2.2): the worker consults it before
+    /// dispatching and feeds it every batch outcome, the fleet monitor
+    /// feeds it heartbeat silence, and [`ReplicaQueue::health`] reads it.
+    /// A replica that only ever errors drains instantly and would
+    /// otherwise look *ideal* to depth-aware routing — this is how the
+    /// scheduler spots the trap.
     breaker: CircuitBreaker,
     /// Scheduler callbacks for redispatch and hedging (empty for
     /// standalone queues).
@@ -587,17 +589,6 @@ impl QueueShared {
         if pool.len() < SPARE_BUFS {
             pool.push(buf);
         }
-    }
-
-    fn record_service(&self, sample_ns_per_item: u64) {
-        // Racy read-modify-write is fine for a routing statistic.
-        let old = self.ewma_ns_per_item.load(Ordering::Relaxed);
-        let new = if old == 0 {
-            sample_ns_per_item
-        } else {
-            (old * 7 + sample_ns_per_item * 3) / 10
-        };
-        self.ewma_ns_per_item.store(new, Ordering::Relaxed);
     }
 }
 
@@ -697,36 +688,23 @@ impl ReplicaQueue {
         self.is_accepting() && self.len() < self.capacity
     }
 
-    /// EWMA of observed per-query service time, in microseconds.
-    pub fn service_ewma_us_per_item(&self) -> f64 {
-        self.shared.ewma_ns_per_item.load(Ordering::Relaxed) as f64 / 1_000.0
-    }
-
-    /// Whether at least one batch has completed, i.e. the service-rate
-    /// EWMA carries signal. Schedulers compare raw occupancy until both
-    /// candidates have an estimate — otherwise a replica that has never
-    /// answered (possibly because it is wedged) would score an artificial
-    /// near-zero backlog and soak up traffic.
-    pub fn has_service_estimate(&self) -> bool {
-        self.shared.ewma_ns_per_item.load(Ordering::Relaxed) > 0
-    }
-
     /// Queued plus in-flight queries — the rate-free load signal.
     pub fn occupancy(&self) -> usize {
         self.len() + self.inflight()
     }
 
-    /// Whether the replica's last few batches all failed (≥ 3 in a row),
-    /// an external monitor (the fleet health loop) has flagged it, or
-    /// its circuit breaker is open and still cooling down. Suspect
-    /// replicas are routed to only when no clean replica has room; any
-    /// successful batch clears the error streak, the monitor clears its
-    /// hint when heartbeats resume, and an open breaker stops reporting
-    /// tripped once its cooldown elapses (so the probe batch can route).
+    /// The replica's health at `now`: one lock-free read of its
+    /// [`CircuitBreaker`], which every scheduling decision derives from.
+    pub fn health(&self, now: Instant) -> Health {
+        self.shared.breaker.health(now)
+    }
+
+    /// Whether the replica is anything but [`Health::Clean`]: its breaker
+    /// opened (failure streak or rate) and no probe has succeeded since,
+    /// or the fleet monitor reports its heartbeats silent. Suspect
+    /// replicas are routed to only when no clean replica has room.
     pub fn is_suspect(&self) -> bool {
-        self.shared.consecutive_errors.load(Ordering::Relaxed) >= 3
-            || self.shared.suspect_hint.load(Ordering::Relaxed)
-            || self.shared.breaker.is_tripped()
+        self.health(Instant::now()) != Health::Clean
     }
 
     /// The replica's circuit breaker (live state, transition counters).
@@ -734,20 +712,27 @@ impl ReplicaQueue {
         &self.shared.breaker
     }
 
-    /// Externally assert (or clear) suspicion — the fleet health
-    /// monitor's hook into p2c suspect-avoidance for replicas whose
-    /// heartbeats went silent before their batches started failing.
+    /// The fleet health monitor's signal that the replica's heartbeats
+    /// went silent (or came back) — suspicion ahead of its batches
+    /// starting to fail. Feeds the replica's one health state.
     pub fn set_suspect_hint(&self, suspect: bool) {
-        self.shared.suspect_hint.store(suspect, Ordering::Relaxed);
+        self.shared.breaker.set_heartbeat_silent(suspect);
     }
 
-    /// Estimated nanoseconds of work ahead of a newly enqueued query:
-    /// `(queued + inflight) × service EWMA`. The power-of-two-choices
-    /// routing score (a replica with no observations yet scores by
-    /// occupancy alone).
-    pub fn backlog_estimate_ns(&self) -> u64 {
-        let items = (self.len() + self.inflight()) as u64;
-        items.saturating_mul(self.shared.ewma_ns_per_item.load(Ordering::Relaxed).max(1))
+    /// Model-predicted nanoseconds for the replica to serve everything
+    /// it holds plus `extra` new queries: `α + β·(occupancy + extra)`,
+    /// and 0 for no work at all. With `extra = 1` this is when a query
+    /// admitted *now* would complete — the power-of-two-choices score
+    /// and the SLO-admission estimate; with `extra = 0` it is the
+    /// backlog the autoscaler watches. `None` until the latency model is
+    /// established: callers then compare raw occupancy, and admission
+    /// gives the replica the benefit of the doubt rather than shedding
+    /// on a guess.
+    pub fn estimated_ns(&self, extra: usize) -> Option<u64> {
+        match self.occupancy() + extra {
+            0 => Some(0),
+            items => self.shared.latency_model.predict_ns(items),
+        }
     }
 
     /// The replica's online `α + β·b` latency model (§4.4.1).
@@ -759,16 +744,6 @@ impl ReplicaQueue {
     /// controller, the continuously re-derived per-replica ceiling.
     pub fn current_max_batch(&self) -> usize {
         self.controller.lock().max_batch()
-    }
-
-    /// Model-based estimate of when a query admitted *now* would
-    /// complete: the current backlog plus one more query's predicted
-    /// service time (`α + β`). `None` until the latency model is
-    /// established — admission then gives the replica the benefit of
-    /// the doubt rather than shedding on a guess.
-    pub fn estimated_admission_ns(&self) -> Option<u64> {
-        let one = self.shared.latency_model.predict_ns(1)?;
-        Some(self.backlog_estimate_ns().saturating_add(one))
     }
 
     /// Begin a graceful drain: refuse new submissions, let the worker
@@ -915,9 +890,6 @@ pub fn spawn_replica_queue_with_hooks(
         state: AtomicU8::new(STATE_RUNNING),
         depth: AtomicUsize::new(0),
         inflight: AtomicUsize::new(0),
-        ewma_ns_per_item: AtomicU64::new(0),
-        consecutive_errors: AtomicUsize::new(0),
-        suspect_hint: AtomicBool::new(false),
         done: Semaphore::new(0),
         dispatch_tasks: Mutex::new(Vec::new()),
         force_failed: AtomicBool::new(false),
@@ -1022,7 +994,7 @@ async fn worker_loop(
         // path — redispatch onto a sibling when within budget, typed
         // fail-fill otherwise — so a breaker trip is invisible to
         // clients whenever another replica can absorb the load.
-        if !shared.breaker.admit_batch() {
+        if !shared.breaker.admit_batch(Instant::now()) {
             settle_upstream_failure(
                 &mut items,
                 UpstreamKind::BreakerOpen,
@@ -1177,15 +1149,33 @@ async fn dispatch_batch(
         inflight,
         permit,
     } = job;
-    let rpc_elapsed = dispatch_time.elapsed();
+    let now = Instant::now();
+    let rpc_elapsed = now - dispatch_time;
     // A hedge win says nothing about *this* replica's latency or
-    // health, so the batch controller, latency model, EWMA, error
-    // streak, and breaker all skip the sample — only the primary's own
+    // health, so the batch controller and latency model skip the sample
+    // and the breaker hears "inconclusive" — only the primary's own
     // completions feed its estimators.
     if !hedge_won {
         controller.lock().record(n, rpc_elapsed);
+        if let Some(predicted_ns) = shared.latency_model.predict_ns(n) {
+            metrics
+                .model_err_us
+                .record((predicted_ns / 1_000).abs_diff(rpc_elapsed.as_micros() as u64));
+        }
         shared.latency_model.observe(n, rpc_elapsed);
     }
+    // Every batch settles with the breaker — a hedge-won one too: had
+    // it been the half-open probe, skipping it would hold the probe slot
+    // forever and refuse every later batch.
+    shared.breaker.record(
+        match &result {
+            Ok(reply) if reply.outputs.len() != n => BatchOutcome::Failed,
+            Ok(_) if hedge_won => BatchOutcome::Inconclusive,
+            Ok(_) => BatchOutcome::Succeeded,
+            Err(_) => BatchOutcome::Failed,
+        },
+        now,
+    );
     metrics.rpc_us.record(rpc_elapsed.as_micros() as u64);
     if rpc_elapsed > slo {
         metrics.slo_violations.inc();
@@ -1199,26 +1189,11 @@ async fn dispatch_batch(
                 (rpc_elapsed.as_micros() as u64).saturating_sub(reply.queue_us + reply.compute_us);
             metrics.overhead_us.record(overhead);
             metrics.completed.mark_n(n as u64);
-            if !hedge_won {
-                // Service-rate sample: container compute per query,
-                // falling back to the round trip when the container
-                // didn't report.
-                let batch_us = if reply.compute_us > 0 {
-                    reply.compute_us
-                } else {
-                    rpc_elapsed.as_micros() as u64
-                };
-                shared.record_service((batch_us.saturating_mul(1_000)) / n as u64);
-                shared.consecutive_errors.store(0, Ordering::Relaxed);
-                shared.breaker.record(true);
-            }
             for (item, output) in items.drain(..).zip(reply.outputs) {
                 item.sink.complete(Ok(output));
             }
         }
         Ok(reply) => {
-            shared.consecutive_errors.fetch_add(1, Ordering::Relaxed);
-            shared.breaker.record(false);
             metrics.errors.add(n as u64);
             // A malformed reply is not retryable: the replica is
             // reachable but wrong, and a different replica may well
@@ -1233,8 +1208,6 @@ async fn dispatch_batch(
             }
         }
         Err(e) => {
-            shared.consecutive_errors.fetch_add(1, Ordering::Relaxed);
-            shared.breaker.record(false);
             settle_upstream_failure(
                 &mut items,
                 UpstreamKind::of(&e),
@@ -1914,33 +1887,6 @@ mod tests {
     }
 
     #[tokio::test]
-    async fn service_rate_ewma_tracks_the_container() {
-        let q = spawn_replica_queue(
-            "m:0".into(),
-            echo_transport(), // reports compute_us = 10 per batch
-            QueueConfig {
-                strategy: BatchStrategy::NoBatching,
-                ..Default::default()
-            },
-            test_metrics(),
-        );
-        for v in 0..10 {
-            let (item, rx) = direct_item(v as f32);
-            q.submit(item);
-            rx.await.unwrap().unwrap();
-        }
-        let ewma = q.service_ewma_us_per_item();
-        assert!(
-            ewma > 0.0 && ewma < 1_000.0,
-            "EWMA should reflect ~10µs batches, got {ewma}"
-        );
-        assert!(
-            q.backlog_estimate_ns() < 1_000_000,
-            "idle queue ≈ no backlog"
-        );
-    }
-
-    #[tokio::test]
     async fn retryable_failure_redispatches_through_the_hook() {
         // Primary always drops the batch; the redispatch hook forwards
         // the item onto a healthy sibling queue. The client must see a
@@ -2019,7 +1965,7 @@ mod tests {
 
     #[tokio::test]
     async fn breaker_opens_and_sheds_to_the_redispatch_hook() {
-        // Trip the breaker with a failure streak, then confirm the
+        // Trip the breaker with a three-failure streak, then confirm the
         // worker refuses batches up front (BreakerOpen) while the
         // redispatch hook keeps rescuing in-budget items.
         let flaky: Arc<dyn BatchTransport> =
@@ -2040,9 +1986,7 @@ mod tests {
         let cfg = QueueConfig {
             strategy: BatchStrategy::NoBatching,
             breaker: BreakerConfig {
-                streak: 2,
                 cooldown: Duration::from_secs(30),
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -2073,9 +2017,7 @@ mod tests {
         let cfg = QueueConfig {
             strategy: BatchStrategy::NoBatching,
             breaker: BreakerConfig {
-                streak: 1,
                 cooldown: Duration::from_secs(30),
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -2173,6 +2115,82 @@ mod tests {
         let out = rx.await.unwrap().unwrap();
         assert_eq!(out, Output::Class(9));
         assert_eq!(metrics.hedged.get(), 1);
+    }
+
+    #[tokio::test]
+    async fn hedge_won_probe_releases_the_breaker_slot() {
+        // Regression: the half-open probe straggles past the hedge delay
+        // and the hedge answers for it. That outcome used to skip the
+        // breaker entirely, so the probe slot stayed taken and every
+        // later batch was refused with BreakerOpen although the replica
+        // had healed.
+        const FAIL: u8 = 0;
+        const STRAGGLE: u8 = 1;
+        const HEALED: u8 = 2;
+        struct Moody(Arc<AtomicU8>);
+        impl BatchTransport for Moody {
+            fn predict_batch(
+                &self,
+                inputs: &[Input],
+            ) -> clipper_rpc::BoxFuture<Result<PredictReply, clipper_rpc::RpcError>> {
+                let mood = self.0.load(Ordering::Relaxed);
+                let n = inputs.len();
+                Box::pin(async move {
+                    if mood == FAIL {
+                        return Err(clipper_rpc::RpcError::ConnectionClosed);
+                    }
+                    if mood == STRAGGLE {
+                        tokio::time::sleep(Duration::from_millis(200)).await;
+                    }
+                    Ok(PredictReply {
+                        outputs: vec![WireOutput::Class(1); n],
+                        queue_us: 0,
+                        compute_us: 0,
+                    })
+                })
+            }
+            fn id(&self) -> String {
+                "moody".into()
+            }
+        }
+        let mood = Arc::new(AtomicU8::new(FAIL));
+        let hooks = QueueHooks {
+            redispatch: None,
+            hedge_pick: Some(Arc::new(|| Some(echo_transport()))),
+        };
+        let cooldown = Duration::from_millis(20);
+        let cfg = QueueConfig {
+            strategy: BatchStrategy::NoBatching,
+            breaker: BreakerConfig { cooldown },
+            hedge: Some(HedgeConfig {
+                delay_factor: 3.0,
+                min_delay: Duration::from_millis(5),
+            }),
+            ..Default::default()
+        };
+        let primary = Arc::new(Moody(mood.clone()));
+        let q = spawn_replica_queue_with_hooks("m:0".into(), primary, cfg, test_metrics(), hooks);
+        let ask = |v: f32| {
+            let (item, rx) = direct_item(v);
+            q.submit(item);
+            async move { rx.await.unwrap() }
+        };
+        for _ in 0..3 {
+            assert!(ask(7.0).await.is_err());
+        }
+        assert_eq!(q.breaker().state(), BreakerState::Open);
+        tokio::time::sleep(cooldown * 2).await;
+
+        mood.store(STRAGGLE, Ordering::Relaxed);
+        assert_eq!(ask(7.0).await, Ok(Output::Class(7)), "the hedge answers");
+        assert!(q.is_suspect(), "an inconclusive probe proves nothing");
+
+        mood.store(HEALED, Ordering::Relaxed);
+        for _ in 0..5 {
+            assert_eq!(ask(7.0).await, Ok(Output::Class(1)), "primary serves");
+        }
+        assert_eq!(q.breaker().state(), BreakerState::Closed);
+        assert_eq!(q.breaker().half_opened(), 2, "a second probe was granted");
     }
 
     #[tokio::test]

@@ -916,9 +916,10 @@ impl Clipper {
         report
     }
 
-    /// Hot-remove and gracefully drain every replica of `id` the
-    /// scheduler currently marks suspect (≥3 consecutive failed batches,
-    /// or an external suspect hint from the fleet health monitor) — the
+    /// Hot-remove and gracefully drain every replica of `id` whose
+    /// health is not clean (its breaker opened on a failure streak or
+    /// rate and no probe has succeeded since, or the fleet health
+    /// monitor reports its heartbeats silent) — the
     /// ops response to a replica that started failing mid-run. Returns
     /// the drained queue ids. Callers decide policy (this will happily
     /// remove the last replica if everything is suspect).

@@ -2,7 +2,7 @@
 //! computes.
 //!
 //! Per evaluation period the loop samples the model's total backlog
-//! (`Σ occupancy × service EWMA` across replicas) and the admission-shed
+//! (`Σ α + β·occupancy` by each busy replica's latency model) and the admission-shed
 //! delta, then asks the pure [`evaluate`] function for a decision:
 //!
 //! - **Up** when the per-replica backlog crosses the scale-up threshold

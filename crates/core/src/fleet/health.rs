@@ -3,9 +3,10 @@
 //! The monitor ticks at half the heartbeat interval and reads each
 //! member's silence (time since its last beat — an RPC member's
 //! connection-level liveness probe counts). Crossing
-//! `suspect_after × interval` flips the member to `Suspect` and raises
-//! the queue's suspect hint, so the p2c scheduler deprioritizes it
-//! *before* its batches start failing; crossing
+//! `suspect_after × interval` flips the member to `Suspect` and tells
+//! the queue's health state its heartbeats went silent (it then reads
+//! `Health::Silent`), so the p2c scheduler deprioritizes it *before* its
+//! batches start failing; crossing
 //! `expire_after × interval` expires it: the learned latency curve is
 //! harvested, the queue is gracefully drained (zero-drop — every
 //! accepted query completes or fail-fills), and the member becomes a
@@ -75,7 +76,7 @@ impl Fleet {
                 }
             }
         }
-        // Scheduler hints and events outside the membership lock.
+        // Health signals and events outside the membership lock.
         for (name, model, qid, silent_ms) in newly_suspect {
             if let Some(qid) = qid {
                 self.inner.mal.set_replica_suspect_hint(&model, &qid, true);

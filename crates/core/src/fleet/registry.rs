@@ -511,7 +511,7 @@ impl Fleet {
     /// expired member gets 410 (`replica_gone`): its queue is already
     /// drained, so resuming silently would serve from a ghost — it must
     /// re-register. A beat from a suspect member restores `Healthy` and
-    /// clears the scheduler's suspect hint.
+    /// tells the queue's health state its heartbeats are back.
     pub fn heartbeat(&self, name: &str, _report: HeartbeatReport) -> Result<ReplicaView, ApiError> {
         let mut members = self.inner.members.lock();
         let Some(m) = members.get_mut(name) else {

@@ -14,9 +14,10 @@
 //!   worker with an explicit `Running → Draining → Stopped` lifecycle and
 //!   zero-copy batch dispatch;
 //! - per-model replica scheduling (§4.4.1): depth-aware
-//!   power-of-two-choices over live queue state (backlog × service-rate
-//!   EWMA) with fall-through before shedding and graceful hot
-//!   add/remove — see [`abstraction::SchedulerPolicy`].
+//!   power-of-two-choices over live queue state (each replica's one
+//!   health value and its latency model applied to its occupancy) with
+//!   fall-through before shedding and graceful hot add/remove — see
+//!   [`abstraction::SchedulerPolicy`].
 //!
 //! **Model selection layer** ([`selection`]) — feedback-driven dispatch
 //! and combination (§5):

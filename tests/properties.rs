@@ -1,6 +1,10 @@
 //! Property-based tests on the core data structures and invariants.
 
-use clipper::core::batching::{AimdController, BatchController, QuantileController};
+use clipper::core::batching::breaker::{FAILURE_THRESHOLD, MIN_SAMPLES, STREAK, WINDOW};
+use clipper::core::batching::{
+    AimdController, BatchController, BatchOutcome, BreakerConfig, BreakerState, CircuitBreaker,
+    Health, QuantileController,
+};
 use clipper::core::cache::{CacheKey, PredictionCache};
 use clipper::core::selection::{weighted_combine, PolicyState, SelectionPolicy};
 use clipper::core::{Exp3Policy, Exp4Policy, Feedback, ModelId, Output};
@@ -9,12 +13,12 @@ use clipper::rpc::codec::{FrameReader, HEADER_LEN};
 use clipper::rpc::message::{Message, PredictReply, WireOutput, MAGIC, MAX_PAYLOAD, VERSION};
 use clipper::rpc::RpcError;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use clipper::statestore::{CasOutcome, StateStore};
 
@@ -313,6 +317,113 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&conf));
         // Majority always yields confidence ≥ 1/n.
         prop_assert!(conf >= 1.0 / labels.len() as f64 - 1e-9);
+    }
+
+    /// The replica health state machine, driven by an arbitrary mix of
+    /// batch admissions and outcomes, heartbeat signals and clock steps
+    /// (time enters only through the `now` argument), makes only legal
+    /// transitions — checked against a reference model of the outcome
+    /// window — and `health()` always agrees with the breaker state and
+    /// the heartbeat flag.
+    #[test]
+    fn health_makes_only_legal_transitions(ops in proptest::collection::vec((0u8..12, 1u64..30), 1..400)) {
+        use BatchOutcome::{Failed, Inconclusive, Succeeded};
+        use BreakerState::{Closed, HalfOpen, Open};
+        const COOLDOWN: Duration = Duration::from_millis(20);
+        let b = CircuitBreaker::new(BreakerConfig { cooldown: COOLDOWN });
+        let mut now = Instant::now();
+        // Reference model: outcomes since the breaker last closed or
+        // opened (true = failure), when the cooldown ends, the heartbeat
+        // flag, and the batches admitted but not yet settled.
+        let mut window: VecDeque<bool> = VecDeque::new();
+        let mut streak = 0;
+        let mut open_until = now;
+        let mut silent = false;
+        let mut unsettled = 0u32;
+        let mut probe_since_outcome = false;
+        for (kind, ms) in ops {
+            let before = b.state();
+            let mut recorded = None;
+            match kind {
+                // The worker asks to dispatch a batch.
+                0..=3 => {
+                    let admitted = b.admit_batch(now);
+                    prop_assert!(admitted || before != Closed, "a closed breaker admits");
+                    if admitted {
+                        unsettled += 1;
+                    }
+                    if admitted && before != Closed {
+                        prop_assert!(before == Open && now >= open_until, "probe before the cooldown");
+                        prop_assert!(!probe_since_outcome, "two probes between outcomes");
+                        probe_since_outcome = true;
+                    }
+                }
+                // A dispatched batch settles (4–5 ok, 6–7 failed, 8 hedge-won).
+                4..=8 if unsettled > 0 => {
+                    let outcome = match kind {
+                        4 | 5 => Succeeded,
+                        6 | 7 => Failed,
+                        _ => Inconclusive,
+                    };
+                    unsettled -= 1;
+                    probe_since_outcome = false;
+                    b.record(outcome, now);
+                    recorded = Some(outcome);
+                }
+                9 | 10 => {
+                    silent = kind == 9;
+                    b.set_heartbeat_silent(silent);
+                }
+                _ => now += Duration::from_millis(ms),
+            }
+            let after = b.state();
+            match (before, after) {
+                (Closed, _) if matches!(recorded, Some(Succeeded | Failed)) => {
+                    let failed = recorded == Some(Failed);
+                    window.push_back(failed);
+                    if window.len() > WINDOW {
+                        window.pop_front();
+                    }
+                    streak = if failed { streak + 1 } else { 0 };
+                    let failures = window.iter().filter(|&&f| f).count();
+                    let rate = failures as f64 / window.len() as f64;
+                    let trips = failed
+                        && (streak >= STREAK
+                            || (window.len() >= MIN_SAMPLES && rate >= FAILURE_THRESHOLD));
+                    prop_assert!((after == Open) == trips, "streak {streak} window {window:?}");
+                    prop_assert!(after != HalfOpen);
+                    if trips {
+                        open_until = now + COOLDOWN;
+                    }
+                }
+                (HalfOpen, Closed) => prop_assert_eq!(recorded, Some(Succeeded)),
+                (HalfOpen, Open) => match recorded {
+                    Some(Failed) => open_until = now + COOLDOWN,
+                    Some(Inconclusive) => open_until = now,
+                    other => prop_assert!(false, "probing → open on {other:?}"),
+                },
+                // Asserted legal where the probe was admitted, above.
+                (Open, HalfOpen) => prop_assert!(kind <= 3),
+                // Every outcome ends a probe one way or another.
+                (HalfOpen, HalfOpen) => prop_assert_eq!(recorded, None),
+                (Closed, Closed) | (Open, Open) => {}
+                illegal => prop_assert!(false, "illegal transition {illegal:?}"),
+            }
+            if before != after {
+                window.clear();
+                streak = 0;
+            }
+            // In particular: clean ⇔ breaker closed ∧ heartbeats arriving.
+            let expected = match after {
+                Closed if silent => Health::Silent,
+                Closed => Health::Clean,
+                HalfOpen => Health::Probing,
+                Open if now < open_until => Health::CoolingDown,
+                Open => Health::WantsProbe,
+            };
+            prop_assert_eq!(b.health(now), expected);
+            prop_assert!(b.opened() >= b.half_opened() && b.half_opened() >= b.closed());
+        }
     }
 
     /// Statestore versions increase monotonically and CAS only succeeds on
