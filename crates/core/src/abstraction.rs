@@ -1707,7 +1707,17 @@ mod tests {
             .keys()
             .any(|k| k.starts_with("queue/m:v1:0/depth")));
         assert_eq!(mal.queue_depth(&m), 0);
-        assert_eq!(mal.inflight(&m), 0);
+        // `dispatch_batch` settles the reply sinks before it drops the
+        // in-flight guard (by design: `BatchJob` field order), so the reply
+        // can arrive a moment ahead of the gauge's release.
+        let released = async {
+            while mal.inflight(&m) != 0 {
+                tokio::task::yield_now().await;
+            }
+        };
+        tokio::time::timeout(Duration::from_secs(5), released)
+            .await
+            .expect("in-flight guard released after the reply");
     }
 
     #[tokio::test]

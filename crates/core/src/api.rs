@@ -9,6 +9,7 @@
 //! - [`ErrorBody`] — the serde-serialized error envelope. **All** error
 //!   responses are built through it, never by string formatting, so a
 //!   message containing quotes or backslashes can't produce invalid JSON;
+//! - [`JsonOutput`] — the wire form of a model output;
 //! - [`AppSpec`] / [`AppPatch`] / [`AppView`] — app registration,
 //!   live-update delta, and read-back shapes;
 //! - [`ModelView`] / [`RolloutRequest`] / [`RolloutOutcome`] — model
@@ -16,10 +17,15 @@
 //! - [`AppRecord`] / [`ModelRecord`] — the statestore-persisted forms
 //!   (mirroring the paper's Redis configuration state) that let a
 //!   frontend rehydrate its registry after a restart.
+//!
+//! The `#[derive(Serialize, Deserialize)]` on each type **is** its wire
+//! format: declaration field order, no whitespace. The tests below pin
+//! the bytes of every response shape and persisted record as literals, so
+//! a change to a type or to the codec that moves the wire shows up as a
+//! failed literal, not as two code paths drifting apart.
 
 use crate::batching::queue::{PredictError, QueueConfig};
 use crate::batching::{BatchStrategy, LatencyPrior, ReplicaTune};
-use crate::json_emit::NonFiniteFloat;
 use crate::types::{AppConfig, AppUpdate, ModelId, Output, PolicyKind};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -248,26 +254,6 @@ impl ErrorBody {
             },
         }
     }
-
-    /// Serialize to the response body.
-    ///
-    /// Emits directly through [`crate::json_emit::Emitter`] — one pass,
-    /// no `Content` tree — and is byte-identical to
-    /// `serde_json::to_string(self)` (enforced by test). Infallible: the
-    /// envelope contains only strings and bools.
-    pub fn to_json(&self) -> String {
-        let mut e = crate::json_emit::Emitter::with_capacity(96 + self.error.message.len());
-        e.raw("{\"error\":{\"code\":");
-        e.string(&self.error.code);
-        e.raw(",\"message\":");
-        e.string(&self.error.message);
-        e.raw(",\"retryable\":");
-        e.bool(self.error.retryable);
-        e.raw(",\"shed\":");
-        e.bool(self.error.shed);
-        e.raw("}}");
-        e.into_string()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -294,41 +280,6 @@ pub enum JsonOutput {
         /// The sequence.
         labels: Vec<u32>,
     },
-}
-
-impl JsonOutput {
-    /// Stream this value into `e`, byte-identical to its serde
-    /// serialization (tagged enum, declaration field order).
-    pub fn emit(&self, e: &mut crate::json_emit::Emitter) -> Result<(), NonFiniteFloat> {
-        match self {
-            JsonOutput::Class { label } => {
-                e.raw("{\"kind\":\"class\",\"label\":");
-                e.u64(u64::from(*label));
-                e.raw("}");
-            }
-            JsonOutput::Scores { scores } => {
-                e.raw("{\"kind\":\"scores\",\"scores\":[");
-                for (i, s) in scores.iter().enumerate() {
-                    if i > 0 {
-                        e.raw(",");
-                    }
-                    e.f32(*s)?;
-                }
-                e.raw("]}");
-            }
-            JsonOutput::Labels { labels } => {
-                e.raw("{\"kind\":\"labels\",\"labels\":[");
-                for (i, l) in labels.iter().enumerate() {
-                    if i > 0 {
-                        e.raw(",");
-                    }
-                    e.u64(u64::from(*l));
-                }
-                e.raw("]}");
-            }
-        }
-        Ok(())
-    }
 }
 
 impl From<Output> for JsonOutput {
@@ -526,245 +477,6 @@ pub struct ModelView {
     pub queue_depth: usize,
     /// In-flight queries across the current version's replicas.
     pub inflight: usize,
-}
-
-// ---------------------------------------------------------------------
-// One-pass emitters for control-plane read bodies
-// ---------------------------------------------------------------------
-//
-// The list/view GET bodies sit on operator pollers' hot paths; emitting
-// straight into one buffer skips the serde `Content` tree (and its
-// per-field allocations) entirely. Every emitter is byte-identical to
-// `serde_json::to_string` of the same value — enforced by tests that
-// sweep each enum variant and escape-worthy string.
-
-/// `{"name":...,"version":N}` — serde's derive shape for [`ModelId`].
-fn emit_model_id(e: &mut crate::json_emit::Emitter, m: &ModelId) {
-    e.raw("{\"name\":");
-    e.string(&m.name);
-    e.raw(",\"version\":");
-    e.u64(u64::from(m.version));
-    e.raw("}");
-}
-
-/// Externally tagged [`PolicyKind`]: unit variants are bare strings
-/// (`"Ucb1"`), struct variants single-key objects (`{"Exp3":{"eta":E}}`).
-fn emit_policy(e: &mut crate::json_emit::Emitter, p: &PolicyKind) -> Result<(), NonFiniteFloat> {
-    match p {
-        PolicyKind::Exp3 { eta } => {
-            e.raw("{\"Exp3\":{\"eta\":");
-            e.f64(*eta)?;
-            e.raw("}}");
-        }
-        PolicyKind::Exp4 { eta } => {
-            e.raw("{\"Exp4\":{\"eta\":");
-            e.f64(*eta)?;
-            e.raw("}}");
-        }
-        PolicyKind::EpsilonGreedy { epsilon } => {
-            e.raw("{\"EpsilonGreedy\":{\"epsilon\":");
-            e.f64(*epsilon)?;
-            e.raw("}}");
-        }
-        PolicyKind::Ucb1 => e.raw("\"Ucb1\""),
-        PolicyKind::Thompson => e.raw("\"Thompson\""),
-        PolicyKind::MajorityVote => e.raw("\"MajorityVote\""),
-        PolicyKind::Static { model_index } => {
-            e.raw("{\"Static\":{\"model_index\":");
-            e.u64(*model_index as u64);
-            e.raw("}}");
-        }
-    }
-    Ok(())
-}
-
-impl AppView {
-    /// Stream this view into `e` in declaration field order.
-    pub fn emit(&self, e: &mut crate::json_emit::Emitter) -> Result<(), NonFiniteFloat> {
-        e.raw("{\"name\":");
-        e.string(&self.name);
-        e.raw(",\"candidate_models\":[");
-        for (i, m) in self.candidate_models.iter().enumerate() {
-            if i > 0 {
-                e.raw(",");
-            }
-            emit_model_id(e, m);
-        }
-        e.raw("],\"policy\":");
-        emit_policy(e, &self.policy)?;
-        e.raw(",\"slo_ms\":");
-        e.u64(self.slo_ms);
-        e.raw(",\"slo_us\":");
-        match self.slo_us {
-            Some(us) => e.u64(us),
-            None => e.raw("null"),
-        }
-        e.raw(",\"default_output\":");
-        self.default_output.emit(e)?;
-        e.raw(",\"seed\":");
-        e.u64(self.seed);
-        e.raw("}");
-        Ok(())
-    }
-
-    /// Serialize to a response body. A non-finite policy parameter is an
-    /// internal error, matching serde's failure mode.
-    pub fn to_json(&self) -> Result<String, ApiError> {
-        let mut e = crate::json_emit::Emitter::with_capacity(256);
-        match self.emit(&mut e) {
-            Ok(()) => Ok(e.into_string()),
-            Err(err) => Err(ApiError::Internal(err.to_string())),
-        }
-    }
-}
-
-/// Serialize the `GET /api/v1/apps` list body.
-pub fn app_views_to_json(views: &[AppView]) -> Result<String, ApiError> {
-    let mut e = crate::json_emit::Emitter::with_capacity(64 + 256 * views.len());
-    e.raw("[");
-    for (i, v) in views.iter().enumerate() {
-        if i > 0 {
-            e.raw(",");
-        }
-        if let Err(err) = v.emit(&mut e) {
-            return Err(ApiError::Internal(err.to_string()));
-        }
-    }
-    e.raw("]");
-    Ok(e.into_string())
-}
-
-impl ModelView {
-    /// Stream this view into `e` in declaration field order. Infallible:
-    /// the shape contains only strings and integers.
-    pub fn emit(&self, e: &mut crate::json_emit::Emitter) {
-        e.raw("{\"name\":");
-        e.string(&self.name);
-        e.raw(",\"current_version\":");
-        e.u64(u64::from(self.current_version));
-        e.raw(",\"versions\":[");
-        for (i, v) in self.versions.iter().enumerate() {
-            if i > 0 {
-                e.raw(",");
-            }
-            e.u64(u64::from(*v));
-        }
-        e.raw("],\"history\":[");
-        for (i, v) in self.history.iter().enumerate() {
-            if i > 0 {
-                e.raw(",");
-            }
-            e.u64(u64::from(*v));
-        }
-        e.raw("],\"replicas\":[");
-        for (i, r) in self.replicas.iter().enumerate() {
-            if i > 0 {
-                e.raw(",");
-            }
-            e.string(r);
-        }
-        e.raw("],\"queue_depth\":");
-        e.u64(self.queue_depth as u64);
-        e.raw(",\"inflight\":");
-        e.u64(self.inflight as u64);
-        e.raw("}");
-    }
-
-    /// Serialize to a response body.
-    pub fn to_json(&self) -> String {
-        let mut e = crate::json_emit::Emitter::with_capacity(192);
-        self.emit(&mut e);
-        e.into_string()
-    }
-}
-
-/// Serialize the `GET /api/v1/models` list body.
-pub fn model_views_to_json(views: &[ModelView]) -> String {
-    let mut e = crate::json_emit::Emitter::with_capacity(64 + 192 * views.len());
-    e.raw("[");
-    for (i, v) in views.iter().enumerate() {
-        if i > 0 {
-            e.raw(",");
-        }
-        v.emit(&mut e);
-    }
-    e.raw("]");
-    e.into_string()
-}
-
-/// Serialize a `/metrics` snapshot: `{"values":{name:metric,...}}` with
-/// each metric internally tagged (`{"kind":"counter",...}`), matching the
-/// serde derive on [`clipper_metrics::MetricValue`]. BTreeMap keys come
-/// out sorted from both paths.
-pub fn snapshot_to_json(snap: &clipper_metrics::RegistrySnapshot) -> Result<String, ApiError> {
-    use clipper_metrics::MetricValue;
-    let mut e = crate::json_emit::Emitter::with_capacity(64 + 96 * snap.values.len());
-    let emit = (|| {
-        e.raw("{\"values\":{");
-        for (i, (name, v)) in snap.values.iter().enumerate() {
-            if i > 0 {
-                e.raw(",");
-            }
-            e.string(name);
-            e.raw(":");
-            match v {
-                MetricValue::Counter { value } => {
-                    e.raw("{\"kind\":\"counter\",\"value\":");
-                    e.u64(*value);
-                    e.raw("}");
-                }
-                MetricValue::Gauge { value } => {
-                    e.raw("{\"kind\":\"gauge\",\"value\":");
-                    e.i64(*value);
-                    e.raw("}");
-                }
-                MetricValue::Meter {
-                    count,
-                    rate,
-                    mean_rate,
-                } => {
-                    e.raw("{\"kind\":\"meter\",\"count\":");
-                    e.u64(*count);
-                    e.raw(",\"rate\":");
-                    e.f64(*rate)?;
-                    e.raw(",\"mean_rate\":");
-                    e.f64(*mean_rate)?;
-                    e.raw("}");
-                }
-                MetricValue::Histogram {
-                    count,
-                    mean,
-                    p50,
-                    p95,
-                    p99,
-                    max,
-                    min,
-                } => {
-                    e.raw("{\"kind\":\"histogram\",\"count\":");
-                    e.u64(*count);
-                    e.raw(",\"mean\":");
-                    e.f64(*mean)?;
-                    e.raw(",\"p50\":");
-                    e.u64(*p50);
-                    e.raw(",\"p95\":");
-                    e.u64(*p95);
-                    e.raw(",\"p99\":");
-                    e.u64(*p99);
-                    e.raw(",\"max\":");
-                    e.u64(*max);
-                    e.raw(",\"min\":");
-                    e.u64(*min);
-                    e.raw("}");
-                }
-            }
-        }
-        e.raw("}}");
-        Ok::<(), NonFiniteFloat>(())
-    })();
-    match emit {
-        Ok(()) => Ok(e.into_string()),
-        Err(err) => Err(ApiError::Internal(err.to_string())),
-    }
 }
 
 /// Wire form of [`BatchStrategy`] (whose `Fixed(usize)` tuple variant
@@ -1220,7 +932,7 @@ mod tests {
         // The satellite regression: format!-built bodies emitted invalid
         // JSON for messages containing quotes. The serde path must not.
         let err = ApiError::AppUnknown("we\"ird\\app".to_string());
-        let body = ErrorBody::of(&err).to_json();
+        let body = serde_json::to_string(&ErrorBody::of(&err)).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&body).expect("body must be JSON");
         assert_eq!(parsed["error"]["code"], "app_unknown");
         let round: ErrorBody = serde_json::from_str(&body).unwrap();
@@ -1285,9 +997,18 @@ mod tests {
         assert!(!other.error.shed);
     }
 
+    // The `*_wire_bytes_are_pinned` literals were recorded from the last
+    // commit that still had the two-pass value-tree serializer and the
+    // hand-written emitters beside it (the two agreed byte for byte): the
+    // wire format is whatever those bytes say, not whatever the derive
+    // happens to produce today.
+    fn assert_wire<T: Serialize>(value: &T, golden: &str) {
+        assert_eq!(serde_json::to_string(value).unwrap(), golden);
+    }
+
     #[test]
-    fn error_body_fast_path_is_byte_identical_to_serde() {
-        for err in [
+    fn error_body_wire_bytes_are_pinned() {
+        let errors = [
             ApiError::AppUnknown("we\"ird\\app".to_string()),
             ApiError::AppExists("plain".to_string()),
             ApiError::from(PredictError::Overloaded),
@@ -1295,18 +1016,25 @@ mod tests {
             ApiError::BadRequest("tabs\tand\nnewlines and \u{7} bells".to_string()),
             ApiError::Internal("unicode mêssage 世界".to_string()),
             ApiError::NotFound,
-        ] {
-            let body = ErrorBody::of(&err);
-            assert_eq!(
-                body.to_json(),
-                serde_json::to_string(&body).unwrap(),
-                "fast emitter diverged for {err:?}"
-            );
+        ];
+        let golden = [
+            r#"{"error":{"code":"app_unknown","message":"unknown application \"we\"ird\\app\"","retryable":false,"shed":false}}"#,
+            r#"{"error":{"code":"app_exists","message":"application \"plain\" already exists (PATCH to update)","retryable":false,"shed":false}}"#,
+            r#"{"error":{"code":"overloaded","message":"replica queue overloaded","retryable":true,"shed":true}}"#,
+            r#"{"error":{"code":"timeout","message":"prediction timed out","retryable":true,"shed":false}}"#,
+            r#"{"error":{"code":"bad_request","message":"bad request: tabs\tand\nnewlines and \u0007 bells","retryable":false,"shed":false}}"#,
+            r#"{"error":{"code":"internal","message":"internal error: unicode mêssage 世界","retryable":false,"shed":false}}"#,
+            r#"{"error":{"code":"not_found","message":"not found","retryable":false,"shed":false}}"#,
+        ];
+        for (err, golden) in errors.iter().zip(golden) {
+            assert_wire(&ErrorBody::of(err), golden);
         }
     }
 
     #[test]
-    fn app_view_fast_path_is_byte_identical_to_serde() {
+    fn app_view_wire_bytes_are_pinned() {
+        // Every `PolicyKind` and `JsonOutput` variant, escape-worthy
+        // names, `slo_us` present and `None`, a `u64::MAX` seed.
         let policies = [
             PolicyKind::Exp3 { eta: 0.2 },
             PolicyKind::Exp4 { eta: 1.0 },
@@ -1325,7 +1053,16 @@ mod tests {
                 labels: vec![7, 8, 9],
             },
         ];
-        for (i, policy) in policies.into_iter().enumerate() {
+        let golden = [
+            r#"{"name":"we\"ird\\app-0","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Exp3":{"eta":0.2}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"class","label":0},"seed":18446744073709551615}"#,
+            r#"{"name":"we\"ird\\app-1","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Exp4":{"eta":1.0}},"slo_ms":20,"slo_us":null,"default_output":{"kind":"scores","scores":[0.25,1.0,-3.5]},"seed":18446744073709551615}"#,
+            r#"{"name":"we\"ird\\app-2","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"EpsilonGreedy":{"epsilon":0.05}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"labels","labels":[7,8,9]},"seed":18446744073709551615}"#,
+            r#"{"name":"we\"ird\\app-3","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":"Ucb1","slo_ms":20,"slo_us":null,"default_output":{"kind":"class","label":0},"seed":18446744073709551615}"#,
+            r#"{"name":"we\"ird\\app-4","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":"Thompson","slo_ms":20,"slo_us":20000,"default_output":{"kind":"scores","scores":[0.25,1.0,-3.5]},"seed":18446744073709551615}"#,
+            r#"{"name":"we\"ird\\app-5","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":"MajorityVote","slo_ms":20,"slo_us":null,"default_output":{"kind":"labels","labels":[7,8,9]},"seed":18446744073709551615}"#,
+            r#"{"name":"we\"ird\\app-6","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Static":{"model_index":3}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"class","label":0},"seed":18446744073709551615}"#,
+        ];
+        for (i, (policy, golden)) in policies.into_iter().zip(golden).enumerate() {
             let view = AppView {
                 name: format!("we\"ird\\app-{i}"),
                 candidate_models: vec![ModelId::new("m", 1), ModelId::new("tab\tname", 42)],
@@ -1335,17 +1072,10 @@ mod tests {
                 default_output: outputs[i % outputs.len()].clone(),
                 seed: u64::MAX,
             };
-            assert_eq!(
-                view.to_json().unwrap(),
-                serde_json::to_string(&view).unwrap(),
-                "fast emitter diverged for {view:?}"
-            );
+            assert_wire(&view, golden);
         }
-    }
 
-    #[test]
-    fn app_view_list_is_byte_identical_to_serde() {
-        let views: Vec<AppView> = (0..3)
+        let list: Vec<AppView> = (0..3)
             .map(|i| AppView {
                 name: format!("app-{i}"),
                 candidate_models: vec![ModelId::new("m", i)],
@@ -1356,16 +1086,16 @@ mod tests {
                 seed: i as u64,
             })
             .collect();
-        assert_eq!(
-            app_views_to_json(&views).unwrap(),
-            serde_json::to_string(&views).unwrap()
+        assert_wire(
+            &list,
+            r#"[{"name":"app-0","candidate_models":[{"name":"m","version":0}],"policy":{"Exp3":{"eta":0.1}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"class","label":0},"seed":0},{"name":"app-1","candidate_models":[{"name":"m","version":1}],"policy":{"Exp3":{"eta":0.1}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"class","label":0},"seed":1},{"name":"app-2","candidate_models":[{"name":"m","version":2}],"policy":{"Exp3":{"eta":0.1}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"class","label":0},"seed":2}]"#,
         );
-        assert_eq!(app_views_to_json(&[]).unwrap(), "[]");
+        assert_wire(&Vec::<AppView>::new(), "[]");
     }
 
     #[test]
-    fn model_view_fast_path_is_byte_identical_to_serde() {
-        let views = [
+    fn model_view_wire_bytes_are_pinned() {
+        let views = vec![
             ModelView {
                 name: "mnist-svm".to_string(),
                 current_version: 2,
@@ -1385,22 +1115,20 @@ mod tests {
                 inflight: 0,
             },
         ];
-        for view in &views {
-            assert_eq!(
-                view.to_json(),
-                serde_json::to_string(view).unwrap(),
-                "fast emitter diverged for {view:?}"
-            );
+        let golden = [
+            r#"{"name":"mnist-svm","current_version":2,"versions":[1,2,3],"history":[1],"replicas":["r\"0","r1"],"queue_depth":17,"inflight":3}"#,
+            r#"{"name":"","current_version":0,"versions":[],"history":[],"replicas":[],"queue_depth":0,"inflight":0}"#,
+        ];
+        for (view, golden) in views.iter().zip(golden) {
+            assert_wire(view, golden);
         }
-        assert_eq!(
-            model_views_to_json(&views),
-            serde_json::to_string(&views.to_vec()).unwrap()
-        );
-        assert_eq!(model_views_to_json(&[]), "[]");
+        assert_wire(&views, &format!("[{},{}]", golden[0], golden[1]));
+        assert_wire(&Vec::<ModelView>::new(), "[]");
     }
 
     #[test]
-    fn metrics_snapshot_fast_path_is_byte_identical_to_serde() {
+    fn metrics_snapshot_wire_bytes_are_pinned() {
+        // Every `MetricValue` variant; keys come out sorted.
         use clipper_metrics::{MetricValue, RegistrySnapshot};
         let mut values = std::collections::BTreeMap::new();
         values.insert(
@@ -1428,35 +1156,19 @@ mod tests {
                 min: 2,
             },
         );
-        let snap = RegistrySnapshot { values };
-        assert_eq!(
-            snapshot_to_json(&snap).unwrap(),
-            serde_json::to_string(&snap).unwrap()
+        assert_wire(
+            &RegistrySnapshot { values },
+            r#"{"values":{"frontend.qps":{"kind":"counter","value":18446744073709551615},"latency\"us":{"kind":"histogram","count":9,"mean":41.75,"p50":40,"p95":90,"p99":99,"max":120,"min":2},"predict.rate":{"kind":"meter","count":1000,"rate":250.5,"mean_rate":3.0},"queue.depth":{"kind":"gauge","value":-12}}}"#,
         );
         let empty = RegistrySnapshot {
             values: Default::default(),
         };
-        assert_eq!(snapshot_to_json(&empty).unwrap(), "{\"values\":{}}");
+        assert_wire(&empty, "{\"values\":{}}");
     }
 
     #[test]
-    fn non_finite_policy_parameters_are_internal_errors() {
-        let view = AppView {
-            name: "a".to_string(),
-            candidate_models: vec![],
-            policy: PolicyKind::Exp3 { eta: f64::NAN },
-            slo_ms: 20,
-            slo_us: None,
-            default_output: JsonOutput::Class { label: 0 },
-            seed: 0,
-        };
-        assert!(matches!(view.to_json(), Err(ApiError::Internal(_))));
-        assert!(serde_json::to_string(&view).is_err());
-    }
-
-    #[test]
-    fn json_output_fast_path_is_byte_identical_to_serde() {
-        for out in [
+    fn json_output_wire_bytes_are_pinned() {
+        let outputs = [
             JsonOutput::Class { label: 0 },
             JsonOutput::Class { label: u32::MAX },
             JsonOutput::Scores { scores: vec![] },
@@ -1467,24 +1179,128 @@ mod tests {
             JsonOutput::Labels {
                 labels: vec![1, 2, 3],
             },
-        ] {
-            let mut e = crate::json_emit::Emitter::default();
-            out.emit(&mut e).unwrap();
-            assert_eq!(
-                e.into_string(),
-                serde_json::to_string(&out).unwrap(),
-                "fast emitter diverged for {out:?}"
-            );
+        ];
+        let golden = [
+            r#"{"kind":"class","label":0}"#,
+            r#"{"kind":"class","label":4294967295}"#,
+            r#"{"kind":"scores","scores":[]}"#,
+            r#"{"kind":"scores","scores":[0.25,1.0,-3.5,0.3333333432674408,10000000000.0]}"#,
+            r#"{"kind":"labels","labels":[]}"#,
+            r#"{"kind":"labels","labels":[1,2,3]}"#,
+        ];
+        for (out, golden) in outputs.iter().zip(golden) {
+            assert_wire(out, golden);
         }
-        // A non-finite score fails exactly like the serde path.
+        // A non-finite score is an error, never partial JSON.
         let bad = JsonOutput::Scores {
             scores: vec![f32::NAN],
         };
-        let mut e = crate::json_emit::Emitter::default();
         assert_eq!(
-            bad.emit(&mut e).unwrap_err().to_string(),
-            serde_json::to_string(&bad).unwrap_err().to_string()
+            serde_json::to_string(&bad).unwrap_err().to_string(),
+            "cannot serialize non-finite float"
         );
+    }
+
+    #[test]
+    fn records_persisted_by_the_two_pass_codec_still_parse() {
+        // Statestore bytes as the previous codec wrote them: a restart
+        // onto this codec must rehydrate the same registry.
+        let app: AppRecord = serde_json::from_str(
+            r#"{"name":"app","candidate_models":[{"name":"m","version":3}],"policy":{"Exp4":{"eta":0.2}},"slo_ms":0,"slo_us":750,"default_output":{"kind":"scores","scores":[0.5,0.5]},"seed":9}"#,
+        )
+        .unwrap();
+        let cfg = AppConfig::new("app", vec![ModelId::new("m", 3)])
+            .with_policy(PolicyKind::Exp4 { eta: 0.2 })
+            .with_slo(Duration::from_micros(750))
+            .with_default_output(Output::Scores(vec![0.5, 0.5]))
+            .with_seed(9);
+        assert_eq!(app, AppRecord::from(&cfg));
+
+        let model: ModelRecord = serde_json::from_str(
+            r#"{"name":"m","current":2,"versions":[1,2],"history":[1],"batch":[{"version":2,"knobs":{"strategy":{"kind":"fixed","size":7},"slo_us":750,"batch_wait_timeout_us":2000,"queue_capacity":123,"max_batch_cap":64,"pipeline_depth":2,"drain_deadline_us":9000000,"latency_prior":{"alpha_us":120.5,"beta_us":33.25},"slo_admission":true,"retry_max_attempts":2,"hedge":{"delay_factor":2.5,"min_delay_us":900}},"replicas":[{"queue_id":"m:v2:0","alpha_us":140.0,"beta_us":41.5,"b_max":17,"samples":420}]},{"version":1,"knobs":{"strategy":{"kind":"aimd","step":2.0,"backoff":0.9},"slo_us":20000,"batch_wait_timeout_us":0,"queue_capacity":8192,"max_batch_cap":4096,"pipeline_depth":1,"drain_deadline_us":5000000,"latency_prior":null,"slo_admission":false,"retry_max_attempts":3,"hedge":null},"replicas":[]}]}"#,
+        )
+        .unwrap();
+        let tune = ReplicaTuneRecord {
+            queue_id: "m:v2:0".into(),
+            alpha_us: 140.0,
+            beta_us: 41.5,
+            b_max: 17,
+            samples: 420,
+        };
+        let expected = ModelRecord {
+            name: "m".into(),
+            current: 2,
+            versions: vec![1, 2],
+            history: vec![1],
+            batch: vec![
+                VersionBatchKnobs {
+                    version: 2,
+                    knobs: BatchKnobs::from(&QueueConfig {
+                        strategy: BatchStrategy::Fixed(7),
+                        slo: Duration::from_micros(750),
+                        batch_wait_timeout: Duration::from_millis(2),
+                        queue_capacity: 123,
+                        max_batch_cap: 64,
+                        pipeline_depth: 2,
+                        drain_deadline: Duration::from_secs(9),
+                        latency_prior: Some(LatencyPrior {
+                            alpha_us: 120.5,
+                            beta_us: 33.25,
+                        }),
+                        slo_admission: true,
+                        retry_max_attempts: 2,
+                        hedge: Some(crate::batching::HedgeConfig {
+                            delay_factor: 2.5,
+                            min_delay: Duration::from_micros(900),
+                        }),
+                        ..QueueConfig::default()
+                    }),
+                    replicas: vec![tune.clone()],
+                },
+                VersionBatchKnobs {
+                    version: 1,
+                    knobs: BatchKnobs::from(&QueueConfig::default()),
+                    replicas: vec![],
+                },
+            ],
+        };
+        assert_eq!(model, expected);
+
+        let golden = [
+            r#"{"container_name":"c-0","model_name":"m","model_version":2,"capabilities":["local:noop"],"state":"expired","tune":{"queue_id":"m:v2:0","alpha_us":140.0,"beta_us":41.5,"b_max":17,"samples":420}}"#,
+            r#"{"container_name":"c-1","model_name":"m","model_version":1,"capabilities":[],"state":"registered","tune":null}"#,
+        ];
+        let expired: ReplicaRecord = serde_json::from_str(golden[0]).unwrap();
+        assert_eq!(
+            expired,
+            ReplicaRecord {
+                container_name: "c-0".into(),
+                model_name: "m".into(),
+                model_version: 2,
+                capabilities: vec!["local:noop".into()],
+                state: REPLICA_STATE_EXPIRED.into(),
+                tune: Some(tune),
+            }
+        );
+        let registered: ReplicaRecord = serde_json::from_str(golden[1]).unwrap();
+        assert_eq!(
+            registered,
+            ReplicaRecord {
+                container_name: "c-1".into(),
+                model_name: "m".into(),
+                model_version: 1,
+                capabilities: vec![],
+                state: REPLICA_STATE_REGISTERED.into(),
+                tune: None,
+            }
+        );
+        // And what this codec writes for them is what was read.
+        assert_wire(
+            &app,
+            r#"{"name":"app","candidate_models":[{"name":"m","version":3}],"policy":{"Exp4":{"eta":0.2}},"slo_ms":0,"slo_us":750,"default_output":{"kind":"scores","scores":[0.5,0.5]},"seed":9}"#,
+        );
+        assert_wire(&expired, golden[0]);
+        assert_wire(&registered, golden[1]);
     }
 
     #[test]

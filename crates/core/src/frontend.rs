@@ -14,8 +14,13 @@
 //! | `POST /api/v1/models/{name}/rollout` / `.../rollback` | version rollout |
 //! | `GET /metrics`, `GET /health` | telemetry / liveness |
 //!
-//! Legacy `POST /apps/{app}/predict|update` and `GET /models` remain as
-//! aliases onto the v1 handlers.
+//! JSON crosses this module in one place each way: every request body
+//! is read by `parse_json`, every response body is written by `json_ok`
+//! (`error_json` for the error envelope, which cannot fail), both over
+//! the derives in [`crate::api`]. There is no lexing or emission here;
+//! what is accepted, what it parses to and what goes out are
+//! `serde_json`'s decisions alone — including that input nested deeper
+//! than 128 levels is a 400, not a stack overflow.
 //!
 //! Every error response is a serde-serialized [`ErrorBody`] carrying the
 //! taxonomy's stable code and canonical status — an unknown app is a 404,
@@ -29,8 +34,7 @@
 //! pipelined request), never byte-at-a-time.
 
 use crate::api::{
-    app_views_to_json, model_views_to_json, snapshot_to_json, ApiError, AppPatch, AppSpec, AppView,
-    ErrorBody, JsonOutput, ModelSpec, RolloutRequest,
+    ApiError, AppPatch, AppSpec, AppView, ErrorBody, JsonOutput, ModelSpec, RolloutRequest,
 };
 use crate::clipper::Clipper;
 use crate::types::{Feedback, ModelId};
@@ -94,154 +98,6 @@ struct PredictRequest {
     context: Option<String>,
 }
 
-/// Hand-rolled parse of the predict body's fixed shape —
-/// `{"input":[...]}` with an optional `"context"` key in either order —
-/// straight off the request bytes. The serde path builds a full value
-/// tree per request; this allocates only the feature vector itself (and
-/// the context string when present). Returns `None` on anything it
-/// doesn't recognize — including escaped strings and duplicate keys — so
-/// the caller can fall back to serde for exact error messages and full
-/// JSON generality.
-fn fast_parse_predict(body: &[u8]) -> Option<PredictRequest> {
-    let mut c = body;
-    skip_ws(&mut c);
-    c = c.strip_prefix(b"{")?;
-    let mut input: Option<Vec<f32>> = None;
-    let mut context: Option<String> = None;
-    loop {
-        skip_ws(&mut c);
-        let key_end = 1 + c.get(1..)?.iter().position(|&b| b == b'"' || b == b'\\')?;
-        let key = match c.first()? {
-            b'"' => &c[1..key_end],
-            _ => return None,
-        };
-        if c.get(key_end)? != &b'"' {
-            return None; // escape in key: bail to serde
-        }
-        c = &c[key_end + 1..];
-        skip_ws(&mut c);
-        c = c.strip_prefix(b":")?;
-        skip_ws(&mut c);
-        match key {
-            b"input" if input.is_none() => {
-                c = c.strip_prefix(b"[")?;
-                let mut v = Vec::new();
-                skip_ws(&mut c);
-                if let Some(rest) = c.strip_prefix(b"]") {
-                    c = rest;
-                } else {
-                    loop {
-                        let end = c
-                            .iter()
-                            .position(|&b| {
-                                !matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                            })
-                            .unwrap_or(c.len());
-                        if !json_number_ok(&c[..end]) {
-                            return None;
-                        }
-                        let num: f32 = std::str::from_utf8(&c[..end]).ok()?.parse().ok()?;
-                        v.push(num);
-                        c = &c[end..];
-                        skip_ws(&mut c);
-                        if let Some(rest) = c.strip_prefix(b",") {
-                            c = rest;
-                            skip_ws(&mut c);
-                        } else {
-                            c = c.strip_prefix(b"]")?;
-                            break;
-                        }
-                    }
-                }
-                input = Some(v);
-            }
-            b"context" if context.is_none() => {
-                if let Some(rest) = c.strip_prefix(b"null") {
-                    c = rest;
-                } else {
-                    c = c.strip_prefix(b"\"")?;
-                    let end = c.iter().position(|&b| b == b'"' || b == b'\\')?;
-                    if c[end] == b'\\' {
-                        return None; // escaped context: bail to serde
-                    }
-                    context = Some(std::str::from_utf8(&c[..end]).ok()?.to_owned());
-                    c = &c[end + 1..];
-                }
-            }
-            _ => return None, // unknown or duplicate key: bail to serde
-        }
-        skip_ws(&mut c);
-        if let Some(rest) = c.strip_prefix(b",") {
-            c = rest;
-        } else {
-            c = c.strip_prefix(b"}")?;
-            break;
-        }
-    }
-    skip_ws(&mut c);
-    if !c.is_empty() {
-        return None;
-    }
-    Some(PredictRequest {
-        input: input?,
-        context,
-    })
-}
-
-/// Whether `t` spells a number the JSON grammar allows —
-/// `-?digits(.digits)?([eE][+-]?digits)?`. Rust's float parser is laxer
-/// (`+1`, `1.`, `.5`, `inf`), and accepting those here would make the
-/// fast path disagree with the serde fallback about what is a 400.
-fn json_number_ok(t: &[u8]) -> bool {
-    let mut s = t;
-    if let Some(r) = s.strip_prefix(b"-") {
-        s = r;
-    }
-    let d = s
-        .iter()
-        .position(|b| !b.is_ascii_digit())
-        .unwrap_or(s.len());
-    if d == 0 {
-        return false;
-    }
-    s = &s[d..];
-    if let Some(r) = s.strip_prefix(b".") {
-        let d = r
-            .iter()
-            .position(|b| !b.is_ascii_digit())
-            .unwrap_or(r.len());
-        if d == 0 {
-            return false;
-        }
-        s = &r[d..];
-    }
-    if let Some(r) = s.strip_prefix(b"e").or_else(|| s.strip_prefix(b"E")) {
-        let r = r
-            .strip_prefix(b"+")
-            .or_else(|| r.strip_prefix(b"-"))
-            .unwrap_or(r);
-        let d = r
-            .iter()
-            .position(|b| !b.is_ascii_digit())
-            .unwrap_or(r.len());
-        if d == 0 {
-            return false;
-        }
-        s = &r[d..];
-    }
-    s.is_empty()
-}
-
-fn skip_ws(c: &mut &[u8]) {
-    while let Some(rest) = c
-        .first()
-        .filter(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-        .map(|_| &c[1..])
-    {
-        *c = rest;
-    }
-}
-
 #[derive(Serialize)]
 struct PredictResponse {
     output: JsonOutput,
@@ -249,35 +105,6 @@ struct PredictResponse {
     models_used: usize,
     models_missing: usize,
     latency_us: u64,
-}
-
-impl PredictResponse {
-    /// Serialize through the one-pass emitter (`json_emit`), skipping the
-    /// serde `Content` tree on the per-request hot path. Byte-identical
-    /// to `serde_json::to_string(self)` (enforced by test), including the
-    /// failure mode: a non-finite confidence or score is an internal
-    /// error, not invalid JSON.
-    fn to_json(&self) -> Result<String, ApiError> {
-        let mut e = crate::json_emit::Emitter::with_capacity(128);
-        let emit = (|| {
-            e.raw("{\"output\":");
-            self.output.emit(&mut e)?;
-            e.raw(",\"confidence\":");
-            e.f64(self.confidence)?;
-            e.raw(",\"models_used\":");
-            e.u64(self.models_used as u64);
-            e.raw(",\"models_missing\":");
-            e.u64(self.models_missing as u64);
-            e.raw(",\"latency_us\":");
-            e.u64(self.latency_us);
-            e.raw("}");
-            Ok::<(), crate::json_emit::NonFiniteFloat>(())
-        })();
-        match emit {
-            Ok(()) => Ok(e.into_string()),
-            Err(err) => Err(ApiError::Internal(err.to_string())),
-        }
-    }
 }
 
 #[derive(Deserialize)]
@@ -291,12 +118,10 @@ struct UpdateRequest {
     labels: Option<Vec<u32>>,
 }
 
-fn status_body(status: &str) -> String {
-    let mut e = crate::json_emit::Emitter::with_capacity(24);
-    e.raw("{\"status\":");
-    e.string(status);
-    e.raw("}");
-    e.into_string()
+/// `{"status": ...}`: the whole answer of a route with nothing to report.
+#[derive(Serialize)]
+struct StatusBody {
+    status: &'static str,
 }
 
 // ---------------------------------------------------------------------
@@ -644,9 +469,7 @@ async fn serve_connection(conn: TcpStream, clipper: Clipper) -> std::io::Result<
             Ok(None) => return Ok(()), // clean EOF; nothing left queued
             Err(e) => {
                 let err = ApiError::BadRequest(e.to_string());
-                let _ = writer
-                    .respond(400, &ErrorBody::of(&err).to_json(), false)
-                    .await;
+                let _ = writer.respond(400, &error_json(&err), false).await;
                 let _ = writer.flush().await;
                 return Ok(());
             }
@@ -742,6 +565,12 @@ fn json_ok<T: Serialize>(status: u16, value: &T) -> Result<(u16, String), ApiErr
     Ok((status, body))
 }
 
+/// The response body for `err`. The envelope holds only strings and
+/// bools, so unlike [`json_ok`] this cannot fail.
+fn error_json(err: &ApiError) -> String {
+    serde_json::to_string(&ErrorBody::of(err)).expect("strings and bools always serialize")
+}
+
 async fn route(clipper: &Clipper, method: &[u8], path: &[u8], body: &[u8]) -> (u16, String) {
     let result = match Method::parse(method) {
         None => Err(ApiError::BadRequest(format!(
@@ -758,7 +587,7 @@ async fn route(clipper: &Clipper, method: &[u8], path: &[u8], body: &[u8]) -> (u
     };
     match result {
         Ok(ok) => ok,
-        Err(e) => (e.http_status(), ErrorBody::of(&e).to_json()),
+        Err(e) => (e.http_status(), error_json(&e)),
     }
 }
 
@@ -769,19 +598,12 @@ async fn dispatch(
 ) -> Result<(u16, String), ApiError> {
     use Method::*;
     match (route.method, route.segs()) {
-        (Get, ["health"]) => Ok((200, status_body("ok"))),
-        (Get, ["metrics"]) => {
-            let snap = clipper.registry().snapshot();
-            Ok((200, snapshot_to_json(&snap)?))
-        }
+        (Get, ["health"]) => json_ok(200, &StatusBody { status: "ok" }),
+        (Get, ["metrics"]) => json_ok(200, &clipper.registry().snapshot()),
 
-        // --- data plane (v1 + legacy aliases) ---
-        (Post, ["api", "v1", "apps", app, "predict"]) | (Post, ["apps", app, "predict"]) => {
-            handle_predict(clipper, app, body).await
-        }
-        (Post, ["api", "v1", "apps", app, "update"]) | (Post, ["apps", app, "update"]) => {
-            handle_update(clipper, app, body).await
-        }
+        // --- data plane ---
+        (Post, ["api", "v1", "apps", app, "predict"]) => handle_predict(clipper, app, body).await,
+        (Post, ["api", "v1", "apps", app, "update"]) => handle_update(clipper, app, body).await,
 
         // --- app lifecycle ---
         (Get, ["api", "v1", "apps"]) => {
@@ -792,7 +614,7 @@ async fn dispatch(
                 .map(|cfg| AppView::from(&cfg))
                 .collect();
             views.sort_by(|a, b| a.name.cmp(&b.name));
-            Ok((200, app_views_to_json(&views)?))
+            json_ok(200, &views)
         }
         (Post, ["api", "v1", "apps"]) => {
             let spec: AppSpec = parse_json(body)?;
@@ -806,28 +628,26 @@ async fn dispatch(
             }
             let cfg = spec.into_config();
             clipper.try_register_app(cfg.clone())?;
-            Ok((201, AppView::from(&cfg).to_json()?))
+            json_ok(201, &AppView::from(&cfg))
         }
         (Get, ["api", "v1", "apps", app]) => {
             let cfg = clipper
                 .app_config(app)
                 .ok_or_else(|| ApiError::AppUnknown(app.to_string()))?;
-            Ok((200, AppView::from(&cfg).to_json()?))
+            json_ok(200, &AppView::from(&cfg))
         }
         (Patch, ["api", "v1", "apps", app]) => {
             let patch: AppPatch = parse_json(body)?;
             let cfg = clipper.update_app(app, patch.into_update())?;
-            Ok((200, AppView::from(&cfg).to_json()?))
+            json_ok(200, &AppView::from(&cfg))
         }
         (Delete, ["api", "v1", "apps", app]) => {
             clipper.unregister_app(app)?;
-            Ok((200, status_body("deleted")))
+            json_ok(200, &StatusBody { status: "deleted" })
         }
 
         // --- model lifecycle ---
-        (Get, ["api", "v1", "models"]) | (Get, ["models"]) => {
-            Ok((200, model_views_to_json(&clipper.model_views())))
-        }
+        (Get, ["api", "v1", "models"]) => json_ok(200, &clipper.model_views()),
         (Post, ["api", "v1", "models"]) => {
             let spec: ModelSpec = parse_json(body)?;
             if spec.name.is_empty() {
@@ -848,13 +668,13 @@ async fn dispatch(
             let view = clipper
                 .model_view(&spec.name)
                 .ok_or_else(|| ApiError::Internal("model registration lost".into()))?;
-            Ok((201, view.to_json()))
+            json_ok(201, &view)
         }
         (Get, ["api", "v1", "models", name]) => {
             let view = clipper
                 .model_view(name)
                 .ok_or_else(|| ApiError::ModelUnknown(name.to_string()))?;
-            Ok((200, view.to_json()))
+            json_ok(200, &view)
         }
         (Post, ["api", "v1", "models", name, "rollout"]) => {
             let req: RolloutRequest = parse_json(body)?;
@@ -892,7 +712,12 @@ async fn dispatch(
         }
         (Delete, ["api", "v1", "replicas", name]) => {
             clipper.fleet().deregister(name).await?;
-            Ok((200, status_body("deregistered")))
+            json_ok(
+                200,
+                &StatusBody {
+                    status: "deregistered",
+                },
+            )
         }
 
         _ => Err(ApiError::NotFound),
@@ -913,10 +738,7 @@ async fn handle_predict(
     app: &str,
     body: &[u8],
 ) -> Result<(u16, String), ApiError> {
-    let parsed: PredictRequest = match fast_parse_predict(body) {
-        Some(req) => req,
-        None => parse_json(body)?,
-    };
+    let parsed: PredictRequest = parse_json(body)?;
     let p = clipper
         .predict(app, parsed.context.as_deref(), Arc::new(parsed.input))
         .await
@@ -928,7 +750,7 @@ async fn handle_predict(
         models_missing: p.models_missing,
         latency_us: p.latency.as_micros() as u64,
     };
-    Ok((200, resp.to_json()?))
+    json_ok(200, &resp)
 }
 
 async fn handle_update(
@@ -955,7 +777,7 @@ async fn handle_update(
         )
         .await
         .map_err(|e| data_plane_err(e, app))?;
-    Ok((200, status_body("ok")))
+    json_ok(200, &StatusBody { status: "ok" })
 }
 
 #[cfg(test)]
@@ -1023,45 +845,50 @@ mod tests {
     }
 
     #[test]
-    fn predict_response_fast_path_is_byte_identical_to_serde() {
-        // The hot-path emitter must produce exactly what the serde path
-        // produced, for every output shape and float formatting case.
+    fn predict_response_wire_bytes_are_pinned() {
+        // Bytes recorded from the last commit with a hand-written emitter
+        // for this shape: every output kind and float-formatting case.
         let cases = [
-            PredictResponse {
-                output: JsonOutput::Class { label: 7 },
-                confidence: 1.0,
-                models_used: 3,
-                models_missing: 0,
-                latency_us: 812,
-            },
-            PredictResponse {
-                output: JsonOutput::Scores {
-                    scores: vec![0.125, 1.0 / 3.0, -2.0],
+            (
+                PredictResponse {
+                    output: JsonOutput::Class { label: 7 },
+                    confidence: 1.0,
+                    models_used: 3,
+                    models_missing: 0,
+                    latency_us: 812,
                 },
-                confidence: 0.6666666666666666,
-                models_used: 1,
-                models_missing: 2,
-                latency_us: 0,
-            },
-            PredictResponse {
-                output: JsonOutput::Labels {
-                    labels: vec![9, 8, 7],
+                r#"{"output":{"kind":"class","label":7},"confidence":1.0,"models_used":3,"models_missing":0,"latency_us":812}"#,
+            ),
+            (
+                PredictResponse {
+                    output: JsonOutput::Scores {
+                        scores: vec![0.125, 1.0 / 3.0, -2.0],
+                    },
+                    confidence: 0.6666666666666666,
+                    models_used: 1,
+                    models_missing: 2,
+                    latency_us: 0,
                 },
-                confidence: 0.0,
-                models_used: 0,
-                models_missing: 0,
-                latency_us: u64::MAX,
-            },
+                r#"{"output":{"kind":"scores","scores":[0.125,0.3333333432674408,-2.0]},"confidence":0.6666666666666666,"models_used":1,"models_missing":2,"latency_us":0}"#,
+            ),
+            (
+                PredictResponse {
+                    output: JsonOutput::Labels {
+                        labels: vec![9, 8, 7],
+                    },
+                    confidence: 0.0,
+                    models_used: 0,
+                    models_missing: 0,
+                    latency_us: u64::MAX,
+                },
+                r#"{"output":{"kind":"labels","labels":[9,8,7]},"confidence":0.0,"models_used":0,"models_missing":0,"latency_us":18446744073709551615}"#,
+            ),
         ];
-        for resp in &cases {
-            assert_eq!(
-                resp.to_json().unwrap(),
-                serde_json::to_string(resp).unwrap(),
-                "fast emitter diverged"
-            );
+        for (resp, golden) in &cases {
+            assert_eq!(json_ok(200, resp).unwrap(), (200, golden.to_string()));
         }
-        // Non-finite confidence: same failure as the serde path (an
-        // internal error), never invalid JSON on the wire.
+        // Non-finite confidence: an internal error, never invalid JSON on
+        // the wire.
         let bad = PredictResponse {
             output: JsonOutput::Class { label: 1 },
             confidence: f64::NAN,
@@ -1069,99 +896,148 @@ mod tests {
             models_missing: 0,
             latency_us: 1,
         };
-        assert!(matches!(bad.to_json(), Err(ApiError::Internal(_))));
-        assert!(serde_json::to_string(&bad).is_err());
+        assert!(matches!(json_ok(200, &bad), Err(ApiError::Internal(_))));
     }
 
     #[test]
-    fn fast_predict_parse_agrees_with_serde() {
-        // Everything the fast path accepts, serde must parse to the same
-        // value; everything it rejects must be valid-for-serde (fallback
-        // handles it) or invalid-for-both (400 either way).
-        let accepted: &[(&str, &[f32], Option<&str>)] = &[
-            (r#"{"input":[7.0]}"#, &[7.0], None),
+    fn non_finite_policy_parameters_are_internal_errors() {
+        let view = AppView {
+            name: "a".to_string(),
+            candidate_models: vec![],
+            policy: PolicyKind::Exp3 { eta: f64::NAN },
+            slo_ms: 20,
+            slo_us: None,
+            default_output: JsonOutput::Class { label: 0 },
+            seed: 0,
+        };
+        assert!(matches!(json_ok(200, &view), Err(ApiError::Internal(_))));
+    }
+
+    #[test]
+    fn status_body_wire_bytes_are_pinned() {
+        for (status, golden) in [
+            ("ok", r#"{"status":"ok"}"#),
+            ("deleted", r#"{"status":"deleted"}"#),
+            ("we\"ird\\status", r#"{"status":"we\"ird\\status"}"#),
+        ] {
+            assert_eq!(
+                json_ok(200, &StatusBody { status }).unwrap(),
+                (200, golden.to_string())
+            );
+        }
+    }
+
+    #[test]
+    fn predict_and_update_bodies_parse_as_one_table() {
+        // Body → the value both request types must read from it, or
+        // `None` for a 400 — each row as the two-pass serde parser this
+        // codec replaced decided it, so the accept set did not move.
+        type Parsed<'a> = Option<(&'a [f32], Option<&'a str>)>;
+        let table: &[(&str, Parsed)] = &[
+            (r#"{"input":[7.0]}"#, Some((&[7.0], None))),
             (
                 "  {\t\"input\" : [ 1 , -2.5 ,\n3e2, 4E-1, 0.125 ] }  ",
-                &[1.0, -2.5, 300.0, 0.4, 0.125],
-                None,
+                Some((&[1.0, -2.5, 300.0, 0.4, 0.125], None)),
             ),
-            (r#"{"input":[]}"#, &[], None),
-            (r#"{"context":"ctx-1","input":[1]}"#, &[1.0], Some("ctx-1")),
-            (r#"{"input":[1],"context":null}"#, &[1.0], None),
+            (r#"{"input":[]}"#, Some((&[], None))),
+            (
+                r#"{"context":"ctx-1","input":[1]}"#,
+                Some((&[1.0], Some("ctx-1"))),
+            ),
+            (r#"{"input":[1],"context":null}"#, Some((&[1.0], None))),
             (
                 r#"{"input":[2],"context":"späß 世界"}"#,
-                &[2.0],
-                Some("späß 世界"),
+                Some((&[2.0], Some("späß 世界"))),
             ),
+            // Escapes in the context.
+            (
+                r#"{"input":[1],"context":"quo\"te"}"#,
+                Some((&[1.0], Some("quo\"te"))),
+            ),
+            (
+                r#"{"input":[1],"context":"esc \u00e9\n\ud83e\udd80 \/"}"#,
+                Some((&[1.0], Some("esc é\n🦀 /"))),
+            ),
+            // Unknown keys are skipped, whatever they hold.
+            (r#"{"input":[1],"extra":2}"#, Some((&[1.0], None))),
+            (
+                r#"{"input":[1],"extra":{"a":[1,{"b":null}],"c":"x"}}"#,
+                Some((&[1.0], None)),
+            ),
+            // The first occurrence of a repeated key wins.
+            (r#"{"input":[1],"input":[2]}"#, Some((&[1.0], None))),
+            (
+                r#"{"input":[1],"input":"wrong type"}"#,
+                Some((&[1.0], None)),
+            ),
+            // Number spellings: the lexer hands Rust's float parser any
+            // token that starts like a number, so these are in.
+            (r#"{"input":[1.]}"#, Some((&[1.0], None))),
+            (r#"{"input":[-.5]}"#, Some((&[-0.5], None))),
+            (r#"{"input":[01]}"#, Some((&[1.0], None))),
+            (r#"{"input":[1e999]}"#, Some((&[f32::INFINITY], None))),
+            (r#"{"input":[1e39]}"#, Some((&[f32::INFINITY], None))),
+            (r#"{"input":[99999999999999999999]}"#, Some((&[1e20], None))),
+            // And these are out.
+            (r#"{"input":[+1]}"#, None),
+            (r#"{"input":[.5]}"#, None),
+            (r#"{"input":[1e]}"#, None),
+            (r#"{"input":[-]}"#, None),
+            (r#"{"input":[inf]}"#, None),
+            // Malformed or truncated documents.
+            (r#"{"input":[1] trailing}"#, None),
+            (r#"[1]"#, None),
+            (r#"{"input":[1}"#, None),
+            (r#"{"input":[1,]}"#, None),
+            (r#"{"input":[1],}"#, None),
+            (r#"{"input":[1]"#, None),
+            (r#"{"input":[1"#, None),
+            (r#"{"input":"#, None),
+            (r#"{"inp"#, None),
+            (r#"{"#, None),
+            ("", None),
+            // Well-formed, wrong shape.
+            (r#"{}"#, None),
+            (r#"{"context":"c"}"#, None),
+            (r#"{"input":null}"#, None),
+            (r#"{"input":[1],"context":7}"#, None),
+            (r#"{"input":[true]}"#, None),
+            (r#"{"input":["1"]}"#, None),
+            // Bad strings.
+            (r#"{"input":[1],"context":"bad \x escape"}"#, None),
+            (r#"{"input":[1],"context":"lone \ud800 surrogate"}"#, None),
+            ("{\"input\":[1],\"context\":\"ctl \u{1} char\"}", None),
         ];
-        for (body, input, context) in accepted {
-            let fast = fast_parse_predict(body.as_bytes())
-                .unwrap_or_else(|| panic!("fast path must accept {body}"));
-            assert_eq!(fast.input, *input, "input for {body}");
-            assert_eq!(fast.context.as_deref(), *context, "context for {body}");
-            let via_serde: PredictRequest = serde_json::from_slice(body.as_bytes())
-                .unwrap_or_else(|_| panic!("serde must also accept {body}"));
-            assert_eq!(via_serde.input, fast.input, "serde diverged for {body}");
-            assert_eq!(via_serde.context, fast.context);
+        for (body, expected) in table {
+            let predict = serde_json::from_slice::<PredictRequest>(body.as_bytes())
+                .ok()
+                .map(|r| (r.input, r.context));
+            let update = serde_json::from_slice::<UpdateRequest>(body.as_bytes())
+                .ok()
+                .map(|r| (r.input, r.context));
+            assert_eq!(predict, update, "predict and update disagree on {body}");
+            let expected = expected.map(|(input, ctx)| (input.to_vec(), ctx.map(str::to_string)));
+            assert_eq!(predict, expected, "{body}");
         }
 
-        // Bailed to serde: exotic-but-valid JSON the fast path skips.
-        for body in [
-            r#"{"input":[1],"context":"quo\"te"}"#,
-            r#"{"input":[1],"extra":2}"#,
-            r#"{"input":[1],"input":[2]}"#,
-        ] {
-            assert!(
-                fast_parse_predict(body.as_bytes()).is_none(),
-                "fast path must bail on {body}"
-            );
+        // Every strict prefix of a valid body is a 400, never a panic.
+        let valid = r#"{"context":"c\n","input":[1.5,-2e3],"label":3}"#;
+        assert!(serde_json::from_str::<UpdateRequest>(valid).is_ok());
+        for cut in 0..valid.len() {
+            let prefix = &valid.as_bytes()[..cut];
+            assert!(serde_json::from_slice::<PredictRequest>(prefix).is_err());
+            assert!(serde_json::from_slice::<UpdateRequest>(prefix).is_err());
         }
 
-        // Number spellings Rust's float parser takes but the JSON grammar
-        // forbids: the fast path must bail (never accept behind serde's
-        // back), leaving serde the sole authority on what is a 400.
-        for body in [
-            r#"{"input":[+1]}"#,
-            r#"{"input":[1.]}"#,
-            r#"{"input":[.5]}"#,
-            r#"{"input":[1e]}"#,
-            r#"{"input":[inf]}"#,
-            r#"{"input":[1] trailing}"#,
-            r#"[1]"#,
-            r#"{"input":[1}"#,
-            r#"{}"#,
-        ] {
-            assert!(
-                fast_parse_predict(body.as_bytes()).is_none(),
-                "fast path must reject {body}"
-            );
-        }
-
-        // And a few of those are invalid for serde too — same 400 either
-        // path.
-        for body in [r#"{"input":[1] trailing}"#, r#"{"input":[1}"#, r#"[1]"#] {
-            assert!(
-                serde_json::from_slice::<PredictRequest>(body.as_bytes()).is_err(),
-                "serde must reject {body}"
-            );
-        }
-    }
-
-    #[test]
-    fn status_body_fast_path_is_byte_identical_to_serde() {
-        #[derive(Serialize)]
-        struct StatusBody {
-            status: String,
-        }
-        for status in ["ok", "deleted", "we\"ird\\status"] {
-            assert_eq!(
-                status_body(status),
-                serde_json::to_string(&StatusBody {
-                    status: status.to_string(),
-                })
-                .unwrap()
-            );
-        }
+        // A literal just above the midpoint of two adjacent `f32`s: read
+        // directly it rounds up; read through `f64` first it would round
+        // down. Both request types read it directly, so the feedback join
+        // keys on the same input the predict cached.
+        let body = br#"{"input":[1.00000005960464477539062500000001]}"#;
+        let predict: PredictRequest = serde_json::from_slice(body).unwrap();
+        let update: UpdateRequest = serde_json::from_slice(body).unwrap();
+        assert_eq!(predict.input[0].to_bits(), 0x3f80_0001);
+        assert_eq!(update.input[0].to_bits(), 0x3f80_0001);
     }
 
     #[tokio::test]
@@ -1179,16 +1055,14 @@ mod tests {
     #[tokio::test]
     async fn predict_over_http() {
         let (frontend, _clipper) = start_frontend().await;
-        for path in ["/apps/digits/predict", "/api/v1/apps/digits/predict"] {
-            let resp = http_call(
-                frontend.local_addr(),
-                &post(path, "{\"input\": [7.0, 1.0]}"),
-            )
-            .await;
-            assert!(resp.starts_with("HTTP/1.1 200"), "{path}: {resp}");
-            assert!(resp.contains("\"label\":7"), "{resp}");
-            assert!(resp.contains("\"confidence\":1.0"), "{resp}");
-        }
+        let resp = http_call(
+            frontend.local_addr(),
+            &post("/api/v1/apps/digits/predict", "{\"input\": [7.0, 1.0]}"),
+        )
+        .await;
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        assert!(resp.contains("\"label\":7"), "{resp}");
+        assert!(resp.contains("\"confidence\":1.0"), "{resp}");
     }
 
     #[tokio::test]
@@ -1196,7 +1070,10 @@ mod tests {
         let (frontend, clipper) = start_frontend().await;
         let resp = http_call(
             frontend.local_addr(),
-            &post("/apps/digits/update", "{\"input\": [3.0], \"label\": 3}"),
+            &post(
+                "/api/v1/apps/digits/update",
+                "{\"input\": [3.0], \"label\": 3}",
+            ),
         )
         .await;
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
@@ -1218,7 +1095,7 @@ mod tests {
         let (frontend, _clipper) = start_frontend().await;
         let resp = http_call(
             frontend.local_addr(),
-            &post("/apps/digits/predict", "{not json"),
+            &post("/api/v1/apps/digits/predict", "{not json"),
         )
         .await;
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
@@ -1234,11 +1111,7 @@ mod tests {
         // Satellite regression: predict/update on an unregistered app used
         // to surface as 500; the taxonomy maps AppUnknown to 404.
         let (frontend, _clipper) = start_frontend().await;
-        for path in [
-            "/apps/ghost/predict",
-            "/api/v1/apps/ghost/predict",
-            "/apps/ghost/update",
-        ] {
+        for path in ["/api/v1/apps/ghost/predict", "/api/v1/apps/ghost/update"] {
             let body = if path.ends_with("update") {
                 "{\"input\": [1.0], \"label\": 1}"
             } else {
@@ -1257,7 +1130,7 @@ mod tests {
         let (frontend, _clipper) = start_frontend().await;
         let resp = http_call(
             frontend.local_addr(),
-            &post("/apps/we\"ird\\app/predict", "{\"input\": [1.0]}"),
+            &post("/api/v1/apps/we\"ird\\app/predict", "{\"input\": [1.0]}"),
         )
         .await;
         let body = resp.split("\r\n\r\n").nth(1).unwrap_or("");
@@ -1282,23 +1155,69 @@ mod tests {
         .await;
         assert!(resp.starts_with("HTTP/1.1 404"), "{resp}");
         assert!(resp.contains("\"code\":\"not_found\""), "{resp}");
+        // The pre-v1 aliases are gone: each handler has one name.
+        let resp = http_call(
+            frontend.local_addr(),
+            &post("/apps/digits/predict", "{\"input\": [1.0]}"),
+        )
+        .await;
+        assert!(resp.starts_with("HTTP/1.1 404"), "{resp}");
+        assert!(resp.contains("\"code\":\"not_found\""), "{resp}");
+    }
+
+    #[tokio::test]
+    async fn deeply_nested_bodies_are_a_400_not_a_stack_overflow() {
+        // One request used to end the process: the parser recursed once
+        // per `[` or `{` with no limit, and the frontend accepts 4 MiB.
+        let (frontend, _clipper) = start_frontend().await;
+        let addr = frontend.local_addr();
+        let arrays = "[".repeat(100_000);
+        let objects = "{\"a\":".repeat(100_000);
+        let skipped_arrays = format!("{{\"input\":[1],\"x\":{arrays}");
+        for (path, body) in [
+            ("/api/v1/apps", &arrays),
+            ("/api/v1/apps", &objects),
+            ("/api/v1/apps/digits/predict", &arrays),
+            ("/api/v1/apps/digits/predict", &objects),
+            ("/api/v1/apps/digits/predict", &skipped_arrays),
+        ] {
+            let resp = http_call(addr, &post(path, body)).await;
+            assert!(resp.starts_with("HTTP/1.1 400"), "{path}: {resp}");
+            let body = resp.split("\r\n\r\n").nth(1).unwrap_or("");
+            let parsed: ErrorBody = serde_json::from_str(body).expect("typed error body");
+            assert_eq!(parsed.error.code, "bad_request");
+            let health = http_call(
+                addr,
+                "GET /health HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n",
+            )
+            .await;
+            assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+        }
+        // The limit is 128 levels: the body's own object plus 127 arrays
+        // under an unknown key still parses, one more does not.
+        let nested =
+            |n: usize| format!("{{\"input\":[3],\"x\":{}{}}}", "[".repeat(n), "]".repeat(n));
+        let resp = http_call(addr, &post("/api/v1/apps/digits/predict", &nested(127))).await;
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        assert!(resp.contains("\"label\":3"), "{resp}");
+        let resp = http_call(addr, &post("/api/v1/apps/digits/predict", &nested(128))).await;
+        assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+        assert!(resp.contains("nesting deeper than 128 levels"), "{resp}");
     }
 
     #[tokio::test]
     async fn models_endpoint_reports_catalog_and_scheduler_state() {
         let (frontend, _clipper) = start_frontend().await;
-        for path in ["/models", "/api/v1/models"] {
-            let resp = http_call(
-                frontend.local_addr(),
-                &format!("GET {path} HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n"),
-            )
-            .await;
-            assert!(resp.starts_with("HTTP/1.1 200"), "{path}: {resp}");
-            assert!(resp.contains("\"name\":\"m\""), "{resp}");
-            assert!(resp.contains("\"current_version\":1"), "{resp}");
-            assert!(resp.contains("\"queue_depth\""), "{resp}");
-            assert!(resp.contains("m:v1:0"), "{resp}");
-        }
+        let resp = http_call(
+            frontend.local_addr(),
+            "GET /api/v1/models HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n",
+        )
+        .await;
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        assert!(resp.contains("\"name\":\"m\""), "{resp}");
+        assert!(resp.contains("\"current_version\":1"), "{resp}");
+        assert!(resp.contains("\"queue_depth\""), "{resp}");
+        assert!(resp.contains("m:v1:0"), "{resp}");
     }
 
     #[tokio::test]
@@ -1419,12 +1338,20 @@ mod tests {
         assert!(resp.contains("\"to_version\":2"), "{resp}");
         assert!(resp.contains("digits"), "app repointed: {resp}");
         // Predicts now come from v2.
-        let resp = http_call(addr, &post("/apps/digits/predict", "{\"input\":[9.0]}")).await;
+        let resp = http_call(
+            addr,
+            &post("/api/v1/apps/digits/predict", "{\"input\":[9.0]}"),
+        )
+        .await;
         assert!(resp.contains("\"label\":42"), "{resp}");
         // Rollback over HTTP restores v1 (echo transport).
         let resp = http_call(addr, &post("/api/v1/models/m/rollback", "")).await;
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-        let resp = http_call(addr, &post("/apps/digits/predict", "{\"input\":[8.0]}")).await;
+        let resp = http_call(
+            addr,
+            &post("/api/v1/apps/digits/predict", "{\"input\":[8.0]}"),
+        )
+        .await;
         assert!(resp.contains("\"label\":8"), "{resp}");
         // Unknown model rollout → 404.
         let resp = http_call(
@@ -1441,7 +1368,7 @@ mod tests {
         // Generate some traffic first.
         http_call(
             frontend.local_addr(),
-            &post("/apps/digits/predict", "{\"input\": [1.0]}"),
+            &post("/api/v1/apps/digits/predict", "{\"input\": [1.0]}"),
         )
         .await;
         let resp = http_call(
@@ -1460,7 +1387,7 @@ mod tests {
         for i in 0..3 {
             let body = format!("{{\"input\": [{i}.0]}}");
             let req = format!(
-                "POST /apps/digits/predict HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
+                "POST /api/v1/apps/digits/predict HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
                 body.len()
             );
             conn.write_all(req.as_bytes()).await.unwrap();
@@ -1481,8 +1408,8 @@ mod tests {
         let b1 = "{\"input\": [1.0]}";
         let b2 = "{\"input\": [2.0]}";
         let burst = format!(
-            "POST /apps/digits/predict HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{b1}\
-             POST /apps/digits/predict HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{b2}",
+            "POST /api/v1/apps/digits/predict HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{b1}\
+             POST /api/v1/apps/digits/predict HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{b2}",
             b1.len(),
             b2.len()
         );
@@ -1501,7 +1428,7 @@ mod tests {
         let (frontend, _clipper) = start_frontend().await;
         let body = "{\"input\": [6.0]}";
         let raw = format!(
-            "POST /apps/digits/predict HTTP/1.1\r\nHost: x\r\nCONTENT-LENGTH: {}\r\nConnection: CLOSE\r\n\r\n{body}",
+            "POST /api/v1/apps/digits/predict HTTP/1.1\r\nHost: x\r\nCONTENT-LENGTH: {}\r\nConnection: CLOSE\r\n\r\n{body}",
             body.len()
         );
         let mut conn = TcpStream::connect(frontend.local_addr()).await.unwrap();
@@ -1564,7 +1491,7 @@ mod tests {
         let (frontend, _clipper) = start_frontend().await;
         let resp = http_call(
             frontend.local_addr(),
-            &post("/apps/digits/update", "{\"input\": [1.0]}"),
+            &post("/api/v1/apps/digits/update", "{\"input\": [1.0]}"),
         )
         .await;
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");

@@ -39,7 +39,15 @@
 //! [`frontend`] exposes both planes over HTTP as the versioned `/api/v1`
 //! REST surface, and [`fleet`] closes the replica loop production-style:
 //! container self-registration, heartbeat-driven health with graceful
-//! expiry, and backlog-driven autoscaling. Start from [`ClipperBuilder`]:
+//! expiry, and backlog-driven autoscaling.
+//!
+//! Everything that crosses a process boundary as JSON — request and
+//! response bodies, statestore records, the per-context selection state,
+//! `/metrics` — goes through the `serde` derives on the types in [`api`],
+//! [`types`] and [`selection`] and the four `serde_json` functions. There
+//! is no hand-written parser or emitter beside them.
+//!
+//! Start from [`ClipperBuilder`]:
 //!
 //! ```no_run
 //! # use clipper_core::*;
@@ -61,7 +69,6 @@ pub mod cache;
 pub mod clipper;
 pub mod fleet;
 pub mod frontend;
-pub mod json_emit;
 pub mod selection;
 pub mod types;
 

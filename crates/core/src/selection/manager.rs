@@ -4,16 +4,18 @@
 //! model selection state for each user, context, or session", held in an
 //! external store (the paper uses Redis; we use `clipper-statestore`).
 //! Updates are optimistic read-modify-write: feedback for the same context
-//! arriving concurrently retries on CAS conflict, so no observation is
-//! silently dropped.
+//! arriving concurrently retries on CAS conflict until it is stored, so no
+//! observation is dropped. A conflict means another writer's update landed,
+//! so some caller always makes progress and the loop needs no retry budget.
+//!
+//! The state crosses the store as JSON (`serde_json`), decoded on every
+//! predict and re-encoded on every feedback — one pass over the bytes each
+//! way, allocating only the state's own vectors and model names.
 
 use super::{PolicyState, SelectionPolicy};
 use crate::types::ModelId;
 use clipper_statestore::{CasOutcome, StateStore};
 use std::sync::Arc;
-
-/// Maximum CAS retries before giving up on an observation.
-const MAX_CAS_RETRIES: usize = 16;
 
 /// Manages per-(app, context) policy state in a statestore.
 #[derive(Clone)]
@@ -26,15 +28,12 @@ pub struct SelectionStateManager {
 pub enum StateError {
     /// State bytes failed to deserialize (e.g. version skew).
     Corrupt(String),
-    /// CAS contention exceeded the retry budget.
-    Contention,
 }
 
 impl std::fmt::Display for StateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StateError::Corrupt(m) => write!(f, "corrupt selection state: {m}"),
-            StateError::Contention => write!(f, "selection state contention"),
         }
     }
 }
@@ -86,7 +85,8 @@ impl SelectionStateManager {
         Ok(state)
     }
 
-    /// Read-modify-write the state under optimistic concurrency.
+    /// Read-modify-write the state under optimistic concurrency, retrying
+    /// until the write is stored.
     pub fn update<F>(
         &self,
         app: &str,
@@ -100,7 +100,7 @@ impl SelectionStateManager {
         F: FnMut(&mut PolicyState),
     {
         let key = Self::key(app, context);
-        for _ in 0..MAX_CAS_RETRIES {
+        loop {
             // Ensure it exists.
             let (bytes, version) = match self.store.get_versioned(&key) {
                 Some(x) => x,
@@ -115,12 +115,10 @@ impl SelectionStateManager {
                 serde_json::from_slice(&bytes).map_err(|e| StateError::Corrupt(e.to_string()))?;
             mutate(&mut state);
             let new_bytes = serde_json::to_vec(&state).expect("state serializes");
-            match self.store.cas(&key, version, new_bytes) {
-                CasOutcome::Stored(_) => return Ok(state),
-                CasOutcome::Conflict(_) | CasOutcome::Missing => continue,
+            if let CasOutcome::Stored(_) = self.store.cas(&key, version, new_bytes) {
+                return Ok(state);
             }
         }
-        Err(StateError::Contention)
     }
 
     /// Drop the state for a context (e.g. user reset).

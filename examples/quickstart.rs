@@ -187,7 +187,13 @@ async fn main() {
     println!("predict via /api/v1 (true label {}): {body}", example.y);
 
     // And the taxonomy answers 404 — not 500 — for an unknown app.
-    let (status, body) = http(addr, "POST", "/apps/ghost/predict", "{\"input\":[1.0]}").await;
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/api/v1/apps/ghost/predict",
+        "{\"input\":[1.0]}",
+    )
+    .await;
     assert_eq!(status, 404, "unknown app is a 404: {body}");
     println!("unknown app correctly yields 404: {body}");
 

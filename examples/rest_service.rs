@@ -103,7 +103,7 @@ async fn main() {
     let input_json = serde_json::to_string(&example.x).unwrap();
     let body = format!("{{\"input\": {input_json}, \"context\": \"demo-user\"}}");
     let request = format!(
-        "POST /apps/digits/predict HTTP/1.1\r\nhost: clipper\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+        "POST /api/v1/apps/digits/predict HTTP/1.1\r\nhost: clipper\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
         body.len()
     );
     let mut conn = TcpStream::connect(frontend.local_addr()).await.unwrap();
@@ -119,7 +119,7 @@ async fn main() {
         example.y
     );
     let request = format!(
-        "POST /apps/digits/update HTTP/1.1\r\nhost: clipper\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+        "POST /api/v1/apps/digits/update HTTP/1.1\r\nhost: clipper\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
         body.len()
     );
     let mut conn = TcpStream::connect(frontend.local_addr()).await.unwrap();

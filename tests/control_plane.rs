@@ -65,7 +65,13 @@ async fn http_crud_round_trip_and_error_taxonomy() {
     let addr = frontend.local_addr();
 
     // Unknown app over the data plane: 404 (regression — used to be 500).
-    let (status, body) = http(addr, "POST", "/apps/ghost/predict", "{\"input\":[1.0]}").await;
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/api/v1/apps/ghost/predict",
+        "{\"input\":[1.0]}",
+    )
+    .await;
     assert_eq!(status, 404, "{body}");
     assert!(body.contains("\"code\":\"app_unknown\""), "{body}");
 
@@ -149,7 +155,7 @@ async fn rollout_and_rollback_mid_traffic_drop_nothing() {
             // Distinct inputs so the prediction cache can't mask which
             // version served the query.
             let body = format!("{{\"input\":[{seq}.0, 0.5]}}");
-            let (status, _body) = http(addr, "POST", "/apps/digits/predict", &body).await;
+            let (status, _body) = http(addr, "POST", "/api/v1/apps/digits/predict", &body).await;
             match status {
                 200 => RequestOutcome::Ok,
                 429 => RequestOutcome::Shed,
@@ -216,7 +222,7 @@ async fn rollout_and_rollback_mid_traffic_drop_nothing() {
     let (status, body) = http(
         addr,
         "POST",
-        "/apps/digits/predict",
+        "/api/v1/apps/digits/predict",
         "{\"input\":[77777.0]}",
     )
     .await;
@@ -228,12 +234,24 @@ async fn rollout_and_rollback_mid_traffic_drop_nothing() {
 async fn rollout_switches_served_version_over_http() {
     let (frontend, _clipper) = start_two_version_deployment(None).await;
     let addr = frontend.local_addr();
-    let (_, body) = http(addr, "POST", "/apps/digits/predict", "{\"input\":[10.0]}").await;
+    let (_, body) = http(
+        addr,
+        "POST",
+        "/api/v1/apps/digits/predict",
+        "{\"input\":[10.0]}",
+    )
+    .await;
     assert!(body.contains("\"label\":1"), "{body}");
     let (status, body) = http(addr, "POST", "/api/v1/models/m/rollout", "{\"version\":2}").await;
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"repointed_apps\":[\"digits\"]"), "{body}");
-    let (_, body) = http(addr, "POST", "/apps/digits/predict", "{\"input\":[11.0]}").await;
+    let (_, body) = http(
+        addr,
+        "POST",
+        "/api/v1/apps/digits/predict",
+        "{\"input\":[11.0]}",
+    )
+    .await;
     assert!(body.contains("\"label\":2"), "new version serves: {body}");
     // Rolling out the already-current version is a typed 409.
     let (status, body) = http(addr, "POST", "/api/v1/models/m/rollout", "{\"version\":2}").await;
@@ -283,7 +301,7 @@ async fn registry_rehydrates_into_a_fresh_frontend() {
     let (status, body) = http(
         frontend.local_addr(),
         "POST",
-        "/apps/digits/predict",
+        "/api/v1/apps/digits/predict",
         "{\"input\":[1.0]}",
     )
     .await;

@@ -88,7 +88,7 @@ async fn predict_and_feedback_over_every_wire() {
         "{{\"input\": {}, \"context\": \"user-7\"}}",
         serde_json::to_string(&input).unwrap()
     );
-    let resp = http_post(frontend.local_addr(), "/apps/digits/predict", &body).await;
+    let resp = http_post(frontend.local_addr(), "/api/v1/apps/digits/predict", &body).await;
     assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
     assert!(resp.contains("\"confidence\""), "{resp}");
 
@@ -97,7 +97,7 @@ async fn predict_and_feedback_over_every_wire() {
         "{{\"input\": {}, \"context\": \"user-7\", \"label\": 3}}",
         serde_json::to_string(&input).unwrap()
     );
-    let resp = http_post(frontend.local_addr(), "/apps/digits/update", &body).await;
+    let resp = http_post(frontend.local_addr(), "/api/v1/apps/digits/update", &body).await;
     assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
 
     // The contextual state is now visible through the statestore's own

@@ -119,7 +119,13 @@ async fn http_registration_attaches_a_replica_and_serves() {
     assert!(body.contains("\"heartbeat_interval_ms\""), "{body}");
 
     // ...and serves predictions through the app.
-    let (status, body) = http(addr, "POST", "/apps/app/predict", "{\"input\":[1.0]}").await;
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/api/v1/apps/app/predict",
+        "{\"input\":[1.0]}",
+    )
+    .await;
     assert_eq!(status, 200, "{body}");
 
     // Membership is visible, one row, healthy.

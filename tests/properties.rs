@@ -1,5 +1,6 @@
 //! Property-based tests on the core data structures and invariants.
 
+use clipper::core::api::JsonOutput;
 use clipper::core::batching::breaker::{FAILURE_THRESHOLD, MIN_SAMPLES, STREAK, WINDOW};
 use clipper::core::batching::{
     AimdController, BatchController, BatchOutcome, BreakerConfig, BreakerState, CircuitBreaker,
@@ -7,12 +8,13 @@ use clipper::core::batching::{
 };
 use clipper::core::cache::{CacheKey, PredictionCache};
 use clipper::core::selection::{weighted_combine, PolicyState, SelectionPolicy};
-use clipper::core::{Exp3Policy, Exp4Policy, Feedback, ModelId, Output};
+use clipper::core::{AppView, Exp3Policy, Exp4Policy, Feedback, ModelId, Output, PolicyKind};
 use clipper::metrics::Histogram;
 use clipper::rpc::codec::{FrameReader, HEADER_LEN};
 use clipper::rpc::message::{Message, PredictReply, WireOutput, MAGIC, MAX_PAYLOAD, VERSION};
 use clipper::rpc::RpcError;
 use proptest::prelude::*;
+use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
@@ -120,8 +122,139 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// Strings that exercise the JSON escape table both ways: quotes,
+/// backslashes, the named and the `\\u00XX` control escapes, `/`, and
+/// two-, three- and four-byte UTF-8.
+const JSON_STRING: &str = "[a-c \"\\/\n\r\t\u{1}\u{1f}é世🦀]{0,10}";
+
+/// Any JSON value nested at most `depth` containers deep.
+fn arb_json(depth: u32) -> proptest::strategy::BoxedStrategy<Value> {
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<u64>().prop_map(|v| Value::Number(serde_json::Number::U64(v))),
+        (i64::MIN..0).prop_map(|v| Value::Number(serde_json::Number::I64(v))),
+        any::<f64>().prop_map(|v| Value::Number(serde_json::Number::F64(v))),
+        (-1e-3f64..1e-3).prop_map(|v| Value::Number(serde_json::Number::F64(v))),
+        JSON_STRING.prop_map(Value::String),
+    ];
+    if depth == 0 {
+        return leaf.boxed();
+    }
+    prop_oneof![
+        leaf,
+        proptest::collection::vec(arb_json(depth - 1), 0..4).prop_map(Value::Array),
+        proptest::collection::vec((JSON_STRING, arb_json(depth - 1)), 0..4)
+            .prop_map(|entries| Value::Object(entries.into_iter().collect())),
+    ]
+    .boxed()
+}
+
+fn arb_model_id() -> impl Strategy<Value = ModelId> {
+    (JSON_STRING, any::<u32>()).prop_map(|(name, version)| ModelId { name, version })
+}
+
+fn arb_policy_state() -> impl Strategy<Value = PolicyState> {
+    (
+        proptest::collection::vec(arb_model_id(), 0..5),
+        proptest::collection::vec(any::<f64>(), 0..5),
+        proptest::collection::vec(any::<u64>(), 0..5),
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(|(models, weights, counts, total, seed)| PolicyState {
+            models,
+            weights,
+            counts,
+            total,
+            seed,
+        })
+}
+
+fn arb_app_view() -> impl Strategy<Value = AppView> {
+    let policy = prop_oneof![
+        (0.0f64..3.0).prop_map(|eta| PolicyKind::Exp3 { eta }),
+        (0.0f64..3.0).prop_map(|eta| PolicyKind::Exp4 { eta }),
+        (0.0f64..1.0).prop_map(|epsilon| PolicyKind::EpsilonGreedy { epsilon }),
+        Just(PolicyKind::Ucb1),
+        Just(PolicyKind::Thompson),
+        Just(PolicyKind::MajorityVote),
+        (0usize..8).prop_map(|model_index| PolicyKind::Static { model_index }),
+    ];
+    let default_output = prop_oneof![
+        any::<u32>().prop_map(|label| JsonOutput::Class { label }),
+        proptest::collection::vec(any::<f32>(), 0..6)
+            .prop_map(|scores| JsonOutput::Scores { scores }),
+        proptest::collection::vec(any::<u32>(), 0..6)
+            .prop_map(|labels| JsonOutput::Labels { labels }),
+    ];
+    (
+        (JSON_STRING, proptest::collection::vec(arb_model_id(), 0..4)),
+        policy,
+        (any::<u64>(), any::<bool>(), any::<u64>()),
+        default_output,
+        any::<u64>(),
+    )
+        .prop_map(
+            |((name, candidate_models), policy, (slo_ms, has_us, slo_us), default_output, seed)| {
+                AppView {
+                    name,
+                    candidate_models,
+                    policy,
+                    slo_ms,
+                    slo_us: has_us.then_some(slo_us),
+                    default_output,
+                    seed,
+                }
+            },
+        )
+}
+
+/// The parser behind `accepts` must refuse every strict prefix of `doc` —
+/// and return, not panic or overflow, while doing so.
+fn assert_prefixes_rejected(
+    doc: &str,
+    accepts: impl Fn(&[u8]) -> bool,
+) -> Result<(), TestCaseError> {
+    for cut in 0..doc.len() {
+        prop_assert!(
+            !accepts(&doc.as_bytes()[..cut]),
+            "prefix of {cut} bytes of {doc} was accepted"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one JSON codec round-trips the dynamic tree: whatever `Value`
+    /// it writes, it reads back equal — escapes, non-ASCII, every number
+    /// kind, nesting up to 6 — and no truncation of the text parses.
+    #[test]
+    fn json_value_roundtrips_and_rejects_every_prefix(inner in arb_json(5)) {
+        // Wrapped so the document is a container: a bare `12` has the
+        // valid prefix `1`.
+        let v = Value::Array(vec![inner]);
+        let text = serde_json::to_string(&v).unwrap();
+        prop_assert_eq!(serde_json::from_str::<Value>(&text).unwrap(), v);
+        assert_prefixes_rejected(&text, |b| serde_json::from_slice::<Value>(b).is_ok())?;
+    }
+
+    /// The same for the two derived shapes that persist: the per-context
+    /// selection state and an app's registration record.
+    #[test]
+    fn json_records_roundtrip_and_reject_every_prefix(
+        state in arb_policy_state(),
+        view in arb_app_view(),
+    ) {
+        let text = serde_json::to_string(&state).unwrap();
+        prop_assert_eq!(serde_json::from_str::<PolicyState>(&text).unwrap(), state);
+        assert_prefixes_rejected(&text, |b| serde_json::from_slice::<PolicyState>(b).is_ok())?;
+        let text = serde_json::to_string(&view).unwrap();
+        prop_assert_eq!(serde_json::from_str::<AppView>(&text).unwrap(), view);
+        assert_prefixes_rejected(&text, |b| serde_json::from_slice::<AppView>(b).is_ok())?;
+    }
 
     /// Any message survives an encode/decode round trip, and the declared
     /// wire size matches the actual encoding.
