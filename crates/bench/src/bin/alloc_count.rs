@@ -6,7 +6,9 @@
 //! localhost TCP and reports the per-iteration allocation delta, plus
 //! the per-iteration TCP write-op delta from the vendored runtime's
 //! write counters (one request–response round trip should cost one
-//! kernel write per direction — two ops total).
+//! kernel write per direction — two ops total) and the per-iteration
+//! count of tasks started on the vendored runtime
+//! (`tokio::runtime::spawned_total`; the request path's hop counter).
 //!
 //! Scenarios:
 //!
@@ -24,8 +26,9 @@
 //! visible in one file. With `ALLOC_COUNT_ENFORCE=1` the binary exits
 //! non-zero if the emitted JSON fails to parse back, any scenario
 //! regresses above its ceiling, the predict-b=1 RPC-path reduction vs
-//! baseline falls under 50%, or a request-response round trip costs
-//! more than one write syscall per direction. (`http_predict` crosses
+//! baseline falls under 50%, a request-response round trip costs more
+//! than one write syscall per direction, or a scenario starts more
+//! tasks per iteration than its ceiling. (`http_predict` crosses
 //! the full model abstraction layer — batching, cache, policy — whose
 //! allocations are out of scope for the wire rework, so its reduction
 //! is reported but the 50% gate applies to the RPC predict path.)
@@ -74,10 +77,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// `(allocations, tcp write ops)` so far, for before/after deltas.
-fn counters() -> (u64, u64) {
+/// `[allocations, tcp write ops, tasks spawned]` so far, for
+/// before/after deltas.
+fn counters() -> [u64; 3] {
     let (w, wv) = tokio::net::tcp_write_op_counts();
-    (ALLOCS.load(Ordering::Relaxed), w + wv)
+    [
+        ALLOCS.load(Ordering::Relaxed),
+        w + wv,
+        tokio::runtime::spawned_total(),
+    ]
 }
 
 #[derive(Serialize, Deserialize)]
@@ -86,8 +94,26 @@ struct Scenario {
     iters: u64,
     allocs_per_iter: f64,
     write_ops_per_iter: f64,
+    /// Tasks started on the runtime per iteration (`spawn` and
+    /// `spawn_blocking`).
+    spawns_per_iter: f64,
     /// Same measurement recorded before the wire-speed rework.
     baseline_allocs_per_iter: f64,
+}
+
+impl Scenario {
+    /// The per-iteration deltas between two [`counters`] readings.
+    fn measured(name: &str, iters: u64, before: [u64; 3], after: [u64; 3]) -> Scenario {
+        let per_iter = |i: usize| (after[i] - before[i]) as f64 / iters as f64;
+        Scenario {
+            name: name.into(),
+            iters,
+            allocs_per_iter: per_iter(0),
+            write_ops_per_iter: per_iter(1),
+            spawns_per_iter: per_iter(2),
+            baseline_allocs_per_iter: baseline_for(name),
+        }
+    }
 }
 
 #[derive(Serialize, Deserialize)]
@@ -125,6 +151,15 @@ const ALLOC_CEILINGS: [(&str, f64); 4] = [
     ("control_get", 15.0),
 ];
 
+/// Regression ceilings on tasks started per iteration: measured value
+/// (0.0 / 1.0 / 0.0 / 0.0) plus one.
+const SPAWN_CEILINGS: [(&str, f64); 4] = [
+    ("echo", 1.0),
+    ("rpc_predict1", 2.0),
+    ("http_predict", 1.0),
+    ("control_get", 1.0),
+];
+
 fn baseline_for(name: &str) -> f64 {
     BASELINE_ALLOCS_PER_ITER
         .iter()
@@ -154,21 +189,15 @@ async fn run_echo(iters: u64) -> Scenario {
         client.write_all(&msg).await.unwrap();
         client.read_exact(&mut buf).await.unwrap();
     }
-    let (a0, w0) = counters();
+    let before = counters();
     for _ in 0..iters {
         client.write_all(&msg).await.unwrap();
         client.read_exact(&mut buf).await.unwrap();
     }
-    let (a1, w1) = counters();
+    let after = counters();
     drop(client);
     server.abort();
-    Scenario {
-        name: "echo".into(),
-        iters,
-        allocs_per_iter: (a1 - a0) as f64 / iters as f64,
-        write_ops_per_iter: (w1 - w0) as f64 / iters as f64,
-        baseline_allocs_per_iter: baseline_for("echo"),
-    }
+    Scenario::measured("echo", iters, before, after)
 }
 
 async fn run_rpc_predict1(iters: u64) -> Scenario {
@@ -197,19 +226,13 @@ async fn run_rpc_predict1(iters: u64) -> Scenario {
     for _ in 0..200 {
         handle.predict_batch(&inputs).await.unwrap();
     }
-    let (a0, w0) = counters();
+    let before = counters();
     for _ in 0..iters {
         handle.predict_batch(&inputs).await.unwrap();
     }
-    let (a1, w1) = counters();
+    let after = counters();
     container.abort();
-    Scenario {
-        name: "rpc_predict1".into(),
-        iters,
-        allocs_per_iter: (a1 - a0) as f64 / iters as f64,
-        write_ops_per_iter: (w1 - w0) as f64 / iters as f64,
-        baseline_allocs_per_iter: baseline_for("rpc_predict1"),
-    }
+    Scenario::measured("rpc_predict1", iters, before, after)
 }
 
 async fn run_http(name: &str, request: Vec<u8>, iters: u64) -> Scenario {
@@ -218,18 +241,11 @@ async fn run_http(name: &str, request: Vec<u8>, iters: u64) -> Scenario {
     for _ in 0..200 {
         assert_eq!(client.call(&request).await, 200);
     }
-    let (a0, w0) = counters();
+    let before = counters();
     for _ in 0..iters {
         client.call(&request).await;
     }
-    let (a1, w1) = counters();
-    Scenario {
-        name: name.into(),
-        iters,
-        allocs_per_iter: (a1 - a0) as f64 / iters as f64,
-        write_ops_per_iter: (w1 - w0) as f64 / iters as f64,
-        baseline_allocs_per_iter: baseline_for(name),
-    }
+    Scenario::measured(name, iters, before, counters())
 }
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
@@ -275,6 +291,7 @@ async fn main() {
         "iters",
         "allocs/iter",
         "writes/iter",
+        "spawns/iter",
         "baseline allocs/iter",
     ]);
     for s in &scenarios {
@@ -283,6 +300,7 @@ async fn main() {
             format!("{}", s.iters),
             format!("{:.1}", s.allocs_per_iter),
             format!("{:.2}", s.write_ops_per_iter),
+            format!("{:.2}", s.spawns_per_iter),
             format!("{:.1}", s.baseline_allocs_per_iter),
         ]);
     }
@@ -334,16 +352,26 @@ async fn main() {
 
     if std::env::var("ALLOC_COUNT_ENFORCE").as_deref() == Ok("1") {
         let mut ok = true;
-        for s in &parsed.scenarios {
-            let ceiling = ALLOC_CEILINGS
+        let ceiling_in = |table: &[(&str, f64)], name: &str| {
+            table
                 .iter()
-                .find(|(n, _)| *n == s.name)
-                .map(|(_, v)| *v)
-                .unwrap_or(f64::MAX);
+                .find(|(n, _)| *n == name)
+                .map_or(f64::MAX, |(_, v)| *v)
+        };
+        for s in &parsed.scenarios {
+            let ceiling = ceiling_in(&ALLOC_CEILINGS, &s.name);
             if s.allocs_per_iter > ceiling {
                 eprintln!(
                     "FAIL: {} allocates {:.1}/iter, above the {ceiling:.1} ceiling",
                     s.name, s.allocs_per_iter
+                );
+                ok = false;
+            }
+            let ceiling = ceiling_in(&SPAWN_CEILINGS, &s.name);
+            if s.spawns_per_iter > ceiling {
+                eprintln!(
+                    "FAIL: {} starts {:.2} tasks/iter, above the {ceiling:.1} ceiling",
+                    s.name, s.spawns_per_iter
                 );
                 ok = false;
             }
@@ -372,7 +400,7 @@ async fn main() {
             std::process::exit(1);
         }
         println!(
-            "enforce: ok (ceilings held; predict reduction {:.0}% ≥ 50%; ≤1 write/direction)",
+            "enforce: ok (alloc and spawn ceilings held; predict reduction {:.0}% ≥ 50%; ≤1 write/direction)",
             predict_alloc_reduction * 100.0
         );
     }

@@ -23,7 +23,7 @@ async fn main() {
     let strategies: [(&str, BatchStrategy); 3] = [
         ("adaptive", BatchStrategy::default()),
         ("quantile", BatchStrategy::QuantileRegression),
-        ("no-batching", BatchStrategy::NoBatching),
+        ("no-batching", BatchStrategy::Fixed { size: 1 }),
     ];
 
     let mut table = Table::new(&["container", "strategy", "throughput (qps)", "p99 (µs)"]);

@@ -53,7 +53,7 @@ async fn main() {
             clipper.add_model(
                 id.clone(),
                 BatchConfig {
-                    strategy: BatchStrategy::Fixed(512),
+                    strategy: BatchStrategy::Fixed { size: 512 },
                     batch_wait_timeout: Duration::from_millis(2),
                     pipeline_depth: 2,
                     slo: Duration::from_millis(100),

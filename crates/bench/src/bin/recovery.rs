@@ -243,7 +243,7 @@ async fn run_drop_arm(
     phase: Duration,
 ) -> (ArmStats, BreakerLifecycle) {
     let cfg = BatchConfig {
-        strategy: BatchStrategy::NoBatching,
+        strategy: BatchStrategy::Fixed { size: 1 },
         slo: Duration::from_millis(100),
         retry_max_attempts: if retry { 3 } else { 1 },
         ..BatchConfig::default()
@@ -283,7 +283,7 @@ async fn run_straggler_arm(
     phase: Duration,
 ) -> ArmStats {
     let cfg = BatchConfig {
-        strategy: BatchStrategy::NoBatching,
+        strategy: BatchStrategy::Fixed { size: 1 },
         slo: Duration::from_millis(200),
         hedge,
         ..BatchConfig::default()

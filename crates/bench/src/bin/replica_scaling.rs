@@ -162,7 +162,7 @@ async fn run_once(
     mal.add_model_with_policy(
         m.clone(),
         BatchConfig {
-            strategy: BatchStrategy::Fixed(64),
+            strategy: BatchStrategy::Fixed { size: 64 },
             queue_capacity: QUEUE_CAPACITY,
             pipeline_depth: 1,
             ..Default::default()
@@ -267,7 +267,7 @@ async fn run_autotune_arm(autotune: bool, phase: Duration) -> AutotuneArm {
         }
     } else {
         BatchConfig {
-            strategy: BatchStrategy::Fixed(64),
+            strategy: BatchStrategy::Fixed { size: 64 },
             ..base
         }
     };

@@ -33,13 +33,13 @@
 //! `inflight` gauges plus a scheduler-level `shed` counter in the metrics
 //! registry.
 
-pub use crate::batching::queue::PredictError;
 use crate::batching::queue::{
     spawn_replica_queue_with_hooks, QueueConfig, QueueHooks, QueueItem, QueueMetrics, ReplicaQueue,
     ReplySink,
 };
 use crate::batching::{Health, LatencyPrior};
 use crate::cache::{CacheKey, CacheStats, Lookup, PredictionCache};
+use crate::error::PredictError;
 use crate::types::{Input, ModelId, Output};
 use clipper_metrics::{Counter, Registry};
 use clipper_rpc::transport::BatchTransport;
@@ -969,16 +969,10 @@ impl ModelAbstractionLayer {
 }
 
 async fn await_fill(
-    rx: oneshot::Receiver<Result<Output, crate::cache::CacheFillError>>,
+    rx: oneshot::Receiver<Result<Output, PredictError>>,
 ) -> Result<Output, PredictError> {
-    match rx.await {
-        Ok(Ok(out)) => Ok(out),
-        Ok(Err(crate::cache::CacheFillError::Failed(m))) => Err(PredictError::Failed(m)),
-        // Typed passthrough: upstream failures keep their kind (and the
-        // 503-vs-500 split) instead of collapsing into a string.
-        Ok(Err(crate::cache::CacheFillError::Predict(e))) => Err(e),
-        Err(_) => Err(PredictError::Failed("cache fill dropped".into())),
-    }
+    rx.await
+        .unwrap_or_else(|_| Err(PredictError::Failed("cache fill dropped".into())))
 }
 
 #[cfg(test)]
@@ -1101,7 +1095,7 @@ mod tests {
         mal.add_model_with_policy(
             m.clone(),
             BatchConfig {
-                strategy: crate::batching::BatchStrategy::NoBatching,
+                strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 ..Default::default()
             },
             SchedulerPolicy::RoundRobin,
@@ -1139,7 +1133,7 @@ mod tests {
         mal.add_model(
             m.clone(),
             BatchConfig {
-                strategy: crate::batching::BatchStrategy::NoBatching,
+                strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 ..Default::default()
             },
         );
@@ -1178,7 +1172,7 @@ mod tests {
         mal.add_model(
             m.clone(),
             BatchConfig {
-                strategy: crate::batching::BatchStrategy::NoBatching,
+                strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 pipeline_depth: 1,
                 ..Default::default()
             },
@@ -1224,7 +1218,7 @@ mod tests {
         mal.add_model(
             m.clone(),
             BatchConfig {
-                strategy: crate::batching::BatchStrategy::NoBatching,
+                strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 queue_capacity: 16,
                 pipeline_depth: 1,
                 ..Default::default()
@@ -1279,7 +1273,7 @@ mod tests {
         mal.add_model(
             m.clone(),
             BatchConfig {
-                strategy: crate::batching::BatchStrategy::NoBatching,
+                strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 ..Default::default()
             },
         );
@@ -1323,7 +1317,7 @@ mod tests {
         mal.add_model(
             m.clone(),
             BatchConfig {
-                strategy: crate::batching::BatchStrategy::NoBatching,
+                strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 slo: Duration::from_secs(5),
                 ..Default::default()
             },
@@ -1359,7 +1353,7 @@ mod tests {
         mal.add_model(
             m.clone(),
             BatchConfig {
-                strategy: crate::batching::BatchStrategy::NoBatching,
+                strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 slo: Duration::from_secs(1),
                 breaker: crate::batching::BreakerConfig {
                     cooldown: Duration::from_millis(20),
@@ -1457,7 +1451,7 @@ mod tests {
         mal.add_model(
             m.clone(),
             BatchConfig {
-                strategy: crate::batching::BatchStrategy::NoBatching,
+                strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 ..Default::default()
             },
         );
@@ -1569,7 +1563,7 @@ mod tests {
         mal.add_model(
             m.clone(),
             BatchConfig {
-                strategy: crate::batching::BatchStrategy::Fixed(4),
+                strategy: crate::batching::BatchStrategy::Fixed { size: 4 },
                 ..Default::default()
             },
         );
@@ -1655,7 +1649,7 @@ mod tests {
         mal.add_model(
             m.clone(),
             BatchConfig {
-                strategy: crate::batching::BatchStrategy::NoBatching,
+                strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 ..Default::default()
             },
         );

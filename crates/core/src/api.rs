@@ -24,8 +24,9 @@
 //! a change to a type or to the codec that moves the wire shows up as a
 //! failed literal, not as two code paths drifting apart.
 
-use crate::batching::queue::{PredictError, QueueConfig};
+use crate::batching::queue::QueueConfig;
 use crate::batching::{BatchStrategy, LatencyPrior, ReplicaTune};
+use crate::error::PredictError;
 use crate::types::{AppConfig, AppUpdate, ModelId, Output, PolicyKind};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -479,87 +480,6 @@ pub struct ModelView {
     pub inflight: usize,
 }
 
-/// Wire form of [`BatchStrategy`] (whose `Fixed(usize)` tuple variant
-/// the vendored serde derive cannot express).
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-pub enum BatchStrategyWire {
-    /// Additive-increase / multiplicative-decrease (§4.3.1).
-    Aimd {
-        /// Additive step per successful full batch.
-        step: f64,
-        /// Multiplicative backoff factor on SLO violation.
-        backoff: f64,
-    },
-    /// Online P99 quantile regression.
-    QuantileRegression,
-    /// Static maximum batch size.
-    Fixed {
-        /// The fixed batch size.
-        size: usize,
-    },
-    /// Every query is its own batch.
-    NoBatching,
-    /// Ceiling continuously re-derived from the replica's online latency
-    /// model (§4.4.1).
-    Autotune {
-        /// Fraction of the SLO held back as jitter headroom.
-        headroom: f64,
-    },
-}
-
-impl From<&BatchStrategy> for BatchStrategyWire {
-    fn from(s: &BatchStrategy) -> Self {
-        match *s {
-            BatchStrategy::Aimd { step, backoff } => BatchStrategyWire::Aimd { step, backoff },
-            BatchStrategy::QuantileRegression => BatchStrategyWire::QuantileRegression,
-            BatchStrategy::Fixed(size) => BatchStrategyWire::Fixed { size },
-            BatchStrategy::NoBatching => BatchStrategyWire::NoBatching,
-            BatchStrategy::Autotune { headroom } => BatchStrategyWire::Autotune { headroom },
-        }
-    }
-}
-
-impl From<BatchStrategyWire> for BatchStrategy {
-    fn from(s: BatchStrategyWire) -> Self {
-        match s {
-            BatchStrategyWire::Aimd { step, backoff } => BatchStrategy::Aimd { step, backoff },
-            BatchStrategyWire::QuantileRegression => BatchStrategy::QuantileRegression,
-            BatchStrategyWire::Fixed { size } => BatchStrategy::Fixed(size),
-            BatchStrategyWire::NoBatching => BatchStrategy::NoBatching,
-            BatchStrategyWire::Autotune { headroom } => BatchStrategy::Autotune { headroom },
-        }
-    }
-}
-
-/// Wire form of a latency-curve prior ([`LatencyPrior`]): the learned or
-/// calibrated `α + β·b` coefficients, microseconds.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize, PartialEq)]
-pub struct LatencyPriorWire {
-    /// Fixed per-batch overhead (intercept), µs.
-    pub alpha_us: f64,
-    /// Marginal cost per batched item (slope), µs.
-    pub beta_us: f64,
-}
-
-impl From<LatencyPrior> for LatencyPriorWire {
-    fn from(p: LatencyPrior) -> Self {
-        LatencyPriorWire {
-            alpha_us: p.alpha_us,
-            beta_us: p.beta_us,
-        }
-    }
-}
-
-impl From<LatencyPriorWire> for LatencyPrior {
-    fn from(p: LatencyPriorWire) -> Self {
-        LatencyPrior {
-            alpha_us: p.alpha_us,
-            beta_us: p.beta_us,
-        }
-    }
-}
-
 /// The statestore-persisted form of one model version's batching
 /// configuration ([`QueueConfig`]): max batch size, delayed-batching
 /// timeout, AIMD on/off (the strategy), and the queueing knobs. Durations
@@ -567,7 +487,7 @@ impl From<LatencyPriorWire> for LatencyPrior {
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct BatchKnobs {
     /// Batching strategy (AIMD / quantile / fixed / none).
-    pub strategy: BatchStrategyWire,
+    pub strategy: BatchStrategy,
     /// Latency objective, µs.
     pub slo_us: u64,
     /// Delayed-batching wait, µs.
@@ -583,7 +503,7 @@ pub struct BatchKnobs {
     /// Model-wide latency-curve prior (§4.4.1), absent in records written
     /// before autotuning existed.
     #[serde(default)]
-    pub latency_prior: Option<LatencyPriorWire>,
+    pub latency_prior: Option<LatencyPrior>,
     /// Whether SLO-aware admission is enabled for this model. Absent
     /// (false) in legacy records.
     #[serde(default)]
@@ -628,14 +548,14 @@ impl From<HedgeWire> for crate::batching::HedgeConfig {
 impl From<&QueueConfig> for BatchKnobs {
     fn from(cfg: &QueueConfig) -> Self {
         BatchKnobs {
-            strategy: (&cfg.strategy).into(),
+            strategy: cfg.strategy.clone(),
             slo_us: cfg.slo.as_micros() as u64,
             batch_wait_timeout_us: cfg.batch_wait_timeout.as_micros() as u64,
             queue_capacity: cfg.queue_capacity,
             max_batch_cap: cfg.max_batch_cap,
             pipeline_depth: cfg.pipeline_depth,
             drain_deadline_us: cfg.drain_deadline.as_micros() as u64,
-            latency_prior: cfg.latency_prior.map(Into::into),
+            latency_prior: cfg.latency_prior,
             slo_admission: cfg.slo_admission,
             retry_max_attempts: Some(cfg.retry_max_attempts),
             hedge: cfg.hedge.map(Into::into),
@@ -650,14 +570,14 @@ impl BatchKnobs {
     /// defaults.
     pub fn into_config(self) -> QueueConfig {
         QueueConfig {
-            strategy: self.strategy.into(),
+            strategy: self.strategy,
             slo: Duration::from_micros(self.slo_us),
             batch_wait_timeout: Duration::from_micros(self.batch_wait_timeout_us),
             queue_capacity: self.queue_capacity,
             max_batch_cap: self.max_batch_cap,
             pipeline_depth: self.pipeline_depth,
             drain_deadline: Duration::from_micros(self.drain_deadline_us),
-            latency_prior: self.latency_prior.map(Into::into),
+            latency_prior: self.latency_prior,
             slo_admission: self.slo_admission,
             retry_max_attempts: self
                 .retry_max_attempts
@@ -963,7 +883,7 @@ mod tests {
 
     #[test]
     fn upstream_errors_keep_their_retryability_on_the_wire() {
-        use crate::batching::UpstreamKind;
+        use crate::error::UpstreamKind;
         // A retryable upstream failure (budget exhausted mid-retry) must
         // answer 503 with `retryable: true` — clients may safely resend.
         let retryable = ApiError::from(PredictError::Upstream {
@@ -1236,7 +1156,7 @@ mod tests {
                 VersionBatchKnobs {
                     version: 2,
                     knobs: BatchKnobs::from(&QueueConfig {
-                        strategy: BatchStrategy::Fixed(7),
+                        strategy: BatchStrategy::Fixed { size: 7 },
                         slo: Duration::from_micros(750),
                         batch_wait_timeout: Duration::from_millis(2),
                         queue_capacity: 123,
@@ -1387,7 +1307,7 @@ mod tests {
             batch: vec![VersionBatchKnobs {
                 version: 2,
                 knobs: BatchKnobs::from(&QueueConfig {
-                    strategy: BatchStrategy::Fixed(7),
+                    strategy: BatchStrategy::Fixed { size: 7 },
                     slo: Duration::from_micros(750),
                     batch_wait_timeout: Duration::from_millis(2),
                     queue_capacity: 123,
@@ -1419,7 +1339,7 @@ mod tests {
         let back = serde_json::from_str::<ModelRecord>(&json).unwrap();
         assert_eq!(back, rec);
         let cfg = back.knobs_for(2).unwrap().clone().into_config();
-        assert_eq!(cfg.strategy, BatchStrategy::Fixed(7));
+        assert_eq!(cfg.strategy, BatchStrategy::Fixed { size: 7 });
         assert_eq!(cfg.slo, Duration::from_micros(750));
         assert_eq!(cfg.batch_wait_timeout, Duration::from_millis(2));
         assert_eq!(cfg.queue_capacity, 123);
@@ -1451,7 +1371,7 @@ mod tests {
         let vk: VersionBatchKnobs = serde_json::from_str(legacy).unwrap();
         assert!(vk.replicas.is_empty());
         let cfg = vk.knobs.into_config();
-        assert_eq!(cfg.strategy, BatchStrategy::Fixed(8));
+        assert_eq!(cfg.strategy, BatchStrategy::Fixed { size: 8 });
         assert_eq!(cfg.latency_prior, None);
         assert!(!cfg.slo_admission);
         // Recovery knobs absent in legacy records → QueueConfig defaults.
@@ -1474,21 +1394,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_strategy_wire_round_trips_every_variant() {
+    fn batch_strategy_round_trips_every_variant() {
         for strategy in [
             BatchStrategy::Aimd {
                 step: 2.0,
                 backoff: 0.9,
             },
             BatchStrategy::QuantileRegression,
-            BatchStrategy::Fixed(64),
-            BatchStrategy::NoBatching,
+            BatchStrategy::Fixed { size: 64 },
             BatchStrategy::Autotune { headroom: 0.1 },
         ] {
-            let wire = BatchStrategyWire::from(&strategy);
-            let json = serde_json::to_string(&wire).unwrap();
-            let back: BatchStrategyWire = serde_json::from_str(&json).unwrap();
-            assert_eq!(BatchStrategy::from(back), strategy);
+            let json = serde_json::to_string(&strategy).unwrap();
+            let back: BatchStrategy = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, strategy);
         }
+        // The retired fifth variant no longer parses: a record carrying
+        // it is skipped like any other unreadable record.
+        assert!(serde_json::from_str::<BatchStrategy>("{\"kind\":\"no_batching\"}").is_err());
     }
 }

@@ -29,6 +29,7 @@
 //! from 1.
 
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -45,7 +46,7 @@ const GAMMA: f64 = 0.08;
 /// A warm-start prior for the latency curve: `latency(b) ≈ α + β·b`,
 /// both in microseconds. Produced offline by the `calibrate` bin or
 /// restored from a persisted per-replica `BatchKnobs` record.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LatencyPrior {
     /// Fixed per-batch overhead (intercept), microseconds.
     pub alpha_us: f64,

@@ -9,10 +9,13 @@
 //! - [`QuantileController`] — the alternative the paper evaluates: online
 //!   quantile regression estimating P99 latency as a linear function of
 //!   batch size (pinball-loss SGD), inverted against the SLO;
-//! - fixed-size and no-batching strategies for baselines (Figure 4).
+//! - [`AutotuneController`] — a ceiling re-derived from the replica's
+//!   online latency model (§4.4.1), AIMD until the model is established;
+//! - a fixed-size strategy for baselines (Figure 4's no-batching arm is
+//!   `Fixed { size: 1 }`).
 //!
 //! Delayed batching (§4.3.2) is a queue-level knob
-//! ([`queue::QueueConfig::batch_wait_timeout`]): under moderate load the
+//! ([`QueueConfig::batch_wait_timeout`]): under moderate load the
 //! dispatcher briefly waits for more queries before sending an under-full
 //! batch, trading a bounded delay for amortized fixed costs — the Nagle's
 //! algorithm analogy.
@@ -29,13 +32,16 @@
 //! Failure recovery is layered on the same queues: the breaker stops
 //! dispatch at a failing replica and probes it back in, retryable batch
 //! failures redispatch still-within-budget queries onto a sibling
-//! replica through [`queue::QueueHooks`], and an opt-in hedging knob
-//! ([`queue::QueueConfig::hedge`]) races a straggling batch against a
-//! second replica.
+//! replica through [`QueueHooks`], and an opt-in hedging knob
+//! ([`QueueConfig::hedge`]) races a straggling batch against a second
+//! replica. [`queue`] is the queue itself — intake, lifecycle, the
+//! pull-based worker; what happens to a sealed batch (transport call,
+//! hedge race, retry) lives in `dispatch.rs`.
 
 pub mod aimd;
 pub mod autotune;
 pub mod breaker;
+mod dispatch;
 pub mod latency_model;
 pub mod quantile;
 pub mod queue;
@@ -47,14 +53,18 @@ pub use latency_model::{LatencyModel, LatencyPrior, ReplicaTune};
 pub use quantile::QuantileController;
 pub use queue::{
     spawn_replica_queue, spawn_replica_queue_with_hooks, HedgeConfig, QueueConfig, QueueHooks,
-    QueueItem, QueueMetrics, QueueState, ReplicaQueue, ReplySink, UpstreamKind,
+    QueueItem, QueueMetrics, QueueState, ReplicaQueue, ReplySink,
 };
 
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Strategy configuration for a replica's batching controller.
-#[derive(Clone, Debug, PartialEq)]
+/// Strategy configuration for a replica's batching controller. Its
+/// serde form is the persisted one (`{"kind":"aimd",…}` inside a
+/// `BatchKnobs` record).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum BatchStrategy {
     /// Additive-increase / multiplicative-decrease (the default).
     Aimd {
@@ -65,10 +75,12 @@ pub enum BatchStrategy {
     },
     /// Online P99 quantile regression.
     QuantileRegression,
-    /// Static maximum batch size (TensorFlow-Serving style).
-    Fixed(usize),
-    /// Every query is its own batch (the Figure-4 baseline).
-    NoBatching,
+    /// Static maximum batch size (TensorFlow-Serving style); `size: 1`
+    /// is the Figure-4 no-batching baseline.
+    Fixed {
+        /// The fixed batch size.
+        size: usize,
+    },
     /// Model-driven ceiling from the replica's online latency model
     /// (§4.4.1): `b_max = largest b with α + β·b ≤ SLO·(1 − headroom)`,
     /// with AIMD cold-start fallback until the model is established.
@@ -102,8 +114,7 @@ impl BatchStrategy {
                 Box::new(AimdController::new(slo, step, backoff, cap))
             }
             BatchStrategy::QuantileRegression => Box::new(QuantileController::new(slo, cap)),
-            BatchStrategy::Fixed(n) => Box::new(FixedController(n.clamp(1, cap))),
-            BatchStrategy::NoBatching => Box::new(FixedController(1)),
+            BatchStrategy::Fixed { size } => Box::new(FixedController(size.clamp(1, cap))),
             BatchStrategy::Autotune { headroom } => {
                 Box::new(AutotuneController::new(slo, headroom, model.clone(), cap))
             }
@@ -122,7 +133,7 @@ pub trait BatchController: Send {
     fn name(&self) -> &'static str;
 }
 
-/// Static controller used for `Fixed` and `NoBatching`.
+/// Static controller used for `Fixed`.
 struct FixedController(usize);
 
 impl BatchController for FixedController {
@@ -157,13 +168,13 @@ mod tests {
             "quantile"
         );
         assert_eq!(
-            BatchStrategy::Fixed(64)
+            BatchStrategy::Fixed { size: 64 }
                 .build(slo, 4096, &model())
                 .max_batch(),
             64
         );
         assert_eq!(
-            BatchStrategy::NoBatching
+            BatchStrategy::Fixed { size: 1 }
                 .build(slo, 4096, &model())
                 .max_batch(),
             1
@@ -178,13 +189,15 @@ mod tests {
 
     #[test]
     fn fixed_is_clamped_to_cap() {
-        let c = BatchStrategy::Fixed(10_000).build(Duration::from_millis(20), 256, &model());
+        let c =
+            BatchStrategy::Fixed { size: 10_000 }.build(Duration::from_millis(20), 256, &model());
         assert_eq!(c.max_batch(), 256);
     }
 
     #[test]
     fn fixed_ignores_feedback() {
-        let mut c = BatchStrategy::Fixed(8).build(Duration::from_millis(20), 4096, &model());
+        let mut c =
+            BatchStrategy::Fixed { size: 8 }.build(Duration::from_millis(20), 4096, &model());
         c.record(8, Duration::from_secs(10));
         assert_eq!(c.max_batch(), 8);
     }

@@ -52,184 +52,19 @@
 //! - `overhead_us`: everything else in the round trip (serialization, RPC,
 //!   scheduling).
 
-use super::breaker::{BatchOutcome, BreakerConfig, CircuitBreaker, Health};
+use super::breaker::{BreakerConfig, CircuitBreaker, Health};
+use super::dispatch::{dispatch_batch, settle_upstream_failure, BatchJob};
 use super::{BatchController, LatencyModel, LatencyPrior};
-use crate::cache::{CacheFillError, CacheKey, PredictionCache};
+use crate::cache::{CacheKey, PredictionCache};
+use crate::error::{PredictError, UpstreamKind};
 use crate::types::{Input, Output};
 use clipper_metrics::{Counter, Gauge, Histogram, Meter, Registry};
 use clipper_rpc::transport::BatchTransport;
-use clipper_rpc::RpcError;
 use parking_lot::Mutex;
-use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tokio::sync::{mpsc, oneshot, Semaphore};
-
-/// Cloneable prediction failure (fans out to many waiters).
-///
-/// The variants form a typed taxonomy with a canonical HTTP mapping
-/// ([`http_status`](PredictError::http_status)): callers — the HTTP
-/// frontend in particular — never have to pattern-match on message
-/// strings to decide between 404, 429, 500, and 504.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PredictError {
-    /// The query waited past its deadline (straggler path). HTTP 504.
-    Timeout,
-    /// Every eligible replica queue was full — shed load instead of
-    /// growing latency. HTTP 429.
-    Overloaded,
-    /// The model has no live replicas. HTTP 503.
-    NoReplicas,
-    /// The model is not registered. HTTP 404.
-    ModelUnknown,
-    /// The application is not registered. HTTP 404.
-    AppUnknown,
-    /// The caller's input was malformed (e.g. an empty feature vector).
-    /// HTTP 400.
-    BadInput(String),
-    /// Evaluation failed (RPC or container error). HTTP 500.
-    Failed(String),
-    /// The upstream replica failed the batch with a typed transport
-    /// error, after `attempts` dispatch attempts (> 1 means redispatch
-    /// was tried and exhausted). Retryable kinds map to HTTP 503 —
-    /// another replica, or the same one a moment later, may well serve
-    /// the request — non-retryable kinds to HTTP 500.
-    Upstream {
-        /// What failed upstream.
-        kind: UpstreamKind,
-        /// Whether a retry elsewhere could have succeeded (mirrors
-        /// [`clipper_rpc::RpcError::is_retryable`]).
-        retryable: bool,
-        /// Dispatch attempts consumed before giving up.
-        attempts: u32,
-    },
-}
-
-/// The typed cause of a [`PredictError::Upstream`] failure — the
-/// [`clipper_rpc::RpcError`] taxonomy minus payloads, plus the queue's
-/// own breaker refusal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UpstreamKind {
-    /// Underlying socket error.
-    Io,
-    /// The replica closed the connection mid-request.
-    ConnectionClosed,
-    /// The RPC waited past its deadline.
-    Timeout,
-    /// Malformed frame or unexpected message.
-    Protocol,
-    /// Dropped by fault injection.
-    Injected,
-    /// The container rejected the batch.
-    Remote,
-    /// The replica's circuit breaker was open and no sibling could take
-    /// the query.
-    BreakerOpen,
-}
-
-impl UpstreamKind {
-    /// Classify a transport error.
-    pub fn of(e: &RpcError) -> Self {
-        match e {
-            RpcError::Io(_) => UpstreamKind::Io,
-            RpcError::ConnectionClosed => UpstreamKind::ConnectionClosed,
-            RpcError::Timeout => UpstreamKind::Timeout,
-            RpcError::Protocol(_) => UpstreamKind::Protocol,
-            RpcError::Injected => UpstreamKind::Injected,
-            RpcError::Remote(_) => UpstreamKind::Remote,
-        }
-    }
-
-    /// Stable label for messages and metrics.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            UpstreamKind::Io => "io",
-            UpstreamKind::ConnectionClosed => "connection_closed",
-            UpstreamKind::Timeout => "timeout",
-            UpstreamKind::Protocol => "protocol",
-            UpstreamKind::Injected => "injected",
-            UpstreamKind::Remote => "remote",
-            UpstreamKind::BreakerOpen => "breaker_open",
-        }
-    }
-}
-
-impl std::fmt::Display for UpstreamKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl PredictError {
-    /// Canonical HTTP status for this failure.
-    pub fn http_status(&self) -> u16 {
-        match self {
-            PredictError::Timeout => 504,
-            PredictError::Overloaded => 429,
-            PredictError::NoReplicas => 503,
-            PredictError::ModelUnknown | PredictError::AppUnknown => 404,
-            PredictError::BadInput(_) => 400,
-            PredictError::Failed(_) => 500,
-            PredictError::Upstream { retryable, .. } => {
-                if *retryable {
-                    503
-                } else {
-                    500
-                }
-            }
-        }
-    }
-
-    /// Stable machine-readable code for error bodies.
-    pub fn code(&self) -> &'static str {
-        match self {
-            PredictError::Timeout => "timeout",
-            PredictError::Overloaded => "overloaded",
-            PredictError::NoReplicas => "no_replicas",
-            PredictError::ModelUnknown => "model_unknown",
-            PredictError::AppUnknown => "app_unknown",
-            PredictError::BadInput(_) => "bad_input",
-            PredictError::Failed(_) => "internal",
-            PredictError::Upstream { .. } => "upstream",
-        }
-    }
-
-    /// Whether retrying the same request later may succeed (transient
-    /// capacity/timing failures, not caller or registration errors).
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            PredictError::Timeout
-                | PredictError::Overloaded
-                | PredictError::NoReplicas
-                | PredictError::Upstream {
-                    retryable: true,
-                    ..
-                }
-        )
-    }
-}
-
-impl std::fmt::Display for PredictError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PredictError::Timeout => write!(f, "prediction timed out"),
-            PredictError::Overloaded => write!(f, "replica queue overloaded"),
-            PredictError::NoReplicas => write!(f, "no replicas available"),
-            PredictError::ModelUnknown => write!(f, "unknown model"),
-            PredictError::AppUnknown => write!(f, "unknown application"),
-            PredictError::BadInput(m) => write!(f, "bad input: {m}"),
-            PredictError::Failed(m) => write!(f, "prediction failed: {m}"),
-            PredictError::Upstream { kind, attempts, .. } => write!(
-                f,
-                "upstream replica failure ({kind}) after {attempts} attempt(s)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PredictError {}
 
 enum SinkKind {
     /// Fill the prediction cache (waking all joined waiters).
@@ -268,12 +103,7 @@ impl ReplySink {
 
     fn finish(&mut self, result: Result<Output, PredictError>) {
         match self.0.take() {
-            Some(SinkKind::Cache { cache, key }) => {
-                // Typed passthrough: waiters (and the HTTP taxonomy) see
-                // the same `PredictError` a direct sink would deliver.
-                let fill = result.map_err(CacheFillError::Predict);
-                cache.fill(key, fill);
-            }
+            Some(SinkKind::Cache { cache, key }) => cache.fill(key, result),
             Some(SinkKind::Direct(tx)) => {
                 let _ = tx.send(result);
             }
@@ -517,60 +347,60 @@ const STATE_DRAINING: u8 = 1;
 const STATE_STOPPED: u8 = 2;
 
 /// State shared between the queue handle and its worker task.
-struct QueueShared {
-    state: AtomicU8,
+pub(super) struct QueueShared {
+    pub(super) state: AtomicU8,
     /// Items accepted but not yet pulled by the worker (channel occupancy).
-    depth: AtomicUsize,
+    pub(super) depth: AtomicUsize,
     /// Queries pulled into batches whose replies haven't settled yet.
-    inflight: AtomicUsize,
+    pub(super) inflight: AtomicUsize,
     /// Closed by the worker on exit; `drained()` waits on it.
-    done: Semaphore,
+    pub(super) done: Semaphore,
     /// Live dispatch tasks, retained so the drain watchdog can abort
     /// whatever a hung transport is still holding hostage (finished
     /// handles are pruned as new batches dispatch).
-    dispatch_tasks: Mutex<Vec<tokio::task::JoinHandle<()>>>,
+    pub(super) dispatch_tasks: Mutex<Vec<tokio::task::JoinHandle<()>>>,
     /// Set by the drain watchdog once the deadline passes: batches pulled
     /// after this point are fail-filled instead of dispatched, so a hung
     /// transport can't re-wedge the drain.
-    force_failed: AtomicBool,
+    pub(super) force_failed: AtomicBool,
     /// The configured drain deadline (see [`QueueConfig::drain_deadline`]).
-    drain_deadline: Duration,
+    pub(super) drain_deadline: Duration,
     /// Online `α + β·b` latency model (§4.4.1), fed once per dispatched
     /// batch — the replica's only service-time estimate: the autotune
     /// controller, p2c scoring, SLO-aware admission, the autoscaler's
     /// backlog signal and the hedge delay all read it.
-    latency_model: Arc<LatencyModel>,
+    pub(super) latency_model: Arc<LatencyModel>,
     /// Recycled batch-assembly buffers: dispatches return their emptied
     /// `items`/`inputs` vectors here, so steady-state batching performs
     /// zero allocations per batch.
-    spare_items: Mutex<Vec<Vec<QueueItem>>>,
-    spare_inputs: Mutex<Vec<Vec<Input>>>,
+    pub(super) spare_items: Mutex<Vec<Vec<QueueItem>>>,
+    pub(super) spare_inputs: Mutex<Vec<Vec<Input>>>,
     /// The replica's health (§5.2.2): the worker consults it before
     /// dispatching and feeds it every batch outcome, the fleet monitor
     /// feeds it heartbeat silence, and [`ReplicaQueue::health`] reads it.
     /// A replica that only ever errors drains instantly and would
     /// otherwise look *ideal* to depth-aware routing — this is how the
     /// scheduler spots the trap.
-    breaker: CircuitBreaker,
+    pub(super) breaker: CircuitBreaker,
     /// Scheduler callbacks for redispatch and hedging (empty for
     /// standalone queues).
-    hooks: QueueHooks,
+    pub(super) hooks: QueueHooks,
     /// Total dispatch attempts per query (see
     /// [`QueueConfig::retry_max_attempts`]).
-    retry_max_attempts: u32,
+    pub(super) retry_max_attempts: u32,
     /// Hedged-dispatch tuning, when enabled.
-    hedge: Option<HedgeConfig>,
+    pub(super) hedge: Option<HedgeConfig>,
 }
 
 /// Spare buffers retained per kind; beyond this they simply drop.
 const SPARE_BUFS: usize = 4;
 
 impl QueueShared {
-    fn take_items_buf(&self) -> Vec<QueueItem> {
+    pub(super) fn take_items_buf(&self) -> Vec<QueueItem> {
         self.spare_items.lock().pop().unwrap_or_default()
     }
 
-    fn put_items_buf(&self, mut buf: Vec<QueueItem>) {
+    pub(super) fn put_items_buf(&self, mut buf: Vec<QueueItem>) {
         debug_assert!(buf.is_empty());
         buf.clear();
         let mut pool = self.spare_items.lock();
@@ -579,11 +409,11 @@ impl QueueShared {
         }
     }
 
-    fn take_inputs_buf(&self) -> Vec<Input> {
+    pub(super) fn take_inputs_buf(&self) -> Vec<Input> {
         self.spare_inputs.lock().pop().unwrap_or_default()
     }
 
-    fn put_inputs_buf(&self, mut buf: Vec<Input>) {
+    pub(super) fn put_inputs_buf(&self, mut buf: Vec<Input>) {
         buf.clear();
         let mut pool = self.spare_inputs.lock();
         if pool.len() < SPARE_BUFS {
@@ -600,7 +430,6 @@ pub struct ReplicaQueue {
     tx: Mutex<Option<mpsc::Sender<QueueItem>>>,
     shared: Arc<QueueShared>,
     metrics: QueueMetrics,
-    capacity: usize,
     /// The worker's batch controller, shared so the handle can report the
     /// live ceiling (persistence, benches) without waiting for a pull.
     controller: Arc<Mutex<Box<dyn BatchController>>>,
@@ -676,16 +505,6 @@ impl ReplicaQueue {
     /// settled.
     pub fn inflight(&self) -> usize {
         self.shared.inflight.load(Ordering::Relaxed)
-    }
-
-    /// Whether the queue is `Running` (submissions have a chance).
-    pub fn is_accepting(&self) -> bool {
-        self.shared.state.load(Ordering::Acquire) == STATE_RUNNING
-    }
-
-    /// Whether a submission would be accepted right now.
-    pub fn has_room(&self) -> bool {
-        self.is_accepting() && self.len() < self.capacity
     }
 
     /// Queued plus in-flight queries — the rate-free load signal.
@@ -917,7 +736,6 @@ pub fn spawn_replica_queue_with_hooks(
         tx: Mutex::new(Some(tx)),
         shared,
         metrics,
-        capacity: cfg.queue_capacity.max(1),
         controller,
     })
 }
@@ -1007,20 +825,11 @@ async fn worker_loop(
             continue;
         }
 
-        let n = items.len();
-        shared.inflight.fetch_add(n, Ordering::AcqRel);
         // The job struct travels inside the spawned future, so even if
         // the task is aborted before its first poll (drain-deadline
         // force-fail) the items settle and the counters release — in the
         // struct's field order.
-        let job = BatchJob {
-            items,
-            inflight: InflightGuard {
-                shared: shared.clone(),
-                n,
-            },
-            permit,
-        };
+        let job = BatchJob::new(items, shared.clone(), permit);
         let task = tokio::spawn(dispatch_batch(
             job,
             transport.clone(),
@@ -1049,288 +858,15 @@ async fn worker_loop(
     shared.done.close();
 }
 
-/// Decrements the queue's in-flight count on drop, so the count stays
-/// truthful even when a dispatch task is aborted by the drain deadline.
-struct InflightGuard {
-    shared: Arc<QueueShared>,
-    n: usize,
-}
-
-impl Drop for InflightGuard {
-    fn drop(&mut self) {
-        self.shared.inflight.fetch_sub(self.n, Ordering::AcqRel);
-    }
-}
-
-/// Everything a dispatched batch owns. **Field order is load-bearing**:
-/// when the dispatch task is aborted (drain-deadline force-fail) the
-/// future drops this struct, and struct fields drop in declaration
-/// order — the items settle first (their sinks fail-fill on drop), then
-/// the in-flight count releases, and only then the pipeline permit. A
-/// worker woken by the freed permit can therefore rely on every sink
-/// having settled and the in-flight gauge reading true.
-struct BatchJob {
-    items: Vec<QueueItem>,
-    inflight: InflightGuard,
-    permit: tokio::sync::OwnedSemaphorePermit,
-}
-
-async fn dispatch_batch(
-    job: BatchJob,
-    transport: Arc<dyn BatchTransport>,
-    controller: Arc<Mutex<Box<dyn BatchController>>>,
-    slo: Duration,
-    metrics: QueueMetrics,
-    shared: Arc<QueueShared>,
-) {
-    let dispatch_time = Instant::now();
-    for item in &job.items {
-        metrics
-            .queue_us
-            .record(item.enqueued.elapsed().as_micros() as u64);
-    }
-    // Zero-copy batch assembly: clone Arc pointers, never feature data.
-    // The buffer itself is recycled across batches (see `QueueShared`
-    // spare pools), so no per-batch allocation either.
-    let mut inputs = shared.take_inputs_buf();
-    inputs.extend(job.items.iter().map(|i| i.input.clone()));
-    let n = job.items.len();
-    metrics.batch_size.record(n as u64);
-
-    // `job` stays intact across the awaits: if the drain watchdog
-    // aborts this task mid-flight, dropping it settles sinks →
-    // inflight → permit, in that order (see [`BatchJob`]).
-    //
-    // Hedging: the primary RPC races a model-derived straggler timer.
-    // If the timer fires first and a sibling transport is available,
-    // the same inputs dispatch there too and the first success wins —
-    // the loser's completion is simply never awaited (transport
-    // futures own their request state, so dropping one is a no-op at
-    // this layer).
-    let mut primary = transport.predict_batch(&inputs);
-    let mut hedge_won = false;
-    let result = match hedge_delay(&shared, n) {
-        Some(delay) => match tokio::time::timeout(delay, &mut primary).await {
-            Ok(r) => r,
-            Err(_) => {
-                let picked = shared.hooks.hedge_pick.as_ref().and_then(|pick| pick());
-                match picked {
-                    Some(backup) => {
-                        metrics.hedged.inc();
-                        let mut hedge = backup.predict_batch(&inputs);
-                        match race(&mut primary, &mut hedge).await {
-                            RaceOutcome::Primary(Ok(r)) => Ok(r),
-                            RaceOutcome::Hedge(Ok(r)) => {
-                                hedge_won = true;
-                                Ok(r)
-                            }
-                            // A failed primary still has a hedge in
-                            // flight — give it the chance to rescue
-                            // the batch before reporting the error.
-                            RaceOutcome::Primary(Err(e)) => match hedge.await {
-                                Ok(r) => {
-                                    hedge_won = true;
-                                    Ok(r)
-                                }
-                                Err(_) => Err(e),
-                            },
-                            RaceOutcome::Hedge(Err(_)) => primary.await,
-                        }
-                    }
-                    None => primary.await,
-                }
-            }
-        },
-        None => primary.await,
-    };
-    shared.put_inputs_buf(inputs);
-    let BatchJob {
-        mut items,
-        inflight,
-        permit,
-    } = job;
-    let now = Instant::now();
-    let rpc_elapsed = now - dispatch_time;
-    // A hedge win says nothing about *this* replica's latency or
-    // health, so the batch controller and latency model skip the sample
-    // and the breaker hears "inconclusive" — only the primary's own
-    // completions feed its estimators.
-    if !hedge_won {
-        controller.lock().record(n, rpc_elapsed);
-        if let Some(predicted_ns) = shared.latency_model.predict_ns(n) {
-            metrics
-                .model_err_us
-                .record((predicted_ns / 1_000).abs_diff(rpc_elapsed.as_micros() as u64));
-        }
-        shared.latency_model.observe(n, rpc_elapsed);
-    }
-    // Every batch settles with the breaker — a hedge-won one too: had
-    // it been the half-open probe, skipping it would hold the probe slot
-    // forever and refuse every later batch.
-    shared.breaker.record(
-        match &result {
-            Ok(reply) if reply.outputs.len() != n => BatchOutcome::Failed,
-            Ok(_) if hedge_won => BatchOutcome::Inconclusive,
-            Ok(_) => BatchOutcome::Succeeded,
-            Err(_) => BatchOutcome::Failed,
-        },
-        now,
-    );
-    metrics.rpc_us.record(rpc_elapsed.as_micros() as u64);
-    if rpc_elapsed > slo {
-        metrics.slo_violations.inc();
-    }
-
-    match result {
-        Ok(reply) if reply.outputs.len() == n => {
-            metrics.remote_queue_us.record(reply.queue_us);
-            metrics.predict_us.record(reply.compute_us);
-            let overhead =
-                (rpc_elapsed.as_micros() as u64).saturating_sub(reply.queue_us + reply.compute_us);
-            metrics.overhead_us.record(overhead);
-            metrics.completed.mark_n(n as u64);
-            for (item, output) in items.drain(..).zip(reply.outputs) {
-                item.sink.complete(Ok(output));
-            }
-        }
-        Ok(reply) => {
-            metrics.errors.add(n as u64);
-            // A malformed reply is not retryable: the replica is
-            // reachable but wrong, and a different replica may well
-            // agree with it.
-            let err = PredictError::Failed(format!(
-                "container returned {} outputs for {} inputs",
-                reply.outputs.len(),
-                n
-            ));
-            for item in items.drain(..) {
-                item.sink.complete(Err(err.clone()));
-            }
-        }
-        Err(e) => {
-            settle_upstream_failure(
-                &mut items,
-                UpstreamKind::of(&e),
-                e.is_retryable(),
-                &metrics,
-                &shared,
-            );
-        }
-    }
-    shared.put_items_buf(items);
-    drop(inflight);
-    drop(permit);
-}
-
-/// The straggler threshold for hedged dispatch, or `None` when hedging
-/// is off (no [`QueueConfig::hedge`]) or can't act (no `hedge_pick`
-/// hook to find a sibling).
-fn hedge_delay(shared: &QueueShared, batch: usize) -> Option<Duration> {
-    let h = shared.hedge.as_ref()?;
-    shared.hooks.hedge_pick.as_ref()?;
-    let predicted = shared
-        .latency_model
-        .predict_ns(batch)
-        .map(|ns| Duration::from_nanos((ns as f64 * h.delay_factor) as u64));
-    Some(predicted.map_or(h.min_delay, |d| d.max(h.min_delay)))
-}
-
-enum RaceOutcome<T> {
-    Primary(T),
-    Hedge(T),
-}
-
-/// Race two in-flight RPCs; primary wins ties (it's polled first).
-async fn race<T>(
-    a: &mut (impl Future<Output = T> + Unpin),
-    b: &mut (impl Future<Output = T> + Unpin),
-) -> RaceOutcome<T> {
-    std::future::poll_fn(|cx| {
-        if let std::task::Poll::Ready(r) = std::pin::Pin::new(&mut *a).poll(cx) {
-            return std::task::Poll::Ready(RaceOutcome::Primary(r));
-        }
-        if let std::task::Poll::Ready(r) = std::pin::Pin::new(&mut *b).poll(cx) {
-            return std::task::Poll::Ready(RaceOutcome::Hedge(r));
-        }
-        std::task::Poll::Pending
-    })
-    .await
-}
-
-/// Settle a failed batch item-by-item: items that are retryable, inside
-/// their deadline budget, and under the attempt cap go back to the
-/// scheduler for redispatch onto a different replica; the rest
-/// fail-fill with a typed [`PredictError::Upstream`]. `errors` counts
-/// only the fail-filled items — a rescued item is not a client-visible
-/// error.
-fn settle_upstream_failure(
-    items: &mut Vec<QueueItem>,
-    kind: UpstreamKind,
-    retryable: bool,
-    metrics: &QueueMetrics,
-    shared: &QueueShared,
-) {
-    let now = Instant::now();
-    for mut item in items.drain(..) {
-        item.attempts += 1;
-        let within_budget = item.deadline.is_none_or(|d| now < d);
-        if retryable && within_budget && item.attempts < shared.retry_max_attempts {
-            if let Some(redispatch) = shared.hooks.redispatch.as_ref() {
-                // Queue-wait restarts on the new queue; the deadline
-                // budget, deliberately, does not.
-                item.enqueued = Instant::now();
-                match redispatch(item) {
-                    Ok(()) => {
-                        metrics.retried.inc();
-                        continue;
-                    }
-                    Err(back) => item = back,
-                }
-            }
-        }
-        metrics.errors.inc();
-        let attempts = item.attempts;
-        item.sink.complete(Err(PredictError::Upstream {
-            kind,
-            retryable,
-            attempts,
-        }));
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::batching::breaker::BreakerState;
     use crate::batching::BatchStrategy;
     use clipper_rpc::message::{PredictReply, WireOutput};
     use clipper_rpc::transport::FnTransport;
 
-    /// A transport that sleeps, then fails — for hedge/straggler tests
-    /// (`FnTransport` resolves synchronously, so it can't straggle).
-    struct SlowFailTransport {
-        delay: Duration,
-    }
-
-    impl BatchTransport for SlowFailTransport {
-        fn predict_batch(
-            &self,
-            _inputs: &[Input],
-        ) -> clipper_rpc::transport::BoxFuture<Result<PredictReply, clipper_rpc::RpcError>>
-        {
-            let delay = self.delay;
-            Box::pin(async move {
-                tokio::time::sleep(delay).await;
-                Err(clipper_rpc::RpcError::ConnectionClosed)
-            })
-        }
-
-        fn id(&self) -> String {
-            "slow-fail".into()
-        }
-    }
-
-    fn echo_transport() -> Arc<dyn BatchTransport> {
+    pub(in crate::batching) fn echo_transport() -> Arc<dyn BatchTransport> {
         Arc::new(FnTransport::new("echo", |inputs: &[Input]| {
             Ok(PredictReply {
                 outputs: inputs
@@ -1343,11 +879,13 @@ mod tests {
         }))
     }
 
-    fn test_metrics() -> QueueMetrics {
+    pub(in crate::batching) fn test_metrics() -> QueueMetrics {
         QueueMetrics::register(&Registry::new(), "q")
     }
 
-    fn direct_item(v: f32) -> (QueueItem, oneshot::Receiver<Result<Output, PredictError>>) {
+    pub(in crate::batching) fn direct_item(
+        v: f32,
+    ) -> (QueueItem, oneshot::Receiver<Result<Output, PredictError>>) {
         let (tx, rx) = oneshot::channel();
         (QueueItem::new(Arc::new(vec![v]), ReplySink::direct(tx)), rx)
     }
@@ -1375,30 +913,6 @@ mod tests {
     }
 
     #[tokio::test]
-    async fn dispatch_shares_the_callers_input_arcs() {
-        // Zero-copy: the transport must observe the very allocation the
-        // submitter enqueued, not a deep copy.
-        let original: Input = Arc::new(vec![4.0]);
-        let probe = original.clone();
-        let t: Arc<dyn BatchTransport> =
-            Arc::new(FnTransport::new("ptr-check", move |inputs: &[Input]| {
-                assert!(
-                    inputs.iter().any(|i| Arc::ptr_eq(i, &probe)),
-                    "batch must share the submitted Arc"
-                );
-                Ok(PredictReply {
-                    outputs: vec![WireOutput::Class(0); inputs.len()],
-                    queue_us: 0,
-                    compute_us: 0,
-                })
-            }));
-        let q = spawn_replica_queue("m:0".into(), t, QueueConfig::default(), test_metrics());
-        let (tx, rx) = oneshot::channel();
-        q.submit(QueueItem::new(original, ReplySink::direct(tx)));
-        rx.await.unwrap().unwrap();
-    }
-
-    #[tokio::test]
     async fn batches_form_under_burst() {
         // A slow transport forces queries to pile up; later batches should
         // be larger than 1.
@@ -1416,7 +930,7 @@ mod tests {
             "m:0".into(),
             slow,
             QueueConfig {
-                strategy: BatchStrategy::Fixed(64),
+                strategy: BatchStrategy::Fixed { size: 64 },
                 ..Default::default()
             },
             metrics.clone(),
@@ -1455,7 +969,7 @@ mod tests {
             "m:0".into(),
             stuck,
             QueueConfig {
-                strategy: BatchStrategy::NoBatching,
+                strategy: BatchStrategy::Fixed { size: 1 },
                 queue_capacity: 4,
                 ..Default::default()
             },
@@ -1492,7 +1006,7 @@ mod tests {
             "m:0".into(),
             stuck,
             QueueConfig {
-                strategy: BatchStrategy::NoBatching,
+                strategy: BatchStrategy::Fixed { size: 1 },
                 queue_capacity: 4,
                 ..Default::default()
             },
@@ -1511,7 +1025,6 @@ mod tests {
             }
         }
         let refused = refused.expect("a full queue must hand the item back");
-        assert!(!q.has_room(), "queue should report no room when full");
         assert!(
             q.len() >= 3,
             "channel occupancy should be visible, len {}",
@@ -1524,45 +1037,6 @@ mod tests {
     }
 
     #[tokio::test]
-    async fn transport_failure_fails_the_batch() {
-        let bad: Arc<dyn BatchTransport> = Arc::new(FnTransport::new("bad", |_: &[Input]| {
-            Err(clipper_rpc::RpcError::Remote("dead".into()))
-        }));
-        let q = spawn_replica_queue("m:0".into(), bad, QueueConfig::default(), test_metrics());
-        let (item, rx) = direct_item(1.0);
-        q.submit(item);
-        let err = rx.await.unwrap().unwrap_err();
-        // `Remote` is non-retryable, so the single attempt fail-fills
-        // with the typed upstream error (503-vs-500 decided by it).
-        assert!(matches!(
-            err,
-            PredictError::Upstream {
-                kind: UpstreamKind::Remote,
-                retryable: false,
-                attempts: 1,
-            }
-        ));
-        assert_eq!(err.http_status(), 500);
-    }
-
-    #[tokio::test]
-    async fn output_count_mismatch_is_an_error() {
-        let short: Arc<dyn BatchTransport> =
-            Arc::new(FnTransport::new("short", |_: &[Input]| {
-                Ok(PredictReply {
-                    outputs: vec![], // wrong count
-                    queue_us: 0,
-                    compute_us: 0,
-                })
-            }));
-        let q = spawn_replica_queue("m:0".into(), short, QueueConfig::default(), test_metrics());
-        let (item, rx) = direct_item(1.0);
-        q.submit(item);
-        let err = rx.await.unwrap().unwrap_err();
-        assert!(matches!(err, PredictError::Failed(ref m) if m.contains("outputs")));
-    }
-
-    #[tokio::test]
     async fn delayed_batching_holds_for_stragglers() {
         // With a 20ms wait timeout and queries arriving 2ms apart, the
         // first batch should scoop up several queries.
@@ -1571,7 +1045,7 @@ mod tests {
             "m:0".into(),
             echo_transport(),
             QueueConfig {
-                strategy: BatchStrategy::Fixed(64),
+                strategy: BatchStrategy::Fixed { size: 64 },
                 batch_wait_timeout: Duration::from_millis(20),
                 ..Default::default()
             },
@@ -1636,10 +1110,7 @@ mod tests {
         drop(item);
         assert_eq!(cache.pending_len(), 0, "drop must fail-fill the entry");
         let filled = rx.await.unwrap();
-        assert!(matches!(
-            filled,
-            Err(CacheFillError::Predict(PredictError::Failed(_)))
-        ));
+        assert!(matches!(filled, Err(PredictError::Failed(_))));
     }
 
     #[tokio::test]
@@ -1662,7 +1133,7 @@ mod tests {
             "m:0".into(),
             slowish,
             QueueConfig {
-                strategy: BatchStrategy::Fixed(8),
+                strategy: BatchStrategy::Fixed { size: 8 },
                 ..Default::default()
             },
             test_metrics(),
@@ -1710,7 +1181,7 @@ mod tests {
             "m:0".into(),
             slowish,
             QueueConfig {
-                strategy: BatchStrategy::Fixed(4),
+                strategy: BatchStrategy::Fixed { size: 4 },
                 ..Default::default()
             },
             test_metrics(),
@@ -1771,7 +1242,7 @@ mod tests {
             "m:0".into(),
             hung_transport(),
             QueueConfig {
-                strategy: BatchStrategy::NoBatching,
+                strategy: BatchStrategy::Fixed { size: 1 },
                 drain_deadline: Duration::from_millis(100),
                 ..Default::default()
             },
@@ -1833,7 +1304,7 @@ mod tests {
             "m:0".into(),
             Arc::new(SlowAsync),
             QueueConfig {
-                strategy: BatchStrategy::NoBatching,
+                strategy: BatchStrategy::Fixed { size: 1 },
                 drain_deadline: Duration::from_millis(50),
                 ..Default::default()
             },
@@ -1864,7 +1335,7 @@ mod tests {
             "m:0".into(),
             hung_transport(),
             QueueConfig {
-                strategy: BatchStrategy::NoBatching,
+                strategy: BatchStrategy::Fixed { size: 1 },
                 drain_deadline: Duration::from_millis(100),
                 ..Default::default()
             },
@@ -1880,87 +1351,7 @@ mod tests {
         q.shutdown();
         q.drained().await;
         assert_eq!(cache.pending_len(), 0, "force-fail must settle the entry");
-        assert!(matches!(
-            rx.await.unwrap(),
-            Err(CacheFillError::Predict(PredictError::Failed(_)))
-        ));
-    }
-
-    #[tokio::test]
-    async fn retryable_failure_redispatches_through_the_hook() {
-        // Primary always drops the batch; the redispatch hook forwards
-        // the item onto a healthy sibling queue. The client must see a
-        // clean answer and the retried counter must tick.
-        let flaky: Arc<dyn BatchTransport> =
-            Arc::new(FnTransport::new("flaky", |_: &[Input]| {
-                Err(clipper_rpc::RpcError::Injected)
-            }));
-        let backup = spawn_replica_queue(
-            "m:1".into(),
-            echo_transport(),
-            QueueConfig::default(),
-            test_metrics(),
-        );
-        let backup_for_hook = backup.clone();
-        let hooks = QueueHooks {
-            redispatch: Some(Arc::new(move |item| backup_for_hook.try_submit(item))),
-            hedge_pick: None,
-        };
-        let metrics = test_metrics();
-        let q = spawn_replica_queue_with_hooks(
-            "m:0".into(),
-            flaky,
-            QueueConfig::default(),
-            metrics.clone(),
-            hooks,
-        );
-        let (tx, rx) = oneshot::channel();
-        q.submit(QueueItem::with_deadline(
-            Arc::new(vec![7.0]),
-            ReplySink::direct(tx),
-            Instant::now() + Duration::from_secs(5),
-        ));
-        let out = rx.await.unwrap().unwrap();
-        assert_eq!(out, Output::Class(7));
-        assert_eq!(metrics.retried.get(), 1);
-        assert_eq!(metrics.errors.get(), 0, "a rescued item is not an error");
-    }
-
-    #[tokio::test]
-    async fn budget_exhaustion_fail_fills_with_a_typed_error() {
-        // No sibling can take the item (hook refuses), so each attempt
-        // consumes budget until the typed Upstream error surfaces.
-        let flaky: Arc<dyn BatchTransport> =
-            Arc::new(FnTransport::new("flaky", |_: &[Input]| {
-                Err(clipper_rpc::RpcError::Timeout)
-            }));
-        let hooks = QueueHooks {
-            redispatch: Some(Arc::new(Err)), // nobody will take it
-            hedge_pick: None,
-        };
-        let q = spawn_replica_queue_with_hooks(
-            "m:0".into(),
-            flaky,
-            QueueConfig::default(),
-            test_metrics(),
-            hooks,
-        );
-        let (tx, rx) = oneshot::channel();
-        q.submit(QueueItem::with_deadline(
-            Arc::new(vec![1.0]),
-            ReplySink::direct(tx),
-            Instant::now() + Duration::from_secs(5),
-        ));
-        let err = rx.await.unwrap().unwrap_err();
-        assert!(matches!(
-            err,
-            PredictError::Upstream {
-                kind: UpstreamKind::Timeout,
-                retryable: true,
-                attempts: 1,
-            }
-        ));
-        assert_eq!(err.http_status(), 503, "retryable upstream is a 503");
+        assert!(matches!(rx.await.unwrap(), Err(PredictError::Failed(_))));
     }
 
     #[tokio::test]
@@ -1984,7 +1375,7 @@ mod tests {
             hedge_pick: None,
         };
         let cfg = QueueConfig {
-            strategy: BatchStrategy::NoBatching,
+            strategy: BatchStrategy::Fixed { size: 1 },
             breaker: BreakerConfig {
                 cooldown: Duration::from_secs(30),
             },
@@ -2015,7 +1406,7 @@ mod tests {
                 Err(clipper_rpc::RpcError::ConnectionClosed)
             }));
         let cfg = QueueConfig {
-            strategy: BatchStrategy::NoBatching,
+            strategy: BatchStrategy::Fixed { size: 1 },
             breaker: BreakerConfig {
                 cooldown: Duration::from_secs(30),
             },
@@ -2038,200 +1429,5 @@ mod tests {
             assert!(rx.await.unwrap().is_err(), "all sinks settle with errors");
         }
         assert_eq!(q.state(), QueueState::Stopped);
-    }
-
-    #[tokio::test]
-    async fn redispatch_never_lands_on_a_draining_queue() {
-        // The sibling is draining: try_submit must bounce the item back
-        // so it fail-fills instead of sneaking into a closing backlog.
-        let flaky: Arc<dyn BatchTransport> =
-            Arc::new(FnTransport::new("flaky", |_: &[Input]| {
-                Err(clipper_rpc::RpcError::Injected)
-            }));
-        let draining = spawn_replica_queue(
-            "m:1".into(),
-            echo_transport(),
-            QueueConfig::default(),
-            test_metrics(),
-        );
-        draining.shutdown();
-        draining.drained().await;
-        let draining_for_hook = draining.clone();
-        let hooks = QueueHooks {
-            redispatch: Some(Arc::new(move |item| draining_for_hook.try_submit(item))),
-            hedge_pick: None,
-        };
-        let q = spawn_replica_queue_with_hooks(
-            "m:0".into(),
-            flaky,
-            QueueConfig::default(),
-            test_metrics(),
-            hooks,
-        );
-        let (tx, rx) = oneshot::channel();
-        q.submit(QueueItem::with_deadline(
-            Arc::new(vec![1.0]),
-            ReplySink::direct(tx),
-            Instant::now() + Duration::from_secs(5),
-        ));
-        let err = rx.await.unwrap().unwrap_err();
-        assert!(matches!(err, PredictError::Upstream { .. }));
-    }
-
-    #[tokio::test]
-    async fn hedge_rescues_a_straggling_primary() {
-        // Primary hangs far past the hedge delay; the hedge transport
-        // answers instantly and its result wins.
-        let stuck: Arc<dyn BatchTransport> = Arc::new(SlowFailTransport {
-            delay: Duration::from_secs(30),
-        });
-        let hooks = QueueHooks {
-            redispatch: None,
-            hedge_pick: Some(Arc::new(|| {
-                Some(Arc::new(FnTransport::new("backup", |inputs: &[Input]| {
-                    Ok(PredictReply {
-                        outputs: inputs
-                            .iter()
-                            .map(|x| WireOutput::Class(x[0] as u32))
-                            .collect(),
-                        queue_us: 0,
-                        compute_us: 0,
-                    })
-                })) as Arc<dyn BatchTransport>)
-            })),
-        };
-        let metrics = test_metrics();
-        let cfg = QueueConfig {
-            strategy: BatchStrategy::NoBatching,
-            hedge: Some(HedgeConfig {
-                delay_factor: 3.0,
-                min_delay: Duration::from_millis(5),
-            }),
-            ..Default::default()
-        };
-        let q = spawn_replica_queue_with_hooks("m:0".into(), stuck, cfg, metrics.clone(), hooks);
-        let (tx, rx) = oneshot::channel();
-        q.submit(QueueItem::new(Arc::new(vec![9.0]), ReplySink::direct(tx)));
-        let out = rx.await.unwrap().unwrap();
-        assert_eq!(out, Output::Class(9));
-        assert_eq!(metrics.hedged.get(), 1);
-    }
-
-    #[tokio::test]
-    async fn hedge_won_probe_releases_the_breaker_slot() {
-        // Regression: the half-open probe straggles past the hedge delay
-        // and the hedge answers for it. That outcome used to skip the
-        // breaker entirely, so the probe slot stayed taken and every
-        // later batch was refused with BreakerOpen although the replica
-        // had healed.
-        const FAIL: u8 = 0;
-        const STRAGGLE: u8 = 1;
-        const HEALED: u8 = 2;
-        struct Moody(Arc<AtomicU8>);
-        impl BatchTransport for Moody {
-            fn predict_batch(
-                &self,
-                inputs: &[Input],
-            ) -> clipper_rpc::BoxFuture<Result<PredictReply, clipper_rpc::RpcError>> {
-                let mood = self.0.load(Ordering::Relaxed);
-                let n = inputs.len();
-                Box::pin(async move {
-                    if mood == FAIL {
-                        return Err(clipper_rpc::RpcError::ConnectionClosed);
-                    }
-                    if mood == STRAGGLE {
-                        tokio::time::sleep(Duration::from_millis(200)).await;
-                    }
-                    Ok(PredictReply {
-                        outputs: vec![WireOutput::Class(1); n],
-                        queue_us: 0,
-                        compute_us: 0,
-                    })
-                })
-            }
-            fn id(&self) -> String {
-                "moody".into()
-            }
-        }
-        let mood = Arc::new(AtomicU8::new(FAIL));
-        let hooks = QueueHooks {
-            redispatch: None,
-            hedge_pick: Some(Arc::new(|| Some(echo_transport()))),
-        };
-        let cooldown = Duration::from_millis(20);
-        let cfg = QueueConfig {
-            strategy: BatchStrategy::NoBatching,
-            breaker: BreakerConfig { cooldown },
-            hedge: Some(HedgeConfig {
-                delay_factor: 3.0,
-                min_delay: Duration::from_millis(5),
-            }),
-            ..Default::default()
-        };
-        let primary = Arc::new(Moody(mood.clone()));
-        let q = spawn_replica_queue_with_hooks("m:0".into(), primary, cfg, test_metrics(), hooks);
-        let ask = |v: f32| {
-            let (item, rx) = direct_item(v);
-            q.submit(item);
-            async move { rx.await.unwrap() }
-        };
-        for _ in 0..3 {
-            assert!(ask(7.0).await.is_err());
-        }
-        assert_eq!(q.breaker().state(), BreakerState::Open);
-        tokio::time::sleep(cooldown * 2).await;
-
-        mood.store(STRAGGLE, Ordering::Relaxed);
-        assert_eq!(ask(7.0).await, Ok(Output::Class(7)), "the hedge answers");
-        assert!(q.is_suspect(), "an inconclusive probe proves nothing");
-
-        mood.store(HEALED, Ordering::Relaxed);
-        for _ in 0..5 {
-            assert_eq!(ask(7.0).await, Ok(Output::Class(1)), "primary serves");
-        }
-        assert_eq!(q.breaker().state(), BreakerState::Closed);
-        assert_eq!(q.breaker().half_opened(), 2, "a second probe was granted");
-    }
-
-    #[tokio::test]
-    async fn hedge_with_both_sides_failing_settles_every_sink_once() {
-        // Primary is slow-then-dead, hedge fails fast: the batch must
-        // still settle exactly once per sink (pending_len bookkeeping
-        // proves no double-complete and no leak).
-        let slow_dead: Arc<dyn BatchTransport> = Arc::new(SlowFailTransport {
-            delay: Duration::from_millis(20),
-        });
-        let hooks = QueueHooks {
-            redispatch: None,
-            hedge_pick: Some(Arc::new(|| {
-                Some(Arc::new(FnTransport::new("bad-backup", |_: &[Input]| {
-                    Err(clipper_rpc::RpcError::ConnectionClosed)
-                })) as Arc<dyn BatchTransport>)
-            })),
-        };
-        let cfg = QueueConfig {
-            strategy: BatchStrategy::NoBatching,
-            hedge: Some(HedgeConfig {
-                delay_factor: 3.0,
-                min_delay: Duration::from_millis(2),
-            }),
-            ..Default::default()
-        };
-        let cache = PredictionCache::new(16);
-        let model = crate::types::ModelId::new("m", 1);
-        let input: Input = Arc::new(vec![4.0]);
-        let key = CacheKey::new(&model, &input);
-        let q = spawn_replica_queue_with_hooks("m:0".into(), slow_dead, cfg, test_metrics(), hooks);
-        let rx = match cache.lookup_or_pending(key) {
-            crate::cache::Lookup::MustCompute(rx) => rx,
-            _ => panic!(),
-        };
-        q.submit(QueueItem::new(input, ReplySink::cache(cache.clone(), key)));
-        let filled = rx.await.unwrap();
-        assert!(matches!(
-            filled,
-            Err(CacheFillError::Predict(PredictError::Upstream { .. }))
-        ));
-        assert_eq!(cache.pending_len(), 0, "every sink settled exactly once");
     }
 }

@@ -31,6 +31,7 @@
 //! shard. With two independent 64-bit halves, collisions are negligible at
 //! serving scale.
 
+use crate::error::PredictError;
 use crate::types::{Input, ModelId, Output};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -39,18 +40,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tokio::sync::oneshot;
 
-/// Cloneable failure delivered to cache waiters.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CacheFillError {
-    /// The model evaluation failed (carries a human-readable reason).
-    Failed(String),
-    /// Typed predict failure passed through intact, so waiters — and the
-    /// HTTP error taxonomy behind them — keep the kind, retryability, and
-    /// status mapping instead of a flattened string.
-    Predict(crate::batching::queue::PredictError),
-}
-
-type FillResult = Result<Output, CacheFillError>;
+/// What a pending entry settles with: waiters get the typed
+/// [`PredictError`] the evaluation produced, so the HTTP error taxonomy
+/// behind them keeps its kind, retryability and status mapping.
+type FillResult = Result<Output, PredictError>;
 
 /// Counts every input-hashing pass ([`CacheKey::new`] invocations), so
 /// tests can assert the predict hot path hashes each input exactly once.
@@ -488,13 +481,6 @@ impl PredictionCache {
         }
     }
 
-    /// Fail an in-flight computation: wake every waiter with the error,
-    /// store nothing. The `MustCompute` caller uses this when it cannot
-    /// start the evaluation it claimed (e.g. no live replicas).
-    pub fn fail_pending(&self, key: CacheKey, reason: impl Into<String>) {
-        self.fill(key, Err(CacheFillError::Failed(reason.into())));
-    }
-
     /// Aggregated counters across all shards. Reads relaxed per-shard
     /// atomics only — never takes a shard lock.
     pub fn stats(&self) -> CacheStats {
@@ -630,7 +616,7 @@ mod tests {
             Lookup::MustCompute(rx) => rx,
             _ => panic!(),
         };
-        cache.fail_pending(k, "boom");
+        cache.fill(k, Err(PredictError::Failed("boom".into())));
         assert!(rx.await.unwrap().is_err());
         assert!(cache.fetch(k).is_none(), "errors are not cached");
     }
@@ -779,7 +765,7 @@ mod tests {
 
     /// Satellite: the fail path also wakes every waiter, with the error.
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn concurrent_waiters_all_observe_fail_pending() {
+    async fn concurrent_waiters_all_observe_a_failed_fill() {
         let cache = PredictionCache::new(64);
         let k = key("m", &[7.0]);
         let rx0 = match cache.lookup_or_pending(k) {
@@ -793,11 +779,8 @@ mod tests {
                 _ => panic!("subsequent lookups must join"),
             }
         }
-        cache.fail_pending(k, "no replicas");
-        assert!(matches!(
-            rx0.await.unwrap(),
-            Err(CacheFillError::Failed(ref m)) if m == "no replicas"
-        ));
+        cache.fill(k, Err(PredictError::NoReplicas));
+        assert_eq!(rx0.await.unwrap(), Err(PredictError::NoReplicas));
         for rx in waiters {
             assert!(rx.await.unwrap().is_err());
         }

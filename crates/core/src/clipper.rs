@@ -11,6 +11,16 @@
 //! candidate model (the join the prediction cache accelerates, §4.2) and
 //! folds the result into the per-context policy state.
 //!
+//! Both run the same gather: it builds one evaluation future per model
+//! and polls them all from the calling task — no task and no channel per
+//! model; one model is the same code with one future. Every future gets
+//! a first poll (cache hits resolve there, misses are dispatched to the
+//! queues) before the deadline is looked at. Futures still pending when
+//! the deadline fires are handed, together, to a single background task
+//! that lets them finish, so a straggler's answer still refreshes its
+//! model's running default; the cache entry it was computing is filled
+//! by the queue regardless. `feedback` gathers with no deadline.
+//!
 //! # Control plane (§3, §6.3)
 //!
 //! Applications and model versions are managed *at runtime*, without
@@ -39,8 +49,8 @@ use crate::api::{
     self, ApiError, AppRecord, ModelRecord, ModelView, RehydrateReport, ReplicaRecord,
     RolloutOutcome, SyncReport,
 };
-use crate::batching::queue::PredictError;
 use crate::batching::ReplicaQueue;
+use crate::error::PredictError;
 use crate::fleet::{Fleet, FleetConfig};
 use crate::selection::{build_policy, SelectionPolicy, SelectionStateManager};
 use crate::types::{AppConfig, AppUpdate, Feedback, Input, ModelId, Output, Prediction};
@@ -49,9 +59,10 @@ use clipper_rpc::transport::BatchTransport;
 use clipper_statestore::StateStore;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::future::Future;
 use std::sync::{Arc, OnceLock};
+use std::task::Poll;
 use std::time::{Duration, Instant};
-use tokio::sync::mpsc;
 
 /// Builder for a [`Clipper`] instance.
 pub struct ClipperBuilder {
@@ -139,6 +150,13 @@ impl ClipperBuilder {
 struct App {
     cfg: AppConfig,
     policy: Box<dyn SelectionPolicy>,
+}
+
+impl App {
+    fn new(cfg: AppConfig) -> Arc<App> {
+        let policy = build_policy(&cfg.policy);
+        Arc::new(App { cfg, policy })
+    }
 }
 
 /// A drained model version kept revivable: its configuration and its
@@ -241,6 +259,48 @@ impl Inner {
         }
     }
 
+    /// Every persisted record under `prefix` that parses as a `T`; the
+    /// keys of those that do not are appended to `skipped`, so one
+    /// corrupt record never aborts the rest of a recovery or sync pass.
+    fn records<T: serde::Deserialize>(&self, prefix: &str, skipped: &mut Vec<String>) -> Vec<T> {
+        let mut parsed = Vec::new();
+        for key in self.store.keys_with_prefix(prefix) {
+            let Some(bytes) = self.store.get(&key) else {
+                continue;
+            };
+            match serde_json::from_slice(&bytes) {
+                Ok(rec) => parsed.push(rec),
+                Err(_) => skipped.push(key),
+            }
+        }
+        parsed
+    }
+
+    /// Adopt a persisted model wholesale — its version directory plus
+    /// every version with its batch knobs — unless the name is already
+    /// registered here. Returns whether it was adopted.
+    fn adopt_model(&self, rec: &ModelRecord) -> bool {
+        {
+            let mut dirs = self.models_dir.write();
+            if dirs.contains_key(&rec.name) {
+                return false;
+            }
+            dirs.insert(
+                rec.name.clone(),
+                ModelDir {
+                    current: rec.current,
+                    versions: rec.versions.clone(),
+                    history: rec.history.clone(),
+                    parked: HashMap::new(),
+                },
+            );
+        }
+        for &v in &rec.versions {
+            self.adopt_version(rec, v);
+        }
+        true
+    }
+
     /// Register one persisted version with the abstraction layer: its
     /// batch knobs, plus any learned per-replica tuning — stashed so the
     /// matching replicas warm-start when they re-attach.
@@ -279,12 +339,8 @@ impl Clipper {
     /// create-only semantics (the control plane's `POST`).
     pub fn register_app(&self, cfg: AppConfig) {
         self.inner.persist_app(&cfg);
-        let policy = build_policy(&cfg.policy);
         let name = cfg.name.clone();
-        self.inner
-            .apps
-            .write()
-            .insert(name, Arc::new(App { cfg, policy }));
+        self.inner.apps.write().insert(name, App::new(cfg));
     }
 
     /// Create-only app registration: refuses a duplicate name (409), an
@@ -309,14 +365,7 @@ impl Clipper {
             if apps.contains_key(&cfg.name) {
                 return Err(ApiError::AppExists(cfg.name.clone()));
             }
-            let policy = build_policy(&cfg.policy);
-            apps.insert(
-                cfg.name.clone(),
-                Arc::new(App {
-                    cfg: cfg.clone(),
-                    policy,
-                }),
-            );
+            apps.insert(cfg.name.clone(), App::new(cfg.clone()));
         }
         self.inner.persist_app(&cfg);
         Ok(())
@@ -348,11 +397,7 @@ impl Clipper {
                 .get_mut(name)
                 .ok_or_else(|| ApiError::AppUnknown(name.to_string()))?;
             let cfg = app.cfg.clone().apply(update);
-            let policy = build_policy(&cfg.policy);
-            *app = Arc::new(App {
-                cfg: cfg.clone(),
-                policy,
-            });
+            *app = App::new(cfg.clone());
             cfg
         };
         self.inner.persist_app(&cfg);
@@ -604,15 +649,7 @@ impl Clipper {
                     }
                 }
                 max_slo = max_slo.max(cfg.slo);
-                let policy = build_policy(&cfg.policy);
-                let prev = std::mem::replace(
-                    app,
-                    Arc::new(App {
-                        cfg: cfg.clone(),
-                        policy,
-                    }),
-                );
-                old_apps.push(prev);
+                old_apps.push(std::mem::replace(app, App::new(cfg.clone())));
                 repointed_apps.push(app_name.clone());
                 repointed_cfgs.push(cfg);
             }
@@ -695,53 +732,20 @@ impl Clipper {
     /// batching. Replicas re-attach afterwards via
     /// [`add_replica`](Self::add_replica).
     pub fn rehydrate(&self) -> RehydrateReport {
-        let store = &self.inner.store;
+        let inner = &self.inner;
         let mut report = RehydrateReport::default();
-        for key in store.keys_with_prefix(api::MODEL_KEY_PREFIX) {
-            let Some(bytes) = store.get(&key) else {
-                continue;
-            };
-            let Ok(rec) = serde_json::from_slice::<ModelRecord>(&bytes) else {
-                report.skipped.push(key);
-                continue;
-            };
-            {
-                let mut dirs = self.inner.models_dir.write();
-                if dirs.contains_key(&rec.name) {
-                    continue;
-                }
-                dirs.insert(
-                    rec.name.clone(),
-                    ModelDir {
-                        current: rec.current,
-                        versions: rec.versions.clone(),
-                        history: rec.history.clone(),
-                        parked: HashMap::new(),
-                    },
-                );
+        for rec in inner.records::<ModelRecord>(api::MODEL_KEY_PREFIX, &mut report.skipped) {
+            if inner.adopt_model(&rec) {
+                report.models += 1;
             }
-            for &v in &rec.versions {
-                self.inner.adopt_version(&rec, v);
-            }
-            report.models += 1;
         }
-        for key in store.keys_with_prefix(api::APP_KEY_PREFIX) {
-            let Some(bytes) = store.get(&key) else {
-                continue;
-            };
-            let Ok(rec) = serde_json::from_slice::<AppRecord>(&bytes) else {
-                report.skipped.push(key);
-                continue;
-            };
+        for rec in inner.records::<AppRecord>(api::APP_KEY_PREFIX, &mut report.skipped) {
             if self.inner.apps.read().contains_key(&rec.name) {
                 continue;
             }
             let cfg = rec.into_config();
-            let policy = build_policy(&cfg.policy);
-            self.inner
-                .apps
-                .write()
-                .insert(cfg.name.clone(), Arc::new(App { cfg, policy }));
+            let name = cfg.name.clone();
+            self.inner.apps.write().insert(name, App::new(cfg));
             report.apps += 1;
         }
         // Fleet replica registrations: adopt each live record into the
@@ -750,14 +754,7 @@ impl Clipper {
         // monitor's expiry — settles it). Expired tombstones are left in
         // the store untouched: they answer late heartbeats with 410 and
         // carry the warm start for re-registration.
-        for key in store.keys_with_prefix(api::REPLICA_KEY_PREFIX) {
-            let Some(bytes) = store.get(&key) else {
-                continue;
-            };
-            let Ok(rec) = serde_json::from_slice::<ReplicaRecord>(&bytes) else {
-                report.skipped.push(key);
-                continue;
-            };
+        for rec in inner.records::<ReplicaRecord>(api::REPLICA_KEY_PREFIX, &mut report.skipped) {
             if self.fleet().adopt_record(rec) {
                 report.replicas += 1;
             }
@@ -794,35 +791,14 @@ impl Clipper {
     ///
     /// [`rehydrate`]: Self::rehydrate
     pub async fn sync_config(&self) -> SyncReport {
-        let store = self.inner.store.clone();
+        let inner = &self.inner;
         let mut report = SyncReport::default();
 
         // Models first: adopting directories/pointer moves also repoints
         // local apps through the rollout path, which the app pass below
         // then observes as already-converged.
-        for key in store.keys_with_prefix(api::MODEL_KEY_PREFIX) {
-            let Some(bytes) = store.get(&key) else {
-                continue;
-            };
-            let Ok(rec) = serde_json::from_slice::<ModelRecord>(&bytes) else {
-                report.skipped.push(key);
-                continue;
-            };
-            let known = self.inner.models_dir.read().contains_key(&rec.name);
-            if !known {
-                self.inner
-                    .models_dir
-                    .write()
-                    .entry(rec.name.clone())
-                    .or_insert_with(|| ModelDir {
-                        current: rec.current,
-                        versions: rec.versions.clone(),
-                        history: rec.history.clone(),
-                        parked: HashMap::new(),
-                    });
-                for &v in &rec.versions {
-                    self.inner.adopt_version(&rec, v);
-                }
+        for rec in inner.records::<ModelRecord>(api::MODEL_KEY_PREFIX, &mut report.skipped) {
+            if inner.adopt_model(&rec) {
                 report.adopted_models += 1;
                 continue;
             }
@@ -831,7 +807,9 @@ impl Clipper {
             // current pointer over the record we are adopting.
             {
                 let mut dirs = self.inner.models_dir.write();
-                let dir = dirs.get_mut(&rec.name).expect("checked above");
+                let dir = dirs
+                    .get_mut(&rec.name)
+                    .expect("adopt_model found the name registered");
                 for &v in &rec.versions {
                     if !dir.versions.contains(&v) {
                         dir.versions.push(v);
@@ -854,14 +832,7 @@ impl Clipper {
 
         // Apps: adopt new, replace changed, drop deleted.
         let mut persisted_names = Vec::new();
-        for key in store.keys_with_prefix(api::APP_KEY_PREFIX) {
-            let Some(bytes) = store.get(&key) else {
-                continue;
-            };
-            let Ok(rec) = serde_json::from_slice::<AppRecord>(&bytes) else {
-                report.skipped.push(key);
-                continue;
-            };
+        for rec in inner.records::<AppRecord>(api::APP_KEY_PREFIX, &mut report.skipped) {
             persisted_names.push(rec.name.clone());
             let local = self
                 .inner
@@ -873,11 +844,8 @@ impl Clipper {
                 Some(ref cur) if *cur == rec => {}
                 found => {
                     let cfg = rec.into_config();
-                    let policy = build_policy(&cfg.policy);
-                    self.inner
-                        .apps
-                        .write()
-                        .insert(cfg.name.clone(), Arc::new(App { cfg, policy }));
+                    let name = cfg.name.clone();
+                    self.inner.apps.write().insert(name, App::new(cfg));
                     if found.is_some() {
                         report.updated_apps += 1;
                     } else {
@@ -891,7 +859,7 @@ impl Clipper {
             // Only a truly absent key means "deleted elsewhere" — a
             // present-but-corrupt record was skipped above, not removed.
             if !persisted_names.contains(&name)
-                && store.get(&api::app_key(&name)).is_none()
+                && inner.store.get(&api::app_key(&name)).is_none()
                 && self.inner.apps.write().remove(&name).is_some()
             {
                 report.removed_apps += 1;
@@ -901,14 +869,7 @@ impl Clipper {
         // Fleet replicas: adopt records another frontend registered, so
         // the fan-in group shares one membership view. Same semantics as
         // the rehydrate pass; records already known locally are no-ops.
-        for key in store.keys_with_prefix(api::REPLICA_KEY_PREFIX) {
-            let Some(bytes) = store.get(&key) else {
-                continue;
-            };
-            let Ok(rec) = serde_json::from_slice::<ReplicaRecord>(&bytes) else {
-                report.skipped.push(key);
-                continue;
-            };
+        for rec in inner.records::<ReplicaRecord>(api::REPLICA_KEY_PREFIX, &mut report.skipped) {
             if self.fleet().adopt_record(rec) {
                 report.adopted_replicas += 1;
             }
@@ -1058,6 +1019,76 @@ impl Clipper {
             .map_err(|e| PredictError::Failed(e.to_string()))
     }
 
+    /// Evaluate `models` on `input` through the cache and the batching
+    /// queues, from the calling task, and return the answers that
+    /// arrived by `deadline` (`None` = wait for every model). A model
+    /// that failed or is late is simply absent from the map.
+    ///
+    /// Every evaluation is polled once — in `models` order, which is
+    /// where cache hits resolve and misses are dispatched — before the
+    /// deadline is consulted, so an answer that is already there always
+    /// counts. Evaluations still pending at the deadline move together
+    /// into one background task that drives them to completion (their
+    /// models' running defaults keep refreshing).
+    ///
+    /// Cancel-safe: dropping this future mid-gather abandons nothing.
+    /// Each dispatched query's reply sink travels inside its queue item,
+    /// so the queue fills (or fail-fills) the pending cache entry
+    /// whether or not anyone is still waiting for it.
+    async fn gather(
+        &self,
+        models: &[ModelId],
+        input: &Input,
+        deadline: Option<Instant>,
+    ) -> HashMap<ModelId, Output> {
+        let mut preds = HashMap::with_capacity(models.len());
+        // Each evaluation owns everything it touches, so a straggler can
+        // outlive the request, and hands its `ModelId` back with the
+        // outcome: the clone made here ends up as the map key.
+        let mut pending: Vec<_> = models
+            .iter()
+            .map(|model| {
+                let (mal, model, input) = (self.inner.mal.clone(), model.clone(), input.clone());
+                let use_cache = self.inner.cache_enabled;
+                Box::pin(async move {
+                    let result = mal.predict(&model, input, use_cache).await;
+                    (model, result)
+                })
+            })
+            .collect();
+        let all_settled = std::future::poll_fn(|cx| {
+            pending.retain_mut(|call| match call.as_mut().poll(cx) {
+                Poll::Ready((model, Ok(out))) => {
+                    preds.insert(model, out);
+                    false
+                }
+                Poll::Ready((_, Err(_))) => false,
+                Poll::Pending => true,
+            });
+            if pending.is_empty() {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        });
+        match deadline {
+            // `Timeout` polls its future before its timer.
+            Some(deadline) => {
+                let deadline = tokio::time::Instant::from_std(deadline);
+                let _ = tokio::time::timeout_at(deadline, all_settled).await;
+            }
+            None => all_settled.await,
+        }
+        if !pending.is_empty() {
+            tokio::spawn(async move {
+                for straggler in pending {
+                    let _ = straggler.await;
+                }
+            });
+        }
+        preds
+    }
+
     /// Serve one prediction for `app`, optionally under a user/session
     /// `context` (§5.3). Always returns by the app's SLO deadline (plus
     /// scheduling noise): stragglers are substituted, and if *nothing*
@@ -1075,128 +1106,20 @@ impl Clipper {
         let app = self.app(app_name)?;
         let state = self.app_state(app_name, context, &app)?;
 
-        let mut selected = app.policy.select(&state, &input);
+        let selected = app.policy.select(&state, &input);
         if selected.is_empty() {
             return Err(PredictError::Failed("policy selected no models".into()));
         }
-        let deadline = start + app.cfg.slo;
-
-        // Single-candidate fast path — the common shape (one model per
-        // app) and the predict hot path. Calls the MAL inline instead of
-        // standing up an mpsc channel plus a spawned fan-out task per
-        // request. The SLO deadline still applies: on timeout the
-        // in-flight call moves to a background task so cache waiters
-        // settle and the model's running default keeps refreshing,
-        // exactly as the spawned fan-out would.
-        if selected.len() == 1 {
-            // The future carries the ModelId through and hands it back,
-            // so the completed path reuses the one clone as the preds
-            // key instead of cloning again.
-            let mut call = Box::pin({
-                let mal = self.inner.mal.clone();
-                let model = selected[0].clone();
-                let input = input.clone();
-                let use_cache = self.inner.cache_enabled;
-                async move {
-                    let result = mal.predict(&model, input, use_cache).await;
-                    (model, result)
-                }
-            });
-            let budget = deadline.saturating_duration_since(Instant::now());
-            let (model, arrived) = match tokio::time::timeout(budget, &mut call).await {
-                Ok((model, Ok(out))) => (model, Some(out)),
-                Ok((model, Err(_))) => (model, None),
-                Err(_) => {
-                    // Straggler: let it finish off-path.
-                    tokio::spawn(call);
-                    (selected.pop().expect("len == 1"), None)
-                }
-            };
-            let fresh = arrived.is_some();
-            let substituted = match arrived {
-                Some(out) => Some(out),
-                None => {
-                    let default = self.inner.mal.default_output(&model);
-                    if default.is_some() {
-                        self.inner.substitutions.inc();
-                    }
-                    default
-                }
-            };
-            let prediction = match substituted {
-                Some(out) => {
-                    let mut preds = HashMap::with_capacity(1);
-                    preds.insert(model, out);
-                    let (output, confidence) = app.policy.combine(&state, &input, &preds);
-                    Prediction {
-                        output,
-                        confidence,
-                        models_used: usize::from(fresh),
-                        models_missing: usize::from(!fresh),
-                        latency: start.elapsed(),
-                    }
-                }
-                None => {
-                    self.inner.defaults_used.inc();
-                    Prediction {
-                        output: app.cfg.default_output.clone(),
-                        confidence: 0.0,
-                        models_used: 0,
-                        models_missing: 1,
-                        latency: start.elapsed(),
-                    }
-                }
-            };
-            self.inner.predictions.mark();
-            self.inner
-                .latency_us
-                .record(prediction.latency.as_micros() as u64);
-            return Ok(prediction);
-        }
-
-        // Fan out; each model reports back over the channel as it lands.
-        let (tx, mut rx) =
-            mpsc::channel::<(ModelId, Result<Output, PredictError>)>(selected.len().max(1));
-        for model in selected.iter().cloned() {
-            let mal = self.inner.mal.clone();
-            let input = input.clone();
-            let tx = tx.clone();
-            let use_cache = self.inner.cache_enabled;
-            tokio::spawn(async move {
-                let result = mal.predict(&model, input, use_cache).await;
-                let _ = tx.send((model, result)).await;
-            });
-        }
-        drop(tx);
-
-        // Gather until the SLO deadline (straggler mitigation).
-        let mut preds: HashMap<ModelId, Output> = HashMap::new();
-        let mut settled = 0usize;
-        while settled < selected.len() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match tokio::time::timeout(deadline - now, rx.recv()).await {
-                Ok(Some((model, Ok(out)))) => {
-                    preds.insert(model, out);
-                    settled += 1;
-                }
-                Ok(Some((_, Err(_)))) => {
-                    settled += 1;
-                }
-                Ok(None) => break,
-                Err(_) => break, // deadline reached
-            }
-        }
-
-        let arrived = preds.len();
-        let missing = selected.len() - arrived;
+        let mut preds = self
+            .gather(&selected, &input, Some(start + app.cfg.slo))
+            .await;
+        let models_used = preds.len();
+        let models_missing = selected.len() - models_used;
 
         // Substitute each missing model's running default (§5.2.2) so the
         // ensemble can still vote, with the loss of accuracy reflected in
         // the agreement-based confidence.
-        if missing > 0 {
+        if models_missing > 0 {
             for model in &selected {
                 if !preds.contains_key(model) {
                     if let Some(default) = self.inner.mal.default_output(model) {
@@ -1207,26 +1130,19 @@ impl Clipper {
             }
         }
 
-        let prediction = if preds.is_empty() {
+        let (output, confidence) = if preds.is_empty() {
             self.inner.defaults_used.inc();
-            Prediction {
-                output: app.cfg.default_output.clone(),
-                confidence: 0.0,
-                models_used: 0,
-                models_missing: selected.len(),
-                latency: start.elapsed(),
-            }
+            (app.cfg.default_output.clone(), 0.0)
         } else {
-            let (output, confidence) = app.policy.combine(&state, &input, &preds);
-            Prediction {
-                output,
-                confidence,
-                models_used: arrived,
-                models_missing: missing,
-                latency: start.elapsed(),
-            }
+            app.policy.combine(&state, &input, &preds)
         };
-
+        let prediction = Prediction {
+            output,
+            confidence,
+            models_used,
+            models_missing,
+            latency: start.elapsed(),
+        };
         self.inner.predictions.mark();
         self.inner
             .latency_us
@@ -1250,26 +1166,7 @@ impl Clipper {
 
         // Join feedback with predictions through the cache: recent
         // predictions hit; unseen inputs are evaluated.
-        let (tx, mut rx) = mpsc::channel::<(ModelId, Result<Output, PredictError>)>(
-            app.cfg.candidate_models.len().max(1),
-        );
-        for model in app.cfg.candidate_models.iter().cloned() {
-            let mal = self.inner.mal.clone();
-            let input = input.clone();
-            let tx = tx.clone();
-            let use_cache = self.inner.cache_enabled;
-            tokio::spawn(async move {
-                let result = mal.predict(&model, input, use_cache).await;
-                let _ = tx.send((model, result)).await;
-            });
-        }
-        drop(tx);
-        let mut preds: HashMap<ModelId, Output> = HashMap::new();
-        while let Some((model, result)) = rx.recv().await {
-            if let Ok(out) = result {
-                preds.insert(model, out);
-            }
-        }
+        let preds = self.gather(&app.cfg.candidate_models, &input, None).await;
 
         self.inner
             .state_mgr
@@ -1411,38 +1308,195 @@ mod tests {
         assert_eq!(p.models_used, 3);
     }
 
+    /// What a [`MoodyTransport`] does with the next batch.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Mood {
+        Answers,
+        Fails,
+        Hangs,
+    }
+
+    /// How long a hanging model takes: far past every SLO used here.
+    const HANG: Duration = Duration::from_millis(200);
+
+    /// Answers 5, fails, or answers 5 only after [`HANG`] — switchable
+    /// while serving.
+    struct MoodyTransport(Arc<parking_lot::Mutex<Mood>>);
+
+    impl BatchTransport for MoodyTransport {
+        fn predict_batch(
+            &self,
+            inputs: &[Input],
+        ) -> clipper_rpc::BoxFuture<Result<PredictReply, clipper_rpc::RpcError>> {
+            let (mood, n) = (*self.0.lock(), inputs.len());
+            Box::pin(async move {
+                match mood {
+                    Mood::Fails => return Err(clipper_rpc::RpcError::Remote("down".into())),
+                    Mood::Hangs => tokio::time::sleep(HANG).await,
+                    Mood::Answers => {}
+                }
+                Ok(PredictReply {
+                    outputs: vec![WireOutput::Class(5); n],
+                    queue_us: 0,
+                    compute_us: 100,
+                })
+            })
+        }
+        fn id(&self) -> String {
+            "moody".into()
+        }
+    }
+
     #[tokio::test]
     async fn straggler_is_substituted_not_waited_for() {
-        // Model 0 answers instantly with 5; model 1 takes 150ms — far past
-        // the 40ms SLO.
+        // Every combination of per-model behaviour for one model and for
+        // three, each against a cold fleet (no running defaults) and a
+        // warmed one (every model has answered 5 before).
+        const SLO: Duration = Duration::from_millis(40);
+        const MOODS: [Mood; 3] = [Mood::Answers, Mood::Fails, Mood::Hangs];
+        for n in [1usize, 3] {
+            for case in 0..3usize.pow(n as u32) {
+                let moods: Vec<Mood> = (0..n)
+                    .map(|i| MOODS[case / 3usize.pow(i as u32) % 3])
+                    .collect();
+                for warmed in [false, true] {
+                    let what = format!("{moods:?}, warmed: {warmed}");
+                    let clipper = Clipper::builder().build();
+                    let mut models = Vec::new();
+                    let mut knobs = Vec::new();
+                    for i in 0..n {
+                        let model = ModelId::new(&format!("m{i}"), 1);
+                        let knob = Arc::new(parking_lot::Mutex::new(Mood::Answers));
+                        clipper.add_model(model.clone(), BatchConfig::default());
+                        clipper
+                            .add_replica(&model, Arc::new(MoodyTransport(knob.clone())))
+                            .unwrap();
+                        models.push(model);
+                        knobs.push(knob);
+                    }
+                    clipper.register_app(
+                        AppConfig::new("app", models)
+                            .with_policy(PolicyKind::MajorityVote)
+                            .with_slo(SLO)
+                            .with_default_output(Output::Class(42)),
+                    );
+                    if warmed {
+                        let p = clipper
+                            .predict("app", None, Arc::new(vec![0.0]))
+                            .await
+                            .unwrap();
+                        assert_eq!(p.models_used, n, "{what}");
+                    }
+                    for (knob, &mood) in knobs.iter().zip(&moods) {
+                        *knob.lock() = mood;
+                    }
+                    let substitutions = clipper.inner.substitutions.get();
+                    let defaults_used = clipper.inner.defaults_used.get();
+
+                    let start = Instant::now();
+                    let p = clipper
+                        .predict("app", None, Arc::new(vec![1.0]))
+                        .await
+                        .unwrap();
+                    let elapsed = start.elapsed();
+
+                    let answered = moods.iter().filter(|&&m| m == Mood::Answers).count();
+                    assert!(
+                        elapsed < SLO + Duration::from_millis(50),
+                        "must not wait for a straggler, took {elapsed:?}: {what}"
+                    );
+                    assert_eq!(p.models_used, answered, "{what}");
+                    assert_eq!(p.models_used + p.models_missing, n, "{what}");
+                    // Only a warmed model has a running default to
+                    // substitute; the app default is the last resort.
+                    let substituted = if warmed { n - answered } else { 0 };
+                    assert_eq!(
+                        clipper.inner.substitutions.get() - substitutions,
+                        substituted as u64,
+                        "{what}"
+                    );
+                    let fell_back = answered == 0 && !warmed;
+                    assert_eq!(
+                        clipper.inner.defaults_used.get() - defaults_used,
+                        u64::from(fell_back),
+                        "{what}"
+                    );
+                    if fell_back {
+                        assert_eq!(p.output, Output::Class(42), "{what}");
+                        assert_eq!(p.confidence, 0.0, "{what}");
+                    } else {
+                        assert_eq!(p.output, Output::Class(5), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[tokio::test]
+    async fn spent_budget_returns_what_is_ready() {
+        // Answers already sitting in the cache count even when the
+        // deadline has passed before the gather starts — for one model
+        // and for an ensemble alike.
+        for n in [1usize, 2, 4] {
+            let (clipper, _) = setup(
+                &vec![3; n],
+                PolicyKind::MajorityVote,
+                Duration::from_millis(100),
+            );
+            let input: Input = Arc::new(vec![1.0]);
+            let warm = clipper.predict("app", None, input.clone()).await.unwrap();
+            assert_eq!(warm.models_used, n);
+            clipper
+                .update_app("app", AppUpdate::new().with_slo(Duration::ZERO))
+                .unwrap();
+            let substitutions = clipper.inner.substitutions.get();
+            let p = clipper.predict("app", None, input).await.unwrap();
+            assert_eq!(p.models_used, n, "n = {n}");
+            assert_eq!(p.models_missing, 0, "n = {n}");
+            assert_eq!(clipper.inner.substitutions.get(), substitutions, "n = {n}");
+        }
+    }
+
+    #[tokio::test]
+    async fn dropping_a_predict_mid_gather_leaves_no_pending_entry() {
         let clipper = Clipper::builder().build();
-        let m0 = ModelId::new("fast", 1);
-        let m1 = ModelId::new("slow", 1);
-        clipper.add_model(m0.clone(), BatchConfig::default());
-        clipper.add_model(m1.clone(), BatchConfig::default());
-        clipper.add_replica(&m0, const_transport(5, None)).unwrap();
-        clipper
-            .add_replica(&m1, const_transport(9, Some(Duration::from_millis(150))))
-            .unwrap();
+        let models: Vec<ModelId> = (0..3).map(|i| ModelId::new(&format!("m{i}"), 1)).collect();
+        for m in &models {
+            clipper.add_model(m.clone(), BatchConfig::default());
+            clipper
+                .add_replica(m, const_transport(2, Some(Duration::from_millis(20))))
+                .unwrap();
+        }
         clipper.register_app(
-            AppConfig::new("app", vec![m0.clone(), m1.clone()])
+            AppConfig::new("app", models.clone())
                 .with_policy(PolicyKind::MajorityVote)
-                .with_slo(Duration::from_millis(40)),
+                .with_slo(Duration::from_millis(500)),
         );
-        let start = Instant::now();
-        let p = clipper
-            .predict("app", None, Arc::new(vec![1.0]))
-            .await
-            .unwrap();
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(120),
-            "must not wait for the straggler, took {elapsed:?}"
-        );
-        assert_eq!(p.output, Output::Class(5));
-        assert_eq!(p.models_used, 1);
-        assert_eq!(p.models_missing, 1);
-        assert!(p.confidence <= 1.0);
+        let cache = clipper.abstraction().cache().clone();
+        let input: Input = Arc::new(vec![8.0]);
+
+        // One poll dispatches every model; then the caller goes away.
+        let mut cold = Box::pin(clipper.predict("app", None, input.clone()));
+        std::future::poll_fn(|cx| {
+            assert!(cold.as_mut().poll(cx).is_pending());
+            Poll::Ready(())
+        })
+        .await;
+        assert_eq!(cache.pending_len(), models.len());
+        drop(cold);
+
+        // The replicas answer into the cache all the same.
+        let waited = Instant::now();
+        while cache.pending_len() > 0 {
+            assert!(waited.elapsed() < Duration::from_secs(5), "entry wedged");
+            tokio::time::sleep(Duration::from_millis(5)).await;
+        }
+        let before = cache.stats();
+        let p = clipper.predict("app", None, input).await.unwrap();
+        let after = cache.stats();
+        assert_eq!(p.models_used, models.len());
+        assert_eq!(after.hits - before.hits, models.len() as u64);
+        assert_eq!(after.misses, before.misses);
     }
 
     #[tokio::test]
@@ -1842,7 +1896,7 @@ mod tests {
         // batching, silently discarding their tuned knobs.
         let store = Arc::new(clipper_statestore::StateStore::new());
         let tuned = BatchConfig {
-            strategy: crate::BatchStrategy::Fixed(7),
+            strategy: crate::BatchStrategy::Fixed { size: 7 },
             slo: Duration::from_micros(900),
             batch_wait_timeout: Duration::from_millis(3),
             queue_capacity: 123,
@@ -2155,7 +2209,7 @@ mod tests {
         clipper.add_model(
             m.clone(),
             BatchConfig {
-                strategy: BatchStrategy::NoBatching,
+                strategy: BatchStrategy::Fixed { size: 1 },
                 ..Default::default()
             },
         );
@@ -2167,7 +2221,7 @@ mod tests {
                 .await
                 .unwrap();
         }
-        // NoBatching → every dispatched batch has size 1.
+        // Fixed { size: 1 } → every dispatched batch has size 1.
         let snap = clipper.registry().snapshot();
         let key = snap
             .values

@@ -37,6 +37,7 @@ use crate::api::{
     ApiError, AppPatch, AppSpec, AppView, ErrorBody, JsonOutput, ModelSpec, RolloutRequest,
 };
 use crate::clipper::Clipper;
+use crate::error::PredictError;
 use crate::types::{Feedback, ModelId};
 use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
@@ -726,9 +727,9 @@ async fn dispatch(
 
 /// Lift a data-plane failure into the API taxonomy, attaching the app
 /// name to `AppUnknown` so 404 bodies say which app was missing.
-fn data_plane_err(e: crate::batching::queue::PredictError, app: &str) -> ApiError {
+fn data_plane_err(e: PredictError, app: &str) -> ApiError {
     match e {
-        crate::batching::queue::PredictError::AppUnknown => ApiError::AppUnknown(app.to_string()),
+        PredictError::AppUnknown => ApiError::AppUnknown(app.to_string()),
         other => ApiError::Predict(other),
     }
 }

@@ -9,10 +9,11 @@
 //!   double as the join point between duplicate in-flight queries and
 //!   between predictions and later feedback (§4.2);
 //! - [`batching`]: per-replica adaptive batching queues — AIMD (the
-//!   default), online quantile regression, fixed, or none — plus delayed
-//!   batching under moderate load (§4.3). Each queue is a pull-based
-//!   worker with an explicit `Running → Draining → Stopped` lifecycle and
-//!   zero-copy batch dispatch;
+//!   default), online quantile regression, latency-model autotuning, or
+//!   fixed — plus delayed batching under moderate load (§4.3). Each
+//!   queue is a pull-based worker with an explicit
+//!   `Running → Draining → Stopped` lifecycle and zero-copy batch
+//!   dispatch;
 //! - per-model replica scheduling (§4.4.1): depth-aware
 //!   power-of-two-choices over live queue state (each replica's one
 //!   health value and its latency model applied to its occupancy) with
@@ -67,12 +68,13 @@ pub mod api;
 pub mod batching;
 pub mod cache;
 pub mod clipper;
+pub mod error;
 pub mod fleet;
 pub mod frontend;
 pub mod selection;
 pub mod types;
 
-pub use abstraction::{BatchConfig, ModelAbstractionLayer, PredictError, SchedulerPolicy};
+pub use abstraction::{BatchConfig, ModelAbstractionLayer, SchedulerPolicy};
 pub use api::{
     ApiError, AppPatch, AppSpec, AppView, ErrorBody, ModelView, RehydrateReport, RolloutOutcome,
     SyncReport,
@@ -80,6 +82,7 @@ pub use api::{
 pub use batching::{AimdController, BatchStrategy, QuantileController, QueueState};
 pub use cache::{CacheKey, CacheStats, PredictionCache};
 pub use clipper::{Clipper, ClipperBuilder};
+pub use error::PredictError;
 pub use fleet::{
     AutoscaleConfig, AutoscaleDecision, Fleet, FleetConfig, FleetEvent, FnLauncher, ReplicaHealth,
     ReplicaLauncher,

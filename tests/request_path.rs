@@ -1,0 +1,71 @@
+//! Counts the tasks one request starts: the gather in `Clipper::predict`
+//! / `feedback` evaluates every model from the calling task, so the only
+//! spawns on the request path are the replica queues' own dispatch tasks.
+//!
+//! This file intentionally holds a single test: integration-test binaries
+//! run as their own process, so nothing else spawns onto the vendored
+//! runtime's global pool while `spawned_total()` deltas are being read.
+
+use clipper::core::BatchConfig;
+use clipper::prelude::*;
+use clipper::rpc::message::{PredictReply, WireOutput};
+use clipper::rpc::transport::{BatchTransport, FnTransport};
+use std::sync::Arc;
+use std::time::Duration;
+use tokio::runtime::spawned_total;
+
+#[tokio::test]
+async fn a_request_spawns_only_the_queues_dispatch_tasks() {
+    const MODELS: usize = 4;
+    let clipper = Clipper::builder().build();
+    let models: Vec<ModelId> = (0..MODELS)
+        .map(|i| ModelId::new(&format!("m{i}"), 1))
+        .collect();
+    for m in &models {
+        clipper.add_model(m.clone(), BatchConfig::default());
+        let answer: Arc<dyn BatchTransport> = Arc::new(FnTransport::new("one", |inputs| {
+            Ok(PredictReply {
+                outputs: vec![WireOutput::Class(1); inputs.len()],
+                queue_us: 0,
+                compute_us: 1,
+            })
+        }));
+        clipper.add_replica(m, answer).unwrap();
+    }
+    clipper.register_app(
+        AppConfig::new("app", models)
+            .with_policy(PolicyKind::Exp4 { eta: 0.2 })
+            .with_slo(Duration::from_millis(500)),
+    );
+
+    // Warm-up: fills the cache for `seen` and initialises the selection
+    // state, so the measured calls below do steady-state work only.
+    let seen: Input = Arc::new(vec![1.0]);
+    let p = clipper.predict("app", None, seen.clone()).await.unwrap();
+    assert_eq!(p.models_used, MODELS);
+
+    let before = spawned_total();
+    let p = clipper.predict("app", None, seen.clone()).await.unwrap();
+    assert_eq!(p.models_used, MODELS);
+    clipper
+        .feedback("app", None, seen, Feedback::class(1))
+        .await
+        .unwrap();
+    assert_eq!(
+        spawned_total() - before,
+        0,
+        "a fully cached predict and feedback must start no task"
+    );
+
+    let before = spawned_total();
+    let p = clipper
+        .predict("app", None, Arc::new(vec![2.0]))
+        .await
+        .unwrap();
+    assert_eq!(p.models_used, MODELS);
+    assert_eq!(
+        spawned_total() - before,
+        MODELS as u64,
+        "a cold predict starts one dispatch task per model's queue, nothing else"
+    );
+}

@@ -61,7 +61,7 @@ async fn drive_heterogeneous(policy: SchedulerPolicy, rate: f64) -> (LoadReport,
     mal.add_model_with_policy(
         m.clone(),
         BatchConfig {
-            strategy: BatchStrategy::Fixed(64),
+            strategy: BatchStrategy::Fixed { size: 64 },
             queue_capacity: 64,
             pipeline_depth: 1,
             ..Default::default()
@@ -150,7 +150,7 @@ async fn drive_taught_curves(teach: bool, n: u32) -> (u64, u64) {
     mal.add_model_with_policy(
         m.clone(),
         BatchConfig {
-            strategy: BatchStrategy::Fixed(8),
+            strategy: BatchStrategy::Fixed { size: 8 },
             ..Default::default()
         },
         SchedulerPolicy::PowerOfTwoChoices,
@@ -229,7 +229,7 @@ async fn facade_hot_remove_drains_mid_traffic() {
     clipper.add_model(
         m.clone(),
         BatchConfig {
-            strategy: BatchStrategy::Fixed(8),
+            strategy: BatchStrategy::Fixed { size: 8 },
             ..Default::default()
         },
     );

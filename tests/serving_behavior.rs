@@ -74,7 +74,7 @@ async fn replica_failover_keeps_serving() {
     clipper.add_model(
         id.clone(),
         BatchConfig {
-            strategy: BatchStrategy::NoBatching,
+            strategy: BatchStrategy::Fixed { size: 1 },
             ..Default::default()
         },
     );
