@@ -1,4 +1,4 @@
-//! Ablation — AIMD backoff-constant sensitivity (DESIGN.md §6.1).
+//! Ablation — AIMD backoff-constant sensitivity.
 //!
 //! The paper chooses a 10% backoff (×0.9), "much smaller than other AIMD
 //! schemes", arguing the optimal batch size is stable. This ablation

@@ -1,4 +1,4 @@
-//! Ablation — Exp3 learning-rate (η) sensitivity (DESIGN.md §6.4).
+//! Ablation — Exp3 learning-rate (η) sensitivity.
 //!
 //! Replays the Figure-8 failure scenario at several η values and measures
 //! how many queries the policy needs to divert traffic off the failed

@@ -1,4 +1,4 @@
-//! Allocations-per-request harness (`BENCH_alloc_count.json`).
+//! Allocations-per-request bench (`BENCH_alloc_count.json`).
 //!
 //! A counting `#[global_allocator]` wraps `std::alloc::System` and
 //! counts every `alloc` / `alloc_zeroed` / `realloc` in the process.
@@ -7,7 +7,7 @@
 //! the per-iteration TCP write-op delta from the vendored runtime's
 //! write counters (one request–response round trip should cost one
 //! kernel write per direction — two ops total) and the per-iteration
-//! count of tasks started on the vendored runtime
+//! count of tasks `tokio::spawn` started on the vendored runtime
 //! (`tokio::runtime::spawned_total`; the request path's hop counter).
 //!
 //! Scenarios:
@@ -20,29 +20,27 @@
 //!   hot path end to end);
 //! - `control_get` — keep-alive `GET /api/v1/apps` (control-plane read).
 //!
-//! `baseline_allocs_per_iter` rows carry the numbers recorded
-//! immediately **before** the wire-speed data-plane rework (buffer
-//! reuse, writev coalescing, zero-alloc routing) so the reduction is
-//! visible in one file. With `ALLOC_COUNT_ENFORCE=1` the binary exits
-//! non-zero if the emitted JSON fails to parse back, any scenario
-//! regresses above its ceiling, the predict-b=1 RPC-path reduction vs
-//! baseline falls under 50%, a request-response round trip costs more
-//! than one write syscall per direction, or a scenario starts more
-//! tasks per iteration than its ceiling. (`http_predict` crosses
-//! the full model abstraction layer — batching, cache, policy — whose
-//! allocations are out of scope for the wire rework, so its reduction
-//! is reported but the 50% gate applies to the RPC predict path.)
+//! `baseline_allocs_per_iter` carries the numbers recorded immediately
+//! **before** the wire-speed data-plane rework (buffer reuse, writev
+//! coalescing, zero-alloc routing) so the reduction is visible in one
+//! file. Gates: every scenario under its allocation and spawn ceiling,
+//! the predict-b=1 RPC-path reduction vs baseline at least 50%, and at
+//! most one write syscall per direction on every request–response
+//! scenario. (`http_predict` crosses the full model abstraction layer —
+//! batching, cache, policy — whose allocations are out of scope for the
+//! wire rework, so its reduction is recorded but the 50% gate applies to
+//! the RPC predict path.)
 //!
-//! Flags: `--smoke` (fewer iterations for CI), `--out <path>` (default
-//! `BENCH_alloc_count.json`).
+//! Presets: 3,000 iterations per scenario, `--smoke` 500.
 
+use clipper_bench::harness::{Args, Op, Report};
 use clipper_bench::http_bench::{get_request, predict_request, start_echo_frontend, HttpClient};
 use clipper_metrics::Histogram;
 use clipper_rpc::message::{PredictReply, WireOutput};
 use clipper_rpc::transport::BatchTransport;
 use clipper_rpc::{serve_container, ContainerClientConfig, RpcServer};
 use clipper_workload::Table;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -88,45 +86,39 @@ fn counters() -> [u64; 3] {
     ]
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct Scenario {
     name: String,
     iters: u64,
     allocs_per_iter: f64,
     write_ops_per_iter: f64,
-    /// Tasks started on the runtime per iteration (`spawn` and
-    /// `spawn_blocking`).
+    /// Tasks `tokio::spawn` started per iteration.
     spawns_per_iter: f64,
     /// Same measurement recorded before the wire-speed rework.
     baseline_allocs_per_iter: f64,
+    /// `1 - allocs_per_iter / baseline_allocs_per_iter`.
+    alloc_reduction: f64,
 }
 
 impl Scenario {
     /// The per-iteration deltas between two [`counters`] readings.
     fn measured(name: &str, iters: u64, before: [u64; 3], after: [u64; 3]) -> Scenario {
         let per_iter = |i: usize| (after[i] - before[i]) as f64 / iters as f64;
+        let baseline = lookup(&BASELINE_ALLOCS_PER_ITER, name);
         Scenario {
             name: name.into(),
             iters,
             allocs_per_iter: per_iter(0),
             write_ops_per_iter: per_iter(1),
             spawns_per_iter: per_iter(2),
-            baseline_allocs_per_iter: baseline_for(name),
+            baseline_allocs_per_iter: baseline,
+            alloc_reduction: if baseline > 0.0 {
+                1.0 - per_iter(0) / baseline
+            } else {
+                0.0
+            },
         }
     }
-}
-
-#[derive(Serialize, Deserialize)]
-struct Report {
-    bench: String,
-    cores: usize,
-    reactor_active: bool,
-    scenarios: Vec<Scenario>,
-    /// `1 - after/before` on the `rpc_predict1` scenario (the gated
-    /// predict-path number).
-    predict_alloc_reduction: f64,
-    /// `1 - after/before` on the end-to-end `http_predict` scenario.
-    http_alloc_reduction: f64,
 }
 
 /// Per-iteration allocation counts recorded immediately before the
@@ -139,33 +131,31 @@ const BASELINE_ALLOCS_PER_ITER: [(&str, f64); 4] = [
 ];
 
 /// Regression ceilings on allocations/iteration (measured value —
-/// 0.0 / 12.0 / 15.0 / 10.0 — plus headroom for executor scheduling
+/// 0.0 / 10.0 / 16.0 / 10.0 — plus headroom for executor scheduling
 /// noise). `http_predict` ratcheted from 33.0 when the selection state's
 /// per-predict JSON decode stopped building an intermediate tree (18
-/// allocations → 4, the state's own vectors) and took the row from 29.0
-/// to 15.0.
+/// allocations → 4, the state's own vectors); `rpc_predict1` from 18.0
+/// when `spawn_blocking` stopped scheduling a placeholder task (12 → 10).
 const ALLOC_CEILINGS: [(&str, f64); 4] = [
     ("echo", 2.0),
-    ("rpc_predict1", 18.0),
+    ("rpc_predict1", 14.0),
     ("http_predict", 19.0),
     ("control_get", 15.0),
 ];
 
 /// Regression ceilings on tasks started per iteration: measured value
-/// (0.0 / 1.0 / 0.0 / 0.0) plus one.
+/// (0.0 on every scenario) plus one.
 const SPAWN_CEILINGS: [(&str, f64); 4] = [
     ("echo", 1.0),
-    ("rpc_predict1", 2.0),
+    ("rpc_predict1", 1.0),
     ("http_predict", 1.0),
     ("control_get", 1.0),
 ];
 
-fn baseline_for(name: &str) -> f64 {
-    BASELINE_ALLOCS_PER_ITER
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| *v)
-        .unwrap_or(0.0)
+fn lookup(table: &[(&str, f64)], name: &str) -> f64 {
+    let row = table.iter().find(|(n, _)| *n == name);
+    row.unwrap_or_else(|| panic!("no {name} row in the table"))
+        .1
 }
 
 async fn run_echo(iters: u64) -> Scenario {
@@ -250,34 +240,17 @@ async fn run_http(name: &str, request: Vec<u8>, iters: u64) -> Scenario {
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
 async fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut iters: u64 = 3000;
-    let mut out_path = "BENCH_alloc_count.json".to_string();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => iters = 500,
-            "--iters" => {
-                i += 1;
-                iters = args[i].parse().expect("--iters <u64>");
-            }
-            "--out" => {
-                i += 1;
-                out_path = args[i].clone();
-            }
-            other => panic!("unknown flag {other:?} (see --smoke/--iters/--out)"),
-        }
-        i += 1;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let args = Args::parse("alloc_count");
+    let iters: u64 = if args.smoke { 500 } else { 3_000 };
+    let mut report = Report::new(&args, "alloc_count");
+    report.param("iters", iters);
     let reactor_active = tokio::net::io_mode() == tokio::net::IoMode::Reactor;
+    report.param("reactor_active", reactor_active);
 
     // Touch the Histogram type once so its lazy internals are warm before
     // any measured loop (the metrics registry allocates on first use).
     let warm = Histogram::new();
     warm.record(1);
-
-    println!("== alloc_count: allocations/request, {cores} cores, {iters} iters/scenario ==\n");
 
     let scenarios = vec![
         run_echo(iters).await,
@@ -288,120 +261,58 @@ async fn main() {
 
     let mut table = Table::new(&[
         "scenario",
-        "iters",
         "allocs/iter",
         "writes/iter",
         "spawns/iter",
         "baseline allocs/iter",
+        "reduction",
     ]);
     for s in &scenarios {
         table.row(&[
             s.name.clone(),
-            format!("{}", s.iters),
             format!("{:.1}", s.allocs_per_iter),
             format!("{:.2}", s.write_ops_per_iter),
             format!("{:.2}", s.spawns_per_iter),
             format!("{:.1}", s.baseline_allocs_per_iter),
+            format!("{:.0}%", s.alloc_reduction * 100.0),
         ]);
+        report.row("scenario", s);
+        let gate = |metric: &str| format!("{}.{metric}", s.name);
+        let ceiling = lookup(&ALLOC_CEILINGS, &s.name);
+        report.gate(
+            &gate("allocs_per_iter"),
+            s.allocs_per_iter,
+            Op::AtMost,
+            ceiling,
+        );
+        let ceiling = lookup(&SPAWN_CEILINGS, &s.name);
+        report.gate(
+            &gate("spawns_per_iter"),
+            s.spawns_per_iter,
+            Op::AtMost,
+            ceiling,
+        );
+        // One kernel write per direction: a request–response round trip
+        // is one client write + one server write, plus a little headroom
+        // for stray background traffic. (`echo` is a raw ping-pong with
+        // no request–response framing to bound.)
+        if s.name != "echo" {
+            report.gate(
+                &gate("write_ops_per_iter"),
+                s.write_ops_per_iter,
+                Op::AtMost,
+                2.5,
+            );
+        }
+        if s.name == "rpc_predict1" {
+            report.gate(
+                &gate("alloc_reduction"),
+                s.alloc_reduction,
+                Op::AtLeast,
+                0.5,
+            );
+        }
     }
     table.print();
-
-    let reduction_for = |name: &str| -> f64 {
-        let s = scenarios
-            .iter()
-            .find(|s| s.name == name)
-            .unwrap_or_else(|| panic!("{name} scenario"));
-        if s.baseline_allocs_per_iter > 0.0 {
-            1.0 - s.allocs_per_iter / s.baseline_allocs_per_iter
-        } else {
-            0.0
-        }
-    };
-    let predict_alloc_reduction = reduction_for("rpc_predict1");
-    let http_alloc_reduction = reduction_for("http_predict");
-    for name in ["rpc_predict1", "http_predict"] {
-        let s = scenarios.iter().find(|s| s.name == name).unwrap();
-        println!(
-            "\n{name}: {:.1} allocs/iter vs {:.1} baseline ({:.0}% reduction), {:.2} write ops/iter",
-            s.allocs_per_iter,
-            s.baseline_allocs_per_iter,
-            reduction_for(name) * 100.0,
-            s.write_ops_per_iter,
-        );
-    }
-
-    let report = Report {
-        bench: "alloc_count".to_string(),
-        cores,
-        reactor_active,
-        scenarios,
-        predict_alloc_reduction,
-        http_alloc_reduction,
-    };
-    let json = serde_json::to_string(&report).expect("serialize report");
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    // Self-validation: the emitted file must parse back.
-    let parsed: Report = serde_json::from_str(&std::fs::read_to_string(&out_path).expect("reread"))
-        .expect("emitted JSON must parse back into the report schema");
-    assert!(
-        parsed.scenarios.iter().all(|s| s.iters > 0),
-        "malformed report: a scenario recorded zero iterations"
-    );
-
-    if std::env::var("ALLOC_COUNT_ENFORCE").as_deref() == Ok("1") {
-        let mut ok = true;
-        let ceiling_in = |table: &[(&str, f64)], name: &str| {
-            table
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(f64::MAX, |(_, v)| *v)
-        };
-        for s in &parsed.scenarios {
-            let ceiling = ceiling_in(&ALLOC_CEILINGS, &s.name);
-            if s.allocs_per_iter > ceiling {
-                eprintln!(
-                    "FAIL: {} allocates {:.1}/iter, above the {ceiling:.1} ceiling",
-                    s.name, s.allocs_per_iter
-                );
-                ok = false;
-            }
-            let ceiling = ceiling_in(&SPAWN_CEILINGS, &s.name);
-            if s.spawns_per_iter > ceiling {
-                eprintln!(
-                    "FAIL: {} starts {:.2} tasks/iter, above the {ceiling:.1} ceiling",
-                    s.name, s.spawns_per_iter
-                );
-                ok = false;
-            }
-        }
-        if predict_alloc_reduction < 0.5 {
-            eprintln!(
-                "FAIL: rpc_predict1 allocation reduction {:.0}% is below the 50% gate",
-                predict_alloc_reduction * 100.0
-            );
-            ok = false;
-        }
-        // One kernel write per response direction: a request–response
-        // round trip is one client write + one server write. Allow a
-        // little headroom for stray background traffic.
-        for name in ["rpc_predict1", "http_predict", "control_get"] {
-            let s = parsed.scenarios.iter().find(|s| s.name == name).unwrap();
-            if s.write_ops_per_iter > 2.5 {
-                eprintln!(
-                    "FAIL: {} costs {:.2} write syscalls/iter (want ≤ 2 + noise headroom)",
-                    name, s.write_ops_per_iter
-                );
-                ok = false;
-            }
-        }
-        if !ok {
-            std::process::exit(1);
-        }
-        println!(
-            "enforce: ok (alloc and spawn ceilings held; predict reduction {:.0}% ≥ 50%; ≤1 write/direction)",
-            predict_alloc_reduction * 100.0
-        );
-    }
+    report.finish()
 }

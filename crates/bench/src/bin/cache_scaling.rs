@@ -15,19 +15,17 @@
 //! The `uniform` mix also runs against a 1-shard cache, which is the old
 //! single-mutex design, so the JSON carries its own contention baseline.
 //!
-//! Flags: `--smoke` (short phases for CI), `--seconds <f64>`,
-//! `--out <path>` (default `BENCH_cache_scaling.json`), `--full`
-//! (thread counts 1..=8 instead of 1,2,4,8). With
-//! `CACHE_SCALING_ENFORCE=1` the binary exits non-zero if the emitted
-//! JSON fails to parse back, any run recorded zero throughput, or — on
-//! hosts with ≥ 4 cores — 4-thread sharded uniform throughput is below
-//! 1.5× single-thread (gate cells re-measured best-of-3 with ≥ 0.3 s
-//! phases, so one noisy CI sample can't flip the verdict).
+//! Presets: 1 s phases, `--smoke` 0.12 s; thread counts 1, 2, 4, 8.
+//! Gates: every run made progress, and — on hosts with ≥ 4 cores —
+//! 4-thread sharded uniform throughput is at least 1.5× single-thread
+//! (gate cells re-measured best-of-3 with ≥ 0.3 s phases, so one noisy
+//! CI sample can't flip the verdict).
 
+use clipper_bench::harness::{Args, Op, Report};
 use clipper_core::cache::{CacheKey, PredictionCache};
 use clipper_metrics::Histogram;
 use rand::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -39,7 +37,7 @@ const KEYSPACE: usize = 65_536;
 /// Working set for the hot mix.
 const HOT_KEYS: usize = 512;
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct RunResult {
     mix: String,
     shards: usize,
@@ -51,19 +49,12 @@ struct RunResult {
     hit_rate: f64,
 }
 
-#[derive(Serialize, Deserialize)]
-struct Report {
-    bench: String,
-    cores: usize,
-    capacity: usize,
-    sharded_shard_count: usize,
-    phase_seconds: f64,
-    thread_counts: Vec<usize>,
-    results: Vec<RunResult>,
-    /// Sharded uniform-mix aggregate throughput at max threads vs 1.
+#[derive(Serialize)]
+struct Summary {
+    /// Sharded uniform-mix aggregate throughput at 8 threads vs 1.
     speedup_max_threads_uniform: f64,
     /// Sharded uniform-mix aggregate throughput at 4 threads vs 1
-    /// (the CI gate ratio; meaningful only on ≥ 4-core hosts).
+    /// (meaningful only on ≥ 4-core hosts).
     speedup_4v1_uniform: f64,
 }
 
@@ -209,34 +200,20 @@ fn find(results: &[RunResult], mix: &str, shards: usize, threads: usize) -> Opti
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut phase_seconds = 1.0f64;
-    let mut out_path = "BENCH_cache_scaling.json".to_string();
-    let mut thread_counts = vec![1usize, 2, 4, 8];
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => phase_seconds = 0.12,
-            "--full" => thread_counts = (1..=8).collect(),
-            "--seconds" => {
-                i += 1;
-                phase_seconds = args[i].parse().expect("--seconds <f64>");
-            }
-            "--out" => {
-                i += 1;
-                out_path = args[i].clone();
-            }
-            other => panic!("unknown flag {other:?} (see --smoke/--full/--seconds/--out)"),
-        }
-        i += 1;
-    }
-    let phase = Duration::from_secs_f64(phase_seconds);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let args = Args::parse("cache_scaling");
+    let phase = Duration::from_secs_f64(if args.smoke { 0.12 } else { 1.0 });
+    let thread_counts = [1usize, 2, 4, 8];
+    let mut report = Report::new(&args, "cache_scaling");
+    let cores = report.cores();
     let sharded = cores.next_power_of_two().max(8);
+    report.param("capacity", CAPACITY);
+    report.param("sharded_shard_count", sharded);
+    report.param("phase_seconds", phase.as_secs_f64());
+    report.param("thread_counts", thread_counts.to_vec());
 
-    println!("== cache_scaling: {cores} cores, {sharded}-shard cache vs 1-shard baseline ==\n");
+    println!("{sharded}-shard cache vs 1-shard baseline\n");
     let mut results = Vec::new();
-    for &threads in &thread_counts {
+    for threads in thread_counts {
         for mix in [Mix::Hot, Mix::Cold, Mix::Uniform, Mix::Zipfian] {
             let r = run_once(mix, sharded, threads, phase);
             println!(
@@ -259,65 +236,42 @@ fn main() {
         results.push(r);
     }
 
-    let max_threads = *thread_counts.iter().max().unwrap();
     let one = find(&results, "uniform", sharded, 1)
         .unwrap_or(1.0)
         .max(1.0);
-    let speedup_max = find(&results, "uniform", sharded, max_threads).unwrap_or(0.0) / one;
-    let speedup_4v1 = find(&results, "uniform", sharded, 4).unwrap_or(0.0) / one;
-    println!(
-        "\nsharded uniform-mix scaling: {speedup_4v1:.2}x at 4 threads, \
-         {speedup_max:.2}x at {max_threads} threads (vs 1 thread, on {cores} cores)"
-    );
-
-    let report = Report {
-        bench: "cache_scaling".to_string(),
-        cores,
-        capacity: CAPACITY,
-        sharded_shard_count: sharded,
-        phase_seconds,
-        thread_counts,
-        results,
-        speedup_max_threads_uniform: speedup_max,
-        speedup_4v1_uniform: speedup_4v1,
+    let summary = Summary {
+        speedup_max_threads_uniform: find(&results, "uniform", sharded, 8).unwrap_or(0.0) / one,
+        speedup_4v1_uniform: find(&results, "uniform", sharded, 4).unwrap_or(0.0) / one,
     };
-    let json = serde_json::to_string(&report).expect("serialize report");
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    // Self-validation: the emitted file must parse back into the schema
-    // and every run must have made progress.
-    let parsed: Report = serde_json::from_str(&std::fs::read_to_string(&out_path).expect("reread"))
-        .expect("emitted JSON must parse back into the report schema");
-    assert!(
-        !parsed.results.is_empty() && parsed.results.iter().all(|r| r.ops_per_sec > 0.0),
-        "malformed report: empty or zero-throughput runs"
+    println!(
+        "\nsharded uniform-mix scaling: {:.2}x at 4 threads, {:.2}x at 8 threads \
+         (vs 1 thread, on {cores} cores)",
+        summary.speedup_4v1_uniform, summary.speedup_max_threads_uniform
     );
-
-    if std::env::var("CACHE_SCALING_ENFORCE").as_deref() == Ok("1") {
-        if cores >= 4 {
-            // Re-measure just the two gated cells with longer phases and
-            // best-of-3, so a noisy-neighbor burst on a shared CI runner
-            // during one short smoke sample can't flip the verdict.
-            let gate_phase = Duration::from_secs_f64(phase_seconds.max(0.3));
-            let best = |threads: usize| -> f64 {
-                (0..3)
-                    .map(|_| run_once(Mix::Uniform, sharded, threads, gate_phase).ops_per_sec)
-                    .fold(0.0f64, f64::max)
-            };
-            let ratio = best(4) / best(1).max(1.0);
-            if ratio < 1.5 {
-                eprintln!(
-                    "FAIL: 4-thread uniform throughput only {ratio:.2}x single-thread \
-                     (< 1.5x, best-of-3) on {cores} cores"
-                );
-                std::process::exit(1);
-            }
-            println!("enforce: ok ({ratio:.2}x at 4 threads >= 1.5x, best-of-3)");
-        } else {
-            println!(
-                "enforce: skipped scaling gate ({cores} cores < 4 — no parallelism to measure)"
-            );
-        }
+    for r in &results {
+        report.row("run", r);
     }
+    report.row("summary", &summary);
+
+    let slowest = results
+        .iter()
+        .map(|r| r.ops_per_sec)
+        .fold(f64::MAX, f64::min);
+    report.gate("min_ops_per_sec", slowest, Op::AtLeast, 1.0);
+    if cores >= 4 {
+        // Re-measure just the two gated cells with longer phases and
+        // best-of-3, so a noisy-neighbor burst on a shared CI runner
+        // during one short smoke sample can't flip the verdict.
+        let gate_phase = phase.max(Duration::from_secs_f64(0.3));
+        let best = |threads: usize| -> f64 {
+            (0..3)
+                .map(|_| run_once(Mix::Uniform, sharded, threads, gate_phase).ops_per_sec)
+                .fold(0.0f64, f64::max)
+        };
+        let ratio = best(4) / best(1).max(1.0);
+        report.gate("uniform_4v1_speedup_best_of_3", ratio, Op::AtLeast, 1.5);
+    } else {
+        println!("scaling gate not pushed ({cores} cores < 4 — no parallelism to measure)");
+    }
+    report.finish()
 }

@@ -9,7 +9,7 @@
 //!   confidence buckets — the robust-prediction split of §5.2.1.
 //!
 //! The ImageNet benchmark is scaled to 200 classes so every class has
-//! enough training examples on a laptop budget (see DESIGN.md §3).
+//! enough training examples on a laptop budget.
 //!
 //! The binary self-checks against expected-accuracy constants that fold
 //! in the Rocchio centroid warm start (PR 1 applied it to `LinearSvm`,

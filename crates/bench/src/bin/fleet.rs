@@ -20,16 +20,14 @@
 //! 5. **subside** — the burst drains; after the quiet streak the
 //!    autoscaler reaps every managed replica it launched.
 //!
-//! Flags: `--smoke` (short heartbeats for CI), `--out <path>` (default
-//! `BENCH_fleet.json`). `CLIPPER_BENCH_SECONDS` stretches the
-//! steady-traffic padding between scenario beats. With `FLEET_ENFORCE=1`
-//! the binary exits non-zero unless: zero queries lost across the whole
-//! scenario (sheds are answered, not lost), detection latency ≤ 3
-//! heartbeat intervals, the readmission was warm, scale-up landed within
-//! one evaluation of the load step, and every managed replica was reaped
-//! after the load subsided. The emitted JSON is re-parsed and
-//! self-validated before the gates run.
+//! Presets: 150 ms heartbeats with 2 s of steady-traffic padding between
+//! scenario beats, `--smoke` 50 ms and 1 s. Gates: zero queries lost
+//! across the whole scenario (sheds are answered, not lost), detection
+//! latency ≤ 3 heartbeat intervals, the readmission was warm, scale-up
+//! landed within one evaluation of the load step, and every managed
+//! replica was reaped after the load subsided.
 
+use clipper_bench::harness::{Args, Op, Report};
 use clipper_core::api::{HeartbeatReport, ReplicaSpec};
 use clipper_core::{
     AppConfig, AutoscaleConfig, AutoscaleDecision, BatchConfig, Clipper, FleetConfig, FleetEvent,
@@ -38,7 +36,7 @@ use clipper_core::{
 use clipper_rpc::error::RpcError;
 use clipper_rpc::message::{PredictReply, WireOutput};
 use clipper_rpc::transport::{BatchTransport, BoxFuture, Input};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -85,20 +83,15 @@ fn spec(name: &str) -> ReplicaSpec {
     }
 }
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Serialize)]
 struct TimelineRow {
     t_s: f64,
     replicas: usize,
     managed: usize,
 }
 
-#[derive(Serialize, Deserialize)]
-struct Report {
-    bench: String,
-    cores: usize,
-    heartbeat_ms: u64,
-    suspect_after: u32,
-    expire_after: u32,
+#[derive(Serialize)]
+struct Summary {
     seconds: f64,
     issued: u64,
     completed: u64,
@@ -115,50 +108,27 @@ struct Report {
     registrations: u64,
     expiries: u64,
     drains: u64,
-    replica_timeline: Vec<TimelineRow>,
-    events: Vec<String>,
 }
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
 async fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut smoke = false;
-    let mut out_path = "BENCH_fleet.json".to_string();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                i += 1;
-                out_path = args[i].clone();
-            }
-            other => panic!("unknown flag {other:?} (see --smoke/--out)"),
-        }
-        i += 1;
-    }
-    let hb = if smoke {
-        Duration::from_millis(50)
+    let args = Args::parse("fleet");
+    // Heartbeat interval, and the steady-traffic padding between beats.
+    let (hb, pad) = if args.smoke {
+        (Duration::from_millis(50), Duration::from_secs(1))
     } else {
-        Duration::from_millis(150)
+        (Duration::from_millis(150), Duration::from_secs(2))
     };
-    // Steady-traffic padding between scenario beats, CI-shrinkable.
-    let pad: f64 = std::env::var("CLIPPER_BENCH_SECONDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 0.5 } else { 2.0 });
-    let pad = Duration::from_secs_f64(pad.clamp(0.2, 30.0));
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut report = Report::new(&args, "fleet");
     let fleet_cfg = FleetConfig {
         heartbeat_interval: hb,
         suspect_after: 1,
         expire_after: 2,
     };
-    println!(
-        "== fleet: heartbeat {}ms, suspect x{}, expire x{}, {cores} cores ==\n",
-        hb.as_millis(),
-        fleet_cfg.suspect_after,
-        fleet_cfg.expire_after
-    );
+    report.param("heartbeat_ms", hb.as_millis() as u64);
+    report.param("pad_seconds", pad.as_secs_f64());
+    report.param("suspect_after", fleet_cfg.suspect_after);
+    report.param("expire_after", fleet_cfg.expire_after);
 
     let clipper = Clipper::builder().fleet_config(fleet_cfg.clone()).build();
     let m = ModelId::new(MODEL, 1);
@@ -416,30 +386,9 @@ async fn main() {
     let issued = issued.load(Ordering::Relaxed);
     let shed = shed.load(Ordering::Relaxed);
     let lost = lost.load(Ordering::Relaxed);
-    let raw_events = fleet.events();
-    let registrations = raw_events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                FleetEvent::Registered { .. } | FleetEvent::Readmitted { .. }
-            )
-        })
-        .count() as u64;
-    let expiries = raw_events
-        .iter()
-        .filter(|e| matches!(e, FleetEvent::Expired { .. }))
-        .count() as u64;
-    let events: Vec<String> = raw_events.iter().map(|e| format!("{e:?}")).collect();
-    for e in &events {
-        println!("  event: {e}");
-    }
-    let out = Report {
-        bench: "fleet".into(),
-        cores,
-        heartbeat_ms: hb.as_millis() as u64,
-        suspect_after: fleet_cfg.suspect_after,
-        expire_after: fleet_cfg.expire_after,
+    let events = fleet.events();
+    let count = |pred: fn(&FleetEvent) -> bool| events.iter().filter(|e| pred(e)).count() as u64;
+    let out = Summary {
         seconds: start.elapsed().as_secs_f64(),
         issued,
         completed: issued - shed - lost,
@@ -453,75 +402,30 @@ async fn main() {
         scaled_down,
         managed_final,
         final_replicas: clipper.abstraction().replica_count(&m),
-        registrations,
-        expiries,
+        registrations: count(|e| {
+            matches!(
+                e,
+                FleetEvent::Registered { .. } | FleetEvent::Readmitted { .. }
+            )
+        }),
+        expiries: count(|e| matches!(e, FleetEvent::Expired { .. })),
         drains: fleet.drain_count(),
-        replica_timeline: timeline.lock().unwrap().clone(),
-        events,
     };
-    println!(
-        "\nissued {} · shed {} · lost {} · detection {:.0}ms · warm {} · up-in {} eval(s) · reaped {}",
-        out.issued, out.shed, out.lost, out.detection_ms, out.warm_readmit, out.scale_up_ticks,
-        out.scaled_down
-    );
-
-    let json = serde_json::to_string(&out).expect("serialize report");
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    // Self-validation: the emitted file must parse back and be coherent.
-    let parsed: Report = serde_json::from_str(&std::fs::read_to_string(&out_path).expect("reread"))
-        .expect("emitted JSON must parse back into the report schema");
-    assert!(parsed.issued > 0, "malformed report: no traffic");
-    assert_eq!(
-        parsed.completed + parsed.shed + parsed.lost,
-        parsed.issued,
-        "malformed report: outcomes do not account for every query"
-    );
-    assert!(
-        !parsed.replica_timeline.is_empty(),
-        "malformed report: empty replica timeline"
-    );
-
-    if std::env::var("FLEET_ENFORCE").as_deref() == Ok("1") {
-        let mut ok = true;
-        if out.lost > 0 {
-            eprintln!("FAIL: {} queries lost across the flap", out.lost);
-            ok = false;
-        }
-        let bound_ms = (hb * 3).as_secs_f64() * 1_000.0;
-        if out.detection_ms > bound_ms {
-            eprintln!(
-                "FAIL: detection {:.0}ms exceeds 3 heartbeat intervals ({bound_ms:.0}ms)",
-                out.detection_ms
-            );
-            ok = false;
-        }
-        if !out.warm_readmit {
-            eprintln!("FAIL: readmission was not warm");
-            ok = false;
-        }
-        if out.scale_up_ticks > 1 {
-            eprintln!(
-                "FAIL: scale-up took {} evaluations (bound: 1)",
-                out.scale_up_ticks
-            );
-            ok = false;
-        }
-        if !out.scaled_down || out.managed_final > 0 {
-            eprintln!(
-                "FAIL: managed replicas not reaped after subside ({} left)",
-                out.managed_final
-            );
-            ok = false;
-        }
-        if !ok {
-            std::process::exit(1);
-        }
-        println!(
-            "enforce: ok (lost 0, detection {:.0}ms <= {bound_ms:.0}ms, warm readmit, \
-             up in 1 eval, managed reaped)",
-            out.detection_ms
-        );
+    report.row("summary", &out);
+    for t in timeline.lock().unwrap().iter() {
+        report.row("timeline", t);
     }
+    for e in &events {
+        println!("  event: {e:?}");
+        report.row("event", e);
+    }
+
+    report.gate("issued", out.issued as f64, Op::AtLeast, 1.0);
+    report.gate("lost", out.lost as f64, Op::Equals, 0.0);
+    let bound_ms = (hb * 3).as_secs_f64() * 1_000.0;
+    report.gate("detection_ms", out.detection_ms, Op::AtMost, bound_ms);
+    report.gate_true("warm_readmit", out.warm_readmit);
+    report.gate("scale_up_ticks", out.scale_up_ticks as f64, Op::AtMost, 1.0);
+    report.gate_true("managed_reaped", out.scaled_down && out.managed_final == 0);
+    report.finish()
 }

@@ -5,49 +5,56 @@
 //! straight through the model abstraction layer (no app-level default
 //! output, so upstream failures stay client-visible):
 //!
-//! 1. **Drop arm** — one replica drops 80% of its batches
-//!    ([`FaultyTransport`] → `RpcError::Injected`, retryable). With
-//!    deadline-budgeted retry on (the default), every failed query is
-//!    redispatched onto the healthy sibling: **zero client-visible
+//! 1. **Drop arm** — one replica drops 30% of its batches
+//!    ([`FaultyTransport`] → `RpcError::Injected`, retryable) behind a
+//!    10 ms breaker cooldown, so routing cannot simply starve the fault:
+//!    three straight drops open the breaker, the probe 10 ms later
+//!    usually succeeds and traffic flows back in. (At 80% drop behind
+//!    the default 500 ms cooldown, p2c and the breaker keep the replica
+//!    so idle that the arm built to show retry almost never retries.)
+//!    With deadline-budgeted retry on (the default), every failed query
+//!    is redispatched onto the healthy sibling: **zero client-visible
 //!    errors**. A control run with `retry_max_attempts: 1` shows the
 //!    counterfactual: the same fault window surfaces typed
 //!    `PredictError::Upstream` errors. The flaky replica's circuit
-//!    breaker must also walk its full lifecycle — open under the error
-//!    rate, half-open after the cooldown once the fault lifts, closed on
-//!    a successful probe.
+//!    breaker must also walk its full lifecycle — open under the
+//!    failures, half-open after the cooldown, closed on a successful
+//!    probe.
 //! 2. **Straggler arm** — both replicas straggle (5% of batches +40 ms).
 //!    With hedged dispatch off, the stragglers own the p99; with the
 //!    hedge on, a straggling batch is raced against the sibling and the
 //!    p99 collapses toward the base service time.
 //!
-//! Every arm is zero-loss: each issued query returns exactly one
-//! outcome, and `ok + shed + errors == issued` is self-validated from
-//! the emitted JSON.
-//!
-//! Flags: `--smoke` (short phases for CI), `--out <path>` (default
-//! `BENCH_recovery.json`). `CLIPPER_BENCH_SECONDS` stretches the phase
-//! length. With `RECOVERY_ENFORCE=1` the binary exits non-zero unless:
-//! the retry-on drop arm saw zero client-visible errors while the
-//! retry-off control saw some, retries actually fired, the breaker
-//! completed open → half-open → closed, the hedge fired, and the
-//! hedge-on p99 undercuts the hedge-off p99 by at least 30%.
+//! Presets: 2.5 s phases, `--smoke` 1 s. Gates: every arm accounts for
+//! every issued query (`ok + shed + errors == issued`); the retry-on
+//! drop arm saw zero client-visible errors and retried ≥ 1000 queries
+//! (smoke ≥ 50) while the retry-off control surfaced ≥ 100 errors
+//! (smoke ≥ 5); the breaker completed open → half-open → closed; the
+//! hedge fired; and the hedge-on p99 is at most 70% of the hedge-off p99.
 
-use clipper_core::batching::{BatchStrategy, HedgeConfig};
+use clipper_bench::harness::{Args, Op, Report};
+use clipper_core::batching::{BatchStrategy, BreakerConfig, HedgeConfig};
 use clipper_core::{BatchConfig, ModelAbstractionLayer, ModelId, PredictError};
 use clipper_metrics::{Histogram, MetricValue, Registry};
 use clipper_rpc::faulty::{FaultConfig, FaultyTransport};
 use clipper_rpc::message::{PredictReply, WireOutput};
 use clipper_rpc::transport::{BatchTransport, FnTransport, Input};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const MODEL: &str = "m";
 const WORKERS: usize = 8;
+/// Drop-arm fault: the flaky replica's drop probability, and its breaker
+/// cooldown — short, so probes keep landing while the fault lasts.
+const DROP_PROB: f64 = 0.3;
+const DROP_ARM_COOLDOWN: Duration = Duration::from_millis(10);
+const STRAGGLER_PROB: f64 = 0.05;
+const STRAGGLER_DELAY: Duration = Duration::from_millis(40);
 
 /// One closed-loop traffic run against a MAL.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct ArmStats {
     issued: u64,
     ok: u64,
@@ -66,33 +73,18 @@ struct ArmStats {
 }
 
 impl ArmStats {
+    /// Traffic flowed and every issued query returned exactly one outcome.
     fn accounted(&self) -> bool {
-        self.ok + self.shed + self.upstream_errors + self.other_errors == self.issued
+        self.issued > 0
+            && self.ok + self.shed + self.upstream_errors + self.other_errors == self.issued
     }
 }
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct BreakerLifecycle {
     opened: u64,
     half_opened: u64,
     closed: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct Report {
-    bench: String,
-    cores: usize,
-    phase_seconds: f64,
-    drop_prob: f64,
-    straggler_prob: f64,
-    straggler_delay_ms: u64,
-    retry_on: ArmStats,
-    retry_off: ArmStats,
-    /// Breaker transition counters observed on the retry-on drop arm
-    /// (fault window + recovery traffic past the cooldown).
-    breaker: BreakerLifecycle,
-    hedge_off: ArmStats,
-    hedge_on: ArmStats,
 }
 
 /// A clean inner replica: instant answers, tagged with its version.
@@ -234,23 +226,22 @@ fn stats_from(run: (u64, u64, u64, u64, u64), hist: &Histogram, registry: &Regis
     }
 }
 
-/// The drop arm: replica 0 drops `drop_prob` of its batches for
+/// The drop arm: replica 0 drops [`DROP_PROB`] of its batches for
 /// `phase`, then heals; traffic continues for another `phase` (past the
 /// breaker cooldown) so the breaker can complete its lifecycle.
-async fn run_drop_arm(
-    retry: bool,
-    drop_prob: f64,
-    phase: Duration,
-) -> (ArmStats, BreakerLifecycle) {
+async fn run_drop_arm(retry: bool, phase: Duration) -> (ArmStats, BreakerLifecycle) {
     let cfg = BatchConfig {
         strategy: BatchStrategy::Fixed { size: 1 },
         slo: Duration::from_millis(100),
         retry_max_attempts: if retry { 3 } else { 1 },
+        breaker: BreakerConfig {
+            cooldown: DROP_ARM_COOLDOWN,
+        },
         ..BatchConfig::default()
     };
     let arm = build_arm(cfg, 2, &FaultConfig::default(), 0xD20F);
     arm.faults[0].set_config(FaultConfig {
-        drop_prob,
+        drop_prob: DROP_PROB,
         ..FaultConfig::default()
     });
     let hist = Histogram::new();
@@ -273,15 +264,11 @@ async fn run_drop_arm(
     (stats_from(merged, &hist, registry), breaker)
 }
 
-/// The straggler arm: both replicas add +`delay` to 5% of batches over a
-/// ~1 ms base service time. With the hedge on, a straggling batch races
-/// a redispatch to the sibling after ~3× the predicted latency.
-async fn run_straggler_arm(
-    hedge: Option<HedgeConfig>,
-    straggler_prob: f64,
-    delay: Duration,
-    phase: Duration,
-) -> ArmStats {
+/// The straggler arm: both replicas add [`STRAGGLER_DELAY`] to 5% of
+/// batches over a ~1 ms base service time. With the hedge on, a
+/// straggling batch races a redispatch to the sibling after ~3× the
+/// predicted latency.
+async fn run_straggler_arm(hedge: Option<HedgeConfig>, phase: Duration) -> ArmStats {
     let cfg = BatchConfig {
         strategy: BatchStrategy::Fixed { size: 1 },
         slo: Duration::from_millis(200),
@@ -290,8 +277,8 @@ async fn run_straggler_arm(
     };
     let base = FaultConfig {
         base_delay: Duration::from_millis(1),
-        straggler_prob,
-        straggler_delay: delay,
+        straggler_prob: STRAGGLER_PROB,
+        straggler_delay: STRAGGLER_DELAY,
         ..FaultConfig::default()
     };
     let arm = build_arm(cfg, 2, &base, 0x57A6);
@@ -302,42 +289,31 @@ async fn run_straggler_arm(
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
 async fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut smoke = false;
-    let mut out_path = "BENCH_recovery.json".to_string();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                i += 1;
-                out_path = args[i].clone();
-            }
-            other => panic!("unknown flag {other:?} (see --smoke/--out)"),
-        }
-        i += 1;
-    }
-    let phase: f64 = std::env::var("CLIPPER_BENCH_SECONDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 1.0 } else { 2.5 });
+    let args = Args::parse("recovery");
     // The healed half of the drop arm must outlast the breaker cooldown
-    // (500 ms) with room for a probe, or the lifecycle can't complete.
-    let phase = Duration::from_secs_f64(phase.clamp(0.8, 30.0));
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let drop_prob = 0.8;
-    let straggler_prob = 0.05;
-    let straggler_delay = Duration::from_millis(40);
-    println!(
-        "== recovery: 2 replicas, {WORKERS} workers, {:.1}s phases, {cores} cores ==\n",
-        phase.as_secs_f64()
-    );
+    // with room for a probe, or the lifecycle can't complete.
+    let phase = Duration::from_secs_f64(if args.smoke { 1.0 } else { 2.5 });
+    let (min_retried, min_control_errors) = if args.smoke {
+        (50.0, 5.0)
+    } else {
+        (1_000.0, 100.0)
+    };
+    let mut report = Report::new(&args, "recovery");
+    report.param("phase_seconds", phase.as_secs_f64());
+    report.param("replicas", 2u64);
+    report.param("workers", WORKERS);
+    report.param("drop_prob", DROP_PROB);
+    report.param("drop_arm_cooldown_ms", DROP_ARM_COOLDOWN.as_millis() as u64);
+    report.param("drop_prob_until_pr19", 0.8);
+    report.param("drop_arm_cooldown_ms_until_pr19", 500u64);
+    report.param("straggler_prob", STRAGGLER_PROB);
+    report.param("straggler_delay_ms", STRAGGLER_DELAY.as_millis() as u64);
 
     println!(
         "drop arm: replica 0 drops {:.0}% of batches…",
-        drop_prob * 100.0
+        DROP_PROB * 100.0
     );
-    let (retry_on, breaker) = run_drop_arm(true, drop_prob, phase).await;
+    let (retry_on, breaker) = run_drop_arm(true, phase).await;
     println!(
         "  retry on : issued {} ok {} upstream {} retried {} (breaker o/h/c {}/{}/{})",
         retry_on.issued,
@@ -348,116 +324,66 @@ async fn main() {
         breaker.half_opened,
         breaker.closed
     );
-    let (retry_off, _) = run_drop_arm(false, drop_prob, phase).await;
+    let (retry_off, _) = run_drop_arm(false, phase).await;
     println!(
         "  retry off: issued {} ok {} upstream {} (the counterfactual)",
         retry_off.issued, retry_off.ok, retry_off.upstream_errors
     );
 
     println!(
-        "straggler arm: {:.0}% of batches +{straggler_delay:?}…",
-        straggler_prob * 100.0
+        "straggler arm: {:.0}% of batches +{STRAGGLER_DELAY:?}…",
+        STRAGGLER_PROB * 100.0
     );
-    let hedge_off = run_straggler_arm(None, straggler_prob, straggler_delay, phase).await;
-    let hedge_on = run_straggler_arm(
-        Some(HedgeConfig::default()),
-        straggler_prob,
-        straggler_delay,
-        phase,
-    )
-    .await;
+    let hedge_off = run_straggler_arm(None, phase).await;
+    let hedge_on = run_straggler_arm(Some(HedgeConfig::default()), phase).await;
     println!(
         "  hedge off: p50 {:.1}ms p99 {:.1}ms\n  hedge on : p50 {:.1}ms p99 {:.1}ms (hedged {})",
         hedge_off.p50_ms, hedge_off.p99_ms, hedge_on.p50_ms, hedge_on.p99_ms, hedge_on.hedged
     );
 
-    let out = Report {
-        bench: "recovery".into(),
-        cores,
-        phase_seconds: phase.as_secs_f64(),
-        drop_prob,
-        straggler_prob,
-        straggler_delay_ms: straggler_delay.as_millis() as u64,
-        retry_on,
-        retry_off,
-        breaker,
-        hedge_off,
-        hedge_on,
-    };
-    println!(
-        "\nretry-on errors {} · retry-off errors {} · retried {} · hedged {} · p99 {:.1}→{:.1}ms",
-        out.retry_on.upstream_errors + out.retry_on.other_errors,
-        out.retry_off.upstream_errors + out.retry_off.other_errors,
-        out.retry_on.retried,
-        out.hedge_on.hedged,
-        out.hedge_off.p99_ms,
-        out.hedge_on.p99_ms
-    );
-
-    let json = serde_json::to_string(&out).expect("serialize report");
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    // Self-validation: the emitted file must parse back and every arm
-    // must account for every issued query — the zero-loss invariant.
-    let parsed: Report = serde_json::from_str(&std::fs::read_to_string(&out_path).expect("reread"))
-        .expect("emitted JSON must parse back into the report schema");
     for (name, arm) in [
-        ("retry_on", &parsed.retry_on),
-        ("retry_off", &parsed.retry_off),
-        ("hedge_off", &parsed.hedge_off),
-        ("hedge_on", &parsed.hedge_on),
+        ("retry_on", &retry_on),
+        ("retry_off", &retry_off),
+        ("hedge_off", &hedge_off),
+        ("hedge_on", &hedge_on),
     ] {
-        assert!(arm.issued > 0, "malformed report: {name} saw no traffic");
-        assert!(
-            arm.accounted(),
-            "malformed report: {name} lost queries ({} issued, {} accounted)",
-            arm.issued,
-            arm.ok + arm.shed + arm.upstream_errors + arm.other_errors
-        );
+        report.row(name, arm);
+        report.gate_true(&format!("{name}.accounted"), arm.accounted());
     }
+    report.row("breaker", &breaker);
 
-    if std::env::var("RECOVERY_ENFORCE").as_deref() == Ok("1") {
-        let mut ok = true;
-        if out.retry_on.upstream_errors + out.retry_on.other_errors > 0 {
-            eprintln!(
-                "FAIL: retry-on drop arm surfaced {} client-visible errors (want 0)",
-                out.retry_on.upstream_errors + out.retry_on.other_errors
-            );
-            ok = false;
-        }
-        if out.retry_on.retried == 0 {
-            eprintln!("FAIL: drop arm never exercised the retry path");
-            ok = false;
-        }
-        if out.retry_off.upstream_errors == 0 {
-            eprintln!("FAIL: retry-off control saw no errors — the fault window is inert");
-            ok = false;
-        }
-        if out.breaker.opened == 0 || out.breaker.half_opened == 0 || out.breaker.closed == 0 {
-            eprintln!(
-                "FAIL: breaker lifecycle incomplete (opened {} half-open {} closed {})",
-                out.breaker.opened, out.breaker.half_opened, out.breaker.closed
-            );
-            ok = false;
-        }
-        if out.hedge_on.hedged == 0 {
-            eprintln!("FAIL: straggler arm never fired a hedge");
-            ok = false;
-        }
-        if out.hedge_on.p99_ms >= out.hedge_off.p99_ms * 0.7 {
-            eprintln!(
-                "FAIL: hedged p99 {:.1}ms not under 70% of unhedged {:.1}ms",
-                out.hedge_on.p99_ms, out.hedge_off.p99_ms
-            );
-            ok = false;
-        }
-        if !ok {
-            std::process::exit(1);
-        }
-        println!(
-            "enforce: ok (retry-on clean vs control {} errors, breaker cycled, hedged p99 {:.1}ms < {:.1}ms)",
-            out.retry_off.upstream_errors, out.hedge_on.p99_ms, out.hedge_off.p99_ms
-        );
-    }
+    let client_errors = retry_on.upstream_errors + retry_on.other_errors;
+    report.gate(
+        "retry_on.client_errors",
+        client_errors as f64,
+        Op::Equals,
+        0.0,
+    );
+    report.gate(
+        "retry_on.retried",
+        retry_on.retried as f64,
+        Op::AtLeast,
+        min_retried,
+    );
+    report.gate(
+        "retry_off.upstream_errors",
+        retry_off.upstream_errors as f64,
+        Op::AtLeast,
+        min_control_errors,
+    );
+    let lifecycle = breaker.opened.min(breaker.half_opened).min(breaker.closed);
+    report.gate(
+        "breaker.min_transition_count",
+        lifecycle as f64,
+        Op::AtLeast,
+        1.0,
+    );
+    report.gate("hedge_on.hedged", hedge_on.hedged as f64, Op::AtLeast, 1.0);
+    report.gate(
+        "hedge_on.p99_ms",
+        hedge_on.p99_ms,
+        Op::AtMost,
+        hedge_off.p99_ms * 0.7,
+    );
+    report.finish()
 }

@@ -17,20 +17,20 @@
 //! makes the heterogeneous round-robin rows overload their slow replica —
 //! exactly the regime the scheduler exists for.
 //!
-//! Flags: `--smoke` (short phases for CI), `--seconds <f64>`,
-//! `--out <path>` (default `BENCH_replica_scaling.json`). With
-//! `REPLICA_SCALING_ENFORCE=1` the binary exits non-zero if the emitted
-//! JSON fails to parse back, or the heterogeneous 2-replica comparison
-//! does not show p2c with lower p99 and no more sheds than round-robin
-//! (the ISSUE-3 acceptance gate).
+//! Presets: 2 s phases, `--smoke` 0.8 s. Gates: every run made
+//! progress; the heterogeneous 2-replica comparison shows p2c with lower
+//! p99 and no more sheds than round-robin; and the §4.4.1 autotuned arm
+//! beats the untuned one on p99 and SLO-violation rate, loses nothing,
+//! and learns a batch ceiling for the slow replica below the fast one's.
 
+use clipper_bench::harness::{Args, Op, Report};
 use clipper_core::abstraction::{BatchConfig, ModelAbstractionLayer, SchedulerPolicy};
 use clipper_core::{BatchStrategy, Input, ModelId, PredictError};
 use clipper_metrics::Registry;
 use clipper_rpc::message::{PredictReply, WireOutput};
 use clipper_rpc::transport::BatchTransport;
 use clipper_workload::{run_open_loop_outcomes, ArrivalProcess, RequestOutcome, Table};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,7 +51,7 @@ const AUTOTUNE_SLO_MS: u64 = 50;
 /// overloads the slow replica.
 const AUTOTUNE_LOAD_FRACTION: f64 = 0.7;
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct RunResult {
     replicas: usize,
     mix: String,
@@ -70,7 +70,7 @@ struct RunResult {
 /// One arm of the §4.4.1 A/B: the same heterogeneous fleet under p2c at
 /// elevated load, with continuous per-replica batch autotuning + SLO-aware
 /// admission either on or off.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct AutotuneArm {
     autotune: bool,
     offered_qps: f64,
@@ -91,29 +91,6 @@ struct AutotuneArm {
     b_max_slow: usize,
     /// Learned batch ceiling of the fast replica (0 = never established).
     b_max_fast: usize,
-}
-
-#[derive(Serialize, Deserialize)]
-struct Report {
-    bench: String,
-    cores: usize,
-    fast_us_per_item: u64,
-    slow_factor: u32,
-    load_fraction: f64,
-    queue_capacity: usize,
-    phase_seconds: f64,
-    results: Vec<RunResult>,
-    /// Heterogeneous 2-replica p99 (ms): round-robin vs p2c — the
-    /// headline comparison.
-    hetero_p99_ms_rr: f64,
-    hetero_p99_ms_p2c: f64,
-    hetero_shed_rr: u64,
-    hetero_shed_p2c: u64,
-    /// §4.4.1 A/B: per-replica autotuning + admission, off vs on.
-    autotune_slo_ms: u64,
-    autotune_load_fraction: f64,
-    autotune_off: AutotuneArm,
-    autotune_on: AutotuneArm,
 }
 
 struct SimReplica {
@@ -369,29 +346,17 @@ fn find<'a>(results: &'a [RunResult], replicas: usize, mix: &str, policy: &str) 
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
 async fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut phase_seconds = 2.0f64;
-    let mut out_path = "BENCH_replica_scaling.json".to_string();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => phase_seconds = 0.8,
-            "--seconds" => {
-                i += 1;
-                phase_seconds = args[i].parse().expect("--seconds <f64>");
-            }
-            "--out" => {
-                i += 1;
-                out_path = args[i].clone();
-            }
-            other => panic!("unknown flag {other:?} (see --smoke/--seconds/--out)"),
-        }
-        i += 1;
-    }
-    let phase = Duration::from_secs_f64(phase_seconds);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let args = Args::parse("replica_scaling");
+    let phase = Duration::from_secs_f64(if args.smoke { 0.8 } else { 2.0 });
+    let mut report = Report::new(&args, "replica_scaling");
+    report.param("fast_us_per_item", FAST_US_PER_ITEM);
+    report.param("slow_factor", SLOW_FACTOR);
+    report.param("load_fraction", LOAD_FRACTION);
+    report.param("queue_capacity", QUEUE_CAPACITY);
+    report.param("phase_seconds", phase.as_secs_f64());
+    report.param("autotune_slo_ms", AUTOTUNE_SLO_MS);
+    report.param("autotune_load_fraction", AUTOTUNE_LOAD_FRACTION);
 
-    println!("== replica_scaling: round-robin vs p2c, {cores} cores ==\n");
     let mut table = Table::new(&[
         "replicas",
         "mix",
@@ -429,8 +394,8 @@ async fn main() {
     }
     table.print();
 
-    let rr = find(&results, 2, "heterogeneous", "rr").clone();
-    let p2c = find(&results, 2, "heterogeneous", "p2c").clone();
+    let rr = find(&results, 2, "heterogeneous", "rr");
+    let p2c = find(&results, 2, "heterogeneous", "p2c");
     println!(
         "\nheterogeneous 1 fast + 1 slow (10×): p99 rr {:.1}ms vs p2c {:.1}ms · sheds rr {} vs p2c {}",
         rr.p99_ms, p2c.p99_ms, rr.shed, p2c.shed
@@ -464,113 +429,41 @@ async fn main() {
         ]);
     }
     ab.print();
-    println!(
-        "\nautotune: p99 {:.1}ms → {:.1}ms · violations {:.1}% → {:.1}% · slow replica learned b_max {} vs fast {}",
-        off.p99_ms,
-        on.p99_ms,
-        off.slo_violation_rate * 100.0,
-        on.slo_violation_rate * 100.0,
-        on.b_max_slow,
-        on.b_max_fast
-    );
 
-    let report = Report {
-        bench: "replica_scaling".to_string(),
-        cores,
-        fast_us_per_item: FAST_US_PER_ITEM,
-        slow_factor: SLOW_FACTOR,
-        load_fraction: LOAD_FRACTION,
-        queue_capacity: QUEUE_CAPACITY,
-        phase_seconds,
-        results,
-        hetero_p99_ms_rr: rr.p99_ms,
-        hetero_p99_ms_p2c: p2c.p99_ms,
-        hetero_shed_rr: rr.shed,
-        hetero_shed_p2c: p2c.shed,
-        autotune_slo_ms: AUTOTUNE_SLO_MS,
-        autotune_load_fraction: AUTOTUNE_LOAD_FRACTION,
-        autotune_off: off.clone(),
-        autotune_on: on.clone(),
-    };
-    let json = serde_json::to_string(&report).expect("serialize report");
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    // Self-validation: the emitted file must parse back and every run must
-    // have made progress.
-    let parsed: Report = serde_json::from_str(&std::fs::read_to_string(&out_path).expect("reread"))
-        .expect("emitted JSON must parse back into the report schema");
-    assert!(
-        !parsed.results.is_empty() && parsed.results.iter().all(|r| r.throughput > 0.0),
-        "malformed report: empty or zero-throughput runs"
-    );
-    assert!(
-        parsed.autotune_off.throughput > 0.0 && parsed.autotune_on.throughput > 0.0,
-        "malformed report: zero-throughput autotune arm"
-    );
-
-    if std::env::var("REPLICA_SCALING_ENFORCE").as_deref() == Ok("1") {
-        // The acceptance gate: with 1 fast + 1 slow replica, depth-aware
-        // p2c must yield a lower p99 and no more sheds than round-robin.
-        let mut ok = true;
-        if !(p2c.p99_ms < rr.p99_ms) {
-            eprintln!(
-                "FAIL: heterogeneous p2c p99 {:.1}ms not below round-robin {:.1}ms",
-                p2c.p99_ms, rr.p99_ms
-            );
-            ok = false;
-        }
-        if p2c.shed > rr.shed {
-            eprintln!(
-                "FAIL: heterogeneous p2c shed {} exceeds round-robin {}",
-                p2c.shed, rr.shed
-            );
-            ok = false;
-        }
-        // §4.4.1 gates: the autotuned arm must beat the untuned one on
-        // p99 and SLO-violation rate, answer every request it accepts
-        // (zero lost), and the slow replica's learned ceiling must come
-        // out below the fast one's.
-        if !(on.p99_ms < off.p99_ms) {
-            eprintln!(
-                "FAIL: autotune-on p99 {:.1}ms not below autotune-off {:.1}ms",
-                on.p99_ms, off.p99_ms
-            );
-            ok = false;
-        }
-        if on.slo_violation_rate > off.slo_violation_rate {
-            eprintln!(
-                "FAIL: autotune-on violation rate {:.3} exceeds off {:.3}",
-                on.slo_violation_rate, off.slo_violation_rate
-            );
-            ok = false;
-        }
-        if on.lost != 0 {
-            eprintln!("FAIL: autotune-on lost {} requests (must be 0)", on.lost);
-            ok = false;
-        }
-        if !(on.b_max_slow < on.b_max_fast) || on.b_max_slow == 0 {
-            eprintln!(
-                "FAIL: learned ceilings slow {} vs fast {} (want 0 < slow < fast)",
-                on.b_max_slow, on.b_max_fast
-            );
-            ok = false;
-        }
-        if !ok {
-            std::process::exit(1);
-        }
-        println!(
-            "enforce: ok (p2c p99 {:.1}ms < rr {:.1}ms; sheds {} <= {}; autotune p99 {:.1}ms < {:.1}ms, violations {:.1}% <= {:.1}%, lost 0, b_max {} < {})",
-            p2c.p99_ms,
-            rr.p99_ms,
-            p2c.shed,
-            rr.shed,
-            on.p99_ms,
-            off.p99_ms,
-            on.slo_violation_rate * 100.0,
-            off.slo_violation_rate * 100.0,
-            on.b_max_slow,
-            on.b_max_fast
-        );
+    for r in &results {
+        report.row("run", r);
     }
+    report.row("autotune_off", &off);
+    report.row("autotune_on", &on);
+
+    let slowest = results
+        .iter()
+        .map(|r| r.throughput)
+        .chain([off.throughput, on.throughput])
+        .fold(f64::MAX, f64::min);
+    report.gate("min_throughput", slowest, Op::AtLeast, 1.0);
+    // With 1 fast + 1 slow replica, depth-aware p2c must yield a lower
+    // p99 and no more sheds than round-robin.
+    report.gate("hetero_p2c.p99_ms", p2c.p99_ms, Op::AtMost, rr.p99_ms);
+    report.gate(
+        "hetero_p2c.shed",
+        p2c.shed as f64,
+        Op::AtMost,
+        rr.shed as f64,
+    );
+    // §4.4.1: the autotuned arm must beat the untuned one on p99 and
+    // SLO-violation rate, answer every request it accepts (zero lost),
+    // and the slow replica's learned ceiling must come out below the
+    // fast one's.
+    report.gate("autotune_on.p99_ms", on.p99_ms, Op::AtMost, off.p99_ms);
+    report.gate(
+        "autotune_on.slo_violation_rate",
+        on.slo_violation_rate,
+        Op::AtMost,
+        off.slo_violation_rate,
+    );
+    report.gate("autotune_on.lost", on.lost as f64, Op::Equals, 0.0);
+    let ordered = 0 < on.b_max_slow && on.b_max_slow < on.b_max_fast;
+    report.gate_true("autotune_on.b_max_slow_below_fast", ordered);
+    report.finish()
 }

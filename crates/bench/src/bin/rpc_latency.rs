@@ -1,16 +1,9 @@
 //! RPC latency benchmark — the reactor entry in the repo's bench
 //! trajectory (`BENCH_rpc_latency.json`).
 //!
-//! Measures round-trip latency on the two readiness mechanisms of the
-//! vendored runtime:
-//!
-//! - `reactor` — the epoll reactor (PR 5): a blocked socket op is woken
-//!   exactly when the kernel reports readiness;
-//! - `backoff` — the timer-retry emulation (the pre-reactor behavior and
-//!   the non-Linux fallback): every `WouldBlock` parks 20 µs → 1 ms on
-//!   the shared timer and retries blind.
-//!
-//! Three closed-loop measurements per mode, over real localhost TCP:
+//! Closed-loop round-trip latency over real localhost TCP on the
+//! vendored runtime's epoll reactor, one ladder from the raw socket
+//! wakeup to the full frontend:
 //!
 //! - `echo` — 64-byte echo ping-pong (the raw socket wakeup path);
 //! - `predict1` / `predict8` — clipper-rpc `predict_batch` of batch 1
@@ -21,30 +14,25 @@
 //!   predict against an in-process echo transport: head parse, routing,
 //!   JSON body in and out — the wire-speed-frontier path).
 //!
-//! The report also carries `baseline_reactor_p50_us`: the reactor-mode
-//! p50s recorded on this host class immediately **before** the
-//! wire-speed data-plane rework (buffer reuse, writev coalescing,
-//! zero-alloc routing), so before/after is visible in one file.
+//! The RTT rows are recorded, not gated: this guest's idle-wake latency
+//! is bimodal by thread placement (`benchmark/README.md`, "Box facts"),
+//! and the paired runs of `benchmark/` are where latency is judged.
 //!
-//! The reactor phase also measures `idle_timer_registrations`: with a
-//! blocked accept parked and no traffic for a quiet window, the timer
-//! heap must see **zero** new registrations (the backoff emulation would
-//! re-arm ~1000/s). The reactor phase runs first so no leaked
-//! backoff-mode socket can pollute that window.
+//! Gates: every measurement made progress and — where the reactor is
+//! active — `idle_timer_registrations == 0`: with a blocked accept
+//! parked and no traffic for a quiet window, the timer heap must see no
+//! new registration (the backoff fallback would re-arm ~1000/s). The
+//! idle window runs first, before any traffic.
 //!
-//! Flags: `--smoke` (short phases for CI), `--seconds <f64>`,
-//! `--out <path>` (default `BENCH_rpc_latency.json`). With
-//! `RPC_LATENCY_ENFORCE=1` the binary exits non-zero if the emitted JSON
-//! fails to parse back, the reactor burned timer slots while idle, or
-//! echo p50 did not improve ≥ 2× over the backoff fallback (the ISSUE-5
-//! acceptance gate; skipped with a notice on hosts without the reactor).
+//! Presets: 2 s per rung, `--smoke` 0.5 s.
 
+use clipper_bench::harness::{Args, Op, Report};
 use clipper_metrics::Histogram;
 use clipper_rpc::message::{PredictReply, WireOutput};
 use clipper_rpc::transport::BatchTransport;
 use clipper_rpc::{serve_container, ContainerClientConfig, RpcServer};
 use clipper_workload::Table;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
@@ -53,62 +41,19 @@ use tokio::net::{IoMode, TcpListener, TcpStream};
 /// Echo message size: a small-RPC-sized payload.
 const MSG_BYTES: usize = 64;
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct RttStats {
+    path: &'static str,
     iters: u64,
     mean_us: f64,
     p50_us: u64,
     p99_us: u64,
 }
 
-#[derive(Clone, Serialize, Deserialize)]
-struct ModeResult {
-    mode: String,
-    echo: RttStats,
-    predict1: RttStats,
-    predict8: RttStats,
-    http_predict: RttStats,
-    /// Timer-heap registrations observed during the idle window (reactor
-    /// phase only; the acceptance gate requires 0).
-    #[serde(default)]
-    idle_timer_registrations: Option<u64>,
-    #[serde(default)]
-    idle_window_ms: Option<u64>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct Report {
-    bench: String,
-    cores: usize,
-    phase_seconds: f64,
-    msg_bytes: u64,
-    reactor_active: bool,
-    modes: Vec<ModeResult>,
-    /// Headline: backoff echo p50 / reactor echo p50.
-    echo_p50_speedup: f64,
-    predict1_p50_speedup: f64,
-    /// Pre-rework reactor p50s (before-rows for the wire-speed PR).
-    baseline_reactor_p50_us: Vec<BaselineRow>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct BaselineRow {
-    path: String,
-    p50_us: u64,
-}
-
-/// Reactor-mode p50s measured on this 1-core container immediately
-/// before the wire-speed data-plane rework, with the same phases.
-const BASELINE_REACTOR_P50_US: [(&str, u64); 4] = [
-    ("echo", 11),
-    ("predict b=1", 26),
-    ("predict b=8", 29),
-    ("http_predict", 45),
-];
-
-fn stats(hist: &Histogram, iters: u64) -> RttStats {
+fn stats(path: &'static str, hist: &Histogram, iters: u64) -> RttStats {
     let snap = hist.snapshot();
     RttStats {
+        path,
         iters,
         mean_us: snap.mean(),
         p50_us: snap.p50(),
@@ -152,12 +97,12 @@ async fn run_echo(phase: Duration) -> RttStats {
     }
     drop(client);
     server.abort();
-    stats(&hist, iters)
+    stats("echo", &hist, iters)
 }
 
 /// Closed-loop `predict_batch` RTT against a No-Op container over the
 /// real RPC server/client pair.
-async fn run_predict(batch: usize, phase: Duration) -> RttStats {
+async fn run_predict(path: &'static str, batch: usize, phase: Duration) -> RttStats {
     let mut server = RpcServer::bind("127.0.0.1:0").await.unwrap();
     let addr = server.local_addr();
     let container = tokio::spawn(async move {
@@ -195,7 +140,7 @@ async fn run_predict(batch: usize, phase: Duration) -> RttStats {
         iters += 1;
     }
     container.abort();
-    stats(&hist, iters)
+    stats(path, &hist, iters)
 }
 
 /// Closed-loop keep-alive predict over the real HTTP frontend: head
@@ -217,7 +162,7 @@ async fn run_http_predict(phase: Duration) -> RttStats {
         assert_eq!(status, 200);
         iters += 1;
     }
-    stats(&hist, iters)
+    stats("http_predict", &hist, iters)
 }
 
 /// Park a blocked accept, then count timer registrations over a quiet
@@ -237,187 +182,44 @@ async fn measure_idle_timer_registrations(window: Duration) -> u64 {
     regs
 }
 
-async fn run_mode(mode: IoMode, phase: Duration, idle_window: Option<Duration>) -> ModeResult {
-    tokio::net::set_io_mode(mode);
-    let label = match mode {
-        IoMode::Reactor => "reactor",
-        IoMode::Backoff => "backoff",
-    };
-    let (idle_timer_registrations, idle_window_ms) = match idle_window {
-        Some(w) => (
-            Some(measure_idle_timer_registrations(w).await),
-            Some(w.as_millis() as u64),
-        ),
-        None => (None, None),
-    };
-    let echo = run_echo(phase).await;
-    let predict1 = run_predict(1, phase).await;
-    let predict8 = run_predict(8, phase).await;
-    let http_predict = run_http_predict(phase).await;
-    ModeResult {
-        mode: label.to_string(),
-        echo,
-        predict1,
-        predict8,
-        http_predict,
-        idle_timer_registrations,
-        idle_window_ms,
-    }
-}
-
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
 async fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut phase_seconds = 2.0f64;
-    let mut out_path = "BENCH_rpc_latency.json".to_string();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => phase_seconds = 0.5,
-            "--seconds" => {
-                i += 1;
-                phase_seconds = args[i].parse().expect("--seconds <f64>");
-            }
-            "--out" => {
-                i += 1;
-                out_path = args[i].clone();
-            }
-            other => panic!("unknown flag {other:?} (see --smoke/--seconds/--out)"),
-        }
-        i += 1;
-    }
-    let phase = Duration::from_secs_f64(phase_seconds);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let reactor_active = reactor_active();
-
-    println!(
-        "== rpc_latency: epoll reactor vs timer-backoff readiness, {cores} cores, reactor {} ==\n",
-        if reactor_active {
-            "active"
-        } else {
-            "UNAVAILABLE (fallback only)"
-        }
-    );
-
-    // Reactor phase FIRST: a parked backoff-mode accept re-arms the timer
-    // ~1000×/s forever (that emulation is exactly what this PR removes),
-    // so the idle window must run before any backoff socket exists.
+    let args = Args::parse("rpc_latency");
+    let phase = Duration::from_secs_f64(if args.smoke { 0.5 } else { 2.0 });
     let idle_window = Duration::from_millis(300);
-    let reactor = if reactor_active {
-        run_mode(IoMode::Reactor, phase, Some(idle_window)).await
-    } else {
-        // No reactor on this host: record the fallback twice so the JSON
-        // shape stays stable.
-        run_mode(IoMode::Backoff, phase, None).await
-    };
-    let mut reactor = reactor;
-    reactor.mode = "reactor".to_string();
-    let backoff = run_mode(IoMode::Backoff, phase, None).await;
-    // Restore the default for anything that might run after us.
-    tokio::net::set_io_mode(IoMode::Reactor);
+    let reactor_active = tokio::net::io_mode() == IoMode::Reactor;
+    let mut report = Report::new(&args, "rpc_latency");
+    report.param("phase_seconds", phase.as_secs_f64());
+    report.param("msg_bytes", MSG_BYTES);
+    report.param("reactor_active", reactor_active);
+    report.param("idle_window_ms", idle_window.as_millis() as u64);
 
-    let mut table = Table::new(&["mode", "path", "iters", "mean (µs)", "p50 (µs)", "p99 (µs)"]);
-    for m in [&reactor, &backoff] {
-        for (path, s) in [
-            ("echo", &m.echo),
-            ("predict b=1", &m.predict1),
-            ("predict b=8", &m.predict8),
-            ("http_predict", &m.http_predict),
-        ] {
-            table.row(&[
-                m.mode.clone(),
-                path.to_string(),
-                format!("{}", s.iters),
-                format!("{:.1}", s.mean_us),
-                format!("{}", s.p50_us),
-                format!("{}", s.p99_us),
-            ]);
-        }
+    if reactor_active {
+        let regs = measure_idle_timer_registrations(idle_window).await;
+        report.gate("idle_timer_registrations", regs as f64, Op::Equals, 0.0);
+    } else {
+        println!("idle-timer gate not pushed (no epoll reactor on this host — fallback only)");
+    }
+    let ladder = [
+        run_echo(phase).await,
+        run_predict("predict1", 1, phase).await,
+        run_predict("predict8", 8, phase).await,
+        run_http_predict(phase).await,
+    ];
+
+    let mut table = Table::new(&["path", "iters", "mean (µs)", "p50 (µs)", "p99 (µs)"]);
+    for s in &ladder {
+        table.row(&[
+            s.path.to_string(),
+            format!("{}", s.iters),
+            format!("{:.1}", s.mean_us),
+            format!("{}", s.p50_us),
+            format!("{}", s.p99_us),
+        ]);
+        report.row("rtt", s);
     }
     table.print();
-
-    let ratio = |b: u64, r: u64| {
-        if r == 0 {
-            b as f64 // a sub-µs reactor p50 floors at 0; treat as ≥ b×
-        } else {
-            b as f64 / r as f64
-        }
-    };
-    let echo_p50_speedup = ratio(backoff.echo.p50_us, reactor.echo.p50_us);
-    let predict1_p50_speedup = ratio(backoff.predict1.p50_us, reactor.predict1.p50_us);
-    println!(
-        "\necho p50: backoff {}µs vs reactor {}µs ({echo_p50_speedup:.1}×) · predict b=1 p50: {}µs vs {}µs ({predict1_p50_speedup:.1}×) · idle timer regs: {:?}",
-        backoff.echo.p50_us,
-        reactor.echo.p50_us,
-        backoff.predict1.p50_us,
-        reactor.predict1.p50_us,
-        reactor.idle_timer_registrations,
-    );
-
-    let report = Report {
-        bench: "rpc_latency".to_string(),
-        cores,
-        phase_seconds,
-        msg_bytes: MSG_BYTES as u64,
-        reactor_active,
-        modes: vec![reactor.clone(), backoff.clone()],
-        echo_p50_speedup,
-        predict1_p50_speedup,
-        baseline_reactor_p50_us: BASELINE_REACTOR_P50_US
-            .iter()
-            .map(|(path, p50_us)| BaselineRow {
-                path: path.to_string(),
-                p50_us: *p50_us,
-            })
-            .collect(),
-    };
-    let json = serde_json::to_string(&report).expect("serialize report");
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    // Self-validation: the emitted file must parse back and every
-    // measurement must have made progress.
-    let parsed: Report = serde_json::from_str(&std::fs::read_to_string(&out_path).expect("reread"))
-        .expect("emitted JSON must parse back into the report schema");
-    assert!(
-        parsed.modes.iter().all(|m| {
-            m.echo.iters > 0
-                && m.predict1.iters > 0
-                && m.predict8.iters > 0
-                && m.http_predict.iters > 0
-        }),
-        "malformed report: a measurement recorded zero iterations"
-    );
-
-    if std::env::var("RPC_LATENCY_ENFORCE").as_deref() == Ok("1") {
-        if !reactor_active {
-            println!("enforce: skipped (no epoll reactor on this host — fallback-only run)");
-            return;
-        }
-        let mut ok = true;
-        if echo_p50_speedup < 2.0 {
-            eprintln!(
-                "FAIL: reactor echo p50 {}µs is not ≥2× better than backoff {}µs ({echo_p50_speedup:.2}×)",
-                reactor.echo.p50_us, backoff.echo.p50_us
-            );
-            ok = false;
-        }
-        if reactor.idle_timer_registrations != Some(0) {
-            eprintln!(
-                "FAIL: idle reactor runtime registered {:?} timer slots on the net path (want 0)",
-                reactor.idle_timer_registrations
-            );
-            ok = false;
-        }
-        if !ok {
-            std::process::exit(1);
-        }
-        println!("enforce: ok (echo p50 {echo_p50_speedup:.1}× ≥ 2×; idle timer registrations 0)");
-    }
-}
-
-/// Portable reactor probe: on hosts without the epoll reactor (or when
-/// its setup failed) the default io mode is the backoff fallback.
-fn reactor_active() -> bool {
-    tokio::net::io_mode() == IoMode::Reactor
+    let fewest = ladder.iter().map(|s| s.iters).min().unwrap_or(0);
+    report.gate("min_iters", fewest as f64, Op::AtLeast, 1.0);
+    report.finish()
 }

@@ -18,28 +18,26 @@
 //! entries become unreachable and CLOCK reclaims them), and the
 //! per-frontend hit/miss/eviction counters show what that costs.
 //!
-//! Flags: `--smoke` (short run for CI), `--seconds <f64>`,
-//! `--rate <f64>` (total offered qps, default 10000 full / 600 smoke),
-//! `--frontends <n>`, `--out <path>` (default `BENCH_soak.json`). With
-//! `SOAK_ENFORCE=1` the binary exits non-zero unless the run was
-//! lossless (zero lost, every timeline action — including the crash and
-//! the rehydrate restart — landed, every arrival accounted, every cache
-//! drained), the frontends converged on the statestore's version, and
-//! the whole-run p99 stayed under the bound (the ISSUE-6 acceptance
-//! gate).
+//! Presets: 3 frontends at 10,000 qps for 12 s; `--smoke` 2 frontends at
+//! 600 qps for 4 s. Gates: the run was lossless (zero lost, every
+//! timeline action — including the crash and the rehydrate restart —
+//! landed, every arrival accounted, every cache drained), the frontends
+//! converged on the statestore's version, and the whole-run p99 stayed
+//! under the bound.
 
+use clipper_bench::harness::{Args, Op, Report};
 use clipper_workload::soak::{run_soak, SoakSpec};
 use clipper_workload::Table;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Duration;
 
-/// Whole-run p99 ceiling enforced under `SOAK_ENFORCE=1`. Generous
+/// Whole-run p99 ceiling the `p99_ms` gate enforces. Generous
 /// against the 50 ms SLO (straggler substitution returns predictions by
 /// the deadline) but far below the 2 s lost detector, so a wedged tail
 /// cannot hide inside "lossless".
 const ENFORCE_P99_MS: f64 = 500.0;
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct PhaseRow {
     name: String,
     seconds: f64,
@@ -52,7 +50,7 @@ struct PhaseRow {
     throughput: f64,
 }
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct FrontendRow {
     index: usize,
     ok: u64,
@@ -71,7 +69,7 @@ struct FrontendRow {
     alive: bool,
 }
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct ActionRow {
     label: String,
     fired_at_s: f64,
@@ -80,14 +78,8 @@ struct ActionRow {
     detail: String,
 }
 
-#[derive(Serialize, Deserialize)]
-struct Report {
-    bench: String,
-    cores: usize,
-    frontends: usize,
-    replicas_per_version: usize,
-    offered_qps: f64,
-    seconds: f64,
+#[derive(Serialize)]
+struct Totals {
     issued: u64,
     completed: u64,
     shed: u64,
@@ -100,58 +92,23 @@ struct Report {
     throughput: f64,
     lossless: bool,
     converged: bool,
-    phases: Vec<PhaseRow>,
-    per_frontend: Vec<FrontendRow>,
-    actions: Vec<ActionRow>,
 }
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
 async fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut seconds = 12.0f64;
-    let mut rate: Option<f64> = None;
-    let mut frontends = 3usize;
-    let mut smoke = false;
-    let mut out_path = "BENCH_soak.json".to_string();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                seconds = 4.0;
-                frontends = 2;
-            }
-            "--seconds" => {
-                i += 1;
-                seconds = args[i].parse().expect("--seconds <f64>");
-            }
-            "--rate" => {
-                i += 1;
-                rate = Some(args[i].parse().expect("--rate <f64>"));
-            }
-            "--frontends" => {
-                i += 1;
-                frontends = args[i].parse().expect("--frontends <n>");
-            }
-            "--out" => {
-                i += 1;
-                out_path = args[i].clone();
-            }
-            other => {
-                panic!("unknown flag {other:?} (see --smoke/--seconds/--rate/--frontends/--out)")
-            }
-        }
-        i += 1;
-    }
-    let rate = rate.unwrap_or(if smoke { 600.0 } else { 10_000.0 });
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    println!(
-        "== soak: {frontends} frontends fan-in, {rate:.0} qps for {seconds:.1}s, {cores} cores ==\n"
-    );
+    let args = Args::parse("soak");
+    let (frontends, rate, seconds) = if args.smoke {
+        (2, 600.0, 4.0)
+    } else {
+        (3, 10_000.0, 12.0)
+    };
+    let mut out = Report::new(&args, "soak");
     let spec =
         SoakSpec::new(frontends, rate, Duration::from_secs_f64(seconds)).with_standard_timeline();
-    let replicas_per_version = spec.replicas_per_version;
+    out.param("frontends", frontends);
+    out.param("replicas_per_version", spec.replicas_per_version);
+    out.param("offered_qps", rate);
+    out.param("seconds", seconds);
     let report = run_soak(spec).await;
 
     let mut phase_table = Table::new(&[
@@ -165,7 +122,6 @@ async fn main() {
         "p99 (ms)",
         "qps",
     ]);
-    let mut phases = Vec::new();
     for p in report.phases.iter().chain(std::iter::once(&report.totals)) {
         let row = PhaseRow {
             name: p.name.clone(),
@@ -190,7 +146,7 @@ async fn main() {
             format!("{:.0}", row.throughput),
         ]);
         if p.name != "total" {
-            phases.push(row);
+            out.row("phase", &row);
         }
     }
     phase_table.print();
@@ -245,6 +201,7 @@ async fn main() {
             f.current_version.map_or("-".into(), |v| format!("v{v}")),
             format!("{}", f.alive),
         ]);
+        out.row("frontend", f);
     }
     fe_table.print();
 
@@ -269,18 +226,16 @@ async fn main() {
             a.fired_at_s,
             a.label,
             a.took_ms,
-            if a.ok { "ok" } else { "FAILED" }
+            if a.ok {
+                "ok".to_string()
+            } else {
+                format!("FAILED: {}", a.detail)
+            }
         );
+        out.row("action", a);
     }
 
-    let lossless = report.is_lossless();
-    let out = Report {
-        bench: "soak".to_string(),
-        cores,
-        frontends,
-        replicas_per_version,
-        offered_qps: rate,
-        seconds,
+    let totals = Totals {
         issued: report.issued,
         completed: report.totals.completed,
         shed: report.totals.shed,
@@ -291,81 +246,23 @@ async fn main() {
         p50_ms: report.totals.latency.p50() as f64 / 1_000.0,
         p99_ms: report.totals.p99_ms(),
         throughput: report.totals.throughput(),
-        lossless,
+        lossless: report.is_lossless(),
         converged: report.converged,
-        phases,
-        per_frontend,
-        actions,
     };
-    println!(
-        "\nissued {} · completed {} · shed {} · refused {} · lost {} · retried {} · p99 {:.1}ms · lossless {} · converged {}",
-        out.issued, out.completed, out.shed, out.refused, out.lost, out.retried, out.p99_ms, out.lossless, out.converged
+    out.row("totals", &totals);
+
+    // The acceptance gates: the soak survived its timeline losslessly.
+    out.gate("issued", totals.issued as f64, Op::AtLeast, 1.0);
+    out.gate("lost", totals.lost as f64, Op::Equals, 0.0);
+    let failed_actions = actions.iter().filter(|a| !a.ok).count();
+    out.gate("failed_actions", failed_actions as f64, Op::Equals, 0.0);
+    let landed = |prefix: &str| actions.iter().any(|a| a.ok && a.label.starts_with(prefix));
+    out.gate_true(
+        "crash_and_restart_landed",
+        landed("crash") && landed("restart"),
     );
-
-    let json = serde_json::to_string(&out).expect("serialize report");
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    // Self-validation: the emitted file must parse back, traffic must
-    // have flowed, and every arrival must be accounted for.
-    let parsed: Report = serde_json::from_str(&std::fs::read_to_string(&out_path).expect("reread"))
-        .expect("emitted JSON must parse back into the report schema");
-    assert!(parsed.issued > 0, "malformed report: no traffic");
-    assert_eq!(
-        parsed.completed + parsed.shed + parsed.refused + parsed.lost,
-        parsed.issued,
-        "malformed report: outcomes do not account for every arrival"
-    );
-
-    if std::env::var("SOAK_ENFORCE").as_deref() == Ok("1") {
-        // The acceptance gate: the soak survived its timeline losslessly.
-        let mut ok = true;
-        if out.lost > 0 {
-            eprintln!(
-                "FAIL: {} queries lost (accepted but never answered)",
-                out.lost
-            );
-            ok = false;
-        }
-        for a in &out.actions {
-            if !a.ok {
-                eprintln!("FAIL: timeline action {:?} failed: {}", a.label, a.detail);
-                ok = false;
-            }
-        }
-        let crashed = out
-            .actions
-            .iter()
-            .any(|a| a.ok && a.label.starts_with("crash"));
-        let restarted = out
-            .actions
-            .iter()
-            .any(|a| a.ok && a.label.starts_with("restart"));
-        if !(crashed && restarted) {
-            eprintln!("FAIL: the crash/restart phase did not run to completion");
-            ok = false;
-        }
-        if !lossless {
-            eprintln!("FAIL: run not lossless (unaccounted arrivals or undrained caches)");
-            ok = false;
-        }
-        if !out.converged {
-            eprintln!("FAIL: frontends did not converge on the statestore's current version");
-            ok = false;
-        }
-        if out.p99_ms > ENFORCE_P99_MS {
-            eprintln!(
-                "FAIL: whole-run p99 {:.1}ms exceeds the {ENFORCE_P99_MS:.0}ms bound",
-                out.p99_ms
-            );
-            ok = false;
-        }
-        if !ok {
-            std::process::exit(1);
-        }
-        println!(
-            "enforce: ok (lossless, crash+restart landed, converged, p99 {:.1}ms <= {ENFORCE_P99_MS:.0}ms)",
-            out.p99_ms
-        );
-    }
+    out.gate_true("lossless", totals.lossless);
+    out.gate_true("converged", totals.converged);
+    out.gate("p99_ms", totals.p99_ms, Op::AtMost, ENFORCE_P99_MS);
+    out.finish()
 }

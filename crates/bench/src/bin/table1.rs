@@ -53,7 +53,7 @@ fn main() {
         ]);
     }
     table.print();
-    println!("\n(generated sizes are scaled-down seeded mixtures; see DESIGN.md §3)");
+    println!("\n(generated sizes are scaled-down seeded mixtures, so every experiment fits a laptop budget)");
     println!("imagenet-like at full 1000 classes has ~1 example/class at this scale and is unlearnable by design;");
     println!("the 200-class variant with 25/class — used by the Figure-7 harness — shows the learnable regime.");
 }

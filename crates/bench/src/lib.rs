@@ -1,9 +1,8 @@
-//! Shared harness code for the figure/table reproduction binaries.
+//! Shared code for the bench binaries: scenario helpers for the
+//! figure/table reproductions, and [`harness`], the one surface the
+//! recorded benches report and gate through.
 //!
-//! Every binary regenerates one table or figure from the paper
-//! (see DESIGN.md §4 for the full index):
-//!
-//! | target | reproduces |
+//! | target | reproduces / records |
 //! |---|---|
 //! | `table1` | Table 1 (datasets) |
 //! | `table2` | Table 2 (deep model zoo) |
@@ -19,11 +18,21 @@
 //! | `caching` | §4.2 feedback-throughput claim |
 //! | `ablation_aimd` | AIMD backoff-constant sensitivity |
 //! | `ablation_eta` | Exp3 η sensitivity |
+//! | `calibrate` | latency-prior fit for `QueueConfig::latency_prior` (`--accuracy`: model-error probes) |
+//! | `cache_scaling` | `BENCH_cache_scaling.json`: prediction-cache thread scaling |
+//! | `replica_scaling` | `BENCH_replica_scaling.json`: p2c vs round-robin, §4.4.1 autotune A/B |
+//! | `rpc_latency` | `BENCH_rpc_latency.json`: echo → RPC predict → HTTP predict RTT ladder |
+//! | `alloc_count` | `BENCH_alloc_count.json`: allocations, write syscalls, spawns per request |
+//! | `soak` | `BENCH_soak.json`: multi-frontend chaos timeline, zero lost queries |
+//! | `fleet` | `BENCH_fleet.json`: register / flap / readmit / autoscale lifecycle |
+//! | `recovery` | `BENCH_recovery.json`: retry, breaker and hedge A/Bs |
 //!
 //! Run any with `cargo run -p clipper-bench --release --bin <target>`.
-//! Set `CLIPPER_BENCH_SECONDS` to stretch/shrink measured phases (default
-//! 3 s; the EXPERIMENTS.md numbers were recorded at the default).
+//! The figure/table bins read `CLIPPER_BENCH_SECONDS` to stretch or
+//! shrink their measured phases (default 3 s, floor 0.5 s). The seven
+//! recorded bins take only `--smoke` and `--out <path>`; see [`harness`].
 
+pub mod harness;
 pub mod http_bench;
 
 use clipper_containers::{

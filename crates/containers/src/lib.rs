@@ -17,8 +17,8 @@
 //! ([`TimingModel`]): real measured compute, a calibrated latency profile
 //! (the Figure-3 curves), or a simulated wave-parallel GPU ([`GpuDevice`],
 //! used for the Figure-6/11 deep models). Answers always come from real
-//! model code; only the clock is simulated. See DESIGN.md §3 for the
-//! substitution argument.
+//! model code; only the clock is simulated, so latency experiments keep
+//! the paper's service-time shapes without its GPUs or frameworks.
 
 pub mod container;
 pub mod gpu;

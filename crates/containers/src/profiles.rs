@@ -124,7 +124,8 @@ impl Fig11Model {
             Fig11Model::MnistConvNet => 784,
             Fig11Model::CifarAlexNet => 3_072,
             // Inception serving moves decoded 299×299×3 tensors; we ship the
-            // 2048-d penultimate features (see DESIGN.md substitutions).
+            // 2048-d penultimate features: the substitution keeps the wire
+            // cost of a real feature vector without shipping image tensors.
             Fig11Model::ImagenetInceptionV3 => 2_048,
         }
     }

@@ -1,8 +1,8 @@
 //! The autotuning batch controller: a learned ceiling over AIMD.
 //!
-//! Where [`AimdController`](super::AimdController) *probes* for the
+//! Where [`AimdController`] *probes* for the
 //! latency knee (§4.3.1), this controller *computes* it from the
-//! replica's online [`LatencyModel`](super::LatencyModel): the ceiling is
+//! replica's online [`LatencyModel`]: the ceiling is
 //! continuously re-derived as `b_max = largest b with α + β·b ≤
 //! SLO − headroom`. A slow replica in a heterogeneous fleet therefore
 //! gets its own, smaller ceiling instead of the fleet-wide knob — the

@@ -2,7 +2,7 @@
 //!
 //! The registry is the single source of truth for *who is in the fleet*:
 //! every container that announced itself (over HTTP or by dialing the RPC
-//! data plane) has a [`Member`] entry keyed by container name, and a
+//! data plane) has a `Member` entry keyed by container name, and a
 //! mirrored `config/replica/*` record in the statestore so a restarted or
 //! sibling frontend re-adopts the same membership view. Expired members
 //! stay behind as tombstones: a heartbeat arriving after expiry gets an
@@ -164,7 +164,8 @@ impl ReplicaLauncher for ProcessLauncher {
 }
 
 /// Timeline entry for observability and bench assertions.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum FleetEvent {
     /// A container registered (first time or after deregistration).
     Registered {

@@ -353,8 +353,21 @@ mod tests {
     async fn cas_fails_fast_on_disconnect_but_the_client_recovers() {
         let (server, client) = pair().await;
         let v1 = client.set("s", b"a".to_vec()).await.unwrap();
-        drop(server); // server fully gone: redial can't succeed either
-        let err = client.cas("s", v1, b"b".to_vec()).await.unwrap_err();
+        let addr = server.local_addr();
+        drop(server);
+        // The server's tasks are aborted at their next yield: wait until
+        // the listener is really closed (a redial can't succeed either),
+        // and let a connection poll that is still running serve its last
+        // request before the disconnect surfaces.
+        while TcpStream::connect(addr).await.is_ok() {
+            tokio::task::yield_now().await;
+        }
+        let err = loop {
+            match client.cas("s", v1, b"b".to_vec()).await {
+                Ok(_) => tokio::task::yield_now().await,
+                Err(e) => break e,
+            }
+        };
         assert!(
             super::is_disconnect(&err),
             "CAS must surface the disconnect, got {err:?}"

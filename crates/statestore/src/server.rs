@@ -36,12 +36,14 @@ impl StateStoreServer {
         let accept_task = tokio::spawn(async move {
             while let Ok((conn, _)) = listener.accept().await {
                 let store = s.clone();
-                let task = tokio::spawn(async move {
-                    let _ = serve_conn(conn, store).await;
-                });
+                // Lock before spawning: a connection must be in the list
+                // by the time it can serve a request, or a
+                // `sever_connections` racing this accept would miss it.
                 let mut live = conns_for_accept.lock();
                 live.retain(|t| !t.is_finished());
-                live.push(task);
+                live.push(tokio::spawn(async move {
+                    let _ = serve_conn(conn, store).await;
+                }));
             }
         });
         Ok(StateStoreServer {

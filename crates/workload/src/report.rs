@@ -1,8 +1,8 @@
 //! Aligned text tables and phase-windowed stats for experiment output.
 //!
 //! Every bench binary prints its figure/table as rows through [`Table`],
-//! with a `paper=` column carrying the reference values so EXPERIMENTS.md
-//! can be assembled straight from harness output. Soak-style runs that
+//! with a `paper=` column carrying the reference values, so a run's
+//! output reads against the paper without a second document. Soak-style runs that
 //! pass through distinct regimes (steady → crash → recovery → chaos)
 //! record through a [`PhaseRecorder`], which keeps one latency histogram
 //! and outcome counters per timeline phase plus a whole-run rollup.
