@@ -15,9 +15,14 @@
 //! - `echo` — 64-byte TCP echo RTT (floor: the runtime itself);
 //! - `rpc_predict1` — clipper-rpc `predict_batch` b=1 against a No-Op
 //!   container (frame codec + writer task + oneshot completion);
-//! - `http_predict` — keep-alive HTTP predict against an in-process echo
-//!   transport (head parse, routing, JSON in/out — the paper's §4 predict
-//!   hot path end to end);
+//! - `http_predict` — keep-alive HTTP predict of one repeated input
+//!   against an in-process echo transport (head parse, routing, JSON
+//!   in/out, selection, a prediction-cache hit: after the first request
+//!   nothing reaches a replica queue);
+//! - `http_predict_cold` — the same with a distinct input per request, so
+//!   every request misses the cache and crosses the model abstraction
+//!   layer to the transport — replica queue, batch of one, cache fill
+//!   (the paper's §4 predict path end to end);
 //! - `control_get` — keep-alive `GET /api/v1/apps` (control-plane read).
 //!
 //! `baseline_allocs_per_iter` carries the numbers recorded immediately
@@ -26,10 +31,10 @@
 //! file. Gates: every scenario under its allocation and spawn ceiling,
 //! the predict-b=1 RPC-path reduction vs baseline at least 50%, and at
 //! most one write syscall per direction on every request–response
-//! scenario. (`http_predict` crosses the full model abstraction layer —
-//! batching, cache, policy — whose allocations are out of scope for the
-//! wire rework, so its reduction is recorded but the 50% gate applies to
-//! the RPC predict path.)
+//! scenario. (`http_predict` runs selection and the prediction cache,
+//! whose allocations are out of scope for the wire rework, so its
+//! reduction is recorded but the 50% gate applies to the RPC predict
+//! path.)
 //!
 //! Presets: 3,000 iterations per scenario, `--smoke` 500.
 
@@ -122,33 +127,41 @@ impl Scenario {
 }
 
 /// Per-iteration allocation counts recorded immediately before the
-/// wire-speed data-plane rework, same host class and iteration counts.
-const BASELINE_ALLOCS_PER_ITER: [(&str, f64); 4] = [
+/// wire-speed data-plane rework, same host class and iteration counts
+/// (`http_predict_cold` was not measured then: 0 = no baseline).
+const BASELINE_ALLOCS_PER_ITER: [(&str, f64); 5] = [
     ("echo", 0.0),
     ("rpc_predict1", 27.0),
     ("http_predict", 46.5),
+    ("http_predict_cold", 0.0),
     ("control_get", 50.0),
 ];
 
 /// Regression ceilings on allocations/iteration (measured value —
-/// 0.0 / 10.0 / 16.0 / 10.0 — plus headroom for executor scheduling
-/// noise). `http_predict` ratcheted from 33.0 when the selection state's
+/// 0.0 / 10.0 / 16.0 / 21.0 / 10.0 — plus headroom for executor
+/// scheduling noise; `http_predict_cold`, added when the replica queue
+/// stopped spawning a task per batch (24.5 → 21.0, 20.4 in some runs),
+/// gets measured + 1).
+/// `http_predict` ratcheted from 33.0 when the selection state's
 /// per-predict JSON decode stopped building an intermediate tree (18
 /// allocations → 4, the state's own vectors); `rpc_predict1` from 18.0
 /// when `spawn_blocking` stopped scheduling a placeholder task (12 → 10).
-const ALLOC_CEILINGS: [(&str, f64); 4] = [
+const ALLOC_CEILINGS: [(&str, f64); 5] = [
     ("echo", 2.0),
     ("rpc_predict1", 14.0),
     ("http_predict", 19.0),
+    ("http_predict_cold", 22.0),
     ("control_get", 15.0),
 ];
 
 /// Regression ceilings on tasks started per iteration: measured value
-/// (0.0 on every scenario) plus one.
-const SPAWN_CEILINGS: [(&str, f64); 4] = [
+/// (0.0 on every scenario) plus one. (`tests/request_path.rs` pins the
+/// cold predict's exact zero.)
+const SPAWN_CEILINGS: [(&str, f64); 5] = [
     ("echo", 1.0),
     ("rpc_predict1", 1.0),
     ("http_predict", 1.0),
+    ("http_predict_cold", 1.0),
     ("control_get", 1.0),
 ];
 
@@ -225,15 +238,22 @@ async fn run_rpc_predict1(iters: u64) -> Scenario {
     Scenario::measured("rpc_predict1", iters, before, after)
 }
 
-async fn run_http(name: &str, request: Vec<u8>, iters: u64) -> Scenario {
+/// Warm-up calls before an HTTP scenario's measured loop.
+const HTTP_WARMUP: u64 = 200;
+
+/// `request(i)` is the `i`-th call's bytes; every buffer is built before
+/// the counters are read, so none of them is charged to the server.
+async fn run_http(name: &str, request: impl Fn(u64) -> Vec<u8>, iters: u64) -> Scenario {
     let (frontend, _clipper) = start_echo_frontend().await;
     let mut client = HttpClient::connect(frontend.local_addr()).await;
-    for _ in 0..200 {
-        assert_eq!(client.call(&request).await, 200);
+    let requests: Vec<Vec<u8>> = (0..HTTP_WARMUP + iters).map(request).collect();
+    let (warmup, measured) = requests.split_at(HTTP_WARMUP as usize);
+    for request in warmup {
+        assert_eq!(client.call(request).await, 200);
     }
     let before = counters();
-    for _ in 0..iters {
-        client.call(&request).await;
+    for request in measured {
+        client.call(request).await;
     }
     Scenario::measured(name, iters, before, counters())
 }
@@ -255,8 +275,9 @@ async fn main() {
     let scenarios = vec![
         run_echo(iters).await,
         run_rpc_predict1(iters).await,
-        run_http("http_predict", predict_request(7), iters).await,
-        run_http("control_get", get_request("/api/v1/apps"), iters).await,
+        run_http("http_predict", |_| predict_request(7), iters).await,
+        run_http("http_predict_cold", |i| predict_request(i as u32), iters).await,
+        run_http("control_get", |_| get_request("/api/v1/apps"), iters).await,
     ];
 
     let mut table = Table::new(&[

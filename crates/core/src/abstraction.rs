@@ -19,8 +19,8 @@
 //!    through to the next replica in that order; it is shed only when
 //!    every replica is full. Blind round-robin remains available as a
 //!    baseline policy.
-//! 3. **batching queue** — the replica's pull-based worker forms batches
-//!    and ships them zero-copy over the transport.
+//! 3. **batching queue** — the replica's pull-based lanes form batches
+//!    and ship them zero-copy over the transport.
 //!
 //! Replicas can be attached and removed while traffic flows: removal
 //! drains the replica's queue gracefully (every accepted query completes
@@ -1702,8 +1702,8 @@ mod tests {
             .any(|k| k.starts_with("queue/m:v1:0/depth")));
         assert_eq!(mal.queue_depth(&m), 0);
         // `dispatch_batch` settles the reply sinks before it drops the
-        // in-flight guard (by design: `BatchJob` field order), so the reply
-        // can arrive a moment ahead of the gauge's release.
+        // in-flight guard (by design), so the reply can arrive a moment
+        // ahead of the gauge's release.
         let released = async {
             while mal.inflight(&m) != 0 {
                 tokio::task::yield_now().await;

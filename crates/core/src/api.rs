@@ -486,7 +486,7 @@ pub struct ModelView {
 /// are microseconds so sub-millisecond settings survive the round trip.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct BatchKnobs {
-    /// Batching strategy (AIMD / quantile / fixed / none).
+    /// Batching strategy (AIMD / quantile / autotune / fixed).
     pub strategy: BatchStrategy,
     /// Latency objective, µs.
     pub slo_us: u64,

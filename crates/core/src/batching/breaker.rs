@@ -12,7 +12,7 @@
 //!   when the failure rate over at least [`MIN_SAMPLES`] outcomes reaches
 //!   [`FAILURE_THRESHOLD`], or immediately on [`STREAK`] consecutive
 //!   failures.
-//! - **Open** — the worker refuses to dispatch here; queued items are
+//! - **Open** — the lanes refuse to dispatch here; queued items are
 //!   redispatched onto sibling replicas (or fail-filled when none can take
 //!   them). For [`BreakerConfig::cooldown`] the replica reads
 //!   [`Health::CoolingDown`]; after it, [`Health::WantsProbe`] — the

@@ -1,14 +1,17 @@
-//! Batch dispatch and recovery: what happens to a batch after the
-//! replica's worker ([`super::queue`]) has sealed it.
+//! Batch dispatch and recovery: what a lane ([`super::queue`]) does with
+//! the batch it has just sealed, in the lane's own task.
 //!
 //! [`dispatch_batch`] ships the batch over the transport (racing a
 //! hedge against a straggling primary when [`QueueConfig::hedge`] is
 //! set), feeds the outcome to the replica's batch controller, latency
-//! model and circuit breaker, and settles every item's sink. A failed
-//! batch goes through [`settle_upstream_failure`]: items still inside
-//! their retry budget are handed back to the scheduler for redispatch
-//! onto a sibling replica, the rest fail-fill with a typed
-//! [`PredictError::Upstream`].
+//! model and circuit breaker, and settles every item's sink before it
+//! returns. A failed batch goes through [`settle_upstream_failure`]:
+//! items still inside their retry budget are handed back to the
+//! scheduler for redispatch onto a sibling replica, the rest fail-fill
+//! with a typed [`PredictError::Upstream`]. The whole transport call
+//! races the queue's drain-deadline event: a batch a hung transport is
+//! holding when the deadline fires is failed by [`fail_drain_deadline`]
+//! and feeds no estimator.
 //!
 //! [`QueueConfig::hedge`]: super::queue::QueueConfig::hedge
 
@@ -16,130 +19,74 @@ use super::breaker::BatchOutcome;
 use super::queue::{QueueItem, QueueMetrics, QueueShared};
 use super::BatchController;
 use crate::error::{PredictError, UpstreamKind};
+use crate::types::Input;
 use clipper_rpc::transport::BatchTransport;
+use clipper_rpc::{PredictReply, RpcError};
 use parking_lot::Mutex;
 use std::future::Future;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::pin::pin;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Decrements the queue's in-flight count on drop, so the count stays
-/// truthful even when a dispatch task is aborted by the drain deadline.
-struct InflightGuard {
-    shared: Arc<QueueShared>,
+/// Counts a batch in flight while it lives. A guard rather than a pair
+/// of calls so the count stays truthful when the runtime tears the lane
+/// down mid-batch.
+struct InflightGuard<'a> {
+    inflight: &'a AtomicUsize,
     n: usize,
 }
 
-impl Drop for InflightGuard {
+impl<'a> InflightGuard<'a> {
+    fn new(inflight: &'a AtomicUsize, n: usize) -> Self {
+        inflight.fetch_add(n, Ordering::AcqRel);
+        InflightGuard { inflight, n }
+    }
+}
+
+impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        self.shared.inflight.fetch_sub(self.n, Ordering::AcqRel);
+        self.inflight.fetch_sub(self.n, Ordering::AcqRel);
     }
 }
 
-/// Everything a dispatched batch owns. **Field order is load-bearing**:
-/// when the dispatch task is aborted (drain-deadline force-fail) the
-/// future drops this struct, and struct fields drop in declaration
-/// order — the items settle first (their sinks fail-fill on drop), then
-/// the in-flight count releases, and only then the pipeline permit. A
-/// worker woken by the freed permit can therefore rely on every sink
-/// having settled and the in-flight gauge reading true.
-pub(super) struct BatchJob {
-    items: Vec<QueueItem>,
-    inflight: InflightGuard,
-    permit: tokio::sync::OwnedSemaphorePermit,
-}
-
-impl BatchJob {
-    /// Seal `items` into a job, counting them in-flight from here on.
-    pub(super) fn new(
-        items: Vec<QueueItem>,
-        shared: Arc<QueueShared>,
-        permit: tokio::sync::OwnedSemaphorePermit,
-    ) -> Self {
-        let n = items.len();
-        shared.inflight.fetch_add(n, Ordering::AcqRel);
-        BatchJob {
-            items,
-            inflight: InflightGuard { shared, n },
-            permit,
-        }
-    }
-}
-
+/// Send the sealed batch in `items` and settle every one of its sinks.
+/// On return both buffers are empty (capacity kept for the lane's next
+/// batch), every sink has settled and — after that — the batch's
+/// in-flight count has been released.
 pub(super) async fn dispatch_batch(
-    job: BatchJob,
-    transport: Arc<dyn BatchTransport>,
-    controller: Arc<Mutex<Box<dyn BatchController>>>,
-    slo: Duration,
-    metrics: QueueMetrics,
-    shared: Arc<QueueShared>,
+    items: &mut Vec<QueueItem>,
+    inputs: &mut Vec<Input>,
+    transport: &dyn BatchTransport,
+    controller: &Mutex<Box<dyn BatchController>>,
+    metrics: &QueueMetrics,
+    shared: &QueueShared,
 ) {
+    let n = items.len();
+    let inflight = InflightGuard::new(&shared.inflight, n);
     let dispatch_time = Instant::now();
-    for item in &job.items {
+    for item in items.iter() {
         metrics
             .queue_us
             .record(item.enqueued.elapsed().as_micros() as u64);
     }
     // Zero-copy batch assembly: clone Arc pointers, never feature data.
-    // The buffer itself is recycled across batches (see `QueueShared`
-    // spare pools), so no per-batch allocation either.
-    let mut inputs = shared.take_inputs_buf();
-    inputs.extend(job.items.iter().map(|i| i.input.clone()));
-    let n = job.items.len();
+    inputs.extend(items.iter().map(|i| i.input.clone()));
     metrics.batch_size.record(n as u64);
 
-    // `job` stays intact across the awaits: if the drain watchdog
-    // aborts this task mid-flight, dropping it settles sinks →
-    // inflight → permit, in that order (see [`BatchJob`]).
-    //
-    // Hedging: the primary RPC races a model-derived straggler timer.
-    // If the timer fires first and a sibling transport is available,
-    // the same inputs dispatch there too and the first success wins —
-    // the loser's completion is simply never awaited (transport
-    // futures own their request state, so dropping one is a no-op at
-    // this layer).
-    let mut primary = transport.predict_batch(&inputs);
-    let mut hedge_won = false;
-    let result = match hedge_delay(&shared, n) {
-        Some(delay) => match tokio::time::timeout(delay, &mut primary).await {
-            Ok(r) => r,
-            Err(_) => {
-                let picked = shared.hooks.hedge_pick.as_ref().and_then(|pick| pick());
-                match picked {
-                    Some(backup) => {
-                        metrics.hedged.inc();
-                        let mut hedge = backup.predict_batch(&inputs);
-                        match race(&mut primary, &mut hedge).await {
-                            RaceOutcome::Primary(Ok(r)) => Ok(r),
-                            RaceOutcome::Hedge(Ok(r)) => {
-                                hedge_won = true;
-                                Ok(r)
-                            }
-                            // A failed primary still has a hedge in
-                            // flight — give it the chance to rescue
-                            // the batch before reporting the error.
-                            RaceOutcome::Primary(Err(e)) => match hedge.await {
-                                Ok(r) => {
-                                    hedge_won = true;
-                                    Ok(r)
-                                }
-                                Err(_) => Err(e),
-                            },
-                            RaceOutcome::Hedge(Err(_)) => primary.await,
-                        }
-                    }
-                    None => primary.await,
-                }
-            }
-        },
-        None => primary.await,
+    // A transport whose future never resolves must not wedge a drain:
+    // the send races the drain-deadline event. The loser is dropped
+    // (transport futures own their request state, so dropping one is a
+    // no-op at this layer).
+    let sent = {
+        let mut send = pin!(send_batch(inputs, transport, metrics, shared));
+        let mut forced = pin!(shared.forced.acquire());
+        race(&mut send, &mut forced).await
     };
-    shared.put_inputs_buf(inputs);
-    let BatchJob {
-        mut items,
-        inflight,
-        permit,
-    } = job;
+    inputs.clear();
+    let Raced::First((result, hedge_won)) = sent else {
+        fail_drain_deadline(items, metrics);
+        return;
+    };
     let now = Instant::now();
     let rpc_elapsed = now - dispatch_time;
     // A hedge win says nothing about *this* replica's latency or
@@ -168,7 +115,7 @@ pub(super) async fn dispatch_batch(
         now,
     );
     metrics.rpc_us.record(rpc_elapsed.as_micros() as u64);
-    if rpc_elapsed > slo {
+    if rpc_elapsed > shared.cfg.slo {
         metrics.slo_violations.inc();
     }
 
@@ -184,40 +131,72 @@ pub(super) async fn dispatch_batch(
                 item.sink.complete(Ok(output));
             }
         }
-        Ok(reply) => {
-            metrics.errors.add(n as u64);
-            // A malformed reply is not retryable: the replica is
-            // reachable but wrong, and a different replica may well
-            // agree with it.
-            let err = PredictError::Failed(format!(
+        // A malformed reply is not retryable: the replica is reachable
+        // but wrong, and a different replica may well agree with it.
+        Ok(reply) => fail_fill(
+            items,
+            PredictError::Failed(format!(
                 "container returned {} outputs for {} inputs",
                 reply.outputs.len(),
                 n
-            ));
-            for item in items.drain(..) {
-                item.sink.complete(Err(err.clone()));
-            }
-        }
+            )),
+            metrics,
+        ),
         Err(e) => {
             settle_upstream_failure(
-                &mut items,
+                items,
                 UpstreamKind::of(&e),
                 e.is_retryable(),
-                &metrics,
-                &shared,
+                metrics,
+                shared,
             );
         }
     }
-    shared.put_items_buf(items);
     drop(inflight);
-    drop(permit);
+}
+
+/// The transport call: the primary RPC and, when it straggles past the
+/// model-derived hedge delay and a sibling transport is available, the
+/// same inputs dispatched there too — first success wins. Returns the
+/// batch's result and whether the hedge supplied it.
+async fn send_batch(
+    inputs: &[Input],
+    transport: &dyn BatchTransport,
+    metrics: &QueueMetrics,
+    shared: &QueueShared,
+) -> (Result<PredictReply, RpcError>, bool) {
+    let mut primary = transport.predict_batch(inputs);
+    let Some(delay) = hedge_delay(shared, inputs.len()) else {
+        return (primary.await, false);
+    };
+    if let Ok(result) = tokio::time::timeout(delay, &mut primary).await {
+        return (result, false);
+    }
+    let Some(backup) = shared.hooks.hedge_pick.as_ref().and_then(|pick| pick()) else {
+        return (primary.await, false);
+    };
+    metrics.hedged.inc();
+    let mut hedge = backup.predict_batch(inputs);
+    match race(&mut primary, &mut hedge).await {
+        Raced::First(Ok(r)) => (Ok(r), false),
+        Raced::Second(Ok(r)) => (Ok(r), true),
+        // A failed primary still has a hedge in flight — give it the
+        // chance to rescue the batch before reporting the error.
+        Raced::First(Err(e)) => match hedge.await {
+            Ok(r) => (Ok(r), true),
+            Err(_) => (Err(e), false),
+        },
+        Raced::Second(Err(_)) => (primary.await, false),
+    }
 }
 
 /// The straggler threshold for hedged dispatch, or `None` when hedging
 /// is off (no [`QueueConfig::hedge`]) or can't act (no `hedge_pick`
 /// hook to find a sibling).
+///
+/// [`QueueConfig::hedge`]: super::queue::QueueConfig::hedge
 fn hedge_delay(shared: &QueueShared, batch: usize) -> Option<Duration> {
-    let h = shared.hedge.as_ref()?;
+    let h = shared.cfg.hedge.as_ref()?;
     shared.hooks.hedge_pick.as_ref()?;
     let predicted = shared
         .latency_model
@@ -226,26 +205,41 @@ fn hedge_delay(shared: &QueueShared, batch: usize) -> Option<Duration> {
     Some(predicted.map_or(h.min_delay, |d| d.max(h.min_delay)))
 }
 
-enum RaceOutcome<T> {
-    Primary(T),
-    Hedge(T),
+enum Raced<A, B> {
+    First(A),
+    Second(B),
 }
 
-/// Race two in-flight RPCs; primary wins ties (it's polled first).
-async fn race<T>(
-    a: &mut (impl Future<Output = T> + Unpin),
-    b: &mut (impl Future<Output = T> + Unpin),
-) -> RaceOutcome<T> {
+/// Race two futures; the first wins ties (it's polled first).
+async fn race<A, B>(
+    a: &mut (impl Future<Output = A> + Unpin),
+    b: &mut (impl Future<Output = B> + Unpin),
+) -> Raced<A, B> {
     std::future::poll_fn(|cx| {
         if let std::task::Poll::Ready(r) = std::pin::Pin::new(&mut *a).poll(cx) {
-            return std::task::Poll::Ready(RaceOutcome::Primary(r));
+            return std::task::Poll::Ready(Raced::First(r));
         }
         if let std::task::Poll::Ready(r) = std::pin::Pin::new(&mut *b).poll(cx) {
-            return std::task::Poll::Ready(RaceOutcome::Hedge(r));
+            return std::task::Poll::Ready(Raced::Second(r));
         }
         std::task::Poll::Pending
     })
     .await
+}
+
+/// Fail every item with `err`, counting each as a client-visible error.
+fn fail_fill(items: &mut Vec<QueueItem>, err: PredictError, metrics: &QueueMetrics) {
+    metrics.errors.add(items.len() as u64);
+    for item in items.drain(..) {
+        item.sink.complete(Err(err.clone()));
+    }
+}
+
+/// Settle what a drain past its deadline still holds — a batch in flight
+/// at a hung transport, or backlog pulled afterwards.
+pub(super) fn fail_drain_deadline(items: &mut Vec<QueueItem>, metrics: &QueueMetrics) {
+    let err = PredictError::Failed("replica drain deadline exceeded".into());
+    fail_fill(items, err, metrics);
 }
 
 /// Settle a failed batch item-by-item: items that are retryable, inside
@@ -265,7 +259,7 @@ pub(super) fn settle_upstream_failure(
     for mut item in items.drain(..) {
         item.attempts += 1;
         let within_budget = item.deadline.is_none_or(|d| now < d);
-        if retryable && within_budget && item.attempts < shared.retry_max_attempts {
+        if retryable && within_budget && item.attempts < shared.cfg.retry_max_attempts {
             if let Some(redispatch) = shared.hooks.redispatch.as_ref() {
                 // Queue-wait restarts on the new queue; the deadline
                 // budget, deliberately, does not.
@@ -304,6 +298,7 @@ mod tests {
     use clipper_rpc::message::{PredictReply, WireOutput};
     use clipper_rpc::transport::FnTransport;
     use std::sync::atomic::AtomicU8;
+    use std::sync::Arc;
     use tokio::sync::oneshot;
 
     /// A transport that sleeps, then fails — for hedge/straggler tests
@@ -430,7 +425,7 @@ mod tests {
         let out = rx.await.unwrap().unwrap();
         assert_eq!(out, Output::Class(7));
         // The counter ticks right after the hand-off, which the sibling
-        // may answer first: wait for the dispatch task to get there.
+        // may answer first: wait for the lane to get there.
         let waited = Instant::now();
         while metrics.retried.get() == 0 {
             assert!(waited.elapsed() < Duration::from_secs(5), "never counted");

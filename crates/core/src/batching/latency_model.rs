@@ -3,7 +3,7 @@
 //! Clipper sizes batches from an offline-profiled latency curve; we fit
 //! the same linear curve `latency(b) ≈ α + β·b` **online and
 //! per-replica**, from the `(batch_size, service_time)` observations the
-//! queue worker already produces for every dispatched batch. The fit is
+//! queue already produces for every dispatched batch. The fit is
 //! a streaming least-squares over exponentially-forgotten moments, so a
 //! replica that slows down (thermal throttling, a noisy neighbor, a
 //! bigger model version) re-learns its curve within a few dozen batches.

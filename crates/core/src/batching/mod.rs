@@ -15,9 +15,8 @@
 //!   `Fixed { size: 1 }`).
 //!
 //! Delayed batching (§4.3.2) is a queue-level knob
-//! ([`QueueConfig::batch_wait_timeout`]): under moderate load the
-//! dispatcher briefly waits for more queries before sending an under-full
-//! batch, trading a bounded delay for amortized fixed costs — the Nagle's
+//! ([`QueueConfig::batch_wait_timeout`]): under moderate load a lane
+//! briefly waits for more queries before sending an under-full batch, trading a bounded delay for amortized fixed costs — the Nagle's
 //! algorithm analogy.
 //!
 //! Every replica queue answers the scheduler's two questions from one
@@ -34,9 +33,11 @@
 //! failures redispatch still-within-budget queries onto a sibling
 //! replica through [`QueueHooks`], and an opt-in hedging knob
 //! ([`QueueConfig::hedge`]) races a straggling batch against a second
-//! replica. [`queue`] is the queue itself — intake, lifecycle, the
-//! pull-based worker; what happens to a sealed batch (transport call,
-//! hedge race, retry) lives in `dispatch.rs`.
+//! replica. [`queue`] is the queue itself — intake, lifecycle, and the
+//! lanes: [`QueueConfig::pipeline_depth`] identical tasks that each seal
+//! a batch and then send and settle it themselves; what a lane does with
+//! a sealed batch (transport call, hedge race, retry) lives in
+//! `dispatch.rs`.
 
 pub mod aimd;
 pub mod autotune;

@@ -1,32 +1,37 @@
-//! The per-replica batching queue: a pull-based worker with an explicit
+//! The per-replica batching queue: pull-based lanes with an explicit
 //! lifecycle.
 //!
-//! Queries destined for a model container replica land in its queue; the
-//! replica's *worker task* pulls up to the controller's current maximum
-//! batch size, optionally waits `batch_wait_timeout` for an under-full
-//! batch to fill (delayed batching, §4.3.2), ships the batch over the
-//! transport **zero-copy** (the batch slice shares the callers' `Arc`'d
-//! feature vectors; no `f32` is copied on dispatch), and distributes
-//! outputs to each query's reply sink — either a direct oneshot or a
-//! prediction-cache fill that wakes every joined waiter.
+//! Queries destined for a model container replica land in its queue. A
+//! *lane* is one task that loops: pull up to the controller's current
+//! maximum batch size, optionally wait `batch_wait_timeout` for an
+//! under-full batch to fill (delayed batching, §4.3.2), ship the batch
+//! over the transport **zero-copy** (the batch slice shares the callers'
+//! `Arc`'d feature vectors; no `f32` is copied on dispatch), and
+//! distribute outputs to each query's reply sink — either a direct
+//! oneshot or a prediction-cache fill that wakes every joined waiter —
+//! all from that one task, so a query that reaches a queue starts no
+//! task. A queue runs [`QueueConfig::pipeline_depth`] identical lanes
+//! over one channel; pulling is serialized (one lane assembles a batch
+//! at a time), so the depth is exactly the number of batches that can
+//! be outstanding at the replica.
 //!
 //! # Lifecycle
 //!
 //! A queue moves `Running → Draining → Stopped`:
 //!
-//! - **Running** — accepting submissions; the worker pulls and dispatches.
+//! - **Running** — accepting submissions; the lanes pull and dispatch.
 //! - **Draining** — entered by [`ReplicaQueue::shutdown`]. New submissions
-//!   are refused (routed elsewhere by the scheduler), but the worker keeps
+//!   are refused (routed elsewhere by the scheduler), but the lanes keep
 //!   pulling until the queue is empty, so every already-accepted query is
 //!   *completed or fail-filled* — never silently dropped. This is what
 //!   makes hot replica removal lossless.
-//! - **Stopped** — the worker has exited and all in-flight batches have
-//!   settled; [`ReplicaQueue::drained`] resolves.
+//! - **Stopped** — every lane has settled its last batch and exited;
+//!   [`ReplicaQueue::drained`] resolves.
 //!
 //! As a backstop, [`ReplySink`] completes on drop: if a queued item is
-//! destroyed without being dispatched (worker aborted, runtime teardown),
-//! its sink still fail-fills — a pending prediction-cache entry is failed
-//! rather than wedging its waiters forever.
+//! destroyed without being dispatched (runtime teardown), its sink still
+//! fail-fills — a pending prediction-cache entry is failed rather than
+//! wedging its waiters forever.
 //!
 //! # Scheduler-visible state
 //!
@@ -53,7 +58,7 @@
 //!   scheduling).
 
 use super::breaker::{BreakerConfig, CircuitBreaker, Health};
-use super::dispatch::{dispatch_batch, settle_upstream_failure, BatchJob};
+use super::dispatch::{dispatch_batch, fail_drain_deadline, settle_upstream_failure};
 use super::{BatchController, LatencyModel, LatencyPrior};
 use crate::cache::{CacheKey, PredictionCache};
 use crate::error::{PredictError, UpstreamKind};
@@ -61,7 +66,7 @@ use crate::types::{Input, Output};
 use clipper_metrics::{Counter, Gauge, Histogram, Meter, Registry};
 use clipper_rpc::transport::BatchTransport;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tokio::sync::{mpsc, oneshot, Semaphore};
@@ -177,8 +182,9 @@ pub struct QueueConfig {
     pub queue_capacity: usize,
     /// Hard cap on batch size.
     pub max_batch_cap: usize,
-    /// Outstanding batches per replica (2 keeps a GPU's next batch queued
-    /// while the current one runs, as both systems do in §6).
+    /// Outstanding batches per replica: the number of lanes the queue
+    /// runs, each holding at most one batch (2 keeps a GPU's next batch
+    /// queued while the current one runs, as both systems do in §6).
     pub pipeline_depth: usize,
     /// Hang detector for draining queues: the longest a drain may go
     /// **without a single query settling** before it is force-failed. A
@@ -186,9 +192,9 @@ pub struct QueueConfig {
     /// progress and is never cut short; a transport whose future simply
     /// never resolves — which would otherwise wedge
     /// [`ReplicaQueue::drained`] forever — trips it. Past the deadline
-    /// the in-flight dispatch tasks are aborted (dropping their queue
-    /// items, whose sinks complete-on-drop) and any remaining backlog is
-    /// fail-filled, so every waiter still settles.
+    /// every lane stops waiting on its transport and fails its batch,
+    /// and any remaining backlog is fail-filled as it is pulled, so
+    /// every waiter still settles.
     pub drain_deadline: Duration,
     /// Warm-start prior for the replica's online latency model (§4.4.1):
     /// typically the global curve from the `calibrate` bin, or the
@@ -334,11 +340,11 @@ impl QueueMetrics {
 /// Lifecycle state of a replica queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueueState {
-    /// Accepting submissions; the worker is pulling and dispatching.
+    /// Accepting submissions; the lanes are pulling and dispatching.
     Running,
-    /// Refusing new submissions; the worker is completing what's queued.
+    /// Refusing new submissions; the lanes are completing what's queued.
     Draining,
-    /// The worker has exited and every accepted query has settled.
+    /// Every lane has exited and every accepted query has settled.
     Stopped,
 }
 
@@ -346,36 +352,28 @@ const STATE_RUNNING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_STOPPED: u8 = 2;
 
-/// State shared between the queue handle and its worker task.
+/// State shared between the queue handle, its lanes and the drain
+/// watchdog.
 pub(super) struct QueueShared {
     pub(super) state: AtomicU8,
-    /// Items accepted but not yet pulled by the worker (channel occupancy).
+    /// Items accepted but not yet pulled by a lane (channel occupancy).
     pub(super) depth: AtomicUsize,
     /// Queries pulled into batches whose replies haven't settled yet.
     pub(super) inflight: AtomicUsize,
-    /// Closed by the worker on exit; `drained()` waits on it.
+    /// Closed by the last lane to exit; `drained()` waits on it.
     pub(super) done: Semaphore,
-    /// Live dispatch tasks, retained so the drain watchdog can abort
-    /// whatever a hung transport is still holding hostage (finished
-    /// handles are pruned as new batches dispatch).
-    pub(super) dispatch_tasks: Mutex<Vec<tokio::task::JoinHandle<()>>>,
-    /// Set by the drain watchdog once the deadline passes: batches pulled
-    /// after this point are fail-filled instead of dispatched, so a hung
+    /// Closed by the drain watchdog once the deadline passes (a closed
+    /// semaphore as a level-triggered event, like `done`): every lane
+    /// races its transport call against it, and batches pulled after
+    /// this point are fail-filled instead of dispatched, so a hung
     /// transport can't re-wedge the drain.
-    pub(super) force_failed: AtomicBool,
-    /// The configured drain deadline (see [`QueueConfig::drain_deadline`]).
-    pub(super) drain_deadline: Duration,
+    pub(super) forced: Semaphore,
     /// Online `α + β·b` latency model (§4.4.1), fed once per dispatched
     /// batch — the replica's only service-time estimate: the autotune
     /// controller, p2c scoring, SLO-aware admission, the autoscaler's
     /// backlog signal and the hedge delay all read it.
     pub(super) latency_model: Arc<LatencyModel>,
-    /// Recycled batch-assembly buffers: dispatches return their emptied
-    /// `items`/`inputs` vectors here, so steady-state batching performs
-    /// zero allocations per batch.
-    pub(super) spare_items: Mutex<Vec<Vec<QueueItem>>>,
-    pub(super) spare_inputs: Mutex<Vec<Vec<Input>>>,
-    /// The replica's health (§5.2.2): the worker consults it before
+    /// The replica's health (§5.2.2): a lane consults it before
     /// dispatching and feeds it every batch outcome, the fleet monitor
     /// feeds it heartbeat silence, and [`ReplicaQueue::health`] reads it.
     /// A replica that only ever errors drains instantly and would
@@ -385,52 +383,19 @@ pub(super) struct QueueShared {
     /// Scheduler callbacks for redispatch and hedging (empty for
     /// standalone queues).
     pub(super) hooks: QueueHooks,
-    /// Total dispatch attempts per query (see
-    /// [`QueueConfig::retry_max_attempts`]).
-    pub(super) retry_max_attempts: u32,
-    /// Hedged-dispatch tuning, when enabled.
-    pub(super) hedge: Option<HedgeConfig>,
-}
-
-/// Spare buffers retained per kind; beyond this they simply drop.
-const SPARE_BUFS: usize = 4;
-
-impl QueueShared {
-    pub(super) fn take_items_buf(&self) -> Vec<QueueItem> {
-        self.spare_items.lock().pop().unwrap_or_default()
-    }
-
-    pub(super) fn put_items_buf(&self, mut buf: Vec<QueueItem>) {
-        debug_assert!(buf.is_empty());
-        buf.clear();
-        let mut pool = self.spare_items.lock();
-        if pool.len() < SPARE_BUFS {
-            pool.push(buf);
-        }
-    }
-
-    pub(super) fn take_inputs_buf(&self) -> Vec<Input> {
-        self.spare_inputs.lock().pop().unwrap_or_default()
-    }
-
-    pub(super) fn put_inputs_buf(&self, mut buf: Vec<Input>) {
-        buf.clear();
-        let mut pool = self.spare_inputs.lock();
-        if pool.len() < SPARE_BUFS {
-            pool.push(buf);
-        }
-    }
+    /// The queue's configuration, as given at spawn.
+    pub(super) cfg: QueueConfig,
 }
 
 /// Handle to a running replica queue.
 pub struct ReplicaQueue {
     id: String,
-    /// Dropped on shutdown: closing the channel is what lets the worker
-    /// finish its pull loop once the backlog is gone.
+    /// Dropped on shutdown: closing the channel is what lets the lanes
+    /// finish their pull loops once the backlog is gone.
     tx: Mutex<Option<mpsc::Sender<QueueItem>>>,
     shared: Arc<QueueShared>,
     metrics: QueueMetrics,
-    /// The worker's batch controller, shared so the handle can report the
+    /// The lanes' batch controller, shared so the handle can report the
     /// live ceiling (persistence, benches) without waiting for a pull.
     controller: Arc<Mutex<Box<dyn BatchController>>>,
 }
@@ -447,7 +412,7 @@ impl ReplicaQueue {
         let Some(tx) = guard.as_ref() else {
             return Err(item);
         };
-        // Count before sending so the worker's decrement can never race
+        // Count before sending so a lane's decrement can never race
         // the counter below zero.
         self.shared.depth.fetch_add(1, Ordering::AcqRel);
         match tx.try_send(item) {
@@ -490,7 +455,7 @@ impl ReplicaQueue {
         }
     }
 
-    /// Queries accepted but not yet pulled by the worker (cheap relaxed
+    /// Queries accepted but not yet pulled by a lane (cheap relaxed
     /// read — the scheduler polls this on every routing decision).
     pub fn len(&self) -> usize {
         self.shared.depth.load(Ordering::Relaxed)
@@ -565,16 +530,16 @@ impl ReplicaQueue {
         self.controller.lock().max_batch()
     }
 
-    /// Begin a graceful drain: refuse new submissions, let the worker
+    /// Begin a graceful drain: refuse new submissions, let the lanes
     /// complete (or fail-fill) everything already queued, then stop.
     /// Idempotent. Await [`ReplicaQueue::drained`] for completion.
     ///
-    /// A watchdog enforces [`QueueConfig::drain_deadline`]: if in-flight
-    /// batches haven't resolved by then (a hung transport), their
-    /// dispatch tasks are aborted — every outstanding sink fail-fills via
-    /// complete-on-drop — and any backlog still queued is fail-filled
-    /// directly instead of being dispatched, so the drain always
-    /// terminates.
+    /// A watchdog enforces [`QueueConfig::drain_deadline`]: if a full
+    /// deadline passes without one query settling (a hung transport), it
+    /// raises the queue's drain-deadline event. Every lane then stops
+    /// waiting on its transport and fails the batch it holds, and any
+    /// backlog still queued is fail-filled as it is pulled instead of
+    /// being dispatched, so the drain always terminates.
     pub fn shutdown(&self) {
         let began = self
             .shared
@@ -587,60 +552,44 @@ impl ReplicaQueue {
             )
             .is_ok();
         // Closing the channel (dropping the only sender) is what ends the
-        // worker's pull loop after the backlog is consumed.
+        // lanes' pull loops after the backlog is consumed.
         self.tx.lock().take();
         if began {
             // Note: like `spawn_replica_queue` itself, this requires the
             // (global, vendored) tokio runtime.
             let shared = self.shared.clone();
             tokio::spawn(async move {
-                let mut forcing = false;
                 // Occupancy only shrinks during a drain (submissions are
                 // refused), so an unchanged value across a full deadline
                 // means not one query settled — a hang, not a deep
                 // backlog draining slowly.
                 let mut last_occupancy =
                     shared.depth.load(Ordering::Relaxed) + shared.inflight.load(Ordering::Relaxed);
-                loop {
-                    let wait = if forcing {
-                        // Re-sweep quickly until the worker announces
-                        // Stopped: a dispatch spawned concurrently with a
-                        // sweep might have missed the task-list snapshot.
-                        Duration::from_millis(50)
-                    } else {
-                        shared.drain_deadline
-                    };
-                    // `done` closes when the worker announces Stopped, so
-                    // a clean drain wakes (and ends) the watchdog
-                    // immediately instead of parking it for the full
-                    // deadline.
-                    if tokio::time::timeout(wait, shared.done.acquire())
-                        .await
-                        .is_ok()
-                    {
-                        return; // drain complete
-                    }
+                // `done` closes when the last lane announces Stopped, so
+                // a clean drain wakes (and ends) the watchdog immediately
+                // instead of parking it for the full deadline.
+                while tokio::time::timeout(shared.cfg.drain_deadline, shared.done.acquire())
+                    .await
+                    .is_err()
+                {
                     let occupancy = shared.depth.load(Ordering::Relaxed)
                         + shared.inflight.load(Ordering::Relaxed);
-                    if !forcing && occupancy < last_occupancy {
-                        // Progress since the last check: re-arm the full
-                        // deadline instead of force-failing a healthy (if
-                        // slow) drain of a deep backlog.
-                        last_occupancy = occupancy;
-                        continue;
+                    if occupancy >= last_occupancy {
+                        // The lanes take it from here: each fails what it
+                        // holds and what it still pulls, then exits.
+                        shared.forced.close();
+                        return;
                     }
-                    forcing = true;
-                    shared.force_failed.store(true, Ordering::Release);
-                    let tasks = std::mem::take(&mut *shared.dispatch_tasks.lock());
-                    for t in &tasks {
-                        t.abort();
-                    }
+                    // Progress since the last check: re-arm the full
+                    // deadline instead of force-failing a healthy (if
+                    // slow) drain of a deep backlog.
+                    last_occupancy = occupancy;
                 }
             });
         }
     }
 
-    /// Wait until the worker has exited and every accepted query settled
+    /// Wait until every lane has exited and every accepted query settled
     /// (state `Stopped`). Must be preceded by [`ReplicaQueue::shutdown`]
     /// (directly or via replica removal), otherwise this waits forever.
     ///
@@ -648,21 +597,22 @@ impl ReplicaQueue {
     /// answer or an error. Transports with liveness probing (the TCP
     /// handle's heartbeats) fail their in-flight batches on a hang; for a
     /// custom transport whose future never resolves at all, the queue's
-    /// [`QueueConfig::drain_deadline`] kicks in: the remaining dispatch
-    /// tasks are aborted and every outstanding sink fail-fills via the
-    /// complete-on-drop backstop, so this never waits forever.
+    /// [`QueueConfig::drain_deadline`] kicks in: the lanes abandon the
+    /// call and fail their batches with "replica drain deadline
+    /// exceeded", so this never waits forever.
     pub async fn drained(&self) {
-        // The worker closes the semaphore on exit; a closed acquire is the
-        // "done" signal. If it already closed, this returns immediately.
+        // The last lane closes the semaphore on exit; a closed acquire is
+        // the "done" signal. If it already closed, this returns
+        // immediately.
         let _ = self.shared.done.acquire().await;
     }
 }
 
 impl Drop for ReplicaQueue {
     fn drop(&mut self) {
-        // Graceful even when the handle is just dropped: the worker drains
-        // the backlog and exits once the channel closes. Sinks complete on
-        // drop as the backstop if the runtime tears the worker down first.
+        // Graceful even when the handle is just dropped: the lanes drain
+        // the backlog and exit once the channel closes. Sinks complete on
+        // drop as the backstop if the runtime tears the lanes down first.
         let _ = self.shared.state.compare_exchange(
             STATE_RUNNING,
             STATE_DRAINING,
@@ -673,7 +623,7 @@ impl Drop for ReplicaQueue {
     }
 }
 
-/// Spawn the pull-based worker for one replica.
+/// Spawn the lanes for one replica's queue.
 pub fn spawn_replica_queue(
     id: String,
     transport: Arc<dyn BatchTransport>,
@@ -696,6 +646,7 @@ pub fn spawn_replica_queue_with_hooks(
     hooks: QueueHooks,
 ) -> Arc<ReplicaQueue> {
     let (tx, rx) = mpsc::channel(cfg.queue_capacity.max(1));
+    let rx = Arc::new(tokio::sync::Mutex::new(rx));
     let latency_model = Arc::new(match cfg.latency_prior {
         Some(prior) => LatencyModel::with_prior(prior),
         None => LatencyModel::new(),
@@ -705,32 +656,29 @@ pub fn spawn_replica_queue_with_hooks(
         cfg.max_batch_cap,
         &latency_model,
     )));
+    let lanes = cfg.pipeline_depth.max(1);
     let shared = Arc::new(QueueShared {
         state: AtomicU8::new(STATE_RUNNING),
         depth: AtomicUsize::new(0),
         inflight: AtomicUsize::new(0),
         done: Semaphore::new(0),
-        dispatch_tasks: Mutex::new(Vec::new()),
-        force_failed: AtomicBool::new(false),
-        drain_deadline: cfg.drain_deadline,
+        forced: Semaphore::new(0),
         latency_model,
-        spare_items: Mutex::new(Vec::new()),
-        spare_inputs: Mutex::new(Vec::new()),
         breaker: CircuitBreaker::new(cfg.breaker),
         hooks,
-        retry_max_attempts: cfg.retry_max_attempts.max(1),
-        hedge: cfg.hedge,
+        cfg,
     });
-    // Detached on purpose: the worker owns its own exit (channel close →
+    // Detached on purpose: the lanes own their own exit (channel close →
     // drain → Stopped), so no JoinHandle juggling is needed.
-    tokio::spawn(worker_loop(
-        rx,
-        transport,
-        controller.clone(),
-        cfg.clone(),
-        metrics.clone(),
-        shared.clone(),
-    ));
+    for _ in 0..lanes {
+        tokio::spawn(lane(
+            rx.clone(),
+            transport.clone(),
+            controller.clone(),
+            metrics.clone(),
+            shared.clone(),
+        ));
+    }
     Arc::new(ReplicaQueue {
         id,
         tx: Mutex::new(Some(tx)),
@@ -740,70 +688,67 @@ pub fn spawn_replica_queue_with_hooks(
     })
 }
 
-async fn worker_loop(
-    mut rx: mpsc::Receiver<QueueItem>,
+/// One lane: seal a batch under the receiver lock, then send and settle
+/// it from this task before pulling again.
+async fn lane(
+    rx: Arc<tokio::sync::Mutex<mpsc::Receiver<QueueItem>>>,
     transport: Arc<dyn BatchTransport>,
     controller: Arc<Mutex<Box<dyn BatchController>>>,
-    cfg: QueueConfig,
     metrics: QueueMetrics,
     shared: Arc<QueueShared>,
 ) {
-    let pipeline = cfg.pipeline_depth.max(1);
-    let gate = Arc::new(Semaphore::new(pipeline));
+    let cfg = &shared.cfg;
+    // Batch-assembly buffers, emptied by every iteration and reused by
+    // the next: steady-state batching allocates nothing.
+    let mut items: Vec<QueueItem> = Vec::new();
+    let mut inputs: Vec<Input> = Vec::new();
     loop {
-        let permit = match gate.clone().acquire_owned().await {
-            Ok(p) => p,
-            Err(_) => break,
-        };
-        // Pull: blocks until a query arrives or the channel closes (drain
-        // begun and backlog consumed).
-        let first = match rx.recv().await {
-            Some(item) => item,
-            None => break,
-        };
-        shared.depth.fetch_sub(1, Ordering::AcqRel);
-        let max_batch = {
-            let c = controller.lock();
-            metrics.current_max_batch.set(c.max_batch() as i64);
-            c.max_batch().min(cfg.max_batch_cap).max(1)
-        };
-        let mut items = shared.take_items_buf();
-        items.push(first);
-        if cfg.batch_wait_timeout > Duration::ZERO {
-            // Delayed batching: hold the batch open briefly.
-            let wait_deadline = tokio::time::Instant::now() + cfg.batch_wait_timeout;
-            while items.len() < max_batch {
-                match tokio::time::timeout_at(wait_deadline, rx.recv()).await {
-                    Ok(Some(item)) => {
-                        shared.depth.fetch_sub(1, Ordering::AcqRel);
-                        items.push(item);
+        {
+            // One lane assembles at a time; the others wait here while
+            // their siblings' batches are in flight.
+            let mut pull = rx.lock().await;
+            // Blocks until a query arrives or the channel closes (drain
+            // begun and backlog consumed).
+            let Some(first) = pull.recv().await else {
+                break;
+            };
+            shared.depth.fetch_sub(1, Ordering::AcqRel);
+            let max_batch = {
+                let c = controller.lock();
+                metrics.current_max_batch.set(c.max_batch() as i64);
+                c.max_batch().min(cfg.max_batch_cap).max(1)
+            };
+            items.push(first);
+            if cfg.batch_wait_timeout > Duration::ZERO {
+                // Delayed batching: hold the batch open briefly.
+                let wait_deadline = tokio::time::Instant::now() + cfg.batch_wait_timeout;
+                while items.len() < max_batch {
+                    match tokio::time::timeout_at(wait_deadline, pull.recv()).await {
+                        Ok(Some(item)) => {
+                            shared.depth.fetch_sub(1, Ordering::AcqRel);
+                            items.push(item);
+                        }
+                        Ok(None) | Err(_) => break,
                     }
-                    Ok(None) | Err(_) => break,
                 }
-            }
-        } else {
-            while items.len() < max_batch {
-                match rx.try_recv() {
-                    Ok(item) => {
-                        shared.depth.fetch_sub(1, Ordering::AcqRel);
-                        items.push(item);
+            } else {
+                while items.len() < max_batch {
+                    match pull.try_recv() {
+                        Ok(item) => {
+                            shared.depth.fetch_sub(1, Ordering::AcqRel);
+                            items.push(item);
+                        }
+                        Err(_) => break,
                     }
-                    Err(_) => break,
                 }
             }
         }
 
-        // Past the drain deadline the watchdog has aborted the wedged
-        // in-flight batches; dispatching more at the hung transport would
-        // re-wedge the drain, so the remaining backlog fail-fills here.
-        if shared.force_failed.load(Ordering::Acquire) {
-            let err = PredictError::Failed("replica drain deadline exceeded".into());
-            metrics.errors.add(items.len() as u64);
-            for item in items.drain(..) {
-                item.sink.complete(Err(err.clone()));
-            }
-            shared.put_items_buf(items);
-            drop(permit);
+        // Past the drain deadline, dispatching more at the hung transport
+        // would re-wedge the drain, so the remaining backlog fail-fills
+        // here.
+        if shared.forced.is_closed() {
+            fail_drain_deadline(&mut items, &metrics);
             continue;
         }
 
@@ -820,42 +765,32 @@ async fn worker_loop(
                 &metrics,
                 &shared,
             );
-            shared.put_items_buf(items);
-            drop(permit);
             continue;
         }
 
-        // The job struct travels inside the spawned future, so even if
-        // the task is aborted before its first poll (drain-deadline
-        // force-fail) the items settle and the counters release — in the
-        // struct's field order.
-        let job = BatchJob::new(items, shared.clone(), permit);
-        let task = tokio::spawn(dispatch_batch(
-            job,
-            transport.clone(),
-            controller.clone(),
-            cfg.slo,
-            metrics.clone(),
-            shared.clone(),
-        ));
-        let mut tasks = shared.dispatch_tasks.lock();
-        tasks.retain(|t| !t.is_finished());
-        tasks.push(task);
+        dispatch_batch(
+            &mut items,
+            &mut inputs,
+            &*transport,
+            &controller,
+            &metrics,
+            &shared,
+        )
+        .await;
+        // The settlement just woke this batch's callers. Go to the back
+        // of the run queue so that a closed-loop caller's next query is
+        // in the channel before the next batch is sealed; pulling at
+        // once would seal smaller batches and make that query wait out
+        // a whole round trip. The replies are already delivered, so the
+        // hop is off every request's path.
+        tokio::task::yield_now().await;
     }
-    // Drain finished: wait for every in-flight batch by collecting all
-    // pipeline permits, then announce Stopped. Progress is guaranteed:
-    // batches either resolve on their own, or the shutdown watchdog
-    // aborts them at the drain deadline — releasing their permits and
-    // fail-filling their sinks via complete-on-drop.
-    let mut held = Vec::with_capacity(pipeline);
-    for _ in 0..pipeline {
-        match gate.clone().acquire_owned().await {
-            Ok(p) => held.push(p),
-            Err(_) => break,
-        }
+    // Whichever lane lets go of the receiver last has seen every other
+    // lane settle its final batch: it announces Stopped.
+    if Arc::into_inner(rx).is_some() {
+        shared.state.store(STATE_STOPPED, Ordering::Release);
+        shared.done.close();
     }
-    shared.state.store(STATE_STOPPED, Ordering::Release);
-    shared.done.close();
 }
 
 #[cfg(test)]
@@ -1014,7 +949,7 @@ pub(super) mod tests {
         );
         let mut rxs = Vec::new();
         let mut refused = None;
-        // One item is pulled by the worker immediately; keep pushing until
+        // One item is pulled by the lane immediately; keep pushing until
         // the 4-slot channel itself refuses.
         for v in 0..16 {
             let (item, rx) = direct_item(v as f32);
@@ -1352,6 +1287,123 @@ pub(super) mod tests {
         q.drained().await;
         assert_eq!(cache.pending_len(), 0, "force-fail must settle the entry");
         assert!(matches!(rx.await.unwrap(), Err(PredictError::Failed(_))));
+    }
+
+    /// Echoes, but only once `gate` is closed, and tracks how many of
+    /// its calls are outstanding at once.
+    struct Gate {
+        gate: Semaphore,
+        current: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    struct Gated(Arc<Gate>);
+
+    impl BatchTransport for Gated {
+        fn predict_batch(
+            &self,
+            inputs: &[Input],
+        ) -> clipper_rpc::BoxFuture<Result<PredictReply, clipper_rpc::RpcError>> {
+            let this = self.0.clone();
+            let outputs = inputs
+                .iter()
+                .map(|x| WireOutput::Class(x[0] as u32))
+                .collect();
+            let now = this.current.fetch_add(1, Ordering::SeqCst) + 1;
+            this.peak.fetch_max(now, Ordering::SeqCst);
+            Box::pin(async move {
+                let _ = this.gate.acquire().await;
+                this.current.fetch_sub(1, Ordering::SeqCst);
+                Ok(PredictReply {
+                    outputs,
+                    queue_us: 0,
+                    compute_us: 0,
+                })
+            })
+        }
+        fn id(&self) -> String {
+            "gated".into()
+        }
+    }
+
+    #[tokio::test]
+    async fn pipeline_depth_is_the_number_of_batches_in_flight() {
+        for depth in [1, 2] {
+            let gated = Arc::new(Gate {
+                gate: Semaphore::new(0),
+                current: AtomicUsize::new(0),
+                peak: AtomicUsize::new(0),
+            });
+            let q = spawn_replica_queue(
+                "m:0".into(),
+                Arc::new(Gated(gated.clone())),
+                QueueConfig {
+                    strategy: BatchStrategy::Fixed { size: 1 },
+                    pipeline_depth: depth,
+                    ..Default::default()
+                },
+                test_metrics(),
+            );
+            let mut rxs = Vec::new();
+            for v in 0..8 {
+                let (item, rx) = direct_item(v as f32);
+                q.submit(item);
+                rxs.push((v, rx));
+            }
+            // The gate holds every call, so the lanes fill up and stay
+            // full with six more single-query batches waiting behind them.
+            let waited = Instant::now();
+            while gated.current.load(Ordering::SeqCst) < depth {
+                assert!(waited.elapsed() < Duration::from_secs(5), "lanes idle");
+                tokio::task::yield_now().await;
+            }
+            // Room for a batch beyond the depth to show itself.
+            tokio::time::sleep(Duration::from_millis(20)).await;
+            assert_eq!(q.inflight(), depth);
+            assert_eq!(q.len(), 8 - depth);
+            gated.gate.close();
+            for (v, rx) in rxs {
+                assert_eq!(rx.await.unwrap().unwrap(), Output::Class(v as u32));
+            }
+            assert_eq!(gated.peak.load(Ordering::SeqCst), depth);
+        }
+    }
+
+    #[tokio::test]
+    async fn drain_deadline_settles_every_lane_of_a_hung_transport() {
+        let metrics = test_metrics();
+        let q = spawn_replica_queue(
+            "m:0".into(),
+            hung_transport(),
+            QueueConfig {
+                strategy: BatchStrategy::Fixed { size: 1 },
+                pipeline_depth: 2,
+                drain_deadline: Duration::from_millis(100),
+                ..Default::default()
+            },
+            metrics.clone(),
+        );
+        let mut rxs = Vec::new();
+        for v in 0..6 {
+            let (item, rx) = direct_item(v as f32);
+            q.try_submit(item).ok().expect("an empty queue accepts");
+            rxs.push(rx);
+        }
+        q.shutdown();
+        q.drained().await;
+        assert_eq!(q.state(), QueueState::Stopped);
+        assert_eq!(q.inflight(), 0);
+        assert_eq!(q.len(), 0);
+        // The two batches held by the lanes and the four behind them all
+        // settle the same way, each counted once.
+        for rx in rxs {
+            let settled = rx.await.expect("sink settled, not dropped");
+            assert!(
+                matches!(settled, Err(PredictError::Failed(ref m)) if m.contains("drain deadline")),
+                "{settled:?}"
+            );
+        }
+        assert_eq!(metrics.errors.get(), 6);
     }
 
     #[tokio::test]

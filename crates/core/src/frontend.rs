@@ -92,9 +92,25 @@ impl Drop for HttpFrontend {
 // Data-plane request/response shapes
 // ---------------------------------------------------------------------
 
+/// A request's feature vector, every value finite: `1e39` and `1e999`
+/// are number tokens that read as `f32::INFINITY`, which must reach
+/// neither a cache key nor a model.
+struct Features(Vec<f32>);
+
+impl Deserialize for Features {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let values = Vec::<f32>::deserialize(r)?;
+        if values.iter().all(|v| v.is_finite()) {
+            Ok(Features(values))
+        } else {
+            Err(r.error("input holds a value outside the range of f32"))
+        }
+    }
+}
+
 #[derive(Deserialize)]
 struct PredictRequest {
-    input: Vec<f32>,
+    input: Features,
     #[serde(default)]
     context: Option<String>,
 }
@@ -110,7 +126,7 @@ struct PredictResponse {
 
 #[derive(Deserialize)]
 struct UpdateRequest {
-    input: Vec<f32>,
+    input: Features,
     #[serde(default)]
     context: Option<String>,
     #[serde(default)]
@@ -741,7 +757,7 @@ async fn handle_predict(
 ) -> Result<(u16, String), ApiError> {
     let parsed: PredictRequest = parse_json(body)?;
     let p = clipper
-        .predict(app, parsed.context.as_deref(), Arc::new(parsed.input))
+        .predict(app, parsed.context.as_deref(), Arc::new(parsed.input.0))
         .await
         .map_err(|e| data_plane_err(e, app))?;
     let resp = PredictResponse {
@@ -773,7 +789,7 @@ async fn handle_update(
         .feedback(
             app,
             parsed.context.as_deref(),
-            Arc::new(parsed.input),
+            Arc::new(parsed.input.0),
             feedback,
         )
         .await
@@ -932,7 +948,8 @@ mod tests {
     fn predict_and_update_bodies_parse_as_one_table() {
         // Body → the value both request types must read from it, or
         // `None` for a 400 — each row as the two-pass serde parser this
-        // codec replaced decided it, so the accept set did not move.
+        // codec replaced decided it, except that a number too large for
+        // `f32` is now out.
         type Parsed<'a> = Option<(&'a [f32], Option<&'a str>)>;
         let table: &[(&str, Parsed)] = &[
             (r#"{"input":[7.0]}"#, Some((&[7.0], None))),
@@ -976,10 +993,11 @@ mod tests {
             (r#"{"input":[1.]}"#, Some((&[1.0], None))),
             (r#"{"input":[-.5]}"#, Some((&[-0.5], None))),
             (r#"{"input":[01]}"#, Some((&[1.0], None))),
-            (r#"{"input":[1e999]}"#, Some((&[f32::INFINITY], None))),
-            (r#"{"input":[1e39]}"#, Some((&[f32::INFINITY], None))),
             (r#"{"input":[99999999999999999999]}"#, Some((&[1e20], None))),
             // And these are out.
+            (r#"{"input":[1e999]}"#, None),
+            (r#"{"input":[1e39]}"#, None),
+            (r#"{"input":[1,-1e39]}"#, None),
             (r#"{"input":[+1]}"#, None),
             (r#"{"input":[.5]}"#, None),
             (r#"{"input":[1e]}"#, None),
@@ -1012,10 +1030,10 @@ mod tests {
         for (body, expected) in table {
             let predict = serde_json::from_slice::<PredictRequest>(body.as_bytes())
                 .ok()
-                .map(|r| (r.input, r.context));
+                .map(|r| (r.input.0, r.context));
             let update = serde_json::from_slice::<UpdateRequest>(body.as_bytes())
                 .ok()
-                .map(|r| (r.input, r.context));
+                .map(|r| (r.input.0, r.context));
             assert_eq!(predict, update, "predict and update disagree on {body}");
             let expected = expected.map(|(input, ctx)| (input.to_vec(), ctx.map(str::to_string)));
             assert_eq!(predict, expected, "{body}");
@@ -1037,8 +1055,8 @@ mod tests {
         let body = br#"{"input":[1.00000005960464477539062500000001]}"#;
         let predict: PredictRequest = serde_json::from_slice(body).unwrap();
         let update: UpdateRequest = serde_json::from_slice(body).unwrap();
-        assert_eq!(predict.input[0].to_bits(), 0x3f80_0001);
-        assert_eq!(update.input[0].to_bits(), 0x3f80_0001);
+        assert_eq!(predict.input.0[0].to_bits(), 0x3f80_0001);
+        assert_eq!(update.input.0[0].to_bits(), 0x3f80_0001);
     }
 
     #[tokio::test]
@@ -1105,6 +1123,39 @@ mod tests {
             resp.contains("bad request: ") && !resp.contains("bad request: bad request:"),
             "exactly one taxonomy prefix on the message: {resp}"
         );
+    }
+
+    #[tokio::test]
+    async fn non_finite_input_is_a_400_and_the_connection_survives() {
+        // `1e39` is a well-formed number that does not fit an `f32`: it
+        // used to reach the cache key and the models as infinity.
+        let (frontend, _clipper) = start_frontend().await;
+        let mut conn = TcpStream::connect(frontend.local_addr()).await.unwrap();
+        let mut exchange = async |route: &str, body: &str| {
+            let req = format!(
+                "POST /api/v1/apps/digits/{route} HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            conn.write_all(req.as_bytes()).await.unwrap();
+            let mut buf = vec![0u8; 4096];
+            let n = conn.read(&mut buf).await.unwrap();
+            String::from_utf8_lossy(&buf[..n]).into_owned()
+        };
+        for (route, body) in [
+            ("predict", r#"{"input":[1e39]}"#),
+            ("predict", r#"{"input":[2,-1e999]}"#),
+            ("update", r#"{"input":[1e39],"label":1}"#),
+        ] {
+            let resp = exchange(route, body).await;
+            assert!(resp.starts_with("HTTP/1.1 400"), "{route} {body}: {resp}");
+            let json = resp.split("\r\n\r\n").nth(1).unwrap_or("");
+            let parsed: ErrorBody = serde_json::from_str(json).expect("typed error body");
+            assert_eq!(parsed.error.code, "bad_request");
+        }
+        // The largest finite `f32` is still in, on the same connection.
+        let resp = exchange("predict", r#"{"input":[4,3.4028235e38]}"#).await;
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        assert!(resp.contains("\"label\":4"), "{resp}");
     }
 
     #[tokio::test]

@@ -11,9 +11,9 @@
 //! - [`batching`]: per-replica adaptive batching queues — AIMD (the
 //!   default), online quantile regression, latency-model autotuning, or
 //!   fixed — plus delayed batching under moderate load (§4.3). Each
-//!   queue is a pull-based worker with an explicit
-//!   `Running → Draining → Stopped` lifecycle and zero-copy batch
-//!   dispatch;
+//!   queue is a set of pull-based lanes (one task seals, sends and
+//!   settles a batch) with an explicit `Running → Draining → Stopped`
+//!   lifecycle and zero-copy batch dispatch;
 //! - per-model replica scheduling (§4.4.1): depth-aware
 //!   power-of-two-choices over live queue state (each replica's one
 //!   health value and its latency model applied to its occupancy) with

@@ -1,6 +1,7 @@
-//! Counts the tasks one request starts: the gather in `Clipper::predict`
-//! / `feedback` evaluates every model from the calling task, so the only
-//! spawns on the request path are the replica queues' own dispatch tasks.
+//! Counts the tasks one request starts: none. The gather in
+//! `Clipper::predict` / `feedback` evaluates every model from the calling
+//! task, and a replica queue's lane sends and settles the batch it
+//! sealed itself, so neither a cached nor a cold request spawns.
 //!
 //! This file intentionally holds a single test: integration-test binaries
 //! run as their own process, so nothing else spawns onto the vendored
@@ -15,7 +16,7 @@ use std::time::Duration;
 use tokio::runtime::spawned_total;
 
 #[tokio::test]
-async fn a_request_spawns_only_the_queues_dispatch_tasks() {
+async fn a_request_spawns_no_task() {
     const MODELS: usize = 4;
     let clipper = Clipper::builder().build();
     let models: Vec<ModelId> = (0..MODELS)
@@ -65,7 +66,7 @@ async fn a_request_spawns_only_the_queues_dispatch_tasks() {
     assert_eq!(p.models_used, MODELS);
     assert_eq!(
         spawned_total() - before,
-        MODELS as u64,
-        "a cold predict starts one dispatch task per model's queue, nothing else"
+        0,
+        "a cold predict crosses every model's queue and must start no task either"
     );
 }
