@@ -6,15 +6,19 @@
 //! localhost TCP and reports the per-iteration allocation delta, plus
 //! the per-iteration TCP write-op delta from the vendored runtime's
 //! write counters (one request–response round trip should cost one
-//! kernel write per direction — two ops total) and the per-iteration
-//! count of tasks `tokio::spawn` started on the vendored runtime
-//! (`tokio::runtime::spawned_total`; the request path's hop counter).
+//! kernel write per direction — two ops total), the per-iteration count
+//! of tasks `tokio::spawn` started on the vendored runtime
+//! (`tokio::runtime::spawned_total`) and the per-iteration count of
+//! hand-offs that woke a parked task or thread
+//! (`tokio::runtime::wakes_total`; the request path's hop counter).
 //!
 //! Scenarios:
 //!
 //! - `echo` — 64-byte TCP echo RTT (floor: the runtime itself);
 //! - `rpc_predict1` — clipper-rpc `predict_batch` b=1 against a No-Op
-//!   container (frame codec + writer task + oneshot completion);
+//!   container (frame codec, each side writing its own frame, the
+//!   container's execution thread, oneshot completion: four wakes —
+//!   container reader, execution thread, server reader, caller);
 //! - `http_predict` — keep-alive HTTP predict of one repeated input
 //!   against an in-process echo transport (head parse, routing, JSON
 //!   in/out, selection, a prediction-cache hit: after the first request
@@ -28,7 +32,7 @@
 //! `baseline_allocs_per_iter` carries the numbers recorded immediately
 //! **before** the wire-speed data-plane rework (buffer reuse, writev
 //! coalescing, zero-alloc routing) so the reduction is visible in one
-//! file. Gates: every scenario under its allocation and spawn ceiling,
+//! file. Gates: every scenario under its allocation, spawn and wake ceiling,
 //! the predict-b=1 RPC-path reduction vs baseline at least 50%, and at
 //! most one write syscall per direction on every request–response
 //! scenario. (`http_predict` runs selection and the prediction cache,
@@ -80,14 +84,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// `[allocations, tcp write ops, tasks spawned]` so far, for
+/// `[allocations, tcp write ops, tasks spawned, wakes]` so far, for
 /// before/after deltas.
-fn counters() -> [u64; 3] {
+fn counters() -> [u64; 4] {
     let (w, wv) = tokio::net::tcp_write_op_counts();
     [
         ALLOCS.load(Ordering::Relaxed),
         w + wv,
         tokio::runtime::spawned_total(),
+        tokio::runtime::wakes_total(),
     ]
 }
 
@@ -99,6 +104,8 @@ struct Scenario {
     write_ops_per_iter: f64,
     /// Tasks `tokio::spawn` started per iteration.
     spawns_per_iter: f64,
+    /// Parked tasks or threads woken per iteration.
+    wakes_per_iter: f64,
     /// Same measurement recorded before the wire-speed rework.
     baseline_allocs_per_iter: f64,
     /// `1 - allocs_per_iter / baseline_allocs_per_iter`.
@@ -107,7 +114,7 @@ struct Scenario {
 
 impl Scenario {
     /// The per-iteration deltas between two [`counters`] readings.
-    fn measured(name: &str, iters: u64, before: [u64; 3], after: [u64; 3]) -> Scenario {
+    fn measured(name: &str, iters: u64, before: [u64; 4], after: [u64; 4]) -> Scenario {
         let per_iter = |i: usize| (after[i] - before[i]) as f64 / iters as f64;
         let baseline = lookup(&BASELINE_ALLOCS_PER_ITER, name);
         Scenario {
@@ -116,6 +123,7 @@ impl Scenario {
             allocs_per_iter: per_iter(0),
             write_ops_per_iter: per_iter(1),
             spawns_per_iter: per_iter(2),
+            wakes_per_iter: per_iter(3),
             baseline_allocs_per_iter: baseline,
             alloc_reduction: if baseline > 0.0 {
                 1.0 - per_iter(0) / baseline
@@ -138,14 +146,15 @@ const BASELINE_ALLOCS_PER_ITER: [(&str, f64); 5] = [
 ];
 
 /// Regression ceilings on allocations/iteration (measured value —
-/// 0.0 / 10.0 / 16.0 / 21.0 / 10.0 — plus headroom for executor
+/// 0.0 / 8.0 / 16.0 / 21.0 / 10.0 — plus headroom for executor
 /// scheduling noise; `http_predict_cold`, added when the replica queue
 /// stopped spawning a task per batch (24.5 → 21.0, 20.4 in some runs),
 /// gets measured + 1).
 /// `http_predict` ratcheted from 33.0 when the selection state's
 /// per-predict JSON decode stopped building an intermediate tree (18
 /// allocations → 4, the state's own vectors); `rpc_predict1` from 18.0
-/// when `spawn_blocking` stopped scheduling a placeholder task (12 → 10).
+/// when `spawn_blocking` stopped scheduling a placeholder task (12 → 10;
+/// 8 since the container runs every batch on one execution thread).
 const ALLOC_CEILINGS: [(&str, f64); 5] = [
     ("echo", 2.0),
     ("rpc_predict1", 14.0),
@@ -163,6 +172,18 @@ const SPAWN_CEILINGS: [(&str, f64); 5] = [
     ("http_predict", 1.0),
     ("http_predict_cold", 1.0),
     ("control_get", 1.0),
+];
+
+/// Regression ceilings on wakes per iteration: measured value plus one.
+/// `rpc_predict1` measured 7.93 before each side wrote its own frames
+/// and the container's reader handed batches straight to its execution
+/// thread, 4.00 after.
+const WAKE_CEILINGS: [(&str, f64); 5] = [
+    ("echo", 3.0),
+    ("rpc_predict1", 5.0),
+    ("http_predict", 3.0),
+    ("http_predict_cold", 5.0),
+    ("control_get", 3.0),
 ];
 
 fn lookup(table: &[(&str, f64)], name: &str) -> f64 {
@@ -285,6 +306,7 @@ async fn main() {
         "allocs/iter",
         "writes/iter",
         "spawns/iter",
+        "wakes/iter",
         "baseline allocs/iter",
         "reduction",
     ]);
@@ -294,6 +316,7 @@ async fn main() {
             format!("{:.1}", s.allocs_per_iter),
             format!("{:.2}", s.write_ops_per_iter),
             format!("{:.2}", s.spawns_per_iter),
+            format!("{:.2}", s.wakes_per_iter),
             format!("{:.1}", s.baseline_allocs_per_iter),
             format!("{:.0}%", s.alloc_reduction * 100.0),
         ]);
@@ -310,6 +333,13 @@ async fn main() {
         report.gate(
             &gate("spawns_per_iter"),
             s.spawns_per_iter,
+            Op::AtMost,
+            ceiling,
+        );
+        let ceiling = lookup(&WAKE_CEILINGS, &s.name);
+        report.gate(
+            &gate("wakes_per_iter"),
+            s.wakes_per_iter,
             Op::AtMost,
             ceiling,
         );

@@ -1,11 +1,11 @@
-//! Async frame reader/writer with per-connection buffer reuse.
+//! Frame writing and reading with per-connection buffer reuse.
 //!
-//! The hot path is [`FrameWriter`] / [`FrameReader`]: each retains one
-//! buffer for the life of the connection, so steady-state framing does
-//! zero allocation and one syscall per direction. A writer can
-//! [`queue`](FrameWriter::queue) several frames and flush them as a
-//! single `write` — the RPC writer tasks drain their outbound channel
-//! this way, so responses that land in one readiness window coalesce.
+//! The hot path is [`Outbox`] / [`FrameReader`]: each retains one buffer
+//! for the life of the connection, so steady-state framing does zero
+//! allocation and one syscall per direction. A sender writes its own
+//! frame — no writer task, no channel, no wake — and only bytes the
+//! socket refuses wait for a drain task, behind which later frames
+//! coalesce into the same writes.
 //!
 //! The free functions [`write_frame`] / [`read_frame`] are the simple
 //! one-shot equivalents, kept for handshakes and tests that speak the
@@ -14,7 +14,11 @@
 
 use crate::error::RpcError;
 use crate::message::{Message, MAGIC, MAX_PAYLOAD, VERSION};
+use parking_lot::Mutex;
+use std::io::ErrorKind;
+use std::sync::Arc;
 use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
+use tokio::net::tcp::OwnedWriteHalf;
 
 /// Header length: magic(4) + version(1) + type(1) + request_id(8) + len(4).
 pub const HEADER_LEN: usize = 18;
@@ -55,54 +59,108 @@ fn map_eof(e: std::io::Error) -> RpcError {
     }
 }
 
-/// Buffered frame encoder over an async writer.
+/// One connection's outbound side, shared by every sender.
 ///
-/// Frames are encoded into one retained buffer; [`flush`](Self::flush)
-/// writes everything queued so far as a single `write_all`. Encoding
-/// allocates only when a frame outgrows the retained capacity, and the
-/// buffer shrinks back once an oversized flush completes.
-pub struct FrameWriter<W> {
-    writer: W,
+/// A parking_lot-locked buffer over the write half. [`send`](Self::send)
+/// encodes a frame into the retained buffer and writes it from the
+/// caller with one nonblocking `write(2)` under the lock, so frames from
+/// concurrent senders never interleave and a dropped future can never
+/// leave half a frame on the wire. Bytes the socket refuses become a
+/// backlog that one spawned drain task finishes on write readiness;
+/// frames sent while it exists are appended behind it and go out in its
+/// writes. Cloning shares the outbox.
+#[derive(Clone)]
+pub struct Outbox(Arc<Mutex<Backlog>>);
+
+struct Backlog {
+    /// Encoded frames; `buf[sent..]` is not yet written. Non-empty
+    /// exactly while a drain task owns it.
     buf: Vec<u8>,
+    sent: usize,
+    /// `None` once closed or after a write error.
+    wr: Option<Arc<OwnedWriteHalf>>,
 }
 
-impl<W: AsyncWrite + Unpin> FrameWriter<W> {
-    /// Wrap `writer` with an empty retained buffer.
-    pub fn new(writer: W) -> Self {
-        FrameWriter {
-            writer,
-            buf: Vec::with_capacity(INITIAL_BUF),
+impl Backlog {
+    /// One `write(2)` of the unwritten bytes; `Ok(true)` once all are out.
+    /// An error closes the outbox.
+    fn write(&mut self) -> Result<bool, RpcError> {
+        let wr = self.wr.as_ref().ok_or(RpcError::ConnectionClosed)?;
+        match wr.try_write(&self.buf[self.sent..]) {
+            Ok(n) => self.sent += n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                return Ok(false)
+            }
+            Err(e) => {
+                self.close();
+                return Err(e.into());
+            }
         }
-    }
-
-    /// Encode one frame into the retained buffer without writing it.
-    pub fn queue(&mut self, msg: &Message, request_id: u64) {
-        msg.encode_into(request_id, &mut self.buf);
-    }
-
-    /// Bytes queued and not yet flushed.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Write everything queued as one `write_all` and flush the writer.
-    pub async fn flush(&mut self) -> Result<(), RpcError> {
-        if self.buf.is_empty() {
-            return Ok(());
+        if self.sent < self.buf.len() {
+            return Ok(false);
         }
-        self.writer.write_all(&self.buf).await?;
-        self.writer.flush().await?;
         self.buf.clear();
+        self.sent = 0;
         if self.buf.capacity() > MAX_RETAINED {
             self.buf = Vec::with_capacity(INITIAL_BUF);
         }
+        Ok(true)
+    }
+
+    fn close(&mut self) {
+        self.wr = None;
+        self.buf = Vec::new();
+        self.sent = 0;
+    }
+}
+
+impl Outbox {
+    /// Take over `wr`, with an empty retained buffer.
+    pub fn new(wr: OwnedWriteHalf) -> Outbox {
+        Outbox(Arc::new(Mutex::new(Backlog {
+            buf: Vec::with_capacity(INITIAL_BUF),
+            sent: 0,
+            wr: Some(Arc::new(wr)),
+        })))
+    }
+
+    /// Encode one frame and write it from the calling thread, or queue
+    /// it behind a backlog being drained. Never blocks; fails once the
+    /// outbox is closed or a write has failed.
+    pub fn send(&self, msg: &Message, request_id: u64) -> Result<(), RpcError> {
+        let mut backlog = self.0.lock();
+        if backlog.wr.is_none() {
+            return Err(RpcError::ConnectionClosed);
+        }
+        let draining = !backlog.buf.is_empty();
+        msg.encode_into(request_id, &mut backlog.buf);
+        if draining || backlog.write()? {
+            return Ok(());
+        }
+        drop(backlog);
+        tokio::spawn(self.clone().drain());
         Ok(())
     }
 
-    /// Queue one frame and flush immediately.
-    pub async fn send(&mut self, msg: &Message, request_id: u64) -> Result<(), RpcError> {
-        self.queue(msg, request_id);
-        self.flush().await
+    /// Fail every later send and let go of the write half (the socket
+    /// closes once its read half is gone too).
+    pub fn close(&self) {
+        self.0.lock().close();
+    }
+
+    async fn drain(self) {
+        loop {
+            let wr = {
+                let mut backlog = self.0.lock();
+                match (backlog.write(), &backlog.wr) {
+                    (Ok(false), Some(wr)) => Arc::clone(wr),
+                    _ => return,
+                }
+            };
+            if wr.writable().await.is_err() {
+                return self.close();
+            }
+        }
     }
 }
 
@@ -182,7 +240,7 @@ impl<R: AsyncRead + Unpin> FrameReader<R> {
     }
 }
 
-/// Write one message frame (one-shot; hot paths use [`FrameWriter`]).
+/// Write one message frame (one-shot; live connections use [`Outbox`]).
 pub async fn write_frame<W: AsyncWrite + Unpin>(
     writer: &mut W,
     msg: &Message,
@@ -211,7 +269,7 @@ mod tests {
     use super::*;
     use crate::message::PredictReply;
     use crate::message::WireOutput;
-    use tokio::io::AsyncWriteExt;
+    use tokio::io::{AsyncReadExt, AsyncWriteExt};
 
     #[tokio::test]
     async fn frame_roundtrip_over_duplex() {
@@ -247,9 +305,44 @@ mod tests {
         }
     }
 
+    /// An outbox over one end of a localhost connection (its read half
+    /// dropped, so closing the outbox closes the socket) and the other end.
+    async fn outbox_pair() -> (Outbox, tokio::net::TcpStream) {
+        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+        let addr = listener.local_addr().unwrap();
+        let near = tokio::net::TcpStream::connect(addr).await.unwrap();
+        let (far, _) = listener.accept().await.unwrap();
+        let (_, wr) = near.into_split();
+        (Outbox::new(wr), far)
+    }
+
+    /// More than loopback's socket buffers hold while the peer is not
+    /// reading, so sending it leaves a backlog.
+    fn big_frame() -> Message {
+        let values: Vec<f32> = (0..(8 << 20) / 4).map(|i| i as f32).collect();
+        Message::PredictRequest {
+            inputs: crate::transport::as_inputs(vec![values]),
+        }
+    }
+
+    fn unwritten(out: &Outbox) -> usize {
+        let backlog = out.0.lock();
+        backlog.buf.len() - backlog.sent
+    }
+
     #[tokio::test]
-    async fn writer_coalesces_queued_frames_reader_splits_them() {
-        let (a, mut b) = tokio::io::duplex(64 * 1024);
+    async fn outbox_coalesces_queued_frames_reader_splits_them() {
+        let (out, far) = outbox_pair().await;
+        let big = big_frame();
+        out.send(&big, 0).unwrap();
+        let stuck = unwritten(&out);
+        assert!(
+            stuck > 0,
+            "the peer is not reading: part of the frame waits"
+        );
+
+        // Frames sent behind a backlog are appended to it, not written:
+        // they leave in the drain task's writes.
         let msgs = vec![
             Message::Heartbeat,
             Message::PredictRequest {
@@ -259,30 +352,80 @@ mod tests {
                 message: "e".into(),
             },
         ];
-        let mut w = FrameWriter::new(a);
+        let mut queued = 0;
         for (i, m) in msgs.iter().enumerate() {
-            w.queue(m, i as u64);
+            out.send(m, i as u64 + 1).unwrap();
+            queued += m.encode(0).len();
         }
-        assert!(w.pending() > 0);
-        w.flush().await.unwrap();
-        assert_eq!(w.pending(), 0);
+        assert_eq!(unwritten(&out), stuck + queued);
 
-        let mut r = FrameReader::new(b);
+        let mut r = FrameReader::new(far);
+        assert_eq!(r.next().await.unwrap(), (0, big));
         for (i, m) in msgs.iter().enumerate() {
             let (id, got) = r.next().await.unwrap();
-            assert_eq!(id, i as u64);
+            assert_eq!(id, i as u64 + 1);
             assert_eq!(&got, m);
         }
-        // Reuse after idle: another send on the same pair still works.
-        w.send(&Message::Shutdown, 99).await.unwrap();
+        // Reuse after idle: the sender writes the next frame itself.
+        out.send(&Message::Shutdown, 99).unwrap();
         let (id, got) = r.next().await.unwrap();
         assert_eq!((id, got), (99, Message::Shutdown));
-        b = r.reader;
-        drop(w);
+        // Closing lets go of the socket and fails later sends.
+        out.close();
+        assert!(matches!(
+            out.send(&Message::Heartbeat, 100),
+            Err(RpcError::ConnectionClosed)
+        ));
         let mut tail = Vec::new();
-        use tokio::io::AsyncReadExt;
-        b.read_to_end(&mut tail).await.unwrap();
+        r.reader.read_to_end(&mut tail).await.unwrap();
         assert!(tail.is_empty(), "no stray bytes left on the wire");
+    }
+
+    #[tokio::test]
+    async fn big_frame_reaches_a_sipping_peer_whole_then_later_frames_in_order() {
+        let (out, mut far) = outbox_pair().await;
+        let big = big_frame();
+        out.send(&big, 0).unwrap();
+        assert!(unwritten(&out) > 0);
+        let smalls: Vec<Message> = (1..=100u32)
+            .map(|i| Message::Error {
+                message: i.to_string(),
+            })
+            .collect();
+        let total = big.encode(0).len() + smalls.iter().map(|m| m.encode(0).len()).sum::<usize>();
+        let sipper = tokio::spawn(async move {
+            let mut bytes = Vec::with_capacity(total);
+            let mut sip = [0u8; 4096];
+            while bytes.len() < total {
+                let n = far.read(&mut sip).await.unwrap();
+                assert!(n > 0, "closed after {} of {total} bytes", bytes.len());
+                bytes.extend_from_slice(&sip[..n]);
+            }
+            bytes
+        });
+        for (i, m) in smalls.iter().enumerate() {
+            out.send(m, i as u64 + 1).unwrap();
+            if i % 10 == 0 {
+                tokio::time::sleep(std::time::Duration::from_millis(1)).await;
+            }
+        }
+        let bytes = sipper.await.unwrap();
+        assert_eq!(bytes.len(), total, "nothing after the last frame");
+
+        let mut rest = &bytes[..];
+        let mut frames = Vec::new();
+        while !rest.is_empty() {
+            let (ty, id, len) = parse_header(rest[..HEADER_LEN].try_into().unwrap()).unwrap();
+            let msg = Message::decode(ty, &rest[HEADER_LEN..HEADER_LEN + len]).unwrap();
+            frames.push((id, msg));
+            rest = &rest[HEADER_LEN + len..];
+        }
+        let expected: Vec<(u64, Message)> = std::iter::once(big)
+            .chain(smalls)
+            .enumerate()
+            .map(|(i, m)| (i as u64, m))
+            .collect();
+        assert!(frames == expected, "frames arrived whole and in order");
     }
 
     #[tokio::test]

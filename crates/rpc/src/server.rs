@@ -4,8 +4,13 @@
 //! [`TcpContainerHandle`] per registration — a multiplexed, concurrent
 //! batch-prediction channel. The model abstraction layer treats the handle
 //! as just another [`BatchTransport`].
+//!
+//! The submitting task writes a batch's request frame itself (through
+//! the connection's [`Outbox`]) and the reader task completes its
+//! oneshot, so a round trip wakes four parties: the container's reader
+//! and execution thread, this reader, and the caller.
 
-use crate::codec::{FrameReader, FrameWriter};
+use crate::codec::{write_frame, FrameReader, Outbox};
 use crate::error::RpcError;
 use crate::message::{Message, PredictReply};
 use crate::transport::{BatchTransport, BoxFuture, Input};
@@ -39,7 +44,7 @@ type Pending = Arc<Mutex<HashMap<u64, oneshot::Sender<Result<PredictReply, RpcEr
 /// once (the container decides its own execution order).
 pub struct TcpContainerHandle {
     id: String,
-    tx: mpsc::UnboundedSender<(u64, Message)>,
+    out: Outbox,
     pending: Pending,
     next_id: AtomicU64,
     healthy: Arc<AtomicBool>,
@@ -54,14 +59,14 @@ impl TcpContainerHandle {
     /// detected passively. Health recovers automatically if the container
     /// resumes responding. The probe stops when the connection dies.
     pub fn start_heartbeats(&self, interval: Duration, grace: Duration) {
-        let tx = self.tx.clone();
+        let out = self.out.clone();
         let healthy = self.healthy.clone();
         let last_seen = self.last_seen.clone();
         let pending = self.pending.clone();
         tokio::spawn(async move {
             loop {
                 tokio::time::sleep(interval).await;
-                if tx.send((0, Message::Heartbeat)).is_err() {
+                if out.send(&Message::Heartbeat, 0).is_err() {
                     healthy.store(false, Ordering::Release);
                     return;
                 }
@@ -86,6 +91,8 @@ impl TcpContainerHandle {
 }
 
 impl TcpContainerHandle {
+    /// Register a reply slot and write the request frame from here; a
+    /// failed write marks the replica unhealthy and fails the slot.
     fn submit(&self, inputs: Vec<Input>) -> oneshot::Receiver<Result<PredictReply, RpcError>> {
         let (otx, orx) = oneshot::channel();
         if !self.healthy.load(Ordering::Acquire) {
@@ -94,13 +101,10 @@ impl TcpContainerHandle {
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.pending.lock().insert(id, otx);
-        if self
-            .tx
-            .send((id, Message::PredictRequest { inputs }))
-            .is_err()
-        {
+        if let Err(e) = self.out.send(&Message::PredictRequest { inputs }, id) {
+            self.healthy.store(false, Ordering::Release);
             if let Some(otx) = self.pending.lock().remove(&id) {
-                let _ = otx.send(Err(RpcError::ConnectionClosed));
+                let _ = otx.send(Err(e));
             }
         }
         orx
@@ -185,9 +189,8 @@ async fn handle_connection(
     reg_tx: mpsc::UnboundedSender<(ContainerInfo, TcpContainerHandle)>,
 ) -> Result<(), RpcError> {
     stream.set_nodelay(true)?;
-    let (rd, wr) = stream.into_split();
+    let (rd, mut wr) = stream.into_split();
     let mut rd = FrameReader::new(rd);
-    let mut wr = FrameWriter::new(wr);
 
     // First frame must be a registration.
     let (reg_id, msg) = rd.next().await?;
@@ -208,16 +211,16 @@ async fn handle_connection(
             )));
         }
     };
-    wr.send(&Message::RegisterAck, reg_id).await?;
+    write_frame(&mut wr, &Message::RegisterAck, reg_id).await?;
 
     let pending: Pending = Arc::new(Mutex::new(HashMap::new()));
     let healthy = Arc::new(AtomicBool::new(true));
     let last_seen = Arc::new(Mutex::new(Instant::now()));
-    let (tx, mut rx) = mpsc::unbounded_channel::<(u64, Message)>();
+    let out = Outbox::new(wr);
 
     let handle = TcpContainerHandle {
         id: format!("{}/{}", info.model_name, info.container_name),
-        tx: tx.clone(),
+        out: out.clone(),
         pending: pending.clone(),
         next_id: AtomicU64::new(1),
         healthy: healthy.clone(),
@@ -227,25 +230,6 @@ async fn handle_connection(
     if reg_tx.send((info, handle)).is_err() {
         return Ok(());
     }
-
-    // Writer task: serialize outbound requests. Batches dispatched while
-    // a flush was in progress coalesce into the next write.
-    let healthy_w = healthy.clone();
-    let writer = tokio::spawn(async move {
-        'outer: while let Some((id, msg)) = rx.recv().await {
-            wr.queue(&msg, id);
-            while wr.pending() < 256 * 1024 {
-                match rx.try_recv() {
-                    Ok((id, msg)) => wr.queue(&msg, id),
-                    Err(_) => break,
-                }
-            }
-            if wr.flush().await.is_err() {
-                break 'outer;
-            }
-        }
-        healthy_w.store(false, Ordering::Release);
-    });
 
     // Reader loop: complete pending requests, answer heartbeats.
     loop {
@@ -262,7 +246,7 @@ async fn handle_connection(
                 }
             }
             Ok((id, Message::Heartbeat)) => {
-                let _ = tx.send((id, Message::HeartbeatAck));
+                let _ = out.send(&Message::HeartbeatAck, id);
             }
             Ok((_, Message::HeartbeatAck)) => {}
             Ok((_, Message::Shutdown)) | Err(_) => break,
@@ -273,14 +257,14 @@ async fn handle_connection(
         }
     }
 
-    // Connection is gone: fail everything still pending.
+    // Connection is gone: fail everything still pending, and every
+    // later send (which also stops the heartbeat prober).
     healthy.store(false, Ordering::Release);
+    out.close();
     let mut p = pending.lock();
     for (_, otx) in p.drain() {
         let _ = otx.send(Err(RpcError::ConnectionClosed));
     }
-    drop(p);
-    writer.abort();
     Ok(())
 }
 
@@ -307,6 +291,12 @@ mod tests {
     }
 
     async fn start_pair() -> (RpcServer, tokio::task::JoinHandle<()>) {
+        serve_with(Arc::new(Doubler)).await
+    }
+
+    async fn serve_with(
+        handler: Arc<dyn BatchHandler>,
+    ) -> (RpcServer, tokio::task::JoinHandle<()>) {
         let server = RpcServer::bind("127.0.0.1:0").await.unwrap();
         let addr = server.local_addr();
         let cfg = ContainerClientConfig {
@@ -315,7 +305,7 @@ mod tests {
             model_version: 1,
         };
         let client = tokio::spawn(async move {
-            let _ = serve_container(addr, cfg, Arc::new(Doubler)).await;
+            let _ = serve_container(addr, cfg, handler).await;
         });
         (server, client)
     }
@@ -357,6 +347,61 @@ mod tests {
         for t in tasks {
             t.await.unwrap();
         }
+    }
+
+    #[tokio::test]
+    async fn concurrent_senders_write_only_whole_frames() {
+        let (mut server, client) = start_pair().await;
+        let (_, handle) = server.next_container().await.unwrap();
+        // Millisecond heartbeats: here the prober writes beside 16
+        // submitting tasks; in the container the reader's acks share the
+        // outbox with the execution thread's replies. A torn or
+        // interleaved frame would kill the connection.
+        handle.start_heartbeats(Duration::from_millis(1), Duration::from_secs(5));
+        let handle = Arc::new(handle);
+        let tasks: Vec<_> = (0..16usize)
+            .map(|t| {
+                let h = handle.clone();
+                tokio::spawn(async move {
+                    for i in 0..100 {
+                        let n = t * 100 + i;
+                        let r = h.predict_batch(&as_inputs(vec![vec![0.0; n]])).await;
+                        assert_eq!(r.unwrap().outputs, vec![WireOutput::Class(2 * n as u32)]);
+                    }
+                })
+            })
+            .collect();
+        for t in tasks {
+            t.await.unwrap();
+        }
+        assert!(handle.is_healthy());
+        client.abort();
+    }
+
+    #[tokio::test]
+    async fn a_predict_dropped_after_its_first_poll_leaves_the_connection_usable() {
+        // The dropped batch's reply arrives after the drop.
+        let slow_first = |inputs: Vec<Input>| {
+            if inputs[0].len() == 4 {
+                std::thread::sleep(Duration::from_millis(30));
+            }
+            Doubler.handle_batch(inputs)
+        };
+        let (mut server, _client) = serve_with(Arc::new(slow_first)).await;
+        let (_, handle) = server.next_container().await.unwrap();
+        let mut dropped = handle.predict_batch(&as_inputs(vec![vec![0.0; 4]]));
+        std::future::poll_fn(|cx| {
+            assert!(dropped.as_mut().poll(cx).is_pending());
+            std::task::Poll::Ready(())
+        })
+        .await;
+        drop(dropped);
+        let r = handle
+            .predict_batch(&as_inputs(vec![vec![0.0; 3]]))
+            .await
+            .unwrap();
+        assert_eq!(r.outputs, vec![WireOutput::Class(6)]);
+        assert!(handle.is_healthy());
     }
 
     #[tokio::test]
