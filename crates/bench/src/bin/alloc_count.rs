@@ -285,8 +285,6 @@ async fn main() {
     let iters: u64 = if args.smoke { 500 } else { 3_000 };
     let mut report = Report::new(&args, "alloc_count");
     report.param("iters", iters);
-    let reactor_active = tokio::net::io_mode() == tokio::net::IoMode::Reactor;
-    report.param("reactor_active", reactor_active);
 
     // Touch the Histogram type once so its lazy internals are warm before
     // any measured loop (the metrics registry allocates on first use).

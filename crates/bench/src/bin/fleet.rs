@@ -270,18 +270,26 @@ async fn main() {
         tokio::time::sleep(Duration::from_millis(2)).await;
     }
     let detection_ms = kill_at.elapsed().as_secs_f64() * 1_000.0;
-    let expired_silent_ms = fleet
-        .events()
-        .iter()
-        .find_map(|e| match e {
+    // The member reads "expired" as soon as the monitor claims it; the
+    // event is pushed only once its queue has drained.
+    let expired_silent_ms = loop {
+        let event = fleet.events().iter().find_map(|e| match e {
             FleetEvent::Expired {
                 container,
                 silent_ms,
                 drained: true,
             } if container == FLAP => Some(*silent_ms),
             _ => None,
-        })
-        .expect("expiry event with a graceful drain");
+        });
+        if let Some(silent_ms) = event {
+            break silent_ms;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "expiry event with a graceful drain"
+        );
+        tokio::time::sleep(Duration::from_millis(2)).await;
+    };
     println!(
         "flap: detected + drained in {detection_ms:.0}ms (observed silence {expired_silent_ms}ms, suspect seen: {saw_suspect})"
     );

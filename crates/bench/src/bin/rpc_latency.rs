@@ -19,11 +19,11 @@
 //! is bimodal by thread placement (`benchmark/README.md`, "Box facts"),
 //! and the paired runs of `benchmark/` are where latency is judged.
 //!
-//! Gates: every measurement made progress and — where the reactor is
-//! active — `idle_timer_registrations == 0`: with a blocked accept
-//! parked and no traffic for a quiet window, the timer heap must see no
-//! new registration (the backoff fallback would re-arm ~1000/s). The
-//! idle window runs first, before any traffic.
+//! Gates: every measurement made progress and
+//! `idle_timer_registrations == 0`: with a blocked accept parked and no
+//! traffic for a quiet window, the timer heap must see no new
+//! registration (socket readiness comes from the reactor alone, never a
+//! timer retry). The idle window runs first, before any traffic.
 //!
 //! Presets: 2 s per rung, `--smoke` 0.5 s.
 
@@ -37,7 +37,7 @@ use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
-use tokio::net::{IoMode, TcpListener, TcpStream};
+use tokio::net::{TcpListener, TcpStream};
 
 /// Echo message size: a small-RPC-sized payload.
 const MSG_BYTES: usize = 64;
@@ -167,8 +167,7 @@ async fn run_http_predict(phase: Duration) -> RttStats {
 }
 
 /// Park a blocked accept, then count timer registrations over a quiet
-/// window. Under the reactor this must be zero: readiness never touches
-/// the timer heap.
+/// window. This must be zero: readiness never touches the timer heap.
 async fn measure_idle_timer_registrations(window: Duration) -> u64 {
     let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
     let blocked = tokio::spawn(async move {
@@ -188,19 +187,13 @@ async fn main() {
     let args = Args::parse("rpc_latency");
     let phase = Duration::from_secs_f64(if args.smoke { 0.5 } else { 2.0 });
     let idle_window = Duration::from_millis(300);
-    let reactor_active = tokio::net::io_mode() == IoMode::Reactor;
     let mut report = Report::new(&args, "rpc_latency");
     report.param("phase_seconds", phase.as_secs_f64());
     report.param("msg_bytes", MSG_BYTES);
-    report.param("reactor_active", reactor_active);
     report.param("idle_window_ms", idle_window.as_millis() as u64);
 
-    if reactor_active {
-        let regs = measure_idle_timer_registrations(idle_window).await;
-        report.gate("idle_timer_registrations", regs as f64, Op::Equals, 0.0);
-    } else {
-        println!("idle-timer gate not pushed (no epoll reactor on this host — fallback only)");
-    }
+    let regs = measure_idle_timer_registrations(idle_window).await;
+    report.gate("idle_timer_registrations", regs as f64, Op::Equals, 0.0);
     let ladder = [
         run_echo(phase).await,
         run_predict("predict1", 1, phase).await,
