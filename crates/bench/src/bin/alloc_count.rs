@@ -8,9 +8,11 @@
 //! write counters (one request–response round trip should cost one
 //! kernel write per direction — two ops total), the per-iteration count
 //! of tasks `tokio::spawn` started on the vendored runtime
-//! (`tokio::runtime::spawned_total`) and the per-iteration count of
+//! (`tokio::runtime::spawned_total`), the per-iteration count of
 //! hand-offs that woke a parked task or thread
-//! (`tokio::runtime::wakes_total`; the request path's hop counter).
+//! (`tokio::runtime::wakes_total`; the request path's hop counter) and
+//! the per-iteration count of calls in which a runtime thread may have
+//! slept in the kernel (`tokio::runtime::parks_total`).
 //!
 //! Scenarios:
 //!
@@ -32,13 +34,13 @@
 //! `baseline_allocs_per_iter` carries the numbers recorded immediately
 //! **before** the wire-speed data-plane rework (buffer reuse, writev
 //! coalescing, zero-alloc routing) so the reduction is visible in one
-//! file. Gates: every scenario under its allocation, spawn and wake ceiling,
-//! the predict-b=1 RPC-path reduction vs baseline at least 50%, and at
-//! most one write syscall per direction on every request–response
-//! scenario. (`http_predict` runs selection and the prediction cache,
-//! whose allocations are out of scope for the wire rework, so its
-//! reduction is recorded but the 50% gate applies to the RPC predict
-//! path.)
+//! file. Gates: every scenario under its allocation, spawn and wake
+//! ceiling, every scenario but `echo` under its park ceiling, the
+//! predict-b=1 RPC-path reduction vs baseline at least 50%, and at most
+//! one write syscall per direction on every request–response scenario.
+//! (`http_predict` runs selection and the prediction cache, whose
+//! allocations are out of scope for the wire rework, so its reduction is
+//! recorded but the 50% gate applies to the RPC predict path.)
 //!
 //! Presets: 3,000 iterations per scenario, `--smoke` 500.
 
@@ -84,15 +86,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// `[allocations, tcp write ops, tasks spawned, wakes]` so far, for
-/// before/after deltas.
-fn counters() -> [u64; 4] {
+/// `[allocations, tcp write ops, tasks spawned, wakes, parks]` so far,
+/// for before/after deltas.
+fn counters() -> [u64; 5] {
     let (w, wv) = tokio::net::tcp_write_op_counts();
     [
         ALLOCS.load(Ordering::Relaxed),
         w + wv,
         tokio::runtime::spawned_total(),
         tokio::runtime::wakes_total(),
+        tokio::runtime::parks_total(),
     ]
 }
 
@@ -106,6 +109,8 @@ struct Scenario {
     spawns_per_iter: f64,
     /// Parked tasks or threads woken per iteration.
     wakes_per_iter: f64,
+    /// Runtime-thread waits that may sleep in the kernel, per iteration.
+    parks_per_iter: f64,
     /// Same measurement recorded before the wire-speed rework.
     baseline_allocs_per_iter: f64,
     /// `1 - allocs_per_iter / baseline_allocs_per_iter`.
@@ -114,7 +119,7 @@ struct Scenario {
 
 impl Scenario {
     /// The per-iteration deltas between two [`counters`] readings.
-    fn measured(name: &str, iters: u64, before: [u64; 4], after: [u64; 4]) -> Scenario {
+    fn measured(name: &str, iters: u64, before: [u64; 5], after: [u64; 5]) -> Scenario {
         let per_iter = |i: usize| (after[i] - before[i]) as f64 / iters as f64;
         let baseline = lookup(&BASELINE_ALLOCS_PER_ITER, name);
         Scenario {
@@ -124,6 +129,7 @@ impl Scenario {
             write_ops_per_iter: per_iter(1),
             spawns_per_iter: per_iter(2),
             wakes_per_iter: per_iter(3),
+            parks_per_iter: per_iter(4),
             baseline_allocs_per_iter: baseline,
             alloc_reduction: if baseline > 0.0 {
                 1.0 - per_iter(0) / baseline
@@ -184,6 +190,19 @@ const WAKE_CEILINGS: [(&str, f64); 5] = [
     ("http_predict", 3.0),
     ("http_predict_cold", 5.0),
     ("control_get", 3.0),
+];
+
+/// Regression ceilings on parks per iteration: measured value plus one
+/// (6.00 / 4.00 / 5.01 / 4.01 with one worker per core;
+/// `http_predict_cold` measured 6.98 with the pool's old floor of four
+/// workers). `echo` has no ceiling: its count ranged 3.06–4.00 over ten
+/// runs (a reply that lands before the reader parks saves a park), more
+/// than the half-park spread a gated row is held to.
+const PARK_CEILINGS: [(&str, f64); 4] = [
+    ("rpc_predict1", 7.0),
+    ("http_predict", 5.0),
+    ("http_predict_cold", 6.0),
+    ("control_get", 5.0),
 ];
 
 fn lookup(table: &[(&str, f64)], name: &str) -> f64 {
@@ -305,6 +324,7 @@ async fn main() {
         "writes/iter",
         "spawns/iter",
         "wakes/iter",
+        "parks/iter",
         "baseline allocs/iter",
         "reduction",
     ]);
@@ -315,6 +335,7 @@ async fn main() {
             format!("{:.2}", s.write_ops_per_iter),
             format!("{:.2}", s.spawns_per_iter),
             format!("{:.2}", s.wakes_per_iter),
+            format!("{:.2}", s.parks_per_iter),
             format!("{:.1}", s.baseline_allocs_per_iter),
             format!("{:.0}%", s.alloc_reduction * 100.0),
         ]);
@@ -341,6 +362,14 @@ async fn main() {
             Op::AtMost,
             ceiling,
         );
+        if let Some(&(_, ceiling)) = PARK_CEILINGS.iter().find(|(n, _)| *n == s.name) {
+            report.gate(
+                &gate("parks_per_iter"),
+                s.parks_per_iter,
+                Op::AtMost,
+                ceiling,
+            );
+        }
         // One kernel write per direction: a request–response round trip
         // is one client write + one server write, plus a little headroom
         // for stray background traffic. (`echo` is a raw ping-pong with
