@@ -7,7 +7,7 @@
 //! (predict + feedback + control-plane churn), and the standard
 //! adversarial timeline — rollout v1→v2 with cross-frontend
 //! `sync_config()`, a transiently flaky replica that the retry path must
-//! absorb invisibly, a frontend crash, a `rehydrate()` restart, a
+//! absorb invisibly, a frontend crash, a `sync_config()` restart, a
 //! black-holed replica that the schedulers must mark suspect and drain,
 //! and a rollback. The verdict the file exists to carry: **zero lost
 //! queries** — every accepted query completes or fail-fills; sheds and
@@ -20,7 +20,7 @@
 //!
 //! Presets: 3 frontends at 10,000 qps for 12 s; `--smoke` 2 frontends at
 //! 600 qps for 4 s. Gates: the run was lossless (zero lost, every
-//! timeline action — including the crash and the rehydrate restart —
+//! timeline action — including the crash and the `sync_config()` restart —
 //! landed, every arrival accounted, every cache drained), the frontends
 //! converged on the statestore's version, and the whole-run p99 stayed
 //! under the bound.

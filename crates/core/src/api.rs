@@ -616,14 +616,20 @@ impl From<&ReplicaTune> for ReplicaTuneRecord {
     }
 }
 
+impl From<&ReplicaTuneRecord> for LatencyPrior {
+    fn from(r: &ReplicaTuneRecord) -> Self {
+        LatencyPrior {
+            alpha_us: r.alpha_us,
+            beta_us: r.beta_us,
+        }
+    }
+}
+
 impl From<&ReplicaTuneRecord> for ReplicaTune {
     fn from(r: &ReplicaTuneRecord) -> Self {
         ReplicaTune {
             queue_id: r.queue_id.clone(),
-            prior: LatencyPrior {
-                alpha_us: r.alpha_us,
-                beta_us: r.beta_us,
-            },
+            prior: r.into(),
             b_max: r.b_max,
             samples: r.samples,
         }
@@ -639,7 +645,7 @@ pub struct VersionBatchKnobs {
     /// The knobs.
     pub knobs: BatchKnobs,
     /// Learned per-replica tuning (§4.4.1), harvested from the live fleet
-    /// at persist time so `rehydrate()` restores a *tuned* fleet. Absent
+    /// at persist time so `sync_config()` restores a *tuned* fleet. Absent
     /// in legacy records (those replicas warm-start from the model-wide
     /// prior, or cold).
     #[serde(default)]
@@ -657,7 +663,7 @@ pub struct ModelRecord {
     pub versions: Vec<u32>,
     /// Rollback stack.
     pub history: Vec<u32>,
-    /// Per-version batching configuration, so `rehydrate()` restores the
+    /// Per-version batching configuration, so `sync_config()` restores the
     /// knobs a version was rolled out with instead of silently resetting
     /// to defaults. Absent in records written before this field existed
     /// (those versions rehydrate with default batching).
@@ -771,23 +777,9 @@ pub struct ReplicaView {
     pub managed: bool,
 }
 
-/// Summary of a registry rehydration from the statestore.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RehydrateReport {
-    /// Model version directories restored.
-    pub models: usize,
-    /// App registrations restored.
-    pub apps: usize,
-    /// Fleet replica registrations adopted into the membership view.
-    pub replicas: usize,
-    /// Statestore keys whose records failed to parse and were skipped —
-    /// one corrupt record never aborts the rest of the recovery.
-    pub skipped: Vec<String>,
-}
-
 /// Summary of a [`sync_config`](crate::Clipper::sync_config) pass — one
 /// frontend reconciling its in-memory registry against the statestore's
-/// records, which another frontend may have moved underneath it.
+/// records, which another frontend (or its own previous life) wrote.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SyncReport {
     /// Model names adopted wholesale (unknown locally before the pass).
@@ -958,9 +950,6 @@ mod tests {
         let policies = [
             PolicyKind::Exp3 { eta: 0.2 },
             PolicyKind::Exp4 { eta: 1.0 },
-            PolicyKind::EpsilonGreedy { epsilon: 0.05 },
-            PolicyKind::Ucb1,
-            PolicyKind::Thompson,
             PolicyKind::MajorityVote,
             PolicyKind::Static { model_index: 3 },
         ];
@@ -976,11 +965,8 @@ mod tests {
         let golden = [
             r#"{"name":"we\"ird\\app-0","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Exp3":{"eta":0.2}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"class","label":0},"seed":18446744073709551615}"#,
             r#"{"name":"we\"ird\\app-1","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Exp4":{"eta":1.0}},"slo_ms":20,"slo_us":null,"default_output":{"kind":"scores","scores":[0.25,1.0,-3.5]},"seed":18446744073709551615}"#,
-            r#"{"name":"we\"ird\\app-2","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"EpsilonGreedy":{"epsilon":0.05}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"labels","labels":[7,8,9]},"seed":18446744073709551615}"#,
-            r#"{"name":"we\"ird\\app-3","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":"Ucb1","slo_ms":20,"slo_us":null,"default_output":{"kind":"class","label":0},"seed":18446744073709551615}"#,
-            r#"{"name":"we\"ird\\app-4","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":"Thompson","slo_ms":20,"slo_us":20000,"default_output":{"kind":"scores","scores":[0.25,1.0,-3.5]},"seed":18446744073709551615}"#,
-            r#"{"name":"we\"ird\\app-5","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":"MajorityVote","slo_ms":20,"slo_us":null,"default_output":{"kind":"labels","labels":[7,8,9]},"seed":18446744073709551615}"#,
-            r#"{"name":"we\"ird\\app-6","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Static":{"model_index":3}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"class","label":0},"seed":18446744073709551615}"#,
+            r#"{"name":"we\"ird\\app-2","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":"MajorityVote","slo_ms":20,"slo_us":20000,"default_output":{"kind":"labels","labels":[7,8,9]},"seed":18446744073709551615}"#,
+            r#"{"name":"we\"ird\\app-3","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Static":{"model_index":3}},"slo_ms":20,"slo_us":null,"default_output":{"kind":"class","label":0},"seed":18446744073709551615}"#,
         ];
         for (i, (policy, golden)) in policies.into_iter().zip(golden).enumerate() {
             let view = AppView {

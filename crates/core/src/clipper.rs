@@ -41,13 +41,12 @@
 //!   version, re-attaching the transports the rollout parked.
 //!
 //! Registrations persist to the statestore (mirroring the paper's Redis
-//! configuration state); [`rehydrate`](Clipper::rehydrate) rebuilds the
-//! registry from it after a restart.
+//! configuration state); [`sync_config`](Clipper::sync_config) rebuilds
+//! the registry from it after a restart.
 
 use crate::abstraction::{BatchConfig, ModelAbstractionLayer, SchedulerPolicy};
 use crate::api::{
-    self, ApiError, AppRecord, ModelRecord, ModelView, RehydrateReport, ReplicaRecord,
-    RolloutOutcome, SyncReport,
+    self, ApiError, AppRecord, ModelRecord, ModelView, ReplicaRecord, RolloutOutcome, SyncReport,
 };
 use crate::batching::ReplicaQueue;
 use crate::error::PredictError;
@@ -225,7 +224,7 @@ impl Inner {
             let mut rec = dir.record(name);
             // Persist each version's batch knobs — live versions from the
             // abstraction layer, rolled-away versions from the parking
-            // lot — so rehydrate() restores them instead of silently
+            // lot — so sync_config() restores them instead of silently
             // resetting rolled-out models to default batching.
             for &v in &dir.versions {
                 let id = ModelId::new(name, v);
@@ -477,7 +476,7 @@ impl Clipper {
 
     /// Re-persist `name`'s record to the statestore, capturing the
     /// current batch knobs *and* each live replica's learned latency
-    /// model (§4.4.1) so a later [`rehydrate`](Self::rehydrate) restores
+    /// model (§4.4.1) so a later [`sync_config`](Self::sync_config) restores
     /// a tuned fleet instead of cold controllers. Returns `false` for an
     /// unknown model. Rollouts and registrations checkpoint implicitly;
     /// call this to capture tuning learned since.
@@ -721,55 +720,20 @@ impl Clipper {
         })
     }
 
-    /// Rebuild the registry from the statestore's persisted configuration
-    /// (the paper's external-Redis config state): model version
-    /// directories and app registrations written by earlier instances.
-    /// Already-registered names are left untouched, and a corrupt record
-    /// is skipped (reported in [`RehydrateReport::skipped`]) rather than
-    /// aborting the rest of the recovery. Each version is restored with
-    /// the batch knobs it was persisted with ([`ModelRecord::batch`]);
-    /// only records predating knob persistence fall back to default
-    /// batching. Replicas re-attach afterwards via
-    /// [`add_replica`](Self::add_replica).
-    pub fn rehydrate(&self) -> RehydrateReport {
-        let inner = &self.inner;
-        let mut report = RehydrateReport::default();
-        for rec in inner.records::<ModelRecord>(api::MODEL_KEY_PREFIX, &mut report.skipped) {
-            if inner.adopt_model(&rec) {
-                report.models += 1;
-            }
-        }
-        for rec in inner.records::<AppRecord>(api::APP_KEY_PREFIX, &mut report.skipped) {
-            if self.inner.apps.read().contains_key(&rec.name) {
-                continue;
-            }
-            let cfg = rec.into_config();
-            let name = cfg.name.clone();
-            self.inner.apps.write().insert(name, App::new(cfg));
-            report.apps += 1;
-        }
-        // Fleet replica registrations: adopt each live record into the
-        // membership view (attaching through a matching launcher when one
-        // is registered; otherwise the container's own re-dial — or the
-        // monitor's expiry — settles it). Expired tombstones are left in
-        // the store untouched: they answer late heartbeats with 410 and
-        // carry the warm start for re-registration.
-        for rec in inner.records::<ReplicaRecord>(api::REPLICA_KEY_PREFIX, &mut report.skipped) {
-            if self.fleet().adopt_record(rec) {
-                report.replicas += 1;
-            }
-        }
-        report
-    }
-
     /// Reconcile this frontend's in-memory registry against the
-    /// statestore — the fan-in counterpart of [`rehydrate`]: where
-    /// rehydrate fills an *empty* registry after a restart, `sync_config`
-    /// runs on a *live* frontend whose persisted records another frontend
-    /// (sharing the store) may have moved underneath it.
+    /// statestore's persisted configuration (the paper's external-Redis
+    /// config state). On a fresh frontend this is the restart path: the
+    /// registry is empty, so every model, app and replica record is
+    /// adopted. On a *live* frontend it converges on records another
+    /// frontend (sharing the store) moved underneath it. A corrupt record
+    /// is skipped (reported in [`SyncReport::skipped`]) rather than
+    /// aborting the rest of the pass.
     ///
     /// Per model record: unknown names are adopted wholesale
-    /// (directory + versions with their persisted batch knobs); known
+    /// (directory + versions with the batch knobs they were persisted
+    /// with, [`ModelRecord::batch`]; records predating knob persistence
+    /// fall back to default batching, and replicas re-attach afterwards
+    /// via [`add_replica`](Self::add_replica)); known
     /// names adopt any versions they lack; and when the persisted
     /// *current* pointer differs from the local one, the full local
     /// rollout path runs — repoint referencing apps, quiesce in-flight
@@ -788,8 +752,6 @@ impl Clipper {
     /// rollout: cache keys embed the full `ModelId` (name *and* version),
     /// so entries for an outgoing version simply stop being looked up and
     /// age out under CLOCK reclamation.
-    ///
-    /// [`rehydrate`]: Self::rehydrate
     pub async fn sync_config(&self) -> SyncReport {
         let inner = &self.inner;
         let mut report = SyncReport::default();
@@ -866,9 +828,14 @@ impl Clipper {
             }
         }
 
-        // Fleet replicas: adopt records another frontend registered, so
-        // the fan-in group shares one membership view. Same semantics as
-        // the rehydrate pass; records already known locally are no-ops.
+        // Fleet replicas: adopt records another frontend (or this one's
+        // previous life) registered, so the fan-in group shares one
+        // membership view. Each live record attaches through a matching
+        // launcher when one is registered; otherwise the container's own
+        // re-dial — or the monitor's expiry — settles it. Expired
+        // tombstones stay in the store untouched: they answer late
+        // heartbeats with 410 and carry the warm start for
+        // re-registration. Records already known locally are no-ops.
         for rec in inner.records::<ReplicaRecord>(api::REPLICA_KEY_PREFIX, &mut report.skipped) {
             if self.fleet().adopt_record(rec) {
                 report.adopted_replicas += 1;
@@ -1866,8 +1833,8 @@ mod tests {
         // A fresh frontend instance over the same store restores the
         // registry: versions, current pointer, history, app config.
         let second = Clipper::builder().statestore(store).build();
-        let report = second.rehydrate();
-        assert_eq!((report.models, report.apps), (1, 1));
+        let report = second.sync_config().await;
+        assert_eq!((report.adopted_models, report.adopted_apps), (1, 1));
         assert!(report.skipped.is_empty());
         assert_eq!(second.current_version("m"), Some(2));
         let view = second.model_view("m").unwrap();
@@ -1886,8 +1853,8 @@ mod tests {
             .unwrap();
         assert_eq!(p.output, Output::Class(2));
         // Rehydration is idempotent.
-        let again = second.rehydrate();
-        assert_eq!((again.models, again.apps), (0, 0));
+        let again = second.sync_config().await;
+        assert_eq!((again.adopted_models, again.adopted_apps), (0, 0));
     }
 
     #[tokio::test]
@@ -1918,8 +1885,8 @@ mod tests {
             first.rollout_model("m", 2).await.unwrap();
         }
         let second = Clipper::builder().statestore(store).build();
-        let report = second.rehydrate();
-        assert_eq!(report.models, 1);
+        let report = second.sync_config().await;
+        assert_eq!(report.adopted_models, 1);
         let restored = second
             .abstraction()
             .model_config(&ModelId::new("m", 2))
@@ -1971,7 +1938,7 @@ mod tests {
         // must serve with the learned per-replica curve and ceiling, not
         // a cold controller probing from scratch.
         let second = Clipper::builder().statestore(store).build();
-        second.rehydrate();
+        second.sync_config().await;
         let id = ModelId::new("m", 1);
         second.add_replica(&id, const_transport(1, None)).unwrap();
         let restored = second
@@ -2014,7 +1981,7 @@ mod tests {
                 .with_slo(Duration::from_millis(50)),
         );
         let b = Clipper::builder().statestore(store.clone()).build();
-        b.rehydrate();
+        b.sync_config().await;
         b.add_replica(&v1, const_transport(1, None)).unwrap();
         b.add_replica(&v2, const_transport(2, None)).unwrap();
         (a, b, store)
@@ -2066,7 +2033,7 @@ mod tests {
         a.add_model(v1.clone(), BatchConfig::default());
         a.add_replica(&v1, const_transport(1, None)).unwrap();
         let b = Clipper::builder().statestore(store.clone()).build();
-        b.rehydrate();
+        b.sync_config().await;
         b.add_replica(&v1, const_transport(1, None)).unwrap();
         // A registers v2 and rolls it out; B never attached v2 replicas.
         a.add_model(v2.clone(), BatchConfig::default());
@@ -2150,10 +2117,83 @@ mod tests {
         }
         store.set(&crate::api::model_key("bad"), b"not json".to_vec());
         let second = Clipper::builder().statestore(store).build();
-        let report = second.rehydrate();
-        assert_eq!((report.models, report.apps), (1, 1));
+        let report = second.sync_config().await;
+        assert_eq!((report.adopted_models, report.adopted_apps), (1, 1));
         assert_eq!(report.skipped, vec![crate::api::model_key("bad")]);
         assert!(second.app_config("app").is_some());
+    }
+
+    #[tokio::test]
+    async fn sync_config_skips_an_app_record_with_a_retired_policy() {
+        // ε-greedy, UCB1 and Thompson sampling are no longer policies: a
+        // record naming one is reported and skipped, and the same pass
+        // still adopts everything else.
+        let store = Arc::new(clipper_statestore::StateStore::new());
+        {
+            let first = Clipper::builder().statestore(store.clone()).build();
+            let v1 = ModelId::new("good", 1);
+            first.add_model(v1.clone(), BatchConfig::default());
+            first.register_app(AppConfig::new("app", vec![v1]));
+        }
+        let live = String::from_utf8(store.get(&crate::api::app_key("app")).unwrap()).unwrap();
+        let retired = live
+            .replace(r#""name":"app""#, r#""name":"old""#)
+            .replace(r#"{"Exp3":{"eta":0.1}}"#, r#""Thompson""#);
+        assert!(retired.contains(r#""policy":"Thompson""#), "{retired}");
+        store.set(&crate::api::app_key("old"), retired.into_bytes());
+
+        let second = Clipper::builder().statestore(store).build();
+        let report = second.sync_config().await;
+        assert_eq!((report.adopted_models, report.adopted_apps), (1, 1));
+        assert_eq!(report.skipped, vec![crate::api::app_key("old")]);
+        assert!(second.app_config("app").is_some());
+        assert!(second.app_config("old").is_none());
+    }
+
+    #[tokio::test]
+    async fn selection_state_with_legacy_counts_still_serves() {
+        // Older builds stored a per-model `counts` vector beside the
+        // weights; such a state decodes with the field skipped, keeps its
+        // learned weights, and is re-encoded without it.
+        let store = Arc::new(clipper_statestore::StateStore::new());
+        let clipper = Clipper::builder().statestore(store.clone()).build();
+        let models = [ModelId::new("m0", 1), ModelId::new("m1", 1)];
+        for (id, label) in models.iter().zip([4, 7]) {
+            clipper.add_model(id.clone(), BatchConfig::default());
+            clipper
+                .add_replica(id, const_transport(label, None))
+                .unwrap();
+        }
+        clipper.register_app(
+            AppConfig::new("app", models.to_vec())
+                .with_policy(PolicyKind::Exp4 { eta: 0.1 })
+                .with_slo(Duration::from_millis(50)),
+        );
+        let key = "selstate/app/user";
+        store.set(
+            key,
+            br#"{"models":[{"name":"m0","version":1},{"name":"m1","version":1}],"weights":[1.9,0.1],"counts":[12,3],"total":15,"seed":5}"#.to_vec(),
+        );
+        let p = clipper
+            .predict("app", Some("user"), Arc::new(vec![1.0]))
+            .await
+            .unwrap();
+        assert_eq!(
+            p.output,
+            Output::Class(4),
+            "the heavier model wins the vote"
+        );
+        let state = clipper.policy_state("app", Some("user")).unwrap();
+        assert_eq!(state.weights, vec![1.9, 0.1]);
+        assert_eq!((state.total, state.seed), (15, 5));
+
+        clipper
+            .feedback("app", Some("user"), Arc::new(vec![1.0]), Feedback::class(4))
+            .await
+            .unwrap();
+        assert_eq!(clipper.policy_state("app", Some("user")).unwrap().total, 16);
+        let stored = String::from_utf8(store.get(key).unwrap()).unwrap();
+        assert!(!stored.contains("counts"), "{stored}");
     }
 
     #[tokio::test]

@@ -227,6 +227,29 @@ pub(crate) struct Member {
     pub(crate) joined_seq: u64,
 }
 
+/// How [`Fleet::admit`] attaches a replica.
+enum Via {
+    /// `POST /api/v1/replicas` (or the autoscaler): a launcher matching
+    /// the capabilities attaches it in-process, and a failed attach fails
+    /// the registration.
+    Register { managed: bool },
+    /// A persisted record: as `Register`, but a failed attach admits the
+    /// member unattached (its heartbeats or the monitor's expiry settle
+    /// it).
+    Adopt,
+    /// A container that dialed the RPC data plane, over its connection.
+    Rpc(Arc<dyn BatchTransport>),
+}
+
+/// What one [`Fleet::admit`] produced.
+struct Admitted {
+    /// The registration, with the warm start it was admitted with.
+    record: ReplicaRecord,
+    queue_id: Option<String>,
+    /// Whether the admission replaced an expired tombstone.
+    readmitted: bool,
+}
+
 pub(crate) struct FleetInner {
     pub(crate) mal: Arc<ModelAbstractionLayer>,
     pub(crate) store: Arc<StateStore>,
@@ -329,11 +352,6 @@ impl Fleet {
         views
     }
 
-    /// One member's health, if registered.
-    pub fn health_of(&self, name: &str) -> Option<ReplicaHealth> {
-        self.inner.members.lock().get(name).map(|m| m.health)
-    }
-
     pub(crate) fn push_event(&self, e: FleetEvent) {
         self.inner.events.lock().push(e);
     }
@@ -402,93 +420,74 @@ impl Fleet {
                 ApiError::ModelUnknown(spec.model_name)
             });
         }
-        // Warm start: the tune harvested when this container last expired
-        // (or was last persisted) rides back in as the queue's prior.
-        let tune = self.load_record(&spec.container_name).and_then(|r| r.tune);
-        let warm_start = tune.is_some();
-        let prior = tune.as_ref().map(|t| LatencyPrior {
-            alpha_us: t.alpha_us,
-            beta_us: t.beta_us,
-        });
-        let record = ReplicaRecord {
-            container_name: spec.container_name.clone(),
-            model_name: spec.model_name.clone(),
-            model_version: spec.model_version,
-            capabilities: spec.capabilities.clone(),
-            state: REPLICA_STATE_REGISTERED.to_string(),
-            tune,
-        };
-        // Attach through a matching launcher; otherwise the container
-        // dials the RPC data plane itself.
-        let mut queue_id = None;
-        if let Some(launcher) = self.match_launcher(&spec.capabilities) {
-            match launcher.launch(&record).map_err(ApiError::Internal)? {
-                Launched::Attached(transport) => {
-                    let qid = self
-                        .inner
-                        .mal
-                        .add_replica_with_prior(&model, transport, prior)
-                        .map_err(|e| ApiError::Internal(e.to_string()))?;
-                    queue_id = Some(qid);
-                }
-                Launched::Dialing => {}
-            }
-        }
-        let readmitted = self.admit_member(
-            &spec.container_name,
-            model,
-            spec.capabilities,
-            queue_id.clone(),
-            None,
-            managed,
-        );
-        self.persist_record(&record);
-        self.inner.registrations.inc();
-        self.push_event(if readmitted {
-            FleetEvent::Readmitted {
-                container: spec.container_name.clone(),
-                warm_start,
-            }
-        } else {
-            FleetEvent::Registered {
-                container: spec.container_name.clone(),
-                warm_start,
-            }
-        });
+        let admitted = self.admit(
+            ReplicaRecord {
+                container_name: spec.container_name,
+                model_name: spec.model_name,
+                model_version: spec.model_version,
+                capabilities: spec.capabilities,
+                state: REPLICA_STATE_REGISTERED.to_string(),
+                tune: None,
+            },
+            Via::Register { managed },
+        )?;
+        let warm_start = admitted.record.tune.is_some();
+        self.announce(&admitted);
         Ok(RegisterOutcome {
-            container_name: spec.container_name,
-            queue_id,
+            container_name: admitted.record.container_name,
+            queue_id: admitted.queue_id,
             rpc_addr: self.rpc_addr().map(|a| a.to_string()),
             warm_start,
             heartbeat_interval_ms: self.inner.cfg.heartbeat_interval.as_millis() as u64,
         })
     }
 
-    /// Insert-or-replace the membership entry; returns whether this
-    /// replaced an expired tombstone (a re-admission). If a *live* entry
-    /// with an attached queue is replaced (container restarted faster
-    /// than the monitor noticed), its old queue is drained in the
-    /// background — distinct queue ids keep the drains independent.
-    fn admit_member(
-        &self,
-        name: &str,
-        model: ModelId,
-        capabilities: Vec<String>,
-        queue_id: Option<String>,
-        transport: Option<Arc<dyn BatchTransport>>,
-        managed: bool,
-    ) -> bool {
+    /// The one admission path behind [`register`](Self::register),
+    /// [`adopt_record`](Self::adopt_record) and `admit_rpc`: look up the
+    /// warm start, attach the replica with it as the queue's prior, and
+    /// insert the membership entry.
+    ///
+    /// Insert-or-replace: `readmitted` says whether this replaced an
+    /// expired tombstone. If a *live* entry with an attached queue is
+    /// replaced (container restarted faster than the monitor noticed),
+    /// its old queue is drained in the background — distinct queue ids
+    /// keep the drains independent.
+    fn admit(&self, mut record: ReplicaRecord, via: Via) -> Result<Admitted, ApiError> {
+        // Warm start: the tune harvested when this container last expired
+        // (or was last persisted) rides back in as the queue's prior.
+        record.tune = self
+            .load_record(&record.container_name)
+            .and_then(|r| r.tune);
+        let model = ModelId::new(&record.model_name, record.model_version);
+        let lenient = matches!(via, Via::Adopt);
+        let (transport, rpc, managed) = match via {
+            Via::Register { managed } => (self.launch(&record)?, None, managed),
+            Via::Adopt => (self.launch(&record).unwrap_or(None), None, false),
+            Via::Rpc(t) => (Some(t.clone()), Some(t), false),
+        };
+        let prior = record.tune.as_ref().map(LatencyPrior::from);
+        let attached = transport.map(|t| self.inner.mal.add_replica_with_prior(&model, t, prior));
+        let queue_id = match attached {
+            None => None,
+            Some(Ok(qid)) => Some(qid),
+            Some(Err(_)) if lenient => None,
+            Some(Err(e)) => return Err(ApiError::Internal(e.to_string())),
+        };
         let member = Member {
-            model: model.clone(),
-            capabilities,
-            queue_id,
+            model,
+            capabilities: record.capabilities.clone(),
+            queue_id: queue_id.clone(),
             health: ReplicaHealth::Healthy,
             last_beat: Instant::now(),
-            transport,
+            transport: rpc,
             managed,
             joined_seq: self.next_seq(),
         };
-        let old = self.inner.members.lock().insert(name.to_string(), member);
+        let old = self
+            .inner
+            .members
+            .lock()
+            .insert(record.container_name.clone(), member);
         let readmitted = old
             .as_ref()
             .is_some_and(|m| m.health == ReplicaHealth::Expired);
@@ -505,7 +504,45 @@ impl Fleet {
                 }
             }
         }
-        readmitted
+        Ok(Admitted {
+            record,
+            queue_id,
+            readmitted,
+        })
+    }
+
+    /// Attach `record` through a launcher matching its capabilities:
+    /// `Some` transport when the launcher attached it in-process, `None`
+    /// when no launcher matched or the container will dial in itself.
+    fn launch(&self, record: &ReplicaRecord) -> Result<Option<Arc<dyn BatchTransport>>, ApiError> {
+        let Some(launcher) = self.match_launcher(&record.capabilities) else {
+            return Ok(None);
+        };
+        Ok(match launcher.launch(record).map_err(ApiError::Internal)? {
+            Launched::Attached(transport) => Some(transport),
+            Launched::Dialing => None,
+        })
+    }
+
+    /// Persist a registration, count it, and push its event — what
+    /// `register` and `admit_rpc` do after an admission, and an adopted
+    /// record does not.
+    fn announce(&self, admitted: &Admitted) {
+        self.persist_record(&admitted.record);
+        self.inner.registrations.inc();
+        let container = admitted.record.container_name.clone();
+        let warm_start = admitted.record.tune.is_some();
+        self.push_event(if admitted.readmitted {
+            FleetEvent::Readmitted {
+                container,
+                warm_start,
+            }
+        } else {
+            FleetEvent::Registered {
+                container,
+                warm_start,
+            }
+        });
     }
 
     /// Handle `POST /api/v1/replicas/{name}/heartbeat`. A beat from an
@@ -575,29 +612,7 @@ impl Fleet {
         if self.inner.members.lock().contains_key(&rec.container_name) {
             return false;
         }
-        let prior = rec.tune.as_ref().map(|t| LatencyPrior {
-            alpha_us: t.alpha_us,
-            beta_us: t.beta_us,
-        });
-        let mut queue_id = None;
-        if let Some(launcher) = self.match_launcher(&rec.capabilities) {
-            if let Ok(Launched::Attached(transport)) = launcher.launch(&rec) {
-                queue_id = self
-                    .inner
-                    .mal
-                    .add_replica_with_prior(&model, transport, prior)
-                    .ok();
-            }
-        }
-        self.admit_member(
-            &rec.container_name,
-            model,
-            rec.capabilities.clone(),
-            queue_id,
-            None,
-            false,
-        );
-        true
+        self.admit(rec, Via::Adopt).is_ok()
     }
 
     /// Serve the RPC data plane for self-registering containers: bind,
@@ -631,48 +646,17 @@ impl Fleet {
         let interval = self.inner.cfg.heartbeat_interval;
         let grace = interval * self.inner.cfg.suspect_after.max(1);
         handle.start_heartbeats(interval, grace);
-        let transport: Arc<dyn BatchTransport> = Arc::new(handle);
-        let tune = self.load_record(&info.container_name).and_then(|r| r.tune);
-        let warm_start = tune.is_some();
-        let prior = tune.as_ref().map(|t| LatencyPrior {
-            alpha_us: t.alpha_us,
-            beta_us: t.beta_us,
-        });
-        let Ok(queue_id) = self
-            .inner
-            .mal
-            .add_replica_with_prior(&model, transport.clone(), prior)
-        else {
-            return;
-        };
-        let readmitted = self.admit_member(
-            &info.container_name,
-            model,
-            Vec::new(),
-            Some(queue_id),
-            Some(transport),
-            false,
-        );
-        self.persist_record(&ReplicaRecord {
-            container_name: info.container_name.clone(),
-            model_name: info.model_name.clone(),
+        let record = ReplicaRecord {
+            container_name: info.container_name,
+            model_name: info.model_name,
             model_version: info.model_version,
             capabilities: Vec::new(),
             state: REPLICA_STATE_REGISTERED.to_string(),
-            tune,
-        });
-        self.inner.registrations.inc();
-        self.push_event(if readmitted {
-            FleetEvent::Readmitted {
-                container: info.container_name,
-                warm_start,
-            }
-        } else {
-            FleetEvent::Registered {
-                container: info.container_name,
-                warm_start,
-            }
-        });
+            tune: None,
+        };
+        if let Ok(admitted) = self.admit(record, Via::Rpc(Arc::new(handle))) {
+            self.announce(&admitted);
+        }
     }
 
     /// Harvest a replica's learned latency curve into its wire record

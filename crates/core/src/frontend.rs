@@ -1226,12 +1226,17 @@ mod tests {
         let arrays = "[".repeat(100_000);
         let objects = "{\"a\":".repeat(100_000);
         let skipped_arrays = format!("{{\"input\":[1],\"x\":{arrays}");
+        // Shallow, but naming a policy outside the paper's Exp3 / Exp4 and
+        // its two baselines.
+        let ucb1 = r#"{"name":"p","candidate_models":[{"name":"m","version":1}],"policy":"Ucb1"}"#
+            .to_string();
         for (path, body) in [
             ("/api/v1/apps", &arrays),
             ("/api/v1/apps", &objects),
             ("/api/v1/apps/digits/predict", &arrays),
             ("/api/v1/apps/digits/predict", &objects),
             ("/api/v1/apps/digits/predict", &skipped_arrays),
+            ("/api/v1/apps", &ucb1),
         ] {
             let resp = http_call(addr, &post(path, body)).await;
             assert!(resp.starts_with("HTTP/1.1 400"), "{path}: {resp}");

@@ -25,8 +25,8 @@
 //! - the four-function selection-policy interface of Listing 2
 //!   (`init` / `select` / `combine` / `observe`);
 //! - [`selection::Exp3Policy`] (single-model bandit) and
-//!   [`selection::Exp4Policy`] (ensemble weighting), plus ε-greedy, UCB1,
-//!   and static policies;
+//!   [`selection::Exp4Policy`] (ensemble weighting), plus the unweighted
+//!   vote and the fixed model the paper compares them against;
 //! - straggler mitigation: predictions render at the latency deadline from
 //!   whatever subset of the ensemble has arrived (§5.2.2);
 //! - contextualization: per-user/session policy state in an external
@@ -76,8 +76,7 @@ pub mod types;
 
 pub use abstraction::{BatchConfig, ModelAbstractionLayer, SchedulerPolicy};
 pub use api::{
-    ApiError, AppPatch, AppSpec, AppView, ErrorBody, ModelView, RehydrateReport, RolloutOutcome,
-    SyncReport,
+    ApiError, AppPatch, AppSpec, AppView, ErrorBody, ModelView, RolloutOutcome, SyncReport,
 };
 pub use batching::{AimdController, BatchStrategy, QuantileController, QueueState};
 pub use cache::{CacheKey, CacheStats, PredictionCache};
@@ -88,10 +87,7 @@ pub use fleet::{
     ReplicaLauncher,
 };
 pub use frontend::HttpFrontend;
-pub use selection::{
-    EpsilonGreedyPolicy, Exp3Policy, Exp4Policy, PolicyState, SelectionPolicy, StaticPolicy,
-    ThompsonSamplingPolicy, UcbPolicy,
-};
+pub use selection::{Exp3Policy, Exp4Policy, PolicyState, SelectionPolicy, StaticPolicy};
 pub use types::{
     output_loss, AppConfig, AppUpdate, Feedback, Input, ModelId, Output, PolicyKind, Prediction,
 };

@@ -8,7 +8,6 @@
 //! Provided policies:
 //! - [`Exp3Policy`] — single-model bandit, one evaluation per query (§5.1);
 //! - [`Exp4Policy`] — ensemble weighting across all models (§5.2);
-//! - [`EpsilonGreedyPolicy`], [`UcbPolicy`] — classic bandit extensions;
 //! - [`MajorityVotePolicy`] — unweighted ensembles (no learning);
 //! - [`StaticPolicy`] — a fixed model (the A/B-testing strawman).
 //!
@@ -21,10 +20,7 @@ pub mod manager;
 pub mod policies;
 
 pub use manager::SelectionStateManager;
-pub use policies::{
-    build_policy, EpsilonGreedyPolicy, Exp3Policy, Exp4Policy, MajorityVotePolicy, StaticPolicy,
-    ThompsonSamplingPolicy, UcbPolicy,
-};
+pub use policies::{build_policy, Exp3Policy, Exp4Policy, MajorityVotePolicy, StaticPolicy};
 
 use crate::types::{Feedback, Input, ModelId, Output};
 use serde::{Deserialize, Serialize};
@@ -34,18 +30,17 @@ use std::hash::{Hash, Hasher};
 
 /// Learned state of a selection policy (the Listing-2 type `S`).
 ///
-/// One struct serves every built-in policy: `weights` are Exp3/Exp4
-/// weights or value estimates, `counts` are per-model pull counts (UCB,
-/// ε-greedy). Serialized as JSON into the statestore for contextual
-/// selection.
+/// One struct serves every built-in policy: `weights` are the Exp3/Exp4
+/// weights (the majority vote and the static policy ignore them).
+/// Serialized as JSON into the statestore for contextual selection; a
+/// record carrying a field this struct no longer has (the per-model
+/// `counts` of older builds) decodes with that field skipped.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct PolicyState {
-    /// Model ordering (indices align with `weights`/`counts`).
+    /// Model ordering (indices align with `weights`).
     pub models: Vec<ModelId>,
-    /// Per-model weights or value estimates.
+    /// Per-model weights.
     pub weights: Vec<f64>,
-    /// Per-model observation counts.
-    pub counts: Vec<u64>,
     /// Total feedback observations.
     pub total: u64,
     /// Seed for derived randomness.
@@ -58,7 +53,6 @@ impl PolicyState {
         PolicyState {
             models: models.to_vec(),
             weights: vec![1.0; models.len()],
-            counts: vec![0; models.len()],
             total: 0,
             seed,
         }
@@ -93,7 +87,7 @@ impl PolicyState {
     }
 
     /// Reconcile this state with an amended candidate-model set (app
-    /// update or model-version rollout). Learned weights and counts carry
+    /// update or model-version rollout). Learned weights carry
     /// over by model *name* — a version bump keeps what the bandit learned
     /// about the model, which is the point of transparent rollouts
     /// (§2.2) — while genuinely new models start at the uniform weight.
@@ -103,7 +97,6 @@ impl PolicyState {
             return false;
         }
         let mut weights = vec![1.0; models.len()];
-        let mut counts = vec![0u64; models.len()];
         // Exact-id matches claim their old entries first, so a candidate
         // set that deliberately contains two versions of the same model
         // (A/B comparison) keeps each version's own learned state; only
@@ -113,7 +106,6 @@ impl PolicyState {
         for (i, m) in models.iter().enumerate() {
             if let Some(j) = (0..self.models.len()).find(|&j| !used[j] && &self.models[j] == m) {
                 weights[i] = self.weights[j];
-                counts[i] = self.counts[j];
                 used[j] = true;
                 matched[i] = true;
             }
@@ -126,13 +118,11 @@ impl PolicyState {
                 (0..self.models.len()).find(|&j| !used[j] && self.models[j].name == m.name)
             {
                 weights[i] = self.weights[j];
-                counts[i] = self.counts[j];
                 used[j] = true;
             }
         }
         self.models = models.to_vec();
         self.weights = weights;
-        self.counts = counts;
         true
     }
 
@@ -336,14 +326,12 @@ mod tests {
         let old = vec![ModelId::new("a", 1), ModelId::new("b", 1)];
         let mut s = PolicyState::uniform(&old, 5);
         s.weights = vec![4.0, 0.5];
-        s.counts = vec![10, 2];
         s.total = 12;
         // Roll "a" to v2 and introduce a brand-new model "c".
         let new = vec![ModelId::new("a", 2), ModelId::new("c", 1)];
         assert!(s.remap_models(&new));
         assert_eq!(s.models, new);
         assert_eq!(s.weights, vec![4.0, 1.0], "a keeps its weight, c is fresh");
-        assert_eq!(s.counts, vec![10, 0]);
         assert_eq!(s.total, 12, "observation history is not rewritten");
         // Identical set: no-op.
         assert!(!s.remap_models(&new));
@@ -356,11 +344,9 @@ mod tests {
         let old = vec![ModelId::new("m", 1), ModelId::new("m", 2)];
         let mut s = PolicyState::uniform(&old, 1);
         s.weights = vec![3.0, 7.0];
-        s.counts = vec![30, 70];
         let new = vec![ModelId::new("m", 2), ModelId::new("m", 1)];
         assert!(s.remap_models(&new));
         assert_eq!(s.weights, vec![7.0, 3.0], "exact ids keep their state");
-        assert_eq!(s.counts, vec![70, 30]);
     }
 
     #[test]

@@ -9,9 +9,6 @@ pub fn build_policy(kind: &PolicyKind) -> Box<dyn SelectionPolicy> {
     match *kind {
         PolicyKind::Exp3 { eta } => Box::new(Exp3Policy::new(eta)),
         PolicyKind::Exp4 { eta } => Box::new(Exp4Policy::new(eta)),
-        PolicyKind::EpsilonGreedy { epsilon } => Box::new(EpsilonGreedyPolicy::new(epsilon)),
-        PolicyKind::Ucb1 => Box::new(UcbPolicy),
-        PolicyKind::Thompson => Box::new(ThompsonSamplingPolicy),
         PolicyKind::MajorityVote => Box::new(MajorityVotePolicy),
         PolicyKind::Static { model_index } => Box::new(StaticPolicy::new(model_index)),
     }
@@ -41,22 +38,16 @@ fn sample_from(probs: &[f64], u: f64) -> usize {
 /// during a failure would never be re-explored after it heals.
 pub struct Exp3Policy {
     eta: f64,
-    gamma: f64,
 }
 
+/// Exp3's exploration fraction γ.
+const GAMMA: f64 = 0.1;
+
 impl Exp3Policy {
-    /// Create with learning rate `eta` (the paper's η) and the default
-    /// exploration fraction γ = 0.1.
+    /// Create with learning rate `eta` (the paper's η).
     pub fn new(eta: f64) -> Self {
         assert!(eta > 0.0, "eta must be positive");
-        Exp3Policy { eta, gamma: 0.1 }
-    }
-
-    /// Override the exploration fraction γ ∈ [0, 1).
-    pub fn with_gamma(mut self, gamma: f64) -> Self {
-        assert!((0.0..1.0).contains(&gamma), "gamma in [0,1)");
-        self.gamma = gamma;
-        self
+        Exp3Policy { eta }
     }
 
     /// Selection probabilities with γ-uniform mixing.
@@ -65,7 +56,7 @@ impl Exp3Policy {
         state
             .probabilities()
             .into_iter()
-            .map(|p| (1.0 - self.gamma) * p + self.gamma / k)
+            .map(|p| (1.0 - GAMMA) * p + GAMMA / k)
             .collect()
     }
 
@@ -120,7 +111,6 @@ impl SelectionPolicy for Exp3Policy {
             let loss = output_loss(pred, &feedback.truth);
             let p = self.mixed_probabilities(state)[idx].max(1e-6);
             state.weights[idx] *= (-self.eta * loss / p).exp();
-            state.counts[idx] += 1;
             state.total += 1;
             state.renormalize();
         }
@@ -174,259 +164,10 @@ impl SelectionPolicy for Exp4Policy {
             if let Some(pred) = preds.get(model) {
                 let loss = output_loss(pred, &feedback.truth);
                 state.weights[i] *= (-self.eta * loss).exp();
-                state.counts[i] += 1;
             }
         }
         state.total += 1;
         state.renormalize();
-    }
-}
-
-/// ε-greedy single-model selection (extension beyond the paper's two).
-///
-/// Weights hold running mean rewards (1 − loss); selection exploits the
-/// best arm except for an ε fraction of exploration.
-pub struct EpsilonGreedyPolicy {
-    epsilon: f64,
-}
-
-impl EpsilonGreedyPolicy {
-    /// Create with exploration probability `epsilon`.
-    pub fn new(epsilon: f64) -> Self {
-        assert!((0.0..=1.0).contains(&epsilon), "epsilon in [0,1]");
-        EpsilonGreedyPolicy { epsilon }
-    }
-
-    fn chosen_index(&self, state: &PolicyState, input: &Input) -> usize {
-        let u = state.derived_uniform(input);
-        let n = state.models.len();
-        if u < self.epsilon {
-            // Explore: stretch the remaining randomness across the arms.
-            let v = u / self.epsilon.max(1e-12);
-            ((v * n as f64) as usize).min(n - 1)
-        } else {
-            // Exploit: best mean reward; unpulled arms (weight 1.0 from
-            // init) look optimistic, which is what we want.
-            state
-                .weights
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        }
-    }
-}
-
-impl SelectionPolicy for EpsilonGreedyPolicy {
-    fn name(&self) -> &'static str {
-        "epsilon-greedy"
-    }
-
-    fn select(&self, state: &PolicyState, input: &Input) -> Vec<ModelId> {
-        vec![state.models[self.chosen_index(state, input)].clone()]
-    }
-
-    fn combine(
-        &self,
-        state: &PolicyState,
-        input: &Input,
-        preds: &HashMap<ModelId, Output>,
-    ) -> (Output, f64) {
-        let chosen = &state.models[self.chosen_index(state, input)];
-        if let Some(out) = preds.get(chosen) {
-            (out.clone(), 1.0)
-        } else {
-            weighted_combine(state, preds)
-                .map(|(o, _)| (o, 0.0))
-                .unwrap_or((Output::Class(0), 0.0))
-        }
-    }
-
-    fn observe(
-        &self,
-        state: &mut PolicyState,
-        input: &Input,
-        feedback: &Feedback,
-        preds: &HashMap<ModelId, Output>,
-    ) {
-        let idx = self.chosen_index(state, input);
-        let chosen = state.models[idx].clone();
-        if let Some(pred) = preds.get(&chosen) {
-            let reward = 1.0 - output_loss(pred, &feedback.truth);
-            state.counts[idx] += 1;
-            let n = state.counts[idx] as f64;
-            if state.counts[idx] == 1 {
-                state.weights[idx] = reward;
-            } else {
-                state.weights[idx] += (reward - state.weights[idx]) / n;
-            }
-            state.total += 1;
-        }
-    }
-}
-
-/// UCB1 single-model selection (extension).
-pub struct UcbPolicy;
-
-impl UcbPolicy {
-    fn chosen_index(&self, state: &PolicyState) -> usize {
-        // Any unpulled arm first.
-        if let Some(i) = state.counts.iter().position(|&c| c == 0) {
-            return i;
-        }
-        let total = state.total.max(1) as f64;
-        state
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let bonus = (2.0 * total.ln() / c as f64).sqrt();
-                (i, state.weights[i] + bonus)
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-}
-
-impl SelectionPolicy for UcbPolicy {
-    fn name(&self) -> &'static str {
-        "ucb1"
-    }
-
-    fn select(&self, state: &PolicyState, _input: &Input) -> Vec<ModelId> {
-        vec![state.models[self.chosen_index(state)].clone()]
-    }
-
-    fn combine(
-        &self,
-        state: &PolicyState,
-        _input: &Input,
-        preds: &HashMap<ModelId, Output>,
-    ) -> (Output, f64) {
-        let chosen = &state.models[self.chosen_index(state)];
-        if let Some(out) = preds.get(chosen) {
-            (out.clone(), 1.0)
-        } else {
-            weighted_combine(state, preds)
-                .map(|(o, _)| (o, 0.0))
-                .unwrap_or((Output::Class(0), 0.0))
-        }
-    }
-
-    fn observe(
-        &self,
-        state: &mut PolicyState,
-        _input: &Input,
-        feedback: &Feedback,
-        preds: &HashMap<ModelId, Output>,
-    ) {
-        let idx = self.chosen_index(state);
-        let chosen = state.models[idx].clone();
-        if let Some(pred) = preds.get(&chosen) {
-            let reward = 1.0 - output_loss(pred, &feedback.truth);
-            state.counts[idx] += 1;
-            let n = state.counts[idx] as f64;
-            if state.counts[idx] == 1 {
-                state.weights[idx] = reward;
-            } else {
-                state.weights[idx] += (reward - state.weights[idx]) / n;
-            }
-            state.total += 1;
-        }
-    }
-}
-
-/// Thompson sampling single-model selection (extension).
-///
-/// Each arm keeps a Beta-like posterior over its reward (successes in
-/// `weights[i]·counts[i]`, pulls in `counts[i]`); selection draws one
-/// posterior sample per arm (Gaussian approximation, derived randomness)
-/// and plays the argmax. Converges like UCB but explores
-/// probability-matched rather than optimistically.
-pub struct ThompsonSamplingPolicy;
-
-impl ThompsonSamplingPolicy {
-    fn chosen_index(&self, state: &PolicyState, input: &Input) -> usize {
-        // Unpulled arms first, in order.
-        if let Some(i) = state.counts.iter().position(|&c| c == 0) {
-            return i;
-        }
-        let base = state.derived_uniform(input);
-        let mut best = 0usize;
-        let mut best_sample = f64::NEG_INFINITY;
-        for (i, (&mean, &n)) in state.weights.iter().zip(state.counts.iter()).enumerate() {
-            // Two derived uniforms per arm → one Gaussian via Box-Muller.
-            let u1 = fract(base * 7919.0 + i as f64 * 13.37 + 0.123);
-            let u2 = fract(base * 104729.0 + i as f64 * 7.77 + 0.456);
-            let z = (-2.0 * u1.max(1e-12).ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            let std = (mean.clamp(0.01, 0.99) * (1.0 - mean.clamp(0.01, 0.99)) / n as f64).sqrt();
-            let sample = mean + std * z;
-            if sample > best_sample {
-                best_sample = sample;
-                best = i;
-            }
-        }
-        best
-    }
-}
-
-/// Fractional part in [0, 1).
-fn fract(x: f64) -> f64 {
-    let f = x.fract();
-    if f < 0.0 {
-        f + 1.0
-    } else {
-        f
-    }
-}
-
-impl SelectionPolicy for ThompsonSamplingPolicy {
-    fn name(&self) -> &'static str {
-        "thompson"
-    }
-
-    fn select(&self, state: &PolicyState, input: &Input) -> Vec<ModelId> {
-        vec![state.models[self.chosen_index(state, input)].clone()]
-    }
-
-    fn combine(
-        &self,
-        state: &PolicyState,
-        input: &Input,
-        preds: &HashMap<ModelId, Output>,
-    ) -> (Output, f64) {
-        let chosen = &state.models[self.chosen_index(state, input)];
-        if let Some(out) = preds.get(chosen) {
-            (out.clone(), 1.0)
-        } else {
-            weighted_combine(state, preds)
-                .map(|(o, _)| (o, 0.0))
-                .unwrap_or((Output::Class(0), 0.0))
-        }
-    }
-
-    fn observe(
-        &self,
-        state: &mut PolicyState,
-        input: &Input,
-        feedback: &Feedback,
-        preds: &HashMap<ModelId, Output>,
-    ) {
-        let idx = self.chosen_index(state, input);
-        let chosen = state.models[idx].clone();
-        if let Some(pred) = preds.get(&chosen) {
-            let reward = 1.0 - output_loss(pred, &feedback.truth);
-            state.counts[idx] += 1;
-            let n = state.counts[idx] as f64;
-            if state.counts[idx] == 1 {
-                state.weights[idx] = reward;
-            } else {
-                state.weights[idx] += (reward - state.weights[idx]) / n;
-            }
-            state.total += 1;
-        }
     }
 }
 
@@ -573,41 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_greedy_converges() {
-        let acc = converges_to(&EpsilonGreedyPolicy::new(0.1), 5, 0);
-        assert!(acc > 0.7, "ε-greedy late accuracy {acc}");
-    }
-
-    #[test]
-    fn ucb_converges() {
-        let acc = converges_to(&UcbPolicy, 5, 4);
-        assert!(acc > 0.7, "ucb late accuracy {acc}");
-    }
-
-    #[test]
-    fn thompson_converges() {
-        let acc = converges_to(&ThompsonSamplingPolicy, 5, 2);
-        assert!(acc > 0.7, "thompson late accuracy {acc}");
-    }
-
-    #[test]
-    fn thompson_pulls_every_arm_once_first() {
-        let p = ThompsonSamplingPolicy;
-        let ms = models(4);
-        let mut s = p.init(&ms, 3);
-        let mut pulled = std::collections::HashSet::new();
-        for r in 0..4 {
-            let x = input(r);
-            let chosen = p.select(&s, &x)[0].clone();
-            pulled.insert(chosen.clone());
-            let mut preds = HashMap::new();
-            preds.insert(chosen, Output::Class(1));
-            p.observe(&mut s, &x, &Feedback::class(1), &preds);
-        }
-        assert_eq!(pulled.len(), 4, "initial round-robin over unpulled arms");
-    }
-
-    #[test]
     fn exp3_selects_exactly_one_model() {
         let p = Exp3Policy::new(0.1);
         let s = p.init(&models(4), 0);
@@ -700,12 +406,6 @@ mod tests {
     fn build_policy_maps_kinds() {
         assert_eq!(build_policy(&PolicyKind::Exp3 { eta: 0.1 }).name(), "exp3");
         assert_eq!(build_policy(&PolicyKind::Exp4 { eta: 0.1 }).name(), "exp4");
-        assert_eq!(
-            build_policy(&PolicyKind::EpsilonGreedy { epsilon: 0.1 }).name(),
-            "epsilon-greedy"
-        );
-        assert_eq!(build_policy(&PolicyKind::Ucb1).name(), "ucb1");
-        assert_eq!(build_policy(&PolicyKind::Thompson).name(), "thompson");
         assert_eq!(
             build_policy(&PolicyKind::MajorityVote).name(),
             "majority-vote"

@@ -120,15 +120,6 @@ pub enum PolicyKind {
         /// Learning rate (the paper's η).
         eta: f64,
     },
-    /// ε-greedy single-model selection (extension).
-    EpsilonGreedy {
-        /// Exploration probability.
-        epsilon: f64,
-    },
-    /// UCB1 single-model selection (extension).
-    Ucb1,
-    /// Thompson-sampling single-model selection (extension).
-    Thompson,
     /// Always query every model, combine by unweighted vote (no learning).
     MajorityVote,
     /// Always use one fixed model.
@@ -344,11 +335,11 @@ mod tests {
     #[test]
     fn app_config_builder_chain() {
         let cfg = AppConfig::new("a", vec![ModelId::new("m", 1)])
-            .with_policy(PolicyKind::Ucb1)
+            .with_policy(PolicyKind::MajorityVote)
             .with_slo(Duration::from_millis(50))
             .with_default_output(Output::Class(9))
             .with_seed(7);
-        assert_eq!(cfg.policy, PolicyKind::Ucb1);
+        assert_eq!(cfg.policy, PolicyKind::MajorityVote);
         assert_eq!(cfg.slo, Duration::from_millis(50));
         assert_eq!(cfg.default_output, Output::Class(9));
         assert_eq!(cfg.seed, 7);

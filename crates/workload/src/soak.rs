@@ -6,7 +6,7 @@
 //! statestore and one replica fleet while an open-loop mixed workload
 //! (predict + feedback) flows and a scripted **event timeline** injects
 //! control-plane churn (rollout/rollback over `/api/v1`), a mid-soak
-//! frontend crash + [`Clipper::rehydrate`] restart, and replica faults
+//! frontend crash + [`Clipper::sync_config`] restart, and replica faults
 //! through [`FaultyTransport`] — asserting that nothing is *lost*: every
 //! accepted query completes or fail-fills, explicit admission sheds and
 //! down-frontend refusals are answered promptly, and every frontend's
@@ -19,7 +19,7 @@
 //! Every frontend builds its *own* queues over the *same* transports —
 //! that is the fan-in: one replica fleet, N schedulers pulling into it.
 //! Frontend 0 registers the deployment (persisting it); frontends `1..N`
-//! — and every restart — rebuild from the store via `rehydrate()`.
+//! — and every restart — rebuild from the store via `sync_config()`.
 //!
 //! # Cross-frontend cache story (measured, not hand-waved)
 //!
@@ -85,7 +85,7 @@ pub enum SoakAction {
     /// In-flight queries hold their own handle and complete; new queries
     /// targeting the slot are `Refused` until restart.
     CrashFrontend(usize),
-    /// Rebuild frontend `i` from the statestore (`rehydrate()`), re-attach
+    /// Rebuild frontend `i` from the statestore (`sync_config()`), re-attach
     /// the shared fleet, and bind a fresh HTTP listener.
     RestartFrontend(usize),
     /// `POST /api/v1/models/{MODEL}/rollout` over frontend `via`'s HTTP
@@ -240,7 +240,7 @@ impl SoakSpec {
     /// | 15%    | phase `rollout`: roll `m`→v2 via f0's HTTP API, sync f1..N |
     /// | 18–26% | phase `flaky`: one v2 replica drops 60% of requests — the retry path must absorb it |
     /// | 30%    | phase `crash`: drop frontend 1 |
-    /// | 45%    | phase `recovery`: rebuild frontend 1 via `rehydrate()` |
+    /// | 45%    | phase `recovery`: rebuild frontend 1 via `sync_config()` |
     /// | 60%    | phase `chaos`: black-hole one v2 fleet replica |
     /// | 72%    | every frontend drains its suspect replicas; fault lifted |
     /// | 80%    | phase `recovered`: roll back to v1 via f0, sync f1..N |
@@ -543,8 +543,8 @@ impl Harness {
             .statestore(self.store.clone())
             .cache_capacity(self.spec.cache_capacity)
             .build();
-        let restored = clipper.rehydrate();
-        if i == 0 && restored == Default::default() {
+        let restored = clipper.sync_config().await;
+        if i == 0 && restored.is_noop() {
             clipper.add_model(ModelId::new(MODEL, 1), BatchConfig::default());
             clipper.add_model(ModelId::new(MODEL, 2), BatchConfig::default());
             clipper.register_app(

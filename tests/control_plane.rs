@@ -281,9 +281,9 @@ async fn registry_rehydrates_into_a_fresh_frontend() {
     }
 
     let revived = Clipper::builder().statestore(store.clone()).build();
-    let report = revived.rehydrate();
-    assert_eq!(report.models, 1);
-    assert_eq!(report.apps, 2, "digits + pets");
+    let report = revived.sync_config().await;
+    assert_eq!(report.adopted_models, 1);
+    assert_eq!(report.adopted_apps, 2, "digits + pets");
     assert!(report.skipped.is_empty());
     assert_eq!(revived.current_version("m"), Some(2));
     // Both apps were repointed at v2 by the persisted rollout.

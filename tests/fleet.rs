@@ -576,8 +576,8 @@ async fn concurrent_expiry_and_suspect_drain_stay_idempotent() {
 }
 
 /// One persisted registration, many frontends: a sibling adopts the
-/// record via `sync_config()`, a restarted frontend via `rehydrate()` —
-/// both attach through their own launcher and serve.
+/// record via `sync_config()`, and so does a restarted frontend — both
+/// attach through their own launcher and serve.
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn sibling_frontends_adopt_a_persisted_registration() {
     let store = Arc::new(StateStore::new());
@@ -589,8 +589,8 @@ async fn sibling_frontends_adopt_a_persisted_registration() {
     a.fleet().add_launcher(const_launcher(1));
     let c = Clipper::builder().statestore(store.clone()).build();
     c.fleet().add_launcher(const_launcher(1));
-    let report = c.rehydrate();
-    assert_eq!(report.replicas, 0, "nothing to adopt yet");
+    let report = c.sync_config().await;
+    assert_eq!(report.adopted_replicas, 0, "nothing to adopt yet");
     assert!(c.abstraction().has_model(&m), "model directory restored");
 
     // The container registers through A; the record persists.
@@ -611,11 +611,14 @@ async fn sibling_frontends_adopt_a_persisted_registration() {
     // Adoption is idempotent: a second sync adopts nothing new.
     assert_eq!(c.sync_config().await.adopted_replicas, 0);
 
-    // A restarted frontend adopts the same record during rehydrate.
+    // A restarted frontend adopts the same record on its first sync.
     let d = Clipper::builder().statestore(store).build();
     d.fleet().add_launcher(const_launcher(1));
-    let report = d.rehydrate();
-    assert_eq!(report.replicas, 1, "rehydrate re-adopts the fleet");
+    let report = d.sync_config().await;
+    assert_eq!(
+        report.adopted_replicas, 1,
+        "the restart re-adopts the fleet"
+    );
     assert_eq!(d.abstraction().replica_count(&m), 1);
 
     // Both adopters serve predictions from their own attachment.

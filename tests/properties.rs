@@ -158,14 +158,12 @@ fn arb_policy_state() -> impl Strategy<Value = PolicyState> {
     (
         proptest::collection::vec(arb_model_id(), 0..5),
         proptest::collection::vec(any::<f64>(), 0..5),
-        proptest::collection::vec(any::<u64>(), 0..5),
         any::<u64>(),
         any::<u64>(),
     )
-        .prop_map(|(models, weights, counts, total, seed)| PolicyState {
+        .prop_map(|(models, weights, total, seed)| PolicyState {
             models,
             weights,
-            counts,
             total,
             seed,
         })
@@ -175,9 +173,6 @@ fn arb_app_view() -> impl Strategy<Value = AppView> {
     let policy = prop_oneof![
         (0.0f64..3.0).prop_map(|eta| PolicyKind::Exp3 { eta }),
         (0.0f64..3.0).prop_map(|eta| PolicyKind::Exp4 { eta }),
-        (0.0f64..1.0).prop_map(|epsilon| PolicyKind::EpsilonGreedy { epsilon }),
-        Just(PolicyKind::Ucb1),
-        Just(PolicyKind::Thompson),
         Just(PolicyKind::MajorityVote),
         (0usize..8).prop_map(|model_index| PolicyKind::Static { model_index }),
     ];

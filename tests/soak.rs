@@ -2,10 +2,10 @@
 //! `BENCH_soak.json` chaos run, deterministic enough for `cargo test`.
 //!
 //! Three scenarios:
-//! - the full scripted timeline (rollout + crash + rehydrate restart +
+//! - the full scripted timeline (rollout + crash + `sync_config()` restart +
 //!   replica fault + suspect drain + rollback) at smoke scale, asserting
 //!   the lossless verdict: zero lost queries, every cache drained;
-//! - `rehydrate()` racing live traffic while a rollout is in flight on
+//! - a `sync_config()` restart racing live traffic while a rollout is in flight on
 //!   the *other* frontend, asserting both converge on the store's
 //!   version;
 //! - a black-holed replica under sustained traffic: the scheduler marks
@@ -36,7 +36,7 @@ fn const_transport(label: u32) -> Arc<dyn BatchTransport> {
 }
 
 /// The standard adversarial timeline at smoke scale: 2 frontends, one
-/// rollout synced across, a crash + rehydrate restart of frontend 1, a
+/// rollout synced across, a crash + `sync_config()` restart of frontend 1, a
 /// black-holed replica drained mid-run, and a rollback — zero lost.
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn smoke_soak_survives_the_standard_timeline_losslessly() {
@@ -112,7 +112,7 @@ async fn rehydrate_races_an_in_flight_rollout_and_converges() {
         },
         // ...and frontend 1 is torn down and rebuilt from the store
         // immediately after it lands (events are sequential, so the
-        // restart's rehydrate reads the post-rollout record under
+        // restart's `sync_config()` reads the post-rollout record under
         // traffic that never stopped).
         SoakEvent {
             at: Duration::from_millis(710),
