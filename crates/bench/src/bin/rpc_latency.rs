@@ -9,8 +9,8 @@
 //! - `predict1` / `predict8` — clipper-rpc `predict_batch` of batch 1
 //!   and 8 against a No-Op container over the real RPC server/client
 //!   (frame codec, each side writing its own frames, the container's
-//!   execution thread, oneshot completion — the paper's Figure 3d
-//!   overhead path);
+//!   one blocking execution thread reading, running and answering each
+//!   frame, oneshot completion — the paper's Figure 3d overhead path);
 //! - `http_predict` — a full HTTP frontend round trip (keep-alive POST
 //!   predict against an in-process echo transport: head parse, routing,
 //!   JSON body in and out — the wire-speed-frontier path).

@@ -2,10 +2,12 @@
 //!
 //! A container is a serially-shared resource (one model, one device): the
 //! [`LocalContainerTransport`] enforces that with an internal lock, and the
-//! TCP path inherits it from the RPC client's serial worker loop. Queue
-//! time (waiting for the container) and compute time are reported
-//! separately in every [`PredictReply`] so the Figure-11 decomposition
-//! falls out of ordinary telemetry.
+//! TCP path inherits it from the RPC client, whose one execution thread
+//! reads, runs and answers each frame in turn. Queue time (waiting for
+//! the container lock or the device) and compute time are reported
+//! separately in every [`PredictReply`], and the RPC client passes both
+//! through unchanged, so the Figure-11 decomposition falls out of
+//! ordinary telemetry.
 
 use crate::gpu::GpuDevice;
 use crate::latency::{precise_sleep, LatencyProfile};
@@ -166,7 +168,9 @@ impl BatchTransport for LocalContainerTransport {
 }
 
 /// Run a container as a real RPC client against a Clipper server at `addr`.
-/// Returns the task handle; aborting it kills the container.
+/// Returns the task handle; aborting it kills the container: the socket
+/// is shut down at once, so Clipper sees EOF and the execution thread
+/// exits at its next read or write (after the batch it is running).
 pub fn spawn_tcp_container(
     addr: SocketAddr,
     container: Arc<ModelContainer>,

@@ -1,33 +1,34 @@
 //! Container-side RPC client.
 //!
 //! A model container connects to Clipper, registers, and then serves batch
-//! prediction requests until shutdown. Batches are executed **serially** in
-//! arrival order on one execution thread per connection — a container is a
-//! serially-shared resource (one model, one device), which is exactly the
-//! property the adaptive batching layer (§4.3) is tuned against. The reader
-//! hands each batch to that thread, which runs it and writes the reply
-//! through the connection's [`Outbox`] itself: one hand-off in, none out.
-//! Time a batch spends waiting for the execution thread is reported as
-//! `queue_us` so the Figure-11 decomposition can separate queueing from
-//! compute.
+//! prediction requests until shutdown. A container is one thread: its
+//! execution thread reads a frame from a plain blocking socket, runs it if
+//! it is a batch or answers it if it is a heartbeat, writes the reply with
+//! one `write_all`, and reads the next frame. The socket is not registered
+//! with the runtime's reactor, so the kernel wakes that thread straight
+//! from `read`. Batches therefore run **serially** in
+//! arrival order — a container is a serially-shared resource (one model,
+//! one device), which is exactly the property the adaptive batching layer
+//! (§4.3) is tuned against — and a heartbeat is answered in frame order,
+//! after the batch ahead of it, so a wedged handler stops the acks and
+//! reads as silence to Clipper's prober.
 
-use crate::codec::{write_frame, FrameReader, Outbox};
+use crate::codec::{map_eof, parse_header, HEADER_LEN, INITIAL_BUF, MAX_RETAINED};
 use crate::error::RpcError;
 use crate::message::{Message, PredictReply};
 use crate::transport::Input;
 use std::any::Any;
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
-use tokio::net::TcpStream;
-use tokio::sync::mpsc;
 
 /// Computes predictions for batches inside a container.
 ///
-/// `handle_batch` runs on the execution thread; it should fill in
-/// [`PredictReply::compute_us`] with its own measure of model time (the
-/// serving loop fills in `queue_us`).
+/// `handle_batch` runs on the execution thread; it fills in
+/// [`PredictReply::compute_us`] with its own measure of model time and
+/// [`PredictReply::queue_us`] with any wait of its own (a device queue, a
+/// lock); both reach Clipper unchanged.
 pub trait BatchHandler: Send + Sync + 'static {
     /// Evaluate one batch of shared feature vectors. `Err` strings become
     /// [`RpcError::Remote`] on the Clipper side and fail only that batch,
@@ -57,88 +58,93 @@ pub struct ContainerClientConfig {
 
 /// Connect to Clipper at `addr`, register, and serve batches until the
 /// connection closes or a `Shutdown` frame arrives.
+///
+/// The serving loop is one blocking job; dropping this future (aborting
+/// its task) shuts the socket down, so the job exits at its next read or
+/// write and Clipper sees EOF.
 pub async fn serve_container(
     addr: SocketAddr,
     cfg: ContainerClientConfig,
     handler: Arc<dyn BatchHandler>,
 ) -> Result<(), RpcError> {
-    let stream = TcpStream::connect(addr).await?;
-    stream.set_nodelay(true)?;
-    let (rd, mut wr) = stream.into_split();
-    let mut rd = FrameReader::new(rd);
+    let joined = |e: tokio::task::JoinError| RpcError::Io(std::io::Error::other(e));
+    let conn = tokio::task::spawn_blocking(move || register(addr, &cfg))
+        .await
+        .map_err(joined)??;
+    let _kill = ShutdownOnDrop(conn.try_clone()?);
+    tokio::task::spawn_blocking(move || serve(conn, &*handler))
+        .await
+        .map_err(joined)?
+}
 
-    write_frame(
-        &mut wr,
-        &Message::Register {
-            container_name: cfg.container_name.clone(),
-            model_name: cfg.model_name.clone(),
-            model_version: cfg.model_version,
-        },
-        0,
-    )
-    .await?;
-    match rd.next().await? {
-        (_, Message::RegisterAck) => {}
-        (_, other) => {
-            return Err(RpcError::Protocol(format!(
-                "expected RegisterAck, got {other:?}"
-            )));
+/// Shuts the connection down in both directions when dropped.
+struct ShutdownOnDrop(TcpStream);
+
+impl Drop for ShutdownOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
+    }
+}
+
+fn register(addr: SocketAddr, cfg: &ContainerClientConfig) -> Result<TcpStream, RpcError> {
+    let mut conn = TcpStream::connect(addr)?;
+    conn.set_nodelay(true)?;
+    let register = Message::Register {
+        container_name: cfg.container_name.clone(),
+        model_name: cfg.model_name.clone(),
+        model_version: cfg.model_version,
+    };
+    conn.write_all(&register.encode(0))?;
+    match read_frame(&mut conn, &mut Vec::new())? {
+        (_, Message::RegisterAck) => Ok(conn),
+        (_, other) => Err(RpcError::Protocol(format!(
+            "expected RegisterAck, got {other:?}"
+        ))),
+    }
+}
+
+/// The execution thread: read a frame, run or answer it, write the reply,
+/// read the next. `buf` holds each frame's payload, then its reply.
+fn serve(mut conn: TcpStream, handler: &dyn BatchHandler) -> Result<(), RpcError> {
+    let mut buf = Vec::with_capacity(INITIAL_BUF);
+    loop {
+        let (id, reply) = match read_frame(&mut conn, &mut buf) {
+            Ok((id, Message::PredictRequest { inputs })) => (id, run_batch(handler, inputs)),
+            Ok((id, Message::Heartbeat)) => (id, Message::HeartbeatAck),
+            Ok((_, Message::HeartbeatAck)) => continue,
+            Ok((_, Message::Shutdown)) | Err(RpcError::ConnectionClosed) => return Ok(()),
+            Ok((_, other)) => return Err(RpcError::Protocol(format!("unexpected {other:?}"))),
+            Err(e) => return Err(e),
+        };
+        buf.clear();
+        reply.encode_into(id, &mut buf);
+        conn.write_all(&buf)?;
+        if buf.capacity() > MAX_RETAINED {
+            buf = Vec::with_capacity(INITIAL_BUF);
         }
     }
-    let out = Outbox::new(wr);
+}
 
-    // The execution thread: one blocking job for the connection's life,
-    // running batches serially in arrival order and writing each reply
-    // itself. It parks its thread in `block_on` on the vendored channel,
-    // so the reader's hand-off is one counted wake.
-    let (work_tx, mut work_rx) = mpsc::unbounded_channel::<(u64, Vec<Input>, Instant)>();
-    let job_out = out.clone();
-    let job = tokio::task::spawn_blocking(move || {
-        tokio::runtime::block_on(async move {
-            while let Some((id, inputs, enqueued)) = work_rx.recv().await {
-                let queue_us = enqueued.elapsed().as_micros() as u64;
-                let msg = match catch_unwind(AssertUnwindSafe(|| handler.handle_batch(inputs))) {
-                    Ok(Ok(mut reply)) => {
-                        reply.queue_us = queue_us;
-                        Message::PredictResponse(reply)
-                    }
-                    Ok(Err(e)) => Message::Error { message: e },
-                    Err(panic) => Message::Error {
-                        message: format!("handler panicked: {}", panic_message(&*panic)),
-                    },
-                };
-                if job_out.send(&msg, id).is_err() {
-                    break;
-                }
-            }
-        })
-    });
+/// Read one frame, its payload into `buf`; EOF is
+/// [`RpcError::ConnectionClosed`].
+fn read_frame(conn: &mut TcpStream, buf: &mut Vec<u8>) -> Result<(u64, Message), RpcError> {
+    let mut header = [0u8; HEADER_LEN];
+    conn.read_exact(&mut header).map_err(map_eof)?;
+    let (msg_type, request_id, payload_len) = parse_header(&header)?;
+    buf.resize(payload_len, 0);
+    conn.read_exact(buf).map_err(map_eof)?;
+    Ok((request_id, Message::decode(msg_type, buf)?))
+}
 
-    // Reader loop: batches go to the execution thread; heartbeats are
-    // acked here, so they never wait behind compute.
-    let result = loop {
-        match rd.next().await {
-            Ok((id, Message::PredictRequest { inputs })) => {
-                if work_tx.send((id, inputs, Instant::now())).is_err() {
-                    break Ok(());
-                }
-            }
-            Ok((id, Message::Heartbeat)) => {
-                let _ = out.send(&Message::HeartbeatAck, id);
-            }
-            Ok((_, Message::HeartbeatAck)) => {}
-            Ok((_, Message::Shutdown)) => break Ok(()),
-            Ok((_, other)) => {
-                break Err(RpcError::Protocol(format!("unexpected {other:?}")));
-            }
-            Err(RpcError::ConnectionClosed) => break Ok(()),
-            Err(e) => break Err(e),
-        }
-    };
-
-    drop(work_tx);
-    let _ = job.await;
-    result
+/// Run one batch; an `Err` or a panic becomes that batch's `Error` reply.
+fn run_batch(handler: &dyn BatchHandler, inputs: Vec<Input>) -> Message {
+    match catch_unwind(AssertUnwindSafe(|| handler.handle_batch(inputs))) {
+        Ok(Ok(reply)) => Message::PredictResponse(reply),
+        Ok(Err(message)) => Message::Error { message },
+        Err(panic) => Message::Error {
+            message: format!("handler panicked: {}", panic_message(&*panic)),
+        },
+    }
 }
 
 fn panic_message(payload: &(dyn Any + Send)) -> &str {
@@ -150,18 +156,45 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{write_frame, FrameReader};
     use crate::message::WireOutput;
     use crate::server::RpcServer;
+    use crate::transport::{as_inputs, BatchTransport};
+    use std::time::{Duration, Instant};
+    use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
+    use tokio::net::TcpListener;
+
+    fn cfg(model: &str) -> ContainerClientConfig {
+        ContainerClientConfig {
+            container_name: "c".into(),
+            model_name: model.into(),
+            model_version: 1,
+        }
+    }
+
+    /// Accept one container on `listener` and acknowledge its
+    /// registration, speaking the Clipper side of the protocol by hand so
+    /// the order in which the container's frames arrive is visible.
+    async fn accept_registered(
+        listener: &TcpListener,
+    ) -> (FrameReader<OwnedReadHalf>, OwnedWriteHalf) {
+        let (conn, _) = listener.accept().await.unwrap();
+        let (rd, mut wr) = conn.into_split();
+        let mut rd = FrameReader::new(rd);
+        assert!(matches!(
+            rd.next().await.unwrap(),
+            (_, Message::Register { .. })
+        ));
+        write_frame(&mut wr, &Message::RegisterAck, 0)
+            .await
+            .unwrap();
+        (rd, wr)
+    }
 
     #[tokio::test]
     async fn handler_errors_fail_only_that_batch() {
         let mut server = RpcServer::bind("127.0.0.1:0").await.unwrap();
         let addr = server.local_addr();
-        let cfg = ContainerClientConfig {
-            container_name: "c".into(),
-            model_name: "flaky".into(),
-            model_version: 1,
-        };
         tokio::spawn(async move {
             let handler = |inputs: Vec<Input>| -> Result<PredictReply, String> {
                 if inputs.len() == 13 {
@@ -174,76 +207,64 @@ mod tests {
                     })
                 }
             };
-            let _ = serve_container(addr, cfg, Arc::new(handler)).await;
+            let _ = serve_container(addr, cfg("flaky"), Arc::new(handler)).await;
         });
         let (_, handle) = server.next_container().await.unwrap();
-        use crate::transport::BatchTransport;
 
         let err = handle
-            .predict_batch(&crate::transport::as_inputs(vec![vec![0.0]; 13]))
+            .predict_batch(&as_inputs(vec![vec![0.0]; 13]))
             .await
             .unwrap_err();
         assert!(matches!(err, RpcError::Remote(ref m) if m.contains("unlucky")));
 
         // The connection survives: the next batch succeeds.
         let ok = handle
-            .predict_batch(&crate::transport::as_inputs(vec![vec![0.0]; 2]))
+            .predict_batch(&as_inputs(vec![vec![0.0]; 2]))
             .await
             .unwrap();
         assert_eq!(ok.outputs.len(), 2);
     }
 
     #[tokio::test]
-    async fn queue_time_is_reported() {
+    async fn handler_queue_time_passes_through_and_batches_run_serially() {
         let mut server = RpcServer::bind("127.0.0.1:0").await.unwrap();
         let addr = server.local_addr();
-        let cfg = ContainerClientConfig {
-            container_name: "c".into(),
-            model_name: "slow".into(),
-            model_version: 1,
-        };
         tokio::spawn(async move {
             let handler = |inputs: Vec<Input>| -> Result<PredictReply, String> {
-                std::thread::sleep(std::time::Duration::from_millis(30));
+                std::thread::sleep(Duration::from_millis(30));
                 Ok(PredictReply {
                     outputs: vec![WireOutput::Class(0); inputs.len()],
-                    queue_us: 0,
+                    queue_us: 4_242,
                     compute_us: 30_000,
                 })
             };
-            let _ = serve_container(addr, cfg, Arc::new(handler)).await;
+            let _ = serve_container(addr, cfg("slow"), Arc::new(handler)).await;
         });
         let (_, handle) = server.next_container().await.unwrap();
-        use crate::transport::BatchTransport;
-        let handle = Arc::new(handle);
 
-        // Send two batches back to back: the second must queue behind the
-        // first (serial container), so its queue_us reflects the wait.
-        let h1 = handle.clone();
-        let first =
-            tokio::spawn(async move { h1.predict_batch(&[std::sync::Arc::new(vec![0.0])]).await });
-        tokio::time::sleep(std::time::Duration::from_millis(5)).await;
+        // Pipeline two batches (`predict_batch` writes its frame when
+        // called): the second runs only after the first (serial
+        // container), so its round trip covers both computes.
+        let first = handle.predict_batch(&as_inputs(vec![vec![0.0]]));
+        let sent = Instant::now();
         let second = handle
-            .predict_batch(&[std::sync::Arc::new(vec![0.0])])
+            .predict_batch(&as_inputs(vec![vec![0.0]]))
             .await
             .unwrap();
-        first.await.unwrap().unwrap();
+        let round_trip = sent.elapsed();
+        let first = first.await.unwrap();
         assert!(
-            second.queue_us >= 10_000,
-            "second batch should have queued ≥10ms, got {}µs",
-            second.queue_us
+            round_trip >= Duration::from_millis(55),
+            "the second batch must wait out the first's compute, came back in {round_trip:?}"
         );
+        // The handler's own queue time reaches Clipper unchanged.
+        assert_eq!((first.queue_us, second.queue_us), (4_242, 4_242));
     }
 
     #[tokio::test]
     async fn a_panicking_handler_fails_only_that_batch() {
         let mut server = RpcServer::bind("127.0.0.1:0").await.unwrap();
         let addr = server.local_addr();
-        let cfg = ContainerClientConfig {
-            container_name: "c".into(),
-            model_name: "panicky".into(),
-            model_version: 1,
-        };
         tokio::spawn(async move {
             let handler = |inputs: Vec<Input>| -> Result<PredictReply, String> {
                 assert_ne!(inputs.len(), 13, "unlucky batch");
@@ -253,13 +274,12 @@ mod tests {
                     compute_us: 1,
                 })
             };
-            let _ = serve_container(addr, cfg, Arc::new(handler)).await;
+            let _ = serve_container(addr, cfg("panicky"), Arc::new(handler)).await;
         });
         let (_, handle) = server.next_container().await.unwrap();
-        use crate::transport::BatchTransport;
 
         let err = handle
-            .predict_batch(&crate::transport::as_inputs(vec![vec![0.0]; 13]))
+            .predict_batch(&as_inputs(vec![vec![0.0]; 13]))
             .await
             .unwrap_err();
         assert!(
@@ -267,61 +287,77 @@ mod tests {
             "{err:?}"
         );
         let ok = handle
-            .predict_batch(&crate::transport::as_inputs(vec![vec![0.0]; 2]))
+            .predict_batch(&as_inputs(vec![vec![0.0]; 2]))
             .await
             .unwrap();
         assert_eq!(ok.outputs.len(), 2);
     }
 
     #[tokio::test]
-    async fn heartbeats_are_acked_while_a_batch_runs() {
-        // Speak the Clipper side of the protocol by hand, so the order in
-        // which the container's frames arrive is visible.
-        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+    async fn a_heartbeat_is_answered_after_the_batch_ahead_of_it() {
+        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
         let addr = listener.local_addr().unwrap();
-        let cfg = ContainerClientConfig {
-            container_name: "c".into(),
-            model_name: "slow".into(),
-            model_version: 1,
-        };
         tokio::spawn(async move {
+            // A one-input batch takes 200 ms; any other is instant.
             let handler = |inputs: Vec<Input>| -> Result<PredictReply, String> {
-                std::thread::sleep(std::time::Duration::from_millis(200));
+                if inputs.len() == 1 {
+                    std::thread::sleep(Duration::from_millis(200));
+                }
                 Ok(PredictReply {
                     outputs: vec![WireOutput::Class(0); inputs.len()],
                     queue_us: 0,
-                    compute_us: 200_000,
+                    compute_us: 0,
                 })
             };
-            let _ = serve_container(addr, cfg, Arc::new(handler)).await;
+            let _ = serve_container(addr, cfg("slow"), Arc::new(handler)).await;
         });
-        let (conn, _) = listener.accept().await.unwrap();
-        let (rd, mut wr) = conn.into_split();
-        let mut rd = FrameReader::new(rd);
-        assert!(matches!(
-            rd.next().await.unwrap(),
-            (_, Message::Register { .. })
-        ));
-        write_frame(&mut wr, &Message::RegisterAck, 0)
-            .await
-            .unwrap();
+        let (mut rd, mut wr) = accept_registered(&listener).await;
 
-        let batch = Message::PredictRequest {
-            inputs: crate::transport::as_inputs(vec![vec![0.0]]),
+        let batch = |n: usize| Message::PredictRequest {
+            inputs: as_inputs(vec![vec![0.0]; n]),
         };
-        write_frame(&mut wr, &batch, 1).await.unwrap();
-        tokio::time::sleep(std::time::Duration::from_millis(20)).await;
-        let sent = Instant::now();
+        write_frame(&mut wr, &batch(1), 1).await.unwrap();
+        tokio::time::sleep(Duration::from_millis(20)).await;
         write_frame(&mut wr, &Message::Heartbeat, 2).await.unwrap();
-        assert_eq!(rd.next().await.unwrap(), (2, Message::HeartbeatAck));
-        assert!(
-            sent.elapsed() < std::time::Duration::from_millis(100),
-            "the ack waited {:?} for the batch",
-            sent.elapsed()
-        );
+        write_frame(&mut wr, &batch(2), 3).await.unwrap();
+
+        // Frame order: the slow batch, then the ack, then the batch
+        // queued behind the heartbeat.
         assert!(matches!(
             rd.next().await.unwrap(),
             (1, Message::PredictResponse(_))
         ));
+        let replied = Instant::now();
+        assert_eq!(rd.next().await.unwrap(), (2, Message::HeartbeatAck));
+        assert!(
+            replied.elapsed() < Duration::from_millis(50),
+            "the ack came {:?} after the batch reply",
+            replied.elapsed()
+        );
+        assert!(matches!(
+            rd.next().await.unwrap(),
+            (3, Message::PredictResponse(_))
+        ));
+    }
+
+    #[tokio::test]
+    async fn a_shutdown_frame_ends_the_loop_with_ok() {
+        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handler =
+            |_: Vec<Input>| -> Result<PredictReply, String> { Ok(PredictReply::default()) };
+        let container = tokio::spawn(serve_container(addr, cfg("m"), Arc::new(handler)));
+        let (mut rd, mut wr) = accept_registered(&listener).await;
+
+        write_frame(&mut wr, &Message::Heartbeat, 1).await.unwrap();
+        assert_eq!(rd.next().await.unwrap(), (1, Message::HeartbeatAck));
+        write_frame(&mut wr, &Message::Shutdown, 0).await.unwrap();
+        let served = tokio::time::timeout(Duration::from_secs(2), container)
+            .await
+            .expect("the loop ends on Shutdown")
+            .unwrap();
+        assert!(served.is_ok(), "{served:?}");
+        // The container has let go of the connection.
+        assert!(matches!(rd.next().await, Err(RpcError::ConnectionClosed)));
     }
 }

@@ -24,14 +24,14 @@ use tokio::net::tcp::OwnedWriteHalf;
 pub const HEADER_LEN: usize = 18;
 
 /// Initial capacity for retained connection buffers.
-const INITIAL_BUF: usize = 16 * 1024;
+pub(crate) const INITIAL_BUF: usize = 16 * 1024;
 /// Retained buffers above this shrink back after the frame that grew
 /// them is gone, so one 64 MiB frame doesn't pin 64 MiB per connection.
-const MAX_RETAINED: usize = 1 << 20;
+pub(crate) const MAX_RETAINED: usize = 1 << 20;
 
 /// Parse and validate an 18-byte frame header.
 /// Returns `(msg_type, request_id, payload_len)`.
-fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u64, usize), RpcError> {
+pub(crate) fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u64, usize), RpcError> {
     let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
     if magic != MAGIC {
         return Err(RpcError::Protocol(format!("bad magic {magic:#x}")));
@@ -51,7 +51,7 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u64, usize), RpcError>
     Ok((msg_type, request_id, payload_len))
 }
 
-fn map_eof(e: std::io::Error) -> RpcError {
+pub(crate) fn map_eof(e: std::io::Error) -> RpcError {
     if e.kind() == std::io::ErrorKind::UnexpectedEof {
         RpcError::ConnectionClosed
     } else {

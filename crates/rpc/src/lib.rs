@@ -12,7 +12,8 @@
 //! - [`server`]: the Clipper side — accepts container connections and
 //!   yields a multiplexed [`transport::BatchTransport`] handle per
 //!   registered container;
-//! - [`client`]: the container side — connect, register, serve batches;
+//! - [`client`]: the container side — connect, register, then serve
+//!   batches and heartbeats from one blocking execution thread;
 //! - [`transport`]: the `BatchTransport` abstraction the model abstraction
 //!   layer dispatches through (TCP handles, in-process containers, and
 //!   fault-injection wrappers all implement it);

@@ -79,7 +79,8 @@ pub struct PredictReply {
     /// One output per input, in order.
     pub outputs: Vec<WireOutput>,
     /// Microseconds the batch spent queued inside the container before
-    /// compute started (e.g. waiting for the GPU).
+    /// compute started, as the handler measured it (e.g. waiting for the
+    /// GPU or the container lock); the RPC client passes it through.
     pub queue_us: u64,
     /// Microseconds of model compute.
     pub compute_us: u64,

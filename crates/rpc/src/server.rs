@@ -7,8 +7,9 @@
 //!
 //! The submitting task writes a batch's request frame itself (through
 //! the connection's [`Outbox`]) and the reader task completes its
-//! oneshot, so a round trip wakes four parties: the container's reader
-//! and execution thread, this reader, and the caller.
+//! oneshot, so a round trip wakes three parties: the container's
+//! execution thread (straight from its blocking `read`), this reader,
+//! and the caller.
 
 use crate::codec::{write_frame, FrameReader, Outbox};
 use crate::error::RpcError;
@@ -353,10 +354,9 @@ mod tests {
     async fn concurrent_senders_write_only_whole_frames() {
         let (mut server, client) = start_pair().await;
         let (_, handle) = server.next_container().await.unwrap();
-        // Millisecond heartbeats: here the prober writes beside 16
-        // submitting tasks; in the container the reader's acks share the
-        // outbox with the execution thread's replies. A torn or
-        // interleaved frame would kill the connection.
+        // Millisecond heartbeats: the prober writes beside 16 submitting
+        // tasks, and the container answers acks and batches in frame
+        // order. A torn or interleaved frame would kill the connection.
         handle.start_heartbeats(Duration::from_millis(1), Duration::from_secs(5));
         let handle = Arc::new(handle);
         let tasks: Vec<_> = (0..16usize)
@@ -418,6 +418,44 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, RpcError::ConnectionClosed | RpcError::Io(_)));
         assert!(!handle.is_healthy());
+    }
+
+    #[tokio::test]
+    async fn aborting_the_container_mid_batch_kills_it() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let seen = calls.clone();
+        let slow = move |inputs: Vec<Input>| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(100));
+            Doubler.handle_batch(inputs)
+        };
+        let (mut server, client) = serve_with(Arc::new(slow)).await;
+        let (_, handle) = server.next_container().await.unwrap();
+        let in_flight = handle.predict_batch(&as_inputs(vec![vec![1.0]]));
+        while calls.load(Ordering::SeqCst) == 0 {
+            tokio::time::sleep(Duration::from_millis(1)).await;
+        }
+
+        client.abort();
+        let aborted = Instant::now();
+        let late = handle.predict_batch(&as_inputs(vec![vec![2.0]]));
+        for result in [in_flight.await, late.await] {
+            let err = result.unwrap_err();
+            assert!(
+                matches!(err, RpcError::ConnectionClosed | RpcError::Io(_)),
+                "{err:?}"
+            );
+        }
+        assert!(
+            aborted.elapsed() < Duration::from_millis(200),
+            "the abort took {:?} to reach Clipper",
+            aborted.elapsed()
+        );
+        assert!(!handle.is_healthy());
+        // Outlive the batch that was running: the one sent after the
+        // abort never reached the handler.
+        tokio::time::sleep(Duration::from_millis(150)).await;
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
     #[tokio::test]
