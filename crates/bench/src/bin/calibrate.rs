@@ -1,11 +1,11 @@
 //! Calibration probes.
 //!
 //! Default mode times a representative model container across batch
-//! sizes and least-squares fits the latency curve `latency(b) ≈ α + β·b`,
-//! emitting a JSON prior consumable as `QueueConfig::latency_prior` —
-//! the global warm start for each replica's online latency model
-//! (§4.4.1). A freshly attached replica seeded with this prior starts
-//! from a sane batch ceiling instead of probing from 1.
+//! sizes and least-squares fits the latency curve `latency(b) ≈ α + β·b`
+//! (§4.4.1), printing it as JSON. The fit is a measurement of that
+//! container, not a config input: each replica's online latency model
+//! learns its own curve, and a returning fleet member warm-starts only
+//! from the curve harvested from its own queue.
 //!
 //! `--accuracy` runs the original model-error-vs-difficulty probes used
 //! to pick experiment constants; they are unrelated to latency.
@@ -66,10 +66,8 @@ fn latency_calibration() {
     }
 
     let (alpha_us, beta_us) = least_squares(&points);
-    // The prior is machine-wide guidance, not ground truth: the online
-    // per-replica fit re-learns the real curve within a few dozen
-    // batches. Clamp to non-negative so a noisy intercept cannot emit a
-    // nonsense prior.
+    // Clamp to non-negative so a noisy intercept cannot report a
+    // nonsense curve.
     let alpha_us = alpha_us.max(0.0);
     let beta_us = beta_us.max(0.0);
     println!("fitted: latency(b) ≈ {alpha_us:.1}µs + {beta_us:.2}µs·b");

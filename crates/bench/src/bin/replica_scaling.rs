@@ -307,12 +307,10 @@ async fn run_autotune_arm(autotune: bool, phase: Duration) -> AutotuneArm {
     )
     .await;
 
-    let tunes = mal.replica_tunes(&m);
+    // Each replica's ceiling, as its queue exports it.
     let b_max_of = |qid: &str| {
-        tunes
-            .iter()
-            .find(|t| t.queue_id == qid)
-            .map_or(0, |t| t.b_max)
+        let ceiling = mal.registry().gauge(&format!("queue/{qid}/max_batch"));
+        ceiling.get().max(0) as usize
     };
     let slo_violations = violations.load(Ordering::Relaxed);
     let answered = report.completed + report.shed;

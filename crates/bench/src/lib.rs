@@ -18,7 +18,7 @@
 //! | `caching` | §4.2 feedback-throughput claim |
 //! | `ablation_aimd` | AIMD backoff-constant sensitivity |
 //! | `ablation_eta` | Exp3 η sensitivity |
-//! | `calibrate` | latency-prior fit for `QueueConfig::latency_prior` (`--accuracy`: model-error probes) |
+//! | `calibrate` | measured `α + β·b` latency-curve fit of one container (`--accuracy`: model-error probes) |
 //! | `cache_scaling` | `BENCH_cache_scaling.json`: prediction-cache thread scaling |
 //! | `replica_scaling` | `BENCH_replica_scaling.json`: p2c vs round-robin, §4.4.1 autotune A/B |
 //! | `rpc_latency` | `BENCH_rpc_latency.json`: echo → RPC predict → HTTP predict RTT ladder |

@@ -137,10 +137,6 @@ struct ModelHandle {
     /// Queries shed up front by SLO-aware admission (§4.4.1): the latency
     /// models said no replica could meet the SLO at current depth.
     admission_shed: Counter,
-    /// Learned per-replica latency priors restored from persisted
-    /// `BatchKnobs` records, keyed by queue id; consumed when the matching
-    /// replica re-attaches so a rehydrated fleet starts tuned.
-    restore_tunes: Mutex<HashMap<String, LatencyPrior>>,
     defaults: Mutex<DefaultTracker>,
 }
 
@@ -525,7 +521,6 @@ impl ModelAbstractionLayer {
             next_replica_idx: AtomicUsize::new(0),
             shed: registry.counter(&format!("model/{id}/shed")),
             admission_shed: registry.counter(&format!("model/{id}/admission_shed")),
-            restore_tunes: Mutex::new(HashMap::new()),
             defaults: Mutex::new(DefaultTracker::default()),
         });
         let weak: Weak<ModelHandle> = Arc::downgrade(&handle);
@@ -556,11 +551,10 @@ impl ModelAbstractionLayer {
         self.add_replica_with_prior(id, transport, None)
     }
 
-    /// [`add_replica`](Self::add_replica) with an explicit latency prior:
-    /// a re-registering fleet replica is re-admitted with the curve
-    /// harvested when it expired, regardless of the queue id it lands on
-    /// this time (queue ids are monotonic, so the id-keyed restore map
-    /// can't warm-start a *returning* container on its own).
+    /// [`add_replica`](Self::add_replica) with the replica's own
+    /// warm-start curve: a re-registering fleet member is re-admitted with
+    /// the curve harvested from its queue when it expired. `None` starts
+    /// the replica's latency model cold.
     pub fn add_replica_with_prior(
         &self,
         id: &ModelId,
@@ -576,15 +570,6 @@ impl ModelAbstractionLayer {
         let idx = handle.next_replica_idx.fetch_add(1, Ordering::Relaxed);
         let queue_id = format!("{}:{}", handle.id, idx);
         let metrics = QueueMetrics::register(&self.registry, &format!("queue/{queue_id}"));
-        let mut cfg = handle.cfg.clone();
-        // A previously-learned curve for this queue id (restored from a
-        // persisted record) overrides the model-wide prior, so a
-        // rehydrated fleet serves with its tuned per-replica ceilings
-        // instead of re-probing from the defaults. An explicit caller
-        // prior (fleet warm re-admission) wins over both.
-        if let Some(prior) = prior.or_else(|| handle.restore_tunes.lock().remove(&queue_id)) {
-            cfg.latency_prior = Some(prior);
-        }
         // Recovery hooks close the loop from a replica's queue back to the
         // scheduler: retryable batch failures redispatch onto a *different*
         // routable replica, and hedged dispatch borrows a sibling's
@@ -607,7 +592,8 @@ impl ModelAbstractionLayer {
         let queue = spawn_replica_queue_with_hooks(
             queue_id.clone(),
             transport.clone(),
-            cfg,
+            handle.cfg.clone(),
+            prior,
             metrics,
             hooks,
         );
@@ -763,32 +749,6 @@ impl ModelAbstractionLayer {
         })
     }
 
-    /// Snapshot of each live replica's learned tuning (§4.4.1): latency
-    /// curve, derived batch ceiling, and sample count. Replicas whose
-    /// model is not yet established are skipped — there is nothing worth
-    /// persisting for them.
-    pub fn replica_tunes(&self, id: &ModelId) -> Vec<crate::batching::ReplicaTune> {
-        self.models.read().get(id).map_or_else(Vec::new, |h| {
-            h.replicas
-                .read()
-                .iter()
-                .filter(|r| r.queue.latency_model().is_established())
-                .map(|r| {
-                    let m = r.queue.latency_model();
-                    crate::batching::ReplicaTune {
-                        queue_id: r.queue.id().to_string(),
-                        prior: LatencyPrior {
-                            alpha_us: m.alpha_us(),
-                            beta_us: m.beta_us(),
-                        },
-                        b_max: r.queue.current_max_batch(),
-                        samples: m.sample_count(),
-                    }
-                })
-                .collect()
-        })
-    }
-
     /// One replica's online latency model, by queue id. Ops/test hook:
     /// feed synthetic observations or inspect the learned curve without
     /// driving real traffic through the queue.
@@ -797,27 +757,7 @@ impl ModelAbstractionLayer {
         id: &ModelId,
         queue_id: &str,
     ) -> Option<Arc<crate::batching::LatencyModel>> {
-        self.models.read().get(id).and_then(|h| {
-            h.replicas
-                .read()
-                .iter()
-                .find(|r| r.queue.id() == queue_id)
-                .map(|r| r.queue.latency_model().clone())
-        })
-    }
-
-    /// Stash learned per-replica priors (from a persisted record) to be
-    /// applied when replicas with matching queue ids attach — see
-    /// [`add_replica`](Self::add_replica). Unmatched entries are simply
-    /// never consumed; replicas with no entry start from the model-wide
-    /// prior (or cold).
-    pub fn set_replica_tunes(&self, id: &ModelId, tunes: Vec<crate::batching::ReplicaTune>) {
-        if let Some(handle) = self.models.read().get(id) {
-            let mut map = handle.restore_tunes.lock();
-            for t in tunes {
-                map.insert(t.queue_id, t.prior);
-            }
-        }
+        self.with_queue(id, queue_id, |q| q.latency_model().clone())
     }
 
     /// Queries shed up front by SLO-aware admission for this model.
@@ -847,16 +787,30 @@ impl ModelAbstractionLayer {
     /// Tell one replica queue's health that its heartbeats went silent
     /// (or came back) — the fleet health monitor's bridge into p2c
     /// suspect-avoidance for replicas that go quiet before their batches
-    /// begin failing. Returns whether the queue id was found.
+    /// begin failing. Returns whether the queue's flag changed (`false`
+    /// for an unknown queue id).
     pub fn set_replica_suspect_hint(&self, id: &ModelId, queue_id: &str, suspect: bool) -> bool {
-        self.models.read().get(id).is_some_and(|h| {
-            h.replicas
-                .read()
-                .iter()
-                .find(|r| r.queue.id() == queue_id)
-                .map(|r| r.queue.set_suspect_hint(suspect))
-                .is_some()
-        })
+        self.with_queue(id, queue_id, |q| q.set_suspect_hint(suspect))
+            .unwrap_or(false)
+    }
+
+    /// Whether one replica queue's breaker carries the fleet's
+    /// heartbeat-silent flag (`false` for an unknown queue id).
+    pub(crate) fn replica_heartbeat_silent(&self, id: &ModelId, queue_id: &str) -> bool {
+        self.with_queue(id, queue_id, |q| q.breaker().heartbeat_silent())
+            .unwrap_or(false)
+    }
+
+    fn with_queue<T>(
+        &self,
+        id: &ModelId,
+        queue_id: &str,
+        read: impl FnOnce(&ReplicaQueue) -> T,
+    ) -> Option<T> {
+        let models = self.models.read();
+        let replicas = models.get(id)?.replicas.read();
+        let r = replicas.iter().find(|r| r.queue.id() == queue_id)?;
+        Some(read(&r.queue))
     }
 
     /// Total estimated backlog across a model's replicas, in nanoseconds
@@ -1752,26 +1706,32 @@ mod tests {
         );
     }
 
+    /// A curve whose intercept alone (10ms) blows a 5ms SLO.
+    fn hopeless_prior() -> LatencyPrior {
+        LatencyPrior {
+            alpha_us: 10_000.0,
+            beta_us: 1_000.0,
+        }
+    }
+
     #[tokio::test]
     async fn slo_admission_sheds_when_no_replica_can_meet_the_slo() {
         let mal = layer();
         let m = ModelId::new("m", 1);
-        // Every replica starts from a prior whose intercept alone (10ms)
-        // blows the 5ms SLO: admission must shed up front with an honest
-        // Overloaded instead of queueing a query that cannot make it.
+        // The replica starts from its own prior, whose intercept alone
+        // (10ms) blows the 5ms SLO: admission must shed up front with an
+        // honest Overloaded instead of queueing a query that cannot make
+        // it.
         mal.add_model(
             m.clone(),
             BatchConfig {
                 slo: Duration::from_millis(5),
                 slo_admission: true,
-                latency_prior: Some(LatencyPrior {
-                    alpha_us: 10_000.0,
-                    beta_us: 1_000.0,
-                }),
                 ..Default::default()
             },
         );
-        mal.add_replica(&m, echo()).unwrap();
+        mal.add_replica_with_prior(&m, echo(), Some(hopeless_prior()))
+            .unwrap();
         let err = mal
             .predict(&m, Arc::new(vec![1.0]), false)
             .await
@@ -1848,14 +1808,11 @@ mod tests {
             m.clone(),
             BatchConfig {
                 slo: Duration::from_millis(5),
-                latency_prior: Some(LatencyPrior {
-                    alpha_us: 10_000.0,
-                    beta_us: 1_000.0,
-                }),
                 ..Default::default()
             },
         );
-        mal.add_replica(&m, echo()).unwrap();
+        mal.add_replica_with_prior(&m, echo(), Some(hopeless_prior()))
+            .unwrap();
         let out = mal.predict(&m, Arc::new(vec![9.0]), false).await.unwrap();
         assert_eq!(out, Output::Class(9));
         assert_eq!(mal.admission_shed_count(&m), 0);

@@ -25,7 +25,7 @@
 //! failed literal, not as two code paths drifting apart.
 
 use crate::batching::queue::QueueConfig;
-use crate::batching::{BatchStrategy, LatencyPrior, ReplicaTune};
+use crate::batching::{BatchStrategy, LatencyPrior};
 use crate::error::PredictError;
 use crate::types::{AppConfig, AppUpdate, ModelId, Output, PolicyKind};
 use serde::{Deserialize, Serialize};
@@ -484,6 +484,9 @@ pub struct ModelView {
 /// configuration ([`QueueConfig`]): max batch size, delayed-batching
 /// timeout, AIMD on/off (the strategy), and the queueing knobs. Durations
 /// are microseconds so sub-millisecond settings survive the round trip.
+/// A record that still carries the retired model-wide `latency_prior`
+/// parses, and the key is ignored: a replica's warm start lives only in
+/// its own [`ReplicaRecord`].
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct BatchKnobs {
     /// Batching strategy (AIMD / quantile / autotune / fixed).
@@ -500,10 +503,6 @@ pub struct BatchKnobs {
     pub pipeline_depth: usize,
     /// Drain hang-detector deadline, µs.
     pub drain_deadline_us: u64,
-    /// Model-wide latency-curve prior (§4.4.1), absent in records written
-    /// before autotuning existed.
-    #[serde(default)]
-    pub latency_prior: Option<LatencyPrior>,
     /// Whether SLO-aware admission is enabled for this model. Absent
     /// (false) in legacy records.
     #[serde(default)]
@@ -555,7 +554,6 @@ impl From<&QueueConfig> for BatchKnobs {
             max_batch_cap: cfg.max_batch_cap,
             pipeline_depth: cfg.pipeline_depth,
             drain_deadline_us: cfg.drain_deadline.as_micros() as u64,
-            latency_prior: cfg.latency_prior,
             slo_admission: cfg.slo_admission,
             retry_max_attempts: Some(cfg.retry_max_attempts),
             hedge: cfg.hedge.map(Into::into),
@@ -577,7 +575,6 @@ impl BatchKnobs {
             max_batch_cap: self.max_batch_cap,
             pipeline_depth: self.pipeline_depth,
             drain_deadline: Duration::from_micros(self.drain_deadline_us),
-            latency_prior: self.latency_prior,
             slo_admission: self.slo_admission,
             retry_max_attempts: self
                 .retry_max_attempts
@@ -588,68 +585,15 @@ impl BatchKnobs {
     }
 }
 
-/// One replica's learned tuning inside a [`VersionBatchKnobs`] record:
-/// the wire form of [`ReplicaTune`].
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
-pub struct ReplicaTuneRecord {
-    /// The replica's queue id (`model:version:index`).
-    pub queue_id: String,
-    /// Learned intercept, µs.
-    pub alpha_us: f64,
-    /// Learned slope, µs per item.
-    pub beta_us: f64,
-    /// The ceiling the controller had derived at persist time.
-    pub b_max: usize,
-    /// Observations backing the fit.
-    pub samples: u64,
-}
-
-impl From<&ReplicaTune> for ReplicaTuneRecord {
-    fn from(t: &ReplicaTune) -> Self {
-        ReplicaTuneRecord {
-            queue_id: t.queue_id.clone(),
-            alpha_us: t.prior.alpha_us,
-            beta_us: t.prior.beta_us,
-            b_max: t.b_max,
-            samples: t.samples,
-        }
-    }
-}
-
-impl From<&ReplicaTuneRecord> for LatencyPrior {
-    fn from(r: &ReplicaTuneRecord) -> Self {
-        LatencyPrior {
-            alpha_us: r.alpha_us,
-            beta_us: r.beta_us,
-        }
-    }
-}
-
-impl From<&ReplicaTuneRecord> for ReplicaTune {
-    fn from(r: &ReplicaTuneRecord) -> Self {
-        ReplicaTune {
-            queue_id: r.queue_id.clone(),
-            prior: r.into(),
-            b_max: r.b_max,
-            samples: r.samples,
-        }
-    }
-}
-
 /// One version's persisted batching configuration inside a
-/// [`ModelRecord`].
+/// [`ModelRecord`]. A record that still carries the retired per-attach-
+/// position `replicas` list parses, and the key is ignored.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct VersionBatchKnobs {
     /// The version these knobs belong to.
     pub version: u32,
     /// The knobs.
     pub knobs: BatchKnobs,
-    /// Learned per-replica tuning (§4.4.1), harvested from the live fleet
-    /// at persist time so `sync_config()` restores a *tuned* fleet. Absent
-    /// in legacy records (those replicas warm-start from the model-wide
-    /// prior, or cold).
-    #[serde(default)]
-    pub replicas: Vec<ReplicaTuneRecord>,
 }
 
 /// The statestore-persisted form of a model's version directory.
@@ -720,9 +664,12 @@ pub struct ReplicaRecord {
     /// Lifecycle state at persist time: `"registered"` or `"expired"`.
     pub state: String,
     /// The learned latency curve harvested from the replica's queue when
-    /// it was drained — the warm start handed back on re-registration.
+    /// it expired — the one warm start a replica has, handed back when the
+    /// same container re-registers. Written as `{alpha_us, beta_us}`; a
+    /// tune that also carries `queue_id`, `b_max` and `samples` still
+    /// parses.
     #[serde(default)]
-    pub tune: Option<ReplicaTuneRecord>,
+    pub tune: Option<LatencyPrior>,
 }
 
 /// Persisted state value for a live registration.
@@ -769,7 +716,10 @@ pub struct ReplicaView {
     pub model_name: String,
     /// The model version this member serves.
     pub model_version: u32,
-    /// Health state: `"healthy"`, `"suspect"`, or `"expired"`.
+    /// Health state: `"expired"` once the member expired; `"suspect"`
+    /// while it is attached and its queue's breaker carries the fleet's
+    /// heartbeat-silent flag; `"healthy"` otherwise (an unattached member
+    /// reads `"healthy"` until it expires).
     pub health: String,
     /// The data-plane queue id, when attached.
     pub queue_id: Option<String>,
@@ -1126,13 +1076,7 @@ mod tests {
             r#"{"name":"m","current":2,"versions":[1,2],"history":[1],"batch":[{"version":2,"knobs":{"strategy":{"kind":"fixed","size":7},"slo_us":750,"batch_wait_timeout_us":2000,"queue_capacity":123,"max_batch_cap":64,"pipeline_depth":2,"drain_deadline_us":9000000,"latency_prior":{"alpha_us":120.5,"beta_us":33.25},"slo_admission":true,"retry_max_attempts":2,"hedge":{"delay_factor":2.5,"min_delay_us":900}},"replicas":[{"queue_id":"m:v2:0","alpha_us":140.0,"beta_us":41.5,"b_max":17,"samples":420}]},{"version":1,"knobs":{"strategy":{"kind":"aimd","step":2.0,"backoff":0.9},"slo_us":20000,"batch_wait_timeout_us":0,"queue_capacity":8192,"max_batch_cap":4096,"pipeline_depth":1,"drain_deadline_us":5000000,"latency_prior":null,"slo_admission":false,"retry_max_attempts":3,"hedge":null},"replicas":[]}]}"#,
         )
         .unwrap();
-        let tune = ReplicaTuneRecord {
-            queue_id: "m:v2:0".into(),
-            alpha_us: 140.0,
-            beta_us: 41.5,
-            b_max: 17,
-            samples: 420,
-        };
+        // The retired `latency_prior` and `replicas` keys are ignored.
         let expected = ModelRecord {
             name: "m".into(),
             current: 2,
@@ -1149,10 +1093,6 @@ mod tests {
                         max_batch_cap: 64,
                         pipeline_depth: 2,
                         drain_deadline: Duration::from_secs(9),
-                        latency_prior: Some(LatencyPrior {
-                            alpha_us: 120.5,
-                            beta_us: 33.25,
-                        }),
                         slo_admission: true,
                         retry_max_attempts: 2,
                         hedge: Some(crate::batching::HedgeConfig {
@@ -1161,33 +1101,39 @@ mod tests {
                         }),
                         ..QueueConfig::default()
                     }),
-                    replicas: vec![tune.clone()],
                 },
                 VersionBatchKnobs {
                     version: 1,
                     knobs: BatchKnobs::from(&QueueConfig::default()),
-                    replicas: vec![],
                 },
             ],
         };
         assert_eq!(model, expected);
 
         let golden = [
-            r#"{"container_name":"c-0","model_name":"m","model_version":2,"capabilities":["local:noop"],"state":"expired","tune":{"queue_id":"m:v2:0","alpha_us":140.0,"beta_us":41.5,"b_max":17,"samples":420}}"#,
+            r#"{"container_name":"c-0","model_name":"m","model_version":2,"capabilities":["local:noop"],"state":"expired","tune":{"alpha_us":140.0,"beta_us":41.5}}"#,
             r#"{"container_name":"c-1","model_name":"m","model_version":1,"capabilities":[],"state":"registered","tune":null}"#,
         ];
+        let expected_expired = ReplicaRecord {
+            container_name: "c-0".into(),
+            model_name: "m".into(),
+            model_version: 2,
+            capabilities: vec!["local:noop".into()],
+            state: REPLICA_STATE_EXPIRED.into(),
+            tune: Some(LatencyPrior {
+                alpha_us: 140.0,
+                beta_us: 41.5,
+            }),
+        };
         let expired: ReplicaRecord = serde_json::from_str(golden[0]).unwrap();
-        assert_eq!(
-            expired,
-            ReplicaRecord {
-                container_name: "c-0".into(),
-                model_name: "m".into(),
-                model_version: 2,
-                capabilities: vec!["local:noop".into()],
-                state: REPLICA_STATE_EXPIRED.into(),
-                tune: Some(tune),
-            }
-        );
+        assert_eq!(expired, expected_expired);
+        // A tombstone whose tune also carries the retired `queue_id`,
+        // `b_max` and `samples` keys reads as the same curve.
+        let with_retired_keys: ReplicaRecord = serde_json::from_str(
+            r#"{"container_name":"c-0","model_name":"m","model_version":2,"capabilities":["local:noop"],"state":"expired","tune":{"queue_id":"m:v2:0","alpha_us":140.0,"beta_us":41.5,"b_max":17,"samples":420}}"#,
+        )
+        .unwrap();
+        assert_eq!(with_retired_keys, expected_expired);
         let registered: ReplicaRecord = serde_json::from_str(golden[1]).unwrap();
         assert_eq!(
             registered,
@@ -1300,10 +1246,6 @@ mod tests {
                     max_batch_cap: 64,
                     pipeline_depth: 2,
                     drain_deadline: Duration::from_secs(9),
-                    latency_prior: Some(LatencyPrior {
-                        alpha_us: 120.5,
-                        beta_us: 33.25,
-                    }),
                     slo_admission: true,
                     retry_max_attempts: 2,
                     hedge: Some(crate::batching::HedgeConfig {
@@ -1312,13 +1254,6 @@ mod tests {
                     }),
                     ..QueueConfig::default()
                 }),
-                replicas: vec![ReplicaTuneRecord {
-                    queue_id: "m:v2:0".into(),
-                    alpha_us: 140.0,
-                    beta_us: 41.5,
-                    b_max: 17,
-                    samples: 420,
-                }],
             }],
         };
         let json = serde_json::to_string(&rec).unwrap();
@@ -1330,13 +1265,6 @@ mod tests {
         assert_eq!(cfg.batch_wait_timeout, Duration::from_millis(2));
         assert_eq!(cfg.queue_capacity, 123);
         assert_eq!(cfg.drain_deadline, Duration::from_secs(9));
-        assert_eq!(
-            cfg.latency_prior,
-            Some(LatencyPrior {
-                alpha_us: 120.5,
-                beta_us: 33.25,
-            })
-        );
         assert!(cfg.slo_admission);
         assert_eq!(cfg.retry_max_attempts, 2);
         let hedge = cfg.hedge.expect("hedge knob round-trips");
@@ -1348,17 +1276,30 @@ mod tests {
     #[test]
     fn legacy_batch_knobs_without_autotune_fields_still_parse() {
         // A knobs blob written before §4.4.1 autotuning existed: no
-        // latency_prior, no slo_admission, no per-replica tuning.
+        // slo_admission, no recovery knobs.
         let legacy = "{\"version\":1,\"knobs\":{\
              \"strategy\":{\"kind\":\"fixed\",\"size\":8},\"slo_us\":20000,\
              \"batch_wait_timeout_us\":0,\"queue_capacity\":64,\
              \"max_batch_cap\":64,\"pipeline_depth\":1,\
              \"drain_deadline_us\":5000000}}";
         let vk: VersionBatchKnobs = serde_json::from_str(legacy).unwrap();
-        assert!(vk.replicas.is_empty());
+        // The same blob as a later writer left it, with the retired
+        // model-wide `latency_prior` and the per-attach-position
+        // `replicas` list: both keys are ignored.
+        let retired = "{\"version\":1,\"knobs\":{\
+             \"strategy\":{\"kind\":\"fixed\",\"size\":8},\"slo_us\":20000,\
+             \"batch_wait_timeout_us\":0,\"queue_capacity\":64,\
+             \"max_batch_cap\":64,\"pipeline_depth\":1,\
+             \"drain_deadline_us\":5000000,\
+             \"latency_prior\":{\"alpha_us\":120.5,\"beta_us\":33.25}},\
+             \"replicas\":[{\"queue_id\":\"m:v1:0\",\"alpha_us\":140.0,\
+             \"beta_us\":41.5,\"b_max\":17,\"samples\":420}]}";
+        assert_eq!(
+            serde_json::from_str::<VersionBatchKnobs>(retired).unwrap(),
+            vk
+        );
         let cfg = vk.knobs.into_config();
         assert_eq!(cfg.strategy, BatchStrategy::Fixed { size: 8 });
-        assert_eq!(cfg.latency_prior, None);
         assert!(!cfg.slo_admission);
         // Recovery knobs absent in legacy records → QueueConfig defaults.
         assert_eq!(

@@ -201,9 +201,15 @@ impl CircuitBreaker {
     }
 
     /// The fleet monitor's signal: heartbeats stopped (`true`) or came
-    /// back (`false`).
-    pub fn set_heartbeat_silent(&self, silent: bool) {
-        self.heartbeat_silent.store(silent, Ordering::Relaxed);
+    /// back (`false`). Returns whether the flag changed.
+    pub fn set_heartbeat_silent(&self, silent: bool) -> bool {
+        self.heartbeat_silent.swap(silent, Ordering::Relaxed) != silent
+    }
+
+    /// Whether the fleet monitor reports the heartbeats silent — the one
+    /// record of that fact, whatever state the breaker is in.
+    pub(crate) fn heartbeat_silent(&self) -> bool {
+        self.heartbeat_silent.load(Ordering::Relaxed)
     }
 
     /// Ask to dispatch one batch. `Closed` admits; `Open` admits only
@@ -424,7 +430,8 @@ mod tests {
     #[test]
     fn heartbeat_silence_is_suspect_without_touching_the_breaker() {
         let (b, t0) = breaker();
-        b.set_heartbeat_silent(true);
+        assert!(b.set_heartbeat_silent(true), "clear → set is a change");
+        assert!(!b.set_heartbeat_silent(true), "set → set is not");
         assert_eq!(b.health(t0), Health::Silent);
         assert!(b.admit_batch(t0), "silence alone refuses no batch");
         // The breaker's own verdict outranks the heartbeat flag, so a
@@ -436,7 +443,9 @@ mod tests {
         assert!(b.admit_batch(t0 + COOLDOWN));
         b.record(Succeeded, t0 + COOLDOWN);
         assert_eq!(b.health(t0 + COOLDOWN), Health::Silent);
-        b.set_heartbeat_silent(false);
+        assert!(b.heartbeat_silent());
+        assert!(b.set_heartbeat_silent(false));
+        assert!(!b.heartbeat_silent());
         assert_eq!(b.health(t0 + COOLDOWN), Health::Clean);
     }
 

@@ -413,6 +413,7 @@ mod tests {
             "m:0".into(),
             flaky,
             QueueConfig::default(),
+            None,
             metrics.clone(),
             hooks,
         );
@@ -451,6 +452,7 @@ mod tests {
             "m:0".into(),
             flaky,
             QueueConfig::default(),
+            None,
             test_metrics(),
             hooks,
         );
@@ -497,6 +499,7 @@ mod tests {
             "m:0".into(),
             flaky,
             QueueConfig::default(),
+            None,
             test_metrics(),
             hooks,
         );
@@ -541,7 +544,8 @@ mod tests {
             }),
             ..Default::default()
         };
-        let q = spawn_replica_queue_with_hooks("m:0".into(), stuck, cfg, metrics.clone(), hooks);
+        let q =
+            spawn_replica_queue_with_hooks("m:0".into(), stuck, cfg, None, metrics.clone(), hooks);
         let (tx, rx) = oneshot::channel();
         q.submit(QueueItem::new(Arc::new(vec![9.0]), ReplySink::direct(tx)));
         let out = rx.await.unwrap().unwrap();
@@ -601,7 +605,8 @@ mod tests {
             ..Default::default()
         };
         let primary = Arc::new(Moody(mood.clone()));
-        let q = spawn_replica_queue_with_hooks("m:0".into(), primary, cfg, test_metrics(), hooks);
+        let q =
+            spawn_replica_queue_with_hooks("m:0".into(), primary, cfg, None, test_metrics(), hooks);
         let ask = |v: f32| {
             let (item, rx) = direct_item(v);
             q.submit(item);
@@ -653,7 +658,14 @@ mod tests {
         let model = crate::types::ModelId::new("m", 1);
         let input: Input = Arc::new(vec![4.0]);
         let key = CacheKey::new(&model, &input);
-        let q = spawn_replica_queue_with_hooks("m:0".into(), slow_dead, cfg, test_metrics(), hooks);
+        let q = spawn_replica_queue_with_hooks(
+            "m:0".into(),
+            slow_dead,
+            cfg,
+            None,
+            test_metrics(),
+            hooks,
+        );
         let rx = match cache.lookup_or_pending(key) {
             crate::cache::Lookup::MustCompute(rx) => rx,
             _ => panic!(),

@@ -23,10 +23,11 @@
 //!   the autoscaler's backlog signal;
 //! - hedged dispatch scales `α + β·b` into the straggler threshold.
 //!
-//! The model can be warm-started from a [`LatencyPrior`] — typically the
-//! global curve produced by the `calibrate` bin — so a freshly attached
-//! or rehydrated replica starts from a sane ceiling instead of probing
-//! from 1.
+//! The model can be warm-started from a [`LatencyPrior`]: the curve a
+//! fleet member learned in its previous life, harvested when it expired
+//! and handed back when the same container re-registers, so it starts
+//! from its own ceiling instead of probing from 1. Every other replica
+//! starts cold.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -44,30 +45,15 @@ const MIN_BATCH_VARIANCE: f64 = 0.25;
 const GAMMA: f64 = 0.08;
 
 /// A warm-start prior for the latency curve: `latency(b) ≈ α + β·b`,
-/// both in microseconds. Produced offline by the `calibrate` bin or
-/// restored from a persisted per-replica `BatchKnobs` record.
+/// both in microseconds. Its one source is a fleet member's own
+/// `config/replica/{name}` record: the curve harvested from the member's
+/// queue when it expired (its persisted `tune`).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LatencyPrior {
     /// Fixed per-batch overhead (intercept), microseconds.
     pub alpha_us: f64,
     /// Marginal cost per batched item (slope), microseconds.
     pub beta_us: f64,
-}
-
-/// Snapshot of one replica's learned tuning: its latency-curve
-/// coefficients, the batch ceiling derived from them, and how many
-/// observations back the fit. Harvested by the persistence layer and
-/// restored as a warm-start prior when the replica re-attaches.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplicaTune {
-    /// The replica's queue id (`model:version:index`).
-    pub queue_id: String,
-    /// The learned curve, reusable as a [`LatencyPrior`].
-    pub prior: LatencyPrior,
-    /// The controller's current max-batch ceiling.
-    pub b_max: usize,
-    /// Observations folded into the fit.
-    pub samples: u64,
 }
 
 /// Exponentially-forgotten first/second moments of `(b, latency)`.
@@ -153,7 +139,7 @@ impl LatencyModel {
         }
     }
 
-    /// Warm-start from a calibration prior: established immediately, and
+    /// Warm-start from a prior curve: established immediately, and
     /// the prior slope holds until live observations have enough
     /// batch-size spread to re-fit it.
     pub fn with_prior(prior: LatencyPrior) -> Self {

@@ -50,7 +50,7 @@ pub mod queue;
 pub use aimd::AimdController;
 pub use autotune::AutotuneController;
 pub use breaker::{BatchOutcome, BreakerConfig, BreakerState, CircuitBreaker, Health};
-pub use latency_model::{LatencyModel, LatencyPrior, ReplicaTune};
+pub use latency_model::{LatencyModel, LatencyPrior};
 pub use quantile::QuantileController;
 pub use queue::{
     spawn_replica_queue, spawn_replica_queue_with_hooks, HedgeConfig, QueueConfig, QueueHooks,

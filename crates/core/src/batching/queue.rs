@@ -166,7 +166,9 @@ impl QueueItem {
     }
 }
 
-/// Queue configuration (per replica).
+/// Queue configuration: one per model, applied to each of its replica
+/// queues. A replica's warm-start latency curve is not configuration; it
+/// is the `prior` argument of [`spawn_replica_queue_with_hooks`].
 #[derive(Clone, Debug)]
 pub struct QueueConfig {
     /// Batching strategy.
@@ -196,12 +198,6 @@ pub struct QueueConfig {
     /// and any remaining backlog is fail-filled as it is pulled, so
     /// every waiter still settles.
     pub drain_deadline: Duration,
-    /// Warm-start prior for the replica's online latency model (§4.4.1):
-    /// typically the global curve from the `calibrate` bin, or the
-    /// replica's own previously-learned curve restored from a persisted
-    /// `BatchKnobs` record. `None` = cold start (the model establishes
-    /// itself from live observations).
-    pub latency_prior: Option<LatencyPrior>,
     /// SLO-aware admission (§4.4.1): when `true`, the scheduler consults
     /// every routable replica's latency model + backlog estimate at
     /// predict time and sheds up front (429) when no replica can meet
@@ -233,7 +229,6 @@ impl Default for QueueConfig {
             max_batch_cap: 4_096,
             pipeline_depth: 1,
             drain_deadline: Duration::from_secs(5),
-            latency_prior: None,
             slo_admission: false,
             retry_max_attempts: 3,
             breaker: BreakerConfig::default(),
@@ -395,9 +390,6 @@ pub struct ReplicaQueue {
     tx: Mutex<Option<mpsc::Sender<QueueItem>>>,
     shared: Arc<QueueShared>,
     metrics: QueueMetrics,
-    /// The lanes' batch controller, shared so the handle can report the
-    /// live ceiling (persistence, benches) without waiting for a pull.
-    controller: Arc<Mutex<Box<dyn BatchController>>>,
 }
 
 impl ReplicaQueue {
@@ -498,9 +490,10 @@ impl ReplicaQueue {
 
     /// The fleet health monitor's signal that the replica's heartbeats
     /// went silent (or came back) — suspicion ahead of its batches
-    /// starting to fail. Feeds the replica's one health state.
-    pub fn set_suspect_hint(&self, suspect: bool) {
-        self.shared.breaker.set_heartbeat_silent(suspect);
+    /// starting to fail. Feeds the replica's one health state; returns
+    /// whether the flag changed.
+    pub fn set_suspect_hint(&self, suspect: bool) -> bool {
+        self.shared.breaker.set_heartbeat_silent(suspect)
     }
 
     /// Model-predicted nanoseconds for the replica to serve everything
@@ -522,12 +515,6 @@ impl ReplicaQueue {
     /// The replica's online `α + β·b` latency model (§4.4.1).
     pub fn latency_model(&self) -> &Arc<LatencyModel> {
         &self.shared.latency_model
-    }
-
-    /// The controller's current maximum batch size — for an autotuning
-    /// controller, the continuously re-derived per-replica ceiling.
-    pub fn current_max_batch(&self) -> usize {
-        self.controller.lock().max_batch()
     }
 
     /// Begin a graceful drain: refuse new submissions, let the lanes
@@ -630,10 +617,12 @@ pub fn spawn_replica_queue(
     cfg: QueueConfig,
     metrics: QueueMetrics,
 ) -> Arc<ReplicaQueue> {
-    spawn_replica_queue_with_hooks(id, transport, cfg, metrics, QueueHooks::default())
+    spawn_replica_queue_with_hooks(id, transport, cfg, None, metrics, QueueHooks::default())
 }
 
-/// [`spawn_replica_queue`] with recovery hooks wired in. The hooks are
+/// [`spawn_replica_queue`] with recovery hooks wired in, and the
+/// replica's own warm-start curve as `prior` (`None` = a cold latency
+/// model that establishes itself from live observations). The hooks are
 /// how a standalone queue stays standalone: without a `redispatch`
 /// hook, a failed batch fail-fills immediately (no retry); without a
 /// `hedge_pick` hook, the hedge knob is inert. The model abstraction
@@ -642,15 +631,13 @@ pub fn spawn_replica_queue_with_hooks(
     id: String,
     transport: Arc<dyn BatchTransport>,
     cfg: QueueConfig,
+    prior: Option<LatencyPrior>,
     metrics: QueueMetrics,
     hooks: QueueHooks,
 ) -> Arc<ReplicaQueue> {
     let (tx, rx) = mpsc::channel(cfg.queue_capacity.max(1));
     let rx = Arc::new(tokio::sync::Mutex::new(rx));
-    let latency_model = Arc::new(match cfg.latency_prior {
-        Some(prior) => LatencyModel::with_prior(prior),
-        None => LatencyModel::new(),
-    });
+    let latency_model = Arc::new(prior.map_or_else(LatencyModel::new, LatencyModel::with_prior));
     let controller = Arc::new(Mutex::new(cfg.strategy.build(
         cfg.slo,
         cfg.max_batch_cap,
@@ -684,7 +671,6 @@ pub fn spawn_replica_queue_with_hooks(
         tx: Mutex::new(Some(tx)),
         shared,
         metrics,
-        controller,
     })
 }
 
@@ -1433,7 +1419,8 @@ pub(super) mod tests {
             },
             ..Default::default()
         };
-        let q = spawn_replica_queue_with_hooks("m:0".into(), flaky, cfg, test_metrics(), hooks);
+        let q =
+            spawn_replica_queue_with_hooks("m:0".into(), flaky, cfg, None, test_metrics(), hooks);
         for v in 0..6 {
             let (tx, rx) = oneshot::channel();
             q.submit(QueueItem::with_deadline(

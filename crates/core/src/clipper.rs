@@ -233,21 +233,9 @@ impl Inner {
                     .model_config(&id)
                     .or_else(|| dir.parked.get(&v).map(|p| p.cfg.clone()));
                 if let Some(cfg) = cfg {
-                    // Harvest each live replica's learned curve (§4.4.1)
-                    // alongside the version's knobs, so a rehydrated
-                    // fleet serves with its tuned per-replica ceilings.
-                    // Parked versions have no live queues; their replica
-                    // list is simply empty.
-                    let replicas = self
-                        .mal
-                        .replica_tunes(&id)
-                        .iter()
-                        .map(api::ReplicaTuneRecord::from)
-                        .collect();
                     rec.batch.push(api::VersionBatchKnobs {
                         version: v,
                         knobs: (&cfg).into(),
-                        replicas,
                     });
                 }
             }
@@ -300,23 +288,15 @@ impl Inner {
         true
     }
 
-    /// Register one persisted version with the abstraction layer: its
-    /// batch knobs, plus any learned per-replica tuning — stashed so the
-    /// matching replicas warm-start when they re-attach.
+    /// Register one persisted version, with its batch knobs, with the
+    /// abstraction layer.
     fn adopt_version(&self, rec: &ModelRecord, v: u32) {
         let cfg = rec
             .knobs_for(v)
             .cloned()
             .map(api::BatchKnobs::into_config)
             .unwrap_or_default();
-        let id = ModelId::new(&rec.name, v);
-        self.mal.add_model(id.clone(), cfg);
-        if let Some(vk) = rec.batch.iter().find(|vb| vb.version == v) {
-            if !vk.replicas.is_empty() {
-                self.mal
-                    .set_replica_tunes(&id, vk.replicas.iter().map(Into::into).collect());
-            }
-        }
+        self.mal.add_model(ModelId::new(&rec.name, v), cfg);
     }
 }
 
@@ -471,20 +451,6 @@ impl Clipper {
             }
         }
         self.inner.persist_model(&id.name);
-        true
-    }
-
-    /// Re-persist `name`'s record to the statestore, capturing the
-    /// current batch knobs *and* each live replica's learned latency
-    /// model (§4.4.1) so a later [`sync_config`](Self::sync_config) restores
-    /// a tuned fleet instead of cold controllers. Returns `false` for an
-    /// unknown model. Rollouts and registrations checkpoint implicitly;
-    /// call this to capture tuning learned since.
-    pub fn checkpoint_model(&self, name: &str) -> bool {
-        if !self.inner.models_dir.read().contains_key(name) {
-            return false;
-        }
-        self.inner.persist_model(name);
         true
     }
 
@@ -1906,61 +1872,31 @@ mod tests {
         assert_eq!(v1_cfg.queue_capacity, BatchConfig::default().queue_capacity);
     }
 
+    /// A replica attached with `add_replica` after a restart starts cold,
+    /// even when the persisted model record still lists a learned curve
+    /// for its attach position: that curve may have been another
+    /// container's. The record itself still adopts.
     #[tokio::test]
-    async fn checkpoint_persists_learned_replica_tunes_for_rehydrate() {
+    async fn rehydrated_replica_starts_cold_whatever_the_record_lists() {
         let store = Arc::new(clipper_statestore::StateStore::new());
-        let cfg = BatchConfig {
-            strategy: crate::BatchStrategy::Autotune { headroom: 0.1 },
-            slo: Duration::from_millis(20),
-            ..BatchConfig::default()
-        };
-        {
-            let first = Clipper::builder().statestore(store.clone()).build();
-            let id = ModelId::new("m", 1);
-            first.add_model(id.clone(), cfg.clone());
-            first.add_replica(&id, const_transport(1, None)).unwrap();
-            // Teach the replica its curve: 100µs + 50µs·b.
-            let model = first
-                .abstraction()
-                .replica_latency_model(&id, "m:v1:0")
-                .unwrap();
-            for round in 0..10 {
-                for b in 1..=16usize {
-                    let _ = round;
-                    model.observe(b, Duration::from_micros(100 + 50 * b as u64));
-                }
-            }
-            assert!(model.is_established());
-            assert!(first.checkpoint_model("m"));
-            assert!(!first.checkpoint_model("ghost"));
-        }
-        // A fresh frontend rehydrates and re-attaches the replica: it
-        // must serve with the learned per-replica curve and ceiling, not
-        // a cold controller probing from scratch.
-        let second = Clipper::builder().statestore(store).build();
-        second.sync_config().await;
+        store.set(
+            &api::model_key("m"),
+            br#"{"name":"m","current":1,"versions":[1],"history":[],"batch":[{"version":1,"knobs":{"strategy":{"kind":"autotune","headroom":0.1},"slo_us":20000,"batch_wait_timeout_us":0,"queue_capacity":8192,"max_batch_cap":4096,"pipeline_depth":1,"drain_deadline_us":5000000,"latency_prior":{"alpha_us":90.0,"beta_us":45.0}},"replicas":[{"queue_id":"m:v1:0","alpha_us":100.0,"beta_us":50.0,"b_max":350,"samples":160}]}]}"#.to_vec(),
+        );
+        let clipper = Clipper::builder().statestore(store).build();
+        assert_eq!(clipper.sync_config().await.adopted_models, 1);
         let id = ModelId::new("m", 1);
-        second.add_replica(&id, const_transport(1, None)).unwrap();
-        let restored = second
+        assert_eq!(
+            clipper.abstraction().model_config(&id).unwrap().strategy,
+            BatchStrategy::Autotune { headroom: 0.1 }
+        );
+        let qid = clipper.add_replica(&id, const_transport(1, None)).unwrap();
+        assert_eq!(qid, "m:v1:0");
+        let model = clipper
             .abstraction()
-            .replica_latency_model(&id, "m:v1:0")
+            .replica_latency_model(&id, &qid)
             .unwrap();
-        assert!(restored.is_established(), "warm start from persisted tune");
-        assert!(
-            (restored.beta_us() - 50.0).abs() < 20.0,
-            "restored beta {} expected ≈50",
-            restored.beta_us()
-        );
-        // The autotune controller inverts the restored curve at once:
-        // b_max ≈ (0.9·20ms − α)/β ≈ 350, nowhere near a cold start.
-        let tunes = second.abstraction().replica_tunes(&id);
-        assert_eq!(tunes.len(), 1);
-        assert_eq!(tunes[0].queue_id, "m:v1:0");
-        assert!(
-            tunes[0].b_max > 100,
-            "ceiling should come from the learned curve, got {}",
-            tunes[0].b_max
-        );
+        assert!(!model.is_established(), "no curve from the model record");
     }
 
     /// Two frontends over one store: A owns the initial registration, B

@@ -18,7 +18,7 @@
 //! drain the health monitor uses. Unmanaged (self-registered) replicas
 //! are never reaped.
 
-use super::registry::{Fleet, FleetEvent, ReplicaHealth};
+use super::registry::{Fleet, FleetEvent};
 use crate::api::ReplicaSpec;
 use crate::types::ModelId;
 use std::time::Duration;
@@ -167,7 +167,7 @@ impl Fleet {
             .members
             .lock()
             .iter()
-            .filter(|(_, m)| m.managed && m.health != ReplicaHealth::Expired && &m.model == model)
+            .filter(|(_, m)| m.managed && !m.expired && &m.model == model)
             .max_by_key(|(_, m)| m.joined_seq)
             .map(|(n, _)| n.clone())
     }

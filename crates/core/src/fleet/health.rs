@@ -1,17 +1,20 @@
-//! Heartbeat-driven health: the `Healthy → Suspect → Expired` monitor.
+//! Heartbeat-driven health: the monitor that flags a silent member's
+//! queue and expires a dead one.
 //!
 //! The monitor ticks at half the heartbeat interval and reads each
-//! member's silence (time since its last beat — an RPC member's
-//! connection-level liveness probe counts). Crossing
-//! `suspect_after × interval` flips the member to `Suspect` and tells
-//! the queue's health state its heartbeats went silent (it then reads
-//! `Health::Silent`), so the p2c scheduler deprioritizes it *before* its
-//! batches start failing; crossing
-//! `expire_after × interval` expires it: the learned latency curve is
-//! harvested, the queue is gracefully drained (zero-drop — every
-//! accepted query completes or fail-fills), and the member becomes a
-//! tombstone whose persisted record warm-starts the container when it
-//! re-registers.
+//! member's silence (time since its last beat; an RPC member's
+//! connection-level liveness probe counts as a beat on every pass). On
+//! every pass it sets or clears the heartbeat-silent flag on an attached
+//! member's queue from `silence >= suspect_after × interval`, for HTTP
+//! and RPC members alike. That flag on the queue's breaker is the only
+//! record of suspicion: the queue then reads `Health::Silent`, the p2c
+//! scheduler deprioritizes it *before* its batches start failing, and
+//! the member's view reads `"suspect"`. A beat, or a recovered RPC probe,
+//! clears it. Crossing `expire_after × interval` expires the member: the
+//! learned latency curve is harvested, the queue is gracefully drained
+//! (zero-drop — every accepted query completes or fail-fills), and the
+//! member becomes a tombstone whose persisted record warm-starts the
+//! container when it re-registers.
 //!
 //! Expiry and [`Clipper::drain_suspect_replicas`] can race on the same
 //! queue id (a dead replica is usually *both* silent and failing).
@@ -22,10 +25,9 @@
 //!
 //! [`Clipper::drain_suspect_replicas`]: crate::Clipper::drain_suspect_replicas
 
-use super::registry::{Fleet, FleetEvent, ReplicaHealth};
+use super::registry::{Fleet, FleetEvent};
 use crate::api::{ReplicaRecord, REPLICA_STATE_EXPIRED};
-use crate::types::ModelId;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 impl Fleet {
     /// Spawn the health monitor task (tick = heartbeat interval / 2).
@@ -47,44 +49,41 @@ impl Fleet {
         let interval = self.inner.cfg.heartbeat_interval;
         let suspect_after = interval * self.inner.cfg.suspect_after.max(1);
         let expire_after = interval * self.inner.cfg.expire_after.max(1);
-        let mut newly_suspect: Vec<(String, ModelId, Option<String>, u64)> = Vec::new();
+        let mut attached = Vec::new();
         let mut to_expire: Vec<String> = Vec::new();
         {
             let mut members = self.inner.members.lock();
             for (name, m) in members.iter_mut() {
-                if m.health == ReplicaHealth::Expired {
+                if m.expired {
                     continue;
                 }
                 // An RPC member's connection-level probe is its beat.
-                if let Some(t) = &m.transport {
-                    if t.is_healthy() {
-                        m.last_beat = std::time::Instant::now();
-                        continue;
-                    }
+                if m.transport.as_ref().is_some_and(|t| t.is_healthy()) {
+                    m.last_beat = Instant::now();
                 }
                 let silent = m.last_beat.elapsed();
                 if silent >= expire_after {
                     to_expire.push(name.clone());
-                } else if silent >= suspect_after && m.health == ReplicaHealth::Healthy {
-                    m.health = ReplicaHealth::Suspect;
-                    newly_suspect.push((
-                        name.clone(),
-                        m.model.clone(),
-                        m.queue_id.clone(),
-                        silent.as_millis() as u64,
-                    ));
+                } else if let Some(qid) = &m.queue_id {
+                    attached.push((name.clone(), m.model.clone(), qid.clone(), silent));
                 }
             }
         }
-        // Health signals and events outside the membership lock.
-        for (name, model, qid, silent_ms) in newly_suspect {
-            if let Some(qid) = qid {
-                self.inner.mal.set_replica_suspect_hint(&model, &qid, true);
+        // Each queue's heartbeat flag, set or cleared outside the
+        // membership lock; the event marks only a clear → set change.
+        for (name, model, qid, silent) in attached {
+            let suspect = silent >= suspect_after;
+            if self
+                .inner
+                .mal
+                .set_replica_suspect_hint(&model, &qid, suspect)
+                && suspect
+            {
+                self.push_event(FleetEvent::Suspected {
+                    container: name,
+                    silent_ms: silent.as_millis() as u64,
+                });
             }
-            self.push_event(FleetEvent::Suspected {
-                container: name,
-                silent_ms,
-            });
         }
         for name in to_expire {
             self.expire(&name).await;
@@ -104,10 +103,10 @@ impl Fleet {
             let Some(m) = members.get_mut(name) else {
                 return false;
             };
-            if m.health == ReplicaHealth::Expired {
+            if m.expired {
                 return false;
             }
-            m.health = ReplicaHealth::Expired;
+            m.expired = true;
             (
                 m.model.clone(),
                 m.queue_id.take(),

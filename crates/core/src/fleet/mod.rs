@@ -12,12 +12,15 @@
 //!   replica to the abstraction layer itself, and persists a
 //!   `config/replica/*` record so a restarted or sibling frontend
 //!   re-adopts the same fleet.
-//! - **Heartbeat-driven health** ([`health`]): a monitor task drives each
-//!   member through `Healthy → Suspect → Expired`. Suspicion feeds the
-//!   p2c scheduler's suspect-avoidance (the replica is deprioritized but
-//!   not abandoned); expiry triggers the zero-drop graceful drain and
-//!   harvests the replica's learned latency curve so a returning
-//!   container is re-admitted warm.
+//! - **Heartbeat-driven health** ([`health`]): a monitor task flags a
+//!   silent member's queue and expires a dead member. The flag lives on
+//!   the queue's breaker, the one record of suspicion: it feeds the p2c
+//!   scheduler's suspect-avoidance (the replica is deprioritized but not
+//!   abandoned), and a beat or a recovered RPC probe clears it. Expiry
+//!   triggers the zero-drop graceful drain and harvests the replica's
+//!   learned latency curve into its own `config/replica/{name}` record,
+//!   so the same container is re-admitted warm; that record is a
+//!   replica's only warm start.
 //! - **Autoscaling** ([`autoscale`]): a control loop over signals the
 //!   scheduler already computes (backlog, admission sheds) launches and
 //!   reaps replicas through a pluggable [`ReplicaLauncher`].
@@ -28,6 +31,5 @@ pub mod registry;
 
 pub use autoscale::{evaluate, AutoscaleConfig, AutoscaleDecision, AutoscalerState, ScaleSignals};
 pub use registry::{
-    Fleet, FleetConfig, FleetEvent, FnLauncher, Launched, ProcessLauncher, ReplicaHealth,
-    ReplicaLauncher,
+    Fleet, FleetConfig, FleetEvent, FnLauncher, Launched, ProcessLauncher, ReplicaLauncher,
 };

@@ -3,17 +3,22 @@
 //! The registry is the single source of truth for *who is in the fleet*:
 //! every container that announced itself (over HTTP or by dialing the RPC
 //! data plane) has a `Member` entry keyed by container name, and a
-//! mirrored `config/replica/*` record in the statestore so a restarted or
-//! sibling frontend re-adopts the same membership view. Expired members
-//! stay behind as tombstones: a heartbeat arriving after expiry gets an
-//! unambiguous 410 (re-register, don't resume), and the tombstone carries
-//! the learned latency curve harvested at drain time — the warm start
-//! handed back when the container returns.
+//! mirrored `config/replica/{name}` record in the statestore so a
+//! restarted or sibling frontend re-adopts the same membership view.
+//! Expired members stay behind as tombstones: a heartbeat arriving after
+//! expiry gets an unambiguous 410 (re-register, don't resume), and the
+//! tombstone carries the learned latency curve harvested at expiry — the
+//! one warm start a replica has, handed back only when the same container
+//! returns.
+//!
+//! A member records when it last beat and whether it expired; nothing
+//! else about its health. Suspicion is the heartbeat-silent flag on its
+//! queue's breaker, which [`ReplicaView::health`] reads.
 
 use crate::abstraction::ModelAbstractionLayer;
 use crate::api::{
-    self, ApiError, HeartbeatReport, RegisterOutcome, ReplicaRecord, ReplicaSpec,
-    ReplicaTuneRecord, ReplicaView, REPLICA_STATE_EXPIRED, REPLICA_STATE_REGISTERED,
+    self, ApiError, HeartbeatReport, RegisterOutcome, ReplicaRecord, ReplicaSpec, ReplicaView,
+    REPLICA_STATE_EXPIRED, REPLICA_STATE_REGISTERED,
 };
 use crate::batching::LatencyPrior;
 use crate::types::ModelId;
@@ -27,39 +32,15 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A member's position in the `Healthy → Suspect → Expired` state
-/// machine driven by the health monitor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplicaHealth {
-    /// Heartbeats arriving on schedule.
-    Healthy,
-    /// Heartbeats late: deprioritized by p2c suspect-avoidance, but not
-    /// yet drained — a resumed heartbeat restores `Healthy`.
-    Suspect,
-    /// Heartbeats stopped: the queue was gracefully drained and the
-    /// member is a tombstone. Re-registration is the only way back.
-    Expired,
-}
-
-impl ReplicaHealth {
-    /// Wire form used in [`ReplicaView::health`].
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ReplicaHealth::Healthy => "healthy",
-            ReplicaHealth::Suspect => "suspect",
-            ReplicaHealth::Expired => "expired",
-        }
-    }
-}
-
 /// Timing knobs for the fleet control loop.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// The heartbeat interval containers are told to report on.
     pub heartbeat_interval: Duration,
-    /// Missed intervals before a member turns `Suspect`.
+    /// Missed intervals before a member's queue is flagged
+    /// heartbeat-silent (the member reads `"suspect"`).
     pub suspect_after: u32,
-    /// Missed intervals before a member is `Expired` and drained.
+    /// Missed intervals before a member expires and is drained.
     pub expire_after: u32,
 }
 
@@ -181,7 +162,8 @@ pub enum FleetEvent {
         /// Whether a persisted tune warm-started the re-admission.
         warm_start: bool,
     },
-    /// Heartbeats went late; p2c now deprioritizes the member.
+    /// Heartbeats went late: the member's queue flag went from clear to
+    /// heartbeat-silent, and p2c now deprioritizes it.
     Suspected {
         /// Container name.
         container: String,
@@ -215,7 +197,9 @@ pub(crate) struct Member {
     pub(crate) model: ModelId,
     pub(crate) capabilities: Vec<String>,
     pub(crate) queue_id: Option<String>,
-    pub(crate) health: ReplicaHealth,
+    /// Set once the monitor expired the member: it is a tombstone until
+    /// the container re-registers.
+    pub(crate) expired: bool,
     pub(crate) last_beat: Instant,
     /// RPC members carry their handle: the connection's own passive
     /// probing (`is_healthy`) counts as a heartbeat, so an RPC container
@@ -332,11 +316,16 @@ impl Fleet {
 
     /// One member's current view, if registered (tombstones included).
     pub fn view(&self, name: &str) -> Option<ReplicaView> {
-        self.inner
+        let view = self
+            .inner
             .members
             .lock()
             .get(name)
-            .map(|m| view_of(name, m))
+            .map(|m| view_of(name, m));
+        view.map(|mut v| {
+            self.mark_suspect(&mut v);
+            v
+        })
     }
 
     /// Every member's current view, sorted by container name.
@@ -348,8 +337,24 @@ impl Fleet {
             .iter()
             .map(|(n, m)| view_of(n, m))
             .collect();
+        for v in &mut views {
+            self.mark_suspect(v);
+        }
         views.sort_by(|a, b| a.container_name.cmp(&b.container_name));
         views
+    }
+
+    /// Mark a live, attached member's view `"suspect"` while its queue's
+    /// breaker carries the heartbeat-silent flag. Reads the abstraction
+    /// layer, so it runs after the members lock is released.
+    fn mark_suspect(&self, view: &mut ReplicaView) {
+        let Some(qid) = view.queue_id.as_deref().filter(|_| view.health == HEALTHY) else {
+            return;
+        };
+        let model = ModelId::new(&view.model_name, view.model_version);
+        if self.inner.mal.replica_heartbeat_silent(&model, qid) {
+            view.health = "suspect".to_string();
+        }
     }
 
     pub(crate) fn push_event(&self, e: FleetEvent) {
@@ -465,8 +470,11 @@ impl Fleet {
             Via::Adopt => (self.launch(&record).unwrap_or(None), None, false),
             Via::Rpc(t) => (Some(t.clone()), Some(t), false),
         };
-        let prior = record.tune.as_ref().map(LatencyPrior::from);
-        let attached = transport.map(|t| self.inner.mal.add_replica_with_prior(&model, t, prior));
+        let attached = transport.map(|t| {
+            self.inner
+                .mal
+                .add_replica_with_prior(&model, t, record.tune)
+        });
         let queue_id = match attached {
             None => None,
             Some(Ok(qid)) => Some(qid),
@@ -477,7 +485,7 @@ impl Fleet {
             model,
             capabilities: record.capabilities.clone(),
             queue_id: queue_id.clone(),
-            health: ReplicaHealth::Healthy,
+            expired: false,
             last_beat: Instant::now(),
             transport: rpc,
             managed,
@@ -488,11 +496,9 @@ impl Fleet {
             .members
             .lock()
             .insert(record.container_name.clone(), member);
-        let readmitted = old
-            .as_ref()
-            .is_some_and(|m| m.health == ReplicaHealth::Expired);
+        let readmitted = old.as_ref().is_some_and(|m| m.expired);
         if let Some(old) = old {
-            if old.health != ReplicaHealth::Expired {
+            if !old.expired {
                 if let Some(old_qid) = old.queue_id {
                     let fleet = self.clone();
                     tokio::spawn(async move {
@@ -548,12 +554,21 @@ impl Fleet {
     /// Handle `POST /api/v1/replicas/{name}/heartbeat`. A beat from an
     /// expired member gets 410 (`replica_gone`): its queue is already
     /// drained, so resuming silently would serve from a ghost — it must
-    /// re-register. A beat from a suspect member restores `Healthy` and
-    /// tells the queue's health state its heartbeats are back.
+    /// re-register. Any other beat clears its queue's heartbeat-silent
+    /// flag at once.
     pub fn heartbeat(&self, name: &str, _report: HeartbeatReport) -> Result<ReplicaView, ApiError> {
-        let mut members = self.inner.members.lock();
-        let Some(m) = members.get_mut(name) else {
-            drop(members);
+        let view = {
+            let mut members = self.inner.members.lock();
+            match members.get_mut(name) {
+                Some(m) if m.expired => return Err(ApiError::ReplicaGone(name.to_string())),
+                Some(m) => {
+                    m.last_beat = Instant::now();
+                    Some(view_of(name, m))
+                }
+                None => None,
+            }
+        };
+        let Some(view) = view else {
             return Err(match self.load_record(name) {
                 Some(r) if r.state == REPLICA_STATE_EXPIRED => {
                     ApiError::ReplicaGone(name.to_string())
@@ -561,19 +576,11 @@ impl Fleet {
                 _ => ApiError::ReplicaUnknown(name.to_string()),
             });
         };
-        if m.health == ReplicaHealth::Expired {
-            return Err(ApiError::ReplicaGone(name.to_string()));
+        if let Some(qid) = &view.queue_id {
+            let model = ModelId::new(&view.model_name, view.model_version);
+            self.inner.mal.set_replica_suspect_hint(&model, qid, false);
         }
-        m.last_beat = Instant::now();
-        if m.health == ReplicaHealth::Suspect {
-            m.health = ReplicaHealth::Healthy;
-            if let Some(qid) = &m.queue_id {
-                self.inner
-                    .mal
-                    .set_replica_suspect_hint(&m.model, qid, false);
-            }
-        }
-        Ok(view_of(name, m))
+        Ok(view)
     }
 
     /// Handle `DELETE /api/v1/replicas/{name}`: graceful deregistration.
@@ -659,29 +666,28 @@ impl Fleet {
         }
     }
 
-    /// Harvest a replica's learned latency curve into its wire record
-    /// form, if the model is established — the warm start persisted with
-    /// the tombstone at expiry.
-    pub(crate) fn harvest_tune(
-        &self,
-        model: &ModelId,
-        queue_id: &str,
-    ) -> Option<ReplicaTuneRecord> {
-        self.inner
-            .mal
-            .replica_tunes(model)
-            .iter()
-            .find(|t| t.queue_id == queue_id)
-            .map(ReplicaTuneRecord::from)
+    /// Harvest a replica's learned latency curve, if its model is
+    /// established — the warm start persisted with the tombstone at
+    /// expiry.
+    pub(crate) fn harvest_tune(&self, model: &ModelId, queue_id: &str) -> Option<LatencyPrior> {
+        let m = self.inner.mal.replica_latency_model(model, queue_id)?;
+        m.is_established().then(|| LatencyPrior {
+            alpha_us: m.alpha_us(),
+            beta_us: m.beta_us(),
+        })
     }
 }
 
-pub(crate) fn view_of(name: &str, m: &Member) -> ReplicaView {
+const HEALTHY: &str = "healthy";
+
+/// A member's view as its membership entry alone knows it: `"expired"`
+/// or `"healthy"`. [`Fleet::mark_suspect`] adds the queue's side.
+fn view_of(name: &str, m: &Member) -> ReplicaView {
     ReplicaView {
         container_name: name.to_string(),
         model_name: m.model.name.clone(),
         model_version: m.model.version,
-        health: m.health.as_str().to_string(),
+        health: if m.expired { "expired" } else { HEALTHY }.to_string(),
         queue_id: m.queue_id.clone(),
         managed: m.managed,
     }

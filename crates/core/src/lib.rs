@@ -83,8 +83,7 @@ pub use cache::{CacheKey, CacheStats, PredictionCache};
 pub use clipper::{Clipper, ClipperBuilder};
 pub use error::PredictError;
 pub use fleet::{
-    AutoscaleConfig, AutoscaleDecision, Fleet, FleetConfig, FleetEvent, FnLauncher, ReplicaHealth,
-    ReplicaLauncher,
+    AutoscaleConfig, AutoscaleDecision, Fleet, FleetConfig, FleetEvent, FnLauncher, ReplicaLauncher,
 };
 pub use frontend::HttpFrontend;
 pub use selection::{Exp3Policy, Exp4Policy, PolicyState, SelectionPolicy, StaticPolicy};

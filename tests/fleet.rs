@@ -7,11 +7,12 @@
 use clipper::containers::{
     spawn_tcp_container, ContainerConfig, ContainerLogic, ModelContainer, TimingModel,
 };
-use clipper::core::api::{HeartbeatReport, ReplicaSpec};
+use clipper::core::api::{self, HeartbeatReport, ReplicaSpec};
 use clipper::core::{
     ApiError, AppConfig, BatchConfig, Clipper, FleetConfig, FleetEvent, FnLauncher, HttpFrontend,
     ModelId, Output, PolicyKind, ReplicaLauncher,
 };
+use clipper::rpc::client::{serve_container, ContainerClientConfig};
 use clipper::rpc::faulty::{FaultConfig, FaultyTransport};
 use clipper::rpc::message::{PredictReply, WireOutput};
 use clipper::rpc::transport::{BatchTransport, FnTransport, Input};
@@ -19,7 +20,7 @@ use clipper::statestore::StateStore;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const CAPABILITY: &str = "test:inproc";
 
@@ -367,6 +368,94 @@ async fn missed_heartbeats_suspect_then_expire_then_warm_readmit() {
     assert_eq!(fleet.view("c-0").unwrap().health, "healthy");
 }
 
+/// An RPC container that stalls past the suspect bar and then answers
+/// again reads healthy once its connection probe recovers: the
+/// heartbeat-silent flag on its queue is the one record of suspicion, and
+/// every monitor pass that hears the probe clears it. A member with no
+/// queue never reads suspect and raises no `Suspected` event.
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn rpc_member_returns_to_healthy_when_its_probe_recovers() {
+    let cfg = FleetConfig {
+        heartbeat_interval: Duration::from_millis(40),
+        suspect_after: 2,
+        expire_after: 50,
+    };
+    let clipper = base_clipper(None, cfg);
+    let m = ModelId::new("m", 1);
+    let fleet = clipper.fleet();
+    let rpc_addr = fleet.serve_rpc("127.0.0.1:0").await.unwrap();
+
+    // The first batch stalls 500 ms: far past the 80 ms suspect bar, far
+    // short of the 2 s expiry. Every later batch answers at once.
+    let stalled = Arc::new(AtomicBool::new(false));
+    let handler = move |inputs: Vec<Input>| {
+        if !stalled.swap(true, Ordering::Relaxed) {
+            std::thread::sleep(Duration::from_millis(500));
+        }
+        Ok(PredictReply {
+            outputs: vec![WireOutput::Class(3); inputs.len()],
+            queue_us: 0,
+            compute_us: 1,
+        })
+    };
+    let container = tokio::spawn(serve_container(
+        rpc_addr,
+        ContainerClientConfig {
+            container_name: "rpc-c0".into(),
+            model_name: "m".into(),
+            model_version: 1,
+        },
+        Arc::new(handler),
+    ));
+    let mut waited = 0;
+    while clipper.abstraction().replica_count(&m) == 0 && waited < 500 {
+        tokio::time::sleep(Duration::from_millis(10)).await;
+        waited += 1;
+    }
+    assert_eq!(clipper.abstraction().replica_count(&m), 1, "RPC admission");
+    // Registered over HTTP with no launcher: a member without a queue.
+    let unattached = fleet.register(spec("dialer")).unwrap();
+    assert!(unattached.queue_id.is_none());
+
+    let predict = {
+        let clipper = clipper.clone();
+        tokio::spawn(async move { clipper.predict("app", None, Arc::new(vec![1.0])).await })
+    };
+    let (mut saw_suspect, mut unattached_suspect) = (false, false);
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_secs(2) {
+        fleet.check_members().await;
+        saw_suspect |= fleet.view("rpc-c0").unwrap().health == "suspect";
+        unattached_suspect |= fleet.view("dialer").unwrap().health == "suspect";
+        tokio::time::sleep(Duration::from_millis(10)).await;
+    }
+    predict.await.unwrap().expect("the stalled predict settles");
+
+    let health = fleet.view("rpc-c0").unwrap().health;
+    let suspects = clipper.abstraction().suspect_queue_ids(&m);
+    assert!(saw_suspect, "the stall crossed the suspect bar");
+    assert_eq!(health, "healthy", "suspect_queue_ids={suspects:?}");
+    assert!(suspects.is_empty(), "suspect_queue_ids={suspects:?}");
+    assert!(
+        !unattached_suspect,
+        "a member without a queue is never suspect"
+    );
+    let suspected: Vec<String> = fleet
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            FleetEvent::Suspected { container, .. } => Some(container),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        suspected,
+        vec!["rpc-c0".to_string()],
+        "one clear → set change"
+    );
+    container.abort();
+}
+
 /// A heartbeat arriving after expiry is an unambiguous 410 — on the
 /// frontend that expired the member, and on a sibling frontend that only
 /// knows the tombstone through the statestore. Re-registration revives.
@@ -399,11 +488,19 @@ async fn heartbeat_after_expiry_is_gone_until_reregistration() {
 
     // A sibling frontend that never met the member reads the tombstone
     // from the store and answers the same 410.
-    let sibling = base_clipper(Some(store), FleetConfig::default());
+    let sibling = base_clipper(Some(store.clone()), FleetConfig::default());
     match sibling.fleet().heartbeat("c-0", HeartbeatReport::default()) {
         Err(ApiError::ReplicaGone(name)) => assert_eq!(name, "c-0"),
         other => panic!("sibling must answer gone, got {other:?}"),
     }
+
+    // A tombstone in the shape older frontends wrote, whose tune also
+    // carries `queue_id`, `b_max` and `samples`, is still this
+    // container's warm start.
+    store.set(
+        &api::replica_key("c-0"),
+        br#"{"container_name":"c-0","model_name":"m","model_version":1,"capabilities":["test:inproc"],"state":"expired","tune":{"queue_id":"m:v1:0","alpha_us":140.0,"beta_us":41.5,"b_max":17,"samples":420}}"#.to_vec(),
+    );
 
     // Re-registration is the way back; beats flow again.
     let (status, body) = http(
@@ -415,6 +512,7 @@ async fn heartbeat_after_expiry_is_gone_until_reregistration() {
     )
     .await;
     assert_eq!(status, 201, "{body}");
+    assert!(body.contains("\"warm_start\":true"), "{body}");
     let (status, body) = http(addr, "POST", "/api/v1/replicas/c-0/heartbeat", "").await;
     assert_eq!(status, 200, "{body}");
 }
