@@ -11,7 +11,7 @@
 //! next batch while the current one executes (`pipeline_depth = 2`).
 
 use clipper_containers::ModelContainer;
-use clipper_metrics::{Histogram, Meter, Registry};
+use clipper_metrics::{Counter, Histogram, Registry};
 use clipper_rpc::message::WireOutput;
 use clipper_rpc::transport::Input;
 use std::sync::Arc;
@@ -55,7 +55,7 @@ pub struct TfsMetrics {
     /// Dispatched batch sizes.
     pub batch_size: Histogram,
     /// Completed requests.
-    pub completed: Meter,
+    pub completed: Counter,
 }
 
 impl TfsMetrics {
@@ -66,7 +66,7 @@ impl TfsMetrics {
             queue_us: registry.histogram(&format!("{prefix}/queue_us")),
             predict_us: registry.histogram(&format!("{prefix}/predict_us")),
             batch_size: registry.histogram(&format!("{prefix}/batch_size")),
-            completed: registry.meter(&format!("{prefix}/completed")),
+            completed: registry.counter(&format!("{prefix}/completed")),
         }
     }
 }
@@ -108,7 +108,7 @@ impl TfServingLike {
         self.metrics
             .latency_us
             .record(start.elapsed().as_micros() as u64);
-        self.metrics.completed.mark();
+        self.metrics.completed.inc();
         Ok(out)
     }
 
@@ -213,7 +213,7 @@ mod tests {
         let s = server(9, TfsConfig::default());
         let out = s.predict(vec![1.0, 2.0]).await.unwrap();
         assert_eq!(out, WireOutput::Class(9));
-        assert_eq!(s.metrics().completed.count(), 1);
+        assert_eq!(s.metrics().completed.get(), 1);
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]

@@ -28,7 +28,7 @@
 //! replica was reaped after the load subsided.
 
 use clipper_bench::harness::{Args, Op, Report};
-use clipper_core::api::{HeartbeatReport, ReplicaSpec};
+use clipper_core::api::ReplicaSpec;
 use clipper_core::{
     AppConfig, AutoscaleConfig, AutoscaleDecision, BatchConfig, Clipper, FleetConfig, FleetEvent,
     FnLauncher, ModelId, Output, PolicyKind, PredictError,
@@ -183,7 +183,7 @@ async fn main() {
                     {
                         continue;
                     }
-                    let _ = fleet.heartbeat(&view.container_name, HeartbeatReport::default());
+                    let _ = fleet.heartbeat(&view.container_name);
                 }
                 tokio::time::sleep(hb / 3).await;
             }

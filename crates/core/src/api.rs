@@ -694,19 +694,6 @@ pub struct RegisterOutcome {
     pub heartbeat_interval_ms: u64,
 }
 
-/// `POST /api/v1/replicas/{name}/heartbeat` request body: liveness plus
-/// optional self-reported load stats (all fields optional — an empty
-/// object is a pure liveness beat).
-#[derive(Clone, Debug, Default, Serialize, Deserialize, PartialEq)]
-pub struct HeartbeatReport {
-    /// Container-side queue depth, if the container tracks one.
-    #[serde(default)]
-    pub queue_depth: Option<usize>,
-    /// Container-side mean service time per query, µs.
-    #[serde(default)]
-    pub service_us: Option<f64>,
-}
-
 /// Read-back shape for `GET /api/v1/replicas` — one row per member.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct ReplicaView {
@@ -813,7 +800,6 @@ mod tests {
             404
         );
         assert_eq!(ApiError::from(PredictError::Overloaded).http_status(), 429);
-        assert_eq!(ApiError::from(PredictError::Timeout).http_status(), 504);
         assert_eq!(
             ApiError::from(PredictError::BadInput("x".into())).http_status(),
             400
@@ -874,7 +860,6 @@ mod tests {
             ApiError::AppUnknown("we\"ird\\app".to_string()),
             ApiError::AppExists("plain".to_string()),
             ApiError::from(PredictError::Overloaded),
-            ApiError::from(PredictError::Timeout),
             ApiError::BadRequest("tabs\tand\nnewlines and \u{7} bells".to_string()),
             ApiError::Internal("unicode mêssage 世界".to_string()),
             ApiError::NotFound,
@@ -883,7 +868,6 @@ mod tests {
             r#"{"error":{"code":"app_unknown","message":"unknown application \"we\"ird\\app\"","retryable":false,"shed":false}}"#,
             r#"{"error":{"code":"app_exists","message":"application \"plain\" already exists (PATCH to update)","retryable":false,"shed":false}}"#,
             r#"{"error":{"code":"overloaded","message":"replica queue overloaded","retryable":true,"shed":true}}"#,
-            r#"{"error":{"code":"timeout","message":"prediction timed out","retryable":true,"shed":false}}"#,
             r#"{"error":{"code":"bad_request","message":"bad request: tabs\tand\nnewlines and \u0007 bells","retryable":false,"shed":false}}"#,
             r#"{"error":{"code":"internal","message":"internal error: unicode mêssage 世界","retryable":false,"shed":false}}"#,
             r#"{"error":{"code":"not_found","message":"not found","retryable":false,"shed":false}}"#,
@@ -993,14 +977,6 @@ mod tests {
         );
         values.insert("queue.depth".to_string(), MetricValue::Gauge { value: -12 });
         values.insert(
-            "predict.rate".to_string(),
-            MetricValue::Meter {
-                count: 1_000,
-                rate: 250.5,
-                mean_rate: 3.0,
-            },
-        );
-        values.insert(
             "latency\"us".to_string(),
             MetricValue::Histogram {
                 count: 9,
@@ -1014,7 +990,7 @@ mod tests {
         );
         assert_wire(
             &RegistrySnapshot { values },
-            r#"{"values":{"frontend.qps":{"kind":"counter","value":18446744073709551615},"latency\"us":{"kind":"histogram","count":9,"mean":41.75,"p50":40,"p95":90,"p99":99,"max":120,"min":2},"predict.rate":{"kind":"meter","count":1000,"rate":250.5,"mean_rate":3.0},"queue.depth":{"kind":"gauge","value":-12}}}"#,
+            r#"{"values":{"frontend.qps":{"kind":"counter","value":18446744073709551615},"latency\"us":{"kind":"histogram","count":9,"mean":41.75,"p50":40,"p95":90,"p99":99,"max":120,"min":2},"queue.depth":{"kind":"gauge","value":-12}}}"#,
         );
         let empty = RegistrySnapshot {
             values: Default::default(),

@@ -126,7 +126,7 @@ pub(super) async fn dispatch_batch(
             let overhead =
                 (rpc_elapsed.as_micros() as u64).saturating_sub(reply.queue_us + reply.compute_us);
             metrics.overhead_us.record(overhead);
-            metrics.completed.mark_n(n as u64);
+            metrics.completed.add(n as u64);
             for (item, output) in items.drain(..).zip(reply.outputs) {
                 item.sink.complete(Ok(output));
             }

@@ -63,7 +63,7 @@ use super::{BatchController, LatencyModel, LatencyPrior};
 use crate::cache::{CacheKey, PredictionCache};
 use crate::error::{PredictError, UpstreamKind};
 use crate::types::{Input, Output};
-use clipper_metrics::{Counter, Gauge, Histogram, Meter, Registry};
+use clipper_metrics::{Counter, Gauge, Histogram, Registry};
 use clipper_rpc::transport::BatchTransport;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -293,8 +293,8 @@ pub struct QueueMetrics {
     /// Latency-model error per batch: `|predicted − actual|` round trip
     /// (µs), recorded before the batch is folded into the model.
     pub model_err_us: Histogram,
-    /// Completed queries.
-    pub completed: Meter,
+    /// Completed queries: every query a replica answered.
+    pub completed: Counter,
     /// Failed queries.
     pub errors: Counter,
     /// Batches whose round trip exceeded the SLO.
@@ -321,7 +321,7 @@ impl QueueMetrics {
             predict_us: registry.histogram(&format!("{prefix}/predict_us")),
             overhead_us: registry.histogram(&format!("{prefix}/overhead_us")),
             model_err_us: registry.histogram(&format!("{prefix}/model_err_us")),
-            completed: registry.meter(&format!("{prefix}/completed")),
+            completed: registry.counter(&format!("{prefix}/completed")),
             errors: registry.counter(&format!("{prefix}/errors")),
             slo_violations: registry.counter(&format!("{prefix}/slo_violations")),
             current_max_batch: registry.gauge(&format!("{prefix}/max_batch")),
@@ -829,7 +829,7 @@ pub(super) mod tests {
             let out = rx.await.unwrap().unwrap();
             assert_eq!(out, Output::Class(v as u32));
         }
-        assert!(q.metrics().completed.count() >= 20);
+        assert!(q.metrics().completed.get() >= 20);
         assert_eq!(q.state(), QueueState::Running);
     }
 

@@ -53,7 +53,7 @@ use crate::error::PredictError;
 use crate::fleet::{Fleet, FleetConfig};
 use crate::selection::{build_policy, SelectionPolicy, SelectionStateManager};
 use crate::types::{AppConfig, AppUpdate, Feedback, Input, ModelId, Output, Prediction};
-use clipper_metrics::{Counter, Histogram, Meter, Registry};
+use clipper_metrics::{Counter, Histogram, Registry};
 use clipper_rpc::transport::BatchTransport;
 use clipper_statestore::StateStore;
 use parking_lot::RwLock;
@@ -133,9 +133,8 @@ impl ClipperBuilder {
                 state_mgr: SelectionStateManager::new(store.clone()),
                 store,
                 cache_enabled: self.cache_enabled,
-                predictions: registry.meter("clipper/predictions"),
                 latency_us: registry.histogram("clipper/latency_us"),
-                feedback_count: registry.meter("clipper/feedback"),
+                feedback_count: registry.counter("clipper/feedback"),
                 defaults_used: registry.counter("clipper/defaults_used"),
                 substitutions: registry.counter("clipper/straggler_substitutions"),
                 registry,
@@ -197,9 +196,8 @@ struct Inner {
     store: Arc<StateStore>,
     cache_enabled: bool,
     registry: Registry,
-    predictions: Meter,
     latency_us: Histogram,
-    feedback_count: Meter,
+    feedback_count: Counter,
     defaults_used: Counter,
     substitutions: Counter,
     fleet_cfg: FleetConfig,
@@ -626,8 +624,10 @@ impl Clipper {
         // Quiesce: predicts that selected the old version hold a clone of
         // the replaced App Arc and always return by their SLO deadline
         // (straggler mitigation); wait for those clones to drop — bounded
-        // by 2×SLO plus margin — so no in-flight query still targets the
-        // old version when its queues begin draining.
+        // by 2×SLO plus margin. A gather dispatches every model on its
+        // first poll, while its predict still holds the Arc, so once the
+        // clones are gone every query that chose the old version is in
+        // its queue, and the drain below answers it.
         let quiesce_deadline = Instant::now() + max_slo * 2 + Duration::from_millis(250);
         while !old_apps.iter().all(|a| Arc::strong_count(a) == 1) {
             if Instant::now() >= quiesce_deadline {
@@ -635,8 +635,6 @@ impl Clipper {
             }
             tokio::time::sleep(Duration::from_millis(1)).await;
         }
-        // Margin for per-model fan-out tasks to reach their dispatch.
-        tokio::time::sleep(Duration::from_millis(10)).await;
 
         // Drain the old version through the graceful-drain machinery and
         // park it (configuration + transports) for rollback — unless an
@@ -1076,7 +1074,6 @@ impl Clipper {
             models_missing,
             latency: start.elapsed(),
         };
-        self.inner.predictions.mark();
         self.inner
             .latency_us
             .record(prediction.latency.as_micros() as u64);
@@ -1117,7 +1114,7 @@ impl Clipper {
                 },
             )
             .map_err(|e| PredictError::Failed(e.to_string()))?;
-        self.inner.feedback_count.mark();
+        self.inner.feedback_count.inc();
         Ok(())
     }
 

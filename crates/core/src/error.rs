@@ -12,11 +12,9 @@ use clipper_rpc::RpcError;
 /// The variants form a typed taxonomy with a canonical HTTP mapping
 /// ([`http_status`](PredictError::http_status)): callers — the HTTP
 /// frontend in particular — never have to pattern-match on message
-/// strings to decide between 404, 429, 500, and 504.
+/// strings to decide between 400, 404, 429, 500, and 503.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PredictError {
-    /// The query waited past its deadline (straggler path). HTTP 504.
-    Timeout,
     /// Every eligible replica queue was full — shed load instead of
     /// growing latency. HTTP 429.
     Overloaded,
@@ -106,7 +104,6 @@ impl PredictError {
     /// Canonical HTTP status for this failure.
     pub fn http_status(&self) -> u16 {
         match self {
-            PredictError::Timeout => 504,
             PredictError::Overloaded => 429,
             PredictError::NoReplicas => 503,
             PredictError::ModelUnknown | PredictError::AppUnknown => 404,
@@ -125,7 +122,6 @@ impl PredictError {
     /// Stable machine-readable code for error bodies.
     pub fn code(&self) -> &'static str {
         match self {
-            PredictError::Timeout => "timeout",
             PredictError::Overloaded => "overloaded",
             PredictError::NoReplicas => "no_replicas",
             PredictError::ModelUnknown => "model_unknown",
@@ -141,8 +137,7 @@ impl PredictError {
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
-            PredictError::Timeout
-                | PredictError::Overloaded
+            PredictError::Overloaded
                 | PredictError::NoReplicas
                 | PredictError::Upstream {
                     retryable: true,
@@ -155,7 +150,6 @@ impl PredictError {
 impl std::fmt::Display for PredictError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PredictError::Timeout => write!(f, "prediction timed out"),
             PredictError::Overloaded => write!(f, "replica queue overloaded"),
             PredictError::NoReplicas => write!(f, "no replicas available"),
             PredictError::ModelUnknown => write!(f, "unknown model"),

@@ -77,17 +77,28 @@ pub fn evaluate(cfg: &AutoscaleConfig, s: &ScaleSignals, quiet_evals: u32) -> Au
     if s.replicas < cfg.min_replicas {
         return AutoscaleDecision::Up;
     }
-    let per_replica = s.backlog_ns / s.replicas.max(1) as u64;
     if s.replicas < cfg.max_replicas
-        && (per_replica >= cfg.scale_up_backlog_ns || s.admission_sheds_delta > 0)
+        && (per_replica_ns(s) >= cfg.scale_up_backlog_ns || s.admission_sheds_delta > 0)
     {
         return AutoscaleDecision::Up;
     }
-    let quiet = per_replica <= cfg.scale_down_backlog_ns && s.admission_sheds_delta == 0;
-    if quiet && s.replicas > cfg.min_replicas && quiet_evals + 1 >= cfg.scale_down_evals.max(1) {
+    if is_quiet(cfg, s)
+        && s.replicas > cfg.min_replicas
+        && quiet_evals + 1 >= cfg.scale_down_evals.max(1)
+    {
         return AutoscaleDecision::Down;
     }
     AutoscaleDecision::Hold
+}
+
+/// Backlog per replica, ns of queued work (zero replicas count as one).
+fn per_replica_ns(s: &ScaleSignals) -> u64 {
+    s.backlog_ns / s.replicas.max(1) as u64
+}
+
+/// The quiet rule: a period with low per-replica backlog and no sheds.
+fn is_quiet(cfg: &AutoscaleConfig, s: &ScaleSignals) -> bool {
+    per_replica_ns(s) <= cfg.scale_down_backlog_ns && s.admission_sheds_delta == 0
 }
 
 /// Mutable loop state carried between evaluations.
@@ -127,9 +138,11 @@ impl Fleet {
         };
         state.last_sheds = sheds;
         let decision = evaluate(cfg, &signals, state.quiet_evals);
-        let per_replica = signals.backlog_ns / signals.replicas.max(1) as u64;
-        let quiet = per_replica <= cfg.scale_down_backlog_ns && signals.admission_sheds_delta == 0;
-        state.quiet_evals = if quiet { state.quiet_evals + 1 } else { 0 };
+        state.quiet_evals = if is_quiet(cfg, &signals) {
+            state.quiet_evals + 1
+        } else {
+            0
+        };
         match decision {
             AutoscaleDecision::Hold => {}
             AutoscaleDecision::Up => {

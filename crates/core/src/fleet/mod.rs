@@ -30,6 +30,4 @@ pub mod health;
 pub mod registry;
 
 pub use autoscale::{evaluate, AutoscaleConfig, AutoscaleDecision, AutoscalerState, ScaleSignals};
-pub use registry::{
-    Fleet, FleetConfig, FleetEvent, FnLauncher, Launched, ProcessLauncher, ReplicaLauncher,
-};
+pub use registry::{Fleet, FleetConfig, FleetEvent, FnLauncher, ReplicaLauncher};

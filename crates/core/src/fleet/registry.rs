@@ -17,7 +17,7 @@
 
 use crate::abstraction::ModelAbstractionLayer;
 use crate::api::{
-    self, ApiError, HeartbeatReport, RegisterOutcome, ReplicaRecord, ReplicaSpec, ReplicaView,
+    self, ApiError, RegisterOutcome, ReplicaRecord, ReplicaSpec, ReplicaView,
     REPLICA_STATE_EXPIRED, REPLICA_STATE_REGISTERED,
 };
 use crate::batching::LatencyPrior;
@@ -54,23 +54,15 @@ impl Default for FleetConfig {
     }
 }
 
-/// What a [`ReplicaLauncher`] produced.
-pub enum Launched {
-    /// An in-process transport — the frontend attaches it immediately.
-    Attached(Arc<dyn BatchTransport>),
-    /// An external process was started; it will dial the RPC data plane
-    /// and complete its own registration.
-    Dialing,
-}
-
 /// Pluggable replica factory the autoscaler (and registration path)
 /// drives. A launcher serves one capability string; a replica whose
 /// `capabilities` list names it can be launched/attached by it.
 pub trait ReplicaLauncher: Send + Sync {
     /// The capability this launcher serves (e.g. `"local:noop"`).
     fn capability(&self) -> &str;
-    /// Launch (or attach) a replica for `record`.
-    fn launch(&self, record: &ReplicaRecord) -> Result<Launched, String>;
+    /// Launch a replica for `record`, returning its transport for the
+    /// frontend to attach.
+    fn launch(&self, record: &ReplicaRecord) -> Result<Arc<dyn BatchTransport>, String>;
 }
 
 /// In-process launcher: a transport-factory closure under a capability
@@ -99,48 +91,8 @@ impl ReplicaLauncher for FnLauncher {
     fn capability(&self) -> &str {
         &self.capability
     }
-    fn launch(&self, record: &ReplicaRecord) -> Result<Launched, String> {
-        Ok(Launched::Attached((self.factory)(record)))
-    }
-}
-
-/// Spawned-process launcher: starts an external container process that
-/// dials the RPC data plane back (`CLIPPER_RPC_ADDR`, `CLIPPER_MODEL`,
-/// `CLIPPER_MODEL_VERSION`, `CLIPPER_CONTAINER_NAME` in its environment)
-/// and completes its own registration.
-pub struct ProcessLauncher {
-    capability: String,
-    program: String,
-    args: Vec<String>,
-    rpc_addr: String,
-}
-
-impl ProcessLauncher {
-    /// Launch `program args…` per replica, pointing it at `rpc_addr`.
-    pub fn new(capability: &str, program: &str, args: Vec<String>, rpc_addr: &str) -> Self {
-        ProcessLauncher {
-            capability: capability.to_string(),
-            program: program.to_string(),
-            args,
-            rpc_addr: rpc_addr.to_string(),
-        }
-    }
-}
-
-impl ReplicaLauncher for ProcessLauncher {
-    fn capability(&self) -> &str {
-        &self.capability
-    }
-    fn launch(&self, record: &ReplicaRecord) -> Result<Launched, String> {
-        std::process::Command::new(&self.program)
-            .args(&self.args)
-            .env("CLIPPER_RPC_ADDR", &self.rpc_addr)
-            .env("CLIPPER_MODEL", &record.model_name)
-            .env("CLIPPER_MODEL_VERSION", record.model_version.to_string())
-            .env("CLIPPER_CONTAINER_NAME", &record.container_name)
-            .spawn()
-            .map_err(|e| format!("spawn {}: {e}", self.program))?;
-        Ok(Launched::Dialing)
+    fn launch(&self, record: &ReplicaRecord) -> Result<Arc<dyn BatchTransport>, String> {
+        Ok((self.factory)(record))
     }
 }
 
@@ -205,7 +157,7 @@ pub(crate) struct Member {
     /// probing (`is_healthy`) counts as a heartbeat, so an RPC container
     /// doesn't need a parallel HTTP beat loop.
     pub(crate) transport: Option<Arc<dyn BatchTransport>>,
-    /// Launched by the autoscaler (eligible for scale-down reaping).
+    /// Started by the autoscaler (eligible for scale-down reaping).
     pub(crate) managed: bool,
     /// Monotonic admission order; scale-down reaps the newest.
     pub(crate) joined_seq: u64,
@@ -518,16 +470,15 @@ impl Fleet {
     }
 
     /// Attach `record` through a launcher matching its capabilities:
-    /// `Some` transport when the launcher attached it in-process, `None`
-    /// when no launcher matched or the container will dial in itself.
+    /// `None` when no launcher matched (the container dials in itself).
     fn launch(&self, record: &ReplicaRecord) -> Result<Option<Arc<dyn BatchTransport>>, ApiError> {
         let Some(launcher) = self.match_launcher(&record.capabilities) else {
             return Ok(None);
         };
-        Ok(match launcher.launch(record).map_err(ApiError::Internal)? {
-            Launched::Attached(transport) => Some(transport),
-            Launched::Dialing => None,
-        })
+        launcher
+            .launch(record)
+            .map(Some)
+            .map_err(ApiError::Internal)
     }
 
     /// Persist a registration, count it, and push its event — what
@@ -556,7 +507,7 @@ impl Fleet {
     /// drained, so resuming silently would serve from a ghost — it must
     /// re-register. Any other beat clears its queue's heartbeat-silent
     /// flag at once.
-    pub fn heartbeat(&self, name: &str, _report: HeartbeatReport) -> Result<ReplicaView, ApiError> {
+    pub fn heartbeat(&self, name: &str) -> Result<ReplicaView, ApiError> {
         let view = {
             let mut members = self.inner.members.lock();
             match members.get_mut(name) {

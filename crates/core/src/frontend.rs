@@ -24,8 +24,10 @@
 //!
 //! Every error response is a serde-serialized [`ErrorBody`] carrying the
 //! taxonomy's stable code and canonical status — an unknown app is a 404,
-//! shed load a 429 with `"shed": true`, a timeout a 504 — and messages
-//! containing quotes or backslashes stay valid JSON.
+//! shed load a 429 with `"shed": true`, a retryable upstream failure a
+//! 503 — and messages containing quotes or backslashes stay valid JSON.
+//! A straggler never times a request out: it answers by the deadline
+//! with whatever arrived, or the app's default.
 //!
 //! Each accepted connection is served on its own spawned task, so a slow
 //! or idle client never blocks the accept loop. Connections are
@@ -134,6 +136,10 @@ struct UpdateRequest {
     #[serde(default)]
     labels: Option<Vec<u32>>,
 }
+
+/// A heartbeat's body: a JSON object whose keys, if any, are ignored.
+#[derive(Deserialize)]
+struct HeartbeatBody {}
 
 /// `{"status": ...}`: the whole answer of a route with nothing to report.
 #[derive(Serialize)]
@@ -406,7 +412,6 @@ impl ResponseWriter {
             410 => "Gone",
             429 => "Too Many Requests",
             503 => "Service Unavailable",
-            504 => "Gateway Timeout",
             _ => "Internal Server Error",
         };
         self.out.extend_from_slice(b"HTTP/1.1 ");
@@ -718,13 +723,11 @@ async fn dispatch(
             json_ok(200, &view)
         }
         (Post, ["api", "v1", "replicas", name, "heartbeat"]) => {
-            // An empty body is a pure liveness beat.
-            let report: crate::api::HeartbeatReport = if body.is_empty() {
-                Default::default()
-            } else {
-                parse_json(body)?
-            };
-            let view = clipper.fleet().heartbeat(name, report)?;
+            // An empty body is a pure liveness beat; any other must parse.
+            if !body.is_empty() {
+                parse_json::<HeartbeatBody>(body)?;
+            }
+            let view = clipper.fleet().heartbeat(name)?;
             json_ok(200, &view)
         }
         (Delete, ["api", "v1", "replicas", name]) => {
@@ -1422,19 +1425,43 @@ mod tests {
     #[tokio::test]
     async fn metrics_endpoint_returns_json() {
         let (frontend, _clipper) = start_frontend().await;
-        // Generate some traffic first.
-        http_call(
-            frontend.local_addr(),
-            &post("/api/v1/apps/digits/predict", "{\"input\": [1.0]}"),
-        )
-        .await;
+        // Generate some traffic first: 3 predicts and 2 feedbacks.
+        for i in 0..3 {
+            let body = format!("{{\"input\": [{i}.0]}}");
+            let resp = http_call(
+                frontend.local_addr(),
+                &post("/api/v1/apps/digits/predict", &body),
+            )
+            .await;
+            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        }
+        for i in 0..2 {
+            let body = format!("{{\"input\": [{i}.0], \"label\": {i}}}");
+            let resp = http_call(
+                frontend.local_addr(),
+                &post("/api/v1/apps/digits/update", &body),
+            )
+            .await;
+            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        }
         let resp = http_call(
             frontend.local_addr(),
             "GET /metrics HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n",
         )
         .await;
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-        assert!(resp.contains("clipper/predictions"), "{resp}");
+        // The predict count is the latency histogram's sample count, and
+        // feedback is a plain counter: three kinds, no meters.
+        assert!(
+            resp.contains(r#""clipper/latency_us":{"kind":"histogram","count":3,"#),
+            "{resp}"
+        );
+        assert!(
+            resp.contains(r#""clipper/feedback":{"kind":"counter","value":2}"#),
+            "{resp}"
+        );
+        assert!(!resp.contains(r#""kind":"meter""#), "{resp}");
+        assert!(!resp.contains("clipper/predictions"), "{resp}");
     }
 
     #[tokio::test]

@@ -58,21 +58,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Add `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Decrement by one.
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
@@ -124,20 +109,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_add_dec() {
+    fn gauge_set_overwrites_and_can_go_negative() {
         let g = Gauge::new();
         g.set(10);
-        g.add(-3);
-        g.dec();
-        g.inc();
-        assert_eq!(g.get(), 7);
-    }
-
-    #[test]
-    fn gauge_can_go_negative() {
-        let g = Gauge::new();
-        g.dec();
-        g.dec();
+        assert_eq!(g.get(), 10);
+        g.set(-2);
         assert_eq!(g.get(), -2);
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! The recorder follows the HDR-histogram idea: values are bucketed by
 //! (exponent, mantissa-slice) so relative error is bounded (< 1/32 here)
-//! while insertion stays O(1) with a single atomic increment. This is the
-//! structure behind every latency figure in the paper reproduction.
+//! while insertion stays O(1): four relaxed atomic read-modify-writes
+//! (bucket, sum, max, min). The sample count is not stored; a snapshot
+//! sums the buckets. This is the structure behind every latency figure in
+//! the paper reproduction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,7 +32,6 @@ pub struct Histogram {
 
 struct Inner {
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
     min: AtomicU64,
@@ -52,7 +53,6 @@ impl Histogram {
         Histogram {
             inner: Arc::new(Inner {
                 buckets,
-                count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
                 max: AtomicU64::new(0),
                 min: AtomicU64::new(u64::MAX),
@@ -92,20 +92,9 @@ impl Histogram {
     pub fn record(&self, value: u64) {
         let idx = Self::index_of(value);
         self.inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.inner.count.fetch_add(1, Ordering::Relaxed);
         self.inner.sum.fetch_add(value, Ordering::Relaxed);
         self.inner.max.fetch_max(value, Ordering::Relaxed);
         self.inner.min.fetch_min(value, Ordering::Relaxed);
-    }
-
-    /// Record a [`std::time::Duration`] in microseconds.
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(crate::duration_us(d));
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
     }
 
     /// Take an immutable snapshot for quantile queries and reporting.
@@ -131,7 +120,6 @@ impl Histogram {
         for b in self.inner.buckets.iter() {
             b.store(0, Ordering::Relaxed);
         }
-        self.inner.count.store(0, Ordering::Relaxed);
         self.inner.sum.store(0, Ordering::Relaxed);
         self.inner.max.store(0, Ordering::Relaxed);
         self.inner.min.store(u64::MAX, Ordering::Relaxed);

@@ -1,55 +1,28 @@
 //! Metrics substrate for Clipper.
 //!
 //! Every quantitative claim in the Clipper paper — P99 latencies, sustained
-//! throughput, batch sizes, cache hit rates — is produced by this kind of
-//! telemetry. This crate provides the building blocks used throughout the
-//! workspace:
+//! throughput, batch sizes, cache hit rates — is read from counts and
+//! latency distributions. This crate records each fact once, in one of
+//! three kinds:
 //!
-//! - [`Counter`] / [`Gauge`]: lock-free monotonic and instantaneous values;
-//! - [`Meter`]: exponentially-weighted throughput rates (1-second tick);
+//! - [`Counter`]: a lock-free monotonic count (a throughput is the reader's
+//!   rate of change over it);
+//! - [`Gauge`]: a lock-free instantaneous value;
 //! - [`Histogram`]: log-bucketed latency histogram with quantile queries
-//!   (the shape used by HDR-style recorders, built from scratch);
-//! - [`Registry`]: a named collection of metrics that can be snapshotted
-//!   for reports and the HTTP `/metrics` endpoint.
+//!   (the shape used by HDR-style recorders, built from scratch).
+//!
+//! A [`Registry`] names them, and its [`RegistrySnapshot`] is what the HTTP
+//! `/metrics` endpoint and experiment harnesses report.
 //!
 //! All types are cheap to clone (`Arc` inside) and safe to update from many
 //! threads or tasks concurrently.
 
 pub mod counter;
 pub mod histogram;
-pub mod meter;
 pub mod registry;
 pub mod snapshot;
 
 pub use counter::{Counter, Gauge};
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use meter::Meter;
 pub use registry::Registry;
 pub use snapshot::{MetricValue, RegistrySnapshot};
-
-use std::time::Duration;
-
-/// Convert a [`Duration`] to whole microseconds, saturating at `u64::MAX`.
-///
-/// Clipper reports latencies in microseconds throughout the paper
-/// (e.g. Figure 3/4 axes), so the histogram API standardizes on µs.
-pub fn duration_us(d: Duration) -> u64 {
-    d.as_micros().min(u128::from(u64::MAX)) as u64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn duration_us_converts() {
-        assert_eq!(duration_us(Duration::from_millis(20)), 20_000);
-        assert_eq!(duration_us(Duration::from_secs(1)), 1_000_000);
-        assert_eq!(duration_us(Duration::ZERO), 0);
-    }
-
-    #[test]
-    fn duration_us_saturates() {
-        assert_eq!(duration_us(Duration::MAX), u64::MAX);
-    }
-}

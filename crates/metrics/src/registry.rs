@@ -1,10 +1,10 @@
 //! A named metric registry.
 //!
-//! Components register their counters/histograms/meters under
+//! Components register their counters, gauges and histograms under
 //! slash-separated names (`cache/hits`, `queue/mnist:0/batch_size`), and the
 //! frontend or an experiment harness snapshots the whole registry at once.
 
-use crate::{Counter, Gauge, Histogram, Meter, MetricValue, RegistrySnapshot};
+use crate::{Counter, Gauge, Histogram, MetricValue, RegistrySnapshot};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -13,7 +13,6 @@ use std::sync::Arc;
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
-    Meter(Meter),
     Histogram(Histogram),
     /// A counter whose value is read on demand at snapshot time. Lets
     /// components that keep their own relaxed atomics (e.g. the sharded
@@ -24,11 +23,14 @@ enum Metric {
     PollGauge(Arc<dyn Fn() -> i64 + Send + Sync>),
 }
 
-/// A concurrent, clonable collection of named metrics.
+/// A concurrent, clonable collection of named counters, gauges and
+/// histograms.
 ///
-/// `get_or_*` methods are idempotent: repeated registration under the same
-/// name returns the same underlying metric, so independent components can
-/// share a metric by name alone.
+/// [`Registry::counter`], [`Registry::gauge`] and [`Registry::histogram`]
+/// are get-or-create: repeated registration under the same name returns
+/// the same underlying metric, so independent components can share a
+/// metric by name alone. [`Registry::poll_counter`] and
+/// [`Registry::poll_gauge`] report a value a component already keeps.
 #[derive(Clone, Default)]
 pub struct Registry {
     metrics: Arc<RwLock<BTreeMap<String, Metric>>>,
@@ -66,21 +68,6 @@ impl Registry {
             .or_insert_with(|| Metric::Gauge(Gauge::new()))
         {
             Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Get or create the meter named `name`.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn meter(&self, name: &str) -> Meter {
-        let mut m = self.metrics.write();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Meter(Meter::new()))
-        {
-            Metric::Meter(mm) => mm.clone(),
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
     }
@@ -164,11 +151,6 @@ impl Registry {
         doomed.len()
     }
 
-    /// Names currently registered, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.metrics.read().keys().cloned().collect()
-    }
-
     /// Snapshot every metric for reporting.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let m = self.metrics.read();
@@ -179,11 +161,6 @@ impl Registry {
                 Metric::PollCounter(read) => MetricValue::Counter { value: read() },
                 Metric::PollGauge(read) => MetricValue::Gauge { value: read() },
                 Metric::Gauge(g) => MetricValue::Gauge { value: g.get() },
-                Metric::Meter(meter) => MetricValue::Meter {
-                    count: meter.count(),
-                    rate: meter.rate(),
-                    mean_rate: meter.mean_rate(),
-                },
                 Metric::Histogram(h) => {
                     let s = h.snapshot();
                     MetricValue::Histogram {
@@ -207,6 +184,10 @@ impl Registry {
 mod tests {
     use super::*;
 
+    fn names(r: &Registry) -> Vec<String> {
+        r.snapshot().values.into_keys().collect()
+    }
+
     #[test]
     fn registration_is_idempotent() {
         let r = Registry::new();
@@ -215,7 +196,7 @@ mod tests {
         c1.inc();
         c2.inc();
         assert_eq!(c1.get(), 2);
-        assert_eq!(r.names(), vec!["cache/hits".to_string()]);
+        assert_eq!(names(&r), vec!["cache/hits".to_string()]);
     }
 
     #[test]
@@ -231,19 +212,14 @@ mod tests {
         let r = Registry::new();
         r.counter("c").add(5);
         r.gauge("g").set(-2);
-        r.meter("m").mark_n(7);
         r.histogram("h").record(100);
         let snap = r.snapshot();
-        assert_eq!(snap.values.len(), 4);
+        assert_eq!(snap.values.len(), 3);
         assert!(matches!(
             snap.values["c"],
             MetricValue::Counter { value: 5 }
         ));
         assert!(matches!(snap.values["g"], MetricValue::Gauge { value: -2 }));
-        assert!(matches!(
-            snap.values["m"],
-            MetricValue::Meter { count: 7, .. }
-        ));
         assert!(matches!(
             snap.values["h"],
             MetricValue::Histogram { count: 1, .. }
@@ -322,14 +298,14 @@ mod tests {
         r.poll_gauge("queue/m:v1:0/depth", || 1);
         r.counter("queue/m:v1:10/shed"); // shares a string prefix, distinct id
         assert_eq!(r.unregister_prefix("queue/m:v1:0/"), 3);
-        assert_eq!(r.names(), vec!["queue/m:v1:10/shed".to_string()]);
+        assert_eq!(names(&r), vec!["queue/m:v1:10/shed".to_string()]);
     }
 
     #[test]
-    fn names_are_sorted() {
+    fn snapshot_keys_are_sorted() {
         let r = Registry::new();
         r.counter("zeta");
         r.counter("alpha");
-        assert_eq!(r.names(), vec!["alpha".to_string(), "zeta".to_string()]);
+        assert_eq!(names(&r), vec!["alpha".to_string(), "zeta".to_string()]);
     }
 }

@@ -17,15 +17,6 @@ pub enum MetricValue {
         /// Current value.
         value: i64,
     },
-    /// Event meter: total count plus smoothed and lifetime rates.
-    Meter {
-        /// Total events recorded.
-        count: u64,
-        /// Smoothed recent rate (events/s).
-        rate: f64,
-        /// Lifetime mean rate (events/s).
-        mean_rate: f64,
-    },
     /// Histogram summary (values in microseconds by convention).
     Histogram {
         /// Number of samples.
@@ -52,72 +43,9 @@ pub struct RegistrySnapshot {
     pub values: BTreeMap<String, MetricValue>,
 }
 
-impl RegistrySnapshot {
-    /// Render as a human-readable multi-line report (used by examples and
-    /// the `/metrics` text endpoint).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.values {
-            match v {
-                MetricValue::Counter { value } => {
-                    out.push_str(&format!("{name}: {value}\n"));
-                }
-                MetricValue::Gauge { value } => {
-                    out.push_str(&format!("{name}: {value}\n"));
-                }
-                MetricValue::Meter {
-                    count,
-                    rate,
-                    mean_rate,
-                } => {
-                    out.push_str(&format!(
-                        "{name}: count={count} rate={rate:.1}/s mean={mean_rate:.1}/s\n"
-                    ));
-                }
-                MetricValue::Histogram {
-                    count,
-                    mean,
-                    p50,
-                    p95,
-                    p99,
-                    max,
-                    ..
-                } => {
-                    out.push_str(&format!(
-                        "{name}: count={count} mean={mean:.1} p50={p50} p95={p95} p99={p99} max={max}\n"
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn text_report_contains_all_metrics() {
-        let mut values = BTreeMap::new();
-        values.insert("a".into(), MetricValue::Counter { value: 3 });
-        values.insert(
-            "b".into(),
-            MetricValue::Histogram {
-                count: 1,
-                mean: 5.0,
-                p50: 5,
-                p95: 5,
-                p99: 5,
-                max: 5,
-                min: 5,
-            },
-        );
-        let snap = RegistrySnapshot { values };
-        let text = snap.to_text();
-        assert!(text.contains("a: 3"));
-        assert!(text.contains("p99=5"));
-    }
 
     #[test]
     fn snapshot_serializes_to_json() {

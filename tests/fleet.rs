@@ -7,7 +7,7 @@
 use clipper::containers::{
     spawn_tcp_container, ContainerConfig, ContainerLogic, ModelContainer, TimingModel,
 };
-use clipper::core::api::{self, HeartbeatReport, ReplicaSpec};
+use clipper::core::api::{self, ReplicaSpec};
 use clipper::core::{
     ApiError, AppConfig, BatchConfig, Clipper, FleetConfig, FleetEvent, FnLauncher, HttpFrontend,
     ModelId, Output, PolicyKind, ReplicaLauncher,
@@ -137,10 +137,22 @@ async fn http_registration_attaches_a_replica_and_serves() {
     let (status, body) = http(addr, "GET", "/api/v1/replicas/c-0", "").await;
     assert_eq!(status, 200, "{body}");
 
-    // A liveness beat (empty body allowed) answers with the view.
-    let (status, body) = http(addr, "POST", "/api/v1/replicas/c-0/heartbeat", "").await;
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"health\":\"healthy\""), "{body}");
+    // A liveness beat answers with the view: its body may be empty or any
+    // JSON object, whose keys are ignored...
+    for beat in ["", "{}", "{\"queue_depth\":3,\"service_us\":12.5}"] {
+        let (status, body) = http(addr, "POST", "/api/v1/replicas/c-0/heartbeat", beat).await;
+        assert_eq!(status, 200, "{beat:?}: {body}");
+        assert!(body.contains("\"health\":\"healthy\""), "{body}");
+    }
+    // ...but it must parse.
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/api/v1/replicas/c-0/heartbeat",
+        "{\"queue_depth\":",
+    )
+    .await;
+    assert_eq!(status, 400, "{body}");
 
     // Graceful deregistration frees the name and the view.
     let (status, body) = http(addr, "DELETE", "/api/v1/replicas/c-0", "").await;
@@ -287,7 +299,7 @@ async fn missed_heartbeats_suspect_then_expire_then_warm_readmit() {
 
     // On-schedule beats keep the member healthy across monitor passes.
     for _ in 0..4 {
-        fleet.heartbeat("c-0", HeartbeatReport::default()).unwrap();
+        fleet.heartbeat("c-0").unwrap();
         fleet.check_members().await;
         tokio::time::sleep(Duration::from_millis(20)).await;
     }
@@ -309,7 +321,7 @@ async fn missed_heartbeats_suspect_then_expire_then_warm_readmit() {
         );
         // A beat arriving now would restore Healthy — prove it, then go
         // silent again for good.
-        fleet.heartbeat("c-0", HeartbeatReport::default()).unwrap();
+        fleet.heartbeat("c-0").unwrap();
         assert_eq!(fleet.view("c-0").unwrap().health, "healthy");
         assert!(
             clipper.abstraction().suspect_queue_ids(&m).is_empty(),
@@ -489,7 +501,7 @@ async fn heartbeat_after_expiry_is_gone_until_reregistration() {
     // A sibling frontend that never met the member reads the tombstone
     // from the store and answers the same 410.
     let sibling = base_clipper(Some(store.clone()), FleetConfig::default());
-    match sibling.fleet().heartbeat("c-0", HeartbeatReport::default()) {
+    match sibling.fleet().heartbeat("c-0") {
         Err(ApiError::ReplicaGone(name)) => assert_eq!(name, "c-0"),
         other => panic!("sibling must answer gone, got {other:?}"),
     }
@@ -576,7 +588,7 @@ async fn re_registration_during_an_in_flight_drain_is_safe() {
     let new_qid = outcome.queue_id.expect("re-attached");
     assert_ne!(new_qid, old_qid, "a fresh queue under the same name");
     assert_eq!(fleet.view("c-0").unwrap().health, "healthy");
-    fleet.heartbeat("c-0", HeartbeatReport::default()).unwrap();
+    fleet.heartbeat("c-0").unwrap();
 
     assert!(expire.await.unwrap(), "the expiry still completed");
     for p in predicts {
@@ -732,6 +744,56 @@ async fn sibling_frontends_adopt_a_persisted_registration() {
 /// The autoscaler tracks load end-to-end: a load step scales the fleet
 /// up within one evaluation, subsiding load scales it back down after
 /// the configured quiet streak — managed replicas only.
+/// The autoscaler's own loop, not a stepped tick: spawned over a model
+/// with no replicas, it launches the minimum within a few periods.
+#[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+async fn spawned_autoscaler_launches_the_minimum_replica() {
+    use clipper::core::AutoscaleConfig;
+
+    let clipper = base_clipper(None, FleetConfig::default());
+    let m = ModelId::new("m", 1);
+    let fleet = clipper.fleet();
+    fleet.add_launcher(const_launcher(7));
+    assert_eq!(clipper.abstraction().replica_count(&m), 0);
+    let task = fleet.spawn_autoscaler(AutoscaleConfig {
+        model: m.clone(),
+        min_replicas: 1,
+        max_replicas: 1,
+        eval_interval: Duration::from_millis(10),
+        scale_up_backlog_ns: u64::MAX,
+        scale_down_backlog_ns: 0,
+        scale_down_evals: 1,
+        capability: CAPABILITY.into(),
+        name_prefix: "loop".into(),
+    });
+
+    // The event is pushed after the replica is attached.
+    let scaled_up = || {
+        fleet
+            .events()
+            .iter()
+            .any(|e| matches!(e, FleetEvent::ScaledUp { container } if container == "loop-1"))
+    };
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while !scaled_up() {
+        assert!(
+            Instant::now() < deadline,
+            "no scale-up within 1 s: {:#?}",
+            fleet.events()
+        );
+        tokio::time::sleep(Duration::from_millis(5)).await;
+    }
+    task.abort();
+    assert_eq!(clipper.abstraction().replica_count(&m), 1);
+    let view = fleet.view("loop-1").expect("managed replica launched");
+    assert!(view.managed, "autoscaler-launched replicas are managed");
+    let p = clipper
+        .predict("app", None, Arc::new(vec![1.0]))
+        .await
+        .unwrap();
+    assert_eq!(p.output, Output::Class(7));
+}
+
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn autoscaler_scales_up_under_load_and_back_down_when_quiet() {
     use clipper::core::{AutoscaleConfig, AutoscaleDecision};
