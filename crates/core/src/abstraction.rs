@@ -8,36 +8,37 @@
 //! 2. **replica scheduling** — a per-model [scheduler](SchedulerPolicy)
 //!    routes the query by *live replica state*, read as two values per
 //!    replica: its [`Health`] and its latency-model estimate of the work
-//!    ahead. One walk orders the replicas for every p2c decision — first
-//!    dispatch, retry redispatch and hedge pick alike: a replica whose
-//!    breaker wants its recovery probe first, then the clean replicas
-//!    starting at the power-of-two-choices pick (the sampled replica
-//!    with the smaller `α + β·(occupancy + 1)`, so a slow or backlogged
-//!    replica receives less traffic than a fast one; each replica still
-//!    tunes its own batching independently, §4.4.1), then the suspect
-//!    rest. If a queue refuses — full or draining — the query falls
-//!    through to the next replica in that order; it is shed only when
-//!    every replica is full. Blind round-robin remains available as a
-//!    baseline policy.
+//!    ahead. One walk orders the replicas for every routing decision —
+//!    first dispatch, retry redispatch and hedge pick, under either
+//!    policy: a replica whose breaker wants its recovery probe first,
+//!    then the clean replicas starting at the policy's pick, then the
+//!    suspect rest. Power-of-two-choices (the default) picks the sampled
+//!    replica with the smaller `α + β·(occupancy + 1)`, so a slow or
+//!    backlogged replica receives less traffic than a fast one (each
+//!    replica still tunes its own batching independently, §4.4.1); if a
+//!    queue refuses — full or draining — the query falls through to the
+//!    next replica in that order, and is shed only when every replica is
+//!    full. Round-robin, the baseline, picks its cursor and offers the
+//!    query to the first eligible replica only: a full queue there sheds
+//!    it.
 //! 3. **batching queue** — the replica's pull-based lanes form batches
 //!    and ship them zero-copy over the transport.
 //!
 //! Replicas can be attached and removed while traffic flows: removal
 //! drains the replica's queue gracefully (every accepted query completes
-//! or fail-fills; see [`crate::batching::QueueState`]), and the scheduler
+//! or fail-fills; see [`ReplicaQueue::drained`]), and the scheduler
 //! stops routing to it the moment the drain begins.
 //!
 //! The layer also tracks each model's *running default output* — the
 //! substitution value used when straggler mitigation renders a prediction
 //! without that model (§5.2.2) — and exposes per-model `queue_depth` /
-//! `inflight` gauges plus a scheduler-level `shed` counter in the metrics
-//! registry.
+//! `inflight` gauges plus a `shed` counter in the metrics registry, which
+//! counts every query the scheduler sheds, under either policy.
 
-use crate::batching::queue::{
-    spawn_replica_queue_with_hooks, QueueConfig, QueueHooks, QueueItem, QueueMetrics, ReplicaQueue,
-    ReplySink,
+use crate::batching::{
+    spawn_replica_queue_with_hooks, Health, LatencyPrior, QueueConfig, QueueHooks, QueueItem,
+    QueueMetrics, ReplicaQueue, ReplySink,
 };
-use crate::batching::{Health, LatencyPrior};
 use crate::cache::{CacheKey, CacheStats, Lookup, PredictionCache};
 use crate::error::PredictError;
 use crate::types::{Input, ModelId, Output};
@@ -62,15 +63,17 @@ pub enum SchedulerPolicy {
     /// through to any replica with room before shedding.
     #[default]
     PowerOfTwoChoices,
-    /// Blind round-robin over healthy replicas (the pre-scheduler
-    /// behavior, kept as the comparison baseline): sheds on a full queue
-    /// even when a sibling replica is idle.
+    /// Round-robin (the pre-scheduler behavior, kept as the comparison
+    /// baseline): the first eligible replica from the cursor, in health
+    /// tier order, gets the query; a full queue there sheds it even when
+    /// a sibling replica is idle.
     RoundRobin,
 }
 
 /// Running summary of a model's outputs, used to substitute for missing
 /// predictions under straggler mitigation. For class outputs the default
-/// is the modal label; for score outputs the running mean vector.
+/// is the modal label (the smallest among equals); for score outputs the
+/// running mean vector.
 #[derive(Default)]
 struct DefaultTracker {
     label_counts: HashMap<u32, u64>,
@@ -111,9 +114,10 @@ impl DefaultTracker {
                 .collect();
             return Some(Output::Scores(mean));
         }
+        // A tie goes to the smaller label, whatever the map's order.
         self.label_counts
             .iter()
-            .max_by_key(|(_, &count)| count)
+            .max_by_key(|(&label, &count)| (count, std::cmp::Reverse(label)))
             .map(|(&label, _)| Output::Class(label))
     }
 }
@@ -132,7 +136,7 @@ struct ModelHandle {
     cursor: AtomicUsize,
     /// Monotonic replica index so hot re-adds get fresh queue ids.
     next_replica_idx: AtomicUsize,
-    /// Queries shed by the scheduler (no replica had room).
+    /// Every query the scheduler sheds, under either policy.
     shed: Counter,
     /// Queries shed up front by SLO-aware admission (§4.4.1): the latency
     /// models said no replica could meet the SLO at current depth.
@@ -159,11 +163,15 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 impl ModelHandle {
-    /// Power-of-two-choices: the index (into `replicas`) the clean tier
-    /// starts at. `health[i]` is replica `i`'s health, `None` when it is
+    /// The index (into `replicas`) the walk's tiers start at: the
+    /// cursor position under round-robin, the power-of-two-choices pick
+    /// otherwise. `health[i]` is replica `i`'s health, `None` when it is
     /// not a candidate for this decision.
     fn pick(&self, replicas: &[Arc<Replica>], health: &[Option<Health>]) -> usize {
         let token = self.cursor.fetch_add(1, Ordering::Relaxed) as u64;
+        if self.policy == SchedulerPolicy::RoundRobin {
+            return token as usize % replicas.len();
+        }
         // Sample among the clean replicas: a black-hole replica fails
         // instantly, keeps an empty queue, and would otherwise look ideal
         // to depth-aware scoring. Fall back to every candidate when all
@@ -205,12 +213,12 @@ impl ModelHandle {
         }
     }
 
-    /// The one replica walk behind every p2c decision — first dispatch,
-    /// retry redispatch and hedge pick. Reads each replica's health once,
-    /// then offers the live replicas (transport healthy, not `exclude`)
-    /// in preference order until `offer` returns `Some`: a replica that
-    /// wants its recovery probe first, then the clean ones starting at
-    /// the [`pick`](Self::pick), then the suspect rest.
+    /// The one replica walk behind every routing decision — first
+    /// dispatch, retry redispatch and hedge pick. Reads each replica's
+    /// health once, then offers the live replicas (transport healthy, not
+    /// `exclude`) in preference order until `offer` returns `Some`: a
+    /// replica that wants its recovery probe first, then the clean ones
+    /// starting at the [`pick`](Self::pick), then the suspect rest.
     ///
     /// The probe tier is what closes the recovery loop: the breaker
     /// admits that query as its single probe batch, success rejoins the
@@ -343,59 +351,38 @@ impl ModelHandle {
         // coherent: "some replica can meet the deadline" means the query
         // goes to one that can.
         let over_slo = |r: &Replica| self.cfg.slo_admission && self.over_slo(r);
-        match self.policy {
-            SchedulerPolicy::RoundRobin => {
-                // Baseline semantics: first healthy replica from the
-                // cursor gets the query; a full queue sheds it.
-                let n = replicas.len();
-                let start = self.cursor.fetch_add(1, Ordering::Relaxed) % n;
-                let mut skipped_over_slo = false;
-                for offset in 0..n {
-                    let r = &replicas[(start + offset) % n];
-                    if !r.transport.is_healthy() {
-                        continue;
-                    }
-                    if over_slo(r) {
-                        skipped_over_slo = true;
-                        continue;
-                    }
-                    r.queue.submit(item);
-                    return Ok(());
-                }
-                let err = if skipped_over_slo {
-                    self.shed.inc();
-                    self.admission_shed.inc();
-                    PredictError::Overloaded
-                } else {
-                    PredictError::NoReplicas
-                };
-                let QueueItem { sink, .. } = item;
-                sink.complete(Err(err.clone()));
-                Err(err)
+        // A suspect replica is reached only after every clean one was
+        // passed over: it must never intercept a query a healthy sibling
+        // could serve. Round-robin offers the query to one replica only,
+        // the first eligible from its cursor; a full queue there sheds it
+        // even when a sibling is idle.
+        let round_robin = self.policy == SchedulerPolicy::RoundRobin;
+        let (mut saw_healthy, mut offered) = (false, false);
+        let placed = self.place(&replicas, now, None, item, |_, r| {
+            saw_healthy = true;
+            if over_slo(r) || (round_robin && offered) {
+                return false;
             }
-            SchedulerPolicy::PowerOfTwoChoices => {
-                // A suspect replica is reached only after every clean one
-                // refused: it must never intercept a query a healthy
-                // sibling could serve.
-                let mut saw_healthy = false;
-                let placed = self.place(&replicas, now, None, item, |_, r| {
-                    saw_healthy = true;
-                    !over_slo(r)
-                });
-                let Err(item) = placed else {
-                    return Ok(());
-                };
-                let err = if saw_healthy {
-                    self.shed.inc();
-                    PredictError::Overloaded
-                } else {
-                    PredictError::NoReplicas
-                };
-                let QueueItem { sink, .. } = item;
-                sink.complete(Err(err.clone()));
-                Err(err)
+            offered = true;
+            true
+        });
+        let Err(item) = placed else {
+            return Ok(());
+        };
+        let err = if saw_healthy {
+            self.shed.inc();
+            // Round-robin counts an admission shed when every replica it
+            // saw was over the SLO.
+            if round_robin && !offered {
+                self.admission_shed.inc();
             }
-        }
+            PredictError::Overloaded
+        } else {
+            PredictError::NoReplicas
+        };
+        let QueueItem { sink, .. } = item;
+        sink.complete(Err(err.clone()));
+        Err(err)
     }
 
     /// Redispatch a retry-budgeted item that failed on `origin` onto a
@@ -435,7 +422,7 @@ impl ModelHandle {
 
 /// What [`ModelAbstractionLayer::remove_model`] hands back: everything
 /// needed to await the drain and to revive the version later.
-pub struct RemovedModel {
+pub(crate) struct RemovedModel {
     /// The model's batching configuration.
     pub cfg: BatchConfig,
     /// The model's replica-scheduling policy.
@@ -536,7 +523,7 @@ impl ModelAbstractionLayer {
     }
 
     /// The batching configuration a model was registered with.
-    pub fn model_config(&self, id: &ModelId) -> Option<BatchConfig> {
+    pub(crate) fn model_config(&self, id: &ModelId) -> Option<BatchConfig> {
         self.models.read().get(id).map(|h| h.cfg.clone())
     }
 
@@ -555,7 +542,7 @@ impl ModelAbstractionLayer {
     /// warm-start curve: a re-registering fleet member is re-admitted with
     /// the curve harvested from its queue when it expired. `None` starts
     /// the replica's latency model cold.
-    pub fn add_replica_with_prior(
+    pub(crate) fn add_replica_with_prior(
         &self,
         id: &ModelId,
         transport: Arc<dyn BatchTransport>,
@@ -643,7 +630,7 @@ impl ModelAbstractionLayer {
     /// accepted completes (or fail-fills on transport error) — nothing is
     /// dropped and no pending cache entry is left wedged. Returns the
     /// queue handle so callers can `drained().await` for completion.
-    pub fn remove_replica(
+    pub(crate) fn remove_replica(
         &self,
         id: &ModelId,
         queue_id: &str,
@@ -678,7 +665,7 @@ impl ModelAbstractionLayer {
     /// Remove all replicas of a model (failure injection / decommission).
     /// Each replica drains gracefully, as in
     /// [`remove_replica`](Self::remove_replica).
-    pub fn remove_replicas(&self, id: &ModelId) {
+    pub(crate) fn remove_replicas(&self, id: &ModelId) {
         if let Some(handle) = self.models.read().get(id) {
             let mut replicas = handle.replicas.write();
             for r in replicas.drain(..) {
@@ -696,7 +683,7 @@ impl ModelAbstractionLayer {
     /// them), and the model's batch/scheduler configuration. Per-model
     /// and per-queue metrics are unregistered so churn doesn't grow the
     /// registry without bound.
-    pub fn remove_model(&self, id: &ModelId) -> Result<RemovedModel, PredictError> {
+    pub(crate) fn remove_model(&self, id: &ModelId) -> Result<RemovedModel, PredictError> {
         let handle = self
             .models
             .write()
@@ -739,7 +726,7 @@ impl ModelAbstractionLayer {
     }
 
     /// The queue ids of a model's live replicas.
-    pub fn replica_queue_ids(&self, id: &ModelId) -> Vec<String> {
+    pub(crate) fn replica_queue_ids(&self, id: &ModelId) -> Vec<String> {
         self.models.read().get(id).map_or_else(Vec::new, |h| {
             h.replicas
                 .read()
@@ -772,13 +759,14 @@ impl ModelAbstractionLayer {
     /// [`Health::Clean`] — the breaker opened (failure streak or rate)
     /// and no probe has succeeded since, or the fleet monitor reports
     /// the heartbeats silent — the candidates a chaos/ops loop
-    /// hot-removes via [`remove_replica`](Self::remove_replica).
+    /// hot-removes via [`Clipper::remove_replica`](crate::Clipper::remove_replica).
     pub fn suspect_queue_ids(&self, id: &ModelId) -> Vec<String> {
+        let now = Instant::now();
         self.models.read().get(id).map_or_else(Vec::new, |h| {
             h.replicas
                 .read()
                 .iter()
-                .filter(|r| r.queue.is_suspect())
+                .filter(|r| r.queue.health(now) != Health::Clean)
                 .map(|r| r.queue.id().to_string())
                 .collect()
         })
@@ -789,7 +777,12 @@ impl ModelAbstractionLayer {
     /// suspect-avoidance for replicas that go quiet before their batches
     /// begin failing. Returns whether the queue's flag changed (`false`
     /// for an unknown queue id).
-    pub fn set_replica_suspect_hint(&self, id: &ModelId, queue_id: &str, suspect: bool) -> bool {
+    pub(crate) fn set_replica_suspect_hint(
+        &self,
+        id: &ModelId,
+        queue_id: &str,
+        suspect: bool,
+    ) -> bool {
         self.with_queue(id, queue_id, |q| q.set_suspect_hint(suspect))
             .unwrap_or(false)
     }
@@ -853,7 +846,7 @@ impl ModelAbstractionLayer {
 
     /// The model's substitution output for straggler mitigation (§5.2.2),
     /// if the model has produced any outputs yet.
-    pub fn default_output(&self, id: &ModelId) -> Option<Output> {
+    pub(crate) fn default_output(&self, id: &ModelId) -> Option<Output> {
         self.models
             .read()
             .get(id)
@@ -1057,16 +1050,7 @@ mod tests {
         let c1 = Arc::new(AtomicU64::new(0));
         let c2 = Arc::new(AtomicU64::new(0));
         for counter in [c1.clone(), c2.clone()] {
-            let t: Arc<dyn BatchTransport> =
-                Arc::new(FnTransport::new("counted", move |inputs: &[Input]| {
-                    counter.fetch_add(inputs.len() as u64, Ordering::Relaxed);
-                    Ok(PredictReply {
-                        outputs: vec![WireOutput::Class(0); inputs.len()],
-                        queue_us: 0,
-                        compute_us: 0,
-                    })
-                }));
-            mal.add_replica(&m, t).unwrap();
+            mal.add_replica(&m, counted(counter)).unwrap();
         }
         assert_eq!(mal.replica_count(&m), 2);
         for i in 0..20 {
@@ -1078,6 +1062,187 @@ mod tests {
         let (n1, n2) = (c1.load(Ordering::Relaxed), c2.load(Ordering::Relaxed));
         assert_eq!(n1 + n2, 20);
         assert!(n1 >= 5 && n2 >= 5, "round robin should spread: {n1}/{n2}");
+    }
+
+    /// An echo transport that counts the queries it serves.
+    fn counted(counter: Arc<AtomicU64>) -> Arc<dyn BatchTransport> {
+        Arc::new(FnTransport::new("counted", move |inputs: &[Input]| {
+            counter.fetch_add(inputs.len() as u64, Ordering::Relaxed);
+            Ok(PredictReply {
+                outputs: inputs
+                    .iter()
+                    .map(|x| WireOutput::Class(x[0] as u32))
+                    .collect(),
+                queue_us: 0,
+                compute_us: 0,
+            })
+        }))
+    }
+
+    /// An echo transport that answers only once the returned gate is
+    /// closed, so its replica's queue fills behind the first query.
+    fn gated() -> (Arc<dyn BatchTransport>, Arc<tokio::sync::Semaphore>) {
+        struct Gated(Arc<tokio::sync::Semaphore>);
+        impl BatchTransport for Gated {
+            fn predict_batch(
+                &self,
+                inputs: &[Input],
+            ) -> clipper_rpc::BoxFuture<Result<PredictReply, clipper_rpc::RpcError>> {
+                let gate = self.0.clone();
+                let outputs = inputs
+                    .iter()
+                    .map(|x| WireOutput::Class(x[0] as u32))
+                    .collect();
+                Box::pin(async move {
+                    let _ = gate.acquire().await;
+                    Ok(PredictReply {
+                        outputs,
+                        queue_us: 0,
+                        compute_us: 0,
+                    })
+                })
+            }
+            fn id(&self) -> String {
+                "gated".into()
+            }
+        }
+        let gate = Arc::new(tokio::sync::Semaphore::new(0));
+        (Arc::new(Gated(gate.clone())), gate)
+    }
+
+    /// A round-robin model whose replica queues hold one waiting query
+    /// beside the one in flight.
+    fn round_robin_model(mal: &ModelAbstractionLayer, cfg: BatchConfig) -> ModelId {
+        let m = ModelId::new("m", 1);
+        let cfg = BatchConfig {
+            strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
+            queue_capacity: 1,
+            ..cfg
+        };
+        mal.add_model_with_policy(m.clone(), cfg, SchedulerPolicy::RoundRobin);
+        m
+    }
+
+    /// Start a predict in its own task, then wait until `taken` says a
+    /// replica holds it.
+    async fn park(
+        mal: &Arc<ModelAbstractionLayer>,
+        m: &ModelId,
+        v: f32,
+        taken: impl Fn(&ModelAbstractionLayer) -> bool,
+    ) -> tokio::task::JoinHandle<Result<Output, PredictError>> {
+        let task = tokio::spawn({
+            let (mal, m) = (mal.clone(), m.clone());
+            async move { mal.predict(&m, Arc::new(vec![v]), false).await }
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !taken(mal) {
+            assert!(std::time::Instant::now() < deadline, "query {v} not taken");
+            tokio::task::yield_now().await;
+        }
+        task
+    }
+
+    fn counter(mal: &ModelAbstractionLayer, name: &str) -> u64 {
+        match mal.registry().snapshot().values.get(name) {
+            Some(clipper_metrics::MetricValue::Counter { value }) => *value,
+            other => panic!("{name} is not a counter: {other:?}"),
+        }
+    }
+
+    #[tokio::test]
+    async fn round_robin_shed_on_a_full_queue_counts_in_the_model_shed() {
+        let mal = layer();
+        let m = round_robin_model(&mal, BatchConfig::default());
+        let (t, gate) = gated();
+        mal.add_replica(&m, t).unwrap();
+        // One query in flight at the held transport, one waiting behind it.
+        let first = park(&mal, &m, 0.0, |mal| mal.inflight(&m) == 1).await;
+        let second = park(&mal, &m, 1.0, |mal| mal.queue_depth(&m) == 1).await;
+        let err = mal
+            .predict(&m, Arc::new(vec![2.0]), false)
+            .await
+            .unwrap_err();
+        assert_eq!(err, PredictError::Overloaded);
+        assert_eq!(counter(&mal, "model/m:v1/shed"), 1);
+        assert_eq!(counter(&mal, "model/m:v1/admission_shed"), 0);
+        let snap = mal.registry().snapshot();
+        assert!(!snap
+            .values
+            .keys()
+            .any(|k| k.starts_with("queue/") && k.ends_with("/shed")));
+        gate.close();
+        assert_eq!(first.await.unwrap(), Ok(Output::Class(0)));
+        assert_eq!(second.await.unwrap(), Ok(Output::Class(1)));
+    }
+
+    #[tokio::test]
+    async fn round_robin_sheds_at_its_cursor_while_a_sibling_is_idle() {
+        let mal = layer();
+        let m = round_robin_model(&mal, BatchConfig::default());
+        let (held, gate) = gated();
+        let idle = Arc::new(AtomicU64::new(0));
+        mal.add_replica(&m, held).unwrap();
+        mal.add_replica(&m, counted(idle.clone())).unwrap();
+        // The cursor alternates: even queries fill the held replica, odd
+        // ones are answered by its idle sibling.
+        let first = park(&mal, &m, 0.0, |mal| mal.inflight(&m) >= 1).await;
+        mal.predict(&m, Arc::new(vec![1.0]), false).await.unwrap();
+        let second = park(&mal, &m, 2.0, |mal| mal.queue_depth(&m) == 1).await;
+        mal.predict(&m, Arc::new(vec![3.0]), false).await.unwrap();
+        // Back at the full queue: shed, not passed to the idle sibling.
+        let err = mal
+            .predict(&m, Arc::new(vec![4.0]), false)
+            .await
+            .unwrap_err();
+        assert_eq!(err, PredictError::Overloaded);
+        assert_eq!(idle.load(Ordering::Relaxed), 2);
+        assert_eq!(counter(&mal, "model/m:v1/shed"), 1);
+        gate.close();
+        assert_eq!(first.await.unwrap(), Ok(Output::Class(0)));
+        assert_eq!(second.await.unwrap(), Ok(Output::Class(2)));
+    }
+
+    #[tokio::test]
+    async fn round_robin_hands_the_next_query_to_a_replica_that_wants_its_probe() {
+        let mal = layer();
+        let m = round_robin_model(
+            &mal,
+            BatchConfig {
+                breaker: crate::batching::BreakerConfig {
+                    cooldown: Duration::ZERO,
+                },
+                ..Default::default()
+            },
+        );
+        let (a, b) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let qa = mal.add_replica(&m, counted(a.clone())).unwrap();
+        mal.add_replica(&m, counted(b.clone())).unwrap();
+        // Open replica a's breaker; with no cooldown it wants its probe
+        // at once.
+        let health = mal
+            .with_queue(&m, &qa, |q| {
+                for _ in 0..crate::batching::breaker::STREAK {
+                    q.breaker()
+                        .record(crate::batching::BatchOutcome::Failed, Instant::now());
+                }
+                q.health(Instant::now())
+            })
+            .unwrap();
+        assert_eq!(health, Health::WantsProbe);
+        // The cursor points at the clean sibling; the probe goes first.
+        mal.handle(&m).unwrap().cursor.store(1, Ordering::Relaxed);
+        let out = mal.predict(&m, Arc::new(vec![5.0]), false).await.unwrap();
+        assert_eq!(out, Output::Class(5));
+        assert_eq!(
+            (a.load(Ordering::Relaxed), b.load(Ordering::Relaxed)),
+            (1, 0)
+        );
+        assert_eq!(
+            mal.with_queue(&m, &qa, |q| q.health(Instant::now())),
+            Some(Health::Clean),
+            "the probe's success closes the breaker"
+        );
     }
 
     #[tokio::test]
@@ -1480,6 +1645,17 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(mal.default_output(&m), Some(Output::Class(5)));
+    }
+
+    #[test]
+    fn an_even_running_default_goes_to_the_smaller_label_every_time() {
+        for _ in 0..64 {
+            // A fresh tracker per round: a fresh iteration order.
+            let mut t = DefaultTracker::default();
+            t.record(&Output::Class(9));
+            t.record(&Output::Class(4));
+            assert_eq!(t.default_output(), Some(Output::Class(4)));
+        }
     }
 
     #[tokio::test]

@@ -2,7 +2,7 @@
 //! the typed HTTP error taxonomy.
 //!
 //! Everything the `/api/v1/` REST surface speaks lives here, decoupled
-//! from the in-memory domain types in [`crate::types`]:
+//! from the in-memory domain types ([`AppConfig`], [`ModelId`], …):
 //!
 //! - [`ApiError`] — every failure the control plane or data plane can
 //!   report, each with a canonical HTTP status and a stable machine code;
@@ -24,19 +24,18 @@
 //! a change to a type or to the codec that moves the wire shows up as a
 //! failed literal, not as two code paths drifting apart.
 
-use crate::batching::queue::QueueConfig;
-use crate::batching::{BatchStrategy, LatencyPrior};
+use crate::batching::{BatchStrategy, LatencyPrior, QueueConfig};
 use crate::error::PredictError;
 use crate::types::{AppConfig, AppUpdate, ModelId, Output, PolicyKind};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Statestore key prefix for persisted app registrations.
-pub const APP_KEY_PREFIX: &str = "config/app/";
+pub(crate) const APP_KEY_PREFIX: &str = "config/app/";
 /// Statestore key prefix for persisted model registrations.
-pub const MODEL_KEY_PREFIX: &str = "config/model/";
+pub(crate) const MODEL_KEY_PREFIX: &str = "config/model/";
 /// Statestore key prefix for persisted fleet replica registrations.
-pub const REPLICA_KEY_PREFIX: &str = "config/replica/";
+pub(crate) const REPLICA_KEY_PREFIX: &str = "config/replica/";
 
 /// Statestore key for an app's persisted registration.
 pub fn app_key(name: &str) -> String {
@@ -245,7 +244,7 @@ pub struct ErrorBody {
 
 impl ErrorBody {
     /// Build the envelope for an error.
-    pub fn of(err: &ApiError) -> Self {
+    pub(crate) fn of(err: &ApiError) -> Self {
         ErrorBody {
             error: ErrorInfo {
                 code: err.code().to_string(),
@@ -330,7 +329,7 @@ pub struct AppSpec {
 
 impl AppSpec {
     /// Materialize the spec into an [`AppConfig`], filling defaults.
-    pub fn into_config(self) -> AppConfig {
+    pub(crate) fn into_config(self) -> AppConfig {
         let mut cfg = AppConfig::new(&self.name, self.candidate_models);
         if let Some(policy) = self.policy {
             cfg = cfg.with_policy(policy);
@@ -370,17 +369,8 @@ pub struct AppPatch {
 }
 
 impl AppPatch {
-    /// Whether the patch changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.slo_ms.is_none()
-            && self.policy.is_none()
-            && self.candidate_models.is_none()
-            && self.default_output.is_none()
-            && self.seed.is_none()
-    }
-
     /// Convert to the domain-level delta type.
-    pub fn into_update(self) -> AppUpdate {
+    pub(crate) fn into_update(self) -> AppUpdate {
         AppUpdate {
             slo: self.slo_ms.map(Duration::from_millis),
             policy: self.policy,
@@ -405,8 +395,7 @@ pub struct AppView {
     pub slo_ms: u64,
     /// Latency objective in microseconds — the authoritative value, so
     /// sub-millisecond SLOs survive persist/rehydrate round-trips.
-    #[serde(default)]
-    pub slo_us: Option<u64>,
+    pub slo_us: u64,
     /// Default output when nothing arrives in time.
     pub default_output: JsonOutput,
     /// Policy seed.
@@ -420,7 +409,7 @@ impl From<&AppConfig> for AppView {
             candidate_models: cfg.candidate_models.clone(),
             policy: cfg.policy.clone(),
             slo_ms: cfg.slo.as_millis() as u64,
-            slo_us: Some(cfg.slo.as_micros() as u64),
+            slo_us: cfg.slo.as_micros() as u64,
             default_output: cfg.default_output.clone().into(),
             seed: cfg.seed,
         }
@@ -429,14 +418,10 @@ impl From<&AppConfig> for AppView {
 
 impl AppView {
     /// Rebuild the domain config (used by registry rehydration).
-    pub fn into_config(self) -> AppConfig {
-        let slo = self
-            .slo_us
-            .map(Duration::from_micros)
-            .unwrap_or_else(|| Duration::from_millis(self.slo_ms));
+    pub(crate) fn into_config(self) -> AppConfig {
         AppConfig::new(&self.name, self.candidate_models)
             .with_policy(self.policy)
-            .with_slo(slo)
+            .with_slo(Duration::from_micros(self.slo_us))
             .with_default_output(self.default_output.into())
             .with_seed(self.seed)
     }
@@ -503,17 +488,12 @@ pub struct BatchKnobs {
     pub pipeline_depth: usize,
     /// Drain hang-detector deadline, µs.
     pub drain_deadline_us: u64,
-    /// Whether SLO-aware admission is enabled for this model. Absent
-    /// (false) in legacy records.
-    #[serde(default)]
+    /// Whether SLO-aware admission is enabled for this model.
     pub slo_admission: bool,
     /// Retry budget: total dispatch attempts per query before the typed
-    /// upstream error surfaces (1 disables redispatch). Absent in legacy
-    /// records, which rehydrate with the [`QueueConfig`] default.
-    #[serde(default)]
-    pub retry_max_attempts: Option<u32>,
-    /// Hedged-dispatch knob; absent (off) in legacy records.
-    #[serde(default)]
+    /// upstream error surfaces (1 disables redispatch).
+    pub retry_max_attempts: u32,
+    /// Hedged-dispatch knob (`null` = off).
     pub hedge: Option<HedgeWire>,
 }
 
@@ -555,7 +535,7 @@ impl From<&QueueConfig> for BatchKnobs {
             pipeline_depth: cfg.pipeline_depth,
             drain_deadline_us: cfg.drain_deadline.as_micros() as u64,
             slo_admission: cfg.slo_admission,
-            retry_max_attempts: Some(cfg.retry_max_attempts),
+            retry_max_attempts: cfg.retry_max_attempts,
             hedge: cfg.hedge.map(Into::into),
         }
     }
@@ -566,7 +546,7 @@ impl BatchKnobs {
     /// tuning is not persisted — a rehydrated model runs with the
     /// built-in [`BreakerConfig`](crate::batching::BreakerConfig)
     /// defaults.
-    pub fn into_config(self) -> QueueConfig {
+    pub(crate) fn into_config(self) -> QueueConfig {
         QueueConfig {
             strategy: self.strategy,
             slo: Duration::from_micros(self.slo_us),
@@ -576,9 +556,7 @@ impl BatchKnobs {
             pipeline_depth: self.pipeline_depth,
             drain_deadline: Duration::from_micros(self.drain_deadline_us),
             slo_admission: self.slo_admission,
-            retry_max_attempts: self
-                .retry_max_attempts
-                .unwrap_or(QueueConfig::default().retry_max_attempts),
+            retry_max_attempts: self.retry_max_attempts,
             hedge: self.hedge.map(Into::into),
             ..QueueConfig::default()
         }
@@ -609,15 +587,13 @@ pub struct ModelRecord {
     pub history: Vec<u32>,
     /// Per-version batching configuration, so `sync_config()` restores the
     /// knobs a version was rolled out with instead of silently resetting
-    /// to defaults. Absent in records written before this field existed
-    /// (those versions rehydrate with default batching).
-    #[serde(default)]
+    /// to defaults.
     pub batch: Vec<VersionBatchKnobs>,
 }
 
 impl ModelRecord {
     /// The persisted knobs for `version`, if recorded.
-    pub fn knobs_for(&self, version: u32) -> Option<&BatchKnobs> {
+    pub(crate) fn knobs_for(&self, version: u32) -> Option<&BatchKnobs> {
         self.batch
             .iter()
             .find(|vb| vb.version == version)
@@ -659,7 +635,6 @@ pub struct ReplicaRecord {
     /// The model version this container serves.
     pub model_version: u32,
     /// Attachment capabilities (see [`ReplicaSpec::capabilities`]).
-    #[serde(default)]
     pub capabilities: Vec<String>,
     /// Lifecycle state at persist time: `"registered"` or `"expired"`.
     pub state: String,
@@ -668,14 +643,13 @@ pub struct ReplicaRecord {
     /// same container re-registers. Written as `{alpha_us, beta_us}`; a
     /// tune that also carries `queue_id`, `b_max` and `samples` still
     /// parses.
-    #[serde(default)]
     pub tune: Option<LatencyPrior>,
 }
 
 /// Persisted state value for a live registration.
-pub const REPLICA_STATE_REGISTERED: &str = "registered";
+pub(crate) const REPLICA_STATE_REGISTERED: &str = "registered";
 /// Persisted state value for an expired (drained) registration.
-pub const REPLICA_STATE_EXPIRED: &str = "expired";
+pub(crate) const REPLICA_STATE_EXPIRED: &str = "expired";
 
 /// `POST /api/v1/replicas` response body.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
@@ -739,7 +713,8 @@ pub struct SyncReport {
     /// Fleet replica records adopted into the local membership view
     /// (registered by another frontend sharing the statestore).
     pub adopted_replicas: usize,
-    /// Statestore keys whose records failed to parse and were skipped.
+    /// Statestore keys whose records failed to parse, or named an app
+    /// that cannot serve, and were skipped.
     pub skipped: Vec<String>,
 }
 
@@ -898,9 +873,9 @@ mod tests {
         ];
         let golden = [
             r#"{"name":"we\"ird\\app-0","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Exp3":{"eta":0.2}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"class","label":0},"seed":18446744073709551615}"#,
-            r#"{"name":"we\"ird\\app-1","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Exp4":{"eta":1.0}},"slo_ms":20,"slo_us":null,"default_output":{"kind":"scores","scores":[0.25,1.0,-3.5]},"seed":18446744073709551615}"#,
+            r#"{"name":"we\"ird\\app-1","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Exp4":{"eta":1.0}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"scores","scores":[0.25,1.0,-3.5]},"seed":18446744073709551615}"#,
             r#"{"name":"we\"ird\\app-2","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":"MajorityVote","slo_ms":20,"slo_us":20000,"default_output":{"kind":"labels","labels":[7,8,9]},"seed":18446744073709551615}"#,
-            r#"{"name":"we\"ird\\app-3","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Static":{"model_index":3}},"slo_ms":20,"slo_us":null,"default_output":{"kind":"class","label":0},"seed":18446744073709551615}"#,
+            r#"{"name":"we\"ird\\app-3","candidate_models":[{"name":"m","version":1},{"name":"tab\tname","version":42}],"policy":{"Static":{"model_index":3}},"slo_ms":20,"slo_us":20000,"default_output":{"kind":"class","label":0},"seed":18446744073709551615}"#,
         ];
         for (i, (policy, golden)) in policies.into_iter().zip(golden).enumerate() {
             let view = AppView {
@@ -908,7 +883,7 @@ mod tests {
                 candidate_models: vec![ModelId::new("m", 1), ModelId::new("tab\tname", 42)],
                 policy,
                 slo_ms: 20,
-                slo_us: if i % 2 == 0 { Some(20_000) } else { None },
+                slo_us: 20_000,
                 default_output: outputs[i % outputs.len()].clone(),
                 seed: u64::MAX,
             };
@@ -921,7 +896,7 @@ mod tests {
                 candidate_models: vec![ModelId::new("m", i)],
                 policy: PolicyKind::default(),
                 slo_ms: 20,
-                slo_us: Some(20_000),
+                slo_us: 20_000,
                 default_output: JsonOutput::Class { label: 0 },
                 seed: i as u64,
             })
@@ -1167,14 +1142,6 @@ mod tests {
         let json = serde_json::to_string(&record).unwrap();
         let back: AppRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back.into_config().slo, Duration::from_micros(500));
-        // A record written without slo_us (older shape) falls back to ms.
-        let legacy: AppRecord = serde_json::from_str(
-            "{\"name\":\"app\",\"candidate_models\":[{\"name\":\"m\",\"version\":1}],\
-             \"policy\":\"MajorityVote\",\"slo_ms\":30,\
-             \"default_output\":{\"kind\":\"class\",\"label\":0},\"seed\":0}",
-        )
-        .unwrap();
-        assert_eq!(legacy.into_config().slo, Duration::from_millis(30));
     }
 
     #[test]
@@ -1199,9 +1166,9 @@ mod tests {
     #[test]
     fn app_patch_defaults_to_empty() {
         let patch: AppPatch = serde_json::from_str("{}").unwrap();
-        assert!(patch.is_empty());
+        assert_eq!(patch, AppPatch::default());
         let patch: AppPatch = serde_json::from_str("{\"slo_ms\": 50}").unwrap();
-        assert!(!patch.is_empty());
+        assert_ne!(patch, AppPatch::default());
         assert_eq!(patch.into_update().slo, Some(Duration::from_millis(50)));
     }
 
@@ -1247,53 +1214,9 @@ mod tests {
         assert_eq!(hedge.delay_factor, 2.5);
         assert_eq!(hedge.min_delay, Duration::from_micros(900));
         assert!(back.knobs_for(1).is_none());
-    }
-
-    #[test]
-    fn legacy_batch_knobs_without_autotune_fields_still_parse() {
-        // A knobs blob written before §4.4.1 autotuning existed: no
-        // slo_admission, no recovery knobs.
-        let legacy = "{\"version\":1,\"knobs\":{\
-             \"strategy\":{\"kind\":\"fixed\",\"size\":8},\"slo_us\":20000,\
-             \"batch_wait_timeout_us\":0,\"queue_capacity\":64,\
-             \"max_batch_cap\":64,\"pipeline_depth\":1,\
-             \"drain_deadline_us\":5000000}}";
-        let vk: VersionBatchKnobs = serde_json::from_str(legacy).unwrap();
-        // The same blob as a later writer left it, with the retired
-        // model-wide `latency_prior` and the per-attach-position
-        // `replicas` list: both keys are ignored.
-        let retired = "{\"version\":1,\"knobs\":{\
-             \"strategy\":{\"kind\":\"fixed\",\"size\":8},\"slo_us\":20000,\
-             \"batch_wait_timeout_us\":0,\"queue_capacity\":64,\
-             \"max_batch_cap\":64,\"pipeline_depth\":1,\
-             \"drain_deadline_us\":5000000,\
-             \"latency_prior\":{\"alpha_us\":120.5,\"beta_us\":33.25}},\
-             \"replicas\":[{\"queue_id\":\"m:v1:0\",\"alpha_us\":140.0,\
-             \"beta_us\":41.5,\"b_max\":17,\"samples\":420}]}";
-        assert_eq!(
-            serde_json::from_str::<VersionBatchKnobs>(retired).unwrap(),
-            vk
-        );
-        let cfg = vk.knobs.into_config();
-        assert_eq!(cfg.strategy, BatchStrategy::Fixed { size: 8 });
-        assert!(!cfg.slo_admission);
-        // Recovery knobs absent in legacy records → QueueConfig defaults.
-        assert_eq!(
-            cfg.retry_max_attempts,
-            QueueConfig::default().retry_max_attempts
-        );
-        assert!(cfg.hedge.is_none());
-    }
-
-    #[test]
-    fn legacy_model_record_without_batch_field_still_parses() {
-        // Records written before batch knobs were persisted must load
-        // (their versions rehydrate with default batching).
-        let legacy: ModelRecord =
-            serde_json::from_str("{\"name\":\"m\",\"current\":1,\"versions\":[1],\"history\":[]}")
-                .unwrap();
-        assert!(legacy.batch.is_empty());
-        assert!(legacy.knobs_for(1).is_none());
+        // Every field is written, so a record that lacks one is unreadable.
+        let without_batch = json.replace(&json[json.find(",\"batch\"").unwrap()..], "}");
+        assert!(serde_json::from_str::<ModelRecord>(&without_batch).is_err());
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl AimdController {
     }
 
     /// The paper's default parameters (+2 / ×0.9).
-    pub fn with_defaults(slo: Duration) -> Self {
+    pub(crate) fn with_defaults(slo: Duration) -> Self {
         Self::new(slo, 2.0, 0.9, 4096)
     }
 }

@@ -19,10 +19,10 @@ use std::time::Duration;
 /// Fraction of the SLO reserved as headroom by default: the ceiling
 /// targets `0.9 × SLO` so queueing and RPC jitter don't turn every
 /// full batch into a violation.
-pub const DEFAULT_HEADROOM: f64 = 0.1;
+pub(crate) const DEFAULT_HEADROOM: f64 = 0.1;
 
 /// Model-driven batch ceiling with AIMD cold-start fallback.
-pub struct AutotuneController {
+pub(crate) struct AutotuneController {
     aimd: AimdController,
     model: Arc<LatencyModel>,
     /// `SLO − headroom`: the budget the curve is inverted against.
@@ -34,7 +34,7 @@ impl AutotuneController {
     /// Create a controller targeting `slo` with `headroom` (a fraction
     /// of the SLO, clamped to `[0, 0.9]`) held back, reading — not
     /// owning — the replica's shared latency model.
-    pub fn new(slo: Duration, headroom: f64, model: Arc<LatencyModel>, cap: usize) -> Self {
+    pub(crate) fn new(slo: Duration, headroom: f64, model: Arc<LatencyModel>, cap: usize) -> Self {
         let headroom = if headroom.is_finite() {
             headroom.clamp(0.0, 0.9)
         } else {
@@ -50,7 +50,7 @@ impl AutotuneController {
     }
 
     /// The learned ceiling, if the model is established.
-    pub fn learned_max_batch(&self) -> Option<usize> {
+    pub(crate) fn learned_max_batch(&self) -> Option<usize> {
         self.model
             .max_batch_for(self.budget)
             .map(|b| b.clamp(1, self.cap))

@@ -74,7 +74,7 @@ pub enum BreakerState {
 impl BreakerState {
     /// Stable numeric code for the `/metrics` gauge
     /// (0 = closed, 1 = half-open, 2 = open).
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             BreakerState::Closed => 0,
             BreakerState::HalfOpen => 1,

@@ -285,10 +285,11 @@ pub(super) fn settle_upstream_failure(
 
 #[cfg(test)]
 mod tests {
-    use super::super::queue::tests::{direct_item, echo_transport, test_metrics};
+    use super::super::queue::tests::{
+        direct_item, echo_transport, spawn_replica_queue, submit, test_metrics,
+    };
     use super::super::queue::{
-        spawn_replica_queue, spawn_replica_queue_with_hooks, HedgeConfig, QueueConfig, QueueHooks,
-        ReplySink,
+        spawn_replica_queue_with_hooks, HedgeConfig, QueueConfig, QueueHooks, ReplySink,
     };
     use super::*;
     use crate::batching::breaker::{BreakerConfig, BreakerState};
@@ -345,7 +346,7 @@ mod tests {
             }));
         let q = spawn_replica_queue("m:0".into(), t, QueueConfig::default(), test_metrics());
         let (tx, rx) = oneshot::channel();
-        q.submit(QueueItem::new(original, ReplySink::direct(tx)));
+        submit(&q, QueueItem::new(original, ReplySink::direct(tx)));
         rx.await.unwrap().unwrap();
     }
 
@@ -356,7 +357,7 @@ mod tests {
         }));
         let q = spawn_replica_queue("m:0".into(), bad, QueueConfig::default(), test_metrics());
         let (item, rx) = direct_item(1.0);
-        q.submit(item);
+        submit(&q, item);
         let err = rx.await.unwrap().unwrap_err();
         // `Remote` is non-retryable, so the single attempt fail-fills
         // with the typed upstream error (503-vs-500 decided by it).
@@ -383,7 +384,7 @@ mod tests {
             }));
         let q = spawn_replica_queue("m:0".into(), short, QueueConfig::default(), test_metrics());
         let (item, rx) = direct_item(1.0);
-        q.submit(item);
+        submit(&q, item);
         let err = rx.await.unwrap().unwrap_err();
         assert!(matches!(err, PredictError::Failed(ref m) if m.contains("outputs")));
     }
@@ -418,11 +419,14 @@ mod tests {
             hooks,
         );
         let (tx, rx) = oneshot::channel();
-        q.submit(QueueItem::with_deadline(
-            Arc::new(vec![7.0]),
-            ReplySink::direct(tx),
-            Instant::now() + Duration::from_secs(5),
-        ));
+        submit(
+            &q,
+            QueueItem::with_deadline(
+                Arc::new(vec![7.0]),
+                ReplySink::direct(tx),
+                Instant::now() + Duration::from_secs(5),
+            ),
+        );
         let out = rx.await.unwrap().unwrap();
         assert_eq!(out, Output::Class(7));
         // The counter ticks right after the hand-off, which the sibling
@@ -457,11 +461,14 @@ mod tests {
             hooks,
         );
         let (tx, rx) = oneshot::channel();
-        q.submit(QueueItem::with_deadline(
-            Arc::new(vec![1.0]),
-            ReplySink::direct(tx),
-            Instant::now() + Duration::from_secs(5),
-        ));
+        submit(
+            &q,
+            QueueItem::with_deadline(
+                Arc::new(vec![1.0]),
+                ReplySink::direct(tx),
+                Instant::now() + Duration::from_secs(5),
+            ),
+        );
         let err = rx.await.unwrap().unwrap_err();
         assert!(matches!(
             err,
@@ -504,11 +511,14 @@ mod tests {
             hooks,
         );
         let (tx, rx) = oneshot::channel();
-        q.submit(QueueItem::with_deadline(
-            Arc::new(vec![1.0]),
-            ReplySink::direct(tx),
-            Instant::now() + Duration::from_secs(5),
-        ));
+        submit(
+            &q,
+            QueueItem::with_deadline(
+                Arc::new(vec![1.0]),
+                ReplySink::direct(tx),
+                Instant::now() + Duration::from_secs(5),
+            ),
+        );
         let err = rx.await.unwrap().unwrap_err();
         assert!(matches!(err, PredictError::Upstream { .. }));
     }
@@ -547,7 +557,10 @@ mod tests {
         let q =
             spawn_replica_queue_with_hooks("m:0".into(), stuck, cfg, None, metrics.clone(), hooks);
         let (tx, rx) = oneshot::channel();
-        q.submit(QueueItem::new(Arc::new(vec![9.0]), ReplySink::direct(tx)));
+        submit(
+            &q,
+            QueueItem::new(Arc::new(vec![9.0]), ReplySink::direct(tx)),
+        );
         let out = rx.await.unwrap().unwrap();
         assert_eq!(out, Output::Class(9));
         assert_eq!(metrics.hedged.get(), 1);
@@ -609,7 +622,7 @@ mod tests {
             spawn_replica_queue_with_hooks("m:0".into(), primary, cfg, None, test_metrics(), hooks);
         let ask = |v: f32| {
             let (item, rx) = direct_item(v);
-            q.submit(item);
+            submit(&q, item);
             async move { rx.await.unwrap() }
         };
         for _ in 0..3 {
@@ -620,7 +633,11 @@ mod tests {
 
         mood.store(STRAGGLE, Ordering::Relaxed);
         assert_eq!(ask(7.0).await, Ok(Output::Class(7)), "the hedge answers");
-        assert!(q.is_suspect(), "an inconclusive probe proves nothing");
+        assert_ne!(
+            q.health(Instant::now()),
+            crate::batching::Health::Clean,
+            "an inconclusive probe proves nothing"
+        );
 
         mood.store(HEALED, Ordering::Relaxed);
         for _ in 0..5 {
@@ -670,7 +687,10 @@ mod tests {
             crate::cache::Lookup::MustCompute(rx) => rx,
             _ => panic!(),
         };
-        q.submit(QueueItem::new(input, ReplySink::cache(cache.clone(), key)));
+        submit(
+            &q,
+            QueueItem::new(input, ReplySink::cache(cache.clone(), key)),
+        );
         let filled = rx.await.unwrap();
         assert!(matches!(filled, Err(PredictError::Upstream { .. })));
         assert_eq!(cache.pending_len(), 0, "every sink settled exactly once");

@@ -116,7 +116,6 @@ pub struct LatencyModel {
     alpha_ns: AtomicU64,
     /// Published slope, nanoseconds per item.
     beta_ns: AtomicU64,
-    samples: AtomicU64,
 }
 
 const UNSET: u64 = u64::MAX;
@@ -129,20 +128,19 @@ impl Default for LatencyModel {
 
 impl LatencyModel {
     /// A cold model: unestablished until enough observations arrive.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyModel {
             fit: Mutex::new(Fit::default()),
             prior: None,
             alpha_ns: AtomicU64::new(UNSET),
             beta_ns: AtomicU64::new(0),
-            samples: AtomicU64::new(0),
         }
     }
 
     /// Warm-start from a prior curve: established immediately, and
     /// the prior slope holds until live observations have enough
     /// batch-size spread to re-fit it.
-    pub fn with_prior(prior: LatencyPrior) -> Self {
+    pub(crate) fn with_prior(prior: LatencyPrior) -> Self {
         let m = Self::new();
         let alpha = (prior.alpha_us.max(0.0) * 1_000.0) as u64;
         let beta = (prior.beta_us.max(0.0) * 1_000.0) as u64;
@@ -173,7 +171,6 @@ impl LatencyModel {
             self.alpha_ns.store(alpha as u64, Ordering::Relaxed);
             self.beta_ns.store(beta as u64, Ordering::Relaxed);
         }
-        self.samples.store(fit.samples, Ordering::Relaxed);
     }
 
     /// Whether the model has a usable curve (prior or identifiable fit).
@@ -181,13 +178,8 @@ impl LatencyModel {
         self.alpha_ns.load(Ordering::Relaxed) != UNSET
     }
 
-    /// Observations folded into the fit so far.
-    pub fn sample_count(&self) -> u64 {
-        self.samples.load(Ordering::Relaxed)
-    }
-
     /// Current intercept in microseconds (0 if unestablished).
-    pub fn alpha_us(&self) -> f64 {
+    pub(crate) fn alpha_us(&self) -> f64 {
         let a = self.alpha_ns.load(Ordering::Relaxed);
         if a == UNSET {
             0.0
@@ -197,12 +189,12 @@ impl LatencyModel {
     }
 
     /// Current slope in microseconds per item.
-    pub fn beta_us(&self) -> f64 {
+    pub(crate) fn beta_us(&self) -> f64 {
         self.beta_ns.load(Ordering::Relaxed) as f64 / 1_000.0
     }
 
     /// Predicted service time for a batch of `b`, if established.
-    pub fn predict_ns(&self, b: usize) -> Option<u64> {
+    pub(crate) fn predict_ns(&self, b: usize) -> Option<u64> {
         let alpha = self.alpha_ns.load(Ordering::Relaxed);
         if alpha == UNSET {
             return None;
@@ -214,7 +206,7 @@ impl LatencyModel {
     /// Invert the curve against a latency budget: the largest `b` with
     /// `α + β·b ≤ budget`. `None` when the model is unestablished or the
     /// curve is flat (β = 0 — nothing to invert; the caller's cap rules).
-    pub fn max_batch_for(&self, budget: Duration) -> Option<usize> {
+    pub(crate) fn max_batch_for(&self, budget: Duration) -> Option<usize> {
         let alpha = self.alpha_ns.load(Ordering::Relaxed);
         if alpha == UNSET {
             return None;

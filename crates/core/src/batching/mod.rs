@@ -9,7 +9,7 @@
 //! - [`QuantileController`] — the alternative the paper evaluates: online
 //!   quantile regression estimating P99 latency as a linear function of
 //!   batch size (pinball-loss SGD), inverted against the SLO;
-//! - [`AutotuneController`] — a ceiling re-derived from the replica's
+//! - `AutotuneController` — a ceiling re-derived from the replica's
 //!   online latency model (§4.4.1), AIMD until the model is established;
 //! - a fixed-size strategy for baselines (Figure 4's no-batching arm is
 //!   `Fixed { size: 1 }`).
@@ -31,31 +31,31 @@
 //! Failure recovery is layered on the same queues: the breaker stops
 //! dispatch at a failing replica and probes it back in, retryable batch
 //! failures redispatch still-within-budget queries onto a sibling
-//! replica through [`QueueHooks`], and an opt-in hedging knob
-//! ([`QueueConfig::hedge`]) races a straggling batch against a second
-//! replica. [`queue`] is the queue itself — intake, lifecycle, and the
+//! replica through the queue's scheduler hooks, and an opt-in hedging
+//! knob ([`QueueConfig::hedge`]) races a straggling batch against a
+//! second replica. `queue.rs` is the queue itself — intake, lifecycle, and the
 //! lanes: [`QueueConfig::pipeline_depth`] identical tasks that each seal
 //! a batch and then send and settle it themselves; what a lane does with
 //! a sealed batch (transport call, hedge race, retry) lives in
 //! `dispatch.rs`.
 
-pub mod aimd;
-pub mod autotune;
+mod aimd;
+mod autotune;
 pub mod breaker;
 mod dispatch;
-pub mod latency_model;
-pub mod quantile;
-pub mod queue;
+mod latency_model;
+mod quantile;
+mod queue;
 
 pub use aimd::AimdController;
-pub use autotune::AutotuneController;
+use autotune::AutotuneController;
 pub use breaker::{BatchOutcome, BreakerConfig, BreakerState, CircuitBreaker, Health};
 pub use latency_model::{LatencyModel, LatencyPrior};
 pub use quantile::QuantileController;
-pub use queue::{
-    spawn_replica_queue, spawn_replica_queue_with_hooks, HedgeConfig, QueueConfig, QueueHooks,
-    QueueItem, QueueMetrics, QueueState, ReplicaQueue, ReplySink,
+pub(crate) use queue::{
+    spawn_replica_queue_with_hooks, QueueHooks, QueueItem, QueueMetrics, ReplySink,
 };
+pub use queue::{HedgeConfig, QueueConfig, ReplicaQueue};
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -104,7 +104,7 @@ impl BatchStrategy {
     /// Instantiate the controller for this strategy under `slo`. `model`
     /// is the replica's shared online latency model; only `Autotune`
     /// reads it, but every queue maintains one.
-    pub fn build(
+    pub(crate) fn build(
         &self,
         slo: Duration,
         cap: usize,

@@ -55,16 +55,6 @@ impl QuantileController {
         }
     }
 
-    /// Current model estimate `(α µs, β µs/item)`.
-    pub fn estimate(&self) -> (f64, f64) {
-        (self.alpha, self.beta)
-    }
-
-    /// Predicted P99 latency (µs) for a batch of `b`.
-    pub fn predict_latency_us(&self, b: usize) -> f64 {
-        self.alpha + self.beta * b as f64
-    }
-
     fn refit(&mut self) {
         let n = self.window.len();
         if n < 4 {
@@ -132,6 +122,11 @@ impl BatchController for QuantileController {
 mod tests {
     use super::*;
 
+    /// The controller's current model estimate `(α µs, β µs/item)`.
+    fn estimate(c: &QuantileController) -> (f64, f64) {
+        (c.alpha, c.beta)
+    }
+
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
     }
@@ -157,7 +152,7 @@ mod tests {
         assert!(
             (800..=1000).contains(&b),
             "converged batch {b}, expected ≈950 (est {:?})",
-            c.estimate()
+            estimate(&c)
         );
     }
 
@@ -169,7 +164,7 @@ mod tests {
             let lat = Duration::from_micros(2_000 + 50 * b as u64);
             c.record(b, lat);
         }
-        let (_, slope) = c.estimate();
+        let (_, slope) = estimate(&c);
         assert!(
             (40.0..=60.0).contains(&slope),
             "learned slope {slope} µs/item, true 50"
@@ -226,7 +221,7 @@ mod tests {
             c.record(b, Duration::from_micros(lat));
         }
         let b = c.max_batch();
-        let pred = c.predict_latency_us(b);
+        let pred = c.alpha + c.beta * b as f64;
         let median = 5_000.0 + 10.0 * b as f64;
         assert!(
             pred > median * 1.5,

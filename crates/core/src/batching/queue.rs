@@ -88,21 +88,21 @@ enum SinkKind {
 /// vanishing. For the cache variant that means the pending entry is
 /// fail-filled, so cache waiters can never be wedged by a dropped queue
 /// item.
-pub struct ReplySink(Option<SinkKind>);
+pub(crate) struct ReplySink(Option<SinkKind>);
 
 impl ReplySink {
     /// A sink that fills the prediction cache under a precomputed key.
-    pub fn cache(cache: PredictionCache, key: CacheKey) -> Self {
+    pub(crate) fn cache(cache: PredictionCache, key: CacheKey) -> Self {
         ReplySink(Some(SinkKind::Cache { cache, key }))
     }
 
     /// A sink that completes a direct oneshot.
-    pub fn direct(tx: oneshot::Sender<Result<Output, PredictError>>) -> Self {
+    pub(crate) fn direct(tx: oneshot::Sender<Result<Output, PredictError>>) -> Self {
         ReplySink(Some(SinkKind::Direct(tx)))
     }
 
     /// Deliver the result to whoever is waiting.
-    pub fn complete(mut self, result: Result<Output, PredictError>) {
+    pub(crate) fn complete(mut self, result: Result<Output, PredictError>) {
         self.finish(result);
     }
 
@@ -128,7 +128,7 @@ impl Drop for ReplySink {
 }
 
 /// One query waiting in a replica queue.
-pub struct QueueItem {
+pub(crate) struct QueueItem {
     /// The feature vector.
     pub input: Input,
     /// Where the output goes.
@@ -147,7 +147,7 @@ pub struct QueueItem {
 
 impl QueueItem {
     /// A fresh queue item with no retry deadline.
-    pub fn new(input: Input, sink: ReplySink) -> Self {
+    pub(crate) fn new(input: Input, sink: ReplySink) -> Self {
         QueueItem {
             input,
             sink,
@@ -158,7 +158,7 @@ impl QueueItem {
     }
 
     /// A fresh queue item carrying a retry-budget deadline.
-    pub fn with_deadline(input: Input, sink: ReplySink, deadline: Instant) -> Self {
+    pub(crate) fn with_deadline(input: Input, sink: ReplySink, deadline: Instant) -> Self {
         QueueItem {
             deadline: Some(deadline),
             ..QueueItem::new(input, sink)
@@ -168,7 +168,7 @@ impl QueueItem {
 
 /// Queue configuration: one per model, applied to each of its replica
 /// queues. A replica's warm-start latency curve is not configuration; it
-/// is the `prior` argument of [`spawn_replica_queue_with_hooks`].
+/// is the `prior` the queue is spawned with.
 #[derive(Clone, Debug)]
 pub struct QueueConfig {
     /// Batching strategy.
@@ -263,7 +263,7 @@ impl Default for HedgeConfig {
 /// standalone queues, which then fail exactly as a single-replica fleet
 /// would.
 #[derive(Clone, Default)]
-pub struct QueueHooks {
+pub(crate) struct QueueHooks {
     /// Hand a retry-budgeted item back for redispatch onto a *different*
     /// routable replica. `Err(item)` = nobody could take it (the queue
     /// then fail-fills it).
@@ -277,7 +277,7 @@ pub struct QueueHooks {
 
 /// Telemetry for one replica queue.
 #[derive(Clone)]
-pub struct QueueMetrics {
+pub(crate) struct QueueMetrics {
     /// Dispatched batch sizes.
     pub batch_size: Histogram,
     /// Full RPC round-trip per batch (µs).
@@ -301,8 +301,6 @@ pub struct QueueMetrics {
     pub slo_violations: Counter,
     /// Controller's current max batch size.
     pub current_max_batch: Gauge,
-    /// Queries shed because the queue was full.
-    pub shed: Counter,
     /// Queries handed back for redispatch after a retryable upstream
     /// failure (recovered, not client-visible errors).
     pub retried: Counter,
@@ -312,7 +310,7 @@ pub struct QueueMetrics {
 
 impl QueueMetrics {
     /// Register the queue's metrics under `prefix` in `registry`.
-    pub fn register(registry: &Registry, prefix: &str) -> Self {
+    pub(crate) fn register(registry: &Registry, prefix: &str) -> Self {
         QueueMetrics {
             batch_size: registry.histogram(&format!("{prefix}/batch_size")),
             rpc_us: registry.histogram(&format!("{prefix}/rpc_us")),
@@ -325,24 +323,13 @@ impl QueueMetrics {
             errors: registry.counter(&format!("{prefix}/errors")),
             slo_violations: registry.counter(&format!("{prefix}/slo_violations")),
             current_max_batch: registry.gauge(&format!("{prefix}/max_batch")),
-            shed: registry.counter(&format!("{prefix}/shed")),
             retried: registry.counter(&format!("{prefix}/retried")),
             hedged: registry.counter(&format!("{prefix}/hedged")),
         }
     }
 }
 
-/// Lifecycle state of a replica queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueState {
-    /// Accepting submissions; the lanes are pulling and dispatching.
-    Running,
-    /// Refusing new submissions; the lanes are completing what's queued.
-    Draining,
-    /// Every lane has exited and every accepted query has settled.
-    Stopped,
-}
-
+/// Lifecycle states of a replica queue (see the module docs).
 const STATE_RUNNING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_STOPPED: u8 = 2;
@@ -389,14 +376,13 @@ pub struct ReplicaQueue {
     /// finish their pull loops once the backlog is gone.
     tx: Mutex<Option<mpsc::Sender<QueueItem>>>,
     shared: Arc<QueueShared>,
-    metrics: QueueMetrics,
 }
 
 impl ReplicaQueue {
     /// Try to enqueue a query. Refused — with the item handed back so the
     /// caller can route it elsewhere — when the queue is draining/stopped
     /// or full.
-    pub fn try_submit(&self, item: QueueItem) -> Result<(), QueueItem> {
+    pub(crate) fn try_submit(&self, item: QueueItem) -> Result<(), QueueItem> {
         if self.shared.state.load(Ordering::Acquire) != STATE_RUNNING {
             return Err(item);
         }
@@ -417,74 +403,36 @@ impl ReplicaQueue {
         }
     }
 
-    /// Submit a query, shedding on refusal: the item's sink is completed
-    /// with [`PredictError::Overloaded`] immediately. Single-replica
-    /// callers use this; the scheduler prefers [`ReplicaQueue::try_submit`]
-    /// so a refusal can fall through to a sibling replica.
-    pub fn submit(&self, item: QueueItem) {
-        if let Err(item) = self.try_submit(item) {
-            self.metrics.shed.inc();
-            item.sink.complete(Err(PredictError::Overloaded));
-        }
-    }
-
     /// Replica id (`model:replica`).
-    pub fn id(&self) -> &str {
+    pub(crate) fn id(&self) -> &str {
         &self.id
-    }
-
-    /// This queue's telemetry.
-    pub fn metrics(&self) -> &QueueMetrics {
-        &self.metrics
-    }
-
-    /// Current lifecycle state.
-    pub fn state(&self) -> QueueState {
-        match self.shared.state.load(Ordering::Acquire) {
-            STATE_RUNNING => QueueState::Running,
-            STATE_DRAINING => QueueState::Draining,
-            _ => QueueState::Stopped,
-        }
     }
 
     /// Queries accepted but not yet pulled by a lane (cheap relaxed
     /// read — the scheduler polls this on every routing decision).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shared.depth.load(Ordering::Relaxed)
-    }
-
-    /// Whether the queue currently holds no waiting queries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Queries pulled into dispatched batches whose replies haven't
     /// settled.
-    pub fn inflight(&self) -> usize {
+    pub(crate) fn inflight(&self) -> usize {
         self.shared.inflight.load(Ordering::Relaxed)
     }
 
     /// Queued plus in-flight queries — the rate-free load signal.
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         self.len() + self.inflight()
     }
 
     /// The replica's health at `now`: one lock-free read of its
     /// [`CircuitBreaker`], which every scheduling decision derives from.
-    pub fn health(&self, now: Instant) -> Health {
+    pub(crate) fn health(&self, now: Instant) -> Health {
         self.shared.breaker.health(now)
     }
 
-    /// Whether the replica is anything but [`Health::Clean`]: its breaker
-    /// opened (failure streak or rate) and no probe has succeeded since,
-    /// or the fleet monitor reports its heartbeats silent. Suspect
-    /// replicas are routed to only when no clean replica has room.
-    pub fn is_suspect(&self) -> bool {
-        self.health(Instant::now()) != Health::Clean
-    }
-
     /// The replica's circuit breaker (live state, transition counters).
-    pub fn breaker(&self) -> &CircuitBreaker {
+    pub(crate) fn breaker(&self) -> &CircuitBreaker {
         &self.shared.breaker
     }
 
@@ -492,7 +440,7 @@ impl ReplicaQueue {
     /// went silent (or came back) — suspicion ahead of its batches
     /// starting to fail. Feeds the replica's one health state; returns
     /// whether the flag changed.
-    pub fn set_suspect_hint(&self, suspect: bool) -> bool {
+    pub(crate) fn set_suspect_hint(&self, suspect: bool) -> bool {
         self.shared.breaker.set_heartbeat_silent(suspect)
     }
 
@@ -505,7 +453,7 @@ impl ReplicaQueue {
     /// established: callers then compare raw occupancy, and admission
     /// gives the replica the benefit of the doubt rather than shedding
     /// on a guess.
-    pub fn estimated_ns(&self, extra: usize) -> Option<u64> {
+    pub(crate) fn estimated_ns(&self, extra: usize) -> Option<u64> {
         match self.occupancy() + extra {
             0 => Some(0),
             items => self.shared.latency_model.predict_ns(items),
@@ -513,7 +461,7 @@ impl ReplicaQueue {
     }
 
     /// The replica's online `α + β·b` latency model (§4.4.1).
-    pub fn latency_model(&self) -> &Arc<LatencyModel> {
+    pub(crate) fn latency_model(&self) -> &Arc<LatencyModel> {
         &self.shared.latency_model
     }
 
@@ -527,7 +475,7 @@ impl ReplicaQueue {
     /// waiting on its transport and fails the batch it holds, and any
     /// backlog still queued is fail-filled as it is pulled instead of
     /// being dispatched, so the drain always terminates.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         let began = self
             .shared
             .state
@@ -542,7 +490,7 @@ impl ReplicaQueue {
         // lanes' pull loops after the backlog is consumed.
         self.tx.lock().take();
         if began {
-            // Note: like `spawn_replica_queue` itself, this requires the
+            // Note: like `spawn_replica_queue_with_hooks`, this requires the
             // (global, vendored) tokio runtime.
             let shared = self.shared.clone();
             tokio::spawn(async move {
@@ -577,8 +525,8 @@ impl ReplicaQueue {
     }
 
     /// Wait until every lane has exited and every accepted query settled
-    /// (state `Stopped`). Must be preceded by [`ReplicaQueue::shutdown`]
-    /// (directly or via replica removal), otherwise this waits forever.
+    /// (state `Stopped`). Must be preceded by the queue's shutdown, which
+    /// replica removal begins, otherwise this waits forever.
     ///
     /// The drain finishes once every in-flight batch *resolves* — with an
     /// answer or an error. Transports with liveness probing (the TCP
@@ -610,24 +558,14 @@ impl Drop for ReplicaQueue {
     }
 }
 
-/// Spawn the lanes for one replica's queue.
-pub fn spawn_replica_queue(
-    id: String,
-    transport: Arc<dyn BatchTransport>,
-    cfg: QueueConfig,
-    metrics: QueueMetrics,
-) -> Arc<ReplicaQueue> {
-    spawn_replica_queue_with_hooks(id, transport, cfg, None, metrics, QueueHooks::default())
-}
-
-/// [`spawn_replica_queue`] with recovery hooks wired in, and the
-/// replica's own warm-start curve as `prior` (`None` = a cold latency
+/// Spawn the lanes for one replica's queue, with its recovery hooks
+/// wired in and the replica's own warm-start curve as `prior` (`None` = a cold latency
 /// model that establishes itself from live observations). The hooks are
 /// how a standalone queue stays standalone: without a `redispatch`
 /// hook, a failed batch fail-fills immediately (no retry); without a
 /// `hedge_pick` hook, the hedge knob is inert. The model abstraction
 /// layer supplies both so retry and hedging route across the fleet.
-pub fn spawn_replica_queue_with_hooks(
+pub(crate) fn spawn_replica_queue_with_hooks(
     id: String,
     transport: Arc<dyn BatchTransport>,
     cfg: QueueConfig,
@@ -670,7 +608,6 @@ pub fn spawn_replica_queue_with_hooks(
         id,
         tx: Mutex::new(Some(tx)),
         shared,
-        metrics,
     })
 }
 
@@ -804,6 +741,28 @@ pub(super) mod tests {
         QueueMetrics::register(&Registry::new(), "q")
     }
 
+    /// A standalone queue: no warm-start curve and no recovery hooks.
+    pub(in crate::batching) fn spawn_replica_queue(
+        id: String,
+        transport: Arc<dyn BatchTransport>,
+        cfg: QueueConfig,
+        metrics: QueueMetrics,
+    ) -> Arc<ReplicaQueue> {
+        spawn_replica_queue_with_hooks(id, transport, cfg, None, metrics, QueueHooks::default())
+    }
+
+    /// Enqueue `item`, or shed it with `Overloaded` when the queue refuses.
+    pub(in crate::batching) fn submit(q: &ReplicaQueue, item: QueueItem) {
+        if let Err(item) = q.try_submit(item) {
+            item.sink.complete(Err(PredictError::Overloaded));
+        }
+    }
+
+    /// The queue's lifecycle state, one of the `STATE_*` constants.
+    fn state(q: &ReplicaQueue) -> u8 {
+        q.shared.state.load(Ordering::Acquire)
+    }
+
     pub(in crate::batching) fn direct_item(
         v: f32,
     ) -> (QueueItem, oneshot::Receiver<Result<Output, PredictError>>) {
@@ -813,24 +772,25 @@ pub(super) mod tests {
 
     #[tokio::test]
     async fn queries_flow_through_and_answers_match() {
+        let metrics = test_metrics();
         let q = spawn_replica_queue(
             "m:0".into(),
             echo_transport(),
             QueueConfig::default(),
-            test_metrics(),
+            metrics.clone(),
         );
         let mut rxs = Vec::new();
         for v in 0..20 {
             let (item, rx) = direct_item(v as f32);
-            q.submit(item);
+            submit(&q, item);
             rxs.push((v, rx));
         }
         for (v, rx) in rxs {
             let out = rx.await.unwrap().unwrap();
             assert_eq!(out, Output::Class(v as u32));
         }
-        assert!(q.metrics().completed.get() >= 20);
-        assert_eq!(q.state(), QueueState::Running);
+        assert!(metrics.completed.get() >= 20);
+        assert_eq!(state(&q), STATE_RUNNING);
     }
 
     #[tokio::test]
@@ -859,7 +819,7 @@ pub(super) mod tests {
         let mut rxs = Vec::new();
         for v in 0..100 {
             let (item, rx) = direct_item(v as f32);
-            q.submit(item);
+            submit(&q, item);
             rxs.push(rx);
         }
         for rx in rxs {
@@ -885,7 +845,6 @@ pub(super) mod tests {
                     compute_us: 0,
                 })
             }));
-        let metrics = test_metrics();
         let q = spawn_replica_queue(
             "m:0".into(),
             stuck,
@@ -894,13 +853,13 @@ pub(super) mod tests {
                 queue_capacity: 4,
                 ..Default::default()
             },
-            metrics.clone(),
+            test_metrics(),
         );
         let mut saw_overload = false;
         let mut rxs = Vec::new();
         for v in 0..64 {
             let (item, rx) = direct_item(v as f32);
-            q.submit(item);
+            submit(&q, item);
             rxs.push(rx);
         }
         for rx in rxs {
@@ -909,7 +868,6 @@ pub(super) mod tests {
             }
         }
         assert!(saw_overload, "expected load shedding");
-        assert!(metrics.shed.get() > 0);
     }
 
     #[tokio::test]
@@ -975,7 +933,7 @@ pub(super) mod tests {
         let mut rxs = Vec::new();
         for v in 0..5 {
             let (item, rx) = direct_item(v as f32);
-            q.submit(item);
+            submit(&q, item);
             rxs.push(rx);
             tokio::time::sleep(Duration::from_millis(2)).await;
         }
@@ -1006,10 +964,10 @@ pub(super) mod tests {
             QueueConfig::default(),
             test_metrics(),
         );
-        q.submit(QueueItem::new(
-            input.clone(),
-            ReplySink::cache(cache.clone(), key),
-        ));
+        submit(
+            &q,
+            QueueItem::new(input.clone(), ReplySink::cache(cache.clone(), key)),
+        );
         let out = rx.await.unwrap().unwrap();
         assert_eq!(out, Output::Class(3));
         assert_eq!(cache.fetch(key), Some(Output::Class(3)));
@@ -1062,11 +1020,11 @@ pub(super) mod tests {
         let mut rxs = Vec::new();
         for v in 0..40 {
             let (item, rx) = direct_item(v as f32);
-            q.submit(item);
+            submit(&q, item);
             rxs.push((v, rx));
         }
         q.shutdown();
-        assert_ne!(q.state(), QueueState::Running);
+        assert_ne!(state(&q), STATE_RUNNING);
         // New submissions are refused during drain.
         let (late, late_rx) = direct_item(99.0);
         assert!(q.try_submit(late).is_err(), "draining queue must refuse");
@@ -1077,7 +1035,7 @@ pub(super) mod tests {
             assert_eq!(out, Output::Class(v as u32));
         }
         q.drained().await;
-        assert_eq!(q.state(), QueueState::Stopped);
+        assert_eq!(state(&q), STATE_STOPPED);
         assert_eq!(q.len(), 0);
         assert_eq!(q.inflight(), 0);
     }
@@ -1116,7 +1074,10 @@ pub(super) mod tests {
                 _ => panic!("fresh key must be MustCompute"),
             };
             rxs.push(rx);
-            q.submit(QueueItem::new(input, ReplySink::cache(cache.clone(), key)));
+            submit(
+                &q,
+                QueueItem::new(input, ReplySink::cache(cache.clone(), key)),
+            );
         }
         q.shutdown();
         q.drained().await;
@@ -1172,7 +1133,7 @@ pub(super) mod tests {
         let mut rxs = Vec::new();
         for v in 0..4 {
             let (item, rx) = direct_item(v as f32);
-            q.submit(item);
+            submit(&q, item);
             rxs.push(rx);
         }
         let start = Instant::now();
@@ -1183,7 +1144,7 @@ pub(super) mod tests {
             "drain must not hang, took {:?}",
             start.elapsed()
         );
-        assert_eq!(q.state(), QueueState::Stopped);
+        assert_eq!(state(&q), STATE_STOPPED);
         assert_eq!(q.inflight(), 0, "aborted batches release in-flight");
         // Every waiter settles with an error — none is wedged.
         for rx in rxs {
@@ -1234,7 +1195,7 @@ pub(super) mod tests {
         let mut rxs = Vec::new();
         for v in 0..10 {
             let (item, rx) = direct_item(v as f32);
-            q.submit(item);
+            submit(&q, item);
             rxs.push((v, rx));
         }
         q.shutdown();
@@ -1268,7 +1229,10 @@ pub(super) mod tests {
             crate::cache::Lookup::MustCompute(rx) => rx,
             _ => panic!(),
         };
-        q.submit(QueueItem::new(input, ReplySink::cache(cache.clone(), key)));
+        submit(
+            &q,
+            QueueItem::new(input, ReplySink::cache(cache.clone(), key)),
+        );
         q.shutdown();
         q.drained().await;
         assert_eq!(cache.pending_len(), 0, "force-fail must settle the entry");
@@ -1333,7 +1297,7 @@ pub(super) mod tests {
             let mut rxs = Vec::new();
             for v in 0..8 {
                 let (item, rx) = direct_item(v as f32);
-                q.submit(item);
+                submit(&q, item);
                 rxs.push((v, rx));
             }
             // The gate holds every call, so the lanes fill up and stay
@@ -1377,7 +1341,7 @@ pub(super) mod tests {
         }
         q.shutdown();
         q.drained().await;
-        assert_eq!(q.state(), QueueState::Stopped);
+        assert_eq!(state(&q), STATE_STOPPED);
         assert_eq!(q.inflight(), 0);
         assert_eq!(q.len(), 0);
         // The two batches held by the lanes and the four behind them all
@@ -1423,16 +1387,23 @@ pub(super) mod tests {
             spawn_replica_queue_with_hooks("m:0".into(), flaky, cfg, None, test_metrics(), hooks);
         for v in 0..6 {
             let (tx, rx) = oneshot::channel();
-            q.submit(QueueItem::with_deadline(
-                Arc::new(vec![v as f32]),
-                ReplySink::direct(tx),
-                Instant::now() + Duration::from_secs(5),
-            ));
+            submit(
+                &q,
+                QueueItem::with_deadline(
+                    Arc::new(vec![v as f32]),
+                    ReplySink::direct(tx),
+                    Instant::now() + Duration::from_secs(5),
+                ),
+            );
             let out = rx.await.unwrap().unwrap();
             assert_eq!(out, Output::Class(v));
         }
         assert_eq!(q.breaker().state(), BreakerState::Open);
-        assert!(q.is_suspect(), "an open breaker marks the queue suspect");
+        assert_ne!(
+            q.health(Instant::now()),
+            Health::Clean,
+            "an open breaker marks the queue suspect"
+        );
         assert!(q.breaker().opened() >= 1);
     }
 
@@ -1455,10 +1426,10 @@ pub(super) mod tests {
         let mut rxs = Vec::new();
         for v in 0..16 {
             let (tx, rx) = oneshot::channel();
-            q.submit(QueueItem::new(
-                Arc::new(vec![v as f32]),
-                ReplySink::direct(tx),
-            ));
+            submit(
+                &q,
+                QueueItem::new(Arc::new(vec![v as f32]), ReplySink::direct(tx)),
+            );
             rxs.push(rx);
         }
         q.shutdown();
@@ -1467,6 +1438,6 @@ pub(super) mod tests {
         for rx in rxs {
             assert!(rx.await.unwrap().is_err(), "all sinks settle with errors");
         }
-        assert_eq!(q.state(), QueueState::Stopped);
+        assert_eq!(state(&q), STATE_STOPPED);
     }
 }

@@ -166,7 +166,7 @@ impl Hash for CacheKey {
 /// Identity hasher for pre-hashed keys: `finish` returns the written word
 /// verbatim, so map probes do no rehashing at all.
 #[derive(Default)]
-pub struct FingerprintHasher(u64);
+pub(crate) struct FingerprintHasher(u64);
 
 impl Hasher for FingerprintHasher {
     #[inline]
@@ -385,27 +385,6 @@ impl PredictionCache {
         &self.shards[(key.fp[1] & self.shard_mask) as usize]
     }
 
-    /// Which shard `key` lives in (test/bench introspection).
-    #[doc(hidden)]
-    pub fn shard_of(&self, key: CacheKey) -> usize {
-        (key.fp[1] & self.shard_mask) as usize
-    }
-
-    /// Snapshot of one shard's occupied slots as `(key, referenced)`
-    /// pairs, in CLOCK-ring order starting at the hand (test
-    /// introspection for eviction-invariant checks).
-    #[doc(hidden)]
-    pub fn shard_slots(&self, shard: usize) -> Vec<(CacheKey, bool)> {
-        let s = &self.shards[shard];
-        let inner = s.inner.lock();
-        let cap = inner.slots.len();
-        (0..cap)
-            .map(|i| (inner.hand + i) % cap)
-            .filter_map(|i| inner.slots[i].as_ref())
-            .map(|slot| (slot.key, slot.referenced))
-            .collect()
-    }
-
     /// Non-blocking fetch (the paper's `fetch`): value if present.
     ///
     /// A probe that finds an in-flight computation counts as a
@@ -519,6 +498,23 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashSet;
     use std::sync::Arc;
+
+    /// Which shard `key` lives in.
+    fn shard_of(cache: &PredictionCache, key: CacheKey) -> usize {
+        (key.fp[1] & cache.shard_mask) as usize
+    }
+
+    /// Snapshot of one shard's occupied slots as `(key, referenced)`
+    /// pairs, in CLOCK-ring order starting at the hand.
+    fn shard_slots(cache: &PredictionCache, shard: usize) -> Vec<(CacheKey, bool)> {
+        let inner = cache.shards[shard].inner.lock();
+        let cap = inner.slots.len();
+        (0..cap)
+            .map(|i| (inner.hand + i) % cap)
+            .filter_map(|i| inner.slots[i].as_ref())
+            .map(|slot| (slot.key, slot.referenced))
+            .collect()
+    }
 
     fn input(vals: &[f32]) -> Input {
         Arc::new(vals.to_vec())
@@ -690,7 +686,7 @@ mod tests {
         let mut shards_used = HashSet::new();
         for i in 0..256u32 {
             let k = key("m", &[i as f32]);
-            shards_used.insert(cache.shard_of(k));
+            shards_used.insert(shard_of(&cache, k));
             cache.fill(k, Ok(Output::Class(i)));
             assert!(cache.len() <= 64);
         }
@@ -790,8 +786,7 @@ mod tests {
 
     /// Reference model of one CLOCK shard used by the eviction proptest.
     fn unreferenced_set(cache: &PredictionCache, shard: usize) -> HashSet<u64> {
-        cache
-            .shard_slots(shard)
+        shard_slots(cache, shard)
             .into_iter()
             .filter(|(_, referenced)| !referenced)
             .map(|(k, _)| k.fp[0])
@@ -813,12 +808,12 @@ mod tests {
                 let k = CacheKey::from_fingerprint(id as u64, 0);
                 if is_fill && cache.fetch(k).is_none() {
                     let stored: HashSet<u64> =
-                        cache.shard_slots(0).into_iter().map(|(k, _)| k.fp[0]).collect();
+                        shard_slots(&cache, 0).into_iter().map(|(k, _)| k.fp[0]).collect();
                     let unreferenced = unreferenced_set(&cache, 0);
                     let evictions_before = cache.stats().evictions;
                     cache.fill(k, Ok(Output::Class(id)));
                     let after: HashSet<u64> =
-                        cache.shard_slots(0).into_iter().map(|(k, _)| k.fp[0]).collect();
+                        shard_slots(&cache, 0).into_iter().map(|(k, _)| k.fp[0]).collect();
                     let evicted: Vec<u64> = stored.difference(&after).copied().collect();
                     if cache.stats().evictions > evictions_before {
                         prop_assert!(evicted.len() == 1, "one eviction must remove one key");

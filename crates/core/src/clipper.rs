@@ -52,7 +52,9 @@ use crate::batching::ReplicaQueue;
 use crate::error::PredictError;
 use crate::fleet::{Fleet, FleetConfig};
 use crate::selection::{build_policy, SelectionPolicy, SelectionStateManager};
-use crate::types::{AppConfig, AppUpdate, Feedback, Input, ModelId, Output, Prediction};
+use crate::types::{
+    AppConfig, AppUpdate, Feedback, Input, ModelId, Output, PolicyKind, Prediction,
+};
 use clipper_metrics::{Counter, Histogram, Registry};
 use clipper_rpc::transport::BatchTransport;
 use clipper_statestore::StateStore;
@@ -148,6 +150,25 @@ impl ClipperBuilder {
 struct App {
     cfg: AppConfig,
     policy: Box<dyn SelectionPolicy>,
+}
+
+/// The one validity rule for an app's selection: at least one candidate
+/// model, and for Exp3 / Exp4 a finite learning rate above 0. Checks the
+/// parts given; `None` is a part an update leaves as it is.
+fn check_app(models: Option<&[ModelId]>, policy: Option<&PolicyKind>) -> Result<(), ApiError> {
+    if models.is_some_and(<[ModelId]>::is_empty) {
+        return Err(ApiError::BadRequest(
+            "candidate_models must not be empty".into(),
+        ));
+    }
+    if let Some(PolicyKind::Exp3 { eta } | PolicyKind::Exp4 { eta }) = policy {
+        if !(eta.is_finite() && *eta > 0.0) {
+            return Err(ApiError::BadRequest(format!(
+                "eta must be a finite number above 0, got {eta}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 impl App {
@@ -314,21 +335,25 @@ impl Clipper {
     /// policy, SLO. Upsert semantics; the registration persists to the
     /// statestore. Use [`try_register_app`](Self::try_register_app) for
     /// create-only semantics (the control plane's `POST`).
+    ///
+    /// # Panics
+    ///
+    /// On an empty candidate set, or an Exp3 / Exp4 learning rate that is
+    /// not a finite number above 0 — before anything is persisted.
     pub fn register_app(&self, cfg: AppConfig) {
+        if let Err(e) = check_app(Some(&cfg.candidate_models), Some(&cfg.policy)) {
+            panic!("register_app({}): {e}", cfg.name);
+        }
         self.inner.persist_app(&cfg);
         let name = cfg.name.clone();
         self.inner.apps.write().insert(name, App::new(cfg));
     }
 
     /// Create-only app registration: refuses a duplicate name (409), an
-    /// empty candidate set (400), and a candidate model that is not
-    /// registered (404).
+    /// empty candidate set or a learning rate that is not a finite number
+    /// above 0 (400), and a candidate model that is not registered (404).
     pub fn try_register_app(&self, cfg: AppConfig) -> Result<(), ApiError> {
-        if cfg.candidate_models.is_empty() {
-            return Err(ApiError::BadRequest(
-                "candidate_models must not be empty".into(),
-            ));
-        }
+        check_app(Some(&cfg.candidate_models), Some(&cfg.policy))?;
         for m in &cfg.candidate_models {
             if !self.inner.mal.has_model(m) {
                 return Err(ApiError::ModelUnknown(m.to_string()));
@@ -354,14 +379,10 @@ impl Clipper {
     /// policy state survives — when the candidate set changes, per-model
     /// weights carry over by model name. Returns the amended config.
     pub fn update_app(&self, name: &str, update: AppUpdate) -> Result<AppConfig, ApiError> {
+        // An empty candidate set would brick the app: selection would have
+        // nothing to choose from (and would wipe learned state).
+        check_app(update.candidate_models.as_deref(), update.policy.as_ref())?;
         if let Some(models) = &update.candidate_models {
-            // An empty candidate set would brick the app: selection would
-            // have nothing to choose from (and would wipe learned state).
-            if models.is_empty() {
-                return Err(ApiError::BadRequest(
-                    "candidate_models must not be empty".into(),
-                ));
-            }
             for m in models {
                 if !self.inner.mal.has_model(m) {
                     return Err(ApiError::ModelUnknown(m.to_string()));
@@ -689,14 +710,16 @@ impl Clipper {
     /// config state). On a fresh frontend this is the restart path: the
     /// registry is empty, so every model, app and replica record is
     /// adopted. On a *live* frontend it converges on records another
-    /// frontend (sharing the store) moved underneath it. A corrupt record
-    /// is skipped (reported in [`SyncReport::skipped`]) rather than
-    /// aborting the rest of the pass.
+    /// frontend (sharing the store) moved underneath it. A corrupt record,
+    /// or an app record that cannot serve (no candidate model, or a
+    /// learning rate that is not a finite number above 0), is skipped
+    /// (reported in [`SyncReport::skipped`]) rather than aborting the rest
+    /// of the pass.
     ///
     /// Per model record: unknown names are adopted wholesale
     /// (directory + versions with the batch knobs they were persisted
-    /// with, [`ModelRecord::batch`]; records predating knob persistence
-    /// fall back to default batching, and replicas re-attach afterwards
+    /// with, [`ModelRecord::batch`]; a version without knobs there
+    /// falls back to default batching, and replicas re-attach afterwards
     /// via [`add_replica`](Self::add_replica)); known
     /// names adopt any versions they lack; and when the persisted
     /// *current* pointer differs from the local one, the full local
@@ -759,6 +782,10 @@ impl Clipper {
         // Apps: adopt new, replace changed, drop deleted.
         let mut persisted_names = Vec::new();
         for rec in inner.records::<AppRecord>(api::APP_KEY_PREFIX, &mut report.skipped) {
+            if check_app(Some(&rec.candidate_models), Some(&rec.policy)).is_err() {
+                report.skipped.push(api::app_key(&rec.name));
+                continue;
+            }
             persisted_names.push(rec.name.clone());
             let local = self
                 .inner
@@ -1133,6 +1160,7 @@ impl Clipper {
 mod tests {
     use super::*;
     use crate::batching::BatchStrategy;
+    use crate::selection::PolicyState;
     use crate::types::PolicyKind;
     use clipper_rpc::message::{PredictReply, WireOutput};
     use std::time::Duration;
@@ -1168,6 +1196,11 @@ mod tests {
 
     fn const_transport(label: u32, delay: Option<Duration>) -> Arc<dyn BatchTransport> {
         Arc::new(ConstTransport { label, delay })
+    }
+
+    /// Index of a model in a policy state.
+    fn index_of(state: &PolicyState, model: &ModelId) -> Option<usize> {
+        state.models.iter().position(|m| m == model)
     }
 
     fn setup(labels: &[u32], policy: PolicyKind, slo: Duration) -> (Clipper, Vec<ModelId>) {
@@ -1468,7 +1501,7 @@ mod tests {
                 .unwrap();
         }
         let state = clipper.policy_state("app", None).unwrap();
-        let idx_good = state.index_of(&models[1]).unwrap();
+        let idx_good = index_of(&state, &models[1]).unwrap();
         let probs = state.probabilities();
         assert!(
             probs[idx_good] > 0.8,
@@ -1506,8 +1539,8 @@ mod tests {
         }
         let sa = clipper.policy_state("app", Some("userA")).unwrap();
         let sb = clipper.policy_state("app", Some("userB")).unwrap();
-        let good_a = sa.probabilities()[sa.index_of(&models[1]).unwrap()];
-        let good_b = sb.probabilities()[sb.index_of(&models[0]).unwrap()];
+        let good_a = sa.probabilities()[index_of(&sa, &models[1]).unwrap()];
+        let good_b = sb.probabilities()[index_of(&sb, &models[0]).unwrap()];
         assert!(good_a > 0.7, "user A favors model 1: {good_a}");
         assert!(good_b > 0.7, "user B favors model 0: {good_b}");
     }
@@ -1757,7 +1790,7 @@ mod tests {
                 .unwrap();
         }
         let before = clipper.policy_state("app", None).unwrap();
-        let w_good = before.weights[before.index_of(&good1).unwrap()];
+        let w_good = before.weights[index_of(&before, &good1).unwrap()];
 
         let good2 = ModelId::new("good", 2);
         clipper.add_model(good2.clone(), BatchConfig::default());
@@ -1767,7 +1800,7 @@ mod tests {
         clipper.rollout_model("good", 2).await.unwrap();
 
         let after = clipper.policy_state("app", None).unwrap();
-        let idx = after.index_of(&good2).expect("state remapped to v2");
+        let idx = index_of(&after, &good2).expect("state remapped to v2");
         assert_eq!(
             after.weights[idx], w_good,
             "learned weight carries across the version bump"
@@ -1878,7 +1911,7 @@ mod tests {
         let store = Arc::new(clipper_statestore::StateStore::new());
         store.set(
             &api::model_key("m"),
-            br#"{"name":"m","current":1,"versions":[1],"history":[],"batch":[{"version":1,"knobs":{"strategy":{"kind":"autotune","headroom":0.1},"slo_us":20000,"batch_wait_timeout_us":0,"queue_capacity":8192,"max_batch_cap":4096,"pipeline_depth":1,"drain_deadline_us":5000000,"latency_prior":{"alpha_us":90.0,"beta_us":45.0}},"replicas":[{"queue_id":"m:v1:0","alpha_us":100.0,"beta_us":50.0,"b_max":350,"samples":160}]}]}"#.to_vec(),
+            br#"{"name":"m","current":1,"versions":[1],"history":[],"batch":[{"version":1,"knobs":{"strategy":{"kind":"autotune","headroom":0.1},"slo_us":20000,"batch_wait_timeout_us":0,"queue_capacity":8192,"max_batch_cap":4096,"pipeline_depth":1,"drain_deadline_us":5000000,"latency_prior":{"alpha_us":90.0,"beta_us":45.0},"slo_admission":false,"retry_max_attempts":3,"hedge":null},"replicas":[{"queue_id":"m:v1:0","alpha_us":100.0,"beta_us":50.0,"b_max":350,"samples":160}]}]}"#.to_vec(),
         );
         let clipper = Clipper::builder().statestore(store).build();
         assert_eq!(clipper.sync_config().await.adopted_models, 1);
@@ -2081,6 +2114,44 @@ mod tests {
         assert_eq!(report.skipped, vec![crate::api::app_key("old")]);
         assert!(second.app_config("app").is_some());
         assert!(second.app_config("old").is_none());
+    }
+
+    #[tokio::test]
+    async fn sync_config_skips_an_app_record_whose_learning_rate_cannot_serve() {
+        let store = Arc::new(clipper_statestore::StateStore::new());
+        {
+            let first = Clipper::builder().statestore(store.clone()).build();
+            let v1 = ModelId::new("good", 1);
+            first.add_model(v1.clone(), BatchConfig::default());
+            first.register_app(AppConfig::new("app", vec![v1]));
+        }
+        let live = String::from_utf8(store.get(&crate::api::app_key("app")).unwrap()).unwrap();
+        let bad = live
+            .replace(r#""name":"app""#, r#""name":"bad""#)
+            .replace(r#"{"Exp3":{"eta":0.1}}"#, r#"{"Exp3":{"eta":-1.0}}"#);
+        assert!(bad.contains(r#""eta":-1.0"#), "{bad}");
+        store.set(&crate::api::app_key("bad"), bad.into_bytes());
+
+        let second = Clipper::builder().statestore(store).build();
+        let report = second.sync_config().await;
+        assert_eq!((report.adopted_models, report.adopted_apps), (1, 1));
+        assert_eq!(report.skipped, vec![crate::api::app_key("bad")]);
+        assert!(second.app_config("bad").is_none());
+    }
+
+    #[test]
+    fn register_app_refuses_a_learning_rate_not_above_zero_before_persisting() {
+        let clipper = Clipper::builder().build();
+        let m = ModelId::new("m", 1);
+        clipper.add_model(m.clone(), BatchConfig::default());
+        for eta in [0.0, -1.0, f64::INFINITY] {
+            let cfg = AppConfig::new("bad", vec![m.clone()]).with_policy(PolicyKind::Exp4 { eta });
+            let registered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                clipper.register_app(cfg)
+            }));
+            assert!(registered.is_err(), "eta {eta} must be refused");
+            assert!(clipper.store().get(&crate::api::app_key("bad")).is_none());
+        }
     }
 
     #[tokio::test]

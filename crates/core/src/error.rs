@@ -3,14 +3,14 @@
 //! [`PredictError`] is what every layer of a predict — selection, cache,
 //! scheduler, replica queue — returns and what the prediction cache
 //! delivers to waiters; the HTTP frontend maps it to a status through
-//! [`PredictError::http_status`] without reading message strings.
+//! `PredictError::http_status` without reading message strings.
 
 use clipper_rpc::RpcError;
 
 /// Cloneable prediction failure (fans out to many waiters).
 ///
 /// The variants form a typed taxonomy with a canonical HTTP mapping
-/// ([`http_status`](PredictError::http_status)): callers — the HTTP
+/// (`http_status`): callers — the HTTP
 /// frontend in particular — never have to pattern-match on message
 /// strings to decide between 400, 404, 429, 500, and 503.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,7 +69,7 @@ pub enum UpstreamKind {
 
 impl UpstreamKind {
     /// Classify a transport error.
-    pub fn of(e: &RpcError) -> Self {
+    pub(crate) fn of(e: &RpcError) -> Self {
         match e {
             RpcError::Io(_) => UpstreamKind::Io,
             RpcError::ConnectionClosed => UpstreamKind::ConnectionClosed,
@@ -81,7 +81,7 @@ impl UpstreamKind {
     }
 
     /// Stable label for messages and metrics.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             UpstreamKind::Io => "io",
             UpstreamKind::ConnectionClosed => "connection_closed",
@@ -102,7 +102,7 @@ impl std::fmt::Display for UpstreamKind {
 
 impl PredictError {
     /// Canonical HTTP status for this failure.
-    pub fn http_status(&self) -> u16 {
+    pub(crate) fn http_status(&self) -> u16 {
         match self {
             PredictError::Overloaded => 429,
             PredictError::NoReplicas => 503,
@@ -120,7 +120,7 @@ impl PredictError {
     }
 
     /// Stable machine-readable code for error bodies.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             PredictError::Overloaded => "overloaded",
             PredictError::NoReplicas => "no_replicas",
@@ -134,7 +134,7 @@ impl PredictError {
 
     /// Whether retrying the same request later may succeed (transient
     /// capacity/timing failures, not caller or registration errors).
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         matches!(
             self,
             PredictError::Overloaded

@@ -50,7 +50,7 @@ pub struct AutoscaleConfig {
 
 /// One evaluation period's observed load signals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScaleSignals {
+pub(crate) struct ScaleSignals {
     /// Live replica count.
     pub replicas: usize,
     /// Total backlog across replicas, ns of queued work.
@@ -73,7 +73,11 @@ pub enum AutoscaleDecision {
 /// The pure scaling decision — separated from the control loop so the
 /// policy is unit-testable without queues or clocks. `quiet_evals` is
 /// the count of consecutive quiet evaluations *before* this one.
-pub fn evaluate(cfg: &AutoscaleConfig, s: &ScaleSignals, quiet_evals: u32) -> AutoscaleDecision {
+pub(crate) fn evaluate(
+    cfg: &AutoscaleConfig,
+    s: &ScaleSignals,
+    quiet_evals: u32,
+) -> AutoscaleDecision {
     if s.replicas < cfg.min_replicas {
         return AutoscaleDecision::Up;
     }

@@ -25,9 +25,9 @@
 //!   scheduler already computes (backlog, admission sheds) launches and
 //!   reaps replicas through a pluggable [`ReplicaLauncher`].
 
-pub mod autoscale;
-pub mod health;
-pub mod registry;
+mod autoscale;
+mod health;
+mod registry;
 
-pub use autoscale::{evaluate, AutoscaleConfig, AutoscaleDecision, AutoscalerState, ScaleSignals};
+pub use autoscale::{AutoscaleConfig, AutoscaleDecision, AutoscalerState};
 pub use registry::{Fleet, FleetConfig, FleetEvent, FnLauncher, ReplicaLauncher};

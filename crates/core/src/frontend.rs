@@ -643,11 +643,6 @@ async fn dispatch(
             if spec.name.is_empty() {
                 return Err(ApiError::BadRequest("app name must not be empty".into()));
             }
-            if spec.candidate_models.is_empty() {
-                return Err(ApiError::BadRequest(
-                    "candidate_models must not be empty".into(),
-                ));
-            }
             let cfg = spec.into_config();
             clipper.try_register_app(cfg.clone())?;
             json_ok(201, &AppView::from(&cfg))
@@ -926,7 +921,7 @@ mod tests {
             candidate_models: vec![],
             policy: PolicyKind::Exp3 { eta: f64::NAN },
             slo_ms: 20,
-            slo_us: None,
+            slo_us: 20_000,
             default_output: JsonOutput::Class { label: 0 },
             seed: 0,
         };
@@ -1354,6 +1349,36 @@ mod tests {
         )
         .await;
         assert!(resp.starts_with("HTTP/1.1 404"), "{resp}");
+    }
+
+    #[tokio::test]
+    async fn a_learning_rate_not_above_zero_is_a_400() {
+        let (frontend, clipper) = start_frontend().await;
+        let addr = frontend.local_addr();
+        for policy in [
+            r#"{"Exp3":{"eta":0}}"#,
+            r#"{"Exp3":{"eta":-1}}"#,
+            r#"{"Exp4":{"eta":0}}"#,
+            r#"{"Exp4":{"eta":-1}}"#,
+        ] {
+            let spec = format!(
+                r#"{{"name":"bad","candidate_models":[{{"name":"m","version":1}}],"policy":{policy}}}"#
+            );
+            let patch = format!(r#"{{"policy":{policy}}}"#);
+            for resp in [
+                http_call(addr, &post("/api/v1/apps", &spec)).await,
+                http_call(addr, &request("PATCH", "/api/v1/apps/digits", &patch)).await,
+            ] {
+                assert!(resp.starts_with("HTTP/1.1 400"), "{policy}: {resp}");
+                assert!(resp.contains(r#""code":"bad_request""#), "{resp}");
+            }
+            assert!(clipper.app_config("bad").is_none());
+            assert_eq!(
+                clipper.app_config("digits").unwrap().policy,
+                PolicyKind::Static { model_index: 0 }
+            );
+        }
+        assert!(clipper.store().get(&crate::api::app_key("bad")).is_none());
     }
 
     #[tokio::test]

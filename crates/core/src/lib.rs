@@ -13,12 +13,16 @@
 //!   fixed — plus delayed batching under moderate load (§4.3). Each
 //!   queue is a set of pull-based lanes (one task seals, sends and
 //!   settles a batch) with an explicit `Running → Draining → Stopped`
-//!   lifecycle and zero-copy batch dispatch;
-//! - per-model replica scheduling (§4.4.1): depth-aware
-//!   power-of-two-choices over live queue state (each replica's one
-//!   health value and its latency model applied to its occupancy) with
-//!   fall-through before shedding and graceful hot add/remove — see
-//!   [`abstraction::SchedulerPolicy`].
+//!   lifecycle and zero-copy batch dispatch. The queues belong to the
+//!   layer: callers see [`ModelAbstractionLayer::predict`], and of a
+//!   queue only the handle that replica removal returns, to await its
+//!   drain;
+//! - per-model replica scheduling (§4.4.1): one replica walk over live
+//!   queue state (each replica's one health value and its latency model
+//!   applied to its occupancy) for every routing decision —
+//!   depth-aware power-of-two-choices with fall-through before
+//!   shedding, or round-robin as the baseline — and graceful hot
+//!   add/remove; see [`abstraction::SchedulerPolicy`].
 //!
 //! **Model selection layer** ([`selection`]) — feedback-driven dispatch
 //! and combination (§5):
@@ -37,15 +41,17 @@
 //! (register/update/unregister), model-version rollout and rollback with
 //! graceful drain of the old version, statestore-persisted registrations
 //! with restart rehydration, and the typed error taxonomy in [`api`].
-//! [`frontend`] exposes both planes over HTTP as the versioned `/api/v1`
-//! REST surface, and [`fleet`] closes the replica loop production-style:
+//! [`HttpFrontend`] exposes both planes over HTTP as the versioned
+//! `/api/v1` REST surface, and [`Fleet`] closes the replica loop
+//! production-style:
 //! container self-registration, heartbeat-driven health with graceful
 //! expiry, and backlog-driven autoscaling.
 //!
 //! Everything that crosses a process boundary as JSON — request and
 //! response bodies, statestore records, the per-context selection state,
-//! `/metrics` — goes through the `serde` derives on the types in [`api`],
-//! [`types`] and [`selection`] and the four `serde_json` functions. There
+//! `/metrics` — goes through the `serde` derives on the types in [`api`]
+//! and [`selection`], on [`ModelId`] and [`PolicyKind`], and the four
+//! `serde_json` functions. There
 //! is no hand-written parser or emitter beside them.
 //!
 //! Start from [`ClipperBuilder`]:
@@ -67,26 +73,25 @@ pub mod abstraction;
 pub mod api;
 pub mod batching;
 pub mod cache;
-pub mod clipper;
+mod clipper;
 pub mod error;
-pub mod fleet;
-pub mod frontend;
+mod fleet;
+mod frontend;
 pub mod selection;
-pub mod types;
+mod types;
 
 pub use abstraction::{BatchConfig, ModelAbstractionLayer, SchedulerPolicy};
 pub use api::{
     ApiError, AppPatch, AppSpec, AppView, ErrorBody, ModelView, RolloutOutcome, SyncReport,
 };
-pub use batching::{AimdController, BatchStrategy, QuantileController, QueueState};
+pub use batching::{AimdController, BatchStrategy, QuantileController};
 pub use cache::{CacheKey, CacheStats, PredictionCache};
 pub use clipper::{Clipper, ClipperBuilder};
 pub use error::PredictError;
 pub use fleet::{
-    AutoscaleConfig, AutoscaleDecision, Fleet, FleetConfig, FleetEvent, FnLauncher, ReplicaLauncher,
+    AutoscaleConfig, AutoscaleDecision, AutoscalerState, Fleet, FleetConfig, FleetEvent,
+    FnLauncher, ReplicaLauncher,
 };
 pub use frontend::HttpFrontend;
-pub use selection::{Exp3Policy, Exp4Policy, PolicyState, SelectionPolicy, StaticPolicy};
-pub use types::{
-    output_loss, AppConfig, AppUpdate, Feedback, Input, ModelId, Output, PolicyKind, Prediction,
-};
+pub use selection::{Exp3Policy, Exp4Policy, PolicyState, SelectionPolicy};
+pub use types::{AppConfig, AppUpdate, Feedback, Input, ModelId, Output, PolicyKind, Prediction};

@@ -25,7 +25,7 @@ pub struct SelectionStateManager {
 
 /// Errors from state management.
 #[derive(Debug, PartialEq, Eq)]
-pub enum StateError {
+pub(crate) enum StateError {
     /// State bytes failed to deserialize (e.g. version skew).
     Corrupt(String),
 }
@@ -42,7 +42,7 @@ impl std::error::Error for StateError {}
 
 impl SelectionStateManager {
     /// Create a manager over `store`.
-    pub fn new(store: Arc<StateStore>) -> Self {
+    pub(crate) fn new(store: Arc<StateStore>) -> Self {
         SelectionStateManager { store }
     }
 
@@ -61,7 +61,7 @@ impl SelectionStateManager {
 
     /// Fetch the state for `(app, context)`, initializing it (and storing
     /// the initial copy) if absent.
-    pub fn get_or_init(
+    pub(crate) fn get_or_init(
         &self,
         app: &str,
         context: Option<&str>,
@@ -87,7 +87,7 @@ impl SelectionStateManager {
 
     /// Read-modify-write the state under optimistic concurrency, retrying
     /// until the write is stored.
-    pub fn update<F>(
+    pub(crate) fn update<F>(
         &self,
         app: &str,
         context: Option<&str>,
@@ -119,11 +119,6 @@ impl SelectionStateManager {
                 return Ok(state);
             }
         }
-    }
-
-    /// Drop the state for a context (e.g. user reset).
-    pub fn reset(&self, app: &str, context: Option<&str>) {
-        self.store.del(&Self::key(app, context));
     }
 
     /// Number of stored contexts across all apps.
@@ -195,18 +190,6 @@ mod tests {
         .unwrap();
         let s = mgr.get_or_init("app", None, &p, &ms, 0).unwrap();
         assert_eq!(s.total, 42);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mgr = manager();
-        let p = Exp3Policy::new(0.1);
-        let ms = models(2);
-        mgr.update("app", Some("u"), &p, &ms, 0, |s| s.total = 5)
-            .unwrap();
-        mgr.reset("app", Some("u"));
-        let s = mgr.get_or_init("app", Some("u"), &p, &ms, 0).unwrap();
-        assert_eq!(s.total, 0);
     }
 
     #[test]

@@ -8,19 +8,20 @@
 //! Provided policies:
 //! - [`Exp3Policy`] — single-model bandit, one evaluation per query (§5.1);
 //! - [`Exp4Policy`] — ensemble weighting across all models (§5.2);
-//! - [`MajorityVotePolicy`] — unweighted ensembles (no learning);
-//! - [`StaticPolicy`] — a fixed model (the A/B-testing strawman).
+//! - `MajorityVotePolicy` — unweighted ensembles (no learning);
+//! - `StaticPolicy` — a fixed model (the A/B-testing strawman).
 //!
 //! Randomized selection is *derived* (hash of seed, observation count, and
 //! input), so `select` is a pure function of state — the property that
 //! lets `observe` re-derive which arm a past query used when joining
 //! delayed feedback.
 
-pub mod manager;
-pub mod policies;
+mod manager;
+mod policies;
 
 pub use manager::SelectionStateManager;
-pub use policies::{build_policy, Exp3Policy, Exp4Policy, MajorityVotePolicy, StaticPolicy};
+pub(crate) use policies::build_policy;
+pub use policies::{Exp3Policy, Exp4Policy};
 
 use crate::types::{Feedback, Input, ModelId, Output};
 use serde::{Deserialize, Serialize};
@@ -58,11 +59,6 @@ impl PolicyState {
         }
     }
 
-    /// Index of a model in this state.
-    pub fn index_of(&self, model: &ModelId) -> Option<usize> {
-        self.models.iter().position(|m| m == model)
-    }
-
     /// Selection probabilities proportional to weights.
     pub fn probabilities(&self) -> Vec<f64> {
         let sum: f64 = self.weights.iter().sum();
@@ -75,7 +71,7 @@ impl PolicyState {
 
     /// Derived uniform in [0, 1): a pure function of (seed, total, input),
     /// so randomized selection is reproducible and re-derivable.
-    pub fn derived_uniform(&self, input: &Input) -> f64 {
+    pub(crate) fn derived_uniform(&self, input: &Input) -> f64 {
         let mut h = DefaultHasher::new();
         self.seed.hash(&mut h);
         self.total.hash(&mut h);
@@ -92,7 +88,7 @@ impl PolicyState {
     /// about the model, which is the point of transparent rollouts
     /// (§2.2) — while genuinely new models start at the uniform weight.
     /// Returns whether anything changed.
-    pub fn remap_models(&mut self, models: &[ModelId]) -> bool {
+    pub(crate) fn remap_models(&mut self, models: &[ModelId]) -> bool {
         if self.models == models {
             return false;
         }
@@ -128,7 +124,7 @@ impl PolicyState {
 
     /// Guard against weight overflow/underflow: renormalize so weights sum
     /// to the model count (preserves probabilities exactly).
-    pub fn renormalize(&mut self) {
+    pub(crate) fn renormalize(&mut self) {
         let sum: f64 = self.weights.iter().sum();
         let n = self.weights.len() as f64;
         if sum > 0.0 && sum.is_finite() {
@@ -180,7 +176,8 @@ pub trait SelectionPolicy: Send + Sync {
 
 /// Weighted combination over present predictions: per-label weighted vote
 /// (score vectors are averaged when shapes agree; label sequences vote per
-/// position). Returns `None` when `preds` is empty.
+/// position), a tie going to the smaller label. Returns `None` when
+/// `preds` is empty.
 pub fn weighted_combine(
     state: &PolicyState,
     preds: &HashMap<ModelId, Output>,
@@ -222,9 +219,7 @@ pub fn weighted_combine(
                     }
                 }
             }
-            let (&winner, &wwin) = tally
-                .iter()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))?;
+            let (winner, wwin) = heaviest(&tally)?;
             combined.push(winner);
             if pos_weight > 0.0 {
                 agreement_acc += wwin / pos_weight;
@@ -278,10 +273,18 @@ pub fn weighted_combine(
     for (i, o) in &present {
         *tally.entry(o.label()).or_insert(0.0) += state.weights[*i];
     }
-    let (&winner, &wwin) = tally
-        .iter()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))?;
+    let (winner, wwin) = heaviest(&tally)?;
     Some((Output::Class(winner), wwin / total_weight))
+}
+
+/// The label with the most weight in `tally`, a tie going to the smaller
+/// label: the winner never depends on the map's iteration order.
+fn heaviest(tally: &HashMap<u32, f64>) -> Option<(u32, f64)> {
+    tally.iter().map(|(&l, &w)| (l, w)).max_by(|a, b| {
+        a.1.partial_cmp(&b.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(b.0.cmp(&a.0))
+    })
 }
 
 #[cfg(test)]
@@ -291,6 +294,33 @@ mod tests {
 
     fn models(n: usize) -> Vec<ModelId> {
         (0..n).map(|i| ModelId::new(&format!("m{i}"), 1)).collect()
+    }
+
+    #[test]
+    fn an_even_vote_goes_to_the_smaller_label_every_time() {
+        let ms = models(2);
+        let state = PolicyState::uniform(&ms, 0);
+        for _ in 0..64 {
+            // A fresh map per call: a fresh iteration order for the tally.
+            let classes: HashMap<ModelId, Output> = [
+                (ms[0].clone(), Output::Class(7)),
+                (ms[1].clone(), Output::Class(3)),
+            ]
+            .into();
+            assert_eq!(
+                weighted_combine(&state, &classes),
+                Some((Output::Class(3), 0.5))
+            );
+            let sequences: HashMap<ModelId, Output> = [
+                (ms[0].clone(), Output::Labels(vec![7, 1])),
+                (ms[1].clone(), Output::Labels(vec![3, 2])),
+            ]
+            .into();
+            assert_eq!(
+                weighted_combine(&state, &sequences),
+                Some((Output::Labels(vec![3, 1]), 0.5))
+            );
+        }
     }
 
     #[test]

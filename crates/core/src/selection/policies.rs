@@ -5,7 +5,7 @@ use crate::types::{output_loss, Feedback, Input, ModelId, Output, PolicyKind};
 use std::collections::HashMap;
 
 /// Instantiate the policy for an app's [`PolicyKind`].
-pub fn build_policy(kind: &PolicyKind) -> Box<dyn SelectionPolicy> {
+pub(crate) fn build_policy(kind: &PolicyKind) -> Box<dyn SelectionPolicy> {
     match *kind {
         PolicyKind::Exp3 { eta } => Box::new(Exp3Policy::new(eta)),
         PolicyKind::Exp4 { eta } => Box::new(Exp4Policy::new(eta)),
@@ -173,7 +173,7 @@ impl SelectionPolicy for Exp4Policy {
 
 /// Unweighted ensemble voting (no learning) — the static-ensemble baseline
 /// in Figures 7 and 9.
-pub struct MajorityVotePolicy;
+pub(crate) struct MajorityVotePolicy;
 
 impl SelectionPolicy for MajorityVotePolicy {
     fn name(&self) -> &'static str {
@@ -208,13 +208,13 @@ impl SelectionPolicy for MajorityVotePolicy {
 
 /// A single fixed model — what static deployment (offline evaluation /
 /// A/B testing) would pick.
-pub struct StaticPolicy {
+pub(crate) struct StaticPolicy {
     model_index: usize,
 }
 
 impl StaticPolicy {
     /// Always use the model at `model_index` in the app's candidate list.
-    pub fn new(model_index: usize) -> Self {
+    pub(crate) fn new(model_index: usize) -> Self {
         StaticPolicy { model_index }
     }
 }

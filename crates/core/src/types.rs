@@ -63,7 +63,7 @@ impl Feedback {
 /// Loss in `[0, 1]` between a prediction and the truth — the quantity the
 /// bandit policies consume (§5.1): zero-one loss for labels/scores,
 /// per-position error rate for sequences.
-pub fn output_loss(pred: &Output, truth: &Output) -> f64 {
+pub(crate) fn output_loss(pred: &Output, truth: &Output) -> f64 {
     match (pred, truth) {
         (Output::Labels(p), Output::Labels(t)) => {
             if p.is_empty() && t.is_empty() {

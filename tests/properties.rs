@@ -186,21 +186,19 @@ fn arb_app_view() -> impl Strategy<Value = AppView> {
     (
         (JSON_STRING, proptest::collection::vec(arb_model_id(), 0..4)),
         policy,
-        (any::<u64>(), any::<bool>(), any::<u64>()),
+        (any::<u64>(), any::<u64>()),
         default_output,
         any::<u64>(),
     )
         .prop_map(
-            |((name, candidate_models), policy, (slo_ms, has_us, slo_us), default_output, seed)| {
-                AppView {
-                    name,
-                    candidate_models,
-                    policy,
-                    slo_ms,
-                    slo_us: has_us.then_some(slo_us),
-                    default_output,
-                    seed,
-                }
+            |((name, candidate_models), policy, (slo_ms, slo_us), default_output, seed)| AppView {
+                name,
+                candidate_models,
+                policy,
+                slo_ms,
+                slo_us,
+                default_output,
+                seed,
             },
         )
 }
