@@ -111,16 +111,6 @@ impl TfServingLike {
         self.metrics.completed.inc();
         Ok(out)
     }
-
-    /// This server's telemetry.
-    pub fn metrics(&self) -> &TfsMetrics {
-        &self.metrics
-    }
-
-    /// Stop the server.
-    pub fn shutdown(&self) {
-        self.task.abort();
-    }
 }
 
 impl Drop for TfServingLike {
@@ -213,7 +203,7 @@ mod tests {
         let s = server(9, TfsConfig::default());
         let out = s.predict(vec![1.0, 2.0]).await.unwrap();
         assert_eq!(out, WireOutput::Class(9));
-        assert_eq!(s.metrics().completed.get(), 1);
+        assert_eq!(s.metrics.completed.get(), 1);
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]

@@ -29,14 +29,15 @@ fn main() {
     // Train the model zoo.
     let dialect_models: Vec<Arc<DialectModel>> = (0..NUM_DIALECTS as u32)
         .map(|d| {
-            Arc::new(DialectModel::train(
-                &format!("dialect-{d}"),
-                &corpus.training_utterances(Some(d), 70, 20, 500 + d as u64),
-            ))
+            Arc::new(DialectModel::train(&corpus.training_utterances(
+                Some(d),
+                70,
+                20,
+                500 + d as u64,
+            )))
         })
         .collect();
     let global = Arc::new(DialectModel::train(
-        "global",
         &corpus.training_utterances(None, 150, 20, 999),
     ));
 

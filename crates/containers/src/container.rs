@@ -77,11 +77,6 @@ impl ModelContainer {
         })
     }
 
-    /// The container's configuration.
-    pub fn config(&self) -> &ContainerConfig {
-        &self.cfg
-    }
-
     /// Evaluate one batch of shared feature vectors synchronously (call
     /// from a blocking context).
     ///

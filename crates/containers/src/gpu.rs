@@ -37,7 +37,7 @@ pub struct GpuModelSpec {
 
 impl GpuModelSpec {
     /// Expected device time for a batch of `n`.
-    pub fn batch_time(&self, n: usize) -> Duration {
+    pub(crate) fn batch_time(&self, n: usize) -> Duration {
         if n == 0 {
             return Duration::ZERO;
         }
@@ -71,14 +71,9 @@ impl GpuDevice {
         })
     }
 
-    /// The model spec this device runs.
-    pub fn spec(&self) -> &GpuModelSpec {
-        &self.spec
-    }
-
     /// Execute a batch, blocking until the device is free and the compute
     /// completes. Returns `(queue_wait, compute_time)`.
-    pub fn execute_blocking(&self, batch_size: usize) -> (Duration, Duration) {
+    pub(crate) fn execute_blocking(&self, batch_size: usize) -> (Duration, Duration) {
         let enqueue = Instant::now();
         let guard = self.device.lock();
         let queue_wait = enqueue.elapsed();

@@ -37,32 +37,18 @@ impl LatencyProfile {
     }
 
     /// Expected latency for a batch of `n` (no noise).
-    pub fn expected(&self, n: usize) -> Duration {
+    fn expected(&self, n: usize) -> Duration {
         self.base + self.per_item.mul_f64(n as f64)
     }
 
     /// Sampled latency for a batch of `n`.
-    pub fn sample(&self, n: usize, rng: &mut StdRng) -> Duration {
+    pub(crate) fn sample(&self, n: usize, rng: &mut StdRng) -> Duration {
         let mean = self.expected(n);
         if self.jitter_frac <= 0.0 {
             return mean;
         }
         let factor = 1.0 + self.jitter_frac * (rng.random::<f64>() * 2.0 - 1.0);
         mean.mul_f64(factor.max(0.0))
-    }
-
-    /// Largest batch size whose *expected* latency fits under `slo`
-    /// (the quantity Figure 3 reads off each curve). Returns 0 when even a
-    /// single-item batch misses the objective.
-    pub fn max_batch_under(&self, slo: Duration) -> usize {
-        if self.expected(1) > slo {
-            return 0;
-        }
-        if self.per_item.is_zero() {
-            return usize::MAX;
-        }
-        let budget = slo.saturating_sub(self.base);
-        (budget.as_nanos() / self.per_item.as_nanos().max(1)) as usize
     }
 }
 
@@ -72,7 +58,7 @@ impl LatencyProfile {
 /// microseconds (the linear SVM) need better. Sleep coarse, then spin the
 /// remainder. Must be called from a blocking context (container worker
 /// threads), never from the async reactor.
-pub fn precise_sleep(target: Duration) {
+pub(crate) fn precise_sleep(target: Duration) {
     let start = Instant::now();
     const SPIN_WINDOW: Duration = Duration::from_micros(200);
     if target > SPIN_WINDOW {
@@ -110,23 +96,6 @@ mod tests {
             let s = p.sample(1, &mut rng);
             assert!(s >= Duration::from_millis(9) && s <= Duration::from_millis(11));
         }
-    }
-
-    #[test]
-    fn max_batch_under_slo() {
-        // base 1ms, 20µs/item: at 20ms SLO → (20-1)ms / 20µs = 950 items.
-        let p = LatencyProfile::deterministic(Duration::from_millis(1), Duration::from_micros(20));
-        assert_eq!(p.max_batch_under(Duration::from_millis(20)), 950);
-        // Kernel-SVM-like: 3.3ms/item → only 5 items fit (0.5ms base).
-        let k =
-            LatencyProfile::deterministic(Duration::from_micros(500), Duration::from_micros(3300));
-        assert_eq!(k.max_batch_under(Duration::from_millis(20)), 5);
-    }
-
-    #[test]
-    fn max_batch_zero_when_single_item_misses() {
-        let p = LatencyProfile::deterministic(Duration::from_millis(50), Duration::from_millis(1));
-        assert_eq!(p.max_batch_under(Duration::from_millis(20)), 0);
     }
 
     #[test]

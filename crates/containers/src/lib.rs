@@ -8,8 +8,8 @@
 //!   model and answers batches serially (one model, one device), so its
 //!   latency profile is a property of the container alone;
 //! - **uniform interface**: containers serve batches either in-process
-//!   ([`container::LocalContainerTransport`], a `BatchTransport`) or over
-//!   the real TCP RPC system ([`container::spawn_tcp_container`]);
+//!   ([`LocalContainerTransport`], a `BatchTransport`) or over the real
+//!   TCP RPC system ([`spawn_tcp_container`]);
 //! - **replicable**: spawn several containers for the same model to scale
 //!   throughput (§4.4.1).
 //!
@@ -20,17 +20,16 @@
 //! model code; only the clock is simulated, so latency experiments keep
 //! the paper's service-time shapes without its GPUs or frameworks.
 
-pub mod container;
-pub mod gpu;
-pub mod latency;
-pub mod logic;
-pub mod profiles;
+mod container;
+mod gpu;
+mod latency;
+mod logic;
+mod profiles;
 
-pub use container::TimingModel;
 pub use container::{
-    spawn_tcp_container, ContainerConfig, LocalContainerTransport, ModelContainer,
+    spawn_tcp_container, ContainerConfig, LocalContainerTransport, ModelContainer, TimingModel,
 };
 pub use gpu::{GpuDevice, GpuModelSpec};
-pub use latency::{precise_sleep, LatencyProfile};
+pub use latency::LatencyProfile;
 pub use logic::ContainerLogic;
 pub use profiles::{fig11_model, fig3_profile, table2_zoo, Fig11Model, Fig3Model};

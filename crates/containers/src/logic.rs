@@ -21,7 +21,7 @@ pub enum ContainerLogic {
 
 impl ContainerLogic {
     /// Evaluate a whole batch of shared feature vectors, preserving order.
-    pub fn evaluate(&self, inputs: &[Input]) -> Vec<WireOutput> {
+    pub(crate) fn evaluate(&self, inputs: &[Input]) -> Vec<WireOutput> {
         match self {
             ContainerLogic::Classifier(m) => {
                 let refs: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
@@ -47,16 +47,6 @@ impl ContainerLogic {
             ContainerLogic::Fixed(out) => vec![out.clone(); inputs.len()],
         }
     }
-
-    /// Short description for logs.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ContainerLogic::Classifier(_) => "classifier",
-            ContainerLogic::Scorer(_) => "scorer",
-            ContainerLogic::Transcriber(_) => "transcriber",
-            ContainerLogic::Fixed(_) => "fixed",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -70,7 +60,6 @@ mod tests {
         let l = ContainerLogic::Fixed(WireOutput::Class(7));
         let out = l.evaluate(&as_inputs(vec![vec![0.0], vec![1.0], vec![2.0]]));
         assert_eq!(out, vec![WireOutput::Class(7); 3]);
-        assert_eq!(l.kind(), "fixed");
     }
 
     #[test]

@@ -1,9 +1,15 @@
-//! Per-replica health (§5.2.2 robustness): the one state machine that
-//! says whether a replica should get traffic. It stops dispatch at a
-//! replica that keeps failing, probes it after a cooldown, readmits it
-//! only once a probe batch succeeds, and carries the fleet's
-//! heartbeat-silent flag — so the scheduler, admission, hedging and
-//! `/metrics` all read the same fact through [`CircuitBreaker::health`].
+//! Per-replica health (§5.2.2 robustness): the state machine that says
+//! whether a replica's recent batches and heartbeats earn it traffic. It
+//! stops dispatch at a replica that keeps failing, probes it after a
+//! cooldown, readmits it only once a probe batch succeeds, and carries the
+//! fleet's heartbeat-silent flag; the scheduler's tiers, admission,
+//! hedging and `/metrics` read it through [`CircuitBreaker::health`].
+//!
+//! It is one of two health sources. The model abstraction layer's replica
+//! walk and SLO admission also skip a replica whose transport reports
+//! `is_healthy() == false` (on a TCP handle: the connection closed, a
+//! write failed, or a liveness probe went unanswered past its grace),
+//! whatever the breaker says; `/metrics` shows only the breaker.
 //!
 //! The breaker runs the classic three-state machine per replica queue:
 //!
@@ -83,9 +89,10 @@ impl BreakerState {
     }
 }
 
-/// What the rest of the system may assume about a replica right now —
-/// the single answer to "is this replica healthy?". The scheduler's
-/// tiers are these variants: [`WantsProbe`](Health::WantsProbe) is
+/// What the breaker says about a replica right now. A replica whose
+/// transport reports itself unhealthy is skipped before this is read
+/// (see the module docs), so this answers "is this replica healthy?"
+/// only for a live transport. The scheduler's tiers are these variants: [`WantsProbe`](Health::WantsProbe) is
 /// offered a query first, [`Clean`](Health::Clean) replicas next, the
 /// rest only when no clean replica has room.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -25,8 +25,12 @@
 //! p2c scoring, SLO admission, the autoscaler's backlog and the hedge
 //! delay all derive from it, and its error is itself a metric
 //! (`queue/*/model_err_us`). *Is it healthy?* — its
-//! [`breaker::CircuitBreaker`], the only health state: fed batch outcomes
-//! and the fleet's heartbeat-silent signal, read as one [`Health`].
+//! [`breaker::CircuitBreaker`], fed batch outcomes and the fleet's
+//! heartbeat-silent signal, read as one [`Health`]. The replica walk and
+//! admission also skip a replica whose transport reports
+//! `is_healthy() == false` (a closed or silent TCP connection), so a
+//! replica's health has two sources: the breaker and its transport's
+//! liveness flag.
 //!
 //! Failure recovery is layered on the same queues: the breaker stops
 //! dispatch at a failing replica and probes it back in, retryable batch

@@ -207,34 +207,6 @@ impl Dataset {
     pub fn num_classes(&self) -> usize {
         self.spec.num_classes
     }
-
-    /// Borrow training features/labels as parallel slices (for trainers).
-    pub fn train_xy(&self) -> (Vec<&[f32]>, Vec<u32>) {
-        let xs = self.train.iter().map(|e| e.x.as_slice()).collect();
-        let ys = self.train.iter().map(|e| e.y).collect();
-        (xs, ys)
-    }
-
-    /// A corrupted copy of the test split: with probability `p`, an
-    /// example's features are replaced by pure noise. Used to reproduce the
-    /// feature-corruption / concept-drift scenarios in §2.2 and Figure 8.
-    pub fn corrupted_test(&self, p: f64, seed: u64) -> Vec<Example> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let normal = Normal::new(0.0f32, 1.0f32).expect("unit normal");
-        self.test
-            .iter()
-            .map(|e| {
-                if rng.random_bool(p) {
-                    Example {
-                        x: (0..e.x.len()).map(|_| normal.sample(&mut rng)).collect(),
-                        y: e.y,
-                    }
-                } else {
-                    e.clone()
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -322,28 +294,5 @@ mod tests {
             correct,
             d.test.len()
         );
-    }
-
-    #[test]
-    fn corruption_probability_zero_is_identity() {
-        let d = DatasetSpec::speech_like()
-            .with_train_size(10)
-            .with_test_size(20)
-            .generate(5);
-        let c = d.corrupted_test(0.0, 9);
-        assert_eq!(c.len(), d.test.len());
-        assert_eq!(c[0].x, d.test[0].x);
-    }
-
-    #[test]
-    fn corruption_probability_one_replaces_features() {
-        let d = DatasetSpec::speech_like()
-            .with_train_size(10)
-            .with_test_size(20)
-            .generate(5);
-        let c = d.corrupted_test(1.0, 9);
-        assert_ne!(c[0].x, d.test[0].x);
-        // Labels are preserved so feedback stays meaningful.
-        assert_eq!(c[0].y, d.test[0].y);
     }
 }

@@ -8,15 +8,6 @@ use crate::datasets::Example;
 use crate::linalg::top_k;
 use crate::models::{Label, Model};
 
-/// Zero-one loss: 0.0 if correct, 1.0 otherwise.
-pub fn zero_one_loss(truth: Label, pred: Label) -> f64 {
-    if truth == pred {
-        0.0
-    } else {
-        1.0
-    }
-}
-
 /// Fraction of examples a model classifies correctly.
 pub fn accuracy<M: Model + ?Sized>(model: &M, examples: &[Example]) -> f64 {
     if examples.is_empty() {
@@ -67,12 +58,6 @@ pub fn sequence_error_rate(truth: &[Label], pred: &[Label]) -> f64 {
 mod tests {
     use super::*;
     use crate::models::NoOpModel;
-
-    #[test]
-    fn zero_one_loss_is_binary() {
-        assert_eq!(zero_one_loss(3, 3), 0.0);
-        assert_eq!(zero_one_loss(3, 4), 1.0);
-    }
 
     #[test]
     fn accuracy_of_noop_on_class_zero() {

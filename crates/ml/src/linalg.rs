@@ -8,7 +8,7 @@
 ///
 /// # Panics
 /// Panics in debug builds if lengths differ.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = 0.0f32;
     for (x, y) in a.iter().zip(b.iter()) {
@@ -18,7 +18,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// `y += alpha * x`, elementwise.
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+pub(crate) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * xi;
@@ -26,7 +26,7 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 }
 
 /// Squared Euclidean distance.
-pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = 0.0f32;
     for (x, y) in a.iter().zip(b.iter()) {

@@ -50,11 +50,6 @@ impl Knn {
             refs,
         }
     }
-
-    /// Number of stored references.
-    pub fn num_references(&self) -> usize {
-        self.refs.len()
-    }
 }
 
 impl Model for Knn {
@@ -120,7 +115,7 @@ mod tests {
             },
             0,
         );
-        assert_eq!(m.num_references(), 40);
+        assert_eq!(m.refs.len(), 40);
     }
 
     #[test]

@@ -124,11 +124,6 @@ impl LogisticRegression {
             bias,
         }
     }
-
-    /// Number of parameters (for reporting).
-    pub fn num_params(&self) -> usize {
-        self.weights.len() * self.weights.first().map_or(0, Vec::len) + self.bias.len()
-    }
 }
 
 impl Model for LogisticRegression {
@@ -176,14 +171,13 @@ impl Default for LinearSvmConfig {
 /// Inference is identical in shape to logistic regression (k dot products)
 /// but scores are raw margins, not probabilities.
 pub struct LinearSvm {
-    name: String,
     weights: Vec<Vec<f32>>,
     bias: Vec<f32>,
 }
 
 impl LinearSvm {
     /// Train one binary hinge-loss separator per class, warm-started from
-    /// the Rocchio centroid discriminant ([`rocchio_init`]).
+    /// the Rocchio centroid discriminant (`rocchio_init`).
     pub fn train(dataset: &Dataset, cfg: &LinearSvmConfig, seed: u64) -> Self {
         let k = dataset.num_classes();
         let d = dataset.num_features();
@@ -210,23 +204,13 @@ impl LinearSvm {
                 }
             }
         }
-        LinearSvm {
-            name: "linear-svm".into(),
-            weights,
-            bias,
-        }
-    }
-
-    /// Rename (used to distinguish the "PySpark" flavor in experiments).
-    pub fn with_name(mut self, name: &str) -> Self {
-        self.name = name.to_string();
-        self
+        LinearSvm { weights, bias }
     }
 }
 
 impl Model for LinearSvm {
     fn name(&self) -> &str {
-        &self.name
+        "linear-svm"
     }
     fn num_classes(&self) -> usize {
         self.weights.len()
@@ -320,27 +304,5 @@ mod tests {
                 "{name}: warm-started svm accuracy {acc_svm}"
             );
         }
-    }
-
-    #[test]
-    fn svm_rename_works() {
-        let ds = small_ds();
-        let m =
-            LinearSvm::train(&ds, &LinearSvmConfig::default(), 1).with_name("linear-svm-pyspark");
-        assert_eq!(m.name(), "linear-svm-pyspark");
-    }
-
-    #[test]
-    fn num_params_counts_weights_and_bias() {
-        let ds = small_ds();
-        let m = LogisticRegression::train(
-            &ds,
-            &LogisticRegressionConfig {
-                epochs: 1,
-                ..Default::default()
-            },
-            1,
-        );
-        assert_eq!(m.num_params(), 39 * 39 + 39);
     }
 }

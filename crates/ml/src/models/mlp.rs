@@ -136,11 +136,6 @@ impl Mlp {
             layers,
         }
     }
-
-    /// Number of layers (including output).
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 impl Model for Mlp {
@@ -186,7 +181,7 @@ mod tests {
         let m = Mlp::train(&ds, &MlpConfig::default(), 5);
         let acc = accuracy(&m, &ds.test);
         assert!(acc > 0.6, "accuracy {acc}");
-        assert_eq!(m.num_layers(), 2);
+        assert_eq!(m.layers.len(), 2);
     }
 
     #[test]
@@ -223,6 +218,6 @@ mod tests {
             },
             5,
         );
-        assert_eq!(m.num_layers(), 3);
+        assert_eq!(m.layers.len(), 3);
     }
 }

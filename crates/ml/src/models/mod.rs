@@ -5,14 +5,12 @@
 //! (§4.3 of the paper) exists to exploit models that amortize per-call
 //! overhead across a batch.
 
-mod kernel;
 mod knn;
 mod linear;
 mod mlp;
 mod noop;
 mod tree;
 
-pub use kernel::{KernelSvm, KernelSvmConfig};
 pub use knn::{Knn, KnnConfig};
 pub use linear::{LinearSvm, LinearSvmConfig, LogisticRegression, LogisticRegressionConfig};
 pub use mlp::{Mlp, MlpConfig};

@@ -182,17 +182,6 @@ impl DecisionTree {
             root,
         }
     }
-
-    /// Tree depth (longest root-to-leaf path), for reporting.
-    pub fn depth(&self) -> usize {
-        fn walk(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + walk(left).max(walk(right)),
-            }
-        }
-        walk(&self.root)
-    }
 }
 
 impl Model for DecisionTree {
@@ -315,6 +304,14 @@ impl Model for RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Longest root-to-leaf path.
+    fn depth(n: &Node) -> usize {
+        match n {
+            Node::Leaf { .. } => 0,
+            Node::Split { left, right, .. } => 1 + depth(left).max(depth(right)),
+        }
+    }
     use crate::datasets::DatasetSpec;
     use crate::eval::accuracy;
 
@@ -333,7 +330,7 @@ mod tests {
         let acc = accuracy(&m, &ds.test);
         // Single trees on 39 classes are weak but must beat chance (1/39).
         assert!(acc > 0.15, "accuracy {acc}");
-        assert!(m.depth() <= 10);
+        assert!(depth(&m.root) <= 10);
     }
 
     #[test]
@@ -367,7 +364,7 @@ mod tests {
             ..Default::default()
         };
         let m = DecisionTree::train(&ds, &cfg, 3);
-        assert!(m.depth() <= 3);
+        assert!(depth(&m.root) <= 3);
     }
 
     #[test]

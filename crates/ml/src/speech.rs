@@ -19,13 +19,13 @@ use rand::prelude::*;
 use rand_distr::Normal;
 
 /// Number of phoneme classes (TIMIT's folded 39-phone set).
-pub const NUM_PHONEMES: usize = 39;
+const NUM_PHONEMES: usize = 39;
 /// Number of English dialect regions in TIMIT.
 pub const NUM_DIALECTS: usize = 8;
 /// Speakers in the TIMIT corpus.
 pub const NUM_SPEAKERS: usize = 630;
 /// MFCC-style feature dimensionality (13 coefficients × Δ, ΔΔ).
-pub const FRAME_DIM: usize = 39;
+const FRAME_DIM: usize = 39;
 
 /// One spoken utterance: a sequence of acoustic frames plus the true
 /// phoneme transcription.
@@ -77,7 +77,7 @@ impl SpeechCorpus {
     /// `dialect_strength` scales how far dialects shift the acoustics:
     /// larger values make dialect-specific models more valuable (steeper
     /// Figure-10 separation).
-    pub fn generate(seed: u64, dialect_strength: f32, noise_sigma: f32) -> Self {
+    fn generate(seed: u64, dialect_strength: f32, noise_sigma: f32) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let unit = Normal::new(0.0f32, 1.0f32).expect("unit normal");
         let sphere_vec = |dim: usize, scale: f32, rng: &mut StdRng| -> Vec<f32> {
@@ -178,14 +178,13 @@ impl SpeechCorpus {
 /// A frame-level phoneme recognizer: per-phoneme Gaussian means estimated
 /// from utterances (the emission model of an HTK-style HMM).
 pub struct DialectModel {
-    name: String,
     /// Estimated mean per phoneme.
     means: Vec<Vec<f32>>,
 }
 
 impl DialectModel {
     /// Estimate phoneme means from training utterances.
-    pub fn train(name: &str, utterances: &[Utterance]) -> Self {
+    pub fn train(utterances: &[Utterance]) -> Self {
         let mut sums = vec![vec![0.0f32; FRAME_DIM]; NUM_PHONEMES];
         let mut counts = [0f32; NUM_PHONEMES];
         for utt in utterances {
@@ -204,15 +203,7 @@ impl DialectModel {
                 }
             }
         }
-        DialectModel {
-            name: name.to_string(),
-            means: sums,
-        }
-    }
-
-    /// Model name (e.g. `"dialect-3"`).
-    pub fn name(&self) -> &str {
-        &self.name
+        DialectModel { means: sums }
     }
 
     /// Transcribe an utterance: nearest phoneme mean per frame.
@@ -281,8 +272,8 @@ mod tests {
         let c = SpeechCorpus::default_corpus(17);
         let train0 = c.training_utterances(Some(0), 60, 20, 100);
         let train1 = c.training_utterances(Some(1), 60, 20, 101);
-        let m0 = DialectModel::train("dialect-0", &train0);
-        let m1 = DialectModel::train("dialect-1", &train1);
+        let m0 = DialectModel::train(&train0);
+        let m1 = DialectModel::train(&train1);
 
         // Evaluate both models on fresh dialect-0 utterances.
         let mut rng = StdRng::seed_from_u64(7);
@@ -310,9 +301,9 @@ mod tests {
     fn global_model_sits_between() {
         // Figure 10's premise: dialect-specific < global < wrong-dialect.
         let c = SpeechCorpus::default_corpus(23);
-        let own = DialectModel::train("own", &c.training_utterances(Some(2), 60, 20, 1));
-        let global = DialectModel::train("global", &c.training_utterances(None, 120, 20, 2));
-        let wrong = DialectModel::train("wrong", &c.training_utterances(Some(5), 60, 20, 3));
+        let own = DialectModel::train(&c.training_utterances(Some(2), 60, 20, 1));
+        let global = DialectModel::train(&c.training_utterances(None, 120, 20, 2));
+        let wrong = DialectModel::train(&c.training_utterances(Some(5), 60, 20, 3));
 
         let mut rng = StdRng::seed_from_u64(9);
         let speakers: Vec<u32> = (0..NUM_SPEAKERS as u32)
@@ -333,7 +324,7 @@ mod tests {
     #[test]
     fn transcription_length_matches_frames() {
         let c = SpeechCorpus::default_corpus(3);
-        let m = DialectModel::train("d", &c.training_utterances(Some(0), 10, 10, 4));
+        let m = DialectModel::train(&c.training_utterances(Some(0), 10, 10, 4));
         let mut rng = StdRng::seed_from_u64(2);
         let u = c.utterance(0, 25, &mut rng);
         assert_eq!(m.transcribe(&u.frames).len(), 25);

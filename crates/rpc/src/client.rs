@@ -13,7 +13,7 @@
 //! after the batch ahead of it, so a wedged handler stops the acks and
 //! reads as silence to Clipper's prober.
 
-use crate::codec::{map_eof, parse_header, HEADER_LEN, INITIAL_BUF, MAX_RETAINED};
+use crate::codec::{parse_header, HEADER_LEN, INITIAL_BUF, MAX_RETAINED};
 use crate::error::RpcError;
 use crate::message::{Message, PredictReply};
 use crate::transport::Input;
@@ -136,6 +136,14 @@ fn read_frame(conn: &mut TcpStream, buf: &mut Vec<u8>) -> Result<(u64, Message),
     Ok((request_id, Message::decode(msg_type, buf)?))
 }
 
+fn map_eof(e: std::io::Error) -> RpcError {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        RpcError::ConnectionClosed
+    } else {
+        RpcError::Io(e)
+    }
+}
+
 /// Run one batch; an `Err` or a panic becomes that batch's `Error` reply.
 fn run_batch(handler: &dyn BatchHandler, inputs: Vec<Input>) -> Message {
     match catch_unwind(AssertUnwindSafe(|| handler.handle_batch(inputs))) {
@@ -156,11 +164,12 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{write_frame, FrameReader};
+    use crate::codec::FrameReader;
     use crate::message::WireOutput;
     use crate::server::RpcServer;
     use crate::transport::{as_inputs, BatchTransport};
     use std::time::{Duration, Instant};
+    use tokio::io::AsyncWriteExt;
     use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
     use tokio::net::TcpListener;
 
@@ -185,9 +194,7 @@ mod tests {
             rd.next().await.unwrap(),
             (_, Message::Register { .. })
         ));
-        write_frame(&mut wr, &Message::RegisterAck, 0)
-            .await
-            .unwrap();
+        wr.write_all(&Message::RegisterAck.encode(0)).await.unwrap();
         (rd, wr)
     }
 
@@ -316,10 +323,10 @@ mod tests {
         let batch = |n: usize| Message::PredictRequest {
             inputs: as_inputs(vec![vec![0.0]; n]),
         };
-        write_frame(&mut wr, &batch(1), 1).await.unwrap();
+        wr.write_all(&batch(1).encode(1)).await.unwrap();
         tokio::time::sleep(Duration::from_millis(20)).await;
-        write_frame(&mut wr, &Message::Heartbeat, 2).await.unwrap();
-        write_frame(&mut wr, &batch(2), 3).await.unwrap();
+        wr.write_all(&Message::Heartbeat.encode(2)).await.unwrap();
+        wr.write_all(&batch(2).encode(3)).await.unwrap();
 
         // Frame order: the slow batch, then the ack, then the batch
         // queued behind the heartbeat.
@@ -349,9 +356,9 @@ mod tests {
         let container = tokio::spawn(serve_container(addr, cfg("m"), Arc::new(handler)));
         let (mut rd, mut wr) = accept_registered(&listener).await;
 
-        write_frame(&mut wr, &Message::Heartbeat, 1).await.unwrap();
+        wr.write_all(&Message::Heartbeat.encode(1)).await.unwrap();
         assert_eq!(rd.next().await.unwrap(), (1, Message::HeartbeatAck));
-        write_frame(&mut wr, &Message::Shutdown, 0).await.unwrap();
+        wr.write_all(&Message::Shutdown.encode(0)).await.unwrap();
         let served = tokio::time::timeout(Duration::from_secs(2), container)
             .await
             .expect("the loop ends on Shutdown")

@@ -1,23 +1,20 @@
 //! Frame writing and reading with per-connection buffer reuse.
 //!
-//! The hot path is [`Outbox`] / [`FrameReader`]: each retains one buffer
+//! The hot path is `Outbox` / [`FrameReader`]: each retains one buffer
 //! for the life of the connection, so steady-state framing does zero
 //! allocation and one syscall per direction. A sender writes its own
 //! frame — no writer task, no channel, no wake — and only bytes the
 //! socket refuses wait for a drain task, behind which later frames
-//! coalesce into the same writes.
-//!
-//! The free functions [`write_frame`] / [`read_frame`] are the simple
-//! one-shot equivalents, kept for handshakes and tests that speak the
-//! raw protocol; the framing layer validates magic, version, and payload
-//! bounds before handing payload bytes to [`Message::decode`].
+//! coalesce into the same writes. The framing layer validates magic,
+//! version, and payload bounds before handing payload bytes to
+//! [`Message::decode`].
 
 use crate::error::RpcError;
 use crate::message::{Message, MAGIC, MAX_PAYLOAD, VERSION};
 use parking_lot::Mutex;
 use std::io::ErrorKind;
 use std::sync::Arc;
-use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
+use tokio::io::{AsyncRead, AsyncReadExt};
 use tokio::net::tcp::OwnedWriteHalf;
 
 /// Header length: magic(4) + version(1) + type(1) + request_id(8) + len(4).
@@ -51,14 +48,6 @@ pub(crate) fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u64, usize)
     Ok((msg_type, request_id, payload_len))
 }
 
-pub(crate) fn map_eof(e: std::io::Error) -> RpcError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        RpcError::ConnectionClosed
-    } else {
-        RpcError::Io(e)
-    }
-}
-
 /// One connection's outbound side, shared by every sender.
 ///
 /// A parking_lot-locked buffer over the write half. [`send`](Self::send)
@@ -70,7 +59,7 @@ pub(crate) fn map_eof(e: std::io::Error) -> RpcError {
 /// frames sent while it exists are appended behind it and go out in its
 /// writes. Cloning shares the outbox.
 #[derive(Clone)]
-pub struct Outbox(Arc<Mutex<Backlog>>);
+pub(crate) struct Outbox(Arc<Mutex<Backlog>>);
 
 struct Backlog {
     /// Encoded frames; `buf[sent..]` is not yet written. Non-empty
@@ -116,7 +105,7 @@ impl Backlog {
 
 impl Outbox {
     /// Take over `wr`, with an empty retained buffer.
-    pub fn new(wr: OwnedWriteHalf) -> Outbox {
+    pub(crate) fn new(wr: OwnedWriteHalf) -> Outbox {
         Outbox(Arc::new(Mutex::new(Backlog {
             buf: Vec::with_capacity(INITIAL_BUF),
             sent: 0,
@@ -127,7 +116,7 @@ impl Outbox {
     /// Encode one frame and write it from the calling thread, or queue
     /// it behind a backlog being drained. Never blocks; fails once the
     /// outbox is closed or a write has failed.
-    pub fn send(&self, msg: &Message, request_id: u64) -> Result<(), RpcError> {
+    pub(crate) fn send(&self, msg: &Message, request_id: u64) -> Result<(), RpcError> {
         let mut backlog = self.0.lock();
         if backlog.wr.is_none() {
             return Err(RpcError::ConnectionClosed);
@@ -144,7 +133,7 @@ impl Outbox {
 
     /// Fail every later send and let go of the write half (the socket
     /// closes once its read half is gone too).
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.0.lock().close();
     }
 
@@ -240,30 +229,6 @@ impl<R: AsyncRead + Unpin> FrameReader<R> {
     }
 }
 
-/// Write one message frame (one-shot; live connections use [`Outbox`]).
-pub async fn write_frame<W: AsyncWrite + Unpin>(
-    writer: &mut W,
-    msg: &Message,
-    request_id: u64,
-) -> Result<(), RpcError> {
-    let frame = msg.encode(request_id);
-    writer.write_all(&frame).await?;
-    writer.flush().await?;
-    Ok(())
-}
-
-/// Read one message frame (one-shot; hot paths use [`FrameReader`]).
-/// Returns `(request_id, message)`.
-pub async fn read_frame<R: AsyncRead + Unpin>(reader: &mut R) -> Result<(u64, Message), RpcError> {
-    let mut header = [0u8; HEADER_LEN];
-    reader.read_exact(&mut header).await.map_err(map_eof)?;
-    let (msg_type, request_id, payload_len) = parse_header(&header)?;
-    let mut payload = vec![0u8; payload_len];
-    reader.read_exact(&mut payload).await.map_err(map_eof)?;
-    let msg = Message::decode(msg_type, &payload)?;
-    Ok((request_id, msg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,19 +238,20 @@ mod tests {
 
     #[tokio::test]
     async fn frame_roundtrip_over_duplex() {
-        let (mut a, mut b) = tokio::io::duplex(64 * 1024);
+        let (mut a, b) = tokio::io::duplex(64 * 1024);
         let msg = Message::PredictRequest {
             inputs: crate::transport::as_inputs(vec![vec![1.0, 2.0], vec![3.0]]),
         };
-        write_frame(&mut a, &msg, 7).await.unwrap();
-        let (id, got) = read_frame(&mut b).await.unwrap();
+        a.write_all(&msg.encode(7)).await.unwrap();
+        let mut r = FrameReader::new(b);
+        let (id, got) = r.next().await.unwrap();
         assert_eq!(id, 7);
         assert_eq!(got, msg);
     }
 
     #[tokio::test]
     async fn multiple_frames_in_sequence() {
-        let (mut a, mut b) = tokio::io::duplex(64 * 1024);
+        let (mut a, b) = tokio::io::duplex(64 * 1024);
         let msgs = vec![
             Message::Heartbeat,
             Message::PredictResponse(PredictReply {
@@ -296,10 +262,11 @@ mod tests {
             Message::Shutdown,
         ];
         for (i, m) in msgs.iter().enumerate() {
-            write_frame(&mut a, m, i as u64).await.unwrap();
+            a.write_all(&m.encode(i as u64)).await.unwrap();
         }
+        let mut r = FrameReader::new(b);
         for (i, m) in msgs.iter().enumerate() {
-            let (id, got) = read_frame(&mut b).await.unwrap();
+            let (id, got) = r.next().await.unwrap();
             assert_eq!(id, i as u64);
             assert_eq!(&got, m);
         }
@@ -437,8 +404,8 @@ mod tests {
         };
         let small = Message::Heartbeat;
         let writer = tokio::spawn(async move {
-            write_frame(&mut a, &big, 1).await.unwrap();
-            write_frame(&mut a, &small, 2).await.unwrap();
+            a.write_all(&big.encode(1)).await.unwrap();
+            a.write_all(&small.encode(2)).await.unwrap();
             big
         });
         let mut r = FrameReader::new(b);
@@ -457,8 +424,8 @@ mod tests {
             inputs: crate::transport::as_inputs(vec![vec![0.0; 600_000]]), // ~2.4 MB
         };
         let writer = tokio::spawn(async move {
-            write_frame(&mut a, &big, 1).await.unwrap();
-            write_frame(&mut a, &Message::Heartbeat, 2).await.unwrap();
+            a.write_all(&big.encode(1)).await.unwrap();
+            a.write_all(&Message::Heartbeat.encode(2)).await.unwrap();
         });
         let mut r = FrameReader::new(b);
         r.next().await.unwrap();
@@ -470,14 +437,6 @@ mod tests {
         let (id, _) = r.next().await.unwrap();
         assert_eq!(id, 2);
         writer.await.unwrap();
-    }
-
-    #[tokio::test]
-    async fn closed_peer_yields_connection_closed() {
-        let (a, mut b) = tokio::io::duplex(1024);
-        drop(a);
-        let err = read_frame(&mut b).await.unwrap_err();
-        assert!(matches!(err, RpcError::ConnectionClosed));
     }
 
     #[tokio::test]
@@ -505,22 +464,21 @@ mod tests {
 
     #[tokio::test]
     async fn bad_magic_rejected() {
-        let (mut a, mut b) = tokio::io::duplex(1024);
+        let (mut a, b) = tokio::io::duplex(1024);
         a.write_all(&[0u8; HEADER_LEN]).await.unwrap();
-        let err = read_frame(&mut b).await.unwrap_err();
+        let err = FrameReader::new(b).next().await.unwrap_err();
         assert!(matches!(err, RpcError::Protocol(_)));
     }
 
     #[tokio::test]
     async fn oversized_payload_rejected_without_allocation() {
-        use bytes::BufMut;
         let (mut a, b) = tokio::io::duplex(1024);
-        let mut header = bytes::BytesMut::new();
-        header.put_u32_le(MAGIC);
-        header.put_u8(VERSION);
-        header.put_u8(6); // heartbeat
-        header.put_u64_le(0);
-        header.put_u32_le(u32::MAX); // absurd payload length
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        header.extend_from_slice(&MAGIC.to_le_bytes());
+        header.push(VERSION);
+        header.push(6); // heartbeat
+        header.extend_from_slice(&0u64.to_le_bytes());
+        header.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd payload length
         a.write_all(&header).await.unwrap();
         let mut r = FrameReader::new(b);
         let err = r.next().await.unwrap_err();

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors surfaced by the RPC layer and every [`crate::BatchTransport`].
+/// Errors surfaced by the RPC layer and every [`crate::transport::BatchTransport`].
 #[derive(Debug)]
 pub enum RpcError {
     /// Underlying socket error.

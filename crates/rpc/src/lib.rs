@@ -7,8 +7,10 @@
 //!
 //! - [`message`]: the wire messages — container registration, batch
 //!   prediction requests/replies, heartbeats — with a hand-rolled binary
-//!   codec on [`bytes`] (length-prefixed frames, little-endian fields);
-//! - [`codec`]: frame reader/writer over any `AsyncRead`/`AsyncWrite`;
+//!   codec into plain `Vec<u8>` buffers (length-prefixed frames,
+//!   little-endian fields);
+//! - [`codec`]: the frame reader over any `AsyncRead`, and each
+//!   connection's outbound buffer;
 //! - [`server`]: the Clipper side — accepts container connections and
 //!   yields a multiplexed [`transport::BatchTransport`] handle per
 //!   registered container;
@@ -28,8 +30,8 @@ pub mod message;
 pub mod server;
 pub mod transport;
 
-pub use client::{serve_container, BatchHandler, ContainerClientConfig};
+pub use client::{serve_container, ContainerClientConfig};
 pub use error::RpcError;
 pub use message::{Message, PredictReply, WireOutput};
-pub use server::{ContainerInfo, RpcServer, TcpContainerHandle};
-pub use transport::{as_inputs, BatchTransport, BoxFuture, Input};
+pub use server::RpcServer;
+pub use transport::{as_inputs, BoxFuture, Input};

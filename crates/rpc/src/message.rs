@@ -21,7 +21,6 @@
 
 use crate::error::RpcError;
 use crate::transport::Input;
-use bytes::Bytes;
 use std::sync::Arc;
 
 /// Frame magic ("CLIP" little-endianized).
@@ -206,10 +205,10 @@ impl Message {
 
     /// Encode into a freshly allocated full frame (header + payload).
     /// Compatibility/test path — hot paths use [`Self::encode_into`].
-    pub fn encode(&self, request_id: u64) -> Bytes {
+    pub fn encode(&self, request_id: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_size());
         self.encode_into(request_id, &mut out);
-        Bytes::from(out)
+        out
     }
 
     /// Decode a payload given its already-parsed header fields.

@@ -6,12 +6,12 @@
 //! as just another [`BatchTransport`].
 //!
 //! The submitting task writes a batch's request frame itself (through
-//! the connection's [`Outbox`]) and the reader task completes its
+//! the connection's `Outbox`) and the reader task completes its
 //! oneshot, so a round trip wakes three parties: the container's
 //! execution thread (straight from its blocking `read`), this reader,
 //! and the caller.
 
-use crate::codec::{write_frame, FrameReader, Outbox};
+use crate::codec::{FrameReader, Outbox};
 use crate::error::RpcError;
 use crate::message::{Message, PredictReply};
 use crate::transport::{BatchTransport, BoxFuture, Input};
@@ -21,6 +21,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tokio::io::AsyncWriteExt;
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::{mpsc, oneshot};
 
@@ -212,7 +213,7 @@ async fn handle_connection(
             )));
         }
     };
-    write_frame(&mut wr, &Message::RegisterAck, reg_id).await?;
+    wr.write_all(&Message::RegisterAck.encode(reg_id)).await?;
 
     let pending: Pending = Arc::new(Mutex::new(HashMap::new()));
     let healthy = Arc::new(AtomicBool::new(true));
@@ -466,20 +467,17 @@ mod tests {
         let addr = server.local_addr();
         tokio::spawn(async move {
             let stream = tokio::net::TcpStream::connect(addr).await.unwrap();
-            let (mut rd, mut wr) = stream.into_split();
-            crate::codec::write_frame(
-                &mut wr,
-                &Message::Register {
-                    container_name: "hung".into(),
-                    model_name: "m".into(),
-                    model_version: 1,
-                },
-                0,
-            )
-            .await
-            .unwrap();
-            let _ = crate::codec::read_frame(&mut rd).await; // RegisterAck
-                                                             // Wedge: hold the socket open but never read or write again.
+            let (rd, mut wr) = stream.into_split();
+            let register = Message::Register {
+                container_name: "hung".into(),
+                model_name: "m".into(),
+                model_version: 1,
+            };
+            wr.write_all(&register.encode(0)).await.unwrap();
+            // Read the RegisterAck, then wedge: hold the socket open but
+            // never read or write again.
+            let mut rd = FrameReader::new(rd);
+            let _ = rd.next().await;
             std::future::pending::<()>().await;
         });
         let (_, handle) = server.next_container().await.unwrap();

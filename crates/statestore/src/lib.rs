@@ -5,23 +5,23 @@
 //! database system. In our current implementation we use Redis." This crate
 //! provides the Redis subset Clipper needs, from scratch:
 //!
-//! - [`store::StateStore`]: a sharded, versioned KV map with lazy TTL
-//!   expiry and compare-and-swap (used for read-modify-write of policy
-//!   state under concurrent feedback);
-//! - [`resp`]: a RESP-style wire protocol (arrays of bulk strings in,
-//!   typed replies out) so the store can run as a real network service;
-//! - [`server`] / [`client`]: tokio TCP server and async client.
+//! - [`StateStore`]: a sharded, versioned KV map with compare-and-swap
+//!   (used for read-modify-write of policy state under concurrent
+//!   feedback);
+//! - a RESP-style wire protocol (arrays of bulk strings in, typed replies
+//!   out) so the store can run as a real network service;
+//! - [`StateStoreServer`] / [`StateStoreClient`]: the tokio TCP server
+//!   and an async reader for it.
 //!
 //! Most experiments embed the store in-process via `StateStore` directly;
 //! the `rest_service` example runs it as a separate listener to mirror the
 //! paper's deployment shape.
 
-pub mod client;
-pub mod resp;
-pub mod server;
-pub mod store;
+mod client;
+mod resp;
+mod server;
+mod store;
 
-pub use client::StateStoreClient;
-pub use resp::{RespValue, MAX_BULK_LEN};
+pub use client::{ClientError, StateStoreClient};
 pub use server::StateStoreServer;
 pub use store::{CasOutcome, StateStore};

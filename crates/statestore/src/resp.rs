@@ -3,15 +3,19 @@
 //!
 //! Requests are arrays of bulk strings (`*N\r\n$len\r\n<bytes>\r\n...`);
 //! replies are simple strings (`+OK\r\n`), errors (`-ERR ...\r\n`),
-//! integers (`:42\r\n`), bulk strings (`$5\r\nhello\r\n`), or null
-//! (`$-1\r\n`). This mirrors real Redis closely enough that the protocol
-//! knowledge transfers.
-
-use bytes::{Buf, BytesMut};
+//! integers (`:42\r\n`), bulk strings (`$5\r\nhello\r\n`), null
+//! (`$-1\r\n`), or arrays of those. This mirrors real Redis closely enough
+//! that the protocol knowledge transfers.
 
 /// Maximum accepted bulk-string length (16 MiB) — bounds memory under a
 /// malicious or corrupt peer.
-pub const MAX_BULK_LEN: usize = 16 << 20;
+pub(crate) const MAX_BULK_LEN: usize = 16 << 20;
+
+/// Deepest array nesting a value may have. A request is one array
+/// (depth 1) and the deepest reply, `GETV`'s `[value, version]`, is depth
+/// 2; a deeper value is a protocol error, so a peer cannot recurse the
+/// parser off its thread's stack.
+const MAX_DEPTH: usize = 2;
 
 /// Write `n`'s decimal digits into the tail of `tmp`, returning the
 /// written slice. Integer emit without `format!`'s formatting machinery
@@ -30,9 +34,9 @@ pub(crate) fn u64_digits(tmp: &mut [u8; 20], mut n: u64) -> &[u8] {
     &tmp[i..]
 }
 
-fn push_int(out: &mut BytesMut, v: i64) {
+fn push_int(out: &mut Vec<u8>, v: i64) {
     if v < 0 {
-        out.extend_from_slice(b"-");
+        out.push(b'-');
     }
     let mut tmp = [0u8; 20];
     out.extend_from_slice(u64_digits(&mut tmp, v.unsigned_abs()));
@@ -41,12 +45,12 @@ fn push_int(out: &mut BytesMut, v: i64) {
 /// Encode a request — an array of bulk strings — straight from borrowed
 /// slices, skipping the owned [`RespValue`] tree a client would otherwise
 /// build (and its per-argument `Vec` clones) on every call.
-pub fn encode_command(out: &mut BytesMut, parts: &[&[u8]]) {
-    out.extend_from_slice(b"*");
+pub(crate) fn encode_command(out: &mut Vec<u8>, parts: &[&[u8]]) {
+    out.push(b'*');
     push_int(out, parts.len() as i64);
     out.extend_from_slice(b"\r\n");
     for p in parts {
-        out.extend_from_slice(b"$");
+        out.push(b'$');
         push_int(out, p.len() as i64);
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(p);
@@ -56,7 +60,7 @@ pub fn encode_command(out: &mut BytesMut, parts: &[&[u8]]) {
 
 /// A RESP value.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RespValue {
+pub(crate) enum RespValue {
     /// `+...` simple string.
     Simple(String),
     /// `-...` error string.
@@ -73,25 +77,25 @@ pub enum RespValue {
 
 impl RespValue {
     /// Serialize into `out`.
-    pub fn encode(&self, out: &mut BytesMut) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         match self {
             RespValue::Simple(s) => {
-                out.extend_from_slice(b"+");
+                out.push(b'+');
                 out.extend_from_slice(s.as_bytes());
                 out.extend_from_slice(b"\r\n");
             }
             RespValue::Error(s) => {
-                out.extend_from_slice(b"-");
+                out.push(b'-');
                 out.extend_from_slice(s.as_bytes());
                 out.extend_from_slice(b"\r\n");
             }
             RespValue::Integer(n) => {
-                out.extend_from_slice(b":");
+                out.push(b':');
                 push_int(out, *n);
                 out.extend_from_slice(b"\r\n");
             }
             RespValue::Bulk(b) => {
-                out.extend_from_slice(b"$");
+                out.push(b'$');
                 push_int(out, b.len() as i64);
                 out.extend_from_slice(b"\r\n");
                 out.extend_from_slice(b);
@@ -99,7 +103,7 @@ impl RespValue {
             }
             RespValue::Null => out.extend_from_slice(b"$-1\r\n"),
             RespValue::Array(items) => {
-                out.extend_from_slice(b"*");
+                out.push(b'*');
                 push_int(out, items.len() as i64);
                 out.extend_from_slice(b"\r\n");
                 for item in items {
@@ -111,23 +115,37 @@ impl RespValue {
 
     /// Try to parse one complete value from the front of `buf`.
     ///
-    /// Returns `Ok(None)` if more bytes are needed (buf untouched),
-    /// `Ok(Some(v))` with the bytes consumed, or `Err` on malformed input.
-    pub fn parse(buf: &mut BytesMut) -> Result<Option<RespValue>, String> {
-        let mut cursor = Cursor {
-            data: buf.as_ref(),
-            pos: 0,
-        };
-        match parse_value(&mut cursor) {
-            Ok(v) => {
-                let consumed = cursor.pos;
-                buf.advance(consumed);
-                Ok(Some(v))
-            }
+    /// Returns `Ok(None)` if more bytes are needed, `Ok(Some((v, n)))`
+    /// when `v` took the first `n` bytes, or `Err` on malformed input
+    /// (including nesting deeper than [`MAX_DEPTH`]).
+    pub(crate) fn parse(buf: &[u8]) -> Result<Option<(RespValue, usize)>, String> {
+        let mut cursor = Cursor { data: buf, pos: 0 };
+        match parse_value(&mut cursor, 0) {
+            Ok(v) => Ok(Some((v, cursor.pos))),
             Err(ParseOutcome::Incomplete) => Ok(None),
             Err(ParseOutcome::Bad(e)) => Err(e),
         }
     }
+}
+
+/// Hand every complete value at the front of `buf` to `f`, in order, then
+/// drop the bytes they took (one drain per call, however many values were
+/// pipelined). An incomplete tail stays for the next read; on `Err` the
+/// values before the malformed one have been handed over.
+pub(crate) fn drain_values(buf: &mut Vec<u8>, mut f: impl FnMut(RespValue)) -> Result<(), String> {
+    let mut start = 0;
+    let outcome = loop {
+        match RespValue::parse(&buf[start..]) {
+            Ok(Some((v, used))) => {
+                start += used;
+                f(v);
+            }
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(e),
+        }
+    };
+    buf.drain(..start);
+    outcome
 }
 
 struct Cursor<'a> {
@@ -159,7 +177,8 @@ fn parse_int(line: &[u8]) -> Result<i64, ParseOutcome> {
         .ok_or_else(|| ParseOutcome::Bad(format!("bad integer {line:?}")))
 }
 
-fn parse_value(c: &mut Cursor<'_>) -> Result<RespValue, ParseOutcome> {
+/// Parse one value whose enclosing arrays number `depth`.
+fn parse_value(c: &mut Cursor<'_>, depth: usize) -> Result<RespValue, ParseOutcome> {
     if c.pos >= c.data.len() {
         return Err(ParseOutcome::Incomplete);
     }
@@ -201,6 +220,11 @@ fn parse_value(c: &mut Cursor<'_>) -> Result<RespValue, ParseOutcome> {
             Ok(RespValue::Bulk(body))
         }
         b'*' => {
+            if depth == MAX_DEPTH {
+                return Err(ParseOutcome::Bad(format!(
+                    "arrays nested deeper than {MAX_DEPTH}"
+                )));
+            }
             let line = read_line(c)?;
             let n = parse_int(line)?;
             if n < 0 {
@@ -209,9 +233,11 @@ fn parse_value(c: &mut Cursor<'_>) -> Result<RespValue, ParseOutcome> {
             if n as usize > 1 << 16 {
                 return Err(ParseOutcome::Bad(format!("array too large: {n}")));
             }
-            let mut items = Vec::with_capacity(n as usize);
+            // Every element takes at least 3 bytes (`+\r\n`): reserve no
+            // more than the bytes already here could hold.
+            let mut items = Vec::with_capacity((n as usize).min((c.data.len() - c.pos) / 3));
             for _ in 0..n {
-                items.push(parse_value(c)?);
+                items.push(parse_value(c, depth + 1)?);
             }
             Ok(RespValue::Array(items))
         }
@@ -224,17 +250,17 @@ mod tests {
     use super::*;
 
     fn roundtrip(v: RespValue) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         v.encode(&mut buf);
-        let parsed = RespValue::parse(&mut buf).unwrap().unwrap();
+        let (parsed, used) = RespValue::parse(&buf).unwrap().unwrap();
         assert_eq!(parsed, v);
-        assert!(buf.is_empty(), "all bytes consumed");
+        assert_eq!(used, buf.len(), "all bytes consumed");
     }
 
     #[test]
     fn integer_emit_covers_extremes() {
         for v in [0i64, 1, -1, 9, 10, -10, i64::MAX, i64::MIN] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             RespValue::Integer(v).encode(&mut buf);
             assert_eq!(&buf[..], format!(":{v}\r\n").as_bytes(), "value {v}");
             roundtrip(RespValue::Integer(v));
@@ -244,14 +270,14 @@ mod tests {
     #[test]
     fn encode_command_matches_the_value_tree() {
         let parts: [&[u8]; 3] = [b"SET", b"key", b"val\r\nue"];
-        let mut direct = BytesMut::new();
+        let mut direct = Vec::new();
         encode_command(&mut direct, &parts);
-        let mut tree = BytesMut::new();
+        let mut tree = Vec::new();
         RespValue::Array(parts.iter().map(|p| RespValue::Bulk(p.to_vec())).collect())
             .encode(&mut tree);
-        assert_eq!(&direct[..], &tree[..]);
+        assert_eq!(direct, tree);
 
-        let mut empty = BytesMut::new();
+        let mut empty = Vec::new();
         encode_command(&mut empty, &[]);
         assert_eq!(&empty[..], b"*0\r\n");
     }
@@ -270,41 +296,33 @@ mod tests {
     }
 
     #[test]
-    fn partial_input_returns_none_and_preserves_buffer() {
-        let mut buf = BytesMut::new();
+    fn partial_input_returns_none() {
+        let mut buf = Vec::new();
         RespValue::Bulk(b"hello".to_vec()).encode(&mut buf);
-        let full = buf.clone();
-        let mut partial = BytesMut::from(&full[..4]);
-        assert!(RespValue::parse(&mut partial).unwrap().is_none());
-        assert_eq!(&partial[..], &full[..4], "buffer untouched on incomplete");
+        assert!(RespValue::parse(&buf[..4]).unwrap().is_none());
     }
 
     #[test]
     fn pipelined_values_parse_in_order() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         RespValue::Integer(1).encode(&mut buf);
         RespValue::Integer(2).encode(&mut buf);
-        assert_eq!(
-            RespValue::parse(&mut buf).unwrap().unwrap(),
-            RespValue::Integer(1)
-        );
-        assert_eq!(
-            RespValue::parse(&mut buf).unwrap().unwrap(),
-            RespValue::Integer(2)
-        );
-        assert!(buf.is_empty());
+        let (first, used) = RespValue::parse(&buf).unwrap().unwrap();
+        assert_eq!(first, RespValue::Integer(1));
+        let (second, rest) = RespValue::parse(&buf[used..]).unwrap().unwrap();
+        assert_eq!(second, RespValue::Integer(2));
+        assert_eq!(used + rest, buf.len());
     }
 
     #[test]
     fn malformed_tag_is_error() {
-        let mut buf = BytesMut::from(&b"!bogus\r\n"[..]);
-        assert!(RespValue::parse(&mut buf).is_err());
+        assert!(RespValue::parse(b"!bogus\r\n").is_err());
     }
 
     #[test]
     fn oversized_bulk_rejected() {
-        let mut buf = BytesMut::from(format!("${}\r\n", MAX_BULK_LEN + 1).as_bytes());
-        assert!(RespValue::parse(&mut buf).is_err());
+        let buf = format!("${}\r\n", MAX_BULK_LEN + 1);
+        assert!(RespValue::parse(buf.as_bytes()).is_err());
     }
 
     #[test]
@@ -313,5 +331,22 @@ mod tests {
             RespValue::Array(vec![RespValue::Integer(1)]),
             RespValue::Null,
         ]));
+    }
+
+    /// 300,000 nested one-element arrays (1.2 MB): a parser that recursed
+    /// once per `*` without a bound overflowed a 2 MiB worker stack and
+    /// aborted the process. Past [`MAX_DEPTH`] the input is malformed.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = b"*1\r\n".repeat(300_000);
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || RespValue::parse(&deep))
+            .unwrap()
+            .join()
+            .expect("the parser returns instead of aborting");
+        assert!(outcome.is_err(), "{outcome:?}");
+        assert!(RespValue::parse(b"*1\r\n*1\r\n:1\r\n").unwrap().is_some());
+        assert!(RespValue::parse(b"*1\r\n*1\r\n*1\r\n:1\r\n").is_err());
     }
 }

@@ -1,22 +1,20 @@
 //! TCP server exposing a [`StateStore`] over the RESP protocol.
 //!
 //! Supported commands (case-insensitive):
-//! `PING`, `GET k`, `SET k v`, `SETNX k v`, `DEL k`, `EXPIRE k ms`,
-//! `CAS k version v`, `GETV k` (returns `[value, version]`), `DBSIZE`.
+//! `PING`, `GET k`, `SET k v`, `SETNX k v`, `DEL k`,
+//! `CAS k version v`, `GETV k` (returns `[value, version]`), `DBSIZE`,
+//! `KEYS prefix`.
 
-use crate::resp::RespValue;
+use crate::resp::{drain_values, RespValue};
 use crate::store::{CasOutcome, StateStore};
-use bytes::BytesMut;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::net::{TcpListener, TcpStream};
 
 /// A running statestore listener.
 pub struct StateStoreServer {
     local_addr: SocketAddr,
-    store: Arc<StateStore>,
     accept_task: tokio::task::JoinHandle<()>,
     /// Live per-connection tasks, so shutdown (and crash injection via
     /// [`sever_connections`](Self::sever_connections)) actually drops
@@ -29,13 +27,12 @@ impl StateStoreServer {
     pub async fn bind(addr: &str, store: Arc<StateStore>) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr).await?;
         let local_addr = listener.local_addr()?;
-        let s = store.clone();
         let conns: Arc<parking_lot::Mutex<Vec<tokio::task::JoinHandle<()>>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
         let conns_for_accept = conns.clone();
         let accept_task = tokio::spawn(async move {
             while let Ok((conn, _)) = listener.accept().await {
-                let store = s.clone();
+                let store = store.clone();
                 // Lock before spawning: a connection must be in the list
                 // by the time it can serve a request, or a
                 // `sever_connections` racing this accept would miss it.
@@ -48,7 +45,6 @@ impl StateStoreServer {
         });
         Ok(StateStoreServer {
             local_addr,
-            store,
             accept_task,
             conns,
         })
@@ -59,16 +55,11 @@ impl StateStoreServer {
         self.local_addr
     }
 
-    /// Direct handle to the underlying store (in-process access).
-    pub fn store(&self) -> Arc<StateStore> {
-        self.store.clone()
-    }
-
     /// Drop every established connection (the listener keeps accepting).
     /// Crash injection for reconnect tests: clients observe exactly what
     /// a server restart looks like — their connection dies mid-stream and
     /// a fresh dial succeeds.
-    pub fn sever_connections(&self) {
+    pub(crate) fn sever_connections(&self) {
         for task in self.conns.lock().drain(..) {
             task.abort();
         }
@@ -84,23 +75,15 @@ impl Drop for StateStoreServer {
 
 async fn serve_conn(mut conn: TcpStream, store: Arc<StateStore>) -> std::io::Result<()> {
     conn.set_nodelay(true)?;
-    let mut inbuf = BytesMut::with_capacity(4096);
-    let mut outbuf = BytesMut::with_capacity(4096);
+    let mut inbuf = Vec::with_capacity(4096);
+    let mut outbuf = Vec::with_capacity(4096);
     loop {
-        // Drain every complete pipelined request already buffered.
-        loop {
-            match RespValue::parse(&mut inbuf) {
-                Ok(Some(req)) => {
-                    let reply = execute(&store, req);
-                    reply.encode(&mut outbuf);
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    RespValue::Error(format!("ERR protocol: {e}")).encode(&mut outbuf);
-                    conn.write_all(&outbuf).await?;
-                    return Ok(()); // drop connection on protocol error
-                }
-            }
+        // Answer every complete pipelined request already buffered.
+        let parsed = drain_values(&mut inbuf, |req| execute(&store, req).encode(&mut outbuf));
+        if let Err(e) = parsed {
+            RespValue::Error(format!("ERR protocol: {e}")).encode(&mut outbuf);
+            conn.write_all(&outbuf).await?;
+            return Ok(()); // drop connection on protocol error
         }
         if !outbuf.is_empty() {
             conn.write_all(&outbuf).await?;
@@ -153,13 +136,6 @@ fn execute(store: &StateStore, req: RespValue) -> RespValue {
             RespValue::Integer(stored as i64)
         }
         ("DEL", 2) => RespValue::Integer(store.del(&key(1)) as i64),
-        ("EXPIRE", 3) => {
-            let ms: u64 = match String::from_utf8_lossy(&args[2]).parse() {
-                Ok(v) => v,
-                Err(_) => return RespValue::Error("ERR EXPIRE wants integer ms".into()),
-            };
-            RespValue::Integer(store.expire(&key(1), Duration::from_millis(ms)) as i64)
-        }
         ("CAS", 4) => {
             let ver: u64 = match String::from_utf8_lossy(&args[2]).parse() {
                 Ok(v) => v,
@@ -233,6 +209,75 @@ mod tests {
             execute(&store, cmd(&[b"BOGUS"])),
             RespValue::Error(_)
         ));
+    }
+
+    /// One buffer of pipelined values — every command `execute` accepts,
+    /// and the reply it gave to each (simple, error, integer, bulk, null
+    /// and the nested `GETV` / `KEYS` arrays) — fed to the server's
+    /// buffer path split at every byte: each half yields exactly the
+    /// values that end inside it, and together the same sequence as the
+    /// whole buffer.
+    #[test]
+    fn resp_parses_the_same_split_at_every_byte() {
+        let store = StateStore::new();
+        let commands: [&[&[u8]]; 14] = [
+            &[b"PING"],
+            &[b"GET", b"k"],
+            &[b"GETV", b"k"],
+            &[b"SET", b"k", b"v\r\n$3\r\n*"],
+            &[b"SETNX", b"k", b"w"],
+            &[b"SETNX", b"j", b""],
+            &[b"GET", b"k"],
+            &[b"GETV", b"k"],
+            &[b"CAS", b"k", b"1", b"x"],
+            &[b"CAS", b"k", b"1", b"y"],
+            &[b"CAS", b"k", b"x", b"y"],
+            &[b"KEYS", b""],
+            &[b"DBSIZE"],
+            &[b"DEL", b"k"],
+        ];
+        let mut buf = Vec::new();
+        let mut ends = Vec::new();
+        let mut expected = Vec::new();
+        for parts in commands {
+            crate::resp::encode_command(&mut buf, parts);
+            ends.push(buf.len());
+            let request =
+                RespValue::Array(parts.iter().map(|p| RespValue::Bulk(p.to_vec())).collect());
+            let reply = execute(&store, request.clone());
+            reply.encode(&mut buf);
+            ends.push(buf.len());
+            expected.extend([request, reply]);
+        }
+        for shape in ["Simple", "Error", "Integer", "Bulk", "Null", "Array"] {
+            assert!(
+                expected.iter().any(|v| format!("{v:?}").starts_with(shape)),
+                "no {shape} value in the buffer"
+            );
+        }
+        assert!(
+            expected.iter().any(|v| matches!(v, RespValue::Array(items)
+                if matches!(items.as_slice(), [RespValue::Bulk(_), RespValue::Integer(_)]))),
+            "a GETV reply nests in the buffer"
+        );
+
+        let mut whole = Vec::new();
+        let mut all = buf.clone();
+        drain_values(&mut all, |v| whole.push(v)).unwrap();
+        assert!(all.is_empty());
+        assert_eq!(whole, expected);
+
+        for split in 0..=buf.len() {
+            let mut inbuf = buf[..split].to_vec();
+            let mut got = Vec::new();
+            drain_values(&mut inbuf, |v| got.push(v)).unwrap();
+            let complete = ends.iter().filter(|&&end| end <= split).count();
+            assert_eq!(got, expected[..complete], "split at {split}");
+            inbuf.extend_from_slice(&buf[split..]);
+            drain_values(&mut inbuf, |v| got.push(v)).unwrap();
+            assert!(inbuf.is_empty(), "split at {split}");
+            assert_eq!(got, expected, "split at {split}");
+        }
     }
 
     #[test]

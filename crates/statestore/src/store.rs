@@ -3,7 +3,6 @@
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::time::{Duration, Instant};
 
 const DEFAULT_SHARDS: usize = 16;
 
@@ -21,16 +20,9 @@ pub enum CasOutcome {
 struct Entry {
     value: Vec<u8>,
     version: u64,
-    expires_at: Option<Instant>,
 }
 
-impl Entry {
-    fn is_expired(&self, now: Instant) -> bool {
-        self.expires_at.is_some_and(|t| t <= now)
-    }
-}
-
-/// A concurrent KV store with per-key versions and TTLs.
+/// A concurrent KV store with per-key versions.
 ///
 /// Versions increase monotonically per key across its lifetime in the map,
 /// enabling optimistic concurrency for selection-state read-modify-write:
@@ -52,7 +44,7 @@ impl StateStore {
     }
 
     /// Create a store with `n` shards (≥1).
-    pub fn with_shards(n: usize) -> Self {
+    fn with_shards(n: usize) -> Self {
         let n = n.max(1);
         StateStore {
             shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
@@ -66,31 +58,15 @@ impl StateStore {
         &self.shards[idx]
     }
 
-    /// Get a value (None if absent or expired).
+    /// Get a value (None if absent).
     pub fn get(&self, key: &str) -> Option<Vec<u8>> {
         self.get_versioned(key).map(|(v, _)| v)
     }
 
     /// Get a value and its version.
     pub fn get_versioned(&self, key: &str) -> Option<(Vec<u8>, u64)> {
-        let now = Instant::now();
-        let shard = self.shard(key);
-        {
-            let map = shard.read();
-            match map.get(key) {
-                Some(e) if !e.is_expired(now) => {
-                    return Some((e.value.clone(), e.version));
-                }
-                Some(_) => {} // expired: fall through to remove
-                None => return None,
-            }
-        }
-        // Lazy expiry: upgrade to a write lock and drop the dead entry.
-        let mut map = shard.write();
-        if map.get(key).is_some_and(|e| e.is_expired(now)) {
-            map.remove(key);
-        }
-        None
+        let map = self.shard(key).read();
+        map.get(key).map(|e| (e.value.clone(), e.version))
     }
 
     /// Set a value unconditionally. Returns the new version.
@@ -102,43 +78,26 @@ impl StateStore {
             Entry {
                 value,
                 version: next_version,
-                expires_at: None,
             },
         );
         next_version
     }
 
-    /// Set only if the key is absent (or expired). Returns true if stored.
+    /// Set only if the key is absent. Returns true if stored.
     pub fn set_nx(&self, key: &str, value: Vec<u8>) -> bool {
-        let now = Instant::now();
         let mut map = self.shard(key).write();
-        match map.get(key) {
-            Some(e) if !e.is_expired(now) => false,
-            _ => {
-                let next_version = map.get(key).map_or(1, |e| e.version + 1);
-                map.insert(
-                    key.to_string(),
-                    Entry {
-                        value,
-                        version: next_version,
-                        expires_at: None,
-                    },
-                );
-                true
-            }
+        if map.contains_key(key) {
+            return false;
         }
+        map.insert(key.to_string(), Entry { value, version: 1 });
+        true
     }
 
     /// Compare-and-swap: store `value` only if the current version equals
     /// `expected_version`.
     pub fn cas(&self, key: &str, expected_version: u64, value: Vec<u8>) -> CasOutcome {
-        let now = Instant::now();
         let mut map = self.shard(key).write();
         match map.get_mut(key) {
-            Some(e) if e.is_expired(now) => {
-                map.remove(key);
-                CasOutcome::Missing
-            }
             Some(e) if e.version == expected_version => {
                 e.value = value;
                 e.version += 1;
@@ -149,42 +108,23 @@ impl StateStore {
         }
     }
 
-    /// Delete a key; returns true if it existed (and was unexpired).
+    /// Delete a key; returns true if it existed.
     pub fn del(&self, key: &str) -> bool {
-        let now = Instant::now();
-        let mut map = self.shard(key).write();
-        match map.remove(key) {
-            Some(e) => !e.is_expired(now),
-            None => false,
-        }
+        self.shard(key).write().remove(key).is_some()
     }
 
-    /// Set a TTL on an existing key; returns false if the key is absent.
-    pub fn expire(&self, key: &str, ttl: Duration) -> bool {
-        let now = Instant::now();
-        let mut map = self.shard(key).write();
-        match map.get_mut(key) {
-            Some(e) if !e.is_expired(now) => {
-                e.expires_at = Some(now + ttl);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// All live keys starting with `prefix`, sorted. O(n) over the store —
+    /// All keys starting with `prefix`, sorted. O(n) over the store —
     /// a configuration-plane operation (registry rehydration, `KEYS` over
     /// the wire), not a serving-path one.
     pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        let now = Instant::now();
         let mut keys: Vec<String> = self
             .shards
             .iter()
             .flat_map(|s| {
                 s.read()
-                    .iter()
-                    .filter(|(k, e)| k.starts_with(prefix) && !e.is_expired(now))
-                    .map(|(k, _)| k.clone())
+                    .keys()
+                    .filter(|k| k.starts_with(prefix))
+                    .cloned()
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -192,16 +132,12 @@ impl StateStore {
         keys
     }
 
-    /// Number of live (unexpired) keys. O(n): for tests and reporting.
+    /// Number of keys. O(shards): for tests and reporting.
     pub fn len(&self) -> usize {
-        let now = Instant::now();
-        self.shards
-            .iter()
-            .map(|s| s.read().values().filter(|e| !e.is_expired(now)).count())
-            .sum()
+        self.shards.iter().map(|s| s.read().len()).sum()
     }
 
-    /// Whether the store has no live keys.
+    /// Whether the store has no keys.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -261,31 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn expiry_hides_and_removes_keys() {
-        let s = StateStore::new();
-        s.set("k", b"v".to_vec());
-        assert!(s.expire("k", Duration::from_millis(20)));
-        assert!(s.get("k").is_some());
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(s.get("k").is_none());
-        assert_eq!(s.len(), 0);
-        // Expired keys can't get TTLs.
-        assert!(!s.expire("k", Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn expired_key_set_again_bumps_version() {
-        let s = StateStore::new();
-        let v1 = s.set("k", b"v".to_vec());
-        s.expire("k", Duration::from_millis(5));
-        std::thread::sleep(Duration::from_millis(10));
-        // set_nx succeeds on the expired key and version still advances.
-        assert!(s.set_nx("k", b"w".to_vec()));
-        let (_, v2) = s.get_versioned("k").unwrap();
-        assert!(v2 > v1, "version must not regress across expiry");
-    }
-
-    #[test]
     fn concurrent_cas_allows_exactly_one_winner_per_round() {
         let s = std::sync::Arc::new(StateStore::new());
         s.set("counter", b"0".to_vec());
@@ -326,13 +237,6 @@ mod tests {
             vec!["config/app/a".to_string(), "config/app/b".to_string()]
         );
         assert_eq!(s.keys_with_prefix("config/").len(), 3);
-        // Expired keys are hidden from the scan.
-        s.expire("config/app/a", Duration::from_millis(5));
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(
-            s.keys_with_prefix("config/app/"),
-            vec!["config/app/b".to_string()]
-        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl ArrivalProcess {
     }
 
     /// Build an iterator of inter-arrival gaps, seeded for repeatability.
-    pub fn gaps(&self, seed: u64) -> ArrivalIter {
+    pub(crate) fn gaps(&self, seed: u64) -> ArrivalIter {
         ArrivalIter {
             process: self.clone(),
             rng: StdRng::seed_from_u64(seed),
@@ -55,7 +55,7 @@ impl ArrivalProcess {
 }
 
 /// Iterator over inter-arrival gaps.
-pub struct ArrivalIter {
+pub(crate) struct ArrivalIter {
     process: ArrivalProcess,
     rng: StdRng,
     burst_elapsed: Duration,

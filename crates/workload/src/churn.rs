@@ -50,16 +50,16 @@ pub async fn http_request(
 
 /// A boxed control-plane action: resolves to `Ok(summary)` or
 /// `Err(failure)`.
-pub type ActionFuture = Pin<Box<dyn Future<Output = Result<String, String>> + Send>>;
+type ActionFuture = Pin<Box<dyn Future<Output = Result<String, String>> + Send>>;
 
 /// One scheduled control-plane action.
 pub struct ChurnAction {
     /// Offset into the run at which the action fires.
-    pub at: Duration,
+    at: Duration,
     /// Label for the report (e.g. `"rollout m→v2"`).
-    pub label: String,
+    label: String,
     /// The action itself.
-    pub run: ActionFuture,
+    run: ActionFuture,
 }
 
 impl ChurnAction {
@@ -96,40 +96,6 @@ pub struct ChurnReport {
     pub load: LoadReport,
     /// Every scheduled action's outcome, in schedule order.
     pub actions: Vec<ActionOutcome>,
-}
-
-impl ChurnReport {
-    /// Whether every action succeeded.
-    pub fn all_actions_ok(&self) -> bool {
-        self.actions.iter().all(|a| a.result.is_ok())
-    }
-
-    /// Queries that were *lost*: hard failures, excluding explicit
-    /// admission sheds. A shed query (`Overloaded` → 429 with
-    /// `"shed": true`) was answered — the client was told, promptly and
-    /// truthfully, that the system refused it — so it is a routing
-    /// decision, not a dropped query. `LoadReport::errors` counts sheds
-    /// as a subset; this subtracts them back out.
-    pub fn lost(&self) -> u64 {
-        self.load.errors.saturating_sub(self.load.shed)
-    }
-
-    /// Whether the run lost nothing: zero *lost* queries (explicit
-    /// admission sheds are tolerated — they are answered 429s, not
-    /// losses) and every control action succeeded. Soak runs assert this
-    /// while deliberately overdriving the system; use
-    /// [`is_undisturbed`](Self::is_undisturbed) when sheds must not
-    /// happen either.
-    pub fn is_lossless(&self) -> bool {
-        self.lost() == 0 && self.all_actions_ok()
-    }
-
-    /// The strict form: no errors of any kind *and* no sheds — traffic
-    /// never even noticed the churn. This is the old `is_lossless`
-    /// meaning, kept for scenarios run below admission-control limits.
-    pub fn is_undisturbed(&self) -> bool {
-        self.load.errors == 0 && self.load.shed == 0 && self.all_actions_ok()
-    }
 }
 
 /// Drive open-loop traffic for `duration` while firing `actions` at their
@@ -226,50 +192,7 @@ mod tests {
         assert_eq!(report.actions[0].result, Ok("flipped".into()));
         assert!(report.actions[0].fired_at >= Duration::from_millis(95));
         assert!(report.actions[1].result.is_err());
-        assert!(!report.all_actions_ok());
-        assert!(!report.is_lossless());
         assert!(flipped.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn sheds_are_tolerated_by_is_lossless_but_lost_queries_are_not() {
-        // Regression: `is_lossless` used to require `shed == 0`, so a soak
-        // that deliberately overdrives admission control could never
-        // assert "zero lost". Sheds are answered 429s — only errors
-        // *beyond* the shed count are losses.
-        let report_with = |errors: u64, shed: u64| ChurnReport {
-            load: LoadReport {
-                duration: Duration::from_secs(1),
-                completed: 100,
-                errors,
-                shed,
-                lost: errors.saturating_sub(shed),
-                latency: clipper_metrics::Histogram::new().snapshot(),
-            },
-            actions: vec![ActionOutcome {
-                label: "noop".into(),
-                fired_at: Duration::ZERO,
-                took: Duration::ZERO,
-                result: Ok("ok".into()),
-            }],
-        };
-        // Sheds only: nothing lost; lossless but not undisturbed.
-        let shed_only = report_with(7, 7);
-        assert_eq!(shed_only.lost(), 0);
-        assert!(shed_only.is_lossless());
-        assert!(!shed_only.is_undisturbed());
-        // A hard failure beyond the sheds is a loss.
-        let lossy = report_with(8, 7);
-        assert_eq!(lossy.lost(), 1);
-        assert!(!lossy.is_lossless());
-        assert!(!lossy.is_undisturbed());
-        // Clean run: both hold.
-        let clean = report_with(0, 0);
-        assert!(clean.is_lossless() && clean.is_undisturbed());
-        // A failed action spoils losslessness even with clean traffic.
-        let mut failed_action = report_with(0, 0);
-        failed_action.actions[0].result = Err("boom".into());
-        assert!(!failed_action.is_lossless());
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
@@ -284,6 +207,9 @@ mod tests {
             })],
         )
         .await;
-        assert!(report.is_lossless());
+        assert_eq!(report.load.lost, 0);
+        assert_eq!(report.load.errors, 0);
+        assert_eq!(report.actions.len(), 1);
+        assert!(report.actions[0].result.is_ok());
     }
 }

@@ -2,16 +2,16 @@
 //!
 //! The paper's evaluation machinery, rebuilt:
 //!
-//! - [`arrivals`]: arrival processes — closed-loop clients, open-loop
-//!   Poisson, and bursty on/off streams (§4.3.2's "moderate or bursty
-//!   loads");
-//! - [`driver`]: load drivers that apply an arrival process to any async
-//!   request function and collect a [`driver::LoadReport`] (throughput,
-//!   latency distribution, errors);
-//! - [`churn`]: config-churn-under-load — open-loop traffic with
-//!   scheduled control-plane actions (rollouts, app updates) firing
-//!   mid-run, reporting both load and per-action outcomes;
-//! - [`simlink`]: bandwidth/latency-simulated network links for the
+//! - [`ArrivalProcess`]: arrival processes — closed-loop clients,
+//!   open-loop Poisson, and bursty on/off streams (§4.3.2's "moderate or
+//!   bursty loads");
+//! - [`run_closed_loop`] / [`run_open_loop`]: load drivers that apply an
+//!   arrival process to any async request function and collect a
+//!   [`LoadReport`] (throughput, latency distribution, errors);
+//! - [`run_open_loop_with_churn`]: config-churn-under-load — open-loop
+//!   traffic with scheduled control-plane actions (rollouts, app updates)
+//!   firing mid-run, reporting both load and per-action outcomes;
+//! - [`SimLink`]: bandwidth/latency-simulated network links for the
 //!   Figure-6 cluster-scaling study (1 Gbps vs 10 Gbps);
 //! - [`report`]: aligned text tables matching the rows/series the paper's
 //!   figures report;
@@ -20,11 +20,11 @@
 //!   workload, and a scripted crash/restart/rollout/fault timeline with a
 //!   zero-lost-queries verdict.
 
-pub mod arrivals;
-pub mod churn;
-pub mod driver;
+mod arrivals;
+mod churn;
+mod driver;
 pub mod report;
-pub mod simlink;
+mod simlink;
 pub mod soak;
 
 pub use arrivals::ArrivalProcess;
@@ -32,6 +32,5 @@ pub use churn::{http_request, run_open_loop_with_churn, ActionOutcome, ChurnActi
 pub use driver::{
     run_closed_loop, run_open_loop, run_open_loop_outcomes, LoadReport, RequestOutcome,
 };
-pub use report::{PhaseOutcome, PhaseRecorder, PhaseStats, Table};
+pub use report::Table;
 pub use simlink::SimLink;
-pub use soak::{run_soak, FrontendStats, SoakAction, SoakEvent, SoakReport, SoakSpec};

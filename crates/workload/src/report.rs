@@ -4,8 +4,9 @@
 //! with a `paper=` column carrying the reference values, so a run's
 //! output reads against the paper without a second document. Soak-style runs that
 //! pass through distinct regimes (steady → crash → recovery → chaos)
-//! record through a [`PhaseRecorder`], which keeps one latency histogram
-//! and outcome counters per timeline phase plus a whole-run rollup.
+//! record through a phase recorder, which keeps one latency histogram
+//! and outcome counters per timeline phase plus a whole-run rollup; a
+//! [`PhaseStats`] is one phase's frozen view.
 
 use clipper_metrics::{Counter, Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
@@ -20,7 +21,7 @@ use std::time::{Duration, Instant};
 /// honest, retryable) and "the query vanished or hard-failed" (the one
 /// thing a lossless soak must never see).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PhaseOutcome {
+pub(crate) enum PhaseOutcome {
     /// Completed successfully; latency recorded.
     Ok,
     /// Shed by admission control (answered 429).
@@ -116,7 +117,7 @@ impl PhaseCell {
 /// a whole-run rollup. Shared (`Arc`) across every frontend's driver
 /// task in a soak; [`advance`](Self::advance) is called by the event
 /// timeline, records land in whichever phase is open at completion time.
-pub struct PhaseRecorder {
+pub(crate) struct PhaseRecorder {
     start: Instant,
     phases: Mutex<Vec<PhaseCell>>,
     total: PhaseCell,
@@ -124,7 +125,7 @@ pub struct PhaseRecorder {
 
 impl PhaseRecorder {
     /// Start the clock and open the first phase.
-    pub fn new(first_phase: &str) -> Arc<Self> {
+    pub(crate) fn new(first_phase: &str) -> Arc<Self> {
         Arc::new(PhaseRecorder {
             start: Instant::now(),
             phases: Mutex::new(vec![PhaseCell::open(first_phase, Duration::ZERO)]),
@@ -133,7 +134,7 @@ impl PhaseRecorder {
     }
 
     /// Close the open phase and open a new one named `name`.
-    pub fn advance(&self, name: &str) {
+    pub(crate) fn advance(&self, name: &str) {
         let now = self.start.elapsed();
         let mut phases = self.phases.lock();
         if let Some(open) = phases.last_mut() {
@@ -142,14 +143,9 @@ impl PhaseRecorder {
         phases.push(PhaseCell::open(name, now));
     }
 
-    /// The name of the currently-open phase.
-    pub fn current_phase(&self) -> String {
-        self.phases.lock().last().expect("≥1 phase").name.clone()
-    }
-
     /// Record one request outcome (latency in µs, used for `Ok` only)
     /// into the open phase and the run-wide rollup.
-    pub fn record(&self, outcome: PhaseOutcome, latency_us: u64) {
+    pub(crate) fn record(&self, outcome: PhaseOutcome, latency_us: u64) {
         let (latency, completed, shed, refused, lost) = {
             let phases = self.phases.lock();
             let cell = phases.last().expect("≥1 phase");
@@ -183,19 +179,14 @@ impl PhaseRecorder {
         }
     }
 
-    /// Offset into the run.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
     /// Frozen per-phase stats, in timeline order.
-    pub fn phase_stats(&self) -> Vec<PhaseStats> {
+    pub(crate) fn phase_stats(&self) -> Vec<PhaseStats> {
         let now = self.start.elapsed();
         self.phases.lock().iter().map(|c| c.stats(now)).collect()
     }
 
     /// Whole-run rollup across every phase.
-    pub fn totals(&self) -> PhaseStats {
+    pub(crate) fn totals(&self) -> PhaseStats {
         self.total.stats(self.start.elapsed())
     }
 }
@@ -229,18 +220,8 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with aligned columns.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row.iter()) {
@@ -307,8 +288,6 @@ mod tests {
         // Columns align: "qps" column starts at the same offset in every row.
         let col = lines[0].find("qps").unwrap();
         assert_eq!(&lines[2][col - 2..col], "  ");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -322,12 +301,10 @@ mod tests {
         let rec = PhaseRecorder::new("steady");
         rec.record(PhaseOutcome::Ok, 1_000);
         rec.record(PhaseOutcome::Shed, 0);
-        assert_eq!(rec.current_phase(), "steady");
         rec.advance("chaos");
         rec.record(PhaseOutcome::Ok, 9_000);
         rec.record(PhaseOutcome::Refused, 0);
         rec.record(PhaseOutcome::Lost, 0);
-        assert_eq!(rec.current_phase(), "chaos");
 
         let phases = rec.phase_stats();
         assert_eq!(phases.len(), 2);

@@ -17,24 +17,13 @@ use std::time::{Duration, Instant};
 
 /// One direction of a serial link.
 struct Scheduler {
-    state: Mutex<SchedState>,
-}
-
-struct SchedState {
-    next_free: Instant,
-    /// Accumulated simulated wire occupancy — the exact `bytes/bandwidth`
-    /// transfer time, independent of timer granularity or scheduler
-    /// noise. Tests assert on this instead of wall clock.
-    busy: Duration,
+    next_free: Mutex<Instant>,
 }
 
 impl Scheduler {
     fn new() -> Self {
         Scheduler {
-            state: Mutex::new(SchedState {
-                next_free: Instant::now(),
-                busy: Duration::ZERO,
-            }),
+            next_free: Mutex::new(Instant::now()),
         }
     }
 
@@ -42,16 +31,10 @@ impl Scheduler {
     /// the transfer will complete (absolute deadline to sleep until).
     fn reserve(&self, bytes: usize, bytes_per_sec: f64) -> Instant {
         let transfer = Duration::from_secs_f64(bytes as f64 / bytes_per_sec.max(1.0));
-        let mut state = self.state.lock();
-        let start = state.next_free.max(Instant::now());
-        let done = start + transfer;
-        state.next_free = done;
-        state.busy += transfer;
+        let mut next_free = self.next_free.lock();
+        let done = (*next_free).max(Instant::now()) + transfer;
+        *next_free = done;
         done
-    }
-
-    fn busy(&self) -> Duration {
-        self.state.lock().busy
     }
 }
 
@@ -73,23 +56,6 @@ impl SimLink {
             tx: Scheduler::new(),
             rx: Scheduler::new(),
         })
-    }
-
-    /// Link capacity in bytes/second.
-    pub fn bytes_per_sec(&self) -> f64 {
-        self.bytes_per_sec
-    }
-
-    /// Total simulated occupancy of the request (tx) direction so far —
-    /// the sum of exact `bytes/bandwidth` transfer times, free of wall-
-    /// clock noise.
-    pub fn tx_busy(&self) -> Duration {
-        self.tx.busy()
-    }
-
-    /// Total simulated occupancy of the response (rx) direction so far.
-    pub fn rx_busy(&self) -> Duration {
-        self.rx.busy()
     }
 
     /// Wrap a transport so its traffic flows over this link. Many
@@ -177,26 +143,20 @@ mod tests {
         assert!(elapsed < Duration::from_millis(60), "took {elapsed:?}");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn ten_gbps_is_ten_times_faster() {
+    #[test]
+    fn ten_gbps_is_ten_times_faster() {
         // Assert on the *simulated* transfer time, not wall clock: the
         // fast link's 1ms transfer sits inside timer-granularity noise,
-        // which made the old `slow_elapsed > fast_elapsed * 3` flake.
-        let slow = SimLink::gbps(1.0, Duration::ZERO);
-        let fast = SimLink::gbps(10.0, Duration::ZERO);
-        let input: Input = Arc::new(vec![0.0f32; 312_500]);
-
-        slow.wrap(instant_transport())
-            .predict_batch(std::slice::from_ref(&input))
-            .await
-            .unwrap();
-        fast.wrap(instant_transport())
-            .predict_batch(&[input])
-            .await
-            .unwrap();
-
-        let s = slow.tx_busy() + slow.rx_busy();
-        let f = fast.tx_busy() + fast.rx_busy();
+        // which made the old `slow_elapsed > fast_elapsed * 3` flake. An
+        // idle direction's reservation ends one transfer time after the
+        // call.
+        let bytes = request_bytes(&[Arc::new(vec![0.0f32; 312_500])]);
+        let transfer = |link: Arc<SimLink>| {
+            let called = Instant::now();
+            link.tx.reserve(bytes, link.bytes_per_sec) - called
+        };
+        let s = transfer(SimLink::gbps(1.0, Duration::ZERO));
+        let f = transfer(SimLink::gbps(10.0, Duration::ZERO));
         let ratio = s.as_secs_f64() / f.as_secs_f64();
         assert!(
             (9.5..=10.5).contains(&ratio),

@@ -56,13 +56,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The soak's model name ("m") and application name ("app").
-pub const MODEL: &str = "m";
+const MODEL: &str = "m";
 /// The application every query targets.
-pub const APP: &str = "app";
+const APP: &str = "app";
 /// Container name used by the fleet register/expire timeline actions.
-pub const FLEET_REPLICA: &str = "soak-fleet-replica";
+const FLEET_REPLICA: &str = "soak-fleet-replica";
 /// Launcher capability the fleet actions attach through.
-pub const FLEET_CAPABILITY: &str = "soak:inproc";
+const FLEET_CAPABILITY: &str = "soak:inproc";
 
 /// One scheduled timeline event.
 #[derive(Clone, Debug)]
@@ -137,14 +137,14 @@ pub enum SoakAction {
     DrainSuspects,
     /// A container self-registers over frontend `via`'s
     /// `POST /api/v1/replicas` surface (an in-process launcher attaches
-    /// it immediately) and starts serving traffic as [`FLEET_REPLICA`].
+    /// it immediately) and starts serving traffic as `soak-fleet-replica`.
     RegisterReplica {
         /// Model version the container announces.
         version: u32,
         /// Frontend whose HTTP API performs the registration.
         via: usize,
     },
-    /// Frontend `via`'s fleet expires [`FLEET_REPLICA`] — the
+    /// Frontend `via`'s fleet expires `soak-fleet-replica` — the
     /// deterministic equivalent of its heartbeats stopping: the member
     /// is tombstoned and its queue gracefully drained (zero-drop).
     ExpireReplica {

@@ -31,13 +31,12 @@ async fn main() {
     let mut ids = Vec::new();
     for d in 0..NUM_DIALECTS as u32 {
         let utts = corpus.training_utterances(Some(d), 80, 20, 100 + d as u64);
-        let model = Arc::new(DialectModel::train(&format!("dialect-{d}"), &utts));
+        let model = Arc::new(DialectModel::train(&utts));
         let id = ModelId::new(&format!("dialect-{d}"), 1);
         deploy(&clipper, &id, model);
         ids.push(id);
     }
     let global = Arc::new(DialectModel::train(
-        "global",
         &corpus.training_utterances(None, 160, 20, 999),
     ));
     let global_id = ModelId::new("global", 1);
