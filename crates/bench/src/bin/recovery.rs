@@ -145,7 +145,11 @@ fn queue_counter_sum(registry: &Registry, suffix: &str) -> u64 {
 /// `stop_at`; every outcome is counted, every latency recorded into the
 /// caller's histogram (shared so multi-phase arms accumulate one
 /// distribution).
-async fn drive(arm: &Arm, stop_at: Instant, hist: &Histogram) -> (u64, u64, u64, u64, u64) {
+async fn drive(
+    arm: &Arm,
+    stop_at: tokio::time::Instant,
+    hist: &Histogram,
+) -> (u64, u64, u64, u64, u64) {
     let issued = Arc::new(AtomicU64::new(0));
     let ok = Arc::new(AtomicU64::new(0));
     let shed = Arc::new(AtomicU64::new(0));
@@ -193,7 +197,7 @@ async fn drive(arm: &Arm, stop_at: Instant, hist: &Histogram) -> (u64, u64, u64,
     let stopper = {
         let done = done.clone();
         tokio::spawn(async move {
-            tokio::time::sleep_until(stop_at.into()).await;
+            tokio::time::sleep_until(stop_at).await;
             done.store(true, Ordering::Relaxed);
         })
     };
@@ -245,9 +249,9 @@ async fn run_drop_arm(retry: bool, phase: Duration) -> (ArmStats, BreakerLifecyc
         ..FaultConfig::default()
     });
     let hist = Histogram::new();
-    let faulty = drive(&arm, Instant::now() + phase, &hist).await;
+    let faulty = drive(&arm, tokio::time::Instant::now() + phase, &hist).await;
     arm.faults[0].set_config(FaultConfig::default());
-    let healed = drive(&arm, Instant::now() + phase, &hist).await;
+    let healed = drive(&arm, tokio::time::Instant::now() + phase, &hist).await;
     let merged = (
         faulty.0 + healed.0,
         faulty.1 + healed.1,
@@ -283,7 +287,7 @@ async fn run_straggler_arm(hedge: Option<HedgeConfig>, phase: Duration) -> ArmSt
     };
     let arm = build_arm(cfg, 2, &base, 0x57A6);
     let hist = Histogram::new();
-    let run = drive(&arm, Instant::now() + phase, &hist).await;
+    let run = drive(&arm, tokio::time::Instant::now() + phase, &hist).await;
     stats_from(run, &hist, arm.mal.registry())
 }
 

@@ -48,8 +48,8 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Instant;
 use tokio::sync::oneshot;
+use tokio::time::Instant;
 
 /// Per-model batching configuration (applied to each replica's queue).
 pub type BatchConfig = QueueConfig;
@@ -344,7 +344,7 @@ impl ModelHandle {
         // The deadline is the retry budget: a retryable upstream failure
         // may redispatch this query onto a sibling replica only while the
         // original SLO window is still open.
-        let item = QueueItem::with_deadline(input, sink, now + self.cfg.slo);
+        let item = QueueItem::new(input, sink, now, now + self.cfg.slo);
         // With SLO-aware admission on, a replica whose latency model says
         // a query admitted now would finish past the SLO is skipped
         // exactly like a full queue — admission and routing stay

@@ -30,7 +30,9 @@
 //!   and an inconclusive probe (a hedge answered for it) re-opens it
 //!   *without* a cooldown, so the next batch probes again.
 //!
-//! Every transition takes `now` as an argument, so tests drive time.
+//! Every transition takes `now` — an instant of the runtime's clock,
+//! `tokio::time::Instant`, read once by the caller's routing or batching
+//! decision — as an argument, so tests drive time.
 //! Transitions are counted ([`CircuitBreaker::opened`],
 //! [`CircuitBreaker::half_opened`], [`CircuitBreaker::closed`]) and the
 //! live state is exported as a per-queue `/metrics` gauge by the model
@@ -38,7 +40,8 @@
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use tokio::time::Instant;
 
 /// Sliding window length in batches (outcomes live in a `u64` bitmask).
 pub const WINDOW: usize = 32;

@@ -26,7 +26,8 @@ use parking_lot::Mutex;
 use std::future::Future;
 use std::pin::pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use tokio::time::Instant;
 
 /// Counts a batch in flight while it lives. A guard rather than a pair
 /// of calls so the count stays truthful when the runtime tears the lane
@@ -49,13 +50,14 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// Send the sealed batch in `items` and settle every one of its sinks.
-/// On return both buffers are empty (capacity kept for the lane's next
-/// batch), every sink has settled and — after that — the batch's
-/// in-flight count has been released.
+/// Send the sealed batch in `items`, dispatched at `dispatch_time`, and
+/// settle every one of its sinks. On return both buffers are empty
+/// (capacity kept for the lane's next batch), every sink has settled
+/// and — after that — the batch's in-flight count has been released.
 pub(super) async fn dispatch_batch(
     items: &mut Vec<QueueItem>,
     inputs: &mut Vec<Input>,
+    dispatch_time: Instant,
     transport: &dyn BatchTransport,
     controller: &Mutex<Box<dyn BatchController>>,
     metrics: &QueueMetrics,
@@ -63,11 +65,10 @@ pub(super) async fn dispatch_batch(
 ) {
     let n = items.len();
     let inflight = InflightGuard::new(&shared.inflight, n);
-    let dispatch_time = Instant::now();
     for item in items.iter() {
         metrics
             .queue_us
-            .record(item.enqueued.elapsed().as_micros() as u64);
+            .record((dispatch_time - item.enqueued).as_micros() as u64);
     }
     // Zero-copy batch assembly: clone Arc pointers, never feature data.
     inputs.extend(items.iter().map(|i| i.input.clone()));
@@ -147,6 +148,7 @@ pub(super) async fn dispatch_batch(
                 items,
                 UpstreamKind::of(&e),
                 e.is_retryable(),
+                now,
                 metrics,
                 shared,
             );
@@ -242,28 +244,28 @@ pub(super) fn fail_drain_deadline(items: &mut Vec<QueueItem>, metrics: &QueueMet
     fail_fill(items, err, metrics);
 }
 
-/// Settle a failed batch item-by-item: items that are retryable, inside
-/// their deadline budget, and under the attempt cap go back to the
-/// scheduler for redispatch onto a different replica; the rest
-/// fail-fill with a typed [`PredictError::Upstream`]. `errors` counts
-/// only the fail-filled items — a rescued item is not a client-visible
-/// error.
+/// Settle a batch that failed at `now` item-by-item: items that are
+/// retryable, inside their deadline budget, and under the attempt cap go
+/// back to the scheduler for redispatch onto a different replica; the
+/// rest fail-fill with a typed [`PredictError::Upstream`]. `errors`
+/// counts only the fail-filled items — a rescued item is not a
+/// client-visible error.
 pub(super) fn settle_upstream_failure(
     items: &mut Vec<QueueItem>,
     kind: UpstreamKind,
     retryable: bool,
+    now: Instant,
     metrics: &QueueMetrics,
     shared: &QueueShared,
 ) {
-    let now = Instant::now();
     for mut item in items.drain(..) {
         item.attempts += 1;
-        let within_budget = item.deadline.is_none_or(|d| now < d);
+        let within_budget = now < item.deadline;
         if retryable && within_budget && item.attempts < shared.cfg.retry_max_attempts {
             if let Some(redispatch) = shared.hooks.redispatch.as_ref() {
                 // Queue-wait restarts on the new queue; the deadline
                 // budget, deliberately, does not.
-                item.enqueued = Instant::now();
+                item.enqueued = now;
                 match redispatch(item) {
                     Ok(()) => {
                         metrics.retried.inc();
@@ -286,7 +288,7 @@ pub(super) fn settle_upstream_failure(
 #[cfg(test)]
 mod tests {
     use super::super::queue::tests::{
-        direct_item, echo_transport, spawn_replica_queue, submit, test_metrics,
+        direct_item, echo_transport, queued, spawn_replica_queue, submit, test_metrics,
     };
     use super::super::queue::{
         spawn_replica_queue_with_hooks, HedgeConfig, QueueConfig, QueueHooks, ReplySink,
@@ -346,7 +348,7 @@ mod tests {
             }));
         let q = spawn_replica_queue("m:0".into(), t, QueueConfig::default(), test_metrics());
         let (tx, rx) = oneshot::channel();
-        submit(&q, QueueItem::new(original, ReplySink::direct(tx)));
+        submit(&q, queued(original, ReplySink::direct(tx)));
         rx.await.unwrap().unwrap();
     }
 
@@ -421,9 +423,10 @@ mod tests {
         let (tx, rx) = oneshot::channel();
         submit(
             &q,
-            QueueItem::with_deadline(
+            QueueItem::new(
                 Arc::new(vec![7.0]),
                 ReplySink::direct(tx),
+                Instant::now(),
                 Instant::now() + Duration::from_secs(5),
             ),
         );
@@ -463,9 +466,10 @@ mod tests {
         let (tx, rx) = oneshot::channel();
         submit(
             &q,
-            QueueItem::with_deadline(
+            QueueItem::new(
                 Arc::new(vec![1.0]),
                 ReplySink::direct(tx),
+                Instant::now(),
                 Instant::now() + Duration::from_secs(5),
             ),
         );
@@ -513,9 +517,10 @@ mod tests {
         let (tx, rx) = oneshot::channel();
         submit(
             &q,
-            QueueItem::with_deadline(
+            QueueItem::new(
                 Arc::new(vec![1.0]),
                 ReplySink::direct(tx),
+                Instant::now(),
                 Instant::now() + Duration::from_secs(5),
             ),
         );
@@ -557,10 +562,7 @@ mod tests {
         let q =
             spawn_replica_queue_with_hooks("m:0".into(), stuck, cfg, None, metrics.clone(), hooks);
         let (tx, rx) = oneshot::channel();
-        submit(
-            &q,
-            QueueItem::new(Arc::new(vec![9.0]), ReplySink::direct(tx)),
-        );
+        submit(&q, queued(Arc::new(vec![9.0]), ReplySink::direct(tx)));
         let out = rx.await.unwrap().unwrap();
         assert_eq!(out, Output::Class(9));
         assert_eq!(metrics.hedged.get(), 1);
@@ -687,10 +689,7 @@ mod tests {
             crate::cache::Lookup::MustCompute(rx) => rx,
             _ => panic!(),
         };
-        submit(
-            &q,
-            QueueItem::new(input, ReplySink::cache(cache.clone(), key)),
-        );
+        submit(&q, queued(input, ReplySink::cache(cache.clone(), key)));
         let filled = rx.await.unwrap();
         assert!(matches!(filled, Err(PredictError::Upstream { .. })));
         assert_eq!(cache.pending_len(), 0, "every sink settled exactly once");

@@ -32,6 +32,12 @@
 //! replica's health has two sources: the breaker and its transport's
 //! liveness flag.
 //!
+//! Time comes from one clock, the runtime's `tokio::time::Instant`: the
+//! scheduler reads it once per routing decision and stamps the item's
+//! `enqueued` and deadline with that `now`, and a lane reads it once per
+//! sealed batch for the breaker's admission and the batch's dispatch
+//! time.
+//!
 //! Failure recovery is layered on the same queues: the breaker stops
 //! dispatch at a failing replica and probes it back in, retryable batch
 //! failures redispatch still-within-budget queries onto a sibling

@@ -68,8 +68,9 @@ use clipper_rpc::transport::BatchTransport;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tokio::sync::{mpsc, oneshot, Semaphore};
+use tokio::time::Instant;
 
 enum SinkKind {
     /// Fill the prediction cache (waking all joined waiters).
@@ -138,30 +139,21 @@ pub(crate) struct QueueItem {
     pub enqueued: Instant,
     /// Deadline budget for retry/redispatch: a retryable upstream
     /// failure redispatches the item only while `now < deadline`.
-    /// `None` = no budget tracking (fail on first exhausted attempt
-    /// policy still applies via `attempts`).
-    pub deadline: Option<Instant>,
+    pub deadline: Instant,
     /// Dispatch attempts consumed so far (0 for a fresh query).
     pub attempts: u32,
 }
 
 impl QueueItem {
-    /// A fresh queue item with no retry deadline.
-    pub(crate) fn new(input: Input, sink: ReplySink) -> Self {
+    /// A fresh queue item, enqueued at `now` by the scheduler that routed
+    /// it, with its retry budget ending at `deadline`.
+    pub(crate) fn new(input: Input, sink: ReplySink, now: Instant, deadline: Instant) -> Self {
         QueueItem {
             input,
             sink,
-            enqueued: Instant::now(),
-            deadline: None,
+            enqueued: now,
+            deadline,
             attempts: 0,
-        }
-    }
-
-    /// A fresh queue item carrying a retry-budget deadline.
-    pub(crate) fn with_deadline(input: Input, sink: ReplySink, deadline: Instant) -> Self {
-        QueueItem {
-            deadline: Some(deadline),
-            ..QueueItem::new(input, sink)
         }
     }
 }
@@ -644,7 +636,7 @@ async fn lane(
             items.push(first);
             if cfg.batch_wait_timeout > Duration::ZERO {
                 // Delayed batching: hold the batch open briefly.
-                let wait_deadline = tokio::time::Instant::now() + cfg.batch_wait_timeout;
+                let wait_deadline = Instant::now() + cfg.batch_wait_timeout;
                 while items.len() < max_batch {
                     match tokio::time::timeout_at(wait_deadline, pull.recv()).await {
                         Ok(Some(item)) => {
@@ -675,16 +667,20 @@ async fn lane(
             continue;
         }
 
+        // One clock read per sealed batch: the breaker's admission and
+        // the batch's dispatch time.
+        let now = Instant::now();
         // Circuit breaker: an open breaker inside its cooldown refuses
         // the batch outright. The items still get the full recovery
         // path — redispatch onto a sibling when within budget, typed
         // fail-fill otherwise — so a breaker trip is invisible to
         // clients whenever another replica can absorb the load.
-        if !shared.breaker.admit_batch(Instant::now()) {
+        if !shared.breaker.admit_batch(now) {
             settle_upstream_failure(
                 &mut items,
                 UpstreamKind::BreakerOpen,
                 true,
+                now,
                 &metrics,
                 &shared,
             );
@@ -694,6 +690,7 @@ async fn lane(
         dispatch_batch(
             &mut items,
             &mut inputs,
+            now,
             &*transport,
             &controller,
             &metrics,
@@ -763,11 +760,17 @@ pub(super) mod tests {
         q.shared.state.load(Ordering::Acquire)
     }
 
+    /// A fresh item enqueued now whose retry budget outlives the test.
+    pub(in crate::batching) fn queued(input: Input, sink: ReplySink) -> QueueItem {
+        let now = Instant::now();
+        QueueItem::new(input, sink, now, now + Duration::from_secs(3600))
+    }
+
     pub(in crate::batching) fn direct_item(
         v: f32,
     ) -> (QueueItem, oneshot::Receiver<Result<Output, PredictError>>) {
         let (tx, rx) = oneshot::channel();
-        (QueueItem::new(Arc::new(vec![v]), ReplySink::direct(tx)), rx)
+        (queued(Arc::new(vec![v]), ReplySink::direct(tx)), rx)
     }
 
     #[tokio::test]
@@ -966,7 +969,7 @@ pub(super) mod tests {
         );
         submit(
             &q,
-            QueueItem::new(input.clone(), ReplySink::cache(cache.clone(), key)),
+            queued(input.clone(), ReplySink::cache(cache.clone(), key)),
         );
         let out = rx.await.unwrap().unwrap();
         assert_eq!(out, Output::Class(3));
@@ -985,7 +988,7 @@ pub(super) mod tests {
             crate::cache::Lookup::MustCompute(rx) => rx,
             _ => panic!(),
         };
-        let item = QueueItem::new(input, ReplySink::cache(cache.clone(), key));
+        let item = queued(input, ReplySink::cache(cache.clone(), key));
         drop(item);
         assert_eq!(cache.pending_len(), 0, "drop must fail-fill the entry");
         let filled = rx.await.unwrap();
@@ -1074,10 +1077,7 @@ pub(super) mod tests {
                 _ => panic!("fresh key must be MustCompute"),
             };
             rxs.push(rx);
-            submit(
-                &q,
-                QueueItem::new(input, ReplySink::cache(cache.clone(), key)),
-            );
+            submit(&q, queued(input, ReplySink::cache(cache.clone(), key)));
         }
         q.shutdown();
         q.drained().await;
@@ -1229,10 +1229,7 @@ pub(super) mod tests {
             crate::cache::Lookup::MustCompute(rx) => rx,
             _ => panic!(),
         };
-        submit(
-            &q,
-            QueueItem::new(input, ReplySink::cache(cache.clone(), key)),
-        );
+        submit(&q, queued(input, ReplySink::cache(cache.clone(), key)));
         q.shutdown();
         q.drained().await;
         assert_eq!(cache.pending_len(), 0, "force-fail must settle the entry");
@@ -1389,9 +1386,10 @@ pub(super) mod tests {
             let (tx, rx) = oneshot::channel();
             submit(
                 &q,
-                QueueItem::with_deadline(
+                QueueItem::new(
                     Arc::new(vec![v as f32]),
                     ReplySink::direct(tx),
+                    Instant::now(),
                     Instant::now() + Duration::from_secs(5),
                 ),
             );
@@ -1426,10 +1424,7 @@ pub(super) mod tests {
         let mut rxs = Vec::new();
         for v in 0..16 {
             let (tx, rx) = oneshot::channel();
-            submit(
-                &q,
-                QueueItem::new(Arc::new(vec![v as f32]), ReplySink::direct(tx)),
-            );
+            submit(&q, queued(Arc::new(vec![v as f32]), ReplySink::direct(tx)));
             rxs.push(rx);
         }
         q.shutdown();

@@ -63,7 +63,8 @@ use std::collections::HashMap;
 use std::future::Future;
 use std::sync::{Arc, OnceLock};
 use std::task::Poll;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use tokio::time::Instant;
 
 /// Builder for a [`Clipper`] instance.
 pub struct ClipperBuilder {
@@ -1032,7 +1033,6 @@ impl Clipper {
         match deadline {
             // `Timeout` polls its future before its timer.
             Some(deadline) => {
-                let deadline = tokio::time::Instant::from_std(deadline);
                 let _ = tokio::time::timeout_at(deadline, all_settled).await;
             }
             None => all_settled.await,

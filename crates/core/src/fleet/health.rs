@@ -27,7 +27,8 @@
 
 use super::registry::{Fleet, FleetEvent};
 use crate::api::{ReplicaRecord, REPLICA_STATE_EXPIRED};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use tokio::time::Instant;
 
 impl Fleet {
     /// Spawn the health monitor task (tick = heartbeat interval / 2).
@@ -53,15 +54,16 @@ impl Fleet {
         let mut to_expire: Vec<String> = Vec::new();
         {
             let mut members = self.inner.members.lock();
+            let now = Instant::now();
             for (name, m) in members.iter_mut() {
                 if m.expired {
                     continue;
                 }
                 // An RPC member's connection-level probe is its beat.
                 if m.transport.as_ref().is_some_and(|t| t.is_healthy()) {
-                    m.last_beat = Instant::now();
+                    m.last_beat = now;
                 }
-                let silent = m.last_beat.elapsed();
+                let silent = now - m.last_beat;
                 if silent >= expire_after {
                     to_expire.push(name.clone());
                 } else if let Some(qid) = &m.queue_id {

@@ -30,7 +30,8 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use tokio::time::Instant;
 
 /// Timing knobs for the fleet control loop.
 #[derive(Clone, Debug)]

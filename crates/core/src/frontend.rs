@@ -207,6 +207,8 @@ fn contains_close(value: &[u8]) -> bool {
 
 /// Parse a decimal header value (leading spaces skipped, trailing junk
 /// ignored — same tolerance as the old `trim().parse().unwrap_or(0)`).
+/// A value past `usize::MAX` saturates there, so an oversized
+/// `Content-Length` is refused as too large rather than wrapping.
 fn parse_decimal(mut v: &[u8]) -> usize {
     while let Some((b' ', rest)) = v.split_first().map(|(b, r)| (*b, r)) {
         v = rest;
@@ -214,7 +216,7 @@ fn parse_decimal(mut v: &[u8]) -> usize {
     let mut n = 0usize;
     for &b in v {
         match b {
-            b'0'..=b'9' => n = n.saturating_mul(10) + (b - b'0') as usize,
+            b'0'..=b'9' => n = n.saturating_mul(10).saturating_add((b - b'0') as usize),
             _ => break,
         }
     }
@@ -1605,5 +1607,108 @@ mod tests {
         .await;
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
         assert!(resp.contains("\"code\":\"bad_request\""), "{resp}");
+    }
+
+    #[test]
+    fn an_oversized_decimal_saturates() {
+        assert_eq!(parse_decimal(b" 42\r\n"), 42);
+        assert_eq!(parse_decimal(b"99999999999999999999"), usize::MAX);
+    }
+
+    #[tokio::test]
+    async fn an_oversized_content_length_is_a_400_not_a_short_body() {
+        // A length past `usize::MAX` used to wrap to a small number, and
+        // the bytes after that short body were read as the next request.
+        let (frontend, _clipper) = start_frontend().await;
+        let resp = http_call(
+            frontend.local_addr(),
+            "POST /api/v1/apps/digits/predict HTTP/1.1\r\nhost: x\r\n\
+             content-length: 99999999999999999999\r\n\r\n",
+        )
+        .await;
+        assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+        assert!(resp.contains("body too large"), "{resp}");
+    }
+
+    /// `raw` with the digits after each `marker` replaced by `#`.
+    fn mask_digits(raw: &str, marker: &str) -> String {
+        let mut out = String::with_capacity(raw.len());
+        let mut rest = raw;
+        while let Some(i) = rest.find(marker) {
+            let (head, tail) = rest.split_at(i + marker.len());
+            out.push_str(head);
+            out.push('#');
+            rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// Write `parts` over one connection, pausing between them so each
+    /// reaches the server as its own read, then read to EOF. The measured
+    /// latency, and the body length it moves, are masked.
+    async fn exchange(addr: SocketAddr, parts: &[&[u8]]) -> String {
+        let mut conn = TcpStream::connect(addr).await.unwrap();
+        for part in parts {
+            conn.write_all(part).await.unwrap();
+            tokio::time::sleep(Duration::from_millis(1)).await;
+        }
+        let mut raw = String::new();
+        conn.read_to_string(&mut raw).await.unwrap();
+        mask_digits(&mask_digits(&raw, "\"latency_us\":"), "content-length: ")
+    }
+
+    #[tokio::test]
+    async fn a_pipelined_head_survives_a_split_at_every_byte() {
+        let (frontend, _clipper) = start_frontend().await;
+        let addr = frontend.local_addr();
+        let body = "{\"input\": [3.0]}";
+        let burst = format!(
+            "POST /api/v1/apps/digits/predict HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}\
+             GET /health HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n",
+            body.len()
+        );
+        let burst = burst.as_bytes();
+        let whole = exchange(addr, &[burst]).await;
+        let responses: Vec<&str> = whole.split("HTTP/1.1 200 OK").skip(1).collect();
+        assert_eq!(responses.len(), 2, "{whole}");
+        assert!(responses[0].contains("\"label\":3"), "{whole}");
+        assert!(responses[1].contains("\"status\":\"ok\""), "{whole}");
+        for at in 1..burst.len() {
+            let split = exchange(addr, &[&burst[..at], &burst[at..]]).await;
+            assert_eq!(split, whole, "split at byte {at}");
+        }
+    }
+
+    #[tokio::test]
+    async fn a_head_cut_off_mid_line_is_a_400_then_a_clean_close() {
+        let (frontend, _clipper) = start_frontend().await;
+        let addr = frontend.local_addr();
+        // EOF between requests is a clean close with nothing to answer.
+        assert_eq!(http_call(addr, "").await, "");
+        // EOF inside a head answers once, then closes.
+        let resp = http_call(
+            addr,
+            "POST /api/v1/apps/digits/predict HTTP/1.1\r\nhost: x\r\ncontent-le",
+        )
+        .await;
+        assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+        assert!(resp.contains("connection closed mid-request"), "{resp}");
+        assert_eq!(resp.matches("HTTP/1.1").count(), 1, "{resp}");
+    }
+
+    #[tokio::test]
+    async fn a_head_past_max_head_is_a_400() {
+        let (frontend, _clipper) = start_frontend().await;
+        let mut conn = TcpStream::connect(frontend.local_addr()).await.unwrap();
+        // Exactly one byte over the cap and no `\r\n\r\n`: the server
+        // reads every byte before it refuses, so its close is clean.
+        let mut head = b"GET /health HTTP/1.1\r\nx-pad: ".to_vec();
+        head.resize(MAX_HEAD + 1, b'a');
+        conn.write_all(&head).await.unwrap();
+        let mut resp = String::new();
+        conn.read_to_string(&mut resp).await.unwrap();
+        assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+        assert!(resp.contains("headers too large"), "{resp}");
     }
 }

@@ -162,11 +162,13 @@ where
     let errors = Counter::new();
     let shed = Counter::new();
     let lost = Counter::new();
-    let start = Instant::now();
+    // The arrival schedule runs on the runtime's timers, so it is kept
+    // in the runtime's clock.
+    let start = tokio::time::Instant::now();
     let deadline = start + duration;
     let inflight = Arc::new(tokio::sync::Semaphore::new(65_536));
 
-    let mut next_fire = Instant::now();
+    let mut next_fire = tokio::time::Instant::now();
     let mut handles = Vec::new();
     for (seq, gap) in arrivals.gaps(seed).enumerate() {
         let seq = seq as u64;
@@ -174,7 +176,7 @@ where
         if next_fire >= deadline {
             break;
         }
-        tokio::time::sleep_until(next_fire.into()).await;
+        tokio::time::sleep_until(next_fire).await;
         let f = f.clone();
         let latency = latency.clone();
         let completed = completed.clone();

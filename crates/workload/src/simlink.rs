@@ -13,7 +13,8 @@ use clipper_rpc::message::PredictReply;
 use clipper_rpc::transport::{BatchTransport, BoxFuture, Input};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use tokio::time::Instant;
 
 /// One direction of a serial link.
 struct Scheduler {
@@ -91,13 +92,13 @@ impl BatchTransport for SimLinkedTransport {
         Box::pin(async move {
             // Request serialization onto the wire (shared, serial).
             let req_done = link.tx.reserve(request_bytes(&inputs), link.bytes_per_sec);
-            tokio::time::sleep_until((req_done + link.one_way).into()).await;
+            tokio::time::sleep_until(req_done + link.one_way).await;
 
             let reply = inner.predict_batch(&inputs).await?;
 
             // Response transfer back.
             let resp_done = link.rx.reserve(reply_bytes(&reply), link.bytes_per_sec);
-            tokio::time::sleep_until((resp_done + link.one_way).into()).await;
+            tokio::time::sleep_until(resp_done + link.one_way).await;
             Ok(reply)
         })
     }

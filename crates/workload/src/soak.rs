@@ -828,7 +828,9 @@ pub async fn run_soak(spec: SoakSpec) -> SoakReport {
         *harness.slots[i].write() = Some(slot);
     }
 
-    let start = Instant::now();
+    // The timeline and the arrivals run on the runtime's timers, so
+    // their schedule is kept in the runtime's clock.
+    let start = tokio::time::Instant::now();
 
     // The timeline: one task, events strictly in order.
     let mut events = harness.spec.events.clone();
@@ -838,7 +840,7 @@ pub async fn run_soak(spec: SoakSpec) -> SoakReport {
         tokio::spawn(async move {
             let mut outcomes = Vec::with_capacity(events.len());
             for ev in events {
-                tokio::time::sleep_until((start + ev.at).into()).await;
+                tokio::time::sleep_until(start + ev.at).await;
                 let fired_at = start.elapsed();
                 // Capture recovery counters before the action can remove
                 // queues (rollback and drain churn unregister them).
@@ -868,7 +870,7 @@ pub async fn run_soak(spec: SoakSpec) -> SoakReport {
     let deadline = start + harness.spec.duration;
     let inflight = Arc::new(tokio::sync::Semaphore::new(65_536));
     let mut issued: u64 = 0;
-    let mut next_fire = Instant::now();
+    let mut next_fire = tokio::time::Instant::now();
     let mut handles = Vec::new();
     for (seq, gap) in arrivals.gaps(harness.spec.seed).enumerate() {
         let seq = seq as u64;
@@ -876,7 +878,7 @@ pub async fn run_soak(spec: SoakSpec) -> SoakReport {
         if next_fire >= deadline {
             break;
         }
-        tokio::time::sleep_until(next_fire.into()).await;
+        tokio::time::sleep_until(next_fire).await;
         issued += 1;
         let harness = harness.clone();
         let contexts = contexts.clone();
