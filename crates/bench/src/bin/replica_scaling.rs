@@ -136,15 +136,15 @@ async fn run_once(
 ) -> RunResult {
     let mal = ModelAbstractionLayer::new(16, Registry::new());
     let m = ModelId::new("bench", 1);
-    mal.add_model_with_policy(
+    mal.add_model(
         m.clone(),
         BatchConfig {
             strategy: BatchStrategy::Fixed { size: 64 },
             queue_capacity: QUEUE_CAPACITY,
             pipeline_depth: 1,
+            scheduler: policy,
             ..Default::default()
         },
-        policy,
     );
     let mut counters = Vec::new();
     for r in 0..replicas {
@@ -248,7 +248,13 @@ async fn run_autotune_arm(autotune: bool, phase: Duration) -> AutotuneArm {
             ..base
         }
     };
-    mal.add_model_with_policy(m.clone(), cfg, SchedulerPolicy::RoundRobin);
+    mal.add_model(
+        m.clone(),
+        BatchConfig {
+            scheduler: SchedulerPolicy::RoundRobin,
+            ..cfg
+        },
+    );
     for r in 0..2usize {
         let per_item = if r == 0 {
             Duration::from_micros(FAST_US_PER_ITEM * SLOW_FACTOR as u64)

@@ -45,6 +45,7 @@ use crate::types::{Input, ModelId, Output};
 use clipper_metrics::{Counter, Registry};
 use clipper_rpc::transport::BatchTransport;
 use parking_lot::{Mutex, RwLock};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -54,8 +55,11 @@ use tokio::time::Instant;
 /// Per-model batching configuration (applied to each replica's queue).
 pub type BatchConfig = QueueConfig;
 
-/// How a model's scheduler picks a replica for each query.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How a model's scheduler picks a replica for each query
+/// ([`QueueConfig::scheduler`]; persisted as `"power_of_two_choices"` or
+/// `"round_robin"`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum SchedulerPolicy {
     /// Depth-aware power-of-two-choices (the default): sample two distinct
     /// clean replicas, route to the one whose latency model predicts the
@@ -130,7 +134,6 @@ struct Replica {
 struct ModelHandle {
     id: ModelId,
     cfg: QueueConfig,
-    policy: SchedulerPolicy,
     replicas: RwLock<Vec<Arc<Replica>>>,
     /// Round-robin cursor and p2c sampling token.
     cursor: AtomicUsize,
@@ -169,7 +172,7 @@ impl ModelHandle {
     /// not a candidate for this decision.
     fn pick(&self, replicas: &[Arc<Replica>], health: &[Option<Health>]) -> usize {
         let token = self.cursor.fetch_add(1, Ordering::Relaxed) as u64;
-        if self.policy == SchedulerPolicy::RoundRobin {
+        if self.cfg.scheduler == SchedulerPolicy::RoundRobin {
             return token as usize % replicas.len();
         }
         // Sample among the clean replicas: a black-hole replica fails
@@ -356,7 +359,7 @@ impl ModelHandle {
         // could serve. Round-robin offers the query to one replica only,
         // the first eligible from its cursor; a full queue there sheds it
         // even when a sibling is idle.
-        let round_robin = self.policy == SchedulerPolicy::RoundRobin;
+        let round_robin = self.cfg.scheduler == SchedulerPolicy::RoundRobin;
         let (mut saw_healthy, mut offered) = (false, false);
         let placed = self.place(&replicas, now, None, item, |_, r| {
             saw_healthy = true;
@@ -423,10 +426,8 @@ impl ModelHandle {
 /// What [`ModelAbstractionLayer::remove_model`] hands back: everything
 /// needed to await the drain and to revive the version later.
 pub(crate) struct RemovedModel {
-    /// The model's batching configuration.
+    /// The model's configuration.
     pub cfg: BatchConfig,
-    /// The model's replica-scheduling policy.
-    pub policy: SchedulerPolicy,
     /// The draining replica queues (await `drained()` on each).
     pub queues: Vec<Arc<ReplicaQueue>>,
     /// The replica transports, still connected — re-attachable on revive.
@@ -471,29 +472,17 @@ impl ModelAbstractionLayer {
         })
     }
 
-    /// Register a model with its batching configuration and the default
-    /// scheduler policy (power-of-two-choices). Idempotent: a second
-    /// registration with the same id keeps the original (and returns
-    /// `false`).
-    pub fn add_model(&self, id: ModelId, cfg: BatchConfig) -> bool {
-        self.add_model_with_policy(id, cfg, SchedulerPolicy::default())
-    }
-
-    /// Register a model with an explicit scheduler policy. Returns
-    /// whether the id was newly registered — the check and the insert
-    /// happen under one write lock, so exactly one of two concurrent
-    /// registrations observes `true` (the control plane's create-only
-    /// 409 relies on this).
+    /// Register a model with its configuration, scheduler policy
+    /// included. Returns whether the id was newly registered — the check
+    /// and the insert happen under one write lock, so exactly one of two
+    /// concurrent registrations observes `true` (the control plane's
+    /// create-only 409 relies on this); a second registration keeps the
+    /// original configuration.
     ///
     /// Also registers per-model poll gauges `model/<id>/queue_depth` and
     /// `model/<id>/inflight` (live replica-state sums) and the scheduler's
     /// `model/<id>/shed` counter.
-    pub fn add_model_with_policy(
-        &self,
-        id: ModelId,
-        cfg: BatchConfig,
-        policy: SchedulerPolicy,
-    ) -> bool {
+    pub fn add_model(&self, id: ModelId, cfg: BatchConfig) -> bool {
         let mut models = self.models.write();
         if models.contains_key(&id) {
             return false;
@@ -502,7 +491,6 @@ impl ModelAbstractionLayer {
         let handle = Arc::new(ModelHandle {
             id: id.clone(),
             cfg,
-            policy,
             replicas: RwLock::new(Vec::new()),
             cursor: AtomicUsize::new(0),
             next_replica_idx: AtomicUsize::new(0),
@@ -701,7 +689,6 @@ impl ModelAbstractionLayer {
         drop(replicas);
         Ok(RemovedModel {
             cfg: handle.cfg.clone(),
-            policy: handle.policy,
             queues,
             transports,
         })
@@ -1039,13 +1026,13 @@ mod tests {
     async fn round_robin_spreads_across_replicas() {
         let mal = layer();
         let m = ModelId::new("m", 1);
-        mal.add_model_with_policy(
+        mal.add_model(
             m.clone(),
             BatchConfig {
                 strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
+                scheduler: SchedulerPolicy::RoundRobin,
                 ..Default::default()
             },
-            SchedulerPolicy::RoundRobin,
         );
         let c1 = Arc::new(AtomicU64::new(0));
         let c2 = Arc::new(AtomicU64::new(0));
@@ -1117,9 +1104,10 @@ mod tests {
         let cfg = BatchConfig {
             strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
             queue_capacity: 1,
+            scheduler: SchedulerPolicy::RoundRobin,
             ..cfg
         };
-        mal.add_model_with_policy(m.clone(), cfg, SchedulerPolicy::RoundRobin);
+        mal.add_model(m.clone(), cfg);
         m
     }
 
@@ -1764,7 +1752,7 @@ mod tests {
         );
 
         // Revive the version from what remove_model returned.
-        mal.add_model_with_policy(m.clone(), removed.cfg, removed.policy);
+        mal.add_model(m.clone(), removed.cfg);
         for t in removed.transports {
             mal.add_replica(&m, t).unwrap();
         }

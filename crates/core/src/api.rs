@@ -11,12 +11,14 @@
 //!   message containing quotes or backslashes can't produce invalid JSON;
 //! - [`JsonOutput`] — the wire form of a model output;
 //! - [`AppSpec`] / [`AppPatch`] / [`AppView`] — app registration,
-//!   live-update delta, and read-back shapes;
+//!   live-update delta, and read-back shapes; an [`AppView`] is also
+//!   what the statestore holds for an app;
 //! - [`ModelView`] / [`RolloutRequest`] / [`RolloutOutcome`] — model
 //!   catalog and version-rollout shapes;
-//! - [`AppRecord`] / [`ModelRecord`] — the statestore-persisted forms
-//!   (mirroring the paper's Redis configuration state) that let a
-//!   frontend rehydrate its registry after a restart.
+//! - [`ModelRecord`] — a model's persisted version directory, each
+//!   version with its whole [`QueueConfig`]. With the app records it
+//!   mirrors the paper's Redis configuration state, and lets a frontend
+//!   rehydrate its registry after a restart.
 //!
 //! The `#[derive(Serialize, Deserialize)]` on each type **is** its wire
 //! format: declaration field order, no whitespace. The tests below pin
@@ -24,9 +26,9 @@
 //! a change to a type or to the codec that moves the wire shows up as a
 //! failed literal, not as two code paths drifting apart.
 
-use crate::batching::{BatchStrategy, LatencyPrior, QueueConfig};
+use crate::batching::{LatencyPrior, QueueConfig};
 use crate::error::PredictError;
-use crate::types::{AppConfig, AppUpdate, ModelId, Output, PolicyKind};
+use crate::types::{AppConfig, ModelId, Output, PolicyKind};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -347,7 +349,8 @@ impl AppSpec {
     }
 }
 
-/// `PATCH /api/v1/apps/{app}` request body: a partial update. Absent
+/// `PATCH /api/v1/apps/{app}` request body, and the delta
+/// [`Clipper::update_app`](crate::Clipper::update_app) applies: absent
 /// fields keep their current values.
 #[derive(Clone, Debug, Default, Serialize, Deserialize, PartialEq)]
 pub struct AppPatch {
@@ -368,21 +371,8 @@ pub struct AppPatch {
     pub seed: Option<u64>,
 }
 
-impl AppPatch {
-    /// Convert to the domain-level delta type.
-    pub(crate) fn into_update(self) -> AppUpdate {
-        AppUpdate {
-            slo: self.slo_ms.map(Duration::from_millis),
-            policy: self.policy,
-            candidate_models: self.candidate_models,
-            default_output: self.default_output.map(Into::into),
-            seed: self.seed,
-        }
-    }
-}
-
 /// `GET /api/v1/apps[/{app}]` response shape (also what a registration
-/// echoes back).
+/// echoes back), and the statestore-persisted form of an app.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct AppView {
     /// Application name.
@@ -427,23 +417,9 @@ impl AppView {
     }
 }
 
-/// The statestore-persisted form of an app registration is exactly its
-/// read-back view.
-pub type AppRecord = AppView;
-
 // ---------------------------------------------------------------------
 // Model lifecycle shapes
 // ---------------------------------------------------------------------
-
-/// `POST /api/v1/models` request body: register a model version (replicas
-/// attach separately, over RPC or in-process).
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
-pub struct ModelSpec {
-    /// Model name.
-    pub name: String,
-    /// Version to register.
-    pub version: u32,
-}
 
 /// One model name in `GET /api/v1/models`: version directory plus live
 /// scheduler state of the current version.
@@ -465,113 +441,17 @@ pub struct ModelView {
     pub inflight: usize,
 }
 
-/// The statestore-persisted form of one model version's batching
-/// configuration ([`QueueConfig`]): max batch size, delayed-batching
-/// timeout, AIMD on/off (the strategy), and the queueing knobs. Durations
-/// are microseconds so sub-millisecond settings survive the round trip.
-/// A record that still carries the retired model-wide `latency_prior`
+/// One version's persisted configuration inside a [`ModelRecord`]. A
+/// record that still carries the retired per-attach-position `replicas`
+/// list, or the retired model-wide `latency_prior` inside `knobs`,
 /// parses, and the key is ignored: a replica's warm start lives only in
 /// its own [`ReplicaRecord`].
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
-pub struct BatchKnobs {
-    /// Batching strategy (AIMD / quantile / autotune / fixed).
-    pub strategy: BatchStrategy,
-    /// Latency objective, µs.
-    pub slo_us: u64,
-    /// Delayed-batching wait, µs.
-    pub batch_wait_timeout_us: u64,
-    /// Queue depth before submissions are refused.
-    pub queue_capacity: usize,
-    /// Hard cap on batch size.
-    pub max_batch_cap: usize,
-    /// Outstanding batches per replica.
-    pub pipeline_depth: usize,
-    /// Drain hang-detector deadline, µs.
-    pub drain_deadline_us: u64,
-    /// Whether SLO-aware admission is enabled for this model.
-    pub slo_admission: bool,
-    /// Retry budget: total dispatch attempts per query before the typed
-    /// upstream error surfaces (1 disables redispatch).
-    pub retry_max_attempts: u32,
-    /// Hedged-dispatch knob (`null` = off).
-    pub hedge: Option<HedgeWire>,
-}
-
-/// Wire form of [`HedgeConfig`](crate::batching::HedgeConfig).
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
-pub struct HedgeWire {
-    /// Hedge fires at `delay_factor ×` the model-predicted batch latency.
-    pub delay_factor: f64,
-    /// Floor (and cold-start value) for the hedge delay, µs.
-    pub min_delay_us: u64,
-}
-
-impl From<crate::batching::HedgeConfig> for HedgeWire {
-    fn from(h: crate::batching::HedgeConfig) -> Self {
-        HedgeWire {
-            delay_factor: h.delay_factor,
-            min_delay_us: h.min_delay.as_micros() as u64,
-        }
-    }
-}
-
-impl From<HedgeWire> for crate::batching::HedgeConfig {
-    fn from(h: HedgeWire) -> Self {
-        crate::batching::HedgeConfig {
-            delay_factor: h.delay_factor,
-            min_delay: Duration::from_micros(h.min_delay_us),
-        }
-    }
-}
-
-impl From<&QueueConfig> for BatchKnobs {
-    fn from(cfg: &QueueConfig) -> Self {
-        BatchKnobs {
-            strategy: cfg.strategy.clone(),
-            slo_us: cfg.slo.as_micros() as u64,
-            batch_wait_timeout_us: cfg.batch_wait_timeout.as_micros() as u64,
-            queue_capacity: cfg.queue_capacity,
-            max_batch_cap: cfg.max_batch_cap,
-            pipeline_depth: cfg.pipeline_depth,
-            drain_deadline_us: cfg.drain_deadline.as_micros() as u64,
-            slo_admission: cfg.slo_admission,
-            retry_max_attempts: cfg.retry_max_attempts,
-            hedge: cfg.hedge.map(Into::into),
-        }
-    }
-}
-
-impl BatchKnobs {
-    /// Rebuild the domain config (used by registry rehydration). Breaker
-    /// tuning is not persisted — a rehydrated model runs with the
-    /// built-in [`BreakerConfig`](crate::batching::BreakerConfig)
-    /// defaults.
-    pub(crate) fn into_config(self) -> QueueConfig {
-        QueueConfig {
-            strategy: self.strategy,
-            slo: Duration::from_micros(self.slo_us),
-            batch_wait_timeout: Duration::from_micros(self.batch_wait_timeout_us),
-            queue_capacity: self.queue_capacity,
-            max_batch_cap: self.max_batch_cap,
-            pipeline_depth: self.pipeline_depth,
-            drain_deadline: Duration::from_micros(self.drain_deadline_us),
-            slo_admission: self.slo_admission,
-            retry_max_attempts: self.retry_max_attempts,
-            hedge: self.hedge.map(Into::into),
-            ..QueueConfig::default()
-        }
-    }
-}
-
-/// One version's persisted batching configuration inside a
-/// [`ModelRecord`]. A record that still carries the retired per-attach-
-/// position `replicas` list parses, and the key is ignored.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct VersionBatchKnobs {
-    /// The version these knobs belong to.
+    /// The version this configuration belongs to.
     pub version: u32,
-    /// The knobs.
-    pub knobs: BatchKnobs,
+    /// The version's configuration, as it was registered.
+    pub knobs: QueueConfig,
 }
 
 /// The statestore-persisted form of a model's version directory.
@@ -585,15 +465,14 @@ pub struct ModelRecord {
     pub versions: Vec<u32>,
     /// Rollback stack.
     pub history: Vec<u32>,
-    /// Per-version batching configuration, so `sync_config()` restores the
-    /// knobs a version was rolled out with instead of silently resetting
-    /// to defaults.
+    /// Per-version configuration, so `sync_config()` restores every knob
+    /// a version was registered with instead of resetting it to defaults.
     pub batch: Vec<VersionBatchKnobs>,
 }
 
 impl ModelRecord {
-    /// The persisted knobs for `version`, if recorded.
-    pub(crate) fn knobs_for(&self, version: u32) -> Option<&BatchKnobs> {
+    /// The persisted configuration of `version`, if recorded.
+    pub(crate) fn knobs_for(&self, version: u32) -> Option<&QueueConfig> {
         self.batch
             .iter()
             .find(|vb| vb.version == version)
@@ -624,7 +503,7 @@ pub struct ReplicaSpec {
 }
 
 /// The statestore-persisted form of a fleet replica registration —
-/// `config/replica/*`, beside [`AppRecord`] and [`ModelRecord`], so a
+/// `config/replica/*`, beside [`AppView`] and [`ModelRecord`], so a
 /// restarted (or sibling) frontend re-adopts the registered fleet.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct ReplicaRecord {
@@ -750,6 +629,8 @@ pub struct RolloutOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abstraction::SchedulerPolicy;
+    use crate::batching::{BatchStrategy, BreakerConfig, HedgeConfig};
 
     #[test]
     fn error_body_with_quotes_and_backslashes_stays_valid_json() {
@@ -1012,7 +893,7 @@ mod tests {
     fn records_persisted_by_the_two_pass_codec_still_parse() {
         // Statestore bytes as the previous codec wrote them: a restart
         // onto this codec must rehydrate the same registry.
-        let app: AppRecord = serde_json::from_str(
+        let app: AppView = serde_json::from_str(
             r#"{"name":"app","candidate_models":[{"name":"m","version":3}],"policy":{"Exp4":{"eta":0.2}},"slo_ms":0,"slo_us":750,"default_output":{"kind":"scores","scores":[0.5,0.5]},"seed":9}"#,
         )
         .unwrap();
@@ -1021,13 +902,15 @@ mod tests {
             .with_slo(Duration::from_micros(750))
             .with_default_output(Output::Scores(vec![0.5, 0.5]))
             .with_seed(9);
-        assert_eq!(app, AppRecord::from(&cfg));
+        assert_eq!(app, AppView::from(&cfg));
 
         let model: ModelRecord = serde_json::from_str(
             r#"{"name":"m","current":2,"versions":[1,2],"history":[1],"batch":[{"version":2,"knobs":{"strategy":{"kind":"fixed","size":7},"slo_us":750,"batch_wait_timeout_us":2000,"queue_capacity":123,"max_batch_cap":64,"pipeline_depth":2,"drain_deadline_us":9000000,"latency_prior":{"alpha_us":120.5,"beta_us":33.25},"slo_admission":true,"retry_max_attempts":2,"hedge":{"delay_factor":2.5,"min_delay_us":900}},"replicas":[{"queue_id":"m:v2:0","alpha_us":140.0,"beta_us":41.5,"b_max":17,"samples":420}]},{"version":1,"knobs":{"strategy":{"kind":"aimd","step":2.0,"backoff":0.9},"slo_us":20000,"batch_wait_timeout_us":0,"queue_capacity":8192,"max_batch_cap":4096,"pipeline_depth":1,"drain_deadline_us":5000000,"latency_prior":null,"slo_admission":false,"retry_max_attempts":3,"hedge":null},"replicas":[]}]}"#,
         )
         .unwrap();
-        // The retired `latency_prior` and `replicas` keys are ignored.
+        // The retired `latency_prior` and `replicas` keys are ignored, and
+        // the `breaker` and `scheduler` these records predate read their
+        // defaults.
         let expected = ModelRecord {
             name: "m".into(),
             current: 2,
@@ -1036,7 +919,7 @@ mod tests {
             batch: vec![
                 VersionBatchKnobs {
                     version: 2,
-                    knobs: BatchKnobs::from(&QueueConfig {
+                    knobs: QueueConfig {
                         strategy: BatchStrategy::Fixed { size: 7 },
                         slo: Duration::from_micros(750),
                         batch_wait_timeout: Duration::from_millis(2),
@@ -1046,16 +929,16 @@ mod tests {
                         drain_deadline: Duration::from_secs(9),
                         slo_admission: true,
                         retry_max_attempts: 2,
-                        hedge: Some(crate::batching::HedgeConfig {
+                        hedge: Some(HedgeConfig {
                             delay_factor: 2.5,
                             min_delay: Duration::from_micros(900),
                         }),
                         ..QueueConfig::default()
-                    }),
+                    },
                 },
                 VersionBatchKnobs {
                     version: 1,
-                    knobs: BatchKnobs::from(&QueueConfig::default()),
+                    knobs: QueueConfig::default(),
                 },
             ],
         };
@@ -1138,9 +1021,9 @@ mod tests {
         // 500 µs SLO to zero, silencing the app after rehydration.
         let cfg =
             AppConfig::new("app", vec![ModelId::new("m", 1)]).with_slo(Duration::from_micros(500));
-        let record = AppRecord::from(&cfg);
+        let record = AppView::from(&cfg);
         let json = serde_json::to_string(&record).unwrap();
-        let back: AppRecord = serde_json::from_str(&json).unwrap();
+        let back: AppView = serde_json::from_str(&json).unwrap();
         assert_eq!(back.into_config().slo, Duration::from_micros(500));
     }
 
@@ -1151,16 +1034,10 @@ mod tests {
             .with_slo(Duration::from_millis(75))
             .with_default_output(Output::Scores(vec![0.5, 0.5]))
             .with_seed(9);
-        let record = AppRecord::from(&cfg);
+        let record = AppView::from(&cfg);
         let json = serde_json::to_string(&record).unwrap();
-        let back: AppRecord = serde_json::from_str(&json).unwrap();
-        let cfg2 = back.into_config();
-        assert_eq!(cfg2.name, cfg.name);
-        assert_eq!(cfg2.candidate_models, cfg.candidate_models);
-        assert_eq!(cfg2.policy, cfg.policy);
-        assert_eq!(cfg2.slo, cfg.slo);
-        assert_eq!(cfg2.default_output, cfg.default_output);
-        assert_eq!(cfg2.seed, cfg.seed);
+        let back: AppView = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.into_config(), cfg);
     }
 
     #[test]
@@ -1169,7 +1046,56 @@ mod tests {
         assert_eq!(patch, AppPatch::default());
         let patch: AppPatch = serde_json::from_str("{\"slo_ms\": 50}").unwrap();
         assert_ne!(patch, AppPatch::default());
-        assert_eq!(patch.into_update().slo, Some(Duration::from_millis(50)));
+        let cfg = AppConfig::new("a", vec![ModelId::new("m", 1)]).apply(patch);
+        assert_eq!(cfg.slo, Duration::from_millis(50));
+    }
+
+    /// A version's tuning as this codec writes it: every field of its
+    /// [`QueueConfig`], the keys of records written before the breaker and
+    /// the scheduler persisted in their old order, then those two.
+    fn tuned() -> QueueConfig {
+        QueueConfig {
+            strategy: BatchStrategy::Fixed { size: 7 },
+            slo: Duration::from_micros(750),
+            batch_wait_timeout: Duration::from_millis(2),
+            queue_capacity: 123,
+            max_batch_cap: 64,
+            pipeline_depth: 2,
+            drain_deadline: Duration::from_secs(9),
+            slo_admission: true,
+            retry_max_attempts: 2,
+            hedge: Some(HedgeConfig {
+                delay_factor: 2.5,
+                min_delay: Duration::from_micros(900),
+            }),
+            breaker: BreakerConfig {
+                cooldown: Duration::from_millis(10),
+            },
+            scheduler: SchedulerPolicy::RoundRobin,
+        }
+    }
+
+    #[test]
+    fn model_record_wire_bytes_are_pinned() {
+        let rec = ModelRecord {
+            name: "m".into(),
+            current: 2,
+            versions: vec![1, 2],
+            history: vec![1],
+            batch: vec![
+                VersionBatchKnobs {
+                    version: 2,
+                    knobs: tuned(),
+                },
+                VersionBatchKnobs {
+                    version: 1,
+                    knobs: QueueConfig::default(),
+                },
+            ],
+        };
+        let golden = r#"{"name":"m","current":2,"versions":[1,2],"history":[1],"batch":[{"version":2,"knobs":{"strategy":{"kind":"fixed","size":7},"slo_us":750,"batch_wait_timeout_us":2000,"queue_capacity":123,"max_batch_cap":64,"pipeline_depth":2,"drain_deadline_us":9000000,"slo_admission":true,"retry_max_attempts":2,"hedge":{"delay_factor":2.5,"min_delay_us":900},"breaker":{"cooldown_us":10000},"scheduler":"round_robin"}},{"version":1,"knobs":{"strategy":{"kind":"aimd","step":2.0,"backoff":0.9},"slo_us":20000,"batch_wait_timeout_us":0,"queue_capacity":8192,"max_batch_cap":4096,"pipeline_depth":1,"drain_deadline_us":5000000,"slo_admission":false,"retry_max_attempts":3,"hedge":null,"breaker":{"cooldown_us":500000},"scheduler":"power_of_two_choices"}}]}"#;
+        assert_wire(&rec, golden);
+        assert_eq!(serde_json::from_str::<ModelRecord>(golden).unwrap(), rec);
     }
 
     #[test]
@@ -1181,38 +1107,13 @@ mod tests {
             history: vec![1],
             batch: vec![VersionBatchKnobs {
                 version: 2,
-                knobs: BatchKnobs::from(&QueueConfig {
-                    strategy: BatchStrategy::Fixed { size: 7 },
-                    slo: Duration::from_micros(750),
-                    batch_wait_timeout: Duration::from_millis(2),
-                    queue_capacity: 123,
-                    max_batch_cap: 64,
-                    pipeline_depth: 2,
-                    drain_deadline: Duration::from_secs(9),
-                    slo_admission: true,
-                    retry_max_attempts: 2,
-                    hedge: Some(crate::batching::HedgeConfig {
-                        delay_factor: 2.5,
-                        min_delay: Duration::from_micros(900),
-                    }),
-                    ..QueueConfig::default()
-                }),
+                knobs: tuned(),
             }],
         };
         let json = serde_json::to_string(&rec).unwrap();
         let back = serde_json::from_str::<ModelRecord>(&json).unwrap();
         assert_eq!(back, rec);
-        let cfg = back.knobs_for(2).unwrap().clone().into_config();
-        assert_eq!(cfg.strategy, BatchStrategy::Fixed { size: 7 });
-        assert_eq!(cfg.slo, Duration::from_micros(750));
-        assert_eq!(cfg.batch_wait_timeout, Duration::from_millis(2));
-        assert_eq!(cfg.queue_capacity, 123);
-        assert_eq!(cfg.drain_deadline, Duration::from_secs(9));
-        assert!(cfg.slo_admission);
-        assert_eq!(cfg.retry_max_attempts, 2);
-        let hedge = cfg.hedge.expect("hedge knob round-trips");
-        assert_eq!(hedge.delay_factor, 2.5);
-        assert_eq!(hedge.min_delay, Duration::from_micros(900));
+        assert_eq!(back.knobs_for(2), Some(&tuned()));
         assert!(back.knobs_for(1).is_none());
         // Every field is written, so a record that lacks one is unreadable.
         let without_batch = json.replace(&json[json.find(",\"batch\"").unwrap()..], "}");

@@ -38,7 +38,9 @@
 //! live state is exported as a per-queue `/metrics` gauge by the model
 //! abstraction layer.
 
+use super::micros;
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
 use tokio::time::Instant;
@@ -55,9 +57,10 @@ pub const MIN_SAMPLES: usize = 8;
 pub const STREAK: usize = 3;
 
 /// Circuit-breaker tuning (per replica queue).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BreakerConfig {
     /// How long an opened breaker holds traffic off before probing.
+    #[serde(rename = "cooldown_us", with = "micros")]
     pub cooldown: Duration,
 }
 

@@ -71,9 +71,25 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// A `Duration` field's persisted form: whole microseconds as an integer
+/// (`#[serde(rename = "<name>_us", with = "micros")]`), so sub-millisecond
+/// settings survive the round trip.
+mod micros {
+    use serde::{Deserialize, Error, Reader, Serialize, Writer};
+    use std::time::Duration;
+
+    pub(super) fn serialize(d: &Duration, w: &mut Writer) -> Result<(), Error> {
+        (d.as_micros() as u64).serialize(w)
+    }
+
+    pub(super) fn deserialize(r: &mut Reader<'_>) -> Result<Duration, Error> {
+        u64::deserialize(r).map(Duration::from_micros)
+    }
+}
+
 /// Strategy configuration for a replica's batching controller. Its
 /// serde form is the persisted one (`{"kind":"aimd",…}` inside a
-/// `BatchKnobs` record).
+/// [`QueueConfig`] record).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum BatchStrategy {

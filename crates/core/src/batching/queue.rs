@@ -59,13 +59,15 @@
 
 use super::breaker::{BreakerConfig, CircuitBreaker, Health};
 use super::dispatch::{dispatch_batch, fail_drain_deadline, settle_upstream_failure};
-use super::{BatchController, LatencyModel, LatencyPrior};
+use super::{micros, BatchController, LatencyModel, LatencyPrior};
+use crate::abstraction::SchedulerPolicy;
 use crate::cache::{CacheKey, PredictionCache};
 use crate::error::{PredictError, UpstreamKind};
 use crate::types::{Input, Output};
 use clipper_metrics::{Counter, Gauge, Histogram, Registry};
 use clipper_rpc::transport::BatchTransport;
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -158,17 +160,22 @@ impl QueueItem {
     }
 }
 
-/// Queue configuration: one per model, applied to each of its replica
-/// queues. A replica's warm-start latency curve is not configuration; it
-/// is the `prior` the queue is spawned with.
-#[derive(Clone, Debug)]
+/// Queue configuration: one per model version, applied to each of its
+/// replica queues. It is also what the statestore holds for the version
+/// (inside a model record) and what `sync_config()` restores: durations
+/// are written as whole microseconds under `<name>_us` keys. A replica's
+/// warm-start latency curve is not configuration; it is the `prior` the
+/// queue is spawned with.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct QueueConfig {
     /// Batching strategy.
     pub strategy: super::BatchStrategy,
     /// Latency objective the controller tunes against.
+    #[serde(rename = "slo_us", with = "micros")]
     pub slo: Duration,
     /// Delayed batching: how long an under-full batch waits for more
     /// queries (0 = dispatch immediately).
+    #[serde(rename = "batch_wait_timeout_us", with = "micros")]
     pub batch_wait_timeout: Duration,
     /// Queue depth before submissions are refused (the scheduler then
     /// falls through to a sibling replica, shedding only when every
@@ -189,6 +196,7 @@ pub struct QueueConfig {
     /// every lane stops waiting on its transport and fails its batch,
     /// and any remaining backlog is fail-filled as it is pulled, so
     /// every waiter still settles.
+    #[serde(rename = "drain_deadline_us", with = "micros")]
     pub drain_deadline: Duration,
     /// SLO-aware admission (§4.4.1): when `true`, the scheduler consults
     /// every routable replica's latency model + backlog estimate at
@@ -202,13 +210,19 @@ pub struct QueueConfig {
     /// different routable replica (when the queue is wired into a
     /// scheduler; standalone queues fail as before). `1` disables retry.
     pub retry_max_attempts: u32,
-    /// Per-replica circuit breaker tuning (§5.2.2).
-    pub breaker: BreakerConfig,
     /// Opt-in hedged dispatch (§5.2.2 straggler mitigation): when a
     /// batch's in-flight time crosses the model-derived hedge delay, the
     /// batch is re-dispatched to a sibling replica and the first success
     /// wins. `None` = no hedging.
     pub hedge: Option<HedgeConfig>,
+    /// Per-replica circuit breaker tuning (§5.2.2). A record written
+    /// before the breaker persisted reads the default.
+    #[serde(default)]
+    pub breaker: BreakerConfig,
+    /// How the model's scheduler picks a replica for each query. A record
+    /// written before the policy persisted reads the default.
+    #[serde(default)]
+    pub scheduler: SchedulerPolicy,
 }
 
 impl Default for QueueConfig {
@@ -223,14 +237,15 @@ impl Default for QueueConfig {
             drain_deadline: Duration::from_secs(5),
             slo_admission: false,
             retry_max_attempts: 3,
-            breaker: BreakerConfig::default(),
             hedge: None,
+            breaker: BreakerConfig::default(),
+            scheduler: SchedulerPolicy::default(),
         }
     }
 }
 
 /// Hedged-dispatch tuning (see [`QueueConfig::hedge`]).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HedgeConfig {
     /// The hedge fires when a batch's in-flight time exceeds
     /// `delay_factor ×` the replica's model-predicted batch latency — a
@@ -238,6 +253,7 @@ pub struct HedgeConfig {
     pub delay_factor: f64,
     /// Floor for the hedge delay; also the delay used while the latency
     /// model has no estimate yet.
+    #[serde(rename = "min_delay_us", with = "micros")]
     pub min_delay: Duration,
 }
 

@@ -19,7 +19,8 @@
 //! the deadline fires are handed, together, to a single background task
 //! that lets them finish, so a straggler's answer still refreshes its
 //! model's running default; the cache entry it was computing is filled
-//! by the queue regardless. `feedback` gathers with no deadline.
+//! by the queue regardless. `feedback` gathers under the same SLO
+//! deadline, so a hung model cannot hold a feedback call open.
 //!
 //! # Control plane (§3, §6.3)
 //!
@@ -41,20 +42,21 @@
 //!   version, re-attaching the transports the rollout parked.
 //!
 //! Registrations persist to the statestore (mirroring the paper's Redis
-//! configuration state); [`sync_config`](Clipper::sync_config) rebuilds
-//! the registry from it after a restart.
+//! configuration state): an app as its [`AppView`], a model version as
+//! its whole [`BatchConfig`], scheduler policy and breaker included.
+//! [`sync_config`](Clipper::sync_config) rebuilds the registry from it
+//! after a restart.
 
-use crate::abstraction::{BatchConfig, ModelAbstractionLayer, SchedulerPolicy};
+use crate::abstraction::{BatchConfig, ModelAbstractionLayer};
 use crate::api::{
-    self, ApiError, AppRecord, ModelRecord, ModelView, ReplicaRecord, RolloutOutcome, SyncReport,
+    self, ApiError, AppPatch, AppView, ModelRecord, ModelView, ReplicaRecord, RolloutOutcome,
+    SyncReport,
 };
 use crate::batching::ReplicaQueue;
 use crate::error::PredictError;
 use crate::fleet::{Fleet, FleetConfig};
 use crate::selection::{build_policy, SelectionPolicy, SelectionStateManager};
-use crate::types::{
-    AppConfig, AppUpdate, Feedback, Input, ModelId, Output, PolicyKind, Prediction,
-};
+use crate::types::{AppConfig, Feedback, Input, ModelId, Output, PolicyKind, Prediction};
 use clipper_metrics::{Counter, Histogram, Registry};
 use clipper_rpc::transport::BatchTransport;
 use clipper_statestore::StateStore;
@@ -184,7 +186,6 @@ impl App {
 /// queues.
 struct ParkedVersion {
     cfg: BatchConfig,
-    policy: SchedulerPolicy,
     transports: Vec<Arc<dyn BatchTransport>>,
 }
 
@@ -230,7 +231,7 @@ struct Inner {
 
 impl Inner {
     fn persist_app(&self, cfg: &AppConfig) {
-        if let Ok(bytes) = serde_json::to_vec(&AppRecord::from(cfg)) {
+        if let Ok(bytes) = serde_json::to_vec(&AppView::from(cfg)) {
             self.store.set(&api::app_key(&cfg.name), bytes);
         }
     }
@@ -242,21 +243,18 @@ impl Inner {
                 return;
             };
             let mut rec = dir.record(name);
-            // Persist each version's batch knobs — live versions from the
-            // abstraction layer, rolled-away versions from the parking
-            // lot — so sync_config() restores them instead of silently
-            // resetting rolled-out models to default batching.
+            // Persist each version's configuration — live versions from
+            // the abstraction layer, rolled-away versions from the
+            // parking lot — so sync_config() restores it instead of
+            // resetting rolled-out models to defaults.
             for &v in &dir.versions {
                 let id = ModelId::new(name, v);
                 let cfg = self
                     .mal
                     .model_config(&id)
                     .or_else(|| dir.parked.get(&v).map(|p| p.cfg.clone()));
-                if let Some(cfg) = cfg {
-                    rec.batch.push(api::VersionBatchKnobs {
-                        version: v,
-                        knobs: (&cfg).into(),
-                    });
+                if let Some(knobs) = cfg {
+                    rec.batch.push(api::VersionBatchKnobs { version: v, knobs });
                 }
             }
             rec
@@ -284,7 +282,7 @@ impl Inner {
     }
 
     /// Adopt a persisted model wholesale — its version directory plus
-    /// every version with its batch knobs — unless the name is already
+    /// every version with its configuration — unless the name is already
     /// registered here. Returns whether it was adopted.
     fn adopt_model(&self, rec: &ModelRecord) -> bool {
         {
@@ -308,14 +306,10 @@ impl Inner {
         true
     }
 
-    /// Register one persisted version, with its batch knobs, with the
+    /// Register one persisted version, with its configuration, with the
     /// abstraction layer.
     fn adopt_version(&self, rec: &ModelRecord, v: u32) {
-        let cfg = rec
-            .knobs_for(v)
-            .cloned()
-            .map(api::BatchKnobs::into_config)
-            .unwrap_or_default();
+        let cfg = rec.knobs_for(v).cloned().unwrap_or_default();
         self.mal.add_model(ModelId::new(&rec.name, v), cfg);
     }
 }
@@ -374,16 +368,16 @@ impl Clipper {
         Ok(())
     }
 
-    /// Live-update an application with a [`AppUpdate`] delta. The swap is
+    /// Live-update an application with an [`AppPatch`] delta. The swap is
     /// atomic: in-flight predicts finish under the configuration they
     /// started with; the next predict sees the amended one. Learned
     /// policy state survives — when the candidate set changes, per-model
     /// weights carry over by model name. Returns the amended config.
-    pub fn update_app(&self, name: &str, update: AppUpdate) -> Result<AppConfig, ApiError> {
+    pub fn update_app(&self, name: &str, patch: AppPatch) -> Result<AppConfig, ApiError> {
         // An empty candidate set would brick the app: selection would have
         // nothing to choose from (and would wipe learned state).
-        check_app(update.candidate_models.as_deref(), update.policy.as_ref())?;
-        if let Some(models) = &update.candidate_models {
+        check_app(patch.candidate_models.as_deref(), patch.policy.as_ref())?;
+        if let Some(models) = &patch.candidate_models {
             for m in models {
                 if !self.inner.mal.has_model(m) {
                     return Err(ApiError::ModelUnknown(m.to_string()));
@@ -395,7 +389,7 @@ impl Clipper {
             let app = apps
                 .get_mut(name)
                 .ok_or_else(|| ApiError::AppUnknown(name.to_string()))?;
-            let cfg = app.cfg.clone().apply(update);
+            let cfg = app.cfg.clone().apply(patch);
             *app = App::new(cfg.clone());
             cfg
         };
@@ -429,30 +423,15 @@ impl Clipper {
         self.inner.apps.read().get(name).map(|a| a.cfg.clone())
     }
 
-    /// Register a model version with per-replica batching configuration
-    /// and the default depth-aware scheduler (power-of-two-choices). The
-    /// first registered version of a name becomes its *current* version;
-    /// later versions are rollout candidates until
-    /// [`rollout_model`](Self::rollout_model) promotes them. Returns
-    /// whether the version was newly registered (`false`: it already
-    /// existed and keeps its original configuration).
+    /// Register a model version with its configuration: per-replica
+    /// batching, recovery knobs and the replica-scheduling policy
+    /// ([`BatchConfig::scheduler`]). The first registered version of a
+    /// name becomes its *current* version; later versions are rollout
+    /// candidates until [`rollout_model`](Self::rollout_model) promotes
+    /// them. Returns whether the version was newly registered (`false`:
+    /// it already existed and keeps its original configuration).
     pub fn add_model(&self, id: ModelId, cfg: BatchConfig) -> bool {
-        self.add_model_with_policy(id, cfg, SchedulerPolicy::default())
-    }
-
-    /// Register a model version with an explicit replica-scheduling
-    /// policy. See [`add_model`](Self::add_model).
-    pub fn add_model_with_policy(
-        &self,
-        id: ModelId,
-        cfg: BatchConfig,
-        policy: SchedulerPolicy,
-    ) -> bool {
-        if !self
-            .inner
-            .mal
-            .add_model_with_policy(id.clone(), cfg, policy)
-        {
+        if !self.inner.mal.add_model(id.clone(), cfg) {
             // Duplicate version: the MAL keeps the original config, the
             // directory already lists the version — nothing to persist.
             return false;
@@ -580,7 +559,7 @@ impl Clipper {
                         version: to_version,
                     }
                 })?;
-                mal.add_model_with_policy(to_id.clone(), parked.cfg, parked.policy);
+                mal.add_model(to_id.clone(), parked.cfg);
                 for t in parked.transports {
                     let _ = mal.add_replica(&to_id, t);
                 }
@@ -687,7 +666,6 @@ impl Clipper {
                     from_version,
                     ParkedVersion {
                         cfg: removed.cfg,
-                        policy: removed.policy,
                         transports: removed.transports,
                     },
                 );
@@ -718,9 +696,9 @@ impl Clipper {
     /// of the pass.
     ///
     /// Per model record: unknown names are adopted wholesale
-    /// (directory + versions with the batch knobs they were persisted
-    /// with, [`ModelRecord::batch`]; a version without knobs there
-    /// falls back to default batching, and replicas re-attach afterwards
+    /// (directory + versions with the configuration they were persisted
+    /// with, [`ModelRecord::batch`]; a version without one there falls
+    /// back to the default configuration, and replicas re-attach afterwards
     /// via [`add_replica`](Self::add_replica)); known
     /// names adopt any versions they lack; and when the persisted
     /// *current* pointer differs from the local one, the full local
@@ -782,7 +760,7 @@ impl Clipper {
 
         // Apps: adopt new, replace changed, drop deleted.
         let mut persisted_names = Vec::new();
-        for rec in inner.records::<AppRecord>(api::APP_KEY_PREFIX, &mut report.skipped) {
+        for rec in inner.records::<AppView>(api::APP_KEY_PREFIX, &mut report.skipped) {
             if check_app(Some(&rec.candidate_models), Some(&rec.policy)).is_err() {
                 report.skipped.push(api::app_key(&rec.name));
                 continue;
@@ -793,7 +771,7 @@ impl Clipper {
                 .apps
                 .read()
                 .get(&rec.name)
-                .map(|a| AppRecord::from(&a.cfg));
+                .map(|a| AppView::from(&a.cfg));
             match local {
                 Some(ref cur) if *cur == rec => {}
                 found => {
@@ -980,8 +958,8 @@ impl Clipper {
 
     /// Evaluate `models` on `input` through the cache and the batching
     /// queues, from the calling task, and return the answers that
-    /// arrived by `deadline` (`None` = wait for every model). A model
-    /// that failed or is late is simply absent from the map.
+    /// arrived by `deadline`. A model that failed or is late is simply
+    /// absent from the map.
     ///
     /// Every evaluation is polled once — in `models` order, which is
     /// where cache hits resolve and misses are dispatched — before the
@@ -998,7 +976,7 @@ impl Clipper {
         &self,
         models: &[ModelId],
         input: &Input,
-        deadline: Option<Instant>,
+        deadline: Instant,
     ) -> HashMap<ModelId, Output> {
         let mut preds = HashMap::with_capacity(models.len());
         // Each evaluation owns everything it touches, so a straggler can
@@ -1030,13 +1008,8 @@ impl Clipper {
                 Poll::Pending
             }
         });
-        match deadline {
-            // `Timeout` polls its future before its timer.
-            Some(deadline) => {
-                let _ = tokio::time::timeout_at(deadline, all_settled).await;
-            }
-            None => all_settled.await,
-        }
+        // `Timeout` polls its future before its timer.
+        let _ = tokio::time::timeout_at(deadline, all_settled).await;
         if !pending.is_empty() {
             tokio::spawn(async move {
                 for straggler in pending {
@@ -1068,9 +1041,7 @@ impl Clipper {
         if selected.is_empty() {
             return Err(PredictError::Failed("policy selected no models".into()));
         }
-        let mut preds = self
-            .gather(&selected, &input, Some(start + app.cfg.slo))
-            .await;
+        let mut preds = self.gather(&selected, &input, start + app.cfg.slo).await;
         let models_used = preds.len();
         let models_missing = selected.len() - models_used;
 
@@ -1108,7 +1079,9 @@ impl Clipper {
     }
 
     /// Join application feedback with the candidate models' predictions
-    /// for `input` and fold it into the context's policy state.
+    /// for `input` and fold it into the context's policy state. The
+    /// join waits no longer than the app's SLO: a model that has not
+    /// answered by then is observed as absent.
     pub async fn feedback(
         &self,
         app_name: &str,
@@ -1123,7 +1096,10 @@ impl Clipper {
 
         // Join feedback with predictions through the cache: recent
         // predictions hit; unseen inputs are evaluated.
-        let preds = self.gather(&app.cfg.candidate_models, &input, None).await;
+        let deadline = Instant::now() + app.cfg.slo;
+        let preds = self
+            .gather(&app.cfg.candidate_models, &input, deadline)
+            .await;
 
         self.inner
             .state_mgr
@@ -1159,10 +1135,13 @@ impl Clipper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batching::BatchStrategy;
+    use crate::abstraction::SchedulerPolicy;
+    use crate::api::JsonOutput;
+    use crate::batching::{BatchStrategy, BreakerConfig, HedgeConfig};
     use crate::selection::PolicyState;
     use crate::types::PolicyKind;
     use clipper_rpc::message::{PredictReply, WireOutput};
+    use proptest::prelude::{any, prop_assert_eq, prop_oneof, proptest, Just, Strategy};
     use std::time::Duration;
 
     /// A transport answering `label`, optionally after an async delay
@@ -1410,7 +1389,13 @@ mod tests {
             let warm = clipper.predict("app", None, input.clone()).await.unwrap();
             assert_eq!(warm.models_used, n);
             clipper
-                .update_app("app", AppUpdate::new().with_slo(Duration::ZERO))
+                .update_app(
+                    "app",
+                    AppPatch {
+                        slo_ms: Some(0),
+                        ..AppPatch::default()
+                    },
+                )
                 .unwrap();
             let substitutions = clipper.inner.substitutions.get();
             let p = clipper.predict("app", None, input).await.unwrap();
@@ -1506,6 +1491,47 @@ mod tests {
         assert!(
             probs[idx_good] > 0.8,
             "good model should dominate: {probs:?}"
+        );
+    }
+
+    /// A hung model: its batches never answer.
+    struct NeverAnswers;
+
+    impl BatchTransport for NeverAnswers {
+        fn predict_batch(
+            &self,
+            _inputs: &[Input],
+        ) -> clipper_rpc::BoxFuture<Result<PredictReply, clipper_rpc::RpcError>> {
+            Box::pin(std::future::pending())
+        }
+        fn id(&self) -> String {
+            "never".into()
+        }
+    }
+
+    #[tokio::test]
+    async fn feedback_on_a_hung_model_returns_by_the_slo() {
+        const SLO: Duration = Duration::from_millis(20);
+        let clipper = Clipper::builder().build();
+        let models = vec![ModelId::new("hung", 1), ModelId::new("ok", 1)];
+        clipper.add_model(models[0].clone(), BatchConfig::default());
+        clipper
+            .add_replica(&models[0], Arc::new(NeverAnswers))
+            .unwrap();
+        clipper.add_model(models[1].clone(), BatchConfig::default());
+        clipper
+            .add_replica(&models[1], const_transport(1, None))
+            .unwrap();
+        clipper.register_app(
+            AppConfig::new("app", models)
+                .with_policy(PolicyKind::Exp4 { eta: 0.2 })
+                .with_slo(SLO),
+        );
+        let feedback = clipper.feedback("app", None, Arc::new(vec![1.0]), Feedback::class(1));
+        let outcome = tokio::time::timeout(SLO + Duration::from_millis(50), feedback).await;
+        assert!(
+            matches!(outcome, Ok(Ok(()))),
+            "feedback must return Ok by the SLO: {outcome:?}"
         );
     }
 
@@ -1617,9 +1643,11 @@ mod tests {
         let cfg = clipper
             .update_app(
                 "app",
-                crate::types::AppUpdate::new()
-                    .with_slo(Duration::from_millis(75))
-                    .with_policy(PolicyKind::MajorityVote),
+                AppPatch {
+                    slo_ms: Some(75),
+                    policy: Some(PolicyKind::MajorityVote),
+                    ..AppPatch::default()
+                },
             )
             .unwrap();
         assert_eq!(cfg.slo, Duration::from_millis(75));
@@ -1634,12 +1662,12 @@ mod tests {
             .store()
             .get(&crate::api::app_key("app"))
             .expect("app persisted");
-        let rec: crate::api::AppRecord = serde_json::from_slice(&bytes).unwrap();
+        let rec: AppView = serde_json::from_slice(&bytes).unwrap();
         assert_eq!(rec.slo_ms, 75);
         assert_eq!(rec.candidate_models, models);
         // Unknown app → typed error.
         assert!(matches!(
-            clipper.update_app("ghost", crate::types::AppUpdate::new()),
+            clipper.update_app("ghost", AppPatch::default()),
             Err(crate::api::ApiError::AppUnknown(_))
         ));
         // An empty candidate set would brick the app — refused, and the
@@ -1647,7 +1675,10 @@ mod tests {
         assert!(matches!(
             clipper.update_app(
                 "app",
-                crate::types::AppUpdate::new().with_candidate_models(vec![])
+                AppPatch {
+                    candidate_models: Some(vec![]),
+                    ..AppPatch::default()
+                }
             ),
             Err(crate::api::ApiError::BadRequest(_))
         ));
@@ -1866,7 +1897,16 @@ mod tests {
             max_batch_cap: 64,
             pipeline_depth: 2,
             drain_deadline: Duration::from_secs(9),
-            ..BatchConfig::default()
+            slo_admission: true,
+            retry_max_attempts: 1,
+            hedge: Some(HedgeConfig {
+                delay_factor: 2.0,
+                min_delay: Duration::from_micros(700),
+            }),
+            breaker: BreakerConfig {
+                cooldown: Duration::from_millis(10),
+            },
+            scheduler: SchedulerPolicy::RoundRobin,
         };
         {
             let first = Clipper::builder().statestore(store.clone()).build();
@@ -1883,23 +1923,141 @@ mod tests {
         let second = Clipper::builder().statestore(store).build();
         let report = second.sync_config().await;
         assert_eq!(report.adopted_models, 1);
-        let restored = second
-            .abstraction()
-            .model_config(&ModelId::new("m", 2))
-            .expect("v2 restored");
-        assert_eq!(restored.strategy, tuned.strategy);
-        assert_eq!(restored.slo, tuned.slo);
-        assert_eq!(restored.batch_wait_timeout, tuned.batch_wait_timeout);
-        assert_eq!(restored.queue_capacity, tuned.queue_capacity);
-        assert_eq!(restored.max_batch_cap, tuned.max_batch_cap);
-        assert_eq!(restored.pipeline_depth, tuned.pipeline_depth);
-        assert_eq!(restored.drain_deadline, tuned.drain_deadline);
+        let restored = second.abstraction().model_config(&ModelId::new("m", 2));
+        assert_eq!(restored, Some(tuned));
         // The parked old version's knobs survived as well (defaults).
-        let v1_cfg = second
-            .abstraction()
-            .model_config(&ModelId::new("m", 1))
-            .expect("v1 restored");
-        assert_eq!(v1_cfg.queue_capacity, BatchConfig::default().queue_capacity);
+        let v1_cfg = second.abstraction().model_config(&ModelId::new("m", 1));
+        assert_eq!(v1_cfg, Some(BatchConfig::default()));
+    }
+
+    /// A model version's configuration over every field: each batching
+    /// strategy, whole-µs durations, hedging on and off, a breaker
+    /// cooldown and both schedulers.
+    fn arb_queue_config() -> impl Strategy<Value = BatchConfig> {
+        let micros = |max: u64| (0..max).prop_map(Duration::from_micros);
+        let strategy = prop_oneof![
+            (0.5f64..8.0, 0.1f64..1.0)
+                .prop_map(|(step, backoff)| BatchStrategy::Aimd { step, backoff }),
+            Just(BatchStrategy::QuantileRegression),
+            (1usize..256).prop_map(|size| BatchStrategy::Fixed { size }),
+            (0.0f64..0.5).prop_map(|headroom| BatchStrategy::Autotune { headroom }),
+        ];
+        let hedge = prop_oneof![
+            Just(None),
+            (1.0f64..5.0, micros(10_000)).prop_map(|(delay_factor, min_delay)| {
+                Some(HedgeConfig {
+                    delay_factor,
+                    min_delay,
+                })
+            }),
+        ];
+        let scheduler = prop_oneof![
+            Just(SchedulerPolicy::PowerOfTwoChoices),
+            Just(SchedulerPolicy::RoundRobin),
+        ];
+        (
+            (strategy, micros(100_000), micros(5_000), 1usize..10_000),
+            (1usize..5_000, 1usize..4, micros(10_000_000), any::<bool>()),
+            (1u32..5, hedge, micros(2_000_000), scheduler),
+        )
+            .prop_map(
+                |(
+                    (strategy, slo, batch_wait_timeout, queue_capacity),
+                    (max_batch_cap, pipeline_depth, drain_deadline, slo_admission),
+                    (retry_max_attempts, hedge, cooldown, scheduler),
+                )| BatchConfig {
+                    strategy,
+                    slo,
+                    batch_wait_timeout,
+                    queue_capacity,
+                    max_batch_cap,
+                    pipeline_depth,
+                    drain_deadline,
+                    slo_admission,
+                    retry_max_attempts,
+                    hedge,
+                    breaker: BreakerConfig { cooldown },
+                    scheduler,
+                },
+            )
+    }
+
+    /// An app registration that can serve: a non-empty candidate set, a
+    /// learning rate above 0, any SLO down to a few µs.
+    fn arb_app_config() -> impl Strategy<Value = AppConfig> {
+        let model = ("[a-z]{1,6}", 0u32..5).prop_map(|(name, v)| ModelId::new(&name, v));
+        let policy = prop_oneof![
+            (0.01f64..3.0).prop_map(|eta| PolicyKind::Exp3 { eta }),
+            (0.01f64..3.0).prop_map(|eta| PolicyKind::Exp4 { eta }),
+            Just(PolicyKind::MajorityVote),
+            (0usize..4).prop_map(|model_index| PolicyKind::Static { model_index }),
+        ];
+        let default_output = prop_oneof![
+            any::<u32>().prop_map(|label| JsonOutput::Class { label }),
+            proptest::collection::vec(-10.0f32..10.0, 0..4)
+                .prop_map(|scores| JsonOutput::Scores { scores }),
+            proptest::collection::vec(any::<u32>(), 0..4)
+                .prop_map(|labels| JsonOutput::Labels { labels }),
+        ];
+        (
+            ("[a-z]{1,12}", proptest::collection::vec(model, 1..4)),
+            policy,
+            (1u64..100_000).prop_map(Duration::from_micros),
+            default_output,
+            any::<u64>(),
+        )
+            .prop_map(|((name, models), policy, slo, out, seed)| {
+                AppConfig::new(&name, models)
+                    .with_policy(policy)
+                    .with_slo(slo)
+                    .with_default_output(out.into())
+                    .with_seed(seed)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Whatever a model version is registered with, a fresh frontend's
+        /// `sync_config()` restores it, for the live version and for the
+        /// parked one a rollout left behind.
+        #[test]
+        fn sync_config_restores_every_model_knob(
+            v1 in arb_queue_config(),
+            v2 in arb_queue_config(),
+        ) {
+            let (id1, id2) = (ModelId::new("m", 1), ModelId::new("m", 2));
+            let restored = tokio::runtime::Runtime::new().unwrap().block_on(async {
+                let store = Arc::new(clipper_statestore::StateStore::new());
+                let first = Clipper::builder().statestore(store.clone()).build();
+                first.add_model(id1.clone(), v1.clone());
+                first.add_model(id2.clone(), v2.clone());
+                first.add_replica(&id2, const_transport(2, None)).unwrap();
+                first.rollout_model("m", 2).await.unwrap();
+                let second = Clipper::builder().statestore(store).build();
+                second.sync_config().await;
+                let mal = second.abstraction();
+                (mal.model_config(&id1), mal.model_config(&id2))
+            });
+            prop_assert_eq!(restored, (Some(v1), Some(v2)));
+        }
+
+        /// The app-side twin: a fresh frontend restores every field of a
+        /// registration, a sub-millisecond SLO included.
+        #[test]
+        fn sync_config_restores_every_app_field(cfg in arb_app_config()) {
+            let restored = tokio::runtime::Runtime::new().unwrap().block_on(async {
+                let store = Arc::new(clipper_statestore::StateStore::new());
+                Clipper::builder()
+                    .statestore(store.clone())
+                    .build()
+                    .register_app(cfg.clone());
+                let second = Clipper::builder().statestore(store).build();
+                second.sync_config().await;
+                second.app_config(&cfg.name)
+            });
+            prop_assert_eq!(restored, Some(cfg));
+        }
     }
 
     /// A replica attached with `add_replica` after a restart starts cold,
@@ -2031,7 +2189,10 @@ mod tests {
         );
         a.update_app(
             "app",
-            crate::types::AppUpdate::new().with_slo(Duration::from_millis(99)),
+            AppPatch {
+                slo_ms: Some(99),
+                ..AppPatch::default()
+            },
         )
         .unwrap();
         let report = b.sync_config().await;

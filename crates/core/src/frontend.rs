@@ -35,9 +35,7 @@
 //! `\r\n\r\n`, with overread bytes carried into the body and the next
 //! pipelined request), never byte-at-a-time.
 
-use crate::api::{
-    ApiError, AppPatch, AppSpec, AppView, ErrorBody, JsonOutput, ModelSpec, RolloutRequest,
-};
+use crate::api::{ApiError, AppPatch, AppSpec, AppView, ErrorBody, JsonOutput, RolloutRequest};
 use crate::clipper::Clipper;
 use crate::error::PredictError;
 use crate::types::{Feedback, ModelId};
@@ -657,7 +655,7 @@ async fn dispatch(
         }
         (Patch, ["api", "v1", "apps", app]) => {
             let patch: AppPatch = parse_json(body)?;
-            let cfg = clipper.update_app(app, patch.into_update())?;
+            let cfg = clipper.update_app(app, patch)?;
             json_ok(200, &AppView::from(&cfg))
         }
         (Delete, ["api", "v1", "apps", app]) => {
@@ -668,24 +666,23 @@ async fn dispatch(
         // --- model lifecycle ---
         (Get, ["api", "v1", "models"]) => json_ok(200, &clipper.model_views()),
         (Post, ["api", "v1", "models"]) => {
-            let spec: ModelSpec = parse_json(body)?;
-            if spec.name.is_empty() {
+            let id: ModelId = parse_json(body)?;
+            if id.name.is_empty() {
                 return Err(ApiError::BadRequest("model name must not be empty".into()));
             }
-            let id = ModelId::new(&spec.name, spec.version);
             // Create-only, like POST /api/v1/apps: re-registering an
             // existing version would silently no-op (the MAL keeps the
             // original config), so surface it as a conflict instead.
             // `add_model` reports insertion atomically — of two
             // concurrent creates exactly one gets the 201.
-            if !clipper.add_model(id, Default::default()) {
+            if !clipper.add_model(id.clone(), Default::default()) {
                 return Err(ApiError::VersionExists {
-                    model: spec.name.clone(),
-                    version: spec.version,
+                    model: id.name,
+                    version: id.version,
                 });
             }
             let view = clipper
-                .model_view(&spec.name)
+                .model_view(&id.name)
                 .ok_or_else(|| ApiError::Internal("model registration lost".into()))?;
             json_ok(201, &view)
         }

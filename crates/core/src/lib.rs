@@ -94,4 +94,4 @@ pub use fleet::{
 };
 pub use frontend::HttpFrontend;
 pub use selection::{Exp3Policy, Exp4Policy, PolicyState, SelectionPolicy};
-pub use types::{AppConfig, AppUpdate, Feedback, Input, ModelId, Output, PolicyKind, Prediction};
+pub use types::{AppConfig, Feedback, Input, ModelId, Output, PolicyKind, Prediction};

@@ -1,5 +1,6 @@
 //! Core domain types shared across both layers.
 
+use crate::api::AppPatch;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -136,7 +137,7 @@ impl Default for PolicyKind {
 }
 
 /// An application registration: candidate models, SLO, policy.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AppConfig {
     /// Application name (routing key for predict/feedback).
     pub name: String,
@@ -190,77 +191,22 @@ impl AppConfig {
     }
 
     /// Apply a live-update delta, returning the amended config.
-    pub fn apply(mut self, update: AppUpdate) -> Self {
-        if let Some(slo) = update.slo {
-            self.slo = slo;
+    pub fn apply(mut self, patch: AppPatch) -> Self {
+        if let Some(ms) = patch.slo_ms {
+            self.slo = Duration::from_millis(ms);
         }
-        if let Some(policy) = update.policy {
+        if let Some(policy) = patch.policy {
             self.policy = policy;
         }
-        if let Some(models) = update.candidate_models {
+        if let Some(models) = patch.candidate_models {
             self.candidate_models = models;
         }
-        if let Some(out) = update.default_output {
-            self.default_output = out;
+        if let Some(out) = patch.default_output {
+            self.default_output = out.into();
         }
-        if let Some(seed) = update.seed {
+        if let Some(seed) = patch.seed {
             self.seed = seed;
         }
-        self
-    }
-}
-
-/// A partial update to a registered application (`PATCH` semantics):
-/// `None` fields keep their current values. Applied atomically by
-/// `Clipper::update_app` — in-flight predicts keep the configuration they
-/// started with; the next predict sees the amended one.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct AppUpdate {
-    /// New latency objective (and straggler deadline).
-    pub slo: Option<Duration>,
-    /// New selection policy.
-    pub policy: Option<PolicyKind>,
-    /// New candidate model set.
-    pub candidate_models: Option<Vec<ModelId>>,
-    /// New default output.
-    pub default_output: Option<Output>,
-    /// New policy seed.
-    pub seed: Option<u64>,
-}
-
-impl AppUpdate {
-    /// A delta that changes nothing.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the latency objective.
-    pub fn with_slo(mut self, slo: Duration) -> Self {
-        self.slo = Some(slo);
-        self
-    }
-
-    /// Set the selection policy.
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Set the candidate model set.
-    pub fn with_candidate_models(mut self, models: Vec<ModelId>) -> Self {
-        self.candidate_models = Some(models);
-        self
-    }
-
-    /// Set the default output.
-    pub fn with_default_output(mut self, output: Output) -> Self {
-        self.default_output = Some(output);
-        self
-    }
-
-    /// Set the policy seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
         self
     }
 }
@@ -316,18 +262,18 @@ mod tests {
         let cfg = AppConfig::new("a", vec![ModelId::new("m", 1)])
             .with_slo(Duration::from_millis(10))
             .with_seed(3);
-        let updated = cfg.clone().apply(
-            AppUpdate::new()
-                .with_slo(Duration::from_millis(40))
-                .with_policy(PolicyKind::MajorityVote),
-        );
+        let updated = cfg.clone().apply(AppPatch {
+            slo_ms: Some(40),
+            policy: Some(PolicyKind::MajorityVote),
+            ..AppPatch::default()
+        });
         assert_eq!(updated.slo, Duration::from_millis(40));
         assert_eq!(updated.policy, PolicyKind::MajorityVote);
         // Untouched fields survive.
         assert_eq!(updated.seed, 3);
         assert_eq!(updated.candidate_models, cfg.candidate_models);
         // The empty delta is the identity.
-        let same = cfg.clone().apply(AppUpdate::new());
+        let same = cfg.clone().apply(AppPatch::default());
         assert_eq!(same.slo, cfg.slo);
         assert_eq!(same.policy, cfg.policy);
     }

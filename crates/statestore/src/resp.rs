@@ -11,6 +11,11 @@
 /// malicious or corrupt peer.
 pub(crate) const MAX_BULK_LEN: usize = 16 << 20;
 
+/// Longest header or simple line (64 KiB, CRLF excluded). A line's end
+/// is looked for only this far, so a peer that never sends CRLF is a
+/// protocol error instead of a buffer that grows without bound.
+pub(crate) const MAX_LINE: usize = 64 << 10;
+
 /// Deepest array nesting a value may have. A request is one array
 /// (depth 1) and the deepest reply, `GETV`'s `[value, version]`, is depth
 /// 2; a deeper value is a protocol error, so a peer cannot recurse the
@@ -160,12 +165,16 @@ enum ParseOutcome {
 
 fn read_line<'a>(c: &mut Cursor<'a>) -> Result<&'a [u8], ParseOutcome> {
     let rest = &c.data[c.pos..];
-    match rest.windows(2).position(|w| w == b"\r\n") {
+    let window = &rest[..rest.len().min(MAX_LINE + 2)];
+    match window.windows(2).position(|w| w == b"\r\n") {
         Some(i) => {
             let line = &rest[..i];
             c.pos += i + 2;
             Ok(line)
         }
+        None if window.len() == MAX_LINE + 2 => Err(ParseOutcome::Bad(format!(
+            "line longer than {MAX_LINE} bytes"
+        ))),
         None => Err(ParseOutcome::Incomplete),
     }
 }
@@ -323,6 +332,29 @@ mod tests {
     fn oversized_bulk_rejected() {
         let buf = format!("${}\r\n", MAX_BULK_LEN + 1);
         assert!(RespValue::parse(buf.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn unterminated_line_is_an_error_past_max_line() {
+        let mut line = vec![b'+'];
+        line.resize(1 + MAX_LINE, b'x');
+        // Up to the cap, a line without its CRLF may still be arriving.
+        assert!(RespValue::parse(&line).unwrap().is_none());
+        line.extend_from_slice(b"\r");
+        assert!(RespValue::parse(&line).unwrap().is_none());
+        let mut done = line.clone();
+        done.push(b'\n');
+        assert!(RespValue::parse(&done).unwrap().is_some());
+        // One byte more and no CRLF: the peer is not speaking RESP.
+        line.push(b'x');
+        let err = RespValue::parse(&line).unwrap_err();
+        assert!(err.contains("longer than"), "{err}");
+        // The same for a header line, and for a line with CRLF too late.
+        let mut header = vec![b'$'];
+        header.resize(MAX_LINE + 3, b'1');
+        assert!(RespValue::parse(&header).is_err());
+        header.extend_from_slice(b"\r\n");
+        assert!(RespValue::parse(&header).is_err());
     }
 
     #[test]

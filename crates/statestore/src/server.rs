@@ -280,6 +280,35 @@ mod tests {
         }
     }
 
+    /// A peer that sends a line and never its CRLF gets the protocol
+    /// error and a closed connection once the line passes `MAX_LINE`,
+    /// not a server buffer that grows with everything it sends.
+    #[tokio::test]
+    async fn an_unterminated_line_closes_the_connection() {
+        let server = StateStoreServer::bind("127.0.0.1:0", Arc::new(StateStore::new()))
+            .await
+            .unwrap();
+        let mut conn = TcpStream::connect(server.local_addr()).await.unwrap();
+        let mut line = vec![b'+'];
+        line.resize(crate::resp::MAX_LINE + 3, b'x');
+        conn.write_all(&line).await.unwrap();
+        let mut reply = Vec::new();
+        let read = tokio::time::timeout(
+            std::time::Duration::from_secs(5),
+            conn.read_to_end(&mut reply),
+        )
+        .await;
+        assert!(
+            matches!(read, Ok(Ok(_))),
+            "the server must close the connection"
+        );
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(
+            reply.starts_with("-ERR protocol: line longer than"),
+            "{reply}"
+        );
+    }
+
     #[test]
     fn non_array_request_rejected() {
         let store = StateStore::new();

@@ -42,7 +42,7 @@ pub use clipper_workload as workload;
 pub mod prelude {
     pub use clipper_containers::{ContainerConfig, LatencyProfile};
     pub use clipper_core::{
-        ApiError, AppConfig, AppUpdate, Clipper, ClipperBuilder, Feedback, HttpFrontend, Input,
+        ApiError, AppConfig, AppPatch, Clipper, ClipperBuilder, Feedback, HttpFrontend, Input,
         ModelId, Output, PolicyKind, Prediction,
     };
     pub use clipper_ml::datasets::{Dataset, DatasetSpec};

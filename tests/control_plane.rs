@@ -3,7 +3,7 @@
 //! sustained open-loop traffic with zero dropped predictions, and
 //! registry rehydration from the statestore after a frontend restart.
 
-use clipper::core::api::{self, AppRecord};
+use clipper::core::api::{self, AppView};
 use clipper::core::{AppConfig, BatchConfig, Clipper, HttpFrontend, ModelId, PolicyKind};
 use clipper::rpc::message::{PredictReply, WireOutput};
 use clipper::rpc::transport::{BatchTransport, FnTransport, Input};
@@ -310,6 +310,6 @@ async fn registry_rehydrates_into_a_fresh_frontend() {
 
     // The persisted record itself is well-formed JSON of the API shape.
     let bytes = store.get(&api::app_key("pets")).expect("record present");
-    let rec: AppRecord = serde_json::from_slice(&bytes).expect("record parses");
+    let rec: AppView = serde_json::from_slice(&bytes).expect("record parses");
     assert_eq!(rec.slo_ms, 64);
 }

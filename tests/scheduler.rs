@@ -58,15 +58,15 @@ fn sim(per_item: Duration) -> (Arc<dyn BatchTransport>, Arc<AtomicU64>) {
 async fn drive_heterogeneous(policy: SchedulerPolicy, rate: f64) -> (LoadReport, u64, u64) {
     let mal = ModelAbstractionLayer::new(16, Registry::new());
     let m = ModelId::new("hetero", 1);
-    mal.add_model_with_policy(
+    mal.add_model(
         m.clone(),
         BatchConfig {
             strategy: BatchStrategy::Fixed { size: 64 },
             queue_capacity: 64,
             pipeline_depth: 1,
+            scheduler: policy,
             ..Default::default()
         },
-        policy,
     );
     let (fast, fast_count) = sim(Duration::from_micros(500));
     let (slow, slow_count) = sim(Duration::from_millis(5)); // 10× slower
@@ -147,13 +147,13 @@ async fn p2c_beats_round_robin_under_replica_heterogeneity() {
 async fn drive_taught_curves(teach: bool, n: u32) -> (u64, u64) {
     let mal = ModelAbstractionLayer::new(16, Registry::new());
     let m = ModelId::new("taught", 1);
-    mal.add_model_with_policy(
+    mal.add_model(
         m.clone(),
         BatchConfig {
             strategy: BatchStrategy::Fixed { size: 8 },
+            scheduler: SchedulerPolicy::PowerOfTwoChoices,
             ..Default::default()
         },
-        SchedulerPolicy::PowerOfTwoChoices,
     );
     let (a, a_count) = sim(Duration::from_micros(50));
     let (b, b_count) = sim(Duration::from_micros(50));
