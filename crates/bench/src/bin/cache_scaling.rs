@@ -15,8 +15,14 @@
 //! The `uniform` mix also runs against a 1-shard cache, which is the old
 //! single-mutex design, so the JSON carries its own contention baseline.
 //!
+//! Before any of that, while the process is still small, the `footprint`
+//! row measures what a full cache costs: the `VmRSS` growth of building a
+//! [`FOOTPRINT_CAPACITY`]-entry cache (the serving default) and filling
+//! it with twice that many distinct keys, in bytes per entry.
+//!
 //! Presets: 1 s phases, `--smoke` 0.12 s; thread counts 1, 2, 4, 8.
-//! Gates: every run made progress, and — on hosts with ≥ 4 cores —
+//! Gates: a full cache costs at most 64 bytes per entry, every run made
+//! progress, and — on hosts with ≥ 4 cores —
 //! 4-thread sharded uniform throughput is at least 1.5× single-thread
 //! (gate cells re-measured best-of-3 with ≥ 0.3 s phases, so one noisy
 //! CI sample can't flip the verdict).
@@ -36,6 +42,8 @@ const CAPACITY: usize = 8_192;
 const KEYSPACE: usize = 65_536;
 /// Working set for the hot mix.
 const HOT_KEYS: usize = 512;
+/// Capacity of the footprint cache: the serving default.
+const FOOTPRINT_CAPACITY: usize = 32_768;
 
 #[derive(Serialize)]
 struct RunResult {
@@ -47,6 +55,15 @@ struct RunResult {
     p50_probe_ns: u64,
     p99_probe_ns: u64,
     hit_rate: f64,
+}
+
+#[derive(Serialize)]
+struct Footprint {
+    capacity: usize,
+    keys_filled: usize,
+    shards: usize,
+    rss_growth_bytes: u64,
+    bytes_per_entry: f64,
 }
 
 #[derive(Serialize)]
@@ -68,6 +85,43 @@ fn mix64(mut z: u64) -> u64 {
 
 fn key_for(i: u64) -> CacheKey {
     CacheKey::from_fingerprint(mix64(i), mix64(i ^ 0x5DEE_CE66_D154_21C5))
+}
+
+/// This process's resident set in bytes (`VmRSS`).
+fn rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .map_or(0, |kib| kib * 1024)
+}
+
+/// The resident cost of a full cache: build one of [`FOOTPRINT_CAPACITY`]
+/// entries and fill it with twice that many distinct keys, so every slot
+/// is taken and CLOCK has evicted through the whole ring.
+fn footprint() -> Footprint {
+    let keys_filled = 2 * FOOTPRINT_CAPACITY;
+    let fill = |cache: &PredictionCache, keys: usize| {
+        for i in 0..keys as u64 {
+            cache.fill(key_for(i), Ok(clipper_core::Output::Class(i as u32)));
+        }
+    };
+    // Fault in the code this measures on a small cache first, so the
+    // growth below is the full cache's data and not the program's text.
+    fill(&PredictionCache::new(64), 128);
+    let before = rss_bytes();
+    let cache = PredictionCache::new(FOOTPRINT_CAPACITY);
+    fill(&cache, keys_filled);
+    let growth = rss_bytes().saturating_sub(before);
+    assert_eq!(cache.len(), FOOTPRINT_CAPACITY, "the cache is full");
+    Footprint {
+        capacity: FOOTPRINT_CAPACITY,
+        keys_filled,
+        shards: cache.shard_count(),
+        rss_growth_bytes: growth,
+        bytes_per_entry: growth as f64 / FOOTPRINT_CAPACITY as f64,
+    }
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -200,6 +254,8 @@ fn find(results: &[RunResult], mix: &str, shards: usize, threads: usize) -> Opti
 }
 
 fn main() {
+    // First, before the timed runs grow the heap.
+    let footprint = footprint();
     let args = Args::parse("cache_scaling");
     let phase = Duration::from_secs_f64(if args.smoke { 0.12 } else { 1.0 });
     let thread_counts = [1usize, 2, 4, 8];
@@ -211,6 +267,10 @@ fn main() {
     report.param("phase_seconds", phase.as_secs_f64());
     report.param("thread_counts", thread_counts.to_vec());
 
+    println!(
+        "full {}-entry cache ({} shards): {:.1} bytes/entry resident\n",
+        footprint.capacity, footprint.shards, footprint.bytes_per_entry
+    );
     println!("{sharded}-shard cache vs 1-shard baseline\n");
     let mut results = Vec::new();
     for threads in thread_counts {
@@ -248,11 +308,18 @@ fn main() {
          (vs 1 thread, on {cores} cores)",
         summary.speedup_4v1_uniform, summary.speedup_max_threads_uniform
     );
+    report.row("footprint", &footprint);
     for r in &results {
         report.row("run", r);
     }
     report.row("summary", &summary);
 
+    report.gate(
+        "footprint_bytes_per_entry",
+        footprint.bytes_per_entry,
+        Op::AtMost,
+        64.0,
+    );
     let slowest = results
         .iter()
         .map(|r| r.ops_per_sec)

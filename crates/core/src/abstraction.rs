@@ -77,16 +77,18 @@ pub enum SchedulerPolicy {
 /// Running summary of a model's outputs, used to substitute for missing
 /// predictions under straggler mitigation. For class outputs the default
 /// is the modal label (the smallest among equals); for score outputs the
-/// running mean vector.
+/// running mean vector. Fed by the model's replica queues as each batch
+/// settles, so every evaluation counts once however many callers joined
+/// it, and whether or not any of them still waits.
 #[derive(Default)]
-struct DefaultTracker {
+pub(crate) struct DefaultTracker {
     label_counts: HashMap<u32, u64>,
     score_sums: Vec<f64>,
     score_count: u64,
 }
 
 impl DefaultTracker {
-    fn record(&mut self, out: &Output) {
+    pub(crate) fn record(&mut self, out: &Output) {
         match out {
             Output::Class(c) => {
                 *self.label_counts.entry(*c).or_insert(0) += 1;
@@ -144,7 +146,7 @@ struct ModelHandle {
     /// Queries shed up front by SLO-aware admission (§4.4.1): the latency
     /// models said no replica could meet the SLO at current depth.
     admission_shed: Counter,
-    defaults: Mutex<DefaultTracker>,
+    defaults: Arc<Mutex<DefaultTracker>>,
 }
 
 /// The scheduler's preference tier for a replica: the recovery probe
@@ -496,7 +498,7 @@ impl ModelAbstractionLayer {
             next_replica_idx: AtomicUsize::new(0),
             shed: registry.counter(&format!("model/{id}/shed")),
             admission_shed: registry.counter(&format!("model/{id}/admission_shed")),
-            defaults: Mutex::new(DefaultTracker::default()),
+            defaults: Arc::default(),
         });
         let weak: Weak<ModelHandle> = Arc::downgrade(&handle);
         registry.poll_gauge(&format!("model/{id}/queue_depth"), {
@@ -563,6 +565,7 @@ impl ModelAbstractionLayer {
                 let origin = queue_id.clone();
                 move || weak.upgrade().and_then(|h| h.hedge_pick(&origin))
             })),
+            defaults: Some(handle.defaults.clone()),
         };
         let queue = spawn_replica_queue_with_hooks(
             queue_id.clone(),
@@ -847,16 +850,21 @@ impl ModelAbstractionLayer {
     /// path — the input is never hashed a second time. A cache hit
     /// touches only its shard: the model table is consulted lazily, after
     /// the lookup, so hits never contend on the shared `models` lock.
+    ///
+    /// Cancel-safe once polled: the query's reply sink travels in its
+    /// queue item, so dropping this future abandons only the wait — the
+    /// cache entry still settles and the output still feeds the model's
+    /// running default.
     pub async fn predict(
         &self,
         model: &ModelId,
         input: Input,
         use_cache: bool,
     ) -> Result<Output, PredictError> {
-        let result = if use_cache {
+        if use_cache {
             let key = CacheKey::new(model, &input);
             match self.cache.lookup_or_pending(key) {
-                Lookup::Hit(out) => return Ok(out),
+                Lookup::Hit(out) => Ok(out),
                 Lookup::Pending(rx) => await_fill(rx).await,
                 Lookup::MustCompute(rx) => {
                     // `dispatch` consumes the sink: on any routing failure
@@ -881,16 +889,7 @@ impl ModelAbstractionLayer {
                 Ok(r) => r,
                 Err(_) => Err(PredictError::Failed("reply channel dropped".into())),
             }
-        };
-
-        if let Ok(ref out) = result {
-            // Fresh predictions feed the model's running default (§5.2.2);
-            // this is off the hit path, which returned above.
-            if let Some(handle) = self.models.read().get(model) {
-                handle.defaults.lock().record(out);
-            }
         }
-        result
     }
 
     fn handle(&self, model: &ModelId) -> Result<Arc<ModelHandle>, PredictError> {

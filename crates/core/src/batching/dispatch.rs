@@ -128,6 +128,12 @@ pub(super) async fn dispatch_batch(
                 (rpc_elapsed.as_micros() as u64).saturating_sub(reply.queue_us + reply.compute_us);
             metrics.overhead_us.record(overhead);
             metrics.completed.add(n as u64);
+            if let Some(defaults) = &shared.hooks.defaults {
+                let mut defaults = defaults.lock();
+                for output in &reply.outputs {
+                    defaults.record(output);
+                }
+            }
             for (item, output) in items.drain(..).zip(reply.outputs) {
                 item.sink.complete(Ok(output));
             }
@@ -410,6 +416,7 @@ mod tests {
         let hooks = QueueHooks {
             redispatch: Some(Arc::new(move |item| backup_for_hook.try_submit(item))),
             hedge_pick: None,
+            ..Default::default()
         };
         let metrics = test_metrics();
         let q = spawn_replica_queue_with_hooks(
@@ -454,6 +461,7 @@ mod tests {
         let hooks = QueueHooks {
             redispatch: Some(Arc::new(Err)), // nobody will take it
             hedge_pick: None,
+            ..Default::default()
         };
         let q = spawn_replica_queue_with_hooks(
             "m:0".into(),
@@ -505,6 +513,7 @@ mod tests {
         let hooks = QueueHooks {
             redispatch: Some(Arc::new(move |item| draining_for_hook.try_submit(item))),
             hedge_pick: None,
+            ..Default::default()
         };
         let q = spawn_replica_queue_with_hooks(
             "m:0".into(),
@@ -549,6 +558,7 @@ mod tests {
                     })
                 })) as Arc<dyn BatchTransport>)
             })),
+            ..Default::default()
         };
         let metrics = test_metrics();
         let cfg = QueueConfig {
@@ -608,6 +618,7 @@ mod tests {
         let hooks = QueueHooks {
             redispatch: None,
             hedge_pick: Some(Arc::new(|| Some(echo_transport()))),
+            ..Default::default()
         };
         let cooldown = Duration::from_millis(20);
         let cfg = QueueConfig {
@@ -664,6 +675,7 @@ mod tests {
                     Err(clipper_rpc::RpcError::ConnectionClosed)
                 })) as Arc<dyn BatchTransport>)
             })),
+            ..Default::default()
         };
         let cfg = QueueConfig {
             strategy: BatchStrategy::Fixed { size: 1 },

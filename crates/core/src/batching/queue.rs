@@ -60,7 +60,7 @@
 use super::breaker::{BreakerConfig, CircuitBreaker, Health};
 use super::dispatch::{dispatch_batch, fail_drain_deadline, settle_upstream_failure};
 use super::{micros, BatchController, LatencyModel, LatencyPrior};
-use crate::abstraction::SchedulerPolicy;
+use crate::abstraction::{DefaultTracker, SchedulerPolicy};
 use crate::cache::{CacheKey, PredictionCache};
 use crate::error::{PredictError, UpstreamKind};
 use crate::types::{Input, Output};
@@ -267,7 +267,7 @@ impl Default for HedgeConfig {
 }
 
 /// Scheduler callbacks wired into a queue at spawn time
-/// ([`spawn_replica_queue_with_hooks`]); both default to `None` for
+/// ([`spawn_replica_queue_with_hooks`]); all default to `None` for
 /// standalone queues, which then fail exactly as a single-replica fleet
 /// would.
 #[derive(Clone, Default)]
@@ -281,6 +281,9 @@ pub(crate) struct QueueHooks {
     /// `None` when no healthy sibling exists).
     #[allow(clippy::type_complexity)]
     pub hedge_pick: Option<Arc<dyn Fn() -> Option<Arc<dyn BatchTransport>> + Send + Sync>>,
+    /// The model's running default (§5.2.2), fed every output of a batch
+    /// that settles successfully.
+    pub defaults: Option<Arc<Mutex<DefaultTracker>>>,
 }
 
 /// Telemetry for one replica queue.
@@ -1388,6 +1391,7 @@ pub(super) mod tests {
         let hooks = QueueHooks {
             redispatch: Some(Arc::new(move |item| backup_for_hook.try_submit(item))),
             hedge_pick: None,
+            ..Default::default()
         };
         let cfg = QueueConfig {
             strategy: BatchStrategy::Fixed { size: 1 },

@@ -26,10 +26,19 @@
 //! Keys are 128-bit fingerprints of `(model, input)` built in a **single
 //! streaming pass** over the input ([`CacheKey::new`]); inputs themselves
 //! are not stored. The two 64-bit halves come from independently seeded
-//! lanes of one hasher: one half indexes the shard's hash map directly
-//! (via an identity hasher, so probes never rehash), the other selects the
-//! shard. With two independent 64-bit halves, collisions are negligible at
-//! serving scale.
+//! lanes of one hasher: one half picks the home bucket in the shard's
+//! index, the other selects the shard. With two independent 64-bit
+//! halves, collisions are negligible at serving scale.
+//!
+//! A shard pays for what it holds. Its CLOCK ring is a `Vec` reserved at
+//! the shard's capacity and pushed into until full, so untouched slots
+//! cost no resident memory, and a slot is the 16-byte key plus the
+//! output (48 bytes); reference bits sit in a separate bitset. The index
+//! is a `Box<[u32]>` of ring slot numbers, allocated zeroed once at
+//! construction to a power of two at least twice the capacity: it never
+//! grows or rehashes under the shard lock, stores no key (a linear probe
+//! compares the ring slot's own), and an eviction clears its bucket by
+//! backward shift. A full shard costs about 56 bytes per entry.
 
 use crate::error::PredictError;
 use crate::types::{Input, ModelId, Output};
@@ -232,25 +241,176 @@ impl CacheStats {
     }
 }
 
+/// One stored prediction. The reference bit lives in
+/// [`ShardInner::referenced`], beside the ring, so a slot is 48 bytes.
 struct Slot {
     key: CacheKey,
     value: Output,
-    referenced: bool,
 }
 
 struct ShardInner {
-    /// CLOCK ring. `None` slots are free.
-    slots: Vec<Option<Slot>>,
+    /// Most entries the ring holds.
+    capacity: usize,
+    /// CLOCK ring: reserved at the shard's capacity and pushed into until
+    /// full, so its memory is touched only as entries arrive.
+    slots: Vec<Slot>,
+    /// One reference bit per ring slot.
+    referenced: Box<[u64]>,
+    /// The CLOCK hand: `slots.len()` while the ring fills, then the next
+    /// slot the sweep inspects.
     hand: usize,
-    /// key → slot index (identity-hashed: probes never rehash).
-    index: FpMap<usize>,
+    /// Open-addressed index over the ring: each bucket holds a slot
+    /// number + 1 (0 = empty). Sized once to a power of two at least
+    /// twice the capacity, so it never rehashes; probes are linear from
+    /// `fp[0]`'s home bucket and compare the ring slot's own key.
+    index: Box<[u32]>,
     /// In-flight computations and their waiters.
     pending: FpMap<Vec<oneshot::Sender<FillResult>>>,
 }
 
+impl ShardInner {
+    fn new(capacity: usize) -> Self {
+        assert!(
+            capacity < u32::MAX as usize,
+            "a cache shard holds fewer than 2^32 - 1 entries"
+        );
+        ShardInner {
+            capacity,
+            slots: Vec::with_capacity(capacity),
+            referenced: vec![0; capacity.div_ceil(64)].into_boxed_slice(),
+            hand: 0,
+            index: vec![0; (2 * capacity).next_power_of_two()].into_boxed_slice(),
+            pending: FpMap::default(),
+        }
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.index.len() - 1
+    }
+
+    #[inline]
+    fn home(&self, key: CacheKey) -> usize {
+        key.fp[0] as usize & self.mask()
+    }
+
+    /// The bucket and ring slot holding `key`, if stored. The table is
+    /// at most half full, so the probe always reaches an empty bucket.
+    #[inline]
+    fn find(&self, key: CacheKey) -> Option<(usize, usize)> {
+        let mut bucket = self.home(key);
+        loop {
+            let slot = self.index[bucket] as usize;
+            if slot == 0 {
+                return None;
+            }
+            if self.slots[slot - 1].key == key {
+                return Some((bucket, slot - 1));
+            }
+            bucket = (bucket + 1) & self.mask();
+        }
+    }
+
+    /// A hit: the stored value, with its slot marked referenced.
+    #[inline]
+    fn get(&mut self, key: CacheKey) -> Option<&Output> {
+        let (_, slot) = self.find(key)?;
+        self.set_referenced(slot, true);
+        Some(&self.slots[slot].value)
+    }
+
+    #[inline]
+    fn is_referenced(&self, slot: usize) -> bool {
+        self.referenced[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    #[inline]
+    fn set_referenced(&mut self, slot: usize, on: bool) {
+        let (word, bit) = (&mut self.referenced[slot / 64], 1u64 << (slot % 64));
+        if on {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    /// Point `slots[slot].key`'s first empty bucket at `slot`.
+    fn link(&mut self, slot: usize) {
+        let mut bucket = self.home(self.slots[slot].key);
+        while self.index[bucket] != 0 {
+            bucket = (bucket + 1) & self.mask();
+        }
+        self.index[bucket] = slot as u32 + 1;
+    }
+
+    /// Empty `bucket` by backward shift: each later entry of the probe
+    /// run whose home lies at or before the hole moves into it, so every
+    /// remaining key stays reachable from its home without tombstones.
+    fn unlink(&mut self, mut hole: usize) {
+        let mask = self.mask();
+        let mut next = hole;
+        loop {
+            self.index[hole] = 0;
+            loop {
+                next = (next + 1) & mask;
+                let slot = self.index[next] as usize;
+                if slot == 0 {
+                    return;
+                }
+                let home = self.home(self.slots[slot - 1].key);
+                // Movable iff `home` is not cyclically in (hole, next].
+                if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                    self.index[hole] = slot as u32;
+                    hole = next;
+                    break;
+                }
+            }
+        }
+    }
+
+    /// CLOCK insert: refresh `key` in place, fill the next free slot, or
+    /// replace the first unreferenced slot past the hand (clearing
+    /// reference bits on the way — the second chance). Returns whether an
+    /// entry was evicted.
+    fn store(&mut self, key: CacheKey, value: Output) -> bool {
+        let capacity = self.capacity;
+        if capacity == 0 {
+            return false;
+        }
+        if let Some((_, slot)) = self.find(key) {
+            self.slots[slot].value = value;
+            self.set_referenced(slot, true);
+            return false;
+        }
+        if self.slots.len() < capacity {
+            let slot = self.slots.len();
+            self.slots.push(Slot { key, value });
+            self.set_referenced(slot, true);
+            self.link(slot);
+            self.hand = self.slots.len() % capacity;
+            return false;
+        }
+        loop {
+            let slot = self.hand;
+            self.hand = (self.hand + 1) % capacity;
+            if self.is_referenced(slot) {
+                self.set_referenced(slot, false); // second chance
+                continue;
+            }
+            let (bucket, _) = self
+                .find(self.slots[slot].key)
+                .expect("every ring slot is indexed");
+            self.unlink(bucket);
+            self.slots[slot] = Slot { key, value };
+            self.set_referenced(slot, true);
+            self.link(slot);
+            return true;
+        }
+    }
+}
+
 struct Shard {
     inner: Mutex<ShardInner>,
-    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -260,63 +420,11 @@ struct Shard {
 impl Shard {
     fn new(capacity: usize) -> Self {
         Shard {
-            inner: Mutex::new(ShardInner {
-                slots: (0..capacity).map(|_| None).collect(),
-                hand: 0,
-                index: FpMap::default(),
-                pending: FpMap::default(),
-            }),
-            capacity,
+            inner: Mutex::new(ShardInner::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             pending_joins: AtomicU64::new(0),
-        }
-    }
-
-    /// CLOCK insert: find a victim slot (second chance), replace it.
-    fn store(&self, inner: &mut ShardInner, key: CacheKey, value: Output) {
-        if self.capacity == 0 {
-            return;
-        }
-        if let Some(&slot_idx) = inner.index.get(&key) {
-            // Refresh in place.
-            if let Some(slot) = inner.slots[slot_idx].as_mut() {
-                slot.value = value;
-                slot.referenced = true;
-            }
-            return;
-        }
-        // Advance the hand until a free slot or an unreferenced victim.
-        loop {
-            let hand = inner.hand;
-            inner.hand = (inner.hand + 1) % self.capacity;
-            match inner.slots[hand].as_mut() {
-                None => {
-                    inner.slots[hand] = Some(Slot {
-                        key,
-                        value,
-                        referenced: true,
-                    });
-                    inner.index.insert(key, hand);
-                    return;
-                }
-                Some(slot) if slot.referenced => {
-                    slot.referenced = false; // second chance
-                }
-                Some(slot) => {
-                    let old_key = slot.key;
-                    inner.index.remove(&old_key);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    inner.slots[hand] = Some(Slot {
-                        key,
-                        value,
-                        referenced: true,
-                    });
-                    inner.index.insert(key, hand);
-                    return;
-                }
-            }
         }
     }
 }
@@ -392,14 +500,10 @@ impl PredictionCache {
     pub fn fetch(&self, key: CacheKey) -> Option<Output> {
         let shard = self.shard(key);
         let mut inner = shard.inner.lock();
-        if let Some(&slot_idx) = inner.index.get(&key) {
-            if let Some(slot) = inner.slots[slot_idx].as_mut() {
-                slot.referenced = true;
-                let value = slot.value.clone();
-                drop(inner);
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(value);
-            }
+        if let Some(value) = inner.get(key).cloned() {
+            drop(inner);
+            shard.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(value);
         }
         let in_flight = inner.pending.contains_key(&key);
         drop(inner);
@@ -416,14 +520,10 @@ impl PredictionCache {
     pub fn lookup_or_pending(&self, key: CacheKey) -> Lookup {
         let shard = self.shard(key);
         let mut inner = shard.inner.lock();
-        if let Some(&slot_idx) = inner.index.get(&key) {
-            if let Some(slot) = inner.slots[slot_idx].as_mut() {
-                slot.referenced = true;
-                let value = slot.value.clone();
-                drop(inner);
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Hit(value);
-            }
+        if let Some(value) = inner.get(key).cloned() {
+            drop(inner);
+            shard.hits.fetch_add(1, Ordering::Relaxed);
+            return Lookup::Hit(value);
         }
         let (tx, rx) = oneshot::channel();
         match inner.pending.get_mut(&key) {
@@ -449,7 +549,9 @@ impl PredictionCache {
         let waiters = {
             let mut inner = shard.inner.lock();
             if let Ok(ref value) = result {
-                shard.store(&mut inner, key, value.clone());
+                if inner.store(key, value.clone()) {
+                    shard.evictions.fetch_add(1, Ordering::Relaxed);
+                }
             }
             inner.pending.remove(&key)
         };
@@ -475,7 +577,7 @@ impl PredictionCache {
 
     /// Number of completed entries currently stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.inner.lock().index.len()).sum()
+        self.shards.iter().map(|s| s.inner.lock().slots.len()).sum()
     }
 
     /// Whether the cache holds no completed entries.
@@ -508,11 +610,10 @@ mod tests {
     /// pairs, in CLOCK-ring order starting at the hand.
     fn shard_slots(cache: &PredictionCache, shard: usize) -> Vec<(CacheKey, bool)> {
         let inner = cache.shards[shard].inner.lock();
-        let cap = inner.slots.len();
-        (0..cap)
-            .map(|i| (inner.hand + i) % cap)
-            .filter_map(|i| inner.slots[i].as_ref())
-            .map(|slot| (slot.key, slot.referenced))
+        let len = inner.slots.len();
+        (0..len)
+            .map(|i| (inner.hand + i) % len)
+            .map(|i| (inner.slots[i].key, inner.is_referenced(i)))
             .collect()
     }
 
@@ -793,6 +894,23 @@ mod tests {
             .collect()
     }
 
+    /// The value the index reaches for `key`, without touching its
+    /// reference bit.
+    fn peek(cache: &PredictionCache, key: CacheKey) -> Option<Output> {
+        let inner = cache.shard(key).inner.lock();
+        inner
+            .find(key)
+            .map(|(_, slot)| inner.slots[slot].value.clone())
+    }
+
+    /// Low halves of the index's hash word: homes 0 and 1, and the last
+    /// two buckets of every table size, so probe runs collide and wrap.
+    const HOMES: [u64; 4] = [0, 1, 0xFFFF_FFFE, 0xFFFF_FFFF];
+
+    fn crowded_key(home: usize, tag: u64, lane: u64) -> CacheKey {
+        CacheKey::from_fingerprint((tag << 32) | HOMES[home], lane)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -829,6 +947,50 @@ mod tests {
                     }
                 }
                 prop_assert!(cache.len() <= capacity, "len {} > capacity {}", cache.len(), capacity);
+            }
+        }
+
+        /// The slot index agrees with a reference map of the stored keys
+        /// over keys crowded into four home buckets (two at the table's
+        /// end), so collisions, wrap-around, backward-shift deletes and
+        /// evict-then-reinsert are the common case.
+        #[test]
+        fn slot_index_matches_reference_map(
+            capacity in 1usize..12,
+            ops in proptest::collection::vec(
+                (0usize..4, 0u64..6, 0u64..2, any::<bool>()),
+                1..300,
+            ),
+        ) {
+            let cache = PredictionCache::with_shards(capacity, 1);
+            let universe: Vec<CacheKey> = (0..4)
+                .flat_map(|h| (0..6).flat_map(move |t| (0..2).map(move |l| crowded_key(h, t, l))))
+                .collect();
+            let mut model: HashMap<CacheKey, u32> = HashMap::new();
+            for (step, (home, tag, lane, is_fill)) in ops.into_iter().enumerate() {
+                let k = crowded_key(home, tag, lane);
+                if is_fill {
+                    let evictions_before = cache.stats().evictions;
+                    cache.fill(k, Ok(Output::Class(step as u32)));
+                    let ring: HashSet<CacheKey> =
+                        shard_slots(&cache, 0).into_iter().map(|(k, _)| k).collect();
+                    let gone: Vec<CacheKey> =
+                        model.keys().filter(|k| !ring.contains(k)).copied().collect();
+                    let evicted = cache.stats().evictions - evictions_before;
+                    prop_assert_eq!(gone.len() as u64, evicted);
+                    for g in &gone {
+                        model.remove(g);
+                    }
+                    model.insert(k, step as u32);
+                } else {
+                    let hit = cache.fetch(k);
+                    prop_assert_eq!(hit, model.get(&k).map(|&v| Output::Class(v)));
+                }
+                prop_assert!(cache.len() <= capacity, "len {} > capacity {}", cache.len(), capacity);
+                prop_assert_eq!(cache.len(), model.len());
+                for &u in &universe {
+                    prop_assert_eq!(peek(&cache, u), model.get(&u).map(|&v| Output::Class(v)));
+                }
             }
         }
     }

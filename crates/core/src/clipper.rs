@@ -16,11 +16,11 @@
 //! model; one model is the same code with one future. Every future gets
 //! a first poll (cache hits resolve there, misses are dispatched to the
 //! queues) before the deadline is looked at. Futures still pending when
-//! the deadline fires are handed, together, to a single background task
-//! that lets them finish, so a straggler's answer still refreshes its
-//! model's running default; the cache entry it was computing is filled
-//! by the queue regardless. `feedback` gathers under the same SLO
-//! deadline, so a hung model cannot hold a feedback call open.
+//! the deadline fires are dropped: the queue still fills the cache entry
+//! a straggler was computing and feeds its answer to the model's running
+//! default, so no task is left waiting on a hung replica. `feedback`
+//! gathers under the same SLO deadline, so a hung model cannot hold a
+//! feedback call open.
 //!
 //! # Control plane (§3, §6.3)
 //!
@@ -964,14 +964,13 @@ impl Clipper {
     /// Every evaluation is polled once — in `models` order, which is
     /// where cache hits resolve and misses are dispatched — before the
     /// deadline is consulted, so an answer that is already there always
-    /// counts. Evaluations still pending at the deadline move together
-    /// into one background task that drives them to completion (their
-    /// models' running defaults keep refreshing).
+    /// counts. Evaluations still pending at the deadline are dropped.
     ///
-    /// Cancel-safe: dropping this future mid-gather abandons nothing.
-    /// Each dispatched query's reply sink travels inside its queue item,
-    /// so the queue fills (or fail-fills) the pending cache entry
-    /// whether or not anyone is still waiting for it.
+    /// Dropping an evaluation — there, or with this whole future —
+    /// abandons only the wait. Each dispatched query's reply sink travels
+    /// inside its queue item, so the queue fills (or fail-fills) the
+    /// pending cache entry, and feeds the model's running default, whether
+    /// or not anyone is still waiting for it.
     async fn gather(
         &self,
         models: &[ModelId],
@@ -979,24 +978,17 @@ impl Clipper {
         deadline: Instant,
     ) -> HashMap<ModelId, Output> {
         let mut preds = HashMap::with_capacity(models.len());
-        // Each evaluation owns everything it touches, so a straggler can
-        // outlive the request, and hands its `ModelId` back with the
-        // outcome: the clone made here ends up as the map key.
+        let (mal, use_cache) = (&self.inner.mal, self.inner.cache_enabled);
         let mut pending: Vec<_> = models
             .iter()
             .map(|model| {
-                let (mal, model, input) = (self.inner.mal.clone(), model.clone(), input.clone());
-                let use_cache = self.inner.cache_enabled;
-                Box::pin(async move {
-                    let result = mal.predict(&model, input, use_cache).await;
-                    (model, result)
-                })
+                Box::pin(async move { (model, mal.predict(model, input.clone(), use_cache).await) })
             })
             .collect();
         let all_settled = std::future::poll_fn(|cx| {
             pending.retain_mut(|call| match call.as_mut().poll(cx) {
                 Poll::Ready((model, Ok(out))) => {
-                    preds.insert(model, out);
+                    preds.insert(model.clone(), out);
                     false
                 }
                 Poll::Ready((_, Err(_))) => false,
@@ -1010,13 +1002,6 @@ impl Clipper {
         });
         // `Timeout` polls its future before its timer.
         let _ = tokio::time::timeout_at(deadline, all_settled).await;
-        if !pending.is_empty() {
-            tokio::spawn(async move {
-                for straggler in pending {
-                    let _ = straggler.await;
-                }
-            });
-        }
         preds
     }
 

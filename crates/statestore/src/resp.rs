@@ -22,6 +22,25 @@ pub(crate) const MAX_LINE: usize = 64 << 10;
 /// parser off its thread's stack.
 const MAX_DEPTH: usize = 2;
 
+/// Most bytes of peer input an error line echoes back.
+const MAX_ECHO: usize = 64;
+
+/// `bytes` as it may appear inside an error line: at most [`MAX_ECHO`]
+/// bytes (then `...`), with CR, LF, quotes, backslashes and every
+/// non-printable byte escaped, so an echo stays short, on one line, and
+/// cannot frame a reply of its own.
+pub(crate) fn echo(bytes: &[u8]) -> String {
+    let mut out: String = bytes[..bytes.len().min(MAX_ECHO)]
+        .iter()
+        .flat_map(|&b| std::ascii::escape_default(b))
+        .map(char::from)
+        .collect();
+    if bytes.len() > MAX_ECHO {
+        out.push_str("...");
+    }
+    out
+}
+
 /// Write `n`'s decimal digits into the tail of `tmp`, returning the
 /// written slice. Integer emit without `format!`'s formatting machinery
 /// (or its temporary `String`) — RESP frames integers and lengths on
@@ -183,7 +202,7 @@ fn parse_int(line: &[u8]) -> Result<i64, ParseOutcome> {
     std::str::from_utf8(line)
         .ok()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ParseOutcome::Bad(format!("bad integer {line:?}")))
+        .ok_or_else(|| ParseOutcome::Bad(format!("bad integer \"{}\"", echo(line))))
 }
 
 /// Parse one value whose enclosing arrays number `depth`.

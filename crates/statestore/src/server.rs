@@ -5,7 +5,7 @@
 //! `CAS k version v`, `GETV k` (returns `[value, version]`), `DBSIZE`,
 //! `KEYS prefix`.
 
-use crate::resp::{drain_values, RespValue};
+use crate::resp::{drain_values, echo, RespValue};
 use crate::store::{CasOutcome, StateStore};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -155,7 +155,11 @@ fn execute(store: &StateStore, req: RespValue) -> RespValue {
                 .map(|k| RespValue::Bulk(k.into_bytes()))
                 .collect(),
         ),
-        _ => RespValue::Error(format!("ERR unknown command {cmd}/{}", args.len())),
+        _ => RespValue::Error(format!(
+            "ERR unknown command \"{}\"/{}",
+            echo(&args[0]),
+            args.len()
+        )),
     }
 }
 
@@ -307,6 +311,76 @@ mod tests {
             reply.starts_with("-ERR protocol: line longer than"),
             "{reply}"
         );
+    }
+
+    /// Read from `conn` until `n` complete replies have arrived.
+    async fn read_replies(conn: &mut TcpStream, n: usize) -> Vec<RespValue> {
+        let mut buf = Vec::new();
+        let mut got = Vec::new();
+        while got.len() < n {
+            let read =
+                tokio::time::timeout(std::time::Duration::from_secs(5), conn.read_buf(&mut buf))
+                    .await
+                    .expect("the server answers")
+                    .unwrap();
+            drain_values(&mut buf, |v| got.push(v)).unwrap();
+            assert!(read > 0 || got.len() >= n, "closed after {got:?}");
+        }
+        assert!(buf.is_empty(), "{} bytes past the replies", buf.len());
+        got
+    }
+
+    /// An error line holds at most 64 echoed bytes, escaped: a huge
+    /// command name gets a short single line, and one carrying CRLF
+    /// cannot frame a forged reply — each gets exactly one `-ERR` line,
+    /// and the next command on the connection its own answer. A
+    /// malformed header's echo is bounded the same way.
+    #[tokio::test]
+    async fn error_lines_echo_little_and_frame_nothing() {
+        let server = StateStoreServer::bind("127.0.0.1:0", Arc::new(StateStore::new()))
+            .await
+            .unwrap();
+        let mut conn = TcpStream::connect(server.local_addr()).await.unwrap();
+        let huge = vec![b'x'; 1 << 20];
+        for name in [&huge[..], b"GET\r\n+OK\r\n", b"\x00\x7f\xff\"\\"] {
+            let mut request = Vec::new();
+            crate::resp::encode_command(&mut request, &[name]);
+            crate::resp::encode_command(&mut request, &[b"PING"]);
+            conn.write_all(&request).await.unwrap();
+            let replies = read_replies(&mut conn, 2).await;
+            let RespValue::Error(line) = &replies[0] else {
+                panic!("{:?}", replies[0]);
+            };
+            assert!(line.starts_with("ERR unknown command"), "{line}");
+            assert!(line.len() <= 300, "{} bytes", line.len());
+            assert!(
+                line.bytes().all(|b| b.is_ascii_graphic() || b == b' '),
+                "{line}"
+            );
+            assert_eq!(replies[1], RespValue::Simple("PONG".into()));
+        }
+
+        let mut conn = TcpStream::connect(server.local_addr()).await.unwrap();
+        let mut header = vec![b'*'];
+        header.resize(60_000, 0x07);
+        header.extend_from_slice(b"\r\n");
+        conn.write_all(&header).await.unwrap();
+        let mut reply = Vec::new();
+        tokio::time::timeout(
+            std::time::Duration::from_secs(5),
+            conn.read_to_end(&mut reply),
+        )
+        .await
+        .expect("the server closes the connection")
+        .unwrap();
+        let mut replies = Vec::new();
+        drain_values(&mut reply, |v| replies.push(v)).unwrap();
+        assert!(reply.is_empty());
+        let [RespValue::Error(line)] = replies.as_slice() else {
+            panic!("{replies:?}");
+        };
+        assert!(line.starts_with("ERR protocol: bad integer"), "{line}");
+        assert!(line.len() <= 300, "{} bytes", line.len());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Counts the tasks one request starts: none. The gather in
 //! `Clipper::predict` / `feedback` evaluates every model from the calling
 //! task, and a replica queue's lane sends and settles the batch it
-//! sealed itself, so neither a cached nor a cold request spawns.
+//! sealed itself, so neither a cached nor a cold request spawns. Nor does
+//! one that outlives its SLO: the gather drops the late evaluation, whose
+//! reply sink stays with its queued query.
 //!
 //! This file intentionally holds a single test: integration-test binaries
 //! run as their own process, so nothing else spawns onto the vendored
@@ -11,6 +13,7 @@ use clipper::core::BatchConfig;
 use clipper::prelude::*;
 use clipper::rpc::message::{PredictReply, WireOutput};
 use clipper::rpc::transport::{BatchTransport, FnTransport};
+use clipper::rpc::{BoxFuture, RpcError};
 use std::sync::Arc;
 use std::time::Duration;
 use tokio::runtime::spawned_total;
@@ -68,5 +71,34 @@ async fn a_request_spawns_no_task() {
         spawned_total() - before,
         0,
         "a cold predict crosses every model's queue and must start no task either"
+    );
+
+    /// A replica that never answers.
+    struct Silent;
+    impl BatchTransport for Silent {
+        fn predict_batch(&self, _inputs: &[Input]) -> BoxFuture<Result<PredictReply, RpcError>> {
+            Box::pin(std::future::pending())
+        }
+        fn id(&self) -> String {
+            "silent".into()
+        }
+    }
+    let silent = ModelId::new("silent", 1);
+    clipper.add_model(silent.clone(), BatchConfig::default());
+    clipper.add_replica(&silent, Arc::new(Silent)).unwrap();
+    clipper.register_app(AppConfig::new("late", vec![silent]).with_slo(Duration::from_millis(5)));
+    const LATE: usize = 8;
+    let before = spawned_total();
+    for i in 0..LATE {
+        let p = clipper
+            .predict("late", None, Arc::new(vec![10.0 + i as f32]))
+            .await
+            .unwrap();
+        assert_eq!(p.models_missing, 1);
+    }
+    assert_eq!(
+        spawned_total() - before,
+        0,
+        "a predict past its SLO drops its late evaluation instead of handing it to a task"
     );
 }
