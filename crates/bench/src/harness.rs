@@ -1,4 +1,4 @@
-//! The one surface the seven recorded benches (`BENCH_<bench>.json`)
+//! The one surface the eight recorded benches (`BENCH_<bench>.json`)
 //! report and gate through: the command line, the record format, gate
 //! evaluation, self-validation and the exit code. A bin builds its
 //! scenario, pushes rows and gates into a [`Report`] and calls
@@ -74,7 +74,7 @@ impl Op {
     }
 
     /// The op's spelling in a record.
-    fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Op::AtMost => "at_most",
             Op::AtLeast => "at_least",

@@ -44,6 +44,7 @@ fn committed_records_are_full_runs_that_pass_their_own_gates() {
         "alloc_count",
         "cache_scaling",
         "fleet",
+        "paper",
         "recovery",
         "replica_scaling",
         "rpc_latency",

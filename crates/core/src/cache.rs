@@ -28,7 +28,9 @@
 //! are not stored. The two 64-bit halves come from independently seeded
 //! lanes of one hasher: one half picks the home bucket in the shard's
 //! index, the other selects the shard. With two independent 64-bit
-//! halves, collisions are negligible at serving scale.
+//! halves, collisions are negligible at serving scale. The lane seeds
+//! are a per-process key, so a set of inputs that collides in one
+//! process's index does not collide in the next.
 //!
 //! A shard pays for what it holds. Its CLOCK ring is a `Vec` reserved at
 //! the shard's capacity and pushed into until full, so untouched slots
@@ -44,9 +46,9 @@ use crate::error::PredictError;
 use crate::types::{Input, ModelId, Output};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tokio::sync::oneshot;
 
 /// What a pending entry settles with: waiters get the typed
@@ -89,13 +91,25 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// This process's lane seeds, drawn once from std's randomly keyed
+/// [`RandomState`]. With fixed seeds a client could search offline for
+/// inputs whose `fp[0]` low bits agree and pile one long probe run into
+/// a shard's index; a per-process key makes that search unrepeatable.
+fn process_seed() -> [u64; 2] {
+    static SEED: OnceLock<[u64; 2]> = OnceLock::new();
+    *SEED.get_or_init(|| {
+        let state = RandomState::new();
+        [
+            state.hash_one(0x9E37_79B9_7F4A_7C15u64), // golden ratio
+            state.hash_one(0xC2B2_AE3D_27D4_EB4Fu64), // xxh64 prime
+        ]
+    })
+}
+
 impl TwoLaneHasher {
     #[inline]
-    fn new() -> Self {
-        TwoLaneHasher {
-            h1: 0x9E37_79B9_7F4A_7C15, // golden-ratio seed
-            h2: 0xC2B2_AE3D_27D4_EB4F, // xxh64 prime seed
-        }
+    fn new([h1, h2]: [u64; 2]) -> Self {
+        TwoLaneHasher { h1, h2 }
     }
 
     #[inline]
@@ -118,9 +132,14 @@ impl TwoLaneHasher {
 impl CacheKey {
     /// Build the key for `(model, input)` in a single pass over the input.
     pub fn new(model: &ModelId, input: &Input) -> Self {
+        Self::seeded(model, input, process_seed())
+    }
+
+    #[inline]
+    fn seeded(model: &ModelId, input: &Input, seed: [u64; 2]) -> Self {
         #[cfg(debug_assertions)]
         KEY_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let mut h = TwoLaneHasher::new();
+        let mut h = TwoLaneHasher::new(seed);
         let name = model.name.as_bytes();
         h.write_u64(((model.version as u64) << 32) ^ name.len() as u64);
         for chunk in name.chunks(8) {
@@ -627,6 +646,31 @@ mod tests {
 
     fn key(n: &str, vals: &[f32]) -> CacheKey {
         CacheKey::new(&model(n), &input(vals))
+    }
+
+    /// Inputs searched to share one home bucket under one lane seed
+    /// scatter under another: a colliding set found against one process
+    /// does not carry to the next.
+    #[test]
+    fn a_bucket_collision_set_does_not_survive_a_new_seed() {
+        let shard = ShardInner::new(512);
+        let (seed_a, seed_b) = ([1, 2], [3, 4]);
+        let m = model("m");
+        let home = |vals: &[f32], seed| shard.home(CacheKey::seeded(&m, &input(vals), seed));
+        let target = home(&[0.0], seed_a);
+        let colliding: Vec<f32> = (0..)
+            .map(|i| i as f32)
+            .filter(|&x| home(&[x], seed_a) == target)
+            .take(64)
+            .collect();
+        let mut per_bucket = HashMap::new();
+        for &x in &colliding {
+            *per_bucket.entry(home(&[x], seed_b)).or_insert(0usize) += 1;
+        }
+        let fullest = per_bucket.values().copied().max().unwrap();
+        assert!(fullest <= 4, "{fullest} of 64 still share a bucket");
+        assert_ne!(process_seed(), [0, 0]);
+        assert_eq!(process_seed(), process_seed(), "one key per process");
     }
 
     #[test]

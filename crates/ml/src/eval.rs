@@ -2,10 +2,9 @@
 //!
 //! The selection layer consumes losses in `[0, 1]` (the Exp3/Exp4 contract
 //! from §5.1): zero-one loss for classification, phoneme error rate for
-//! speech, top-k for ImageNet-style tasks.
+//! speech.
 
 use crate::datasets::Example;
-use crate::linalg::top_k;
 use crate::models::{Label, Model};
 
 /// Fraction of examples a model classifies correctly.
@@ -16,22 +15,6 @@ pub fn accuracy<M: Model + ?Sized>(model: &M, examples: &[Example]) -> f64 {
     let correct = examples
         .iter()
         .filter(|e| model.predict(&e.x) == e.y)
-        .count();
-    correct as f64 / examples.len() as f64
-}
-
-/// Fraction of examples whose true label appears in the model's top-k
-/// scores (the ImageNet top-5 metric from Figure 7).
-pub fn top_k_accuracy<M: Model + ?Sized>(model: &M, examples: &[Example], k: usize) -> f64 {
-    if examples.is_empty() {
-        return 0.0;
-    }
-    let correct = examples
-        .iter()
-        .filter(|e| {
-            let s = model.scores(&e.x);
-            top_k(&s, k).contains(&(e.y as usize))
-        })
         .count();
     correct as f64 / examples.len() as f64
 }
@@ -69,19 +52,6 @@ mod tests {
         ];
         assert!((accuracy(&m, &examples) - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(accuracy(&m, &[]), 0.0);
-    }
-
-    #[test]
-    fn top_k_is_at_least_top_1() {
-        let m = NoOpModel::new(5);
-        let examples = vec![
-            Example { x: vec![0.0], y: 0 },
-            Example { x: vec![0.0], y: 4 },
-        ];
-        let t1 = top_k_accuracy(&m, &examples, 1);
-        let t5 = top_k_accuracy(&m, &examples, 5);
-        assert!(t5 >= t1);
-        assert_eq!(t5, 1.0); // all 5 classes are in the top-5
     }
 
     #[test]

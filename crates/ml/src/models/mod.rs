@@ -5,13 +5,11 @@
 //! (§4.3 of the paper) exists to exploit models that amortize per-call
 //! overhead across a batch.
 
-mod knn;
 mod linear;
 mod mlp;
 mod noop;
 mod tree;
 
-pub use knn::{Knn, KnnConfig};
 pub use linear::{LinearSvm, LinearSvmConfig, LogisticRegression, LogisticRegressionConfig};
 pub use mlp::{Mlp, MlpConfig};
 pub use noop::NoOpModel;

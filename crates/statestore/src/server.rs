@@ -112,43 +112,49 @@ fn execute(store: &StateStore, req: RespValue) -> RespValue {
     if args.is_empty() {
         return RespValue::Error("ERR empty command".into());
     }
-    let cmd = String::from_utf8_lossy(&args[0]).to_uppercase();
+    // Match the name on its raw bytes: an unknown multi-MiB "command"
+    // costs one comparison per arm, not an upper-cased copy.
+    let cmd = args[0].as_slice();
+    let is = |name: &str| cmd.eq_ignore_ascii_case(name.as_bytes());
     let key = |i: usize| String::from_utf8_lossy(&args[i]).into_owned();
 
-    match (cmd.as_str(), args.len()) {
-        ("PING", 1) => RespValue::Simple("PONG".into()),
-        ("GET", 2) => match store.get(&key(1)) {
+    match args.len() {
+        1 if is("PING") => RespValue::Simple("PONG".into()),
+        2 if is("GET") => match store.get(&key(1)) {
             Some(v) => RespValue::Bulk(v),
             None => RespValue::Null,
         },
-        ("GETV", 2) => match store.get_versioned(&key(1)) {
+        2 if is("GETV") => match store.get_versioned(&key(1)) {
             Some((v, ver)) => {
                 RespValue::Array(vec![RespValue::Bulk(v), RespValue::Integer(ver as i64)])
             }
             None => RespValue::Null,
         },
-        ("SET", 3) => {
-            let ver = store.set(&key(1), args[2].clone());
+        3 if is("SET") => {
+            let key = key(1);
+            let ver = store.set(&key, take_last(&mut args));
             RespValue::Integer(ver as i64)
         }
-        ("SETNX", 3) => {
-            let stored = store.set_nx(&key(1), args[2].clone());
+        3 if is("SETNX") => {
+            let key = key(1);
+            let stored = store.set_nx(&key, take_last(&mut args));
             RespValue::Integer(stored as i64)
         }
-        ("DEL", 2) => RespValue::Integer(store.del(&key(1)) as i64),
-        ("CAS", 4) => {
+        2 if is("DEL") => RespValue::Integer(store.del(&key(1)) as i64),
+        4 if is("CAS") => {
             let ver: u64 = match String::from_utf8_lossy(&args[2]).parse() {
                 Ok(v) => v,
                 Err(_) => return RespValue::Error("ERR CAS wants integer version".into()),
             };
-            match store.cas(&key(1), ver, args[3].clone()) {
+            let key = key(1);
+            match store.cas(&key, ver, take_last(&mut args)) {
                 CasOutcome::Stored(v) => RespValue::Integer(v as i64),
                 CasOutcome::Conflict(v) => RespValue::Error(format!("CONFLICT {v}")),
                 CasOutcome::Missing => RespValue::Error("MISSING".into()),
             }
         }
-        ("DBSIZE", 1) => RespValue::Integer(store.len() as i64),
-        ("KEYS", 2) => RespValue::Array(
+        1 if is("DBSIZE") => RespValue::Integer(store.len() as i64),
+        2 if is("KEYS") => RespValue::Array(
             store
                 .keys_with_prefix(&key(1))
                 .into_iter()
@@ -161,6 +167,11 @@ fn execute(store: &StateStore, req: RespValue) -> RespValue {
             args.len()
         )),
     }
+}
+
+/// The value argument, moved out of the request `execute` owns.
+fn take_last(args: &mut Vec<Vec<u8>>) -> Vec<u8> {
+    args.pop().expect("the arity arm checked the length")
 }
 
 #[cfg(test)]
@@ -212,6 +223,38 @@ mod tests {
         assert!(matches!(
             execute(&store, cmd(&[b"BOGUS"])),
             RespValue::Error(_)
+        ));
+    }
+
+    /// The module promises case-insensitive command names: every mixed-
+    /// and lower-case spelling answers exactly as its upper-case form.
+    #[test]
+    fn command_names_are_case_insensitive() {
+        let cmd = |parts: &[&[u8]]| {
+            RespValue::Array(parts.iter().map(|p| RespValue::Bulk(p.to_vec())).collect())
+        };
+        let script: [[&[&[u8]]; 2]; 7] = [
+            [&[b"set", b"k", b"v"], &[b"SET", b"k", b"v"]],
+            [&[b"GeT", b"k"], &[b"GET", b"k"]],
+            [&[b"dbsize"], &[b"DBSIZE"]],
+            [&[b"cAs", b"k", b"1", b"w"], &[b"CAS", b"k", b"1", b"w"]],
+            [&[b"cas", b"k", b"9", b"x"], &[b"CAS", b"k", b"9", b"x"]],
+            [&[b"setNX", b"k", b"y"], &[b"SETNX", b"k", b"y"]],
+            [&[b"get", b"k"], &[b"GET", b"k"]],
+        ];
+        let (lower, upper) = (StateStore::new(), StateStore::new());
+        for [mixed, canonical] in script {
+            let got = execute(&lower, cmd(mixed));
+            assert_eq!(got, execute(&upper, cmd(canonical)), "{mixed:?}");
+            assert!(!matches!(&got, RespValue::Error(e) if e.starts_with("ERR")));
+        }
+        assert_eq!(
+            execute(&lower, cmd(&[b"get", b"k"])),
+            RespValue::Bulk(b"w".to_vec())
+        );
+        assert!(matches!(
+            execute(&lower, cmd(&[b"sets", b"k", b"v"])),
+            RespValue::Error(e) if e.starts_with("ERR unknown command")
         ));
     }
 

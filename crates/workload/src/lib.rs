@@ -13,8 +13,8 @@
 //!   firing mid-run, reporting both load and per-action outcomes;
 //! - [`SimLink`]: bandwidth/latency-simulated network links for the
 //!   Figure-6 cluster-scaling study (1 Gbps vs 10 Gbps);
-//! - [`report`]: aligned text tables matching the rows/series the paper's
-//!   figures report;
+//! - [`report`]: the aligned text table a recorded bench prints its gates
+//!   in, and per-phase soak statistics;
 //! - [`soak`]: the multi-frontend fan-in soak harness — N in-process
 //!   frontends over one statestore and one replica fleet, sustained mixed
 //!   workload, and a scripted crash/restart/rollout/fault timeline with a

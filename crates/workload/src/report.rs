@@ -1,9 +1,8 @@
 //! Aligned text tables and phase-windowed stats for experiment output.
 //!
-//! Every bench binary prints its figure/table as rows through [`Table`],
-//! with a `paper=` column carrying the reference values, so a run's
-//! output reads against the paper without a second document. Soak-style runs that
-//! pass through distinct regimes (steady → crash → recovery → chaos)
+//! A recorded bench prints its gates through [`Table`]; its rows, the
+//! paper's values among them, go to its `BENCH_*.json`. Soak-style runs
+//! that pass through distinct regimes (steady → crash → recovery → chaos)
 //! record through a phase recorder, which keeps one latency histogram
 //! and outcome counters per timeline phase plus a whole-run rollup; a
 //! [`PhaseStats`] is one phase's frozen view.
@@ -257,20 +256,6 @@ impl Table {
     }
 }
 
-/// Format a float with thousands grouping for qps-style numbers.
-pub fn fmt_qps(v: f64) -> String {
-    let n = v.round() as i64;
-    let s = n.to_string();
-    let mut out = String::new();
-    for (i, c) in s.chars().enumerate() {
-        if i > 0 && (s.len() - i).is_multiple_of(3) {
-            out.push(',');
-        }
-        out.push(c);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,13 +346,5 @@ mod tests {
         assert_eq!(rec.totals().completed, 1_000);
         assert_eq!(rec.phase_stats()[0].completed, 1_000);
         assert!(rec.phase_stats()[0].throughput() > 0.0);
-    }
-
-    #[test]
-    fn qps_formatting_groups_thousands() {
-        assert_eq!(fmt_qps(48386.4), "48,386");
-        assert_eq!(fmt_qps(152.0), "152");
-        assert_eq!(fmt_qps(1_234_567.0), "1,234,567");
-        assert_eq!(fmt_qps(0.2), "0");
     }
 }
