@@ -29,9 +29,10 @@
 
 use clipper_bench::harness::{Args, Op, Report};
 use clipper_core::api::ReplicaSpec;
+use clipper_core::batching::QueueConfig;
 use clipper_core::{
-    AppConfig, AutoscaleConfig, AutoscaleDecision, BatchConfig, Clipper, FleetConfig, FleetEvent,
-    FnLauncher, ModelId, Output, PolicyKind, PredictError,
+    AppConfig, AutoscaleConfig, AutoscaleDecision, Clipper, FleetConfig, FleetEvent, FnLauncher,
+    ModelId, Output, PolicyKind, PredictError,
 };
 use clipper_rpc::error::RpcError;
 use clipper_rpc::message::{PredictReply, WireOutput};
@@ -132,7 +133,7 @@ async fn main() {
 
     let clipper = Clipper::builder().fleet_config(fleet_cfg.clone()).build();
     let m = ModelId::new(MODEL, 1);
-    clipper.add_model(m.clone(), BatchConfig::default());
+    clipper.add_model(m.clone(), QueueConfig::default());
     clipper.register_app(
         AppConfig::new("app", vec![m.clone()])
             .with_policy(PolicyKind::Static { model_index: 0 })

@@ -33,8 +33,9 @@
 //! hedge fired; and the hedge-on p99 is at most 70% of the hedge-off p99.
 
 use clipper_bench::harness::{Args, Op, Report};
+use clipper_core::batching::QueueConfig;
 use clipper_core::batching::{BatchStrategy, BreakerConfig, HedgeConfig};
-use clipper_core::{BatchConfig, ModelAbstractionLayer, ModelId, PredictError};
+use clipper_core::{ModelAbstractionLayer, ModelId, PredictError};
 use clipper_metrics::{Histogram, MetricValue, Registry};
 use clipper_rpc::faulty::{FaultConfig, FaultyTransport};
 use clipper_rpc::message::{PredictReply, WireOutput};
@@ -107,7 +108,7 @@ struct Arm {
 
 /// Build a fresh MAL with `n` [`FaultyTransport`]-wrapped replicas, all
 /// starting from `base` fault models.
-fn build_arm(cfg: BatchConfig, n: usize, base: &FaultConfig, seed: u64) -> Arm {
+fn build_arm(cfg: QueueConfig, n: usize, base: &FaultConfig, seed: u64) -> Arm {
     let mal = ModelAbstractionLayer::new(4_096, Registry::new());
     let model = ModelId::new(MODEL, 1);
     mal.add_model(model.clone(), cfg);
@@ -234,14 +235,14 @@ fn stats_from(run: (u64, u64, u64, u64, u64), hist: &Histogram, registry: &Regis
 /// `phase`, then heals; traffic continues for another `phase` (past the
 /// breaker cooldown) so the breaker can complete its lifecycle.
 async fn run_drop_arm(retry: bool, phase: Duration) -> (ArmStats, BreakerLifecycle) {
-    let cfg = BatchConfig {
+    let cfg = QueueConfig {
         strategy: BatchStrategy::Fixed { size: 1 },
         slo: Duration::from_millis(100),
         retry_max_attempts: if retry { 3 } else { 1 },
         breaker: BreakerConfig {
             cooldown: DROP_ARM_COOLDOWN,
         },
-        ..BatchConfig::default()
+        ..QueueConfig::default()
     };
     let arm = build_arm(cfg, 2, &FaultConfig::default(), 0xD20F);
     arm.faults[0].set_config(FaultConfig {
@@ -273,11 +274,11 @@ async fn run_drop_arm(retry: bool, phase: Duration) -> (ArmStats, BreakerLifecyc
 /// straggling batch races a redispatch to the sibling after ~3× the
 /// predicted latency.
 async fn run_straggler_arm(hedge: Option<HedgeConfig>, phase: Duration) -> ArmStats {
-    let cfg = BatchConfig {
+    let cfg = QueueConfig {
         strategy: BatchStrategy::Fixed { size: 1 },
         slo: Duration::from_millis(200),
         hedge,
-        ..BatchConfig::default()
+        ..QueueConfig::default()
     };
     let base = FaultConfig {
         base_delay: Duration::from_millis(1),

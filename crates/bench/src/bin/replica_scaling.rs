@@ -24,7 +24,8 @@
 //! and learns a batch ceiling for the slow replica below the fast one's.
 
 use clipper_bench::harness::{Args, Op, Report};
-use clipper_core::abstraction::{BatchConfig, ModelAbstractionLayer, SchedulerPolicy};
+use clipper_core::abstraction::{ModelAbstractionLayer, SchedulerPolicy};
+use clipper_core::batching::QueueConfig;
 use clipper_core::{BatchStrategy, Input, ModelId, PredictError};
 use clipper_metrics::Registry;
 use clipper_rpc::message::{PredictReply, WireOutput};
@@ -138,7 +139,7 @@ async fn run_once(
     let m = ModelId::new("bench", 1);
     mal.add_model(
         m.clone(),
-        BatchConfig {
+        QueueConfig {
             strategy: BatchStrategy::Fixed { size: 64 },
             queue_capacity: QUEUE_CAPACITY,
             pipeline_depth: 1,
@@ -229,7 +230,7 @@ async fn run_autotune_arm(autotune: bool, phase: Duration) -> AutotuneArm {
     let mal = ModelAbstractionLayer::new(16, Registry::new());
     let m = ModelId::new("bench", 1);
     let slo = Duration::from_millis(AUTOTUNE_SLO_MS);
-    let base = BatchConfig {
+    let base = QueueConfig {
         slo,
         queue_capacity: QUEUE_CAPACITY,
         max_batch_cap: 64,
@@ -237,20 +238,20 @@ async fn run_autotune_arm(autotune: bool, phase: Duration) -> AutotuneArm {
         ..Default::default()
     };
     let cfg = if autotune {
-        BatchConfig {
+        QueueConfig {
             strategy: BatchStrategy::Autotune { headroom: 0.1 },
             slo_admission: true,
             ..base
         }
     } else {
-        BatchConfig {
+        QueueConfig {
             strategy: BatchStrategy::Fixed { size: 64 },
             ..base
         }
     };
     mal.add_model(
         m.clone(),
-        BatchConfig {
+        QueueConfig {
             scheduler: SchedulerPolicy::RoundRobin,
             ..cfg
         },

@@ -6,7 +6,8 @@
 //! client whose steady-state loop performs no allocation of its own (so
 //! per-request allocation counts measure the server, not the harness).
 
-use clipper_core::{AppConfig, BatchConfig, Clipper, HttpFrontend, ModelId, PolicyKind};
+use clipper_core::batching::QueueConfig;
+use clipper_core::{AppConfig, Clipper, HttpFrontend, ModelId, PolicyKind};
 use clipper_rpc::message::{PredictReply, WireOutput};
 use clipper_rpc::transport::FnTransport;
 use std::net::SocketAddr;
@@ -23,7 +24,7 @@ pub const APP: &str = "bench";
 pub async fn start_echo_frontend() -> (HttpFrontend, Clipper) {
     let clipper = Clipper::builder().build();
     let m = ModelId::new("m", 1);
-    clipper.add_model(m.clone(), BatchConfig::default());
+    clipper.add_model(m.clone(), QueueConfig::default());
     clipper
         .add_replica(
             &m,

@@ -7,12 +7,14 @@
 //!    an in-flight computation or claims responsibility for one;
 //! 2. **replica scheduling** — a per-model [scheduler](SchedulerPolicy)
 //!    routes the query by *live replica state*, read as two values per
-//!    replica: its [`Health`] and its latency-model estimate of the work
-//!    ahead. One walk orders the replicas for every routing decision —
-//!    first dispatch, retry redispatch and hedge pick, under either
-//!    policy: a replica whose breaker wants its recovery probe first,
-//!    then the clean replicas starting at the policy's pick, then the
-//!    suspect rest. Power-of-two-choices (the default) picks the sampled
+//!    replica: its [`Health`] — one answer, folding the transport's
+//!    liveness into the breaker's verdict — and its latency-model
+//!    estimate of the work ahead. One walk orders the replicas for every
+//!    routing decision — first dispatch, retry redispatch and hedge pick,
+//!    under either policy: a replica whose breaker wants its recovery
+//!    probe first, then the clean replicas starting at the policy's pick,
+//!    then the suspect rest; a `Down` replica is never offered a query.
+//!    Power-of-two-choices (the default) picks the sampled
 //!    replica with the smaller `α + β·(occupancy + 1)`, so a slow or
 //!    backlogged replica receives less traffic than a fast one (each
 //!    replica still tunes its own batching independently, §4.4.1); if a
@@ -52,7 +54,8 @@ use std::sync::{Arc, Weak};
 use tokio::sync::oneshot;
 use tokio::time::Instant;
 
-/// Per-model batching configuration (applied to each replica's queue).
+/// The former name of [`QueueConfig`]; `benchmark/src/stack.rs` is its
+/// last user.
 pub type BatchConfig = QueueConfig;
 
 /// How a model's scheduler picks a replica for each query
@@ -128,15 +131,10 @@ impl DefaultTracker {
     }
 }
 
-struct Replica {
-    queue: Arc<ReplicaQueue>,
-    transport: Arc<dyn BatchTransport>,
-}
-
 struct ModelHandle {
     id: ModelId,
     cfg: QueueConfig,
-    replicas: RwLock<Vec<Arc<Replica>>>,
+    replicas: RwLock<Vec<Arc<ReplicaQueue>>>,
     /// Round-robin cursor and p2c sampling token.
     cursor: AtomicUsize,
     /// Monotonic replica index so hot re-adds get fresh queue ids.
@@ -150,12 +148,14 @@ struct ModelHandle {
 }
 
 /// The scheduler's preference tier for a replica: the recovery probe
-/// first, clean replicas next, every other suspect last.
+/// first, clean replicas next, every other live suspect last, and a
+/// `Down` replica in no tier at all.
 fn tier(health: Health) -> usize {
     match health {
         Health::WantsProbe => 0,
         Health::Clean => 1,
         Health::Probing | Health::CoolingDown | Health::Silent => 2,
+        Health::Down => 3,
     }
 }
 
@@ -172,7 +172,7 @@ impl ModelHandle {
     /// cursor position under round-robin, the power-of-two-choices pick
     /// otherwise. `health[i]` is replica `i`'s health, `None` when it is
     /// not a candidate for this decision.
-    fn pick(&self, replicas: &[Arc<Replica>], health: &[Option<Health>]) -> usize {
+    fn pick(&self, replicas: &[Arc<ReplicaQueue>], health: &[Option<Health>]) -> usize {
         let token = self.cursor.fetch_add(1, Ordering::Relaxed) as u64;
         if self.cfg.scheduler == SchedulerPolicy::RoundRobin {
             return token as usize % replicas.len();
@@ -197,7 +197,7 @@ impl ModelHandle {
                 // Distinct second sample from the high bits.
                 let b = (a + 1 + ((h >> 32) % (m as u64 - 1)) as usize) % m;
                 let (a, b) = (nth(a), nth(b));
-                let (qa, qb) = (&replicas[a].queue, &replicas[b].queue);
+                let (qa, qb) = (&replicas[a], &replicas[b]);
                 // Score with the learned per-replica latency curve
                 // (§4.4.1, `α + β·b̂` over the work already ahead) once
                 // both candidates' models are established — it separates
@@ -220,8 +220,8 @@ impl ModelHandle {
 
     /// The one replica walk behind every routing decision — first
     /// dispatch, retry redispatch and hedge pick. Reads each replica's
-    /// health once, then offers the live replicas (transport healthy, not
-    /// `exclude`) in preference order until `offer` returns `Some`: a
+    /// health once, then offers the replicas that are neither `Down` nor
+    /// `exclude` in preference order until `offer` returns `Some`: a
     /// replica that wants its recovery probe first, then the clean ones
     /// starting at the [`pick`](Self::pick), then the suspect rest.
     ///
@@ -233,10 +233,10 @@ impl ModelHandle {
     /// see traffic again and could never prove it recovered.
     fn walk<T>(
         &self,
-        replicas: &[Arc<Replica>],
+        replicas: &[Arc<ReplicaQueue>],
         now: Instant,
         exclude: Option<&str>,
-        mut offer: impl FnMut(Health, &Replica) -> Option<T>,
+        mut offer: impl FnMut(Health, &ReplicaQueue) -> Option<T>,
     ) -> Option<T> {
         let n = replicas.len();
         if n == 0 {
@@ -252,9 +252,9 @@ impl ModelHandle {
             heap.resize(n, None);
             &mut heap
         };
-        for (h, r) in health.iter_mut().zip(replicas) {
-            if r.transport.is_healthy() && exclude != Some(r.queue.id()) {
-                *h = Some(r.queue.health(now));
+        for (h, q) in health.iter_mut().zip(replicas) {
+            if exclude != Some(q.id()) {
+                *h = Some(q.health(now)).filter(|&h| h != Health::Down);
             }
         }
         let start = self.pick(replicas, health);
@@ -277,18 +277,18 @@ impl ModelHandle {
     /// it falls through to the next. `Err(item)` = nobody took it.
     fn place(
         &self,
-        replicas: &[Arc<Replica>],
+        replicas: &[Arc<ReplicaQueue>],
         now: Instant,
         exclude: Option<&str>,
         item: QueueItem,
-        mut eligible: impl FnMut(Health, &Replica) -> bool,
+        mut eligible: impl FnMut(Health, &ReplicaQueue) -> bool,
     ) -> Result<(), QueueItem> {
         let mut item = Some(item);
-        self.walk(replicas, now, exclude, |h, r| {
-            if !eligible(h, r) {
+        self.walk(replicas, now, exclude, |h, q| {
+            if !eligible(h, q) {
                 return None;
             }
-            match r.queue.try_submit(item.take()?) {
+            match q.try_submit(item.take()?) {
                 Ok(()) => Some(()),
                 Err(back) => {
                     item = Some(back);
@@ -301,9 +301,9 @@ impl ModelHandle {
 
     /// Whether the replica's latency model says a query admitted now
     /// would complete past the SLO (never, while the model is cold).
-    fn over_slo(&self, r: &Replica) -> bool {
+    fn over_slo(&self, q: &ReplicaQueue) -> bool {
         let slo_ns = self.cfg.slo.as_nanos().min(u64::MAX as u128) as u64;
-        matches!(r.queue.estimated_ns(1), Some(est) if est > slo_ns)
+        matches!(q.estimated_ns(1), Some(est) if est > slo_ns)
     }
 
     /// SLO-aware admission (§4.4.1): whether at least one routable
@@ -312,17 +312,17 @@ impl ModelHandle {
     /// default (cold start must not shed on a guess), and so does a model
     /// with no routable replicas at all — the dispatch loop then reports
     /// `NoReplicas`, not a shed.
-    fn can_admit(&self, replicas: &[Arc<Replica>], now: Instant) -> bool {
+    fn can_admit(&self, replicas: &[Arc<ReplicaQueue>], now: Instant) -> bool {
         let mut any_routable = false;
-        for r in replicas.iter() {
-            // A breaker that is open and cooling down can't serve the
-            // query at all; its (likely idle) queue must not vouch for
-            // admission.
-            if !r.transport.is_healthy() || r.queue.health(now) == Health::CoolingDown {
+        for q in replicas.iter() {
+            // A dead replica, or a breaker that is open and cooling down,
+            // can't serve the query at all; its (likely idle) queue must
+            // not vouch for admission.
+            if matches!(q.health(now), Health::Down | Health::CoolingDown) {
                 continue;
             }
             any_routable = true;
-            if !self.over_slo(r) {
+            if !self.over_slo(q) {
                 return true;
             }
         }
@@ -355,7 +355,7 @@ impl ModelHandle {
         // exactly like a full queue — admission and routing stay
         // coherent: "some replica can meet the deadline" means the query
         // goes to one that can.
-        let over_slo = |r: &Replica| self.cfg.slo_admission && self.over_slo(r);
+        let over_slo = |q: &ReplicaQueue| self.cfg.slo_admission && self.over_slo(q);
         // A suspect replica is reached only after every clean one was
         // passed over: it must never intercept a query a healthy sibling
         // could serve. Round-robin offers the query to one replica only,
@@ -363,9 +363,9 @@ impl ModelHandle {
         // even when a sibling is idle.
         let round_robin = self.cfg.scheduler == SchedulerPolicy::RoundRobin;
         let (mut saw_healthy, mut offered) = (false, false);
-        let placed = self.place(&replicas, now, None, item, |_, r| {
+        let placed = self.place(&replicas, now, None, item, |_, q| {
             saw_healthy = true;
-            if over_slo(r) || (round_robin && offered) {
+            if over_slo(q) || (round_robin && offered) {
                 return false;
             }
             offered = true;
@@ -407,21 +407,17 @@ impl ModelHandle {
     /// sibling exists.
     fn hedge_pick(&self, origin: &str) -> Option<Arc<dyn BatchTransport>> {
         let replicas = self.replicas.read();
-        self.walk(&replicas, Instant::now(), Some(origin), |h, r| {
-            (h == Health::Clean).then(|| r.transport.clone())
+        self.walk(&replicas, Instant::now(), Some(origin), |h, q| {
+            (h == Health::Clean).then(|| q.transport().clone())
         })
     }
 
     fn queue_depth(&self) -> usize {
-        self.replicas.read().iter().map(|r| r.queue.len()).sum()
+        self.replicas.read().iter().map(|q| q.len()).sum()
     }
 
     fn inflight(&self) -> usize {
-        self.replicas
-            .read()
-            .iter()
-            .map(|r| r.queue.inflight())
-            .sum()
+        self.replicas.read().iter().map(|q| q.inflight()).sum()
     }
 }
 
@@ -429,11 +425,10 @@ impl ModelHandle {
 /// needed to await the drain and to revive the version later.
 pub(crate) struct RemovedModel {
     /// The model's configuration.
-    pub cfg: BatchConfig,
-    /// The draining replica queues (await `drained()` on each).
+    pub cfg: QueueConfig,
+    /// The draining replica queues (await `drained()` on each); their
+    /// transports stay connected, re-attachable on revive.
     pub queues: Vec<Arc<ReplicaQueue>>,
-    /// The replica transports, still connected — re-attachable on revive.
-    pub transports: Vec<Arc<dyn BatchTransport>>,
 }
 
 /// The model abstraction layer.
@@ -484,7 +479,7 @@ impl ModelAbstractionLayer {
     /// Also registers per-model poll gauges `model/<id>/queue_depth` and
     /// `model/<id>/inflight` (live replica-state sums) and the scheduler's
     /// `model/<id>/shed` counter.
-    pub fn add_model(&self, id: ModelId, cfg: BatchConfig) -> bool {
+    pub fn add_model(&self, id: ModelId, cfg: QueueConfig) -> bool {
         let mut models = self.models.write();
         if models.contains_key(&id) {
             return false;
@@ -513,7 +508,7 @@ impl ModelAbstractionLayer {
     }
 
     /// The batching configuration a model was registered with.
-    pub(crate) fn model_config(&self, id: &ModelId) -> Option<BatchConfig> {
+    pub(crate) fn model_config(&self, id: &ModelId) -> Option<QueueConfig> {
         self.models.read().get(id).map(|h| h.cfg.clone())
     }
 
@@ -569,16 +564,17 @@ impl ModelAbstractionLayer {
         };
         let queue = spawn_replica_queue_with_hooks(
             queue_id.clone(),
-            transport.clone(),
+            transport,
             handle.cfg.clone(),
             prior,
             metrics,
             hooks,
         );
-        // Per-replica depth gauge plus live breaker telemetry for
-        // operators (Weak: an unregistered replica must not be kept
-        // alive by the registry; `remove_replica`'s prefix unregister
-        // reclaims all of these together).
+        // Per-replica depth and health gauges plus the breaker's
+        // transition counters for operators (Weak: an unregistered
+        // replica must not be kept alive by the registry;
+        // `remove_replica`'s prefix unregister reclaims all of these
+        // together).
         let weak_q: Weak<ReplicaQueue> = Arc::downgrade(&queue);
         self.registry
             .poll_gauge(&format!("queue/{queue_id}/depth"), {
@@ -586,12 +582,12 @@ impl ModelAbstractionLayer {
                 move || weak_q.upgrade().map_or(0, |q| q.len() as i64)
             });
         self.registry
-            .poll_gauge(&format!("queue/{queue_id}/breaker_state"), {
+            .poll_gauge(&format!("queue/{queue_id}/health"), {
                 let weak_q = weak_q.clone();
                 move || {
                     weak_q
                         .upgrade()
-                        .map_or(0, |q| q.breaker().state().code() as i64)
+                        .map_or(0, |q| q.health(Instant::now()) as i64)
                 }
             });
         self.registry
@@ -608,10 +604,7 @@ impl ModelAbstractionLayer {
             .poll_counter(&format!("queue/{queue_id}/breaker_closed"), move || {
                 weak_q.upgrade().map_or(0, |q| q.breaker().closed())
             });
-        handle
-            .replicas
-            .write()
-            .push(Arc::new(Replica { queue, transport }));
+        handle.replicas.write().push(queue);
         Ok(queue_id)
     }
 
@@ -635,11 +628,11 @@ impl ModelAbstractionLayer {
         let mut replicas = handle.replicas.write();
         let pos = replicas
             .iter()
-            .position(|r| r.queue.id() == queue_id)
+            .position(|q| q.id() == queue_id)
             .ok_or(PredictError::NoReplicas)?;
-        let replica = replicas.remove(pos);
-        self.retire(&replica.queue);
-        Ok(replica.queue.clone())
+        let queue = replicas.remove(pos);
+        self.retire(&queue);
+        Ok(queue)
     }
 
     /// What every removal path does to a replica it has unlisted: begin
@@ -659,8 +652,8 @@ impl ModelAbstractionLayer {
     pub(crate) fn remove_replicas(&self, id: &ModelId) {
         if let Some(handle) = self.models.read().get(id) {
             let mut replicas = handle.replicas.write();
-            for r in replicas.drain(..) {
-                self.retire(&r.queue);
+            for q in replicas.drain(..) {
+                self.retire(&q);
             }
         }
     }
@@ -669,9 +662,9 @@ impl ModelAbstractionLayer {
     /// version rollout. The model stops being dispatchable immediately
     /// (new predicts see `ModelUnknown`); every replica queue begins a
     /// graceful drain. The returned [`RemovedModel`] carries the queues
-    /// (await `drained()` on each to observe completion), the transports
-    /// (so the version can be *revived* later — rollback re-attaches
-    /// them), and the model's batch/scheduler configuration. Per-model
+    /// (await `drained()` on each to observe completion; their transports
+    /// let the version be *revived* later — rollback re-attaches them)
+    /// and the model's batch/scheduler configuration. Per-model
     /// and per-queue metrics are unregistered so churn doesn't grow the
     /// registry without bound.
     pub(crate) fn remove_model(&self, id: &ModelId) -> Result<RemovedModel, PredictError> {
@@ -681,19 +674,13 @@ impl ModelAbstractionLayer {
             .remove(id)
             .ok_or(PredictError::ModelUnknown)?;
         self.registry.unregister_prefix(&format!("model/{id}/"));
-        let mut replicas = handle.replicas.write();
-        let mut queues = Vec::with_capacity(replicas.len());
-        let mut transports = Vec::with_capacity(replicas.len());
-        for r in replicas.drain(..) {
-            self.retire(&r.queue);
-            queues.push(r.queue.clone());
-            transports.push(r.transport.clone());
+        let queues: Vec<_> = handle.replicas.write().drain(..).collect();
+        for q in &queues {
+            self.retire(q);
         }
-        drop(replicas);
         Ok(RemovedModel {
             cfg: handle.cfg.clone(),
             queues,
-            transports,
         })
     }
 
@@ -721,7 +708,7 @@ impl ModelAbstractionLayer {
             h.replicas
                 .read()
                 .iter()
-                .map(|r| r.queue.id().to_string())
+                .map(|q| q.id().to_string())
                 .collect()
         })
     }
@@ -746,18 +733,19 @@ impl ModelAbstractionLayer {
     }
 
     /// The queue ids of a model's replicas whose health is anything but
-    /// [`Health::Clean`] — the breaker opened (failure streak or rate)
-    /// and no probe has succeeded since, or the fleet monitor reports
-    /// the heartbeats silent — the candidates a chaos/ops loop
-    /// hot-removes via [`Clipper::remove_replica`](crate::Clipper::remove_replica).
+    /// [`Health::Clean`] — the transport reports itself dead, the breaker
+    /// opened (failure streak or rate) and no probe has succeeded since,
+    /// or the fleet monitor reports the heartbeats silent — the
+    /// candidates a chaos/ops loop hot-removes via
+    /// [`Clipper::remove_replica`](crate::Clipper::remove_replica).
     pub fn suspect_queue_ids(&self, id: &ModelId) -> Vec<String> {
         let now = Instant::now();
         self.models.read().get(id).map_or_else(Vec::new, |h| {
             h.replicas
                 .read()
                 .iter()
-                .filter(|r| r.queue.health(now) != Health::Clean)
-                .map(|r| r.queue.id().to_string())
+                .filter(|q| q.health(now) != Health::Clean)
+                .map(|q| q.id().to_string())
                 .collect()
         })
     }
@@ -773,15 +761,13 @@ impl ModelAbstractionLayer {
         queue_id: &str,
         suspect: bool,
     ) -> bool {
-        self.with_queue(id, queue_id, |q| q.set_suspect_hint(suspect))
+        self.with_queue(id, queue_id, |q| q.breaker().set_heartbeat_silent(suspect))
             .unwrap_or(false)
     }
 
-    /// Whether one replica queue's breaker carries the fleet's
-    /// heartbeat-silent flag (`false` for an unknown queue id).
-    pub(crate) fn replica_heartbeat_silent(&self, id: &ModelId, queue_id: &str) -> bool {
-        self.with_queue(id, queue_id, |q| q.breaker().heartbeat_silent())
-            .unwrap_or(false)
+    /// One replica queue's health now (`None` for an unknown queue id).
+    pub(crate) fn replica_health(&self, id: &ModelId, queue_id: &str) -> Option<Health> {
+        self.with_queue(id, queue_id, |q| q.health(Instant::now()))
     }
 
     fn with_queue<T>(
@@ -792,8 +778,8 @@ impl ModelAbstractionLayer {
     ) -> Option<T> {
         let models = self.models.read();
         let replicas = models.get(id)?.replicas.read();
-        let r = replicas.iter().find(|r| r.queue.id() == queue_id)?;
-        Some(read(&r.queue))
+        let q = replicas.iter().find(|q| q.id() == queue_id)?;
+        Some(read(q))
     }
 
     /// Total estimated backlog across a model's replicas, in nanoseconds
@@ -805,10 +791,7 @@ impl ModelAbstractionLayer {
             h.replicas
                 .read()
                 .iter()
-                .map(|r| {
-                    let q = &r.queue;
-                    q.estimated_ns(0).unwrap_or_else(|| q.occupancy() as u64)
-                })
+                .map(|q| q.estimated_ns(0).unwrap_or_else(|| q.occupancy() as u64))
                 .sum()
         })
     }
@@ -974,7 +957,7 @@ mod tests {
     async fn predict_through_cache_and_queue() {
         let mal = layer();
         let m = ModelId::new("m", 1);
-        mal.add_model(m.clone(), BatchConfig::default());
+        mal.add_model(m.clone(), QueueConfig::default());
         mal.add_replica(&m, echo()).unwrap();
         let out = mal.predict(&m, Arc::new(vec![7.0]), true).await.unwrap();
         assert_eq!(out, Output::Class(7));
@@ -998,7 +981,7 @@ mod tests {
     async fn model_without_replicas_errors() {
         let mal = layer();
         let m = ModelId::new("m", 1);
-        mal.add_model(m.clone(), BatchConfig::default());
+        mal.add_model(m.clone(), QueueConfig::default());
         let err = mal
             .predict(&m, Arc::new(vec![1.0]), false)
             .await
@@ -1010,7 +993,7 @@ mod tests {
     async fn cache_pending_failure_wakes_waiters_with_error() {
         let mal = layer();
         let m = ModelId::new("m", 1);
-        mal.add_model(m.clone(), BatchConfig::default());
+        mal.add_model(m.clone(), QueueConfig::default());
         // No replicas: the MustCompute path must fail-fill the pending
         // entry so the cache doesn't wedge.
         let err = mal
@@ -1027,7 +1010,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 scheduler: SchedulerPolicy::RoundRobin,
                 ..Default::default()
@@ -1098,9 +1081,9 @@ mod tests {
 
     /// A round-robin model whose replica queues hold one waiting query
     /// beside the one in flight.
-    fn round_robin_model(mal: &ModelAbstractionLayer, cfg: BatchConfig) -> ModelId {
+    fn round_robin_model(mal: &ModelAbstractionLayer, cfg: QueueConfig) -> ModelId {
         let m = ModelId::new("m", 1);
-        let cfg = BatchConfig {
+        let cfg = QueueConfig {
             strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
             queue_capacity: 1,
             scheduler: SchedulerPolicy::RoundRobin,
@@ -1140,7 +1123,7 @@ mod tests {
     #[tokio::test]
     async fn round_robin_shed_on_a_full_queue_counts_in_the_model_shed() {
         let mal = layer();
-        let m = round_robin_model(&mal, BatchConfig::default());
+        let m = round_robin_model(&mal, QueueConfig::default());
         let (t, gate) = gated();
         mal.add_replica(&m, t).unwrap();
         // One query in flight at the held transport, one waiting behind it.
@@ -1166,7 +1149,7 @@ mod tests {
     #[tokio::test]
     async fn round_robin_sheds_at_its_cursor_while_a_sibling_is_idle() {
         let mal = layer();
-        let m = round_robin_model(&mal, BatchConfig::default());
+        let m = round_robin_model(&mal, QueueConfig::default());
         let (held, gate) = gated();
         let idle = Arc::new(AtomicU64::new(0));
         mal.add_replica(&m, held).unwrap();
@@ -1195,7 +1178,7 @@ mod tests {
         let mal = layer();
         let m = round_robin_model(
             &mal,
-            BatchConfig {
+            QueueConfig {
                 breaker: crate::batching::BreakerConfig {
                     cooldown: Duration::ZERO,
                 },
@@ -1238,7 +1221,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 ..Default::default()
             },
@@ -1277,7 +1260,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 pipeline_depth: 1,
                 ..Default::default()
@@ -1323,7 +1306,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 queue_capacity: 16,
                 pipeline_depth: 1,
@@ -1378,7 +1361,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 ..Default::default()
             },
@@ -1422,7 +1405,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 slo: Duration::from_secs(5),
                 ..Default::default()
@@ -1458,7 +1441,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 slo: Duration::from_secs(1),
                 breaker: crate::batching::BreakerConfig {
@@ -1556,7 +1539,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 ..Default::default()
             },
@@ -1605,7 +1588,7 @@ mod tests {
         }
         let mal = layer();
         let m = ModelId::new("m", 1);
-        mal.add_model(m.clone(), BatchConfig::default());
+        mal.add_model(m.clone(), QueueConfig::default());
         mal.add_replica(&m, Arc::new(Dead)).unwrap();
         mal.add_replica(&m, echo()).unwrap();
         // All queries should route to the healthy replica.
@@ -1622,7 +1605,7 @@ mod tests {
     async fn default_output_tracks_modal_label() {
         let mal = layer();
         let m = ModelId::new("m", 1);
-        mal.add_model(m.clone(), BatchConfig::default());
+        mal.add_model(m.clone(), QueueConfig::default());
         mal.add_replica(&m, echo()).unwrap();
         // 3 queries answer Class(5), 1 answers Class(2).
         for v in [5.0, 5.0, 5.0, 2.0] {
@@ -1649,7 +1632,7 @@ mod tests {
     async fn remove_replicas_causes_no_replica_errors() {
         let mal = layer();
         let m = ModelId::new("m", 1);
-        mal.add_model(m.clone(), BatchConfig::default());
+        mal.add_model(m.clone(), QueueConfig::default());
         let qid = mal.add_replica(&m, echo()).unwrap();
         let queue_keys = |mal: &ModelAbstractionLayer| {
             let prefix = format!("queue/{qid}/");
@@ -1679,7 +1662,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 strategy: crate::batching::BatchStrategy::Fixed { size: 4 },
                 ..Default::default()
             },
@@ -1727,14 +1710,13 @@ mod tests {
     async fn remove_model_drains_and_is_revivable() {
         let mal = layer();
         let m = ModelId::new("m", 1);
-        mal.add_model(m.clone(), BatchConfig::default());
+        mal.add_model(m.clone(), QueueConfig::default());
         mal.add_replica(&m, echo()).unwrap();
         mal.predict(&m, Arc::new(vec![3.0]), false).await.unwrap();
 
         let removed = mal.remove_model(&m).unwrap();
         assert!(!mal.has_model(&m));
         assert_eq!(removed.queues.len(), 1);
-        assert_eq!(removed.transports.len(), 1);
         for q in &removed.queues {
             q.drained().await;
         }
@@ -1752,8 +1734,8 @@ mod tests {
 
         // Revive the version from what remove_model returned.
         mal.add_model(m.clone(), removed.cfg);
-        for t in removed.transports {
-            mal.add_replica(&m, t).unwrap();
+        for q in &removed.queues {
+            mal.add_replica(&m, q.transport().clone()).unwrap();
         }
         let out = mal.predict(&m, Arc::new(vec![6.0]), false).await.unwrap();
         assert_eq!(out, Output::Class(6));
@@ -1765,7 +1747,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 strategy: crate::batching::BatchStrategy::Fixed { size: 1 },
                 ..Default::default()
             },
@@ -1806,7 +1788,7 @@ mod tests {
     async fn per_model_gauges_and_shed_counter_register() {
         let mal = layer();
         let m = ModelId::new("m", 1);
-        mal.add_model(m.clone(), BatchConfig::default());
+        mal.add_model(m.clone(), QueueConfig::default());
         mal.add_replica(&m, echo()).unwrap();
         mal.predict(&m, Arc::new(vec![1.0]), false).await.unwrap();
         let snap = mal.registry().snapshot();
@@ -1835,7 +1817,7 @@ mod tests {
     async fn concurrent_identical_queries_collapse_to_one_evaluation() {
         let mal = layer();
         let m = ModelId::new("m", 1);
-        mal.add_model(m.clone(), BatchConfig::default());
+        mal.add_model(m.clone(), QueueConfig::default());
         let evals = Arc::new(AtomicU64::new(0));
         let e2 = evals.clone();
         let t: Arc<dyn BatchTransport> =
@@ -1887,7 +1869,7 @@ mod tests {
         // it.
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 slo: Duration::from_millis(5),
                 slo_admission: true,
                 ..Default::default()
@@ -1905,7 +1887,7 @@ mod tests {
         let ghost = ModelId::new("ghost", 1);
         mal.add_model(
             ghost.clone(),
-            BatchConfig {
+            QueueConfig {
                 slo_admission: true,
                 ..Default::default()
             },
@@ -1923,7 +1905,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 slo: Duration::from_millis(5),
                 slo_admission: true,
                 ..Default::default()
@@ -1969,7 +1951,7 @@ mod tests {
         // config must keep today's queue-then-serve behavior.
         mal.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 slo: Duration::from_millis(5),
                 ..Default::default()
             },

@@ -557,9 +557,10 @@ pub struct ReplicaView {
     /// The model version this member serves.
     pub model_version: u32,
     /// Health state: `"expired"` once the member expired; `"suspect"`
-    /// while it is attached and its queue's breaker carries the fleet's
-    /// heartbeat-silent flag; `"healthy"` otherwise (an unattached member
-    /// reads `"healthy"` until it expires).
+    /// while it is attached and its queue's one health answer reads
+    /// heartbeat-silent or down (its transport reports itself dead);
+    /// `"healthy"` otherwise (an unattached member reads `"healthy"`
+    /// until it expires).
     pub health: String,
     /// The data-plane queue id, when attached.
     pub queue_id: Option<String>,

@@ -2,14 +2,15 @@
 //! whether a replica's recent batches and heartbeats earn it traffic. It
 //! stops dispatch at a replica that keeps failing, probes it after a
 //! cooldown, readmits it only once a probe batch succeeds, and carries the
-//! fleet's heartbeat-silent flag; the scheduler's tiers, admission,
-//! hedging and `/metrics` read it through [`CircuitBreaker::health`].
+//! fleet's heartbeat-silent flag.
 //!
-//! It is one of two health sources. The model abstraction layer's replica
-//! walk and SLO admission also skip a replica whose transport reports
-//! `is_healthy() == false` (on a TCP handle: the connection closed, a
-//! write failed, or a liveness probe went unanswered past its grace),
-//! whatever the breaker says; `/metrics` shows only the breaker.
+//! The breaker is one input of a replica's one health answer, the
+//! replica queue's `health(now)`, which the scheduler's tiers, admission,
+//! hedging, the suspect sweep, the fleet's replica view and `/metrics`
+//! all read. The other input is the transport's liveness: a replica whose
+//! transport reports itself unhealthy (on a TCP handle: the connection
+//! closed, a write failed, or a liveness probe went unanswered past its
+//! grace) reads [`Health::Down`] whatever the breaker says.
 //!
 //! The breaker runs the classic three-state machine per replica queue:
 //!
@@ -34,9 +35,9 @@
 //! `tokio::time::Instant`, read once by the caller's routing or batching
 //! decision — as an argument, so tests drive time.
 //! Transitions are counted ([`CircuitBreaker::opened`],
-//! [`CircuitBreaker::half_opened`], [`CircuitBreaker::closed`]) and the
-//! live state is exported as a per-queue `/metrics` gauge by the model
-//! abstraction layer.
+//! [`CircuitBreaker::half_opened`], [`CircuitBreaker::closed`]); the
+//! model abstraction layer exports them, and the replica's health code,
+//! per queue on `/metrics`.
 
 use super::micros;
 use parking_lot::Mutex;
@@ -83,40 +84,34 @@ pub enum BreakerState {
     Open,
 }
 
-impl BreakerState {
-    /// Stable numeric code for the `/metrics` gauge
-    /// (0 = closed, 1 = half-open, 2 = open).
-    pub(crate) fn code(self) -> u8 {
-        match self {
-            BreakerState::Closed => 0,
-            BreakerState::HalfOpen => 1,
-            BreakerState::Open => 2,
-        }
-    }
-}
-
-/// What the breaker says about a replica right now. A replica whose
-/// transport reports itself unhealthy is skipped before this is read
-/// (see the module docs), so this answers "is this replica healthy?"
-/// only for a live transport. The scheduler's tiers are these variants: [`WantsProbe`](Health::WantsProbe) is
-/// offered a query first, [`Clean`](Health::Clean) replicas next, the
-/// rest only when no clean replica has room.
+/// A replica's one answer to "can it take a query now?": the breaker's
+/// verdict ([`CircuitBreaker::health`]) for a live transport, and
+/// [`Down`](Health::Down) for a dead one. The scheduler's tiers are these
+/// variants: [`WantsProbe`](Health::WantsProbe) is offered a query first,
+/// [`Clean`](Health::Clean) replicas next, the live rest only when no
+/// clean replica has room, and a `Down` replica never. Each variant's
+/// discriminant is its code in the `queue/{id}/health` gauge; the breaker
+/// state follows from it (closed: 0 and 4, half-open: 2, open: 1 and 3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Health {
     /// Breaker closed and heartbeats arriving: route normally.
-    Clean,
+    Clean = 0,
     /// Breaker open with the cooldown elapsed: the next batch is the
     /// recovery probe, so the scheduler should deliver one.
-    WantsProbe,
+    WantsProbe = 1,
     /// The recovery probe is in flight; further batches are refused
     /// until it settles.
-    Probing,
+    Probing = 2,
     /// Breaker open and inside its cooldown: every batch is refused, so
     /// the replica cannot vouch for SLO admission either.
-    CoolingDown,
+    CoolingDown = 3,
     /// Breaker closed, but the fleet monitor reports the replica's
     /// heartbeats went silent — suspect before its batches start failing.
-    Silent,
+    Silent = 4,
+    /// The transport reports itself dead (a closed connection, or a
+    /// liveness probe unanswered past its grace): nothing is routed here
+    /// until it reports itself alive again.
+    Down = 5,
 }
 
 /// How one dispatched batch ended, as far as the replica's health goes.
@@ -201,8 +196,8 @@ impl CircuitBreaker {
         }
     }
 
-    /// The replica's health at `now` — the one read every routing,
-    /// admission and hedging decision derives from.
+    /// The breaker's verdict at `now`: every [`Health`] but `Down`, which
+    /// only the transport can report.
     pub fn health(&self, now: Instant) -> Health {
         match self.state.load(Ordering::Acquire) {
             ST_CLOSED if self.heartbeat_silent.load(Ordering::Relaxed) => Health::Silent,
@@ -217,12 +212,6 @@ impl CircuitBreaker {
     /// back (`false`). Returns whether the flag changed.
     pub fn set_heartbeat_silent(&self, silent: bool) -> bool {
         self.heartbeat_silent.swap(silent, Ordering::Relaxed) != silent
-    }
-
-    /// Whether the fleet monitor reports the heartbeats silent — the one
-    /// record of that fact, whatever state the breaker is in.
-    pub(crate) fn heartbeat_silent(&self) -> bool {
-        self.heartbeat_silent.load(Ordering::Relaxed)
     }
 
     /// Ask to dispatch one batch. `Closed` admits; `Open` admits only
@@ -456,16 +445,21 @@ mod tests {
         assert!(b.admit_batch(t0 + COOLDOWN));
         b.record(Succeeded, t0 + COOLDOWN);
         assert_eq!(b.health(t0 + COOLDOWN), Health::Silent);
-        assert!(b.heartbeat_silent());
         assert!(b.set_heartbeat_silent(false));
-        assert!(!b.heartbeat_silent());
         assert_eq!(b.health(t0 + COOLDOWN), Health::Clean);
     }
 
     #[test]
-    fn state_codes_are_stable() {
-        assert_eq!(BreakerState::Closed.code(), 0);
-        assert_eq!(BreakerState::HalfOpen.code(), 1);
-        assert_eq!(BreakerState::Open.code(), 2);
+    fn health_codes_are_stable() {
+        let codes = [
+            Health::Clean,
+            Health::WantsProbe,
+            Health::Probing,
+            Health::CoolingDown,
+            Health::Silent,
+            Health::Down,
+        ]
+        .map(|h| h as i64);
+        assert_eq!(codes, [0, 1, 2, 3, 4, 5]);
     }
 }

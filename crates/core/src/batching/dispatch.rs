@@ -20,7 +20,6 @@ use super::queue::{QueueItem, QueueMetrics, QueueShared};
 use super::BatchController;
 use crate::error::{PredictError, UpstreamKind};
 use crate::types::Input;
-use clipper_rpc::transport::BatchTransport;
 use clipper_rpc::{PredictReply, RpcError};
 use parking_lot::Mutex;
 use std::future::Future;
@@ -58,7 +57,6 @@ pub(super) async fn dispatch_batch(
     items: &mut Vec<QueueItem>,
     inputs: &mut Vec<Input>,
     dispatch_time: Instant,
-    transport: &dyn BatchTransport,
     controller: &Mutex<Box<dyn BatchController>>,
     metrics: &QueueMetrics,
     shared: &QueueShared,
@@ -79,7 +77,7 @@ pub(super) async fn dispatch_batch(
     // (transport futures own their request state, so dropping one is a
     // no-op at this layer).
     let sent = {
-        let mut send = pin!(send_batch(inputs, transport, metrics, shared));
+        let mut send = pin!(send_batch(inputs, metrics, shared));
         let mut forced = pin!(shared.forced.acquire());
         race(&mut send, &mut forced).await
     };
@@ -169,11 +167,10 @@ pub(super) async fn dispatch_batch(
 /// batch's result and whether the hedge supplied it.
 async fn send_batch(
     inputs: &[Input],
-    transport: &dyn BatchTransport,
     metrics: &QueueMetrics,
     shared: &QueueShared,
 ) -> (Result<PredictReply, RpcError>, bool) {
-    let mut primary = transport.predict_batch(inputs);
+    let mut primary = shared.transport.predict_batch(inputs);
     let Some(delay) = hedge_delay(shared, inputs.len()) else {
         return (primary.await, false);
     };
@@ -305,7 +302,7 @@ mod tests {
     use crate::cache::{CacheKey, PredictionCache};
     use crate::types::{Input, Output};
     use clipper_rpc::message::{PredictReply, WireOutput};
-    use clipper_rpc::transport::FnTransport;
+    use clipper_rpc::transport::{BatchTransport, FnTransport};
     use std::sync::atomic::AtomicU8;
     use std::sync::Arc;
     use tokio::sync::oneshot;

@@ -24,13 +24,13 @@
 //! (`α + β·b`), the only service-time estimate: the autotune ceiling,
 //! p2c scoring, SLO admission, the autoscaler's backlog and the hedge
 //! delay all derive from it, and its error is itself a metric
-//! (`queue/*/model_err_us`). *Is it healthy?* — its
-//! [`breaker::CircuitBreaker`], fed batch outcomes and the fleet's
-//! heartbeat-silent signal, read as one [`Health`]. The replica walk and
-//! admission also skip a replica whose transport reports
-//! `is_healthy() == false` (a closed or silent TCP connection), so a
-//! replica's health has two sources: the breaker and its transport's
-//! liveness flag.
+//! (`queue/*/model_err_us`). *Is it healthy?* — one answer,
+//! the replica queue's `health(now)`, read as one [`Health`] by routing,
+//! admission, hedging, the suspect sweep, the fleet's replica view and
+//! `/metrics` (`queue/*/health`). It folds the transport's liveness (a
+//! closed or silent TCP connection reads [`Health::Down`]) into the
+//! verdict of the replica's [`breaker::CircuitBreaker`], fed batch
+//! outcomes and the fleet's heartbeat-silent signal.
 //!
 //! Time comes from one clock, the runtime's `tokio::time::Instant`: the
 //! scheduler reads it once per routing decision and stamps the item's

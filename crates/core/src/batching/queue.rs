@@ -46,9 +46,9 @@
 //!   [`estimated_ns`](ReplicaQueue::estimated_ns) applies it to the
 //!   occupancy: that one number is the power-of-two-choices score, the
 //!   SLO-admission estimate and the autoscaler's backlog signal;
-//! - **health** — one state, [`health`](ReplicaQueue::health): the
-//!   replica's [`CircuitBreaker`], fed every batch outcome and the
-//!   fleet's heartbeat-silent signal.
+//! - **health** — one answer, [`health`](ReplicaQueue::health): the
+//!   transport's liveness, then the replica's [`CircuitBreaker`], fed
+//!   every batch outcome and the fleet's heartbeat-silent signal.
 //!
 //! Timing decomposition recorded per batch (the Figure-11 bars):
 //! - `queue_us`: time queries waited in this queue before dispatch;
@@ -366,13 +366,17 @@ pub(super) struct QueueShared {
     /// controller, p2c scoring, SLO-aware admission, the autoscaler's
     /// backlog signal and the hedge delay all read it.
     pub(super) latency_model: Arc<LatencyModel>,
-    /// The replica's health (§5.2.2): a lane consults it before
+    /// The replica's breaker (§5.2.2): a lane consults it before
     /// dispatching and feeds it every batch outcome, the fleet monitor
     /// feeds it heartbeat silence, and [`ReplicaQueue::health`] reads it.
     /// A replica that only ever errors drains instantly and would
     /// otherwise look *ideal* to depth-aware routing — this is how the
     /// scheduler spots the trap.
     pub(super) breaker: CircuitBreaker,
+    /// The replica's container connection: every lane sends its batches
+    /// here, and its liveness is the first input of
+    /// [`ReplicaQueue::health`].
+    pub(super) transport: Arc<dyn BatchTransport>,
     /// Scheduler callbacks for redispatch and hedging (empty for
     /// standalone queues).
     pub(super) hooks: QueueHooks,
@@ -436,23 +440,27 @@ impl ReplicaQueue {
         self.len() + self.inflight()
     }
 
-    /// The replica's health at `now`: one lock-free read of its
-    /// [`CircuitBreaker`], which every scheduling decision derives from.
+    /// The replica's health at `now` — the one answer routing,
+    /// admission, hedging, the suspect sweep, the fleet's replica view
+    /// and `/metrics` all read: [`Health::Down`] while the transport
+    /// reports itself dead, its [`CircuitBreaker`]'s verdict otherwise.
+    /// Lock-free.
     pub(crate) fn health(&self, now: Instant) -> Health {
+        if !self.shared.transport.is_healthy() {
+            return Health::Down;
+        }
         self.shared.breaker.health(now)
+    }
+
+    /// The replica's transport (what a hedge borrows, and what a parked
+    /// version keeps connected).
+    pub(crate) fn transport(&self) -> &Arc<dyn BatchTransport> {
+        &self.shared.transport
     }
 
     /// The replica's circuit breaker (live state, transition counters).
     pub(crate) fn breaker(&self) -> &CircuitBreaker {
         &self.shared.breaker
-    }
-
-    /// The fleet health monitor's signal that the replica's heartbeats
-    /// went silent (or came back) — suspicion ahead of its batches
-    /// starting to fail. Feeds the replica's one health state; returns
-    /// whether the flag changed.
-    pub(crate) fn set_suspect_hint(&self, suspect: bool) -> bool {
-        self.shared.breaker.set_heartbeat_silent(suspect)
     }
 
     /// Model-predicted nanoseconds for the replica to serve everything
@@ -601,6 +609,7 @@ pub(crate) fn spawn_replica_queue_with_hooks(
         forced: Semaphore::new(0),
         latency_model,
         breaker: CircuitBreaker::new(cfg.breaker),
+        transport,
         hooks,
         cfg,
     });
@@ -609,7 +618,6 @@ pub(crate) fn spawn_replica_queue_with_hooks(
     for _ in 0..lanes {
         tokio::spawn(lane(
             rx.clone(),
-            transport.clone(),
             controller.clone(),
             metrics.clone(),
             shared.clone(),
@@ -626,7 +634,6 @@ pub(crate) fn spawn_replica_queue_with_hooks(
 /// it from this task before pulling again.
 async fn lane(
     rx: Arc<tokio::sync::Mutex<mpsc::Receiver<QueueItem>>>,
-    transport: Arc<dyn BatchTransport>,
     controller: Arc<Mutex<Box<dyn BatchController>>>,
     metrics: QueueMetrics,
     shared: Arc<QueueShared>,
@@ -706,16 +713,7 @@ async fn lane(
             continue;
         }
 
-        dispatch_batch(
-            &mut items,
-            &mut inputs,
-            now,
-            &*transport,
-            &controller,
-            &metrics,
-            &shared,
-        )
-        .await;
+        dispatch_batch(&mut items, &mut inputs, now, &controller, &metrics, &shared).await;
         // The settlement just woke this batch's callers. Go to the back
         // of the run queue so that a closed-loop caller's next query is
         // in the channel before the next batch is sealed; pulling at

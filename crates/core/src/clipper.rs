@@ -43,16 +43,16 @@
 //!
 //! Registrations persist to the statestore (mirroring the paper's Redis
 //! configuration state): an app as its [`AppView`], a model version as
-//! its whole [`BatchConfig`], scheduler policy and breaker included.
+//! its whole [`QueueConfig`], scheduler policy and breaker included.
 //! [`sync_config`](Clipper::sync_config) rebuilds the registry from it
 //! after a restart.
 
-use crate::abstraction::{BatchConfig, ModelAbstractionLayer};
+use crate::abstraction::ModelAbstractionLayer;
 use crate::api::{
     self, ApiError, AppPatch, AppView, ModelRecord, ModelView, ReplicaRecord, RolloutOutcome,
     SyncReport,
 };
-use crate::batching::ReplicaQueue;
+use crate::batching::{QueueConfig, ReplicaQueue};
 use crate::error::PredictError;
 use crate::fleet::{Fleet, FleetConfig};
 use crate::selection::{build_policy, SelectionPolicy, SelectionStateManager};
@@ -139,6 +139,7 @@ impl ClipperBuilder {
                 store,
                 cache_enabled: self.cache_enabled,
                 latency_us: registry.histogram("clipper/latency_us"),
+                deadline_overshoot_us: registry.histogram("clipper/deadline_overshoot_us"),
                 feedback_count: registry.counter("clipper/feedback"),
                 defaults_used: registry.counter("clipper/defaults_used"),
                 substitutions: registry.counter("clipper/straggler_substitutions"),
@@ -185,7 +186,7 @@ impl App {
 /// still-connected transports. Rollback re-attaches them behind fresh
 /// queues.
 struct ParkedVersion {
-    cfg: BatchConfig,
+    cfg: QueueConfig,
     transports: Vec<Arc<dyn BatchTransport>>,
 }
 
@@ -220,6 +221,9 @@ struct Inner {
     cache_enabled: bool,
     registry: Registry,
     latency_us: Histogram,
+    /// How far past its app's SLO each late reply left (µs); a reply
+    /// inside the SLO records nothing.
+    deadline_overshoot_us: Histogram,
     feedback_count: Counter,
     defaults_used: Counter,
     substitutions: Counter,
@@ -425,12 +429,12 @@ impl Clipper {
 
     /// Register a model version with its configuration: per-replica
     /// batching, recovery knobs and the replica-scheduling policy
-    /// ([`BatchConfig::scheduler`]). The first registered version of a
+    /// ([`QueueConfig::scheduler`]). The first registered version of a
     /// name becomes its *current* version; later versions are rollout
     /// candidates until [`rollout_model`](Self::rollout_model) promotes
     /// them. Returns whether the version was newly registered (`false`:
     /// it already existed and keeps its original configuration).
-    pub fn add_model(&self, id: ModelId, cfg: BatchConfig) -> bool {
+    pub fn add_model(&self, id: ModelId, cfg: QueueConfig) -> bool {
         if !self.inner.mal.add_model(id.clone(), cfg) {
             // Duplicate version: the MAL keeps the original config, the
             // directory already lists the version — nothing to persist.
@@ -666,7 +670,11 @@ impl Clipper {
                     from_version,
                     ParkedVersion {
                         cfg: removed.cfg,
-                        transports: removed.transports,
+                        transports: removed
+                            .queues
+                            .iter()
+                            .map(|q| q.transport().clone())
+                            .collect(),
                     },
                 );
             }
@@ -1007,8 +1015,10 @@ impl Clipper {
 
     /// Serve one prediction for `app`, optionally under a user/session
     /// `context` (§5.3). Always returns by the app's SLO deadline (plus
-    /// scheduling noise): stragglers are substituted, and if *nothing*
-    /// arrived the app's default output is returned with zero confidence.
+    /// scheduling noise, which `clipper/deadline_overshoot_us` measures
+    /// for each reply that leaves late): stragglers are substituted, and
+    /// if *nothing* arrived the app's default output is returned with
+    /// zero confidence.
     pub async fn predict(
         &self,
         app_name: &str,
@@ -1050,17 +1060,19 @@ impl Clipper {
         } else {
             app.policy.combine(&state, &input, &preds)
         };
-        let prediction = Prediction {
+        let latency = start.elapsed();
+        self.inner.latency_us.record(latency.as_micros() as u64);
+        if latency > app.cfg.slo {
+            let late_us = (latency - app.cfg.slo).as_micros() as u64;
+            self.inner.deadline_overshoot_us.record(late_us);
+        }
+        Ok(Prediction {
             output,
             confidence,
             models_used,
             models_missing,
-            latency: start.elapsed(),
-        };
-        self.inner
-            .latency_us
-            .record(prediction.latency.as_micros() as u64);
-        Ok(prediction)
+            latency,
+        })
     }
 
     /// Join application feedback with the candidate models' predictions
@@ -1175,7 +1187,7 @@ mod tests {
             .map(|(i, _)| ModelId::new(&format!("m{i}"), 1))
             .collect();
         for (i, &label) in labels.iter().enumerate() {
-            clipper.add_model(models[i].clone(), BatchConfig::default());
+            clipper.add_model(models[i].clone(), QueueConfig::default());
             clipper
                 .add_replica(&models[i], const_transport(label, None))
                 .unwrap();
@@ -1186,6 +1198,44 @@ mod tests {
                 .with_slo(slo),
         );
         (clipper, models)
+    }
+
+    /// Samples in `clipper/deadline_overshoot_us`.
+    fn overshoots(clipper: &Clipper) -> u64 {
+        clipper.inner.deadline_overshoot_us.snapshot().count()
+    }
+
+    #[tokio::test]
+    async fn a_reply_past_its_slo_records_its_overshoot() {
+        let (clipper, _) = setup(
+            &[4],
+            PolicyKind::Static { model_index: 0 },
+            Duration::from_micros(1),
+        );
+        for i in 1..=3 {
+            clipper
+                .predict("app", None, Arc::new(vec![i as f32]))
+                .await
+                .unwrap();
+            assert_eq!(overshoots(&clipper), i, "one sample per late reply");
+        }
+    }
+
+    #[tokio::test]
+    async fn a_reply_inside_its_slo_records_no_overshoot() {
+        let (clipper, _) = setup(
+            &[4],
+            PolicyKind::Static { model_index: 0 },
+            Duration::from_secs(10),
+        );
+        for i in 0..3 {
+            let p = clipper
+                .predict("app", None, Arc::new(vec![i as f32]))
+                .await
+                .unwrap();
+            assert_eq!(p.models_used, 1);
+        }
+        assert_eq!(overshoots(&clipper), 0);
     }
 
     #[tokio::test]
@@ -1294,7 +1344,7 @@ mod tests {
                     for i in 0..n {
                         let model = ModelId::new(&format!("m{i}"), 1);
                         let knob = Arc::new(parking_lot::Mutex::new(Mood::Answers));
-                        clipper.add_model(model.clone(), BatchConfig::default());
+                        clipper.add_model(model.clone(), QueueConfig::default());
                         clipper
                             .add_replica(&model, Arc::new(MoodyTransport(knob.clone())))
                             .unwrap();
@@ -1395,7 +1445,7 @@ mod tests {
         let clipper = Clipper::builder().build();
         let models: Vec<ModelId> = (0..3).map(|i| ModelId::new(&format!("m{i}"), 1)).collect();
         for m in &models {
-            clipper.add_model(m.clone(), BatchConfig::default());
+            clipper.add_model(m.clone(), QueueConfig::default());
             clipper
                 .add_replica(m, const_transport(2, Some(Duration::from_millis(20))))
                 .unwrap();
@@ -1436,7 +1486,7 @@ mod tests {
     async fn all_models_missing_returns_default_output() {
         let clipper = Clipper::builder().build();
         let m = ModelId::new("slow", 1);
-        clipper.add_model(m.clone(), BatchConfig::default());
+        clipper.add_model(m.clone(), QueueConfig::default());
         clipper
             .add_replica(&m, const_transport(1, Some(Duration::from_millis(200))))
             .unwrap();
@@ -1499,11 +1549,11 @@ mod tests {
         const SLO: Duration = Duration::from_millis(20);
         let clipper = Clipper::builder().build();
         let models = vec![ModelId::new("hung", 1), ModelId::new("ok", 1)];
-        clipper.add_model(models[0].clone(), BatchConfig::default());
+        clipper.add_model(models[0].clone(), QueueConfig::default());
         clipper
             .add_replica(&models[0], Arc::new(NeverAnswers))
             .unwrap();
-        clipper.add_model(models[1].clone(), BatchConfig::default());
+        clipper.add_model(models[1].clone(), QueueConfig::default());
         clipper
             .add_replica(&models[1], const_transport(1, None))
             .unwrap();
@@ -1704,9 +1754,9 @@ mod tests {
         let clipper = Clipper::builder().build();
         let v1 = ModelId::new("m", 1);
         let v2 = ModelId::new("m", 2);
-        clipper.add_model(v1.clone(), BatchConfig::default());
+        clipper.add_model(v1.clone(), QueueConfig::default());
         clipper.add_replica(&v1, const_transport(1, None)).unwrap();
-        clipper.add_model(v2.clone(), BatchConfig::default());
+        clipper.add_model(v2.clone(), QueueConfig::default());
         clipper.add_replica(&v2, const_transport(2, None)).unwrap();
         assert_eq!(clipper.current_version("m"), Some(1));
         clipper.register_app(
@@ -1754,7 +1804,7 @@ mod tests {
     async fn rollout_guards_bad_targets() {
         let clipper = Clipper::builder().build();
         let v1 = ModelId::new("m", 1);
-        clipper.add_model(v1.clone(), BatchConfig::default());
+        clipper.add_model(v1.clone(), QueueConfig::default());
         clipper.add_replica(&v1, const_transport(1, None)).unwrap();
         assert!(matches!(
             clipper.rollout_model("ghost", 2).await,
@@ -1769,7 +1819,7 @@ mod tests {
             Err(crate::api::ApiError::VersionUnknown { .. })
         ));
         // A registered but replica-less version is refused.
-        clipper.add_model(ModelId::new("m", 2), BatchConfig::default());
+        clipper.add_model(ModelId::new("m", 2), QueueConfig::default());
         assert!(matches!(
             clipper.rollout_model("m", 2).await,
             Err(crate::api::ApiError::NoReplicasForVersion { .. })
@@ -1788,11 +1838,11 @@ mod tests {
         let clipper = Clipper::builder().build();
         let good1 = ModelId::new("good", 1);
         let bad = ModelId::new("bad", 1);
-        clipper.add_model(good1.clone(), BatchConfig::default());
+        clipper.add_model(good1.clone(), QueueConfig::default());
         clipper
             .add_replica(&good1, const_transport(1, None))
             .unwrap();
-        clipper.add_model(bad.clone(), BatchConfig::default());
+        clipper.add_model(bad.clone(), QueueConfig::default());
         clipper.add_replica(&bad, const_transport(0, None)).unwrap();
         clipper.register_app(
             AppConfig::new("app", vec![good1.clone(), bad.clone()])
@@ -1809,7 +1859,7 @@ mod tests {
         let w_good = before.weights[index_of(&before, &good1).unwrap()];
 
         let good2 = ModelId::new("good", 2);
-        clipper.add_model(good2.clone(), BatchConfig::default());
+        clipper.add_model(good2.clone(), QueueConfig::default());
         clipper
             .add_replica(&good2, const_transport(1, None))
             .unwrap();
@@ -1831,9 +1881,9 @@ mod tests {
             let first = Clipper::builder().statestore(store.clone()).build();
             let v1 = ModelId::new("m", 1);
             let v2 = ModelId::new("m", 2);
-            first.add_model(v1.clone(), BatchConfig::default());
+            first.add_model(v1.clone(), QueueConfig::default());
             first.add_replica(&v1, const_transport(1, None)).unwrap();
-            first.add_model(v2.clone(), BatchConfig::default());
+            first.add_model(v2.clone(), QueueConfig::default());
             first.add_replica(&v2, const_transport(2, None)).unwrap();
             first.register_app(
                 AppConfig::new("app", vec![v1])
@@ -1874,7 +1924,7 @@ mod tests {
         // The PR-4 gap: rolled-out models used to rehydrate with default
         // batching, silently discarding their tuned knobs.
         let store = Arc::new(clipper_statestore::StateStore::new());
-        let tuned = BatchConfig {
+        let tuned = QueueConfig {
             strategy: crate::BatchStrategy::Fixed { size: 7 },
             slo: Duration::from_micros(900),
             batch_wait_timeout: Duration::from_millis(3),
@@ -1897,7 +1947,7 @@ mod tests {
             let first = Clipper::builder().statestore(store.clone()).build();
             let v1 = ModelId::new("m", 1);
             let v2 = ModelId::new("m", 2);
-            first.add_model(v1.clone(), BatchConfig::default());
+            first.add_model(v1.clone(), QueueConfig::default());
             first.add_replica(&v1, const_transport(1, None)).unwrap();
             first.add_model(v2.clone(), tuned.clone());
             first.add_replica(&v2, const_transport(2, None)).unwrap();
@@ -1912,13 +1962,13 @@ mod tests {
         assert_eq!(restored, Some(tuned));
         // The parked old version's knobs survived as well (defaults).
         let v1_cfg = second.abstraction().model_config(&ModelId::new("m", 1));
-        assert_eq!(v1_cfg, Some(BatchConfig::default()));
+        assert_eq!(v1_cfg, Some(QueueConfig::default()));
     }
 
     /// A model version's configuration over every field: each batching
     /// strategy, whole-µs durations, hedging on and off, a breaker
     /// cooldown and both schedulers.
-    fn arb_queue_config() -> impl Strategy<Value = BatchConfig> {
+    fn arb_queue_config() -> impl Strategy<Value = QueueConfig> {
         let micros = |max: u64| (0..max).prop_map(Duration::from_micros);
         let strategy = prop_oneof![
             (0.5f64..8.0, 0.1f64..1.0)
@@ -1950,7 +2000,7 @@ mod tests {
                     (strategy, slo, batch_wait_timeout, queue_capacity),
                     (max_batch_cap, pipeline_depth, drain_deadline, slo_admission),
                     (retry_max_attempts, hedge, cooldown, scheduler),
-                )| BatchConfig {
+                )| QueueConfig {
                     strategy,
                     slo,
                     batch_wait_timeout,
@@ -2080,9 +2130,9 @@ mod tests {
         let a = Clipper::builder().statestore(store.clone()).build();
         let v1 = ModelId::new("m", 1);
         let v2 = ModelId::new("m", 2);
-        a.add_model(v1.clone(), BatchConfig::default());
+        a.add_model(v1.clone(), QueueConfig::default());
         a.add_replica(&v1, const_transport(1, None)).unwrap();
-        a.add_model(v2.clone(), BatchConfig::default());
+        a.add_model(v2.clone(), QueueConfig::default());
         a.add_replica(&v2, const_transport(2, None)).unwrap();
         a.register_app(
             AppConfig::new("app", vec![v1.clone()])
@@ -2139,13 +2189,13 @@ mod tests {
         let a = Clipper::builder().statestore(store.clone()).build();
         let v1 = ModelId::new("m", 1);
         let v2 = ModelId::new("m", 2);
-        a.add_model(v1.clone(), BatchConfig::default());
+        a.add_model(v1.clone(), QueueConfig::default());
         a.add_replica(&v1, const_transport(1, None)).unwrap();
         let b = Clipper::builder().statestore(store.clone()).build();
         b.sync_config().await;
         b.add_replica(&v1, const_transport(1, None)).unwrap();
         // A registers v2 and rolls it out; B never attached v2 replicas.
-        a.add_model(v2.clone(), BatchConfig::default());
+        a.add_model(v2.clone(), QueueConfig::default());
         a.add_replica(&v2, const_transport(2, None)).unwrap();
         a.rollout_model("m", 2).await.unwrap();
 
@@ -2224,7 +2274,7 @@ mod tests {
         {
             let first = Clipper::builder().statestore(store.clone()).build();
             let v1 = ModelId::new("good", 1);
-            first.add_model(v1.clone(), BatchConfig::default());
+            first.add_model(v1.clone(), QueueConfig::default());
             first.register_app(AppConfig::new("app", vec![v1]));
         }
         store.set(&crate::api::model_key("bad"), b"not json".to_vec());
@@ -2244,7 +2294,7 @@ mod tests {
         {
             let first = Clipper::builder().statestore(store.clone()).build();
             let v1 = ModelId::new("good", 1);
-            first.add_model(v1.clone(), BatchConfig::default());
+            first.add_model(v1.clone(), QueueConfig::default());
             first.register_app(AppConfig::new("app", vec![v1]));
         }
         let live = String::from_utf8(store.get(&crate::api::app_key("app")).unwrap()).unwrap();
@@ -2268,7 +2318,7 @@ mod tests {
         {
             let first = Clipper::builder().statestore(store.clone()).build();
             let v1 = ModelId::new("good", 1);
-            first.add_model(v1.clone(), BatchConfig::default());
+            first.add_model(v1.clone(), QueueConfig::default());
             first.register_app(AppConfig::new("app", vec![v1]));
         }
         let live = String::from_utf8(store.get(&crate::api::app_key("app")).unwrap()).unwrap();
@@ -2289,7 +2339,7 @@ mod tests {
     fn register_app_refuses_a_learning_rate_not_above_zero_before_persisting() {
         let clipper = Clipper::builder().build();
         let m = ModelId::new("m", 1);
-        clipper.add_model(m.clone(), BatchConfig::default());
+        clipper.add_model(m.clone(), QueueConfig::default());
         for eta in [0.0, -1.0, f64::INFINITY] {
             let cfg = AppConfig::new("bad", vec![m.clone()]).with_policy(PolicyKind::Exp4 { eta });
             let registered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -2309,7 +2359,7 @@ mod tests {
         let clipper = Clipper::builder().statestore(store.clone()).build();
         let models = [ModelId::new("m0", 1), ModelId::new("m1", 1)];
         for (id, label) in models.iter().zip([4, 7]) {
-            clipper.add_model(id.clone(), BatchConfig::default());
+            clipper.add_model(id.clone(), QueueConfig::default());
             clipper
                 .add_replica(id, const_transport(label, None))
                 .unwrap();
@@ -2353,9 +2403,9 @@ mod tests {
         let clipper = Clipper::builder().build();
         let v1 = ModelId::new("m", 1);
         let v2 = ModelId::new("m", 2);
-        clipper.add_model(v1.clone(), BatchConfig::default());
+        clipper.add_model(v1.clone(), QueueConfig::default());
         clipper.add_replica(&v1, const_transport(1, None)).unwrap();
-        clipper.add_model(v2.clone(), BatchConfig::default());
+        clipper.add_model(v2.clone(), QueueConfig::default());
         clipper.add_replica(&v2, const_transport(2, None)).unwrap();
         clipper.register_app(
             AppConfig::new("ab", vec![v1.clone(), v2.clone()])
@@ -2398,7 +2448,7 @@ mod tests {
         let m = ModelId::new("m", 1);
         clipper.add_model(
             m.clone(),
-            BatchConfig {
+            QueueConfig {
                 strategy: BatchStrategy::Fixed { size: 1 },
                 ..Default::default()
             },

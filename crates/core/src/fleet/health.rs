@@ -2,15 +2,17 @@
 //! queue and expires a dead one.
 //!
 //! The monitor ticks at half the heartbeat interval and reads each
-//! member's silence (time since its last beat; an RPC member's
-//! connection-level liveness probe counts as a beat on every pass). On
-//! every pass it sets or clears the heartbeat-silent flag on an attached
+//! member's silence (time since its last beat; an RPC member beats on
+//! every pass its queue's health reads anything but `Health::Down`, that
+//! is, while its connection-level liveness probe is answered). On every
+//! pass it sets or clears the heartbeat-silent flag on an attached
 //! member's queue from `silence >= suspect_after × interval`, for HTTP
-//! and RPC members alike. That flag on the queue's breaker is the only
-//! record of suspicion: the queue then reads `Health::Silent`, the p2c
+//! and RPC members alike. The flag is one input of the queue's one
+//! health answer: the queue then reads `Health::Silent`, the p2c
 //! scheduler deprioritizes it *before* its batches start failing, and
-//! the member's view reads `"suspect"`. A beat, or a recovered RPC probe,
-//! clears it. Crossing `expire_after × interval` expires the member: the
+//! the member's view reads `"suspect"` — as it does while the queue
+//! reads `Health::Down`. A beat, or a recovered RPC probe, clears it.
+//! Crossing `expire_after × interval` expires the member: the
 //! learned latency curve is harvested, the queue is gracefully drained
 //! (zero-drop — every accepted query completes or fail-fills), and the
 //! member becomes a tombstone whose persisted record warm-starts the
@@ -27,6 +29,7 @@
 
 use super::registry::{Fleet, FleetEvent};
 use crate::api::{ReplicaRecord, REPLICA_STATE_EXPIRED};
+use crate::batching::Health;
 use std::time::Duration;
 use tokio::time::Instant;
 
@@ -60,7 +63,11 @@ impl Fleet {
                     continue;
                 }
                 // An RPC member's connection-level probe is its beat.
-                if m.transport.as_ref().is_some_and(|t| t.is_healthy()) {
+                let probed = |qid: &String| {
+                    let health = self.inner.mal.replica_health(&m.model, qid);
+                    health.is_some_and(|h| h != Health::Down)
+                };
+                if m.rpc && m.queue_id.as_ref().is_some_and(probed) {
                     m.last_beat = now;
                 }
                 let silent = now - m.last_beat;

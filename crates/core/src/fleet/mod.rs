@@ -13,8 +13,8 @@
 //!   `config/replica/*` record so a restarted or sibling frontend
 //!   re-adopts the same fleet.
 //! - **Heartbeat-driven health** ([`health`]): a monitor task flags a
-//!   silent member's queue and expires a dead member. The flag lives on
-//!   the queue's breaker, the one record of suspicion: it feeds the p2c
+//!   silent member's queue and expires a dead member. The flag is one
+//!   input of the queue's one health answer: it feeds the p2c
 //!   scheduler's suspect-avoidance (the replica is deprioritized but not
 //!   abandoned), and a beat or a recovered RPC probe clears it. Expiry
 //!   triggers the zero-drop graceful drain and harvests the replica's

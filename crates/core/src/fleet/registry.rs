@@ -12,15 +12,15 @@
 //! returns.
 //!
 //! A member records when it last beat and whether it expired; nothing
-//! else about its health. Suspicion is the heartbeat-silent flag on its
-//! queue's breaker, which [`ReplicaView::health`] reads.
+//! else about its health. The rest is its queue's one health answer,
+//! which [`ReplicaView::health`] reads.
 
 use crate::abstraction::ModelAbstractionLayer;
 use crate::api::{
     self, ApiError, RegisterOutcome, ReplicaRecord, ReplicaSpec, ReplicaView,
     REPLICA_STATE_EXPIRED, REPLICA_STATE_REGISTERED,
 };
-use crate::batching::LatencyPrior;
+use crate::batching::{Health, LatencyPrior};
 use crate::types::ModelId;
 use clipper_metrics::{Counter, Registry};
 use clipper_rpc::server::{ContainerInfo, RpcServer, TcpContainerHandle};
@@ -154,10 +154,11 @@ pub(crate) struct Member {
     /// the container re-registers.
     pub(crate) expired: bool,
     pub(crate) last_beat: Instant,
-    /// RPC members carry their handle: the connection's own passive
-    /// probing (`is_healthy`) counts as a heartbeat, so an RPC container
-    /// doesn't need a parallel HTTP beat loop.
-    pub(crate) transport: Option<Arc<dyn BatchTransport>>,
+    /// Dialed in over the RPC data plane: the connection's own passive
+    /// probing counts as a heartbeat (its queue reads anything but
+    /// `Health::Down`), so an RPC container doesn't need a parallel HTTP
+    /// beat loop.
+    pub(crate) rpc: bool,
     /// Started by the autoscaler (eligible for scale-down reaping).
     pub(crate) managed: bool,
     /// Monotonic admission order; scale-down reaps the newest.
@@ -298,14 +299,17 @@ impl Fleet {
     }
 
     /// Mark a live, attached member's view `"suspect"` while its queue's
-    /// breaker carries the heartbeat-silent flag. Reads the abstraction
-    /// layer, so it runs after the members lock is released.
+    /// health reads `Silent` or `Down`. Reads the abstraction layer, so
+    /// it runs after the members lock is released.
     fn mark_suspect(&self, view: &mut ReplicaView) {
         let Some(qid) = view.queue_id.as_deref().filter(|_| view.health == HEALTHY) else {
             return;
         };
         let model = ModelId::new(&view.model_name, view.model_version);
-        if self.inner.mal.replica_heartbeat_silent(&model, qid) {
+        if matches!(
+            self.inner.mal.replica_health(&model, qid),
+            Some(Health::Silent | Health::Down)
+        ) {
             view.health = "suspect".to_string();
         }
     }
@@ -419,9 +423,9 @@ impl Fleet {
         let model = ModelId::new(&record.model_name, record.model_version);
         let lenient = matches!(via, Via::Adopt);
         let (transport, rpc, managed) = match via {
-            Via::Register { managed } => (self.launch(&record)?, None, managed),
-            Via::Adopt => (self.launch(&record).unwrap_or(None), None, false),
-            Via::Rpc(t) => (Some(t.clone()), Some(t), false),
+            Via::Register { managed } => (self.launch(&record)?, false, managed),
+            Via::Adopt => (self.launch(&record).unwrap_or(None), false, false),
+            Via::Rpc(t) => (Some(t), true, false),
         };
         let attached = transport.map(|t| {
             self.inner
@@ -440,7 +444,7 @@ impl Fleet {
             queue_id: queue_id.clone(),
             expired: false,
             last_beat: Instant::now(),
-            transport: rpc,
+            rpc,
             managed,
             joined_seq: self.next_seq(),
         };

@@ -797,7 +797,7 @@ async fn handle_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abstraction::BatchConfig;
+    use crate::batching::QueueConfig;
     use crate::types::{AppConfig, ModelId, PolicyKind};
     use clipper_rpc::message::{PredictReply, WireOutput};
     use clipper_rpc::transport::FnTransport;
@@ -806,7 +806,7 @@ mod tests {
     async fn start_frontend() -> (HttpFrontend, Clipper) {
         let clipper = Clipper::builder().build();
         let m = ModelId::new("m", 1);
-        clipper.add_model(m.clone(), BatchConfig::default());
+        clipper.add_model(m.clone(), QueueConfig::default());
         clipper
             .add_replica(
                 &m,

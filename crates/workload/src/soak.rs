@@ -43,9 +43,10 @@
 use crate::arrivals::ArrivalProcess;
 use crate::churn::{http_request, ActionOutcome};
 use crate::report::{PhaseOutcome, PhaseRecorder, PhaseStats};
+use clipper_core::batching::QueueConfig;
 use clipper_core::{
-    AppConfig, BatchConfig, CacheStats, Clipper, Feedback, HttpFrontend, ModelId, Output,
-    PolicyKind, PredictError,
+    AppConfig, CacheStats, Clipper, Feedback, HttpFrontend, ModelId, Output, PolicyKind,
+    PredictError,
 };
 use clipper_metrics::Counter;
 use clipper_rpc::faulty::{FaultConfig, FaultyTransport};
@@ -545,8 +546,8 @@ impl Harness {
             .build();
         let restored = clipper.sync_config().await;
         if i == 0 && restored.is_noop() {
-            clipper.add_model(ModelId::new(MODEL, 1), BatchConfig::default());
-            clipper.add_model(ModelId::new(MODEL, 2), BatchConfig::default());
+            clipper.add_model(ModelId::new(MODEL, 1), QueueConfig::default());
+            clipper.add_model(ModelId::new(MODEL, 2), QueueConfig::default());
             clipper.register_app(
                 AppConfig::new(APP, vec![ModelId::new(MODEL, 1)])
                     .with_policy(PolicyKind::Static { model_index: 0 })

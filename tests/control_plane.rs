@@ -4,7 +4,8 @@
 //! registry rehydration from the statestore after a frontend restart.
 
 use clipper::core::api::{self, AppView};
-use clipper::core::{AppConfig, BatchConfig, Clipper, HttpFrontend, ModelId, PolicyKind};
+use clipper::core::batching::QueueConfig;
+use clipper::core::{AppConfig, Clipper, HttpFrontend, ModelId, PolicyKind};
 use clipper::rpc::message::{PredictReply, WireOutput};
 use clipper::rpc::transport::{BatchTransport, FnTransport, Input};
 use clipper::statestore::StateStore;
@@ -44,9 +45,9 @@ async fn start_two_version_deployment(store: Option<Arc<StateStore>>) -> (HttpFr
     let clipper = builder.build();
     let v1 = ModelId::new("m", 1);
     let v2 = ModelId::new("m", 2);
-    clipper.add_model(v1.clone(), BatchConfig::default());
+    clipper.add_model(v1.clone(), QueueConfig::default());
     clipper.add_replica(&v1, const_transport(1)).unwrap();
-    clipper.add_model(v2.clone(), BatchConfig::default());
+    clipper.add_model(v2.clone(), QueueConfig::default());
     clipper.add_replica(&v2, const_transport(2)).unwrap();
     clipper.register_app(
         AppConfig::new("digits", vec![v1])

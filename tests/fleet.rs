@@ -8,9 +8,10 @@ use clipper::containers::{
     spawn_tcp_container, ContainerConfig, ContainerLogic, ModelContainer, TimingModel,
 };
 use clipper::core::api::{self, ReplicaSpec};
+use clipper::core::batching::QueueConfig;
 use clipper::core::{
-    ApiError, AppConfig, BatchConfig, Clipper, FleetConfig, FleetEvent, FnLauncher, HttpFrontend,
-    ModelId, Output, PolicyKind, ReplicaLauncher,
+    ApiError, AppConfig, Clipper, FleetConfig, FleetEvent, FnLauncher, HttpFrontend, ModelId,
+    Output, PolicyKind, ReplicaLauncher,
 };
 use clipper::rpc::client::{serve_container, ContainerClientConfig};
 use clipper::rpc::faulty::{FaultConfig, FaultyTransport};
@@ -62,7 +63,7 @@ fn base_clipper(store: Option<Arc<StateStore>>, fleet_cfg: FleetConfig) -> Clipp
     }
     let clipper = builder.build();
     let m = ModelId::new("m", 1);
-    clipper.add_model(m.clone(), BatchConfig::default());
+    clipper.add_model(m.clone(), QueueConfig::default());
     clipper.register_app(
         AppConfig::new("app", vec![m])
             .with_policy(PolicyKind::Static { model_index: 0 })

@@ -5,7 +5,8 @@
 //! run as their own process, so the process-wide `CacheKey::build_count()`
 //! delta is exactly the key builds this test triggers.
 
-use clipper::core::abstraction::{BatchConfig, ModelAbstractionLayer};
+use clipper::core::abstraction::ModelAbstractionLayer;
+use clipper::core::batching::QueueConfig;
 use clipper::core::cache::CacheKey;
 use clipper::core::{ModelId, Output};
 use clipper::metrics::Registry;
@@ -17,7 +18,7 @@ use std::sync::Arc;
 async fn predict_hashes_each_input_exactly_once() {
     let mal = ModelAbstractionLayer::new(64, Registry::new());
     let m = ModelId::new("m", 1);
-    mal.add_model(m.clone(), BatchConfig::default());
+    mal.add_model(m.clone(), QueueConfig::default());
     let echo: Arc<dyn BatchTransport> = Arc::new(FnTransport::new("echo", |inputs| {
         Ok(PredictReply {
             outputs: inputs

@@ -9,7 +9,7 @@
 //! run as their own process, so nothing else spawns onto the vendored
 //! runtime's global pool while `spawned_total()` deltas are being read.
 
-use clipper::core::BatchConfig;
+use clipper::core::batching::QueueConfig;
 use clipper::prelude::*;
 use clipper::rpc::message::{PredictReply, WireOutput};
 use clipper::rpc::transport::{BatchTransport, FnTransport};
@@ -26,7 +26,7 @@ async fn a_request_spawns_no_task() {
         .map(|i| ModelId::new(&format!("m{i}"), 1))
         .collect();
     for m in &models {
-        clipper.add_model(m.clone(), BatchConfig::default());
+        clipper.add_model(m.clone(), QueueConfig::default());
         let answer: Arc<dyn BatchTransport> = Arc::new(FnTransport::new("one", |inputs| {
             Ok(PredictReply {
                 outputs: vec![WireOutput::Class(1); inputs.len()],
@@ -84,7 +84,7 @@ async fn a_request_spawns_no_task() {
         }
     }
     let silent = ModelId::new("silent", 1);
-    clipper.add_model(silent.clone(), BatchConfig::default());
+    clipper.add_model(silent.clone(), QueueConfig::default());
     clipper.add_replica(&silent, Arc::new(Silent)).unwrap();
     clipper.register_app(AppConfig::new("late", vec![silent]).with_slo(Duration::from_millis(5)));
     const LATE: usize = 8;

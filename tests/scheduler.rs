@@ -2,13 +2,14 @@
 //! heterogeneity beats blind round-robin, and hot replica removal drains
 //! without dropping or wedging queries.
 
-use clipper::core::abstraction::{BatchConfig, ModelAbstractionLayer, SchedulerPolicy};
+use clipper::core::abstraction::{ModelAbstractionLayer, SchedulerPolicy};
+use clipper::core::batching::QueueConfig;
 use clipper::core::{BatchStrategy, Input, ModelId, PredictError};
 use clipper::metrics::Registry;
 use clipper::rpc::message::{PredictReply, WireOutput};
 use clipper::rpc::transport::BatchTransport;
 use clipper::workload::{run_open_loop_outcomes, ArrivalProcess, LoadReport, RequestOutcome};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -60,7 +61,7 @@ async fn drive_heterogeneous(policy: SchedulerPolicy, rate: f64) -> (LoadReport,
     let m = ModelId::new("hetero", 1);
     mal.add_model(
         m.clone(),
-        BatchConfig {
+        QueueConfig {
             strategy: BatchStrategy::Fixed { size: 64 },
             queue_capacity: 64,
             pipeline_depth: 1,
@@ -149,7 +150,7 @@ async fn drive_taught_curves(teach: bool, n: u32) -> (u64, u64) {
     let m = ModelId::new("taught", 1);
     mal.add_model(
         m.clone(),
-        BatchConfig {
+        QueueConfig {
             strategy: BatchStrategy::Fixed { size: 8 },
             scheduler: SchedulerPolicy::PowerOfTwoChoices,
             ..Default::default()
@@ -228,7 +229,7 @@ async fn facade_hot_remove_drains_mid_traffic() {
     let m = ModelId::new("m", 1);
     clipper.add_model(
         m.clone(),
-        BatchConfig {
+        QueueConfig {
             strategy: BatchStrategy::Fixed { size: 8 },
             ..Default::default()
         },
@@ -268,4 +269,77 @@ async fn facade_hot_remove_drains_mid_traffic() {
         "no wedged cache entries after hot removal"
     );
     assert_eq!(served, 100, "no prediction may be dropped by the drain");
+}
+
+/// A transport that answers at once and reports itself healthy only
+/// while `alive` is set — a connection that dies and comes back, with no
+/// batch ever failing.
+struct Switchable {
+    alive: Arc<AtomicBool>,
+}
+
+impl BatchTransport for Switchable {
+    fn predict_batch(
+        &self,
+        inputs: &[Input],
+    ) -> clipper::rpc::BoxFuture<Result<PredictReply, clipper::rpc::RpcError>> {
+        let n = inputs.len();
+        Box::pin(async move {
+            Ok(PredictReply {
+                outputs: vec![WireOutput::Class(0); n],
+                queue_us: 0,
+                compute_us: 1,
+            })
+        })
+    }
+    fn id(&self) -> String {
+        "switchable".into()
+    }
+    fn is_healthy(&self) -> bool {
+        self.alive.load(Ordering::Relaxed)
+    }
+}
+
+/// A replica whose transport reports itself dead while its breaker stays
+/// closed has one health answer, `Down`, and every reader sees it:
+/// routing skips it, the suspect sweep lists and drains it, and its
+/// `/metrics` gauge reads the `Down` code. When the transport reports
+/// itself alive again, the replica is `Clean` again.
+#[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+async fn a_dead_transport_reads_down_to_every_reader() {
+    use clipper::core::batching::Health;
+    use clipper::core::Clipper;
+    use clipper::metrics::MetricValue;
+
+    let clipper = Clipper::builder().build();
+    let m = ModelId::new("m", 1);
+    clipper.add_model(m.clone(), QueueConfig::default());
+    let alive = Arc::new(AtomicBool::new(true));
+    let transport = Arc::new(Switchable {
+        alive: alive.clone(),
+    });
+    let qid = clipper.add_replica(&m, transport).unwrap();
+    let mal = clipper.abstraction();
+    let gauge = || {
+        let name = format!("queue/{qid}/health");
+        match clipper.registry().snapshot().values.get(&name) {
+            Some(MetricValue::Gauge { value }) => *value,
+            other => panic!("{name}: {other:?}"),
+        }
+    };
+    let predict = || mal.predict(&m, Arc::new(vec![1.0]), false);
+
+    alive.store(false, Ordering::Relaxed);
+    assert_eq!(predict().await, Err(PredictError::NoReplicas));
+    assert_eq!(mal.suspect_queue_ids(&m), vec![qid.clone()]);
+    assert_eq!(gauge(), Health::Down as i64);
+
+    alive.store(true, Ordering::Relaxed);
+    assert_eq!(gauge(), Health::Clean as i64);
+    assert!(mal.suspect_queue_ids(&m).is_empty());
+    assert!(predict().await.is_ok());
+
+    alive.store(false, Ordering::Relaxed);
+    assert_eq!(clipper.drain_suspect_replicas(&m).await, vec![qid]);
+    assert_eq!(mal.replica_count(&m), 0);
 }

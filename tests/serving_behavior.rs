@@ -6,9 +6,8 @@ use clipper::containers::{
     ContainerConfig, ContainerLogic, LatencyProfile, LocalContainerTransport, ModelContainer,
     TimingModel,
 };
-use clipper::core::{
-    AppConfig, BatchConfig, BatchStrategy, Clipper, Feedback, ModelId, Output, PolicyKind,
-};
+use clipper::core::batching::QueueConfig;
+use clipper::core::{AppConfig, BatchStrategy, Clipper, Feedback, ModelId, Output, PolicyKind};
 use clipper::rpc::faulty::{FaultConfig, FaultyTransport};
 use clipper::rpc::message::WireOutput;
 use std::sync::Arc;
@@ -36,7 +35,7 @@ async fn latency_is_bounded_by_the_slo_under_stragglers() {
     let mut ids = Vec::new();
     for i in 0..6 {
         let id = ModelId::new(&format!("m{i}"), 1);
-        clipper.add_model(id.clone(), BatchConfig::default());
+        clipper.add_model(id.clone(), QueueConfig::default());
         let faulty = Arc::new(FaultyTransport::new(
             LocalContainerTransport::new(profile_container(&format!("m{i}"), 1, 10)),
             FaultConfig::stragglers(0.3, Duration::from_millis(200)),
@@ -73,7 +72,7 @@ async fn replica_failover_keeps_serving() {
     let id = ModelId::new("m", 1);
     clipper.add_model(
         id.clone(),
-        BatchConfig {
+        QueueConfig {
             strategy: BatchStrategy::Fixed { size: 1 },
             ..Default::default()
         },
@@ -120,7 +119,7 @@ async fn adaptive_batching_grows_batches_under_load() {
     let id = ModelId::new("m", 1);
     clipper.add_model(
         id.clone(),
-        BatchConfig {
+        QueueConfig {
             strategy: BatchStrategy::default(),
             slo: Duration::from_millis(20),
             ..Default::default()
@@ -176,7 +175,7 @@ async fn adaptive_batching_grows_batches_under_load() {
 async fn cache_is_shared_across_predict_and_feedback() {
     let clipper = Clipper::builder().build();
     let id = ModelId::new("m", 1);
-    clipper.add_model(id.clone(), BatchConfig::default());
+    clipper.add_model(id.clone(), QueueConfig::default());
     clipper
         .add_replica(
             &id,
@@ -211,7 +210,7 @@ async fn version_bump_is_a_distinct_model() {
     let v1 = ModelId::new("m", 1);
     let v2 = ModelId::new("m", 2);
     for (id, label) in [(v1.clone(), 1u32), (v2.clone(), 2u32)] {
-        clipper.add_model(id.clone(), BatchConfig::default());
+        clipper.add_model(id.clone(), QueueConfig::default());
         let c = ModelContainer::new(ContainerConfig {
             name: format!("{id}:0"),
             model_name: id.name.clone(),

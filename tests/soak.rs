@@ -12,7 +12,8 @@
 //!   it suspect, `drain_suspect_replicas` removes it gracefully, and no
 //!   cache waiter is left wedged.
 
-use clipper::core::{AppConfig, BatchConfig, Clipper, ModelId, Output, PolicyKind};
+use clipper::core::batching::QueueConfig;
+use clipper::core::{AppConfig, Clipper, ModelId, Output, PolicyKind};
 use clipper::rpc::faulty::{FaultConfig, FaultyTransport};
 use clipper::rpc::message::{PredictReply, WireOutput};
 use clipper::rpc::transport::{BatchTransport, FnTransport, Input};
@@ -160,7 +161,7 @@ async fn faulty_replica_is_marked_suspect_drained_and_removed() {
         .statestore(Arc::new(StateStore::new()))
         .build();
     let m = ModelId::new("m", 1);
-    clipper.add_model(m.clone(), BatchConfig::default());
+    clipper.add_model(m.clone(), QueueConfig::default());
     clipper.register_app(
         AppConfig::new("app", vec![m.clone()])
             .with_policy(PolicyKind::Static { model_index: 0 })
