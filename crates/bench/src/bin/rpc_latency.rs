@@ -25,7 +25,7 @@
 //! Gates: every measurement made progress; `echo.p50_us` is at most
 //! `predict1`'s p50 (the raw socket wakeup is the floor of the ladder);
 //! and `idle_timer_registrations == 0`: with a blocked accept parked and
-//! no traffic for a quiet window, the timer heap must see no new
+//! no traffic for a quiet window, the timer map must see no new
 //! registration (socket readiness comes from the reactor alone, never a
 //! timer retry). The idle window runs first, before any traffic.
 //!
@@ -171,7 +171,7 @@ async fn run_http_predict(phase: Duration) -> RttStats {
 }
 
 /// Park a blocked accept, then count timer registrations over a quiet
-/// window. This must be zero: readiness never touches the timer heap.
+/// window. This must be zero: readiness never touches the timer map.
 async fn measure_idle_timer_registrations(window: Duration) -> u64 {
     let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
     let blocked = tokio::spawn(async move {
